@@ -75,7 +75,7 @@ def main():
           f"(cell contact distance ~{np.mean(sim.rm.data['diameter']):.1f} um)")
 
     print("\nper-operation wall time (s):")
-    for op, t in sorted(sim.scheduler.wall_times.items(), key=lambda kv: -kv[1]):
+    for op, t in sorted(sim.obs.stage_seconds().items(), key=lambda kv: -kv[1]):
         print(f"  {op:20s} {t:.3f}")
 
 

@@ -297,12 +297,11 @@ def _cmd_trace(args) -> int:
               f"{int(reg.counter('commit:staged_rows').value)} staged rows, "
               f"{int(reg.counter('agent_ops:mask_cache_hits').value)} "
               "mask-cache hits")
-        if sim.rm.soa is not None:
-            soa = sim.rm.soa
-            print(f"  arena: {soa.nbytes} bytes, "
-                  f"{soa.reallocations} reallocations, "
-                  f"{soa.adopts} adopts, "
-                  f"attach {soa.attach_seconds * 1e3:.2f} ms")
+        soa = sim.rm.soa
+        print(f"  arena: {soa.nbytes} bytes, "
+              f"{soa.reallocations} reallocations, "
+              f"{soa.adopts} adopts, "
+              f"attach {soa.attach_seconds * 1e3:.2f} ms")
         if reg.gauge("events:enabled").value:
             print("  events: "
                   f"{int(reg.counter('events:jumps').value)} jumps, "
@@ -465,7 +464,7 @@ SUBCOMMANDS: tuple[Subcommand, ...] = (
                 help="steps per tenant for the `serve` experiment"),
             arg("--out", help="artifact path for the wall-clock "
                               "experiments (scaling, neighbor_cache, "
-                              "agent_ops, kernels, serve)"),
+                              "event_scheduling, kernels, serve)"),
             arg("--profile", nargs="?", const="profiles", metavar="DIR",
                 help="run under cProfile; write top cumulative "
                      "functions to DIR/<experiment>.prof.txt"),

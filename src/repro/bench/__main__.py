@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", default="small", choices=["small", "medium"])
     wall_opts = parser.add_argument_group(
         "wall-clock", "options for the `scaling`, `neighbor_cache`, "
-                      "`agent_ops`, `arena` and `kernels` experiments")
+                      "`event_scheduling` and `kernels` experiments")
     wall_opts.add_argument("--agents", type=int, default=None)
     wall_opts.add_argument("--iterations", type=int, default=None)
     wall_opts.add_argument(
@@ -74,9 +74,9 @@ def main(argv=None) -> int:
                           workers=args.workers, backend=args.backend,
                           shards=args.shards,
                           out=args.out or "BENCH_scaling.json")
-        elif name in ("neighbor_cache", "agent_ops", "arena"):
+        elif name == "neighbor_cache":
             kwargs = dict(agents=args.agents, iterations=args.iterations,
-                          out=args.out or f"BENCH_{name}.json")
+                          out=args.out or "BENCH_neighbor_cache.json")
         elif name == "event_scheduling":
             kwargs = dict(agents=args.agents, iterations=args.iterations,
                           out=args.out or "BENCH_events.json")

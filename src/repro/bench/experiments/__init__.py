@@ -7,8 +7,6 @@ not expected to match — the substrate is a simulated machine).
 """
 
 from repro.bench.experiments import (
-    agent_ops,
-    arena,
     event_scheduling,
     ext_ablations,
     ext_distributed,
@@ -31,8 +29,6 @@ from repro.bench.experiments import (
 )
 
 ALL_EXPERIMENTS = {
-    "agent_ops": agent_ops,
-    "arena": arena,
     "event_scheduling": event_scheduling,
     "table1": table1_characteristics,
     "fig05": fig05_breakdown,

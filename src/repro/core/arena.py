@@ -1,11 +1,10 @@
 """Single-arena SoA block: all agent columns in one contiguous buffer.
 
-The per-column :class:`~repro.core.resource_manager.ResourceManager`
-layout allocates every attribute array independently, so every bulk
-state movement — shared-memory attach, checkpoint save/restore, (future)
-shard migration or GPU upload — degenerates into a per-column loop.
-:class:`SoAArena` consolidates the columns into **one** dtype-packed
-``uint8`` block:
+Allocating every attribute array independently would turn every bulk
+state movement — shared-memory attach, checkpoint save/restore, shard
+migration, GPU upload — into a per-column loop.  :class:`SoAArena` is the
+:class:`~repro.core.resource_manager.ResourceManager`'s backing store and
+holds the columns in **one** dtype-packed ``uint8`` block:
 
 - every column occupies a contiguous region ``[offset, offset +
   capacity * row_nbytes)`` inside the block, 64-byte aligned;

@@ -9,14 +9,13 @@ run deterministically-enough for analysis workflows:
 - diffusion grid concentrations,
 - iteration counter and simulated time.
 
-Format v2 (``Param.soa_arena``): when the simulation uses the
-single-arena SoA layout (:mod:`repro.core.arena`), the checkpoint stores
-the arena's **whole backing block** plus its layout descriptor instead of
-one array per column, and restore into a matching arena is a **single
-contiguous copy** (:meth:`SoAArena.adopt`) — O(domains) instead of
-O(columns).  Per-column (v1) checkpoints remain readable, and either
-format restores into either layout: a layout/column mismatch just falls
-back to the per-column placement funnel
+Format v2: the checkpoint stores the SoA arena's **whole backing block**
+(:mod:`repro.core.arena`) plus its layout descriptor, and restore into an
+arena with the same column set is a **single contiguous copy**
+(:meth:`SoAArena.adopt`) — O(domains) instead of O(columns).  Per-column
+files (format v1, one ``col__<name>`` array per column) are no longer
+written but remain readable: they, and v2 files whose column set differs
+from the target's, restore through the per-column placement funnel
 (:meth:`ResourceManager.restore_columns`).
 
 Not persisted (documented limitations, as in BioDynaMo's ROOT backup):
@@ -61,9 +60,8 @@ def _require_checkpointable(sim, verb: str) -> None:
 def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
     """Write the simulation state to an ``.npz`` checkpoint.
 
-    Arena-backed simulations save the consolidated block verbatim (one
-    contiguous array per domain block) plus a JSON layout descriptor;
-    per-column simulations save one array per column, as in format v1.
+    The consolidated arena block is saved verbatim (one contiguous
+    array) plus a JSON layout descriptor.
 
     ``extra_meta`` is an optional JSON-serializable dict stored verbatim
     alongside the state (``read_checkpoint_meta`` returns it without
@@ -86,13 +84,9 @@ def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
     }
     if extra_meta is not None:
         payload["__extra__"] = np.array(json.dumps(extra_meta))
-    soa = getattr(rm, "soa", None)
-    if soa is not None and soa.block is not None:
-        payload["arena__block"] = np.asarray(soa.block[: soa.nbytes])
-        payload["arena__meta"] = np.array(json.dumps(soa.layout_meta()))
-    else:
-        for name, arr in rm.data.items():
-            payload[f"col__{name}"] = arr
+    soa = rm.soa
+    payload["arena__block"] = np.asarray(soa.block[: soa.nbytes])
+    payload["arena__meta"] = np.array(json.dumps(soa.layout_meta()))
     for gname, grid in sim.diffusion_grids.items():
         payload[f"grid__{gname}"] = grid.concentration
     np.savez(path, **payload)
@@ -140,10 +134,10 @@ def restore_checkpoint(sim, path) -> None:
     """Load a checkpoint into ``sim`` (which must have the same columns
     registered and the same diffusion grids added).
 
-    When both the checkpoint and ``sim`` use the arena layout with the
-    same column set, the whole agent state lands with one contiguous
-    block copy; any mismatch falls back to per-column placement through
-    :meth:`ResourceManager.restore_columns`.
+    When the checkpoint holds an arena block with ``sim``'s column set,
+    the whole agent state lands with one contiguous block copy; v1
+    per-column files and layout mismatches go through per-column
+    placement (:meth:`ResourceManager.restore_columns`).
     """
     _require_checkpointable(sim, "restore into")
     with np.load(Path(path)) as data:

@@ -43,6 +43,16 @@ class ParamError(ValueError):
     """
 
 
+#: Former on/off fields whose "on" behaviour is now the only
+#: implementation, mapped to what they used to select; old configs that
+#: still carry them get an explanation instead of a did-you-mean.
+_REMOVED_FIELDS = {
+    "batched_agent_ops": "the staged commit pipeline",
+    "soa_arena": "the single-arena SoA layout",
+    "skip_unchanged_environment": "the unchanged-environment rebuild skip",
+}
+
+
 @dataclass
 class Param:
     """All engine knobs; defaults correspond to the fully optimized engine."""
@@ -72,9 +82,9 @@ class Param:
     #: ``backend_shards`` / ``distributed_transport``.
     execution_backend: str = "serial"
     #: Force the agent storage into shared memory even when the execution
-    #: backend is serial: columns (and, with ``soa_arena``, the whole
-    #: consolidated block) live in ``multiprocessing.shared_memory``
-    #: segments that other processes can attach zero-copy.  This is what
+    #: backend is serial: the consolidated SoA block lives in a
+    #: ``multiprocessing.shared_memory`` segment that other processes can
+    #: attach zero-copy.  This is what
     #: the session server (:mod:`repro.serve`) uses — each session's
     #: agent state is one attachable SoA block — and it is bitwise
     #: identical to private storage (same arrays, different backing
@@ -87,7 +97,7 @@ class Param:
     #: (:class:`repro.distributed.partition.SpatialPartition`) into this
     #: many OS-process shards, each owning a shard-local uniform grid +
     #: CSR plus a halo ring of ghost agents; results are bitwise
-    #: identical to serial (``verify.replay.distributed_equivalence``).
+    #: identical to serial (``verify.replay`` leg ``distributed``).
     #: 0 means "not configured": the auto cost model never selects the
     #: distributed backend, and selecting it explicitly defaults to 2.
     backend_shards: int = 0
@@ -111,19 +121,14 @@ class Param:
     #: falling back to NumPy with a warning — never an ImportError).
     #: Compiled backends match the reference within the tolerances
     #: declared in :data:`repro.kernels.api.KERNEL_TOLERANCES`, gated by
-    #: ``verify.replay.kernel_equivalence``.
+    #: the ``verify.replay`` legs ``kernels`` / ``kernels_compiled``.
     kernel_backend: str = "numpy"
-    #: Skip the environment rebuild (and neighbor-CSR invalidation) when no
-    #: agent moved or grew since the last build and neither the population
-    #: nor the interaction radius changed.  Code that mutates positions
-    #: directly must call ``sim.invalidate_neighbor_cache()``.
-    skip_unchanged_environment: bool = True
     #: Displacement-bounded neighbor caching (Verlet-skin CSR reuse): build
     #: the uniform grid with an inflated radius ``interaction_radius +
     #: skin`` and, while no agent has consumed the skin budget, reuse the
     #: cached superset CSR with a cheap order-preserving re-filter instead
     #: of rebuilding.  Results are bitwise identical to rebuilding every
-    #: step (enforced by ``verify.replay.neighbor_cache_equivalence``).
+    #: step (enforced by the ``verify.replay`` leg ``neighbor_cache``).
     #: Only engages for environments that support it (the uniform grid)
     #: and never during virtual-machine cost-model runs.
     neighbor_cache: bool = True
@@ -132,32 +137,13 @@ class Param:
     #: interaction-radius growth; a positive value fixes it.  Negative
     #: values are invalid.
     neighbor_skin: float = 0.0
-    #: Batched agent-ops pipeline: ``queue_new_agents`` writes into
-    #: preallocated columnar staging arenas and ``commit`` appends the
-    #: staged rows with one fancy-indexed copy per column (additions-only
-    #: commits skip the per-step UID rescan entirely); the scheduler
-    #: additionally caches per-behavior index lists until the population
-    #: structure or a behavior mask changes.  Bitwise identical to the
-    #: legacy dict-of-lists queue-merge path (enforced by
-    #: ``verify.replay.commit_pipeline_equivalence``); turning it off
-    #: selects that legacy path, e.g. for A/B benchmarking.
-    batched_agent_ops: bool = True
-    #: Single-arena SoA layout (:mod:`repro.core.arena`): every agent
-    #: column lives in one contiguous dtype-packed block per domain with
-    #: columns as zero-copy views, so shared-memory attach, checkpoint
-    #: save/restore, and worker remap are a single contiguous copy
-    #: instead of a per-column loop.  Bitwise identical to the historical
-    #: per-column layout (enforced by
-    #: ``verify.replay.arena_equivalence``); turning it off selects that
-    #: per-column path as the A/B baseline.
-    soa_arena: bool = True
     #: Event-driven quiescence scheduling (:mod:`repro.core.events`):
     #: behaviors declare per-agent wake times (``Behavior.next_fire``),
     #: the scheduler dispatches only due agents, and provably-inert
     #: stretches are consumed as one horizon jump that replays only
     #: time-dependent state (read-only samplers, diffusion, the time
     #: accumulator).  Bitwise identical to tick-stepping (enforced by
-    #: ``verify.replay.events_equivalence``); off by default, enabled by
+    #: the ``verify.replay`` leg ``events``); off by default, enabled by
     #: :meth:`optimized`.  Never engages under a virtual machine or the
     #: distributed backend.
     event_scheduling: bool = False
@@ -204,6 +190,12 @@ class Param:
 
     # ------------------------------------------------------------------ #
 
+    def __new__(cls, *args, **kwargs):
+        # Typed rejection before the dataclass ``__init__`` turns an
+        # unknown keyword into a bare TypeError.
+        cls._reject_unknown(kwargs)
+        return super().__new__(cls)
+
     def __post_init__(self):
         # Construction-time gate: a Param object that exists is valid.
         self._check_types()
@@ -211,12 +203,18 @@ class Param:
 
     @classmethod
     def _reject_unknown(cls, keys) -> None:
-        """Raise :class:`ParamError` for keys that are not Param fields,
-        suggesting the closest real field name (typo guard)."""
+        """Raise :class:`ParamError` for keys that are not Param fields:
+        removed fields say why they are gone, typos get the closest real
+        field name."""
         valid = {f.name for f in fields(cls)}
         unknown = sorted(set(keys) - valid)
         if not unknown:
             return
+        removed = [k for k in unknown if k in _REMOVED_FIELDS]
+        if removed:
+            raise ParamError("; ".join(
+                f"parameter {k!r} was removed: {_REMOVED_FIELDS[k]} is now "
+                "unconditional, delete the setting" for k in removed))
         hints = []
         for k in unknown:
             close = difflib.get_close_matches(k, valid, n=1)

@@ -8,28 +8,25 @@ segments, the moral equivalent of the per-domain pointer vectors), and a
 simulated allocator assigns each agent payload an address whose locality
 and NUMA placement the cost model prices.
 
+Every column lives in one contiguous :class:`~repro.core.arena.SoAArena`
+block (shared capacity, amortized-doubling growth); ``data[name]`` is a
+zero-copy prefix view of the column's region, so worker attach,
+checkpoint save and restore move the whole agent state as one block.
+
 Additions and removals requested during an iteration are buffered and
-committed at the end of the iteration.  Two buffering strategies exist:
+committed at the end of the iteration.  Additions are written directly
+into preallocated columnar *staging buffers* (amortized doubling growth,
+one contiguous row-range per :meth:`queue_new_agents` call).  ``commit``
+then has fast paths: an additions-only commit on a single domain
+*appends* the staged rows to the arena-backed columns in place (no full
+reallocation, no ``np.unique``/``np.isin`` uid rescan — the new agents'
+indices are known positionally), and removals are applied with one
+fancy-indexed gather per column built from the §3.2 swap plans.
 
-- **Staged (default, ``batched=True``)** — additions are written directly
-  into preallocated columnar *staging arenas* (amortized doubling growth,
-  one contiguous row-range per :meth:`queue_new_agents` call).  ``commit``
-  then has fast paths: an additions-only commit on a single domain
-  *appends* the staged rows to capacity-backed columns in place (no full
-  reallocation, no ``np.unique``/``np.isin`` uid rescan — the new agents'
-  indices are known positionally), and removals are applied with one
-  fancy-indexed gather per column built from the §3.2 swap plans.
-- **Legacy (``batched=False``)** — the original dict-of-lists queues whose
-  commit re-merges attribute arrays with ``np.concatenate`` and locates
-  the inserted rows with an ``np.isin`` uid scan.  Kept as the measured
-  baseline for ``python -m repro bench agent_ops`` and as the reference
-  implementation for ``verify.replay.commit_pipeline_equivalence``, which
-  asserts the two pipelines produce bitwise-identical per-step state.
-
-Commit ordering is identical in both modes: queued entries are drained
-per thread in thread-key insertion order, then call order, and uids are
-assigned contiguously in that merged order — so the staged pipeline
-reproduces the legacy uid/layout byte for byte.
+Commit ordering: queued entries are drained per thread in thread-key
+insertion order, then call order, and uids are assigned contiguously in
+that merged order.  ``tests/golden/traces.json`` pins the resulting
+uid/layout byte for byte.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ class CommitStats:
     #: Whether the additions took the in-place segment-append fast path
     #: (no column reallocation, no uid rescan).
     fast_append: bool = False
-    #: Rows that went through the columnar staging arenas this commit.
+    #: Rows that went through the columnar staging buffers this commit.
     staged_rows: int = 0
 
 
@@ -85,18 +82,13 @@ class ResourceManager:
         num_domains: int = 1,
         agent_allocator=None,
         agent_size_bytes: int = 136,
-        batched: bool = True,
-        soa_arena: bool = False,
     ):
         self.num_domains = num_domains
         self.allocator = agent_allocator
         self.agent_size_bytes = agent_size_bytes
-        self.batched = batched
         #: Single-arena SoA block (:mod:`repro.core.arena`) holding every
-        #: column when ``soa_arena=True``; ``None`` selects the historical
-        #: per-column layout (the A/B baseline).  ``Simulation`` passes
-        #: ``Param.soa_arena`` through, so the arena is the engine default.
-        self.soa = self._make_soa_arena() if soa_arena else None
+        #: column.
+        self.soa = self._make_soa_arena()
         self._columns: dict[str, tuple[np.dtype, tuple, object]] = {}
         self.data: dict[str, np.ndarray] = {}
         self.n = 0
@@ -110,20 +102,14 @@ class ResourceManager:
         self.mask_version = 0
         self.domain_starts = np.zeros(num_domains + 1, dtype=np.int64)
         self._next_uid = 0
-        # Legacy dict-of-lists addition queues (used when batched=False).
-        self._add_queues: dict[int, list[dict]] = {}
         self._remove_queues: dict[int, list[np.ndarray]] = {}
-        # Columnar staging arenas (used when batched=True): one capacity
-        # buffer per column touched this round, plus per-thread call
-        # records (start row, count, domain spec) that reproduce the
-        # legacy commit order.
+        # Columnar staging buffers: one capacity buffer per column touched
+        # this round, plus per-thread call records (start row, count,
+        # domain spec) that fix the commit order.
         self._staging: dict[str, np.ndarray] = {}
         self._staged = 0
         self._stage_capacity = 0
         self._staged_entries: dict[int, list[tuple[int, int, object]]] = {}
-        #: Capacity buffers backing ``data`` columns after a fast append;
-        #: ``data[name]`` is an exact-size prefix view of the entry here.
-        self._col_caps: dict[str, np.ndarray] = {}
         for name, dtype, shape, fill in self.CORE_COLUMNS:
             self.register_column(name, dtype, shape, fill)
         from repro.core.agent import UidIndex
@@ -149,11 +135,10 @@ class ResourceManager:
         if name in self._columns:
             raise ValueError(f"column {name!r} already registered")
         self._columns[name] = (np.dtype(dtype), tuple(row_shape), fill)
-        if self.soa is not None:
-            self.soa.add_column(name, dtype, row_shape, live_rows=self.n)
-            # Offsets moved: re-fetch every live column's prefix view.
-            for other in self.data:
-                self.data[other] = self.soa.view(other, self.n)
+        self.soa.add_column(name, dtype, row_shape, live_rows=self.n)
+        # Offsets moved: re-fetch every live column's prefix view.
+        for other in self.data:
+            self.data[other] = self.soa.view(other, self.n)
         arr = np.empty((self.n, *row_shape), dtype=dtype)
         if self.n:
             arr[:] = fill
@@ -163,72 +148,47 @@ class ResourceManager:
         """Publish a column's (re)allocated backing array under ``name``.
 
         Every structural operation funnels its final per-column array
-        through this hook; storage subclasses (the shared-memory columns of
-        :mod:`repro.parallel.shm`) override it to place the data where
-        worker processes can map it.  In arena mode the array is copied
-        into the column's region of the single SoA block and ``data``
-        gets the zero-copy prefix view.
+        through this hook: the array is copied into the column's region
+        of the single SoA block and ``data`` gets the zero-copy prefix
+        view.
         """
-        if self.soa is not None:
-            arr = np.asarray(arr)
-            replaced = self.soa.reserve(len(arr), self.n)
-            view = self.soa.view(name, len(arr))
-            if view.size:
-                view[...] = arr
-            if replaced:
-                # The block moved: every other column's view is stale too.
-                for other in self.data:
-                    if other != name:
-                        self.data[other] = self.soa.view(
-                            other, len(self.data[other]))
-            self.data[name] = view
-            return
-        # A freshly allocated array replaces any capacity buffer the fast
-        # append path was extending; drop it so the next append revalidates.
-        self._col_caps.pop(name, None)
-        self.data[name] = arr
+        arr = np.asarray(arr)
+        replaced = self.soa.reserve(len(arr), self.n)
+        view = self.soa.view(name, len(arr))
+        if view.size:
+            view[...] = arr
+        if replaced:
+            # The block moved: every other column's view is stale too.
+            for other in self.data:
+                if other != name:
+                    self.data[other] = self.soa.view(
+                        other, len(self.data[other]))
+        self.data[name] = view
 
     def _grow_column(self, name: str, new_n: int) -> np.ndarray:
         """Extend column ``name`` to ``new_n`` rows, reusing capacity.
 
         The returned array is the live ``data[name]`` view; rows
         ``[0, self.n)`` hold the current values, rows ``[self.n, new_n)``
-        are uninitialized and must be filled by the caller.  Capacity
-        grows by amortized doubling; reallocation only copies when the
-        capacity buffer is exhausted or no longer backs the live column
-        (e.g. after a checkpoint restore wrote ``data`` directly).
-        Storage subclasses override this to grow shared-memory blocks.
+        are uninitialized and must be filled by the caller.  One arena
+        reservation grows *all* columns at once by amortized doubling (the
+        first per-column call of a commit pays it; the rest are free).
         """
-        dtype, shape, _fill = self._columns[name]
         cur = self.data[name]
-        if self.soa is not None:
-            # One arena reservation grows *all* columns at once (the first
-            # per-column call of a commit pays it; the rest are free).
-            external = self.n > 0 and not self.soa.owns(name, cur)
-            replaced = self.soa.reserve(new_n, self.n)
-            view = self.soa.view(name, new_n)
-            if external:
-                # ``data[name]`` was re-bound to private memory behind the
-                # arena's back; carry those rows, not the stale arena ones.
-                view[: self.n] = cur[: self.n]
-            if replaced:
-                for other in self.data:
-                    if other != name:
-                        self.data[other] = self.soa.view(
-                            other, len(self.data[other]))
-            self.data[name] = view
-            return view
-        buf = self._col_caps.get(name)
-        if buf is not None and (cur is buf or cur.base is buf) and len(buf) >= new_n:
-            grown = buf[:new_n]
-        else:
-            cap = max(new_n, 2 * len(cur), self._MIN_CAPACITY)
-            fresh = np.empty((cap, *shape), dtype=dtype)
-            fresh[: self.n] = cur
-            self._col_caps[name] = fresh
-            grown = fresh[:new_n]
-        self.data[name] = grown
-        return grown
+        external = self.n > 0 and not self.soa.owns(name, cur)
+        replaced = self.soa.reserve(new_n, self.n)
+        view = self.soa.view(name, new_n)
+        if external:
+            # ``data[name]`` was re-bound to private memory behind the
+            # arena's back; carry those rows, not the stale arena ones.
+            view[: self.n] = cur[: self.n]
+        if replaced:
+            for other in self.data:
+                if other != name:
+                    self.data[other] = self.soa.view(
+                        other, len(self.data[other]))
+        self.data[name] = view
+        return view
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -362,17 +322,10 @@ class ResourceManager:
         int (pin all rows), or an int array with one domain per row
         (batched behaviors queue all their divisions in one call).
 
-        In staged mode the attribute arrays are copied into the columnar
-        staging arenas immediately (one contiguous row-range per call);
-        in legacy mode the call is recorded in a thread-local list and
-        merged at commit.
+        The attribute arrays are copied into the columnar staging buffers
+        immediately (one contiguous row-range per call).
         """
         count = len(next(iter(attributes.values())))
-        if not self.batched:
-            self._add_queues.setdefault(thread, []).append(
-                {"attributes": attributes, "domain": domain, "count": count}
-            )
-            return
         start = self._staged
         new_total = start + count
         if new_total > self._stage_capacity:
@@ -386,8 +339,7 @@ class ResourceManager:
                 buf = self._new_staging_buffer(name, backfill=start)
             buf[start:new_total] = np.asarray(value)
         # Columns staged by earlier calls but absent from this one get
-        # their fill value for this range (legacy merge would reject such
-        # heterogeneous rounds; staging handles them).
+        # their fill value for this range.
         for name, buf in self._staging.items():
             if name not in attributes:
                 buf[start:new_total] = self._columns[name][2]
@@ -422,8 +374,7 @@ class ResourceManager:
 
     @property
     def pending_additions(self) -> int:
-        legacy = sum(e["count"] for q in self._add_queues.values() for e in q)
-        return legacy + self._staged
+        return self._staged
 
     @property
     def pending_removals(self) -> int:
@@ -462,15 +413,12 @@ class ResourceManager:
         # --- Additions.
         if self._staged:
             self._commit_staged(stats)
-        entries = [e for q in self._add_queues.values() for e in q]
-        self._add_queues.clear()
-        if entries:
-            self._commit_legacy(entries, stats)
         return stats
 
     def _commit_order(self) -> tuple[list[tuple[int, int, object]], np.ndarray | None]:
-        """Staged calls in legacy commit order, plus the storage->commit
-        gather (``None`` when storage order already is commit order)."""
+        """Staged calls in commit order (per thread, then call order), plus
+        the storage->commit gather (``None`` when storage order already is
+        commit order)."""
         ranges = [e for q in self._staged_entries.values() for e in q]
         if len(self._staged_entries) <= 1:
             return ranges, None  # single thread: call order == storage order
@@ -480,8 +428,8 @@ class ResourceManager:
         return ranges, order
 
     def _staged_domains(self, ranges, total: int) -> np.ndarray:
-        """Per-row target domain in commit order (legacy ``rr`` semantics:
-        the round-robin cursor advances only over ``domain=None`` calls)."""
+        """Per-row target domain in commit order (the round-robin cursor
+        advances only over ``domain=None`` calls)."""
         dom = np.empty(total, dtype=np.int64)
         pos = 0
         rr = 0
@@ -495,10 +443,10 @@ class ResourceManager:
         return dom
 
     def _commit_staged(self, stats: CommitStats) -> None:
-        """Drain the staging arenas into the columns.
+        """Drain the staging buffers into the columns.
 
         Single-domain storage takes the append fast path: every column is
-        extended in place over its capacity buffer and the staged rows are
+        extended in place over the arena's capacity and the staged rows are
         copied once — no full-column reallocation, and the new agents'
         indices are ``arange(n_before, n_after)`` by construction (no
         ``np.isin`` uid scan).  Multi-domain storage falls back to the
@@ -545,75 +493,6 @@ class ResourceManager:
             stats.new_agent_indices = self._insert(attributes, dom)
         self._staged = 0
         self._staged_entries.clear()
-
-    def _commit_legacy(self, entries: list[dict], stats: CommitStats) -> None:
-        """The original queue-merge commit (``batched=False`` baseline):
-        concatenate per-entry attribute arrays, insert, then locate the
-        inserted rows with a uid rescan."""
-        total = sum(e["count"] for e in entries)
-        stats.added += total
-        dom = np.empty(total, dtype=np.int64)
-        merged: dict[str, list] = {}
-        pos = 0
-        rr = 0
-        for e in entries:
-            c = e["count"]
-            if e["domain"] is None:
-                dom[pos : pos + c] = (np.arange(c) + rr) % self.num_domains
-                rr += c
-            else:
-                dom[pos : pos + c] = e["domain"]
-            for k, v in e["attributes"].items():
-                merged.setdefault(k, []).append(np.asarray(v))
-            pos += c
-        attributes = {k: np.concatenate(v) for k, v in merged.items()}
-        uids = np.arange(self._next_uid, self._next_uid + total, dtype=np.int64)
-        self._next_uid += total
-        attributes["uid"] = uids
-        before = self.n
-        self._insert_legacy(attributes, dom)
-        # Indices of the inserted agents in the *new* layout (the legacy
-        # uid rescan the staged pipeline exists to avoid).
-        new_idx = np.flatnonzero(np.isin(self.data["uid"], uids))
-        stats.new_agent_indices = new_idx
-        assert self.n == before + total
-
-    def _insert_legacy(self, attributes: dict[str, np.ndarray],
-                       dom: np.ndarray) -> None:
-        """The original per-domain insert loop, kept verbatim as the
-        ``batched=False`` baseline: every column is reallocated and its
-        domain segments and inserted rows copied one domain at a time
-        (with a per-column per-domain ``flatnonzero`` gather).  Produces
-        the exact layout of :meth:`_insert`."""
-        count = len(dom)
-        if "addr" not in attributes:
-            attributes["addr"] = self._alloc_addrs(dom)
-        order = np.argsort(dom, kind="stable")
-        insert_per_domain = np.bincount(dom, minlength=self.num_domains)
-
-        new_n = self.n + count
-        new_starts = self.domain_starts + np.concatenate(
-            ([0], np.cumsum(insert_per_domain))
-        )
-        for name, (dtype, shape, fill) in self._columns.items():
-            old = self.data[name]
-            new = np.empty((new_n, *shape), dtype=dtype)
-            src = attributes.get(name)
-            for d in range(self.num_domains):
-                o_lo, o_hi = self.domain_starts[d], self.domain_starts[d + 1]
-                n_lo = new_starts[d]
-                seg = o_hi - o_lo
-                new[n_lo : n_lo + seg] = old[o_lo:o_hi]
-                ins = order[np.flatnonzero(dom[order] == d)]
-                dst = slice(n_lo + seg, n_lo + seg + len(ins))
-                if src is not None:
-                    new[dst] = np.asarray(src)[ins]
-                else:
-                    new[dst] = fill
-            self._store(name, new)
-        self.n = new_n
-        self.structure_version += 1
-        self.domain_starts = new_starts
 
     def _remove_indices(self, removed, parallel, num_threads, stats) -> None:
         """Apply the §3.2 swap plans with one gather per column.
@@ -676,20 +555,16 @@ class ResourceManager:
         """Rebind every column to restored data through the ``_store``
         placement funnel (per-column path).
 
-        This is the generic restore: it works across layouts (per-column
-        checkpoint into an arena ResourceManager and vice versa) and
-        keeps storage subclasses correct — shared-memory columns are
-        re-placed where workers can map them instead of being re-bound to
-        private arrays.  Callers set ``domain_starts``/``_next_uid``
+        This is the generic restore: it takes per-column checkpoints and
+        arena checkpoints whose column set or layout differs from this
+        manager's, and places every column in the arena block (shared
+        memory included).  Callers set ``domain_starts``/``_next_uid``
         themselves.
         """
         # Stale rows must not be carried over by arena growth during the
         # per-column stores: the restored arrays are the only truth.
         self.n = 0
         for name, arr in columns.items():
-            arr = np.asarray(arr)
-            if self.soa is None:
-                arr = arr.copy()
             self._store(name, arr)
         self.n = int(n)
         self.structure_version += 1
@@ -700,17 +575,16 @@ class ResourceManager:
         ``raw``/``meta`` come from :meth:`SoAArena.layout_meta
         <repro.core.arena.SoAArena.layout_meta>` + the block bytes of the
         saving ResourceManager.  Returns ``False`` (caller falls back to
-        :meth:`restore_columns`) when this manager has no arena or its
-        column set differs from the snapshot's; on success the whole
-        agent state lands with one contiguous copy per block.
+        :meth:`restore_columns`) when this manager's column set differs
+        from the snapshot's; on success the whole agent state lands with
+        one contiguous copy per block.
         """
-        if self.soa is None or not self.soa.matches(meta):
+        if not self.soa.matches(meta):
             return False
         self.soa.adopt(meta, raw)
         n = int(n)
         for name in self._columns:
             self.data[name] = self.soa.view(name, n)
-        self._col_caps.clear()
         self.n = n
         self.structure_version += 1
         return True

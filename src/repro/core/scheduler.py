@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -41,21 +40,6 @@ from repro.parallel.machine import SchedulePolicy, make_blocks
 
 __all__ = ["Scheduler"]
 
-
-def __getattr__(name: str):
-    # Deprecation shim: MOVE_EPSILON's canonical home moved to
-    # repro.parallel.backend when the execution backends were introduced.
-    if name == "MOVE_EPSILON":
-        warnings.warn(
-            "importing MOVE_EPSILON from repro.core.scheduler is "
-            "deprecated; import it from repro.parallel.backend",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.parallel.backend import MOVE_EPSILON
-
-        return MOVE_EPSILON
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Arithmetic ops for one agent's displacement integration.
 DISPLACEMENT_OPS = 30.0
@@ -117,7 +101,7 @@ class Scheduler:
         #: loop, keyed by the identity of ``indices`` (strong ref kept, so
         #: the id cannot be reused while cached).
         self._qi_cache = None
-        # --- Batched agent-ops pipeline (staged commits + cached dispatch).
+        # --- Agent-ops pipeline (staged commits + cached dispatch).
         self._commit_fast_appends = self._obs.registry.counter(
             "commit:fast_appends"
         )
@@ -134,7 +118,7 @@ class Scheduler:
         #: valid for ``_mask_cache_key`` — any structural change or
         #: out-of-commit mask write (``rm.mask_version``) starts a fresh
         #: dict, so a behavior that re-masks agents mid-iteration is still
-        #: dispatched exactly like the uncached per-behavior scan.
+        #: dispatched exactly like a fresh per-behavior scan.
         self._mask_cache: dict[int, np.ndarray] = {}
         self._mask_cache_key = None
         # --- Event-driven quiescence scheduling (repro.core.events).
@@ -151,24 +135,6 @@ class Scheduler:
             from repro.core.events import EventScheduler
 
             self.events = EventScheduler(self)
-
-    # Registry-backed views of the scheduler's former bespoke tallies. -- #
-
-    @property
-    def wall_times(self) -> dict[str, float]:
-        """Measured wall seconds per stage.
-
-        A view over the ``stage:*`` counters in ``sim.obs.registry``
-        (kept as an attribute-shaped shim for existing reporting code;
-        prefer :meth:`~repro.obs.Observability.stage_seconds`).
-        """
-        return self._obs.stage_seconds()
-
-    @property
-    def env_rebuild_count(self) -> int:
-        """Environment rebuilds actually performed (rebuilds are skipped
-        when nothing moved/grew and the geometry is unchanged)."""
-        return int(self._env_rebuilds.value)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -343,8 +309,7 @@ class Scheduler:
             # by code outside the scheduler's view.
             env_key = (radius, rm.structure_version, rm.n)
             skip = (
-                p.skip_unchanged_environment
-                and not self._moved_since_build
+                not self._moved_since_build
                 and self._env_key == env_key
                 and sim._csr_cache is not None
             )
@@ -680,20 +645,14 @@ class Scheduler:
     def _behavior_indices(self, rm, bit) -> np.ndarray:
         """Storage indices of agents carrying behavior ``bit``.
 
-        With the batched pipeline the ``flatnonzero`` scan runs once per
-        structural/mask change instead of once per behavior per step: the
-        index lists are cached keyed on ``(structure_version,
-        mask_version, n)``, and any commit, reorder, restore, or
-        out-of-commit mask write starts a fresh cache — so a behavior that
-        attaches or detaches bits mid-iteration still sees exactly what
-        the uncached scan would.
+        The ``flatnonzero`` scan runs once per structural/mask change
+        instead of once per behavior per step: the index lists are cached
+        keyed on ``(structure_version, mask_version, n)``, and any commit,
+        reorder, restore, or out-of-commit mask write starts a fresh cache
+        — so a behavior that attaches or detaches bits mid-iteration still
+        sees exactly what a fresh scan would.
         """
         mask = rm.data["behavior_mask"]
-        if not self.sim.param.batched_agent_ops:
-            t0 = time.perf_counter()
-            idx = np.flatnonzero(mask & np.uint64(bit))
-            self._dispatch_seconds.inc(time.perf_counter() - t0)
-            return idx
         key = (rm.structure_version, rm.mask_version, rm.n)
         if self._mask_cache_key != key:
             self._mask_cache_key = key

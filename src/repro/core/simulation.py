@@ -125,26 +125,19 @@ class Simulation:
         if wants_shm:
             from repro.parallel.shm import SharedMemoryResourceManager
 
-            self.rm = SharedMemoryResourceManager(
-                num_domains, self.agent_allocator, self.param.agent_size_bytes,
-                batched=self.param.batched_agent_ops,
-                soa_arena=self.param.soa_arena,
-            )
+            rm_class = SharedMemoryResourceManager
         else:
-            self.rm = ResourceManager(
-                num_domains, self.agent_allocator, self.param.agent_size_bytes,
-                batched=self.param.batched_agent_ops,
-                soa_arena=self.param.soa_arena,
-            )
-        if self.rm.soa is not None:
-            soa = self.rm.soa
-            reg = self.obs.registry
-            reg.register_callback("arena:bytes", lambda s=soa: s.nbytes)
-            reg.register_callback(
-                "arena:reallocations", lambda s=soa: s.reallocations)
-            reg.register_callback("arena:adopts", lambda s=soa: s.adopts)
-            reg.register_callback(
-                "arena:attach_seconds", lambda s=soa: s.attach_seconds)
+            rm_class = ResourceManager
+        self.rm = rm_class(
+            num_domains, self.agent_allocator, self.param.agent_size_bytes)
+        soa = self.rm.soa
+        reg = self.obs.registry
+        reg.register_callback("arena:bytes", lambda s=soa: s.nbytes)
+        reg.register_callback(
+            "arena:reallocations", lambda s=soa: s.reallocations)
+        reg.register_callback("arena:adopts", lambda s=soa: s.adopts)
+        reg.register_callback(
+            "arena:attach_seconds", lambda s=soa: s.attach_seconds)
         for i in range(MAX_TRACKED_BEHAVIORS):
             self.rm.register_column(f"behavior_addr{i}", np.int64, (), 0)
 

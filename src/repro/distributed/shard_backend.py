@@ -417,17 +417,10 @@ class DistributedBackend(ExecutionBackend):
     def _encode_sync(self, rm, shard: int, members: np.ndarray) -> tuple:
         """Delta (or full) payload bringing ``shard`` to ``members``."""
         if self._ids[shard] is None:
-            soa = getattr(rm, "soa", None)
-            if soa is not None and all(
-                    name in soa.column_names() for name in SYNC_COLUMNS):
-                # Full resync straight off the host's SoA arena block:
-                # one contiguous packed slice instead of per-column
-                # copies.
-                mode, blob = "pack", soa.pack_rows(
-                    SYNC_COLUMNS, members, rm.n).tobytes()
-            else:
-                mode, blob = "delta", encode_delta(
-                    members, _column_dict(rm, members))
+            # Full resync straight off the host's SoA arena block: one
+            # contiguous packed slice instead of per-column copies.
+            mode, blob = "pack", rm.soa.pack_rows(
+                SYNC_COLUMNS, members, rm.n).tobytes()
             self._sync_full.inc()
         else:
             mode, blob = "delta", encode_delta(

@@ -1,7 +1,7 @@
 """Kernel backend interface: the three hot array kernels behind one API.
 
-The profile after the batched agent-ops pipeline (BENCH_agent_ops.json)
-is dominated by behaviors + mechanics — exactly the loops that *GPU
+With commits staged and dispatch cached, the agent-ops profile is
+dominated by behaviors + mechanics — exactly the loops that *GPU
 Acceleration of 3D Agent-Based Biological Simulations* (PAPERS.md)
 pushes onto compiled, vectorized kernels.  This module defines the
 narrow waist those loops go through:

@@ -349,16 +349,16 @@ class CupyKernelBackend(KernelBackend):
         try:
             cache = self.buffers
             cache.sync(self.structure_version)
-            soa = self._soa
-            if (soa is not None and soa.owns("position", positions)
-                    and soa.owns("diameter", diameters)):
+            arena = self._soa  # None until the engine binds one
+            if (arena is not None and arena.owns("position", positions)
+                    and arena.owns("diameter", diameters)):
                 # Whole-domain path: both mechanics columns live in the
                 # SoA arena block, so one contiguous span covers them —
                 # a single H2D transfer instead of one per column.
-                d_cols = cache.upload_block("arena:block", soa.block, {
-                    "position": (soa.offsets["position"],
+                d_cols = cache.upload_block("arena:block", arena.block, {
+                    "position": (arena.offsets["position"],
                                  positions.dtype, positions.shape),
-                    "diameter": (soa.offsets["diameter"],
+                    "diameter": (arena.offsets["diameter"],
                                  diameters.dtype, diameters.shape),
                 })
                 d_pos, d_dia = d_cols["position"], d_cols["diameter"]

@@ -121,7 +121,7 @@ class SerialBackend(ExecutionBackend):
         # Device-resident backends (CuPy) key persistent buffers on this:
         # a changed structure version invalidates cached device columns.
         kb.structure_version = rm.structure_version
-        kb.bind_arena(getattr(rm, "soa", None), rm.n)
+        kb.bind_arena(rm.soa, rm.n)
         net, nonzero, pairs = kb.force(
             sim.force, rm.positions, rm.data["diameter"], indptr, indices,
             active,

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.force import ForceResult
 from repro.kernels.dispatch import worker_kernels
 from repro.parallel.backend import ExecutionBackend
-from repro.parallel.shm import COLUMN_PREFIX, WorkerArena
+from repro.parallel.shm import COLUMN_PREFIX, SOA_BLOCK, WorkerArena
 from repro.parallel.steal import StealQueues
 
 __all__ = ["ProcessBackend", "BackendError"]
@@ -139,9 +139,8 @@ def worker_main(worker_id, inbox, ack, queues):
                 kb_calls_before = kb.calls
             arena.sync(layout)
             # A spec is (shape, dtype) for a whole block, or (shape,
-            # dtype, block, offset) for a column region inside a
-            # consolidated SoA block (Param.soa_arena): one mmap serves
-            # every agent column.
+            # dtype, block, offset) for a column region inside the
+            # consolidated SoA block: one mmap serves every agent column.
             views = {
                 name: (arena.view(name, spec[0], spec[1])
                        if len(spec) == 2
@@ -244,17 +243,6 @@ class ProcessBackend(ExecutionBackend):
         #: this matches the parent's resolved ``sim.kernels.name``.
         self.worker_kernel_backends: dict[int, str] = {}
 
-    @property
-    def phase_stats(self) -> dict:
-        """Pool tallies, as a dict (registry-backed view over the
-        ``backend:*`` counters in ``sim.obs``)."""
-        return {
-            "phases": int(self._phases.value),
-            "chunks": int(self._chunks.value),
-            "steals_same_domain": int(self._steals_same.value),
-            "steals_cross_domain": int(self._steals_cross.value),
-        }
-
     # -- pool lifecycle ------------------------------------------------- #
 
     def _start(self) -> None:
@@ -307,7 +295,13 @@ class ProcessBackend(ExecutionBackend):
             self._ack = None
 
     def stats(self) -> dict:
-        return self.phase_stats
+        """Pool tallies (a view over the ``backend:*`` counters)."""
+        return {
+            "phases": int(self._phases.value),
+            "chunks": int(self._chunks.value),
+            "steals_same_domain": int(self._steals_same.value),
+            "steals_cross_domain": int(self._steals_cross.value),
+        }
 
     # -- partitioning --------------------------------------------------- #
 
@@ -352,21 +346,13 @@ class ProcessBackend(ExecutionBackend):
     # -- phase execution ------------------------------------------------ #
 
     def _column_shapes(self) -> dict:
+        """Worker view specs: every column is a region of the SoA block."""
         rm = self.sim.rm
-        soa = rm.soa
-        if soa is not None:
-            # Single-arena mode: every column is a region of one block.
-            from repro.parallel.shm import SOA_BLOCK
-
-            return {
-                COLUMN_PREFIX + name: (
-                    arr.shape, arr.dtype.str, SOA_BLOCK,
-                    int(soa.offsets[name]),
-                )
-                for name, arr in rm.data.items()
-            }
         return {
-            COLUMN_PREFIX + name: (arr.shape, arr.dtype.str)
+            COLUMN_PREFIX + name: (
+                arr.shape, arr.dtype.str, SOA_BLOCK,
+                int(rm.soa.offsets[name]),
+            )
             for name, arr in rm.data.items()
         }
 

@@ -19,11 +19,10 @@ Three pieces live here:
   host's ``{name: shm_name}`` layout against the currently attached
   blocks and (re)attaches only what changed, so steady-state steps remap
   nothing.
-- :class:`SharedMemoryResourceManager` — a ``ResourceManager`` whose
-  :meth:`~repro.core.resource_manager.ResourceManager._store` hook copies
-  every (re)allocated column into an arena view.  All structural engine
-  code (insert, the §3.2 removal algorithm, reorder) is inherited
-  unchanged; only the final placement of each column differs.
+- :class:`SharedMemoryResourceManager` — a ``ResourceManager`` whose SoA
+  block is allocated from the arena as one named segment.  All
+  structural engine code (insert, the §3.2 removal algorithm, reorder)
+  is inherited unchanged; only where the block lives differs.
 """
 
 from __future__ import annotations
@@ -214,27 +213,26 @@ class WorkerArena:
         self._graveyard = []
 
 
-#: Arena key prefix under which agent columns are stored ("col:position",
+#: Key prefix under which workers see agent columns ("col:position",
 #: "col:diameter", ...).  The process backend adds scratch blocks under
 #: other prefixes ("csr:", "mech:") in the same arena.
 COLUMN_PREFIX = "col:"
 
-#: Block name of the consolidated SoA arena (``Param.soa_arena=True``):
-#: every agent column is a region inside this one segment, so workers
-#: attach the whole agent state with a single ``mmap``.
+#: Block name of the consolidated SoA arena: every agent column is a
+#: region inside this one segment, so workers attach the whole agent
+#: state with a single ``mmap``.
 SOA_BLOCK = "soa:block"
 
 
 class SharedMemoryResourceManager(ResourceManager):
-    """ResourceManager whose columns live in shared memory.
+    """ResourceManager whose SoA block lives in shared memory.
 
-    Structural operations build their result arrays in private memory
-    exactly as the base class does; the :meth:`_store` hook then copies
-    each final array into an arena-backed view so worker processes can
-    map it.  ``self.data`` values are therefore always views over the
-    arena — in-place mutation (``col[:] = ...``, ``col[idx] += ...``) is
-    visible to workers, while wholesale re-binding must go through
-    ``_store`` (the engine's only re-binding sites already do).
+    The only difference from the base class is where the arena block is
+    allocated (:meth:`_make_soa_arena`): one named segment that worker
+    processes map.  ``self.data`` values are therefore always views over
+    that segment — in-place mutation (``col[:] = ...``, ``col[idx] +=
+    ...``) is visible to workers, while wholesale re-binding must go
+    through ``_store`` (the engine's only re-binding sites already do).
     """
 
     def __init__(self, *args, arena: HostArena | None = None, **kwargs):
@@ -258,52 +256,16 @@ class SharedMemoryResourceManager(ResourceManager):
         super().__init__(*args, **kwargs)
 
     def _make_soa_arena(self):
-        # Single-block mode (``Param.soa_arena``): the SoA arena's backing
-        # buffer is one named shared-memory segment, so workers attach the
-        # entire agent state with a single mmap and the base class's arena
-        # paths (one contiguous region per column, shared capacity) apply
-        # unchanged.  ``HostArena.ensure`` may hand back the same segment
-        # when its capacity suffices — the arena snapshots live rows
-        # before repacking, so aliasing reallocation is safe.
+        # The SoA arena's backing buffer is one named shared-memory
+        # segment, so workers attach the entire agent state with a single
+        # mmap and the base class's arena paths (one contiguous region per
+        # column, shared capacity) apply unchanged.  ``HostArena.ensure``
+        # may hand back the same segment when its capacity suffices — the
+        # arena snapshots live rows before repacking, so aliasing
+        # reallocation is safe.
         from repro.core.arena import SoAArena
 
         return SoAArena(
             allocate=lambda nbytes: self.arena.ensure(
                 SOA_BLOCK, (int(nbytes),), np.uint8)
         )
-
-    def _store(self, name: str, arr: np.ndarray) -> None:
-        if self.soa is not None:
-            super()._store(name, arr)
-            return
-        arr = np.asarray(arr)
-        view = self.arena.ensure(COLUMN_PREFIX + name, arr.shape, arr.dtype)
-        if view.size:
-            view[...] = arr
-        self.data[name] = view
-
-    def _grow_column(self, name: str, new_n: int) -> np.ndarray:
-        if self.soa is not None:
-            return super()._grow_column(name, new_n)
-        # The fast-append commit path extends a column in place and fills
-        # only the new tail.  Here the column must stay arena-backed, so
-        # instead of the base class's private capacity buffers, ask the
-        # arena for a longer view over the same block.  Existing rows are
-        # only copied when they are not already the block prefix: either
-        # the arena replaced the block on growth (``ensure`` never carries
-        # contents over), or ``self.data[name]`` was re-bound to private
-        # memory behind the arena's back (e.g. checkpoint restore).
-        old = self.data[name]
-        before = self.arena.layout_version
-        view = self.arena.ensure(
-            COLUMN_PREFIX + name, (new_n, *old.shape[1:]), old.dtype
-        )
-        replaced = self.arena.layout_version != before
-        if self.n and (
-            replaced
-            or old.__array_interface__["data"][0]
-            != view.__array_interface__["data"][0]
-        ):
-            view[: self.n] = old[: self.n]
-        self.data[name] = view
-        return view

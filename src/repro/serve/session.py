@@ -9,8 +9,7 @@ plain-tuple commands, one outstanding command per worker at a time.
 
 Sessions are always built ``execution_backend="serial"`` — a worker is
 daemonic and may not fork grandchildren — with
-``shared_storage=True``/``soa_arena=True``, so each session's whole
-agent state is **one named shared-memory block** the host (or a
+``shared_storage=True``, so each session's whole agent state is **one named shared-memory block** the host (or a
 diagnostic tool) can attach zero-copy by segment name
 (:func:`repro.parallel.shm.attach_block`).  PR 2's equivalence guarantee
 (shm-serial is bitwise-identical to private-serial) is what makes served
@@ -55,7 +54,7 @@ __all__ = [
 #: Param fields a session spec may not override (the hosting model
 #: forces them; ``execution_backend`` must stay serial inside a
 #: daemonic worker).
-_FORCED_PARAMS = ("shared_storage", "soa_arena")
+_FORCED_PARAMS = ("shared_storage",)
 
 
 class SessionSetupError(ValueError):
@@ -97,7 +96,6 @@ def build_session_sim(spec: dict):
             **overrides,
             execution_backend="serial",
             shared_storage=True,
-            soa_arena=True,
         )
         sim = bench.build(
             int(spec["agents"]), param=param, seed=int(spec["seed"])
@@ -217,11 +215,10 @@ class HostedSession:
         from repro.parallel.shm import SOA_BLOCK
 
         rm = self.sim.rm
-        soa = rm.soa
         block = rm.arena._blocks.get(SOA_BLOCK)
         return {
             "segment": block.shm.name if block is not None else "",
-            "layout": soa.layout_meta() if soa is not None else {},
+            "layout": rm.soa.layout_meta(),
             "n": int(rm.n),
         }
 

@@ -14,7 +14,9 @@ tools, all seeded and reproducible:
   scheduler via ``Param(check_invariants_frequency=N)``.
 - **Replay harness** (:mod:`repro.verify.replay`): same seed →
   byte-identical per-step state checksums; different seed → different
-  trajectory.
+  trajectory; and one :func:`equivalence` driver over a table of legs
+  (process pool, shards, neighbor cache, events, tracing, kernels,
+  serve) that must each leave those checksums untouched.
 - **Seeded fuzzer** (:mod:`repro.verify.fuzz`): randomized
   add/remove/sort/query interleavings against a reference model, with a
   shrinking loop that minimizes failures to copy-pasteable reproducers.
@@ -49,13 +51,14 @@ from repro.verify.invariants import (
     check_uniform_grid,
 )
 from repro.verify.replay import (
-    BackendEquivalenceReport,
+    LEGS,
+    EquivalenceReport,
+    Leg,
     ReplayReport,
-    backend_equivalence,
+    equivalence,
     replay,
     replay_model,
     seed_sensitivity,
-    tracing_equivalence,
 )
 from repro.verify.fuzz import (
     FuzzCase,
@@ -92,9 +95,10 @@ __all__ = [
     "replay",
     "replay_model",
     "seed_sensitivity",
-    "BackendEquivalenceReport",
-    "backend_equivalence",
-    "tracing_equivalence",
+    "Leg",
+    "LEGS",
+    "EquivalenceReport",
+    "equivalence",
     "FuzzCase",
     "FuzzFailure",
     "FuzzReport",

@@ -8,42 +8,28 @@ Runs, in order and as selected by flags:
   adversarial configurations;
 - **fuzz**: randomized add/remove/sort/query interleavings with shrinking;
 - **replay**: the determinism harness (same seed → byte-identical state,
-  different seed → different trajectory), plus the tracing-inertness
-  check (``Param(tracing=True)`` must leave per-step checksums bitwise
-  identical) and the neighbor-cache equivalence check (the
-  displacement-bounded Verlet-skin CSR cache must leave per-step
-  checksums bitwise identical to rebuilding every step, on the serial
-  and the process backend);
-- **commit pipeline**: the batched agent-ops equivalence check — staged
-  columnar commits and cached behavior dispatch
-  (``Param(batched_agent_ops=True)``) must leave per-step checksums
-  bitwise identical to the legacy queue-merge path, on both backends,
-  under population-churning models (divisions and deaths);
-- **arena equivalence**: the single-arena SoA layout check —
-  consolidating every column into one contiguous block per domain
-  (``Param(soa_arena=True)``) must leave per-step checksums bitwise
-  identical to the per-column layout, on both backends, with
-  anti-vacuous proof that the arena actually backed the columns and
-  grew;
-- **kernel equivalence**: the kernel-dispatch check — the NumPy kernel
-  backend must be bitwise identical to mainline per-step checksums
-  (serial and process), and every available compiled backend (numba,
-  cupy) must match the NumPy trace within the declared
-  ``KERNEL_TOLERANCES``, with anti-vacuous proof that compiled kernels
-  actually executed.
+  different seed → different trajectory), then the equivalence legs that
+  share its model: ``tracing`` (``Param(tracing=True)`` is inert),
+  ``neighbor_cache`` (Verlet-skin CSR reuse vs rebuilding every step, on
+  the serial and the process backend) and ``process`` (the shared-memory
+  worker pool vs serial under population-churning models, with proof
+  that pool phases ran and commits fast-appended into the shm arena);
+- **kernels**: the ``kernels`` leg (NumPy dispatch is bitwise across
+  serial / process / ``auto``) and the ``kernels_compiled`` leg (every
+  available compiled backend within ``KERNEL_TOLERANCES``, with proof
+  that compiled kernels actually executed);
+- **distributed**: the halo-exchange backend vs serial over {models} ×
+  {seeds} × {shard counts}, with proof that agents migrated between
+  shards and halo ghosts existed in every cell;
+- **events**: deferred dispatch and horizon jumps vs tick-by-tick
+  stepping, on both backends, with proof that a multi-step jump happened
+  and a dispatch was deferred;
+- **serve**: served sessions — including a forced checkpoint
+  evict/resume cycle — vs direct runs.
 
-- **distributed equivalence**: the spatial-sharding check — the
-  halo-exchange backend (``Param(execution_backend="distributed")``)
-  must leave per-step checksums bitwise identical to serial execution
-  over {models} × {seeds} × {shard counts}, with anti-vacuous proof
-  that agents actually migrated between shards and halo ghosts existed.
-
-- **event-scheduling equivalence**: the quiescence-scheduling check —
-  deferred behavior dispatch and horizon jumps
-  (``Param(event_scheduling=True)``) must leave per-step checksums
-  bitwise identical to tick-by-tick stepping, on both backends, with
-  anti-vacuous proof that a multi-step jump actually happened and at
-  least one dispatch was deferred.
+Every equivalence section is one :func:`repro.verify.replay.equivalence`
+call on a row of :data:`~repro.verify.replay.LEGS`; each prints its
+per-cell anti-vacuity evidence and fails when it is missing.
 
 With no flags everything runs at smoke-test sizes.  ``--fuzz N``,
 ``--oracle``, ``--replay MODEL``, ``--kernels`` and ``--distributed``
@@ -63,38 +49,13 @@ from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 
 __all__ = ["add_verify_parser", "run_verify"]
 
 #: Registry models the invariant smoke check steps (one grows+moves, one
 #: also deletes agents — together they hit every structural path).
 INVARIANT_SMOKE_MODELS = ("cell_clustering", "oncology")
-
-#: Churn models the commit-pipeline equivalence check runs: one with
-#: additions only (divisions → the fast-append path) and one that mixes
-#: additions with removals (divisions + stochastic deaths).
-COMMIT_PIPELINE_MODELS = ("cell_proliferation", "oncology")
-
-#: Models the single-arena SoA equivalence check runs (same churn pair:
-#: growth repacks must actually happen for the check to be non-vacuous).
-ARENA_MODELS = ("cell_proliferation", "oncology")
-
-#: Models the kernel-equivalence check runs (same pair as the commit
-#: pipeline: population churn + mechanics + diffusion coverage).
-KERNEL_EQUIVALENCE_MODELS = ("cell_proliferation", "oncology")
-
-#: Models × shard counts the distributed-equivalence check runs: one
-#: growth-only model, one with deaths and random motility (migration
-#: churn across shard boundaries).
-DISTRIBUTED_MODELS = ("cell_proliferation", "oncology")
-DISTRIBUTED_SHARD_COUNTS = (2, 4)
-
-#: Models the event-scheduling equivalence check runs: one
-#: burst-quiescent scenario (interventions fire, the epidemic burns out
-#: between them → multi-step jumps + deferred dispatch) and one
-#: always-dynamic control (growth every tick → the layer must stay
-#: provably inert).
-EVENTS_MODELS = ("epidemiology_interventions", "oncology")
 
 
 def _positive_int(text: str) -> int:
@@ -194,100 +155,42 @@ def _run_fuzz(args, num_cases: int) -> bool:
     return report.ok
 
 
+def _run_leg(leg, *args, **kwargs) -> bool:
+    """Run one equivalence leg, print its report, return its verdict."""
+    from repro.verify.replay import equivalence
+
+    t0 = time.perf_counter()
+    report = equivalence(leg, *args, **kwargs)
+    dt = time.perf_counter() - t0
+    print(report.render() + f" ({dt:.1f}s)")
+    return report.ok
+
+
 def _run_replay(args, model: str) -> bool:
-    from repro.verify.replay import (
-        neighbor_cache_equivalence,
-        replay_model,
-        tracing_equivalence,
-    )
+    from repro.verify.replay import replay_model
 
+    seed = 4357 + args.seed
     report = replay_model(model, num_agents=args.agents, steps=args.steps,
-                          seed=4357 + args.seed)
+                          seed=seed)
     print(report.render())
-    traced = tracing_equivalence(model, num_agents=args.agents,
-                                 steps=args.steps, seed=4357 + args.seed)
-    print(traced.render())
-    cached = neighbor_cache_equivalence(model, num_agents=args.agents,
-                                        steps=args.steps)
-    print(cached.render())
-    return report.ok and traced.ok and cached.ok
-
-
-def _run_events(args) -> bool:
-    from repro.verify.replay import events_equivalence
-
-    t0 = time.perf_counter()
-    report = events_equivalence(models=EVENTS_MODELS)
-    dt = time.perf_counter() - t0
-    print(report.render() + f" ({dt:.1f}s)")
-    return report.ok
-
-
-def _run_serve_equivalence(args) -> bool:
-    from repro.verify.replay import serve_equivalence
-
-    t0 = time.perf_counter()
-    report = serve_equivalence(steps=args.steps)
-    dt = time.perf_counter() - t0
-    print(report.render() + f" ({dt:.1f}s)")
-    return report.ok
-
-
-def _run_kernel_equivalence(args) -> bool:
-    from repro.verify.replay import kernel_equivalence
-
-    t0 = time.perf_counter()
-    report = kernel_equivalence(models=KERNEL_EQUIVALENCE_MODELS)
-    dt = time.perf_counter() - t0
-    print(report.render() + f" ({dt:.1f}s)")
-    return report.ok
+    sizes = dict(num_agents=args.agents, steps=args.steps)
+    ok = report.ok
+    ok &= _run_leg("tracing", (model,), (seed,), **sizes)
+    ok &= _run_leg("neighbor_cache", (model,), **sizes)
+    ok &= _run_leg("process")
+    return ok
 
 
 def _run_distributed(args) -> bool:
-    from repro.verify.replay import distributed_equivalence
+    from repro.verify.replay import LEGS
 
-    shard_counts = (
-        (args.shards,) if args.shards is not None
-        else DISTRIBUTED_SHARD_COUNTS
-    )
-    t0 = time.perf_counter()
-    report = distributed_equivalence(
-        models=DISTRIBUTED_MODELS, shard_counts=shard_counts)
-    dt = time.perf_counter() - t0
-    print(report.render() + f" ({dt:.1f}s)")
-    if report.ok:
-        # Surface the rolled per-shard digests for artifact comparison.
-        for key, digest in sorted(report.digests.items()):
-            model, shards, seed = key
-            print(f"  digest {model} shards={shards} seed {seed}: "
-                  f"{str(digest)[:16]}...")
-    return report.ok
-
-
-def _run_commit_pipeline(args) -> bool:
-    from repro.verify.replay import commit_pipeline_equivalence
-
-    ok = True
-    for name in COMMIT_PIPELINE_MODELS:
-        t0 = time.perf_counter()
-        report = commit_pipeline_equivalence(name)
-        dt = time.perf_counter() - t0
-        print(report.render() + f" ({dt:.1f}s)")
-        ok &= report.ok
-    return ok
-
-
-def _run_arena(args) -> bool:
-    from repro.verify.replay import arena_equivalence
-
-    ok = True
-    for name in ARENA_MODELS:
-        t0 = time.perf_counter()
-        report = arena_equivalence(name)
-        dt = time.perf_counter() - t0
-        print(report.render() + f" ({dt:.1f}s)")
-        ok &= report.ok
-    return ok
+    leg = LEGS["distributed"]
+    if args.shards is not None:
+        label = f"shards={args.shards}"
+        leg = replace(leg, variants={label: {
+            "execution_backend": "distributed",
+            "backend_shards": args.shards}})
+    return _run_leg(leg)
 
 
 def run_verify(args) -> int:
@@ -308,21 +211,18 @@ def run_verify(args) -> int:
     if not selected or args.replay is not None:
         _section("determinism replay")
         ok &= _run_replay(args, args.replay or "cell_clustering")
-        _section("commit pipeline equivalence")
-        ok &= _run_commit_pipeline(args)
-        _section("arena equivalence")
-        ok &= _run_arena(args)
     if not selected or args.kernels:
         _section("kernel equivalence")
-        ok &= _run_kernel_equivalence(args)
+        ok &= _run_leg("kernels")
+        ok &= _run_leg("kernels_compiled")
     if not selected or args.distributed:
         _section("distributed equivalence")
         ok &= _run_distributed(args)
     if not selected or args.events:
         _section("event-scheduling equivalence")
-        ok &= _run_events(args)
+        ok &= _run_leg("events")
     if not selected or args.serve:
         _section("served-session equivalence")
-        ok &= _run_serve_equivalence(args)
+        ok &= _run_leg("serve", steps=args.steps)
     print("verify: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1

@@ -278,7 +278,7 @@ def check_static_agents(sim, csr=None) -> list[Violation]:
     flag is cleared by the next detection pass before it is ever used to
     skip work on a changed neighborhood.
     """
-    from repro.core.scheduler import MOVE_EPSILON
+    from repro.kernels.api import MOVE_EPSILON
     from repro.core.static_detection import neighbor_or
 
     rm = sim.rm

@@ -1,76 +1,34 @@
-"""Determinism and replay harness.
+"""Determinism, replay and equivalence harness.
 
 A seeded simulation must be a pure function of its seed: running the same
 model twice from the same seed must produce *byte-identical* state at
 every step, and a different seed must actually change the trajectory
-(otherwise the seed is silently not plumbed through).  Both properties
-are prerequisites for differential testing — an optimization can only be
-validated against a baseline if reruns are reproducible.
-
-:func:`replay` drives a simulation factory twice and diffs the per-step
+(otherwise the seed is silently not plumbed through).  :func:`replay`
+drives a simulation factory twice and diffs the per-step
 :func:`~repro.verify.snapshot.state_checksum`; :func:`seed_sensitivity`
-guards the negative direction.  :func:`replay_model` runs either against
-a registry model by name, which is what ``python -m repro verify
---replay MODEL`` uses.
+guards the negative direction; :func:`replay_model` runs both against a
+registry model by name (``python -m repro verify --replay MODEL``).
 
-:func:`backend_equivalence` extends the same trick across *execution
-backends*: the shared-memory process pool (§4.1) promises bitwise
-identity with serial execution, so the per-step checksums of a serial
-run and a process-pool run from the same seed must be equal — not close,
-equal.
+Every optimization, backend and hosting layer then promises the same
+thing — *invisible in the per-step checksums* — so one driver checks
+them all.  :func:`equivalence` takes a :class:`Leg` (a row of
+:data:`LEGS`): a reference ``Param`` delta, the variant deltas under
+test, and the registry counters that prove the variant's machinery
+actually engaged (a comparison where the cache never hit, no agent ever
+migrated or no jump was ever taken would pass vacuously).  It runs
+reference and variants over models x seeds and returns one
+:class:`EquivalenceReport`.  docs/verification.md has the legs table.
 
-:func:`distributed_equivalence` extends it to the spatially-sharded
-distributed backend: halo-exchange execution over OS-process shards with
-delta-encoded migration promises bitwise identity with serial execution,
-so the per-step checksums of a serial run and a sharded run from the
-same seed must be equal for every shard count — with anti-vacuous proof
-that agents actually migrated between shards and halo ghosts actually
-existed (a decomposition where nothing ever crosses a boundary would
-pass trivially).
-
-:func:`tracing_equivalence` applies it to the observability layer:
-``Param(tracing=True)`` must be provably inert — the tracer observes
-timestamps, never simulation state — so per-step checksums with the
-tracer on and off must also be bitwise identical.
-
-:func:`neighbor_cache_equivalence` applies it to the displacement-bounded
-neighbor cache (Verlet-skin CSR reuse): reusing + re-filtering the cached
-superset CSR promises *bitwise* identity with rebuilding every step, on
-the serial and the process backend alike — so per-step checksums with
-``Param(neighbor_cache=...)`` on and off must be equal at every step, for
-every seed, on both backends.
-
-:func:`commit_pipeline_equivalence` applies it to the batched agent-ops
-pipeline (staged columnar commits + cached behavior dispatch): staging
-queued additions in preallocated arenas, appending them without the
-per-step UID rescan, and caching behavior index lists all promise
-bitwise identity with the legacy dict-of-lists queue-merge path — so
-per-step checksums with ``Param(batched_agent_ops=...)`` on and off must
-be equal at every step, for every seed, on both backends, under models
-that actually churn the population (divisions and deaths).
-
-:func:`serve_equivalence` applies it to the whole session-server stack
-(:mod:`repro.serve`): a session created over the socket protocol,
-stepped one request at a time, **evicted to a checkpoint mid-run and
-transparently resumed (possibly on a different worker)**, must produce
-per-step checksums bitwise identical to a direct in-process
-``Simulation`` run — the hosting layer (shm arenas, forked workers,
-spool round trips, the wire protocol) must be invisible to the physics.
-
-:func:`events_equivalence` applies it to event-driven quiescence
-scheduling (:mod:`repro.core.events`): deferring behavior dispatch by
-``next_fire`` wake times and jumping simulated time over provably-inert
-stretches both promise bitwise identity with tick-by-tick stepping — so
-per-step checksums with ``Param(event_scheduling=...)`` on and off must
-be equal at every step, for every seed, on both backends, and a chunked
-events-on run (where multi-step jumps actually engage) must land on the
-same final checksum — with anti-vacuous proof that at least one
-multi-step jump happened and at least one dispatch was deferred.
+Identity with the implementations the staged commit, the single-arena
+layout and the rebuild skip *replaced* is not a leg: it is pinned by the
+frozen traces in ``tests/golden/traces.json``.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.verify.snapshot import state_checksum
 
@@ -79,23 +37,10 @@ __all__ = [
     "replay",
     "seed_sensitivity",
     "replay_model",
-    "BackendEquivalenceReport",
-    "backend_equivalence",
-    "DistributedEquivalenceReport",
-    "distributed_equivalence",
-    "tracing_equivalence",
-    "NeighborCacheEquivalenceReport",
-    "neighbor_cache_equivalence",
-    "CommitPipelineEquivalenceReport",
-    "commit_pipeline_equivalence",
-    "ArenaEquivalenceReport",
-    "arena_equivalence",
-    "KernelEquivalenceReport",
-    "kernel_equivalence",
-    "ServeEquivalenceReport",
-    "serve_equivalence",
-    "EventsEquivalenceReport",
-    "events_equivalence",
+    "Leg",
+    "LEGS",
+    "EquivalenceReport",
+    "equivalence",
 ]
 
 
@@ -141,6 +86,11 @@ class ReplayReport:
         return msg
 
 
+def _first_divergence(a: list, b: list) -> int | None:
+    """First step at which two checksum traces differ, else ``None``."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
 def _checksum_trace(factory, steps: int, seed: int,
                     include_rng: bool) -> list[str]:
     sim = factory(seed)
@@ -163,9 +113,7 @@ def replay(factory, steps: int = 10, seed: int = 4357,
     """
     a = _checksum_trace(factory, steps, seed, include_rng)
     b = _checksum_trace(factory, steps, seed, include_rng)
-    first_divergence = next(
-        (i for i, (x, y) in enumerate(zip(a, b)) if x != y), None
-    )
+    first_divergence = _first_divergence(a, b)
     sensitive = None
     if check_seed_sensitivity and first_divergence is None:
         sensitive = seed_sensitivity(factory, steps, seed, seed + 1)
@@ -203,1093 +151,377 @@ def replay_model(name: str, num_agents: int = 300, steps: int = 10,
 
 
 # --------------------------------------------------------------------- #
-# Serial vs process-pool backend equivalence
+# Equivalence legs
 # --------------------------------------------------------------------- #
 
+@dataclass(frozen=True)
+class Leg:
+    """One row of the equivalence table: what differs, and the proof it ran."""
+
+    title: str
+    #: ``{label: Param delta}`` of the runs under test, each applied on
+    #: top of ``base`` and compared with the reference run.
+    variants: dict
+    #: ``Param`` delta shared by the reference run and every variant.
+    base: dict = field(default_factory=dict)
+    #: Anti-vacuity evidence ``{registry counter: minimum}`` read from the
+    #: variant runs; an unmet minimum fails the report.
+    require: dict = field(default_factory=dict)
+    #: Whether every (model, variant, seed) cell must meet ``require`` on
+    #: its own; otherwise one cell reaching the minimum is enough.
+    every_cell: bool = False
+    #: Also replay each variant as ONE ``simulate(steps)`` call and
+    #: compare the final state (multi-step horizon jumps only engage
+    #: when several ticks are requested at once).
+    chunked: bool = False
+    #: Compare positions + substance grids within this
+    #: :data:`~repro.kernels.api.KERNEL_TOLERANCES` class instead of
+    #: checksums (compiled kernels are toleranced, not bitwise).
+    tolerance: str | None = None
+    #: Run the variants as sessions behind the socket server, evicted to
+    #: a checkpoint and resumed mid-run, instead of in-process.
+    served: bool = False
+    #: Start from each model's ``default_param()`` instead of ``Param()``.
+    model_defaults: bool = False
+    # Smoke sizes at which ``require`` is known to be met.
+    models: tuple = ("cell_proliferation", "oncology")
+    num_agents: int = 250
+    steps: int = 8
+
+
+_PROCESS = {"execution_backend": "process"}
+
+LEGS = {
+    # Shared-memory worker pool (§4.1).  The churn models make commits
+    # append into, and grow, the shm-backed arena the workers map.
+    "process": Leg(
+        "serial vs process backend",
+        variants={"process": _PROCESS},
+        require={"backend:phases": 1, "commit:fast_appends": 1,
+                 "commit:staged_rows": 1},
+    ),
+    # Spatial shards + halo exchange.  numpy on both sides isolates the
+    # execution topology from kernel dispatch.
+    "distributed": Leg(
+        "serial vs spatially-sharded backend",
+        base={"kernel_backend": "numpy"},
+        variants={f"shards={k}": {"execution_backend": "distributed",
+                                  "backend_shards": k} for k in (2, 4)},
+        require={"dist:migrations": 1, "dist:halo_agents": 1},
+        every_cell=True, num_agents=300, steps=12,
+    ),
+    # Verlet-skin CSR reuse vs a fresh build every step.
+    "neighbor_cache": Leg(
+        "neighbor cache off vs on",
+        base={"neighbor_cache": False},
+        variants={"serial": {"neighbor_cache": True},
+                  "process": {"neighbor_cache": True, **_PROCESS}},
+        require={"neighbor_cache:hits": 1},
+        models=("cell_clustering",), num_agents=300,
+    ),
+    # Deferred dispatch + horizon jumps vs tick-by-tick: one
+    # burst-quiescent scenario and one always-dynamic control.
+    "events": Leg(
+        "event scheduling off vs on",
+        base={"event_scheduling": False},
+        variants={"serial": {"event_scheduling": True},
+                  "process": {"event_scheduling": True, **_PROCESS}},
+        require={"events:jumps": 1, "events:max_jump": 2,
+                 "events:deferred_dispatches": 1},
+        chunked=True, model_defaults=True,
+        models=("epidemiology_interventions", "oncology"),
+        num_agents=200, steps=60,
+    ),
+    # The tracer observes timestamps, never simulation state.
+    "tracing": Leg(
+        "tracer off vs on",
+        base={"tracing": False},
+        variants={"traced": {"tracing": True}},
+        require={"trace:events": 1},
+        models=("cell_clustering",), num_agents=300,
+    ),
+    # Kernel dispatch adds no reordering, and "auto" falling back to
+    # numpy *is* the mainline path.
+    "kernels": Leg(
+        "numpy kernels: serial vs process / auto",
+        base={"kernel_backend": "numpy"},
+        variants={"process": _PROCESS, "auto": {"kernel_backend": "auto"}},
+        steps=6,
+    ),
+    "kernels_compiled": Leg(
+        "numpy vs compiled kernels (toleranced)",
+        base={"kernel_backend": "numpy"},
+        variants={f"{kb} {backend}": {"kernel_backend": kb,
+                                      "execution_backend": backend}
+                  for kb in ("numba", "cupy")
+                  for backend in ("serial", "process")},
+        require={"kernel:calls": 1, "kernel:worker_calls": 1},
+        tolerance="replay_state", steps=6,
+    ),
+    # Wire protocol, forked workers, shm arenas and a checkpoint
+    # evict/resume round trip must all be invisible to the physics.
+    "serve": Leg(
+        "direct run vs served session",
+        variants={"served": {}},
+        require={"serve:evictions": 1, "serve:resume_count": 1,
+                 "session:resumed": 1},
+        every_cell=True, served=True, model_defaults=True,
+        models=("cell_proliferation", "cell_clustering"),
+        num_agents=120, steps=6,
+    ),
+}
+
+
 @dataclass
-class BackendEquivalenceReport:
-    """Serial vs process-backend checksum comparison over several seeds."""
+class EquivalenceReport:
+    """Outcome of one :func:`equivalence` call.
 
-    model: str
-    steps: int
-    workers: int
-    #: ``{seed: first diverging step or None}`` — step 0 is the initial
-    #: state, step k the state after iteration k.
-    divergences: dict[int, int | None] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(d is None for d in self.divergences.values())
-
-    def render(self) -> str:
-        """One line per seed: byte-identical, or the first diverging step."""
-        lines = [
-            f"backend equivalence {self.model}: serial vs process "
-            f"({self.workers} workers), {self.steps} steps"
-        ]
-        for seed, div in sorted(self.divergences.items()):
-            if div is None:
-                lines.append(f"  seed {seed}: byte-identical")
-            else:
-                lines.append(f"  seed {seed}: DIVERGES at step {div}")
-        return "\n".join(lines)
-
-
-def backend_equivalence(name: str, num_agents: int = 300, steps: int = 8,
-                        seeds=(1, 2, 3), workers: int = 2,
-                        param=None) -> BackendEquivalenceReport:
-    """Assert the process backend reproduces serial execution bitwise.
-
-    For every seed, runs the registry model once with the default serial
-    backend and once on the shared-memory process pool, diffing the full
-    per-step :func:`~repro.verify.snapshot.state_checksum` trace (all
-    agent columns, domain layout, grids, and RNG state).  Any divergence
-    — a reduction reordered, a flag lost across the shm boundary, a stale
-    remap after agents were added or removed — shows up as a differing
-    checksum at the first affected step.
+    Cells are ``(model, variant label, seed)``; step 0 is the initial
+    state, step k the state after iteration k.
     """
-    from repro.core.param import Param
-    from repro.simulations import get_simulation
 
-    bench = get_simulation(name)
-    base = param if param is not None else Param()
-    report = BackendEquivalenceReport(model=name, steps=steps, workers=workers)
-    for seed in seeds:
-        serial_sim = bench.build(
-            num_agents, param=base.with_(execution_backend="serial"),
-            seed=seed)
-        serial_trace = [state_checksum(serial_sim)]
-        for _ in range(steps):
-            serial_sim.simulate(1)
-            serial_trace.append(state_checksum(serial_sim))
-
-        with bench.build(
-            num_agents,
-            param=base.with_(execution_backend="process",
-                       backend_workers=workers),
-            seed=seed,
-        ) as proc_sim:
-            proc_trace = [state_checksum(proc_sim)]
-            for _ in range(steps):
-                proc_sim.simulate(1)
-                proc_trace.append(state_checksum(proc_sim))
-
-        report.divergences[seed] = next(
-            (i for i, (a, b) in enumerate(zip(serial_trace, proc_trace))
-             if a != b),
-            None,
-        )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Serial vs distributed (spatial sharding + halo exchange) equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class DistributedEquivalenceReport:
-    """Serial vs spatially-sharded checksum comparison over a matrix of
-    models × seeds × shard counts, with migration/halo activity proof."""
-
+    leg: Leg
     models: tuple
     steps: int
-    shard_counts: tuple
-    transport: str = "pipe"
-    #: ``{(model, shards, seed): first diverging step or None}`` — step 0
-    #: is the initial state, step k the state after iteration k.
+    #: ``{cell: first diverging step or None}`` (bitwise legs).
     divergences: dict = field(default_factory=dict)
-    #: ``{(model, shards, seed): global digest}`` — the rolled sha256 of
-    #: every shard's owned (ids, positions) at the final step; recorded
-    #: so CI artifacts can assert cross-run digest stability.
+    #: ``{cell: max |got-ref| / (atol + rtol|ref|)}`` over the whole state
+    #: trace (toleranced legs); <= 1.0 is within tolerance.
+    deviations: dict = field(default_factory=dict)
+    #: ``{cell: {counter: value}}`` for the counters in ``leg.require``.
+    evidence: dict = field(default_factory=dict)
+    #: ``{cell: digest}`` — the distributed backend's rolled per-shard
+    #: replica digest at the final step.
     digests: dict = field(default_factory=dict)
-    #: ``{(model, shards, seed): (migrations, halo_agents)}`` — ownership
-    #: transfers and ghost rows observed by the distributed leg.  A
-    #: config with zero of either makes the green comparison vacuous:
-    #: the decomposition never exercised the halo/migration protocol.
-    activity: dict = field(default_factory=dict)
+    #: ``{variant label: reason}`` for variants that cannot run here.
+    skipped: dict = field(default_factory=dict)
+    #: Runs whose resolved kernel backend differed from the requested one.
+    mismatches: list = field(default_factory=list)
+
+    def unmet(self) -> list[str]:
+        """Requirements of the leg no cell (or, with ``every_cell``, not
+        every cell) satisfied — each one makes a green diff vacuous."""
+        if not self.evidence:
+            return []
+        reached = all if self.leg.every_cell else any
+        return [
+            f"{counter} >= {minimum}"
+            for counter, minimum in self.leg.require.items()
+            if not reached(cell[counter] >= minimum
+                           for cell in self.evidence.values())
+        ]
 
     @property
     def ok(self) -> bool:
         return (
-            bool(self.divergences)
+            bool(self.divergences or self.deviations or self.skipped)
             and all(d is None for d in self.divergences.values())
-            and all(m >= 1 and h >= 1 for m, h in self.activity.values())
+            and all(d <= 1.0 for d in self.deviations.values())
+            and not self.mismatches
+            and not self.unmet()
         )
 
     def render(self) -> str:
-        """One line per (model, shards, seed): byte-identical + activity,
-        or the first diverging step."""
-        lines = [
-            f"distributed equivalence: serial vs sharded "
-            f"({self.transport} transport), models "
-            f"{', '.join(self.models)}, shards "
-            f"{'/'.join(str(s) for s in self.shard_counts)}, "
-            f"{self.steps} steps"
-        ]
-        for key, div in sorted(self.divergences.items()):
-            model, shards, seed = key
-            mig, halo = self.activity.get(key, (0, 0))
-            if div is not None:
-                lines.append(
-                    f"  {model} shards={shards} seed {seed}: DIVERGES at "
-                    f"step {div}"
-                )
-                continue
-            line = (
-                f"  {model} shards={shards} seed {seed}: byte-identical "
-                f"({mig} migrations, {halo} halo agents)"
-            )
-            if mig < 1 or halo < 1:
-                line += " — VACUOUS: halo/migration protocol never engaged"
+        """Header, problems, then one line per cell with its evidence."""
+        scope = "every cell" if self.leg.every_cell else "some cell"
+        lines = [f"equivalence — {self.leg.title}: models "
+                 f"{', '.join(self.models)}, {self.steps} steps"]
+        for label, reason in self.skipped.items():
+            lines.append(f"  skipped {label}: {reason}")
+        lines += [f"  BACKEND MISMATCH: {m}" for m in self.mismatches]
+        lines += [f"  VACUOUS: {need} not reached in {scope}"
+                  for need in self.unmet()]
+        for cell in sorted(set(self.divergences) | set(self.deviations)):
+            model, label, seed = cell
+            if cell in self.deviations:
+                dev = self.deviations[cell]
+                verdict = ("within tolerance" if dev <= 1.0
+                           else "EXCEEDS tolerance")
+                verdict += f" (max exceedance {dev:.3g})"
+            elif self.divergences[cell] is None:
+                verdict = "byte-identical"
+            else:
+                verdict = f"DIVERGES at step {self.divergences[cell]}"
+            proof = ", ".join(
+                f"{k} {v}" for k, v in self.evidence.get(cell, {}).items())
+            line = f"  {model} {label} seed {seed}: {verdict}"
+            if proof:
+                line += f" [{proof}]"
+            if cell in self.digests:
+                line += f" digest {str(self.digests[cell])[:16]}..."
             lines.append(line)
         return "\n".join(lines)
 
 
-def distributed_equivalence(models=("cell_proliferation", "oncology"),
-                            num_agents: int = 300, steps: int = 12,
-                            seeds=(1, 2, 3), shard_counts=(2, 4),
-                            transport: str = "pipe", param=None,
-                            ) -> DistributedEquivalenceReport:
-    """Assert the distributed backend reproduces serial execution bitwise.
-
-    For every (model, seed), a serial run records the full per-step
-    :func:`~repro.verify.snapshot.state_checksum` trace; then for every
-    shard count the same model/seed runs on the spatially-sharded
-    backend and must match that trace byte for byte.  Everything the
-    distributed path does differently — shard-local grid + CSR builds
-    over owned∪halo subsets, delta-encoded column sync, packed-arena
-    migration, per-shard force reductions scattered back by global
-    index, ownership handoff after displacement — must be invisible in
-    the checksums.  Both legs pin ``kernel_backend="numpy"`` so the
-    comparison isolates the execution topology from kernel dispatch.
-
-    Anti-vacuous: every config must have observed at least one ownership
-    migration and one halo ghost; the per-shard digests rolled into
-    ``last_global_digest`` are re-derived host-side from the scattered
-    authoritative columns at every step (a replica-consistency gate
-    inside the backend), and the final global digest is captured in the
-    report for artifact-level comparison.
-    """
-    from repro.core.param import Param
-    from repro.simulations import get_simulation
-
-    base = (param if param is not None else Param()).with_(
-        kernel_backend="numpy")
-    report = DistributedEquivalenceReport(
-        models=tuple(models), steps=steps,
-        shard_counts=tuple(shard_counts), transport=transport,
-    )
-    for model in models:
-        bench = get_simulation(model)
-        for seed in seeds:
-            serial_sim = bench.build(
-                num_agents, param=base.with_(execution_backend="serial"),
-                seed=seed)
-            serial_trace = [state_checksum(serial_sim)]
-            for _ in range(steps):
-                serial_sim.simulate(1)
-                serial_trace.append(state_checksum(serial_sim))
-
-            for shards in shard_counts:
-                p = base.with_(execution_backend="distributed",
-                               backend_shards=shards,
-                               distributed_transport=transport)
-                with bench.build(num_agents, param=p, seed=seed) as dist_sim:
-                    dist_trace = [state_checksum(dist_sim)]
-                    for _ in range(steps):
-                        dist_sim.simulate(1)
-                        dist_trace.append(state_checksum(dist_sim))
-                    stats = dist_sim.backend.stats()
-                key = (model, shards, seed)
-                report.divergences[key] = next(
-                    (i for i, (a, b) in enumerate(
-                        zip(serial_trace, dist_trace)) if a != b),
-                    None,
-                )
-                report.digests[key] = stats["last_global_digest"]
-                report.activity[key] = (
-                    int(stats["migrations"]), int(stats["halo_agents"])
-                )
-    return report
+class _Run(NamedTuple):
+    trace: list             # per-step state checksums
+    states: list            # per-step float arrays (toleranced legs only)
+    metrics: dict           # registry snapshot (+ pseudo-counters)
+    digest: str | None = None
+    mismatch: str | None = None
 
 
-# --------------------------------------------------------------------- #
-# Neighbor cache (Verlet-skin CSR reuse) equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class NeighborCacheEquivalenceReport:
-    """Cache-on vs cache-off checksum comparison across backends and seeds."""
-
-    model: str
-    steps: int
-    workers: int
-    #: ``{(backend, seed): first diverging step or None}`` — step 0 is the
-    #: initial state, step k the state after iteration k.
-    divergences: dict[tuple[str, int], int | None] = field(
-        default_factory=dict
-    )
-    #: Cache hits observed across the cache-on runs; a zero here would
-    #: make a green comparison vacuous (the cache never engaged).
-    cache_hits: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(d is None for d in self.divergences.values())
-            and self.cache_hits > 0
-        )
-
-    def render(self) -> str:
-        """One line per (backend, seed): byte-identical or first divergence."""
-        lines = [
-            f"neighbor cache equivalence {self.model}: cache on vs off, "
-            f"{self.steps} steps, {self.cache_hits} cache hits"
-        ]
-        if self.cache_hits == 0:
-            lines.append("  VACUOUS: the cache never produced a hit")
-        for (backend, seed), div in sorted(self.divergences.items()):
-            if div is None:
-                lines.append(f"  {backend} seed {seed}: byte-identical")
-            else:
-                lines.append(
-                    f"  {backend} seed {seed}: DIVERGES at step {div}"
-                )
-        return "\n".join(lines)
-
-
-def neighbor_cache_equivalence(name: str, num_agents: int = 300,
-                               steps: int = 8, seeds=(1, 2, 3),
-                               workers: int = 2, param=None,
-                               ) -> NeighborCacheEquivalenceReport:
-    """Assert the neighbor cache reproduces fresh builds bitwise.
-
-    For every seed and for both execution backends, runs the registry
-    model once with ``Param.neighbor_cache`` on and once off, diffing the
-    full per-step :func:`~repro.verify.snapshot.state_checksum` trace.
-    The cache's whole contract is that re-filtering the superset CSR is
-    indistinguishable from rebuilding — any ordering change in the CSR
-    rows, a stale pair surviving a structural change, or a boundary pair
-    rounding differently in the re-filter shows up as a diverging
-    checksum at the first affected step.  The report also counts cache
-    hits so a configuration where the cache never engages cannot pass
-    vacuously.
-    """
-    from repro.core.param import Param
-    from repro.simulations import get_simulation
-
-    bench = get_simulation(name)
-    base = param if param is not None else Param()
-    report = NeighborCacheEquivalenceReport(
-        model=name, steps=steps, workers=workers
-    )
-
-    def trace(backend, seed, cache):
-        p = base.with_(execution_backend=backend, backend_workers=workers,
-                       neighbor_cache=cache)
-        with bench.build(num_agents, param=p, seed=seed) as sim:
-            out = [state_checksum(sim)]
-            for _ in range(steps):
-                sim.simulate(1)
-                out.append(state_checksum(sim))
-            hits = int(sim.obs.registry.counter("neighbor_cache:hits").value)
-        return out, hits
-
-    for backend in ("serial", "process"):
-        for seed in seeds:
-            on, hits = trace(backend, seed, True)
-            off, _ = trace(backend, seed, False)
-            report.cache_hits += hits
-            report.divergences[(backend, seed)] = next(
-                (i for i, (a, b) in enumerate(zip(on, off)) if a != b), None
-            )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Batched agent-ops pipeline (staged commits + dispatch cache) equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class CommitPipelineEquivalenceReport:
-    """Batched vs legacy agent-ops checksum comparison across backends."""
-
-    model: str
-    steps: int
-    workers: int
-    #: ``{(backend, seed): first diverging step or None}`` — step 0 is the
-    #: initial state, step k the state after iteration k.
-    divergences: dict[tuple[str, int], int | None] = field(
-        default_factory=dict
-    )
-    #: Fast-path (additions-only, no UID rescan) commits observed across
-    #: the batched runs; zero would make a green comparison vacuous.
-    fast_appends: int = 0
-    #: Rows that went through the staging arenas across the batched runs.
-    staged_rows: int = 0
-    #: Behavior-dispatch mask-cache hits across the batched runs.
-    mask_cache_hits: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(d is None for d in self.divergences.values())
-            and self.fast_appends > 0
-            and self.staged_rows > 0
-        )
-
-    def render(self) -> str:
-        """One line per (backend, seed): byte-identical or first divergence."""
-        lines = [
-            f"commit pipeline equivalence {self.model}: batched vs legacy, "
-            f"{self.steps} steps, {self.fast_appends} fast appends, "
-            f"{self.staged_rows} staged rows, "
-            f"{self.mask_cache_hits} mask-cache hits"
-        ]
-        if self.fast_appends == 0 or self.staged_rows == 0:
-            lines.append(
-                "  VACUOUS: the staged commit path never engaged"
-            )
-        for (backend, seed), div in sorted(self.divergences.items()):
-            if div is None:
-                lines.append(f"  {backend} seed {seed}: byte-identical")
-            else:
-                lines.append(
-                    f"  {backend} seed {seed}: DIVERGES at step {div}"
-                )
-        return "\n".join(lines)
-
-
-def commit_pipeline_equivalence(name: str, num_agents: int = 250,
-                                steps: int = 6, seeds=(1, 2, 3),
-                                workers: int = 2, param=None,
-                                ) -> CommitPipelineEquivalenceReport:
-    """Assert the batched agent-ops pipeline reproduces the legacy path.
-
-    For every seed and for both execution backends, runs the registry
-    model once with ``Param.batched_agent_ops`` on and once off, diffing
-    the full per-step :func:`~repro.verify.snapshot.state_checksum`
-    trace.  The pipeline's whole contract is that staging queued
-    additions in columnar arenas, appending them without the per-step
-    UID rescan, vectorizing the §3.2 removal plan, and caching behavior
-    index lists are all invisible to the model — any commit-order change,
-    a stale dispatch list after an attach/detach, a dropped column fill,
-    or a staging buffer surviving a reallocation with torn rows shows up
-    as a diverging checksum at the first affected step.  The report also
-    counts fast-path commits and staged rows so a configuration where
-    the staged path never engages cannot pass vacuously.  Run it on
-    models that churn the population (divisions *and* deaths) so both
-    the additions-only fast path and the mixed add+remove path execute.
-    """
-    from repro.core.param import Param
-    from repro.simulations import get_simulation
-
-    bench = get_simulation(name)
-    base = param if param is not None else Param()
-    report = CommitPipelineEquivalenceReport(
-        model=name, steps=steps, workers=workers
-    )
-
-    def trace(backend, seed, batched):
-        p = base.with_(execution_backend=backend, backend_workers=workers,
-                       batched_agent_ops=batched)
-        with bench.build(num_agents, param=p, seed=seed) as sim:
-            out = [state_checksum(sim)]
-            for _ in range(steps):
-                sim.simulate(1)
-                out.append(state_checksum(sim))
-            reg = sim.obs.registry
-            stats = (
-                int(reg.counter("commit:fast_appends").value),
-                int(reg.counter("commit:staged_rows").value),
-                int(reg.counter("agent_ops:mask_cache_hits").value),
-            )
-        return out, stats
-
-    for backend in ("serial", "process"):
-        for seed in seeds:
-            on, (fast, staged, hits) = trace(backend, seed, True)
-            off, _ = trace(backend, seed, False)
-            report.fast_appends += fast
-            report.staged_rows += staged
-            report.mask_cache_hits += hits
-            report.divergences[(backend, seed)] = next(
-                (i for i, (a, b) in enumerate(zip(on, off)) if a != b), None
-            )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Single-arena SoA layout equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class ArenaEquivalenceReport:
-    """Arena vs per-column layout checksum comparison across backends."""
-
-    model: str
-    steps: int
-    workers: int
-    #: ``{(backend, seed): first diverging step or None}`` — step 0 is the
-    #: initial state, step k the state after iteration k.
-    divergences: dict[tuple[str, int], int | None] = field(
-        default_factory=dict
-    )
-    #: Bytes held in consolidated arena blocks across the arena-on runs;
-    #: zero would mean the arena never actually backed the columns.
-    arena_bytes: int = 0
-    #: Block reallocations (growth repacks) observed across the arena-on
-    #: runs; churn models must trigger growth or the test is too gentle.
-    reallocations: int = 0
-    #: Fast-append commits observed across the arena-on runs — proves the
-    #: batched commit pipeline ran *through* the arena placement funnel.
-    fast_appends: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(d is None for d in self.divergences.values())
-            and self.arena_bytes > 0
-            and self.reallocations > 0
-        )
-
-    def render(self) -> str:
-        """One line per (backend, seed): byte-identical or first divergence."""
-        lines = [
-            f"arena equivalence {self.model}: single-arena vs per-column, "
-            f"{self.steps} steps, {self.arena_bytes} arena bytes, "
-            f"{self.reallocations} reallocations, "
-            f"{self.fast_appends} fast appends"
-        ]
-        if self.arena_bytes == 0 or self.reallocations == 0:
-            lines.append(
-                "  VACUOUS: the arena never backed columns or never grew"
-            )
-        for (backend, seed), div in sorted(self.divergences.items()):
-            if div is None:
-                lines.append(f"  {backend} seed {seed}: byte-identical")
-            else:
-                lines.append(
-                    f"  {backend} seed {seed}: DIVERGES at step {div}"
-                )
-        return "\n".join(lines)
-
-
-def arena_equivalence(name: str, num_agents: int = 250, steps: int = 6,
-                      seeds=(1, 2, 3), workers: int = 2, param=None,
-                      ) -> ArenaEquivalenceReport:
-    """Assert the single-arena SoA layout reproduces per-column storage.
-
-    For every seed and for both execution backends, runs the registry
-    model once with ``Param.soa_arena`` on and once off, diffing the full
-    per-step :func:`~repro.verify.snapshot.state_checksum` trace.  The
-    arena's whole contract is that packing every column into one
-    contiguous block — shared capacity, amortized-doubling growth,
-    zero-copy prefix views, single-segment worker attach — is invisible
-    to the model: a view left stale after a block reallocation, a row
-    lost in a growth repack, a wrong column offset in a worker mapping,
-    or an alignment bug overlapping two columns shows up as a diverging
-    checksum at the first affected step.  The report also records arena
-    bytes, block reallocations, and fast-append commits from the
-    arena-on runs so a configuration where the arena never engaged (or
-    never grew) cannot pass vacuously.  Run it on models that churn the
-    population so growth repacks actually happen.
-    """
-    from repro.core.param import Param
-    from repro.simulations import get_simulation
-
-    bench = get_simulation(name)
-    base = param if param is not None else Param()
-    report = ArenaEquivalenceReport(model=name, steps=steps, workers=workers)
-
-    def trace(backend, seed, arena):
-        p = base.with_(execution_backend=backend, backend_workers=workers,
-                       soa_arena=arena)
-        with bench.build(num_agents, param=p, seed=seed) as sim:
-            out = [state_checksum(sim)]
-            for _ in range(steps):
-                sim.simulate(1)
-                out.append(state_checksum(sim))
-            soa = sim.rm.soa
-            stats = (
-                (soa.nbytes, soa.reallocations) if soa is not None else (0, 0)
-            )
-            fast = int(
-                sim.obs.registry.counter("commit:fast_appends").value)
-        return out, stats, fast
-
-    for backend in ("serial", "process"):
-        for seed in seeds:
-            on, (nbytes, reallocs), fast = trace(backend, seed, True)
-            off, off_stats, _ = trace(backend, seed, False)
-            assert off_stats == (0, 0), (
-                "soa_arena=False run still had an arena — the A/B "
-                "baseline is not actually per-column")
-            report.arena_bytes += nbytes
-            report.reallocations += reallocs
-            report.fast_appends += fast
-            report.divergences[(backend, seed)] = next(
-                (i for i, (a, b) in enumerate(zip(on, off)) if a != b), None
-            )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Kernel backend (numpy / numba / cupy dispatch) equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class KernelEquivalenceReport:
-    """Kernel-dispatch equivalence: bitwise for NumPy, toleranced for
-    compiled backends, across models, seeds, and execution backends."""
-
-    models: tuple
-    steps: int
-    workers: int
-    #: Compiled kernel backends that were actually compared.
-    compiled_checked: list[str] = field(default_factory=list)
-    #: Compiled backends requested but unavailable here (skipped legs).
-    compiled_skipped: list[str] = field(default_factory=list)
-    #: ``{(model, exec_backend, seed): first diverging step or None}`` for
-    #: the bitwise NumPy legs (explicit "numpy" serial vs process, and
-    #: serial "numpy" vs serial "auto" when auto resolves to numpy).
-    bitwise_divergences: dict[tuple[str, str, int], int | None] = field(
-        default_factory=dict
-    )
-    #: ``{(model, kernel_backend, exec_backend, seed): max exceedance}`` —
-    #: largest ``|got-ref| / (atol + rtol|ref|)`` over the whole per-step
-    #: state trace; values <= 1.0 are within the declared tolerance.
-    deviations: dict[tuple[str, str, str, int], float] = field(
-        default_factory=dict
-    )
-    #: Compiled-kernel invocations observed (anti-vacuous: a green
-    #: toleranced comparison where the compiled kernels never ran —
-    #: silent fallback to NumPy on both sides — must not pass).
-    compiled_calls: int = 0
-    #: Runs whose resolved backend differed from the requested one.
-    backend_mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Green iff every bitwise leg is byte-identical, every compiled
-        deviation is within tolerance, nothing silently fell back, and —
-        when a compiled backend was checked — its kernels actually ran."""
-        bitwise_ok = all(d is None for d in self.bitwise_divergences.values())
-        tol_ok = all(d <= 1.0 for d in self.deviations.values())
-        vacuous = bool(self.compiled_checked) and self.compiled_calls == 0
-        return (bitwise_ok and tol_ok and not vacuous
-                and not self.backend_mismatches)
-
-    def render(self) -> str:
-        """One line per leg: byte-identical / within tolerance / failing."""
-        lines = [
-            f"kernel equivalence: models {', '.join(self.models)}, "
-            f"{self.steps} steps, process workers {self.workers}"
-        ]
-        if self.compiled_checked:
-            lines.append(
-                f"  compiled backends checked: "
-                f"{', '.join(self.compiled_checked)} "
-                f"({self.compiled_calls} compiled kernel calls)"
-            )
-            if self.compiled_calls == 0:
-                lines.append("  VACUOUS: compiled kernels never executed")
-        if self.compiled_skipped:
-            lines.append(
-                "  unavailable (skipped): "
-                + ", ".join(self.compiled_skipped)
-            )
-        for mismatch in self.backend_mismatches:
-            lines.append(f"  BACKEND MISMATCH: {mismatch}")
-        for (model, backend, seed), div in sorted(
-            self.bitwise_divergences.items()
-        ):
-            if div is None:
-                lines.append(
-                    f"  numpy {model} {backend} seed {seed}: byte-identical"
-                )
-            else:
-                lines.append(
-                    f"  numpy {model} {backend} seed {seed}: DIVERGES at "
-                    f"step {div}"
-                )
-        for (model, kb, backend, seed), dev in sorted(
-            self.deviations.items()
-        ):
-            verdict = "within tolerance" if dev <= 1.0 else "EXCEEDS tolerance"
-            lines.append(
-                f"  {kb} {model} {backend} seed {seed}: {verdict} "
-                f"(max exceedance {dev:.3g})"
-            )
-        return "\n".join(lines)
-
-
-def _state_trace(bench, num_agents, param, seed, steps):
-    """Per-step float state (positions + substance grids) plus the sim's
-    kernel accounting, for toleranced cross-backend comparison."""
+def _run(bench, num_agents, param, seed, steps, leg, chunked=False) -> _Run:
+    """One in-process run: per-step (or, ``chunked``, start + end)
+    checksums, float state for toleranced legs, and the run's metrics."""
     import numpy as np
 
     with bench.build(num_agents, param=param, seed=seed) as sim:
-        states = []
-        for _ in range(steps):
-            sim.simulate(1)
-            arrays = [np.array(sim.rm.positions, copy=True)]
-            arrays.extend(
-                np.array(g.concentration, copy=True)
-                for g in sim.diffusion_grids.values()
-            )
-            states.append(arrays)
-        calls = sim.kernels.calls
-        resolved = sim.kernels.name
-        worker_calls = int(
-            sim.obs.registry.counter("kernel:worker_calls").value
-        )
-        worker_backends = set(
-            getattr(sim.backend, "worker_kernel_backends", {}).values()
-        )
-    return states, calls, resolved, worker_calls, worker_backends
+        trace, states = [state_checksum(sim)], []
+        for _ in range(1 if chunked else steps):
+            sim.simulate(steps if chunked else 1)
+            trace.append(state_checksum(sim))
+            if leg.tolerance:
+                states.append([np.array(sim.rm.positions)] + [
+                    np.array(g.concentration)
+                    for g in sim.diffusion_grids.values()])
+        metrics = dict(sim.obs.registry.snapshot())
+        metrics["trace:events"] = len(sim.obs.tracer.events)
+        resolved = {sim.kernels.name, *getattr(
+            sim.backend, "worker_kernel_backends", {}).values()}
+        digest = getattr(sim.backend, "last_global_digest", None)
+    mismatch = None
+    if param.kernel_backend != "auto" and resolved != {param.kernel_backend}:
+        mismatch = (f"requested {param.kernel_backend}, host/workers "
+                    f"resolved {sorted(resolved)}")
+    return _Run(trace, states, metrics, digest, mismatch)
 
 
-def kernel_equivalence(models=("cell_proliferation", "oncology"),
-                       num_agents: int = 250, steps: int = 6,
-                       seeds=(1, 2, 3), workers: int = 2,
-                       compiled_backends=None, param=None,
-                       ) -> KernelEquivalenceReport:
-    """Assert the kernel dispatch layer preserves the engine's semantics.
+@contextlib.contextmanager
+def _served(workers):
+    """A one-resident-slot session pool behind a real socket server."""
+    from repro.serve import ServerThread, SessionClient
+    from repro.serve.pool import SessionPool
 
-    Two layers of guarantee, mirroring the tolerance policy of
-    :mod:`repro.kernels.api`:
+    pool = SessionPool(workers=workers, max_resident=1)
+    try:
+        with ServerThread(pool) as server, \
+                SessionClient.connect(port=server.port) as client:
+            yield pool, client
+    finally:
+        pool.shutdown()
 
-    - **NumPy is bitwise.**  With ``kernel_backend="numpy"`` the per-step
-      :func:`~repro.verify.snapshot.state_checksum` trace must be
-      byte-identical between the serial and the process execution backend
-      (the dispatch layer adds no reordering), and a serial ``"auto"``
-      run that resolves to numpy must be byte-identical to an explicit
-      ``"numpy"`` run (the fallback path *is* the mainline path).
-    - **Compiled backends are toleranced.**  For every available compiled
-      backend, per-step positions and substance grids must match the
-      NumPy trace within the ``replay_state`` tolerance of
-      :data:`repro.kernels.api.KERNEL_TOLERANCES`, on both execution
-      backends — with the anti-vacuous requirements that the compiled
-      kernels actually executed (call counters > 0, worker-reported
-      backends match) and that the resolution did not silently fall back.
 
-    ``compiled_backends=None`` probes availability; unavailable backends
-    are recorded as skipped, never failed (CI without numba still gets
-    the bitwise legs).
+def _served_run(pool, client, model, num_agents, seed, steps) -> _Run:
+    """Step a served session one request at a time.  Before step 3 a
+    decoy session is created: with a one-slot pool that *forces* the
+    session under test out through checkpoint eviction, and its next step
+    must transparently resume it (on whichever worker is least loaded)."""
+    counters = ("serve:evictions", "serve:resume_count")
+    before = pool.obs.registry.snapshot()
+    handle = client.create_session(model, agents=num_agents, seed=seed)
+    trace = [handle.step(0, checksum=True).checksum]
+    resumed = False
+    for k in range(steps):
+        if k == min(3, steps - 1):
+            decoy = client.create_session(model, agents=32, seed=9999)
+        reply = handle.step(1, checksum=True)
+        resumed |= reply.resumed
+        trace.append(reply.checksum)
+    decoy.delete()
+    handle.delete()
+    after = pool.obs.registry.snapshot()
+    metrics = {c: after.get(c, 0) - before.get(c, 0) for c in counters}
+    metrics["session:resumed"] = int(resumed)
+    return _Run(trace, [], metrics)
+
+
+def _skip_reason(kernel: str, compiled: list, bitwise: bool) -> str | None:
+    """Why a variant asking for ``kernel`` cannot be meaningfully run on a
+    machine whose usable compiled kernel backends are ``compiled``."""
+    if kernel in ("numba", "cupy") and kernel not in compiled:
+        return f"{kernel} is not available here"
+    if kernel == "auto" and compiled and bitwise:
+        return f"auto resolves to {compiled[0]} here, which is not bitwise"
+    return None
+
+
+def _max_exceedance(got_states, ref_states, tol) -> float:
+    dev = 0.0
+    for got_arrays, ref_arrays in zip(got_states, ref_states):
+        for got, ref in zip(got_arrays, ref_arrays):
+            if got.shape != ref.shape:
+                # Populations diverged structurally — a numeric deviation
+                # crossed a division threshold.  Out of tolerance.
+                return float("inf")
+            dev = max(dev, tol.max_exceedance(got, ref))
+    return dev
+
+
+def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
+                steps=None, workers: int = 2, param=None
+                ) -> EquivalenceReport:
+    """Run one equivalence leg over models x seeds.
+
+    ``leg`` is a :data:`LEGS` key or a :class:`Leg`; ``models``,
+    ``num_agents`` and ``steps`` default to the leg's smoke sizes.  For
+    every (model, seed) the reference run (``param`` or the leg's
+    starting point, plus ``leg.base``) records the full per-step
+    :func:`~repro.verify.snapshot.state_checksum` trace — all agent
+    columns, domain layout, grids and RNG state — and every variant must
+    reproduce it exactly (or, for toleranced legs, within tolerance).
+    Process pools get ``workers`` workers.
     """
     from repro.core.param import Param
     from repro.kernels.api import tolerance_for
-    from repro.kernels.dispatch import _probe
+    from repro.kernels.dispatch import available_backends
     from repro.simulations import get_simulation
 
-    base = param if param is not None else Param()
-    if compiled_backends is None:
-        compiled_backends = [b for b in ("numba", "cupy") if _probe(b)]
-        skipped = [b for b in ("numba", "cupy") if not _probe(b)]
-    else:
-        compiled_backends = list(compiled_backends)
-        skipped = []
-    report = KernelEquivalenceReport(
-        models=tuple(models), steps=steps, workers=workers,
-        compiled_checked=list(compiled_backends), compiled_skipped=skipped,
-    )
-    tol = tolerance_for("replay_state", "compiled")
-    auto_is_numpy = not compiled_backends or (
-        skipped and set(skipped) >= {"numba", "cupy"}
-    )
+    if isinstance(leg, str):
+        leg = LEGS[leg]
+    models = tuple(models or leg.models)
+    num_agents = num_agents or leg.num_agents
+    steps = steps or leg.steps
+    report = EquivalenceReport(leg=leg, models=models, steps=steps)
+    compiled = [k for k, usable in available_backends().items()
+                if usable and k != "numpy"]
+    variants = {}
+    for label, delta in leg.variants.items():
+        kernel = {**leg.base, **delta}.get("kernel_backend", "numpy")
+        reason = _skip_reason(kernel, compiled, leg.tolerance is None)
+        if reason:
+            report.skipped[label] = reason
+        else:
+            variants[label] = delta
+    tol = tolerance_for(leg.tolerance, "compiled") if leg.tolerance else None
 
-    def checksum_trace(bench, p, seed):
-        with bench.build(num_agents, param=p, seed=seed) as sim:
-            out = [state_checksum(sim)]
-            for _ in range(steps):
-                sim.simulate(1)
-                out.append(state_checksum(sim))
-        return out
-
-    for model in models:
-        bench = get_simulation(model)
-        for seed in seeds:
-            # -- bitwise NumPy legs -------------------------------------- #
-            p_np = base.with_(kernel_backend="numpy",
-                              execution_backend="serial")
-            serial_np = checksum_trace(bench, p_np, seed)
-            proc_np = checksum_trace(
-                bench,
-                base.with_(kernel_backend="numpy",
-                           execution_backend="process",
-                           backend_workers=workers),
-                seed,
-            )
-            report.bitwise_divergences[(model, "process", seed)] = next(
-                (i for i, (a, b) in enumerate(zip(serial_np, proc_np))
-                 if a != b), None,
-            )
-            if auto_is_numpy:
-                auto_np = checksum_trace(
-                    bench, base.with_(kernel_backend="auto",
-                                      execution_backend="serial"), seed,
-                )
-                report.bitwise_divergences[(model, "auto", seed)] = next(
-                    (i for i, (a, b) in enumerate(zip(serial_np, auto_np))
-                     if a != b), None,
-                )
-
-            if not compiled_backends:
-                continue
-            # -- toleranced compiled legs -------------------------------- #
-            ref_states, _, _, _, _ = _state_trace(
-                bench, num_agents, p_np, seed, steps
-            )
-            for kb in compiled_backends:
-                for backend in ("serial", "process"):
-                    p = base.with_(kernel_backend=kb,
-                                   execution_backend=backend,
-                                   backend_workers=workers)
-                    (states, calls, resolved, worker_calls,
-                     worker_backends) = _state_trace(
-                        bench, num_agents, p, seed, steps
-                    )
-                    if resolved != kb:
-                        report.backend_mismatches.append(
-                            f"{model} {backend} seed {seed}: requested "
-                            f"{kb}, resolved {resolved}"
-                        )
-                    if backend == "process":
-                        report.compiled_calls += worker_calls
-                        bad = worker_backends - {kb}
-                        if bad:
-                            report.backend_mismatches.append(
-                                f"{model} process seed {seed}: workers "
-                                f"reported {sorted(bad)}, expected {kb}"
-                            )
-                    else:
-                        report.compiled_calls += calls
-                    dev = 0.0
-                    for got_arrays, ref_arrays in zip(states, ref_states):
-                        for got, ref in zip(got_arrays, ref_arrays):
-                            if got.shape != ref.shape:
-                                # Populations diverged structurally — a
-                                # numeric deviation crossed a division
-                                # threshold.  Unconditionally out of
-                                # tolerance.
-                                dev = float("inf")
-                                continue
-                            dev = max(dev, tol.max_exceedance(got, ref))
-                    report.deviations[(model, kb, backend, seed)] = dev
-    return report
-
-
-def tracing_equivalence(name: str, num_agents: int = 300, steps: int = 8,
-                        seed: int = 4357, param=None) -> ReplayReport:
-    """Assert ``Param(tracing=True)`` is inert: identical per-step state.
-
-    Runs the registry model once with the no-op tracer and once with the
-    recording tracer, diffing the full per-step checksum trace.  Any
-    divergence means instrumentation leaked into simulation state — a
-    span reordering an RNG draw, a counter feeding back into a decision.
-    The traced run must also actually record events; a silently disabled
-    tracer would make the check vacuous.
-    """
-    from repro.core.param import Param
-    from repro.simulations import get_simulation
-
-    bench = get_simulation(name)
-    base = param if param is not None else Param()
-
-    plain_sim = bench.build(num_agents, param=base.with_(tracing=False),
-                            seed=seed)
-    plain = [state_checksum(plain_sim)]
-    for _ in range(steps):
-        plain_sim.simulate(1)
-        plain.append(state_checksum(plain_sim))
-
-    traced_sim = bench.build(num_agents, param=base.with_(tracing=True),
-                             seed=seed)
-    traced = [state_checksum(traced_sim)]
-    for _ in range(steps):
-        traced_sim.simulate(1)
-        traced.append(state_checksum(traced_sim))
-    if not traced_sim.obs.tracer.events:
-        raise AssertionError(
-            "tracing_equivalence: traced run recorded no events — the "
-            "tracer was not actually enabled, the check is vacuous")
-
-    first_divergence = next(
-        (i for i, (a, b) in enumerate(zip(plain, traced)) if a != b), None
-    )
-    return ReplayReport(
-        label=f"{name} (tracer off vs on)", steps=steps, seed=seed,
-        checksums_a=plain, checksums_b=traced,
-        first_divergence=first_divergence,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Session-server (repro.serve) equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class ServeEquivalenceReport:
-    """Served-session vs direct-run checksum comparison."""
-
-    models: tuple
-    steps: int
-    seeds: tuple
-    #: ``{(model, seed): first diverging step or None}`` — step 0 is the
-    #: initial state, step k the state after iteration k.
-    divergences: dict = field(default_factory=dict)
-    #: LRU evictions the pool performed (``serve:evictions``); zero would
-    #: mean no session ever round-tripped through a checkpoint and the
-    #: resume path went untested.
-    evictions: int = 0
-    #: Transparent resumes (``serve:resume_count``).
-    resumes: int = 0
-    #: Sessions whose step replies flagged ``resumed=True`` at least once.
-    resumed_sessions: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(d is None for d in self.divergences.values())
-            and self.evictions >= 1
-            and self.resumes >= 1
-            and self.resumed_sessions == len(self.divergences)
-        )
-
-    def render(self) -> str:
-        """One line per (model, seed): byte-identical or divergence."""
-        lines = [
-            f"serve equivalence: served session vs direct run, "
-            f"{self.steps} steps, {self.evictions} evictions, "
-            f"{self.resumes} resumes"
-        ]
-        if self.evictions == 0 or self.resumes == 0:
-            lines.append(
-                "  VACUOUS: no session was ever evicted and resumed"
-            )
-        if self.resumed_sessions != len(self.divergences):
-            lines.append(
-                f"  VACUOUS: only {self.resumed_sessions}/"
-                f"{len(self.divergences)} sessions observed a transparent "
-                "resume"
-            )
-        for (model, seed), div in sorted(self.divergences.items()):
-            if div is None:
-                lines.append(f"  {model} seed {seed}: byte-identical")
-            else:
-                lines.append(
-                    f"  {model} seed {seed}: DIVERGES at step {div}"
-                )
-        return "\n".join(lines)
-
-
-def serve_equivalence(
-    models=("cell_proliferation", "cell_clustering"),
-    num_agents: int = 120,
-    steps: int = 6,
-    seeds=(1, 2, 3),
-    evict_at: int = 3,
-    workers: int = 2,
-) -> ServeEquivalenceReport:
-    """Assert the whole serve stack reproduces direct runs bitwise.
-
-    For every (model, seed), a direct ``Simulation`` run records per-step
-    checksums; the same model/seed is then created as a session over a
-    real socket server backed by a ``max_resident=1`` pool and stepped
-    one request at a time with ``checksum=True``.  At ``evict_at`` a
-    decoy session is created — with a one-slot cap, that *forces* the
-    session under test out through checkpoint eviction, and the next
-    step transparently resumes it (on whichever worker is least loaded,
-    so cross-worker resume is exercised too).  The report counts pool
-    evictions/resumes and per-session ``resumed`` flags, so the check
-    cannot pass without the evict→spool→rebuild→restore cycle actually
-    happening.
-    """
-    from repro.serve import ServerThread, SessionClient
-    from repro.serve.pool import SessionPool
-    from repro.simulations import get_simulation
-
-    report = ServeEquivalenceReport(
-        models=tuple(models), steps=steps, seeds=tuple(seeds)
-    )
-    pool = SessionPool(workers=workers, max_resident=1)
-    try:
-        with ServerThread(pool) as server:
-            with SessionClient.connect(port=server.port) as client:
-                for model in models:
-                    bench = get_simulation(model)
-                    for seed in seeds:
-                        with bench.build(num_agents, seed=seed) as sim:
-                            direct = [state_checksum(sim)]
-                            for _ in range(steps):
-                                sim.simulate(1)
-                                direct.append(state_checksum(sim))
-                        handle = client.create_session(
-                            model, agents=num_agents, seed=seed
-                        )
-                        served = [handle.step(0, checksum=True).checksum]
-                        resumed_any = False
-                        decoy = None
-                        for k in range(steps):
-                            if k == evict_at:
-                                # One-slot pool: creating the decoy evicts
-                                # the session under test; its next step
-                                # must resume bitwise-continuously.
-                                decoy = client.create_session(
-                                    model, agents=32, seed=9999
-                                )
-                            reply = handle.step(1, checksum=True)
-                            resumed_any |= reply.resumed
-                            served.append(reply.checksum)
-                        if decoy is not None:
-                            decoy.delete()
-                        handle.delete()
-                        report.resumed_sessions += int(resumed_any)
-                        report.divergences[(model, seed)] = next(
-                            (i for i, (a, b) in enumerate(zip(direct, served))
-                             if a != b),
-                            None,
-                        )
-        metrics = pool.obs.registry.snapshot()
-        report.evictions = int(metrics.get("serve:evictions", 0))
-        report.resumes = int(metrics.get("serve:resume_count", 0))
-    finally:
-        pool.shutdown()
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Event-driven quiescence scheduling equivalence
-# --------------------------------------------------------------------- #
-
-@dataclass
-class EventsEquivalenceReport:
-    """Events-on vs events-off checksum comparison across backends/seeds.
-
-    Three legs per cell: an events-off per-step trace (the baseline), an
-    events-on per-step trace (full elementwise comparison — single-tick
-    jumps and deferred dispatch must be invisible), and an events-on
-    *chunked* leg (``simulate(steps)`` in one call, so multi-step horizon
-    jumps can engage) compared at the final state.
-    """
-
-    models: tuple
-    steps: int
-    workers: int
-    #: ``{(model, backend, seed): first diverging step or None}`` for the
-    #: per-step legs; the chunked leg records divergence as ``steps``.
-    divergences: dict[tuple[str, str, int], int | None] = field(
-        default_factory=dict
-    )
-    #: Horizon jumps taken across the chunked events-on runs; zero would
-    #: make a green comparison vacuous (the fast path never engaged).
-    jumps: int = 0
-    #: Largest single jump observed — must exceed 1 tick, or the layer
-    #: never actually skipped a stretch.
-    max_jump: int = 0
-    #: Per-agent behavior dispatches skipped via wake times; zero means
-    #: the ``next_fire`` machinery never deferred anything.
-    deferred_dispatches: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            all(d is None for d in self.divergences.values())
-            and self.jumps > 0
-            and self.max_jump >= 2
-            and self.deferred_dispatches > 0
-        )
-
-    def render(self) -> str:
-        """One line per (model, backend, seed): identical or divergence."""
-        lines = [
-            f"event scheduling equivalence {', '.join(self.models)}: "
-            f"events on vs off, {self.steps} steps, {self.jumps} jumps, "
-            f"max jump {self.max_jump}, "
-            f"{self.deferred_dispatches} deferred dispatches"
-        ]
-        if self.jumps == 0 or self.max_jump < 2:
-            lines.append("  VACUOUS: no multi-step horizon jump engaged")
-        if self.deferred_dispatches == 0:
-            lines.append("  VACUOUS: no behavior dispatch was deferred")
-        for (model, backend, seed), div in sorted(self.divergences.items()):
-            if div is None:
-                lines.append(
-                    f"  {model} {backend} seed {seed}: byte-identical"
-                )
-            else:
-                lines.append(
-                    f"  {model} {backend} seed {seed}: "
-                    f"DIVERGES at step {div}"
-                )
-        return "\n".join(lines)
-
-
-def events_equivalence(models=("epidemiology_interventions", "oncology"),
-                       num_agents: int = 200, steps: int = 60,
-                       seeds=(1, 2, 3), workers: int = 2,
-                       ) -> EventsEquivalenceReport:
-    """Assert event scheduling reproduces tick-by-tick stepping bitwise.
-
-    For every model, seed, and both execution backends, runs the model
-    events-off and events-on from the same seed and diffs the full
-    per-step :func:`~repro.verify.snapshot.state_checksum` trace (per-step
-    stepping exercises deferred dispatch and single-tick jump plumbing),
-    then replays the events-on run *chunked* — ``simulate(steps)`` in one
-    call — so quiescent stretches collapse into multi-step horizon jumps,
-    and compares the final checksum.  The report accumulates the engine's
-    own counters so a configuration where no jump or deferral ever
-    happens cannot pass vacuously: the default model mix pairs a
-    burst-quiescent scenario (``epidemiology_interventions`` burns out
-    between scheduled imports) with an always-dynamic control
-    (``oncology`` grows every tick, proving the layer stays inert when
-    there is nothing to skip).
-    """
-    from repro.simulations import get_simulation
-
-    report = EventsEquivalenceReport(
-        models=tuple(models), steps=steps, workers=workers
-    )
-
-    def trace(bench, backend, seed, events, chunked=False):
-        p = bench.default_param().with_(
-            execution_backend=backend, backend_workers=workers,
-            event_scheduling=events,
-        )
-        with bench.build(num_agents, param=p, seed=seed) as sim:
-            out = [state_checksum(sim)]
-            if chunked:
-                sim.simulate(steps)
-                out.append(state_checksum(sim))
-            else:
-                for _ in range(steps):
-                    sim.simulate(1)
-                    out.append(state_checksum(sim))
-            metrics = sim.obs.registry.snapshot()
-        return out, metrics
-
-    for model in models:
-        bench = get_simulation(model)
-        for backend in ("serial", "process"):
+    with contextlib.ExitStack() as stack:
+        served = stack.enter_context(_served(workers)) if leg.served else None
+        for model in models if variants else ():
+            bench = get_simulation(model)
+            start = param or (
+                bench.default_param() if leg.model_defaults else Param())
+            base_param = start.with_(backend_workers=workers, **leg.base)
             for seed in seeds:
-                off, _ = trace(bench, backend, seed, False)
-                on, m = trace(bench, backend, seed, True)
-                report.deferred_dispatches += int(
-                    m.get("events:deferred_dispatches", 0)
-                )
-                div = next(
-                    (i for i, (a, b) in enumerate(zip(off, on)) if a != b),
-                    None,
-                )
-                if div is None:
-                    chunk, cm = trace(bench, backend, seed, True,
-                                      chunked=True)
-                    report.jumps += int(cm.get("events:jumps", 0))
-                    report.max_jump = max(
-                        report.max_jump, int(cm.get("events:max_jump", 0))
-                    )
-                    if chunk[-1] != off[-1]:
-                        div = steps
-                report.divergences[(model, backend, seed)] = div
+
+                def run(delta, chunked=False):
+                    if served:
+                        return _served_run(*served, model, num_agents, seed,
+                                           steps)
+                    return _run(bench, num_agents, base_param.with_(**delta),
+                                seed, steps, leg, chunked)
+
+                ref = _run(bench, num_agents, base_param, seed, steps, leg)
+                for label, delta in variants.items():
+                    cell = (model, label, seed)
+                    got = run(delta)
+                    if tol is not None:
+                        report.deviations[cell] = _max_exceedance(
+                            got.states, ref.states, tol)
+                    else:
+                        report.divergences[cell] = _first_divergence(
+                            ref.trace, got.trace)
+                    proof = {c: got.metrics.get(c, 0) for c in leg.require}
+                    if leg.chunked and report.divergences[cell] is None:
+                        chunk = run(delta, chunked=True)
+                        if chunk.trace[-1] != ref.trace[-1]:
+                            report.divergences[cell] = steps
+                        proof = {c: max(v, chunk.metrics.get(c, 0))
+                                 for c, v in proof.items()}
+                    report.evidence[cell] = proof
+                    if got.digest:
+                        report.digests[cell] = got.digest
+                    if got.mismatch:
+                        report.mismatches.append(
+                            f"{model} {label} seed {seed}: {got.mismatch}")
     return report

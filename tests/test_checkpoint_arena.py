@@ -1,10 +1,11 @@
-"""Checkpoint round-trips across memory layouts and backends.
+"""Checkpoint round-trips across restore paths and backends.
 
-The arena consolidation must not change what a checkpoint *means*: a
-run saved mid-flight and restored — under either column layout, in any
-combination, and under the shared-memory process backend — must
-continue producing bitwise-identical per-step state checksums to the
-uninterrupted run.
+A run saved mid-flight and restored — through the single-copy arena
+adopt or the per-column placement funnel, and under the shared-memory
+process backend — must continue producing bitwise-identical per-step
+state checksums to the uninterrupted run.  (Reading a checkpoint written
+in the retired per-column layout is covered by
+``tests/test_golden_traces.py``.)
 """
 
 import numpy as np
@@ -35,34 +36,43 @@ def _continuous_trace(bench, param, seed):
     return trace
 
 
-@pytest.mark.parametrize("save_arena", [False, True])
-@pytest.mark.parametrize("load_arena", [False, True])
-def test_round_trip_continues_bitwise(tmp_path, save_arena, load_arena):
-    """Save mid-run under one layout, restore under another (all four
-    combinations): the continuation is bitwise identical."""
+@pytest.mark.parametrize("save_shared", [False, True])
+@pytest.mark.parametrize("per_column_file", [False, True])
+def test_round_trip_continues_bitwise(tmp_path, save_shared, per_column_file):
+    """Save mid-run from a private or shared-memory block, restore through
+    the single-copy adopt or — for a file in the retired per-column
+    layout — the placement funnel: the continuation is bitwise identical
+    either way."""
     bench = get_simulation(MODEL)
-    ref = _continuous_trace(bench, _param(bench, soa_arena=save_arena),
-                            seed=7)
+    param = _param(bench, shared_storage=save_shared)
+    ref = _continuous_trace(bench, param, seed=7)
 
     path = tmp_path / "mid.npz"
-    with bench.build(AGENTS, param=_param(bench, soa_arena=save_arena),
-                     seed=7) as sim:
+    with bench.build(AGENTS, param=param, seed=7) as sim:
         sim.simulate(PRE_STEPS)
         save_checkpoint(sim, path)
+        if per_column_file:
+            # Rewrite the file the way the per-column layout stored it:
+            # one ``col__<name>`` array per column, no block.
+            with np.load(path) as data:
+                payload = {k: data[k] for k in data.files
+                           if not k.startswith("arena__")}
+            payload.update({f"col__{name}": arr.copy()
+                            for name, arr in sim.rm.data.items()})
+            np.savez(path, **payload)
 
-    with bench.build(AGENTS, param=_param(bench, soa_arena=load_arena),
-                     seed=99) as sim2:
+    with bench.build(AGENTS, param=_param(bench), seed=99) as sim2:
         restore_checkpoint(sim2, path)
-        adopts = sim2.rm.soa.adopts if sim2.rm.soa is not None else 0
+        adopts = sim2.rm.soa.adopts
         got = []
         for _ in range(POST_STEPS):
             sim2.simulate(1)
             got.append(state_checksum(sim2))
 
     assert got == ref
-    # The single-copy fast path engages exactly when both sides are
-    # arena-backed; every other combination takes the per-column funnel.
-    assert adopts == (1 if save_arena and load_arena else 0)
+    # The single-copy fast path engages exactly when the file holds an
+    # arena block; per-column files take the placement funnel.
+    assert adopts == (0 if per_column_file else 1)
 
 
 def test_round_trip_under_process_backend(tmp_path):

@@ -196,8 +196,9 @@ class TestWallTimers:
         sim = Simulation("wall", Param.optimized())
         sim.add_cells(np.zeros((10, 3)))
         sim.simulate(2)
-        assert sim.scheduler.wall_times["agent_ops"] > 0
-        assert sim.scheduler.wall_times["build_environment"] > 0
+        seconds = sim.obs.stage_seconds()
+        assert seconds["agent_ops"] > 0
+        assert seconds["build_environment"] > 0
 
     def test_visualization_hook_called(self):
         sim = Simulation("viz", Param.optimized())

@@ -10,6 +10,8 @@ The legacy analytical engine (paper §8's virtual cluster model) is
 covered separately in ``tests/test_distributed.py``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from repro.verify.invariants import (
     check_halo_ownership,
     check_simulation_invariants,
 )
-from repro.verify.replay import distributed_equivalence
+from repro.verify.replay import LEGS, equivalence
 from repro.verify.snapshot import state_checksum
 
 
@@ -155,14 +157,14 @@ class TestBitwiseEquivalence:
         # The default population/step count: small enough for CI, large
         # enough that ownership migrations actually happen (the report
         # is anti-vacuous and fails on a migration-free run).
-        report = distributed_equivalence(
-            models=("cell_proliferation",), num_agents=300, steps=12,
-            seeds=(1,), shard_counts=(2,))
+        leg = LEGS["distributed"]
+        leg = replace(leg, variants={"shards=2": leg.variants["shards=2"]})
+        report = equivalence(leg, ("cell_proliferation",), (1,))
         assert report.ok, report.render()
-        key = ("cell_proliferation", 2, 1)
+        key = ("cell_proliferation", "shards=2", 1)
         assert report.divergences[key] is None
-        migrations, halo = report.activity[key]
-        assert migrations >= 1 and halo >= 1
+        assert report.evidence[key]["dist:migrations"] >= 1
+        assert report.evidence[key]["dist:halo_agents"] >= 1
         assert report.digests[key]
 
 

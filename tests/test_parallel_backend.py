@@ -15,13 +15,12 @@ import pytest
 from repro import Param, Simulation
 from repro.core.operation import AgentOperation
 from repro.parallel.shm import (
-    COLUMN_PREFIX,
     HostArena,
     SharedMemoryResourceManager,
     WorkerArena,
 )
 from repro.parallel.steal import StealQueues
-from repro.verify.replay import backend_equivalence
+from repro.verify.replay import equivalence
 from repro.verify.snapshot import state_checksum
 
 
@@ -143,16 +142,15 @@ class TestStealQueues:
 
 
 class TestSharedMemoryResourceManager:
-    def _sim(self, n=30, seed=2, soa_arena=True):
+    def _sim(self, n=30, seed=2):
         sim = Simulation("shm", Param(execution_backend="process",
-                                      backend_workers=2,
-                                      soa_arena=soa_arena), seed=seed)
+                                      backend_workers=2), seed=seed)
         rng = np.random.default_rng(seed)
         sim.add_cells(rng.uniform(0, 40, (n, 3)), diameters=8.0)
         return sim
 
     def test_columns_live_in_single_soa_block(self):
-        # Default layout: every column is a region of one shared block.
+        # Every column is a region of one shared block.
         from repro.parallel.shm import SOA_BLOCK
 
         with self._sim() as sim:
@@ -163,31 +161,35 @@ class TestSharedMemoryResourceManager:
                 assert sim.rm.soa.owns(name, arr)
 
     def test_columns_are_arena_views(self):
-        # A/B baseline (soa_arena=False): one named block per column.
-        with self._sim(soa_arena=False) as sim:
-            assert isinstance(sim.rm, SharedMemoryResourceManager)
-            assert sim.rm.soa is None
-            layout = sim.rm.arena.layout()
-            for name in sim.rm.data:
-                assert COLUMN_PREFIX + name in layout
+        # The columns alias the named segment a worker would map — not a
+        # private copy of it.
+        from repro.parallel.shm import SOA_BLOCK, attach_block
+
+        with self._sim() as sim:
+            block = attach_block(sim.rm.arena.layout()[SOA_BLOCK])
+            try:
+                mapped = np.ndarray(
+                    sim.rm.positions.shape, sim.rm.positions.dtype,
+                    buffer=block.buf,
+                    offset=sim.rm.soa.offsets["position"])
+                sim.rm.positions[0] = 123.0
+                assert np.array_equal(mapped, sim.rm.positions)
+                del mapped
+            finally:
+                block.close()
 
     def test_columns_survive_insert(self):
-        for soa_arena in (False, True):
-            with self._sim(n=10, soa_arena=soa_arena) as sim:
-                rm = sim.rm
-                pos0 = rm.positions.copy()
-                sim.add_cells(np.array([[99.0, 99.0, 99.0]]), diameters=8.0)
-                assert rm.n == 11
-                assert any(np.allclose(row, 99.0) for row in rm.positions)
-                # The original ten cells are still present (order may
-                # differ after domain-major re-sorting); the new cell
-                # sorts last on x.
-                assert np.allclose(np.sort(rm.positions[:, 0])[:-1],
-                                   np.sort(pos0[:, 0]))
-                if soa_arena:
-                    assert rm.soa.owns("position", rm.positions)
-                else:
-                    assert COLUMN_PREFIX + "position" in rm.arena.layout()
+        with self._sim(n=10) as sim:
+            rm = sim.rm
+            pos0 = rm.positions.copy()
+            sim.add_cells(np.array([[99.0, 99.0, 99.0]]), diameters=8.0)
+            assert rm.n == 11
+            assert any(np.allclose(row, 99.0) for row in rm.positions)
+            # The original ten cells are still present (order may differ
+            # after domain-major re-sorting); the new cell sorts last on x.
+            assert np.allclose(np.sort(rm.positions[:, 0])[:-1],
+                               np.sort(pos0[:, 0]))
+            assert rm.soa.owns("position", rm.positions)
 
 
 class _ShrinkDiameter(AgentOperation):
@@ -243,8 +245,8 @@ class TestProcessBackend:
 def test_backend_equivalence_bitwise(model):
     """Acceptance: serial and process traces byte-identical, >=3 seeds,
     models that add (cell_proliferation) and remove (oncology) agents."""
-    report = backend_equivalence(model, num_agents=200, steps=5,
-                                 seeds=(1, 2, 3), workers=2)
+    report = equivalence("process", (model,), (1, 2, 3), num_agents=200,
+                         steps=5)
     assert report.ok, report.render()
 
 

@@ -32,6 +32,37 @@ class TestUnknownKeys:
             Param.from_file(path)
 
 
+class TestRemovedFields:
+    """The former A/B flags fail typed, with the reason — not a
+    did-you-mean pointing at an unrelated field."""
+
+    REMOVED = ("batched_agent_ops", "soa_arena",
+               "skip_unchanged_environment")
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_constructor_and_with_explain_removal(self, name):
+        for build in (lambda: Param(**{name: True}),
+                      lambda: Param().with_(**{name: False}),
+                      lambda: Param.optimized(**{name: True})):
+            with pytest.raises(ParamError, match="now unconditional") as err:
+                build()
+            assert name in str(err.value)
+            assert "did you mean" not in str(err.value)
+
+    def test_param_file_carrying_removed_field(self, tmp_path):
+        path = tmp_path / "bdm.toml"
+        path.write_text("[param]\nbatched_agent_ops = true\n")
+        with pytest.raises(ParamError, match="'batched_agent_ops' was removed"):
+            Param.from_file(path)
+
+    def test_no_removed_field_is_a_field(self):
+        assert not set(self.REMOVED) & set(Param.__dataclass_fields__)
+
+    def test_unknown_constructor_keyword_is_typed(self):
+        with pytest.raises(ParamError, match="did you mean 'block_size'"):
+            Param(block_sze=64)
+
+
 class TestTypeChecks:
     def test_str_field_rejects_non_string(self):
         with pytest.raises(ParamError, match="'environment' expects str"):

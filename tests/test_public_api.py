@@ -56,13 +56,6 @@ class TestDeprecationShims:
             value = getattr(repro, old)
         assert value is getattr(importlib.import_module(module), attr)
 
-    def test_scheduler_move_epsilon_shim(self):
-        import repro.core.scheduler as sched
-        from repro.parallel.backend import MOVE_EPSILON
-
-        with pytest.warns(DeprecationWarning, match="MOVE_EPSILON"):
-            assert sched.MOVE_EPSILON == MOVE_EPSILON
-
     def test_curated_names_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -86,6 +86,12 @@ def test_unknown_model_and_bad_params(pool):
         model=MODEL, agents=8, params={"no_such_param": 1}))
     assert isinstance(err, P.SessionError) and err.code == "unsupported_param"
 
+    # A removed on/off field says so instead of suggesting a lookalike.
+    err = pool.handle(P.CreateSession(
+        model=MODEL, agents=8, params={"soa_arena": False}))
+    assert isinstance(err, P.SessionError) and err.code == "unsupported_param"
+    assert "removed" in err.message and "did you mean" not in err.message
+
     # Daemonic pool workers cannot fork: process backend is rejected at
     # create time, not discovered as a crash mid-step.
     err = pool.handle(P.CreateSession(

@@ -22,7 +22,7 @@ from repro.serve import protocol as P
 FULL_MESSAGES = {
     "create_session": P.CreateSession(
         model="cell_proliferation", agents=200, seed=7,
-        params={"growth_rate": 1.5, "batched_agent_ops": True},
+        params={"growth_rate": 1.5, "neighbor_cache": True},
         name="exp-a",
     ),
     "step": P.StepRequest(session="s-000001", steps=5, checksum=True),

@@ -1,10 +1,12 @@
-"""Tests for the single-arena SoA memory layout (``Param.soa_arena``).
+"""Tests for the single-arena SoA memory layout.
 
 Covers the :class:`repro.core.arena.SoAArena` block itself (packing,
 growth, adopt fast path), its integration into the ResourceManager, the
-A/B bitwise equivalence against the per-column baseline, and — via
+bitwise equivalence of a private and a shared-memory block, and — via
 monkeypatching — the proof that checkpoint restore into an arena is one
-block-sized copy with zero per-column stores.
+block-sized copy with zero per-column stores.  Identity with the
+per-column layout the arena replaced is pinned by
+``tests/golden/traces.json``.
 """
 
 import numpy as np
@@ -113,21 +115,16 @@ class TestSoAArena:
 
 
 class TestResourceManagerIntegration:
-    def _sim(self, soa_arena=True, n=40, seed=2):
-        sim = Simulation("arena", Param(soa_arena=soa_arena), seed=seed)
+    def _sim(self, n=40, seed=2):
+        sim = Simulation("arena", Param(), seed=seed)
         rng = np.random.default_rng(seed)
         sim.add_cells(rng.uniform(0, 40, (n, 3)), diameters=8.0)
         return sim
 
     def test_engine_columns_live_in_arena_by_default(self):
         with self._sim() as sim:
-            assert sim.rm.soa is not None
             for name, arr in sim.rm.data.items():
                 assert sim.rm.soa.owns(name, arr), name
-
-    def test_opt_out_restores_per_column_layout(self):
-        with self._sim(soa_arena=False) as sim:
-            assert sim.rm.soa is None
 
     def test_growth_keeps_columns_in_arena(self):
         with self._sim(n=10) as sim:
@@ -139,27 +136,34 @@ class TestResourceManagerIntegration:
             assert sim.rm.soa.reallocations > 0
 
     def test_ab_bitwise_identical_per_step(self):
-        # Same model, same seed, arena on/off: every per-step checksum
-        # must be byte-identical (the views change nothing numerically).
+        # Same model, same seed, block in private vs shared memory: every
+        # per-step checksum must be byte-identical (where the block lives
+        # changes nothing numerically).
         from repro.simulations import get_simulation
 
         bench = get_simulation("cell_proliferation")
         traces = {}
-        for arena in (False, True):
-            param = bench.default_param().with_(soa_arena=arena)
+        for shared in (False, True):
+            param = bench.default_param().with_(shared_storage=shared)
             with bench.build(100, param=param, seed=11) as sim:
                 trace = []
                 for _ in range(4):
                     sim.simulate(1)
                     trace.append(state_checksum(sim))
-                traces[arena] = trace
+                traces[shared] = trace
         assert traces[False] == traces[True]
 
     def test_arena_equivalence_harness_smoke(self):
-        from repro.verify.replay import arena_equivalence
+        # The process leg with arena evidence: workers map the block the
+        # host grew, and the report fails if it never held bytes or grew.
+        from dataclasses import replace
 
-        report = arena_equivalence("cell_proliferation", num_agents=80,
-                                   steps=3, seeds=(1,), workers=2)
+        from repro.verify.replay import LEGS, equivalence
+
+        leg = replace(LEGS["process"],
+                      require={"arena:bytes": 1, "arena:reallocations": 1})
+        report = equivalence(leg, ("cell_proliferation",), (1,),
+                             num_agents=80, steps=3)
         assert report.ok, report.render()
 
 

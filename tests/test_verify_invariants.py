@@ -25,22 +25,24 @@ from repro.verify import (
 )
 
 
-@pytest.mark.parametrize("model", ["cell_clustering", "oncology"])
+@pytest.mark.parametrize("model", ["cell_clustering", "oncology",
+                                   "neuroscience"])
 def test_scheduler_integrated_checks_run_green(model):
     # The Param flag wires check_simulation_invariants into the scheduler;
-    # both models (one grows+moves, one also deletes) must pass every step.
+    # every model (one grows+moves, one also deletes, one runs static-agent
+    # detection and with it the static-flag invariant) must pass every step.
     bench = get_simulation(model)
     param = bench.default_param().with_(check_invariants_frequency=1)
     sim = bench.build(250, param=param, seed=11)
     sim.simulate(6)  # raises InvariantViolation on any failure
-    assert sim.scheduler.wall_times["invariant_checks"] > 0.0
+    assert sim.obs.stage_seconds()["invariant_checks"] > 0.0
 
 
 def test_frequency_zero_disables_checks():
     bench = get_simulation("cell_clustering")
     sim = bench.build(100, param=bench.default_param(), seed=1)
     sim.simulate(2)
-    assert sim.scheduler.wall_times.get("invariant_checks", 0.0) == 0.0
+    assert sim.obs.stage_seconds().get("invariant_checks", 0.0) == 0.0
 
 
 def test_param_flag_validation():
