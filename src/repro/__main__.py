@@ -446,7 +446,7 @@ SUBCOMMANDS: tuple[Subcommand, ...] = (
         _cmd_bench,
         args=(
             arg("experiment"),
-            arg("--scale", default="small", choices=["small", "medium"]),
+            arg("--scale", default="small", choices=["small", "medium", "large"]),
             arg("--agents", type=int),
             arg("--iterations", type=int),
             arg("--workers", type=int, nargs="+",

@@ -22,7 +22,9 @@ def main(argv=None) -> int:
         choices=sorted(ALL_EXPERIMENTS) + ["all"],
         help="which table/figure to regenerate",
     )
-    parser.add_argument("--scale", default="small", choices=["small", "medium"])
+    parser.add_argument("--scale", default="small",
+                        choices=["small", "medium", "large"],
+                        help="size preset (`large`: `neighbor_cache` only)")
     wall_opts = parser.add_argument_group(
         "wall-clock", "options for the `scaling`, `neighbor_cache`, "
                       "`event_scheduling` and `kernels` experiments")
@@ -68,6 +70,9 @@ def main(argv=None) -> int:
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         mod = ALL_EXPERIMENTS[name]
+        if args.scale not in getattr(mod, "SCALES", (args.scale,)):
+            parser.error(f"`{name}` has no `{args.scale}` scale "
+                         f"(available: {', '.join(mod.SCALES)})")
         kwargs = {}
         if name == "scaling":
             kwargs = dict(agents=args.agents, iterations=args.iterations,

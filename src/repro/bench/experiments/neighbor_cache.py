@@ -44,6 +44,10 @@ SCALES = {
     "small": dict(side=8, agents=600, iterations=15, burn_in=8, repeats=2),
     "medium": dict(side=14, agents=3000, iterations=40, burn_in=15,
                    repeats=3),
+    # The scale the repo benchmark (perf/) runs at: 27^3 = 19683 lattice
+    # cells, 2e4-agent registry models.
+    "large": dict(side=27, agents=20000, iterations=30, burn_in=10,
+                  repeats=3),
 }
 
 

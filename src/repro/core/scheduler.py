@@ -326,6 +326,10 @@ class Scheduler:
                 self._env_key = env_key
                 self._moved_since_build = False
                 self._notify_rebuild(sim)
+            if self._needs_neighbors():
+                # Materialize the CSR here, not lazily inside agent_ops, so
+                # the search is booked to the stage that owns it.
+                sim.neighbors()
             if m is not None and work is not None:
                 if work.parallelizable and work.per_item_cycles is not None:
                     cycles = work.per_item_cycles

@@ -20,6 +20,34 @@ Design points reproduced from the paper:
 - **Parallel build.**  Assigning agents to boxes is embarrassingly
   parallel; the reported :class:`BuildWork` charges per-agent cycles to a
   parallel region (unlike the serial kd-tree/octree builds).
+
+The all-pairs search (:meth:`UniformGridEnvironment.neighbor_csr`) is
+where the wall clock goes, and it is organised the way the GPU grid
+(Hesam et al., PAPERS.md) is -- around the cell-sorted agent order the
+build already produces:
+
+- **Cell-sorted space.**  Coordinates are gathered once through
+  ``_order``; every box is then a contiguous slice and a candidate is a
+  position in that order, not an index to chase.
+- **x-run merging.**  Box ids are x-fastest, so the up-to-three
+  x-adjacent boxes of one stencil row are ONE contiguous run, found with
+  two binary searches over the *occupied* box ids (the timestamp
+  discipline's O(#agents) promise: no pass over the box arrays).
+- **Half stencil.**  Each agent scans the rest of its own box + box x+1
+  and the four forward ``(dy, dz)`` rows -- 5 runs, not 27 boxes -- so
+  each unordered pair is distance-checked once and mirrored.  The filter
+  is a sum of squares, identical for both directions bit for bit.
+- **Blocked evaluation.**  Candidates are expanded ``_BLOCK_CANDIDATES``
+  at a time: temporaries are O(block), only kept pairs are held in full.
+- **Canonical rows by key sort.**  The kept pairs (both directions) are
+  sorted as int64 keys ``row * n + col``; the CSR is therefore a pure
+  function of ``(positions, radius)``, whatever the storage order.
+
+What the *paper's* search costs is a separate question with a separate
+answer: :meth:`UniformGridEnvironment.search_candidates_per_agent` still
+reports the full 27-box candidate count per agent (summed from run
+lengths), so the virtual-cycle figures price the paper's scan, not this
+build's shortcuts.
 """
 
 from __future__ import annotations
@@ -35,6 +63,12 @@ _ASSIGN_CYCLES = 14.0      # compute box coords + insert into linked list
 _CANDIDATE_CYCLES = 6.0    # examine one candidate during search (distance check)
 
 _NO_AGENT = -1
+
+# Forward half of the 3x3 (dy, dz) stencil rows: with the forward part of
+# the own row they reach each of the 13 forward neighbor boxes exactly once.
+_FORWARD_ROWS = ((1, 0), (-1, 1), (0, 1), (1, 1))
+# Candidates evaluated per block of the search (bounds its temporaries).
+_BLOCK_CANDIDATES = 1 << 14
 
 
 class UniformGridEnvironment(Environment):
@@ -71,11 +105,16 @@ class UniformGridEnvironment(Environment):
         self._box_stamp = np.empty(0, dtype=np.int64)
         self._successor = np.empty(0, dtype=np.int64)
         self._order = np.empty(0, dtype=np.int64)       # agents sorted by box
-        self._sorted_starts = None
+        # Occupied box ids, ascending, and where each one's agents start
+        # in ``_order`` (one trailing entry = n): the O(#agents) index the
+        # search binary-searches instead of scanning the box arrays.
+        self._occupied = np.empty(0, dtype=np.int64)
+        self._run_start = np.zeros(1, dtype=np.int64)
+        self._incremental = False
         self._positions = np.empty((0, 3))
         self._box_of_agent = np.empty(0, dtype=np.int64)
         self._radius = 0.0
-        self._candidates = np.empty(0, dtype=np.int64)
+        self._candidates: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
@@ -129,10 +168,13 @@ class UniformGridEnvironment(Environment):
         self._radius = radius
         self._timestamp += 1
         self._csr = None
+        self._candidates = None
         self._incremental = False
         if n == 0:
             self._box_of_agent = np.empty(0, dtype=np.int64)
             self._order = np.empty(0, dtype=np.int64)
+            self._occupied = np.empty(0, dtype=np.int64)
+            self._run_start = np.zeros(1, dtype=np.int64)
             self.last_build_work = BuildWork(parallelizable=True,
                                              per_item_cycles=np.empty(0))
             return self.last_build_work
@@ -153,13 +195,14 @@ class UniformGridEnvironment(Environment):
         order = np.argsort(box_id, kind="stable")
         sorted_boxes = box_id[order]
         run_starts = np.flatnonzero(np.diff(sorted_boxes)) + 1
-        starts = np.concatenate(([0], run_starts))
-        boxes_touched = sorted_boxes[starts]
-        counts = np.diff(np.append(starts, n))
-        self._box_start[boxes_touched] = starts
-        self._box_count[boxes_touched] = counts
+        starts = np.concatenate(([0], run_starts, [n]))
+        boxes_touched = sorted_boxes[starts[:-1]]
+        self._box_start[boxes_touched] = starts[:-1]
+        self._box_count[boxes_touched] = np.diff(starts)
         self._box_stamp[boxes_touched] = self._timestamp
         self._order = order
+        self._occupied = boxes_touched
+        self._run_start = starts
 
         # Array-based linked list: successor chains within each box, using
         # ResourceManager agent indices.
@@ -216,6 +259,7 @@ class UniformGridEnvironment(Environment):
         self._touched: list[int] = []
         self._successor = np.empty(0, dtype=np.int64)
         self._csr = None
+        self._candidates = None
         self._incremental = True
 
     def insert_agent(self, position) -> int:
@@ -223,7 +267,7 @@ class UniformGridEnvironment(Environment):
 
         Returns the agent's index.  Requires :meth:`begin_incremental`.
         """
-        if not getattr(self, "_incremental", False):
+        if not self._incremental:
             raise RuntimeError("call begin_incremental() first")
         position = np.asarray(position, dtype=np.float64)
         coords = ((position - self._mins) / self._box_len).astype(np.int64)
@@ -246,6 +290,7 @@ class UniformGridEnvironment(Environment):
         self._inc_positions.append(position)
         self._inc_boxes.append(b)
         self._csr = None
+        self._candidates = None
         return idx
 
     def _consolidate(self) -> None:
@@ -255,23 +300,29 @@ class UniformGridEnvironment(Environment):
             np.vstack(self._inc_positions) if n else np.empty((0, 3))
         )
         self._box_of_agent = np.asarray(self._inc_boxes, dtype=np.int64)
+        # Boxes in ascending id order (the cell-sorted layout the search
+        # needs); within a box the chain's head-insertion order.
+        occupied = sorted(self._touched)
         order = np.empty(n, dtype=np.int64)
+        run_start = np.empty(len(occupied) + 1, dtype=np.int64)
         pos_cursor = 0
-        for b in self._touched:
-            start = pos_cursor
+        for k, b in enumerate(occupied):
+            run_start[k] = pos_cursor
             cur = int(self._box_start[b])
             while cur != _NO_AGENT:
                 order[pos_cursor] = cur
                 pos_cursor += 1
                 cur = int(self._successor[cur])
-            self._box_start[b] = start
-            self._box_count[b] = pos_cursor - start
+            self._box_start[b] = run_start[k]
+        run_start[-1] = n
         self._order = order
+        self._occupied = np.asarray(occupied, dtype=np.int64)
+        self._run_start = run_start
         self._incremental = False
 
     def box_chain(self, box_id: int) -> list[int]:
         """Walk the linked list of one box (incremental mode only)."""
-        if not getattr(self, "_incremental", False):
+        if not self._incremental:
             raise RuntimeError("box chains exist only during incremental builds")
         if self._box_stamp[box_id] != self._timestamp:
             return []
@@ -290,84 +341,145 @@ class UniformGridEnvironment(Environment):
     # Search
     # ------------------------------------------------------------------ #
 
+    def _occupied_coords(self):
+        """``(cx, cy, cz)`` box coordinates of the occupied boxes."""
+        cz, rem = np.divmod(self._occupied, self._dims[0] * self._dims[1])
+        cy, cx = np.divmod(rem, self._dims[0])
+        return cx, cy, cz
+
+    def _row_runs(self, cx, cy, cz, dy, dz):
+        """Per occupied box, the ``[start, end)`` slice of cell-sorted
+        space holding stencil row ``(dy, dz)``: the up-to-three x-adjacent
+        boxes ``cx-1 .. cx+1`` have consecutive ids under the x-fastest
+        linearization, so they are ONE contiguous run.  Boundaries come
+        from binary searches over the occupied ids only (O(#agents), no
+        pass over the box arrays); an out-of-grid row is the empty run.
+        """
+        dims = self._dims
+        y = cy + dy
+        z = cz + dz
+        valid = (y >= 0) & (y < dims[1]) & (z >= 0) & (z < dims[2])
+        row = (z * dims[1] + y) * dims[0]
+        lo = row + np.maximum(cx - 1, 0)
+        hi = row + np.minimum(cx + 1, dims[0] - 1)
+        start = self._run_start[np.searchsorted(self._occupied, lo, side="left")]
+        end = self._run_start[np.searchsorted(self._occupied, hi, side="right")]
+        return np.where(valid, start, 0), np.where(valid, end, 0)
+
     def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """All-pairs fixed-radius neighbors as CSR ``(indptr, indices)``."""
+        """All-pairs fixed-radius neighbors as CSR ``(indptr, indices)``.
+
+        Works in cell-sorted space (positions gathered once through
+        ``_order``, so every box is a contiguous slice) and visits only
+        the forward half stencil: the agents after it in its own box plus
+        box ``x+1`` (one run), and the four forward ``(dy, dz)`` rows (one
+        run each) -- 5 runs per agent instead of 27 boxes, every
+        unordered pair distance-checked once and mirrored.  Candidates are
+        expanded in blocks of ``_BLOCK_CANDIDATES``, so temporaries are
+        O(block); only the kept pairs are ever held in full.
+        """
         if self._csr is not None:
             return self._csr
-        if getattr(self, "_incremental", False):
+        if self._incremental:
             self._consolidate()
         n = len(self._positions)
         if n == 0:
-            self._candidates = np.empty(0, dtype=np.int64)
             self._csr = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
             return self._csr
 
+        order = self._order
+        num_occupied = len(self._occupied)
+        cx, cy, cz = self._occupied_coords()
+
+        # Runs per occupied box: column 0 is the rest of the own box plus
+        # box x+1 (its start is per agent -- right after the agent itself,
+        # which also drops the self pair), columns 1-4 the forward rows.
+        run_lo = np.zeros((num_occupied, 5), dtype=np.int64)
+        run_hi = np.empty((num_occupied, 5), dtype=np.int64)
+        run_hi[:, 0] = self._row_runs(cx, cy, cz, 0, 0)[1]
+        for k, (dy, dz) in enumerate(_FORWARD_ROWS, 1):
+            run_lo[:, k], run_hi[:, k] = self._row_runs(cx, cy, cz, dy, dz)
+        box_of = np.repeat(
+            np.arange(num_occupied, dtype=np.int64), np.diff(self._run_start))
+        rows = np.arange(n, dtype=np.int64)
+        per_row = (run_hi[:, 1:] - run_lo[:, 1:]).sum(axis=1)[box_of]
+        per_row += run_hi[box_of, 0] - rows - 1
+        # Blocks of consecutive rows holding ~_BLOCK_CANDIDATES candidates.
+        cum = np.cumsum(per_row)
+        cuts = np.searchsorted(
+            cum, np.arange(_BLOCK_CANDIDATES, cum[-1], _BLOCK_CANDIDATES)) + 1
+        bounds = np.unique(np.concatenate(([0], cuts, [n])))
+
         pos = self._positions
-        dims = self._dims
-        box = self._box_of_agent
-        cz, rem = np.divmod(box, dims[0] * dims[1])
-        cy, cx = np.divmod(rem, dims[0])
+        xs, ys, zs = pos[order, 0], pos[order, 1], pos[order, 2]
         r2 = self._radius * self._radius
+        kept_i, kept_j = [], []
+        for p0, p1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            blk = box_of[p0:p1]
+            lo = run_lo[blk]
+            lo[:, 0] = rows[p0:p1] + 1
+            ln = (run_hi[blk] - lo).ravel()
+            total = int(ln.sum())
+            if total == 0:
+                continue
+            # Expand the [start, start+len) range of each (agent, run).
+            cj = np.arange(total, dtype=np.int64)
+            cj += np.repeat(lo.ravel() - (np.cumsum(ln) - ln), ln)
+            reps = per_row[p0:p1]
+            # The filter arithmetic of every build so far (dx*dx; += dy*dy;
+            # += dz*dz; <= r2).  Squares make it symmetric: the mirrored
+            # pair would have computed the identical d2 bit for bit.
+            d = np.repeat(xs[p0:p1], reps) - xs[cj]
+            d2 = d * d
+            d = np.repeat(ys[p0:p1], reps) - ys[cj]
+            d2 += d * d
+            d = np.repeat(zs[p0:p1], reps) - zs[cj]
+            d2 += d * d
+            hit = np.flatnonzero(d2 <= r2)
+            kept_i.append(order[np.repeat(rows[p0:p1], reps)[hit]])
+            kept_j.append(order[cj[hit]])
 
-        # All 27 neighbor boxes of every agent in one vectorized pass.
-        d = np.array([-1, 0, 1], dtype=np.int64)
-        off = np.stack(np.meshgrid(d, d, d, indexing="ij"), axis=-1).reshape(27, 3)
-        nbx = cx[:, None] + off[None, :, 0]
-        nby = cy[:, None] + off[None, :, 1]
-        nbz = cz[:, None] + off[None, :, 2]
-        valid = (
-            (nbx >= 0) & (nbx < dims[0])
-            & (nby >= 0) & (nby < dims[1])
-            & (nbz >= 0) & (nbz < dims[2])
-        )
-        nbid = (nbz * dims[1] + nby) * dims[0] + nbx
-        nbid[~valid] = 0  # clamped; masked out via reps below
-        fresh = self._box_stamp[nbid] == self._timestamp
-        reps = np.where(valid & fresh, self._box_count[nbid], 0)
-
-        candidates = reps.sum(axis=1)
-        reps_f = reps.ravel()
-        total = int(candidates.sum())
-        qi = np.repeat(np.arange(n, dtype=np.int64), candidates)
-        # Gather the ranges [start, start+count) of each (agent, box) pair.
-        csum = np.cumsum(reps_f) - reps_f
-        within = np.arange(total, dtype=np.int64) - np.repeat(csum, reps_f)
-        cand = self._order[np.repeat(self._box_start[nbid].ravel(), reps_f) + within]
-
-        # Component-wise distance: avoids materializing (npairs, 3) temps
-        # and the slow axis reduction.
-        px, py, pz = pos[:, 0], pos[:, 1], pos[:, 2]
-        dx = px[qi] - px[cand]
-        dy = py[qi] - py[cand]
-        dz = pz[qi] - pz[cand]
-        d2 = dx * dx
-        d2 += dy * dy
-        d2 += dz * dz
-        keep = (d2 <= r2) & (qi != cand)
-        qi, cand = qi[keep], cand[keep]
-
-        # Canonical row order: ascending neighbor index within each row.
-        # The box-scan emits candidates in storage order, which depends on
-        # the build's geometry; sorting makes the CSR a pure function of
-        # (positions, radius), which is what lets a re-filtered superset
-        # build reproduce a fresh exact build bitwise (forces sum each
-        # row's pairs in CSR order via np.bincount, so row order decides
-        # the float bits of the net force).
-        if len(cand):
-            order = np.argsort(qi * np.int64(n) + cand)
-            qi, cand = qi[order], cand[order]
-
-        # qi is sorted (ascending rows) -> CSR.
-        counts = np.bincount(qi, minlength=n)
+        # Canonical row order: ascending neighbor index within each row,
+        # which makes the CSR a pure function of (positions, radius) --
+        # what lets a re-filtered superset build reproduce a fresh exact
+        # build bitwise (forces sum each row's pairs in CSR order via
+        # np.bincount, so row order decides the float bits of the net
+        # force).  Only the KEPT pairs are sorted, both directions of each
+        # as one int64 key ``row * n + col``; keys are unique, so the sort
+        # has no ties to break, and subtracting ``row * n`` again leaves
+        # the sorted columns in place.
+        i = np.concatenate(kept_i) if kept_i else np.empty(0, dtype=np.int64)
+        j = np.concatenate(kept_j) if kept_j else np.empty(0, dtype=np.int64)
+        counts = np.bincount(i, minlength=n)
+        counts += np.bincount(j, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        self._candidates = candidates
-        self._csr = (indptr, cand)
+        keys = np.concatenate((i * n + j, j * n + i))
+        keys.sort()
+        keys -= np.repeat(rows * n, counts)
+        self._csr = (indptr, keys)
         return self._csr
 
     def search_candidates_per_agent(self) -> np.ndarray:
-        if self._csr is None:
-            self.neighbor_csr()
+        """Agents in the 3x3x3 box cube around each agent (itself
+        included): what the paper's search scans, and what the search
+        cost model (Figs. 5-13) charges -- whatever subset
+        :meth:`neighbor_csr` actually evaluates.  Summed from the nine
+        stencil rows' run lengths on first use; no candidate is
+        materialized.
+        """
+        if self._candidates is None:
+            if self._incremental:
+                self._consolidate()
+            cx, cy, cz = self._occupied_coords()
+            per_box = np.zeros(len(self._occupied), dtype=np.int64)
+            for dz in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    start, end = self._row_runs(cx, cy, cz, dy, dz)
+                    per_box += end - start
+            self._candidates = np.empty(len(self._order), dtype=np.int64)
+            self._candidates[self._order] = np.repeat(
+                per_box, np.diff(self._run_start))
         return self._candidates
 
     def search_cycles_per_agent(self) -> np.ndarray:
@@ -501,7 +613,7 @@ class UniformGridEnvironment(Environment):
     @property
     def num_boxes(self) -> int:
         """Total boxes of the current grid geometry."""
-        if getattr(self, "_incremental", False) or len(self._positions):
+        if self._incremental or len(self._positions):
             return int(np.prod(self._dims))
         return 0
 
@@ -524,4 +636,5 @@ class UniformGridEnvironment(Environment):
             "mins": self._mins,
             "dims": self._dims,
             "box_length": self._box_len,
+            "radius": self._radius,
         }

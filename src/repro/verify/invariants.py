@@ -152,7 +152,7 @@ def check_uniform_grid(env: UniformGridEnvironment) -> list[Violation]:
     def bad(msg):
         out.append(Violation("uniform_grid", msg))
 
-    if getattr(env, "_incremental", False):
+    if env._incremental:
         # Chains are consolidated lazily; checking mid-insertion would
         # consolidate and change behavior.  Verified after neighbor_csr().
         return out
@@ -233,7 +233,7 @@ def check_uniform_grid(env: UniformGridEnvironment) -> list[Violation]:
 
 def check_morton_runs(env: UniformGridEnvironment) -> list[Violation]:
     """The gap-traversal run structure for the grid's shape is bijective."""
-    if getattr(env, "_incremental", False) or env.num_boxes == 0:
+    if env._incremental or env.num_boxes == 0:
         return []
     if env.num_boxes > MORTON_VALIDATE_MAX_BOXES:
         return []

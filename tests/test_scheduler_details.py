@@ -157,3 +157,47 @@ class TestGridBoxScatterCost:
             return m.stats["build_environment"].cycles
 
         assert build_cost(span=300.0) > build_cost(span=30.0)
+
+
+class TestNeighborStageAttribution:
+    """The CSR is materialized inside ``build_environment``, so
+    ``stage_seconds()`` books the search to the stage that owns it."""
+
+    @pytest.mark.parametrize("neighbor_cache", [True, False])
+    def test_oncology_books_csr_to_build_environment(self, neighbor_cache):
+        import time
+
+        from repro.simulations.registry import get_simulation
+
+        bench = get_simulation("oncology")
+        param = bench.default_param().with_(neighbor_cache=neighbor_cache)
+        sim = bench.build(1500, param=param, seed=0)
+        env, scheduler = sim.env, sim.scheduler
+        seen = {"in_agent_ops": False, "builds": 0, "builds_in_agent_ops": 0,
+                "csr_seconds": 0.0}
+        real_csr, real_ops = env.neighbor_csr, scheduler._run_agent_ops
+
+        def timed_csr():
+            fresh = env._csr is None
+            t0 = time.perf_counter()
+            result = real_csr()
+            if fresh:
+                seen["csr_seconds"] += time.perf_counter() - t0
+                seen["builds"] += 1
+                seen["builds_in_agent_ops"] += seen["in_agent_ops"]
+            return result
+
+        def flagged_ops():
+            seen["in_agent_ops"] = True
+            try:
+                real_ops()
+            finally:
+                seen["in_agent_ops"] = False
+
+        env.neighbor_csr = timed_csr
+        scheduler._run_agent_ops = flagged_ops
+        sim.simulate(6)
+        assert seen["builds"] == 6          # moving agents: a build a tick
+        assert seen["builds_in_agent_ops"] == 0
+        assert (sim.obs.stage_seconds()["build_environment"]
+                >= seen["csr_seconds"] > 0.0)
