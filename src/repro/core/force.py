@@ -71,10 +71,13 @@ class InteractionForce:
         """Force exerted by agent ``qj`` on agent ``qi`` for each pair.
 
         Returns an ``(npairs, 3)`` array.  The math lives in
-        :func:`repro.kernels.numpy_ref.pair_forces` (the bitwise kernel
-        reference); override this method to change the force law —
-        compiled kernel backends detect the override and fall back to
-        this NumPy path.
+        :mod:`repro.kernels.numpy_ref` (the bitwise kernel reference);
+        override this method to change the force law — every kernel
+        backend detects a subclass and evaluates it through this hook,
+        block by block.  The stock model itself is not routed through
+        here: the reference kernel reads its ``repulsion`` /
+        ``attraction`` and runs the same law per coordinate, without
+        the ``(npairs, 3)`` stack.
         """
         return numpy_ref.pair_forces(positions, diameters, qi, qj,
                                      self.repulsion, self.attraction)
@@ -97,6 +100,6 @@ class InteractionForce:
         """
         net, nonzero, pairs = numpy_ref.force_csr(
             positions, diameters, indptr, indices, active,
-            pair_fn=self.pair_forces,
+            force_model=self,
         )
         return ForceResult(net, nonzero, pairs)

@@ -190,7 +190,7 @@ def shard_main(shard_id: int, endpoint, box_length_factor: float) -> None:
                         pairs = numpy_ref.force_rows(
                             cols["position"], cols["diameter"], indptr,
                             indices, active, net, nz, 0, k,
-                            pair_fn=force_model.pair_forces,
+                            force_model=force_model,
                         )
                     state.net = net
                     compute_s = time.perf_counter() - t0

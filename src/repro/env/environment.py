@@ -184,12 +184,14 @@ def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
 
     Order preservation is the bitwise-identity argument: the superset's
     rows are in canonical ascending-index order (required by
-    ``Environment.supports_neighbor_cache``), a boolean mask keeps a
-    subsequence of each row, and a subsequence of an ascending run is
-    ascending — so the result equals, element for element, the CSR a
-    fresh exact-radius build would produce.  The distance arithmetic
-    (componentwise ``dx*dx; += dy*dy; += dz*dz`` in float64) matches the
-    grid build's filter, so the boundary cases round identically too.
+    ``Environment.supports_neighbor_cache``), the ascending kept
+    positions select a subsequence of each row, and a subsequence of an
+    ascending run is ascending — so the result equals, element for
+    element, the CSR a fresh exact-radius build would produce.  The
+    distance arithmetic (componentwise ``dx*dx; += dy*dy; += dz*dz`` in
+    float64, here on contiguous coordinate columns with the squares
+    taken in place) matches the grid build's filter, so the boundary
+    cases round identically too.
 
     Returns ``(indptr, indices, qi)`` of the filtered CSR; the returned
     ``qi`` is the row expansion of the *result*, handed back so callers
@@ -198,19 +200,23 @@ def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
     n = len(indptr) - 1
     if len(indices) == 0:
         return indptr, indices, qi
-    px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
-    dx = px[qi] - px[indices]
-    dy = py[qi] - py[indices]
-    dz = pz[qi] - pz[indices]
-    d2 = dx * dx
-    d2 += dy * dy
-    d2 += dz * dz
-    keep = d2 <= radius * radius
-    qi_kept = qi[keep]
+    x, y, z = (np.ascontiguousarray(positions[:, c]) for c in range(3))
+    d2 = x[qi]
+    d2 -= x[indices]
+    d2 *= d2
+    for col in (y, z):
+        sq = col[qi]
+        sq -= col[indices]
+        sq *= sq
+        d2 += sq
+    # Index compaction: one flatnonzero, then a take per kept array (a
+    # boolean mask would be re-scanned for each of them).
+    kept = np.flatnonzero(d2 <= radius * radius)
+    qi_kept = qi[kept]
     counts = np.bincount(qi_kept, minlength=n)
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, indices[keep], qi_kept
+    return new_indptr, indices[kept], qi_kept
 
 
 def brute_force_csr(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

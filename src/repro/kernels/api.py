@@ -141,9 +141,10 @@ def tolerance_for(kernel: str, backend: str) -> KernelTolerance:
 def _is_plain_cortex3d(force_model) -> bool:
     """Whether ``force_model`` is exactly the stock Cortex3D force.
 
-    Compiled backends hard-code that force law; a subclass overriding
-    ``pair_forces`` must take the NumPy fallback path, which dispatches
-    through the (possibly overridden) method.
+    Every backend hard-codes that force law (the NumPy reference as its
+    per-coordinate core); a subclass overriding ``pair_forces`` must take
+    the NumPy reference's hook path, which dispatches through the
+    (possibly overridden) method.
     """
     from repro.core.force import InteractionForce
 

@@ -342,7 +342,7 @@ class CupyKernelBackend(KernelBackend):
             self.fallbacks += 1
             return numpy_ref.force_csr(
                 positions, diameters, indptr, indices, active,
-                pair_fn=force_model.pair_forces,
+                force_model=force_model,
             )
         self.warm_up()
         use_active = active is not None
@@ -389,7 +389,7 @@ class CupyKernelBackend(KernelBackend):
             self.buffers.clear()
             return numpy_ref.force_csr(
                 positions, diameters, indptr, indices, active,
-                pair_fn=force_model.pair_forces,
+                force_model=force_model,
             )
 
     def force_rows(self, force_model, positions, diameters, indptr, indices,
@@ -399,7 +399,7 @@ class CupyKernelBackend(KernelBackend):
         self._count()
         return numpy_ref.force_rows(positions, diameters, indptr, indices,
                                     active, net_out, nz_out, lo, hi,
-                                    pair_fn=force_model.pair_forces)
+                                    force_model=force_model)
 
     def displace(self, positions, moved_flags, net_force, dt,
                  max_displacement):  # pragma: no cover - requires a GPU

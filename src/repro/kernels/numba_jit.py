@@ -207,7 +207,7 @@ class NumbaKernelBackend(KernelBackend):
             self.fallbacks += 1
             return numpy_ref.force_rows(
                 positions, diameters, indptr, indices, active,
-                net, nz, lo, hi, pair_fn=force_model.pair_forces,
+                net, nz, lo, hi, force_model=force_model,
             )
         self.warm_up()
         use_active = active is not None

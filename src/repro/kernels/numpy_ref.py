@@ -10,6 +10,15 @@ backend is bitwise identical to mainline" holds *by construction*: there
 is exactly one NumPy implementation of each kernel, and the replay
 checksums of ``repro.verify`` are computed over its outputs.
 
+The pair kernels are written per coordinate (contiguous ``x / y / z``
+columns, 1-D gathers, in-place arithmetic) and the force is evaluated in
+row-aligned blocks of ~``_BLOCK_PAIRS`` pairs, so nothing of shape
+``(npairs, 3)`` and nothing of pair-list length is ever materialized.
+The textbook array-of-structs form they replaced is frozen in
+``tests/pair_reference.py``; ``tests/test_pair_pipeline_differential.py``
+holds these kernels byte-equal to it (``docs/kernels.md`` lists the
+rules that keep them so).
+
 Compiled backends (:mod:`repro.kernels.numba_jit`,
 :mod:`repro.kernels.cupy_backend`) re-express this math and are compared
 against these functions by ``verify.replay.kernel_equivalence`` and
@@ -21,7 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.api import FORCE_EPSILON, MOVE_EPSILON, KernelBackend
+from repro.kernels.api import (
+    FORCE_EPSILON,
+    MOVE_EPSILON,
+    KernelBackend,
+    _is_plain_cortex3d,
+)
 
 __all__ = [
     "pair_forces",
@@ -33,49 +47,122 @@ __all__ = [
 ]
 
 
+#: Pairs evaluated per block of the force kernel, approximately: a block
+#: ends at the first CSR row boundary past its budget (a row's pairs must
+#: reach one ``np.bincount`` together), so a row longer than this is a
+#: block of its own.  At 2^14 the seven live block-sized float64
+#: temporaries (~0.9 MiB) and the gathered columns stay inside a 2 MiB
+#: L2; 2^13 .. 2^15 measured within 10 % of each other, one unblocked
+#: pass 1.5-2x slower.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _columns(positions):
+    """Contiguous float64 ``x, y, z`` copies of an ``(n, 3)`` array.
+
+    Gathering pairs from three contiguous columns touches a third of the
+    cache lines a row gather from the ``(n, 3)`` layout does.
+    """
+    return tuple(np.ascontiguousarray(positions[:, c], dtype=np.float64)
+                 for c in range(3))
+
+
+def _cortex3d(x, y, z, diameters, qi, qj, repulsion, attraction):
+    """Per-coordinate Cortex3D force of ``qj`` on ``qi``: ``(fx, fy, fz)``.
+
+    Overlapping spheres repel with a linear elastic term (``repulsion``)
+    and adhere with a sqrt-overlap term (``attraction``); coincident
+    centers are pushed apart along the x axis, oriented by the pair's
+    index order so the force stays antisymmetric.
+
+    Bitwise contract (``tests/pair_reference.py`` is the textbook form):
+    every floating-point operation of the ``(npairs, 3)`` expression is
+    performed here on the same operands in the same operand order; only
+    where a result is stored differs.  ``dist`` is reduced as
+    ``(dx*dx + dy*dy) + dz*dz``, the order ``np.linalg.norm(axis=1)``
+    uses for three components, and ``where(overlap > 0, m, 0.0)`` stays a
+    select — a multiplication by the mask would turn ``nan`` and ``-m``
+    into ``nan`` and ``-0.0``.
+    """
+    dx = x[qi]
+    dx -= x[qj]
+    dy = y[qi]
+    dy -= y[qj]
+    dz = z[qi]
+    dz -= z[qj]
+    dist = dx * dx
+    tmp = dy * dy
+    dist += tmp
+    np.multiply(dz, dz, out=tmp)
+    dist += tmp
+    np.sqrt(dist, out=dist)
+
+    di = diameters[qi]
+    dj = diameters[qj]
+    r_sum = np.add(di, dj, out=tmp)
+    r_sum /= 2.0
+    r_eff = np.multiply(di, dj, out=di)
+    overlap = np.subtract(r_sum, dist, out=dj)
+    np.maximum(r_sum, 1e-12, out=r_sum)
+    np.multiply(2.0, r_sum, out=r_sum)
+    r_eff /= r_sum
+    magnitude = np.maximum(overlap, 0.0, out=r_sum)  # the positive overlap
+    r_eff *= magnitude
+    np.sqrt(r_eff, out=r_eff)
+    np.multiply(attraction, r_eff, out=r_eff)
+    np.multiply(repulsion, magnitude, out=magnitude)
+    magnitude -= r_eff
+    magnitude[~(overlap > 0)] = 0.0
+
+    degenerate = np.flatnonzero(dist < 1e-12)
+    if len(degenerate):
+        dist[degenerate] = 1.0
+    dx /= dist
+    dy /= dist
+    dz /= dist
+    if len(degenerate):
+        dx[degenerate] = np.where(qi[degenerate] < qj[degenerate], 1.0, -1.0)
+        dy[degenerate] = 0.0
+        dz[degenerate] = 0.0
+    np.multiply(magnitude, dx, out=dx)
+    np.multiply(magnitude, dy, out=dy)
+    np.multiply(magnitude, dz, out=dz)
+    return dx, dy, dz
+
+
 def pair_forces(positions, diameters, qi, qj, repulsion, attraction):
     """Cortex3D force exerted by agent ``qj`` on agent ``qi`` per pair.
 
-    Returns an ``(npairs, 3)`` array.  Overlapping spheres repel with a
-    linear elastic term (``repulsion``) and adhere with a sqrt-overlap
-    term (``attraction``); coincident centers are pushed apart along the
-    x axis, oriented by the pair's index order so the force stays
-    antisymmetric.
+    Returns an ``(npairs, 3)`` array: the public shape of the
+    :meth:`~repro.core.force.InteractionForce.pair_forces` override
+    hook, stacked from the per-coordinate :func:`_cortex3d` core.
     """
-    delta = positions[qi] - positions[qj]
-    dist = np.linalg.norm(delta, axis=1)
-    r_sum = (diameters[qi] + diameters[qj]) / 2.0
-    overlap = r_sum - dist
-    # Coincident centers: push apart along the x axis, oriented by the
-    # pair's index order so the force stays antisymmetric.
-    degenerate = dist < 1e-12
-    safe_dist = np.where(degenerate, 1.0, dist)
-    direction = delta / safe_dist[:, None]
-    if np.any(degenerate):
-        sign = np.where(qi < qj, 1.0, -1.0)[degenerate]
-        direction[degenerate] = 0.0
-        direction[degenerate, 0] = sign
-
-    r_eff = (diameters[qi] * diameters[qj]) / (2.0 * np.maximum(r_sum, 1e-12))
-    pos_overlap = np.maximum(overlap, 0.0)
-    magnitude = (
-        repulsion * pos_overlap
-        - attraction * np.sqrt(r_eff * pos_overlap)
+    x, y, z = _columns(positions)
+    return np.stack(
+        _cortex3d(x, y, z, np.asarray(diameters, dtype=np.float64),
+                  qi, qj, repulsion, attraction),
+        axis=1,
     )
-    magnitude = np.where(overlap > 0, magnitude, 0.0)
-    return magnitude[:, None] * direction
+
+
+def _row_blocks(indptr, lo, hi):
+    """Row cuts ``lo = c0 < c1 < ... = hi`` of ~``_BLOCK_PAIRS`` pairs each."""
+    start, stop = int(indptr[lo]), int(indptr[hi])
+    if stop - start <= _BLOCK_PAIRS:
+        return [lo, hi]
+    targets = np.arange(start + _BLOCK_PAIRS, stop, _BLOCK_PAIRS)
+    cuts = lo + np.searchsorted(indptr[lo : hi + 1], targets)
+    return np.unique(np.concatenate(([lo], cuts, [hi]))).tolist()
 
 
 def force_csr(positions, diameters, indptr, indices, active=None,
-              pair_fn=None, repulsion=2.0, attraction=0.4):
+              force_model=None):
     """Net force on every agent from its CSR neighbors (full-array path).
 
     ``active`` masks the agents whose forces are computed (static agents
     are excluded by the caller when §5 detection is enabled; inactive
-    agents receive zero net force).  ``pair_fn`` lets
-    :class:`~repro.core.force.InteractionForce` subclasses inject their
-    overridden pairwise law; when ``None`` the stock :func:`pair_forces`
-    runs with ``repulsion``/``attraction``.
+    agents receive zero net force).  ``force_model`` supplies the
+    pairwise law, see :func:`force_rows`, which does the work.
 
     Returns ``(net_force (n,3), nonzero_counts (n,), pairs_evaluated)``.
     """
@@ -84,75 +171,77 @@ def force_csr(positions, diameters, indptr, indices, active=None,
     nonzero = np.zeros(n, dtype=np.int64)
     if n == 0 or len(indices) == 0:
         return net, nonzero, 0
-
-    counts = np.diff(indptr)
-    qi_all = np.repeat(np.arange(n, dtype=np.int64), counts)
-    if active is not None:
-        keep = active[qi_all]
-        qi, qj = qi_all[keep], indices[keep]
-    else:
-        qi, qj = qi_all, indices
-    if len(qi) == 0:
-        return net, nonzero, 0
-
-    if pair_fn is not None:
-        f = pair_fn(positions, diameters, qi, qj)
-    else:
-        f = pair_forces(positions, diameters, qi, qj, repulsion, attraction)
-    # Accumulate with bincount per component (much faster than the
-    # unbuffered np.add.at).
-    for c in range(3):
-        net[:, c] = np.bincount(qi, weights=f[:, c], minlength=n)
-    mag_nonzero = (
-        np.abs(f[:, 0]) + np.abs(f[:, 1]) + np.abs(f[:, 2])
-    ) > FORCE_EPSILON
-    nonzero = np.bincount(qi, weights=mag_nonzero, minlength=n).astype(np.int64)
-    return net, nonzero, len(qi)
-
-
-def _chunk_pairs(indptr, indices, lo, hi):
-    """CSR pair lists restricted to rows [lo, hi)."""
-    start, stop = int(indptr[lo]), int(indptr[hi])
-    counts = np.diff(indptr[lo : hi + 1])
-    qi = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-    return qi, indices[start:stop]
+    pairs = force_rows(positions, diameters, indptr, indices, active,
+                       net, nonzero, 0, n, force_model)
+    return net, nonzero, pairs
 
 
 def force_rows(positions, diameters, indptr, indices, active,
-               net_out, nz_out, lo, hi, pair_fn=None,
-               repulsion=2.0, attraction=0.4) -> int:
-    """Net force + nonzero counts for rows ``[lo, hi)`` (chunk path).
+               net_out, nz_out, lo, hi, force_model=None) -> int:
+    """Net force + nonzero counts for rows ``[lo, hi)``.
 
     Writes into preallocated ``net_out[lo:hi]`` / ``nz_out[lo:hi]``
     (shared-memory views under the process backend) and returns the
-    number of pairs evaluated.  Pairs of one row are summed in the same
-    sequential order as the full-array bincount of :func:`force_csr`, and
-    rows are written to disjoint slices, so chunked execution is bitwise
-    identical to the full-array call.
+    number of pairs evaluated.
+
+    ``force_model`` supplies the pairwise law: the stock
+    :class:`~repro.core.force.InteractionForce` (or ``None``, its
+    defaults) runs the per-coordinate :func:`_cortex3d` core with the
+    model's ``repulsion`` / ``attraction``; a subclass is evaluated
+    through its (possibly overridden) ``pair_forces`` hook.
+
+    The range is evaluated in blocks of ~``_BLOCK_PAIRS`` pairs so the
+    temporaries are O(block), not O(pairs).  Blocks are cut at row
+    boundaries: each row's pairs are summed by one ``np.bincount`` in
+    canonical CSR order, and rows are written to disjoint slices — so
+    the result does not depend on where the cuts fall, which is also why
+    chunked execution (any ``[lo, hi)`` partition) is bitwise identical
+    to the full-array call.
     """
-    qi, qj = _chunk_pairs(indptr, indices, lo, hi)
-    if active is not None:
-        keep = active[qi]
-        qi, qj = qi[keep], qj[keep]
-    rows = hi - lo
-    if len(qi) == 0:
-        net_out[lo:hi] = 0.0
-        nz_out[lo:hi] = 0
-        return 0
-    if pair_fn is not None:
-        f = pair_fn(positions, diameters, qi, qj)
+    if force_model is None or _is_plain_cortex3d(force_model):
+        pair_fn = None
+        repulsion = getattr(force_model, "repulsion", 2.0)
+        attraction = getattr(force_model, "attraction", 0.4)
+        x, y, z = _columns(positions)
+        diameters = np.asarray(diameters, dtype=np.float64)
     else:
-        f = pair_forces(positions, diameters, qi, qj, repulsion, attraction)
-    local = qi - lo
-    for c in range(3):
-        net_out[lo:hi, c] = np.bincount(local, weights=f[:, c],
-                                        minlength=rows)
-    mag_nonzero = (
-        np.abs(f[:, 0]) + np.abs(f[:, 1]) + np.abs(f[:, 2])
-    ) > FORCE_EPSILON
-    nz_out[lo:hi] = np.bincount(local, weights=mag_nonzero,
-                                minlength=rows).astype(np.int64)
-    return len(qi)
+        pair_fn = force_model.pair_forces
+    cuts = _row_blocks(indptr, lo, hi)
+    pairs = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        counts = np.diff(indptr[a : b + 1])
+        qj = indices[int(indptr[a]) : int(indptr[b])]
+        if active is not None:
+            on = active[a:b]
+            qj = qj[np.flatnonzero(np.repeat(on, counts))]
+            counts *= on
+        if len(qj) == 0:
+            net_out[a:b] = 0.0
+            nz_out[a:b] = 0
+            continue
+        qi = np.repeat(np.arange(a, b, dtype=np.int64), counts)
+        if pair_fn is None:
+            fx, fy, fz = _cortex3d(x, y, z, diameters, qi, qj,
+                                   repulsion, attraction)
+        else:
+            f = pair_fn(positions, diameters, qi, qj)
+            fx, fy, fz = (np.ascontiguousarray(f[:, c]) for c in range(3))
+        qi -= a
+        rows = b - a
+        # Accumulate with bincount per component (much faster than the
+        # unbuffered np.add.at).
+        net_out[a:b, 0] = np.bincount(qi, weights=fx, minlength=rows)
+        net_out[a:b, 1] = np.bincount(qi, weights=fy, minlength=rows)
+        net_out[a:b, 2] = np.bincount(qi, weights=fz, minlength=rows)
+        np.abs(fx, out=fx)
+        np.abs(fy, out=fy)
+        np.abs(fz, out=fz)
+        fx += fy
+        fx += fz
+        nz_out[a:b] = np.bincount(qi, weights=fx > FORCE_EPSILON,
+                                  minlength=rows)
+        pairs += len(qj)
+    return pairs
 
 
 def displace(positions, moved_flags, net_force, dt,
@@ -162,14 +251,19 @@ def displace(positions, moved_flags, net_force, dt,
     Shared by the serial backend (full arrays) and the process backend's
     chunk kernel (row slices): every operation here is row-elementwise,
     so chunked execution is bitwise identical to the full-array call.
+    The norm is reduced per column as ``(x*x + y*y) + z*z``, the order of
+    ``np.linalg.norm(axis=1)``.
     """
     disp = net_force * dt
-    norm = np.linalg.norm(disp, axis=1)
-    too_far = norm > max_displacement
-    if np.any(too_far):
+    norm = disp[:, 0] * disp[:, 0]
+    norm += disp[:, 1] * disp[:, 1]
+    norm += disp[:, 2] * disp[:, 2]
+    np.sqrt(norm, out=norm)
+    too_far = np.flatnonzero(norm > max_displacement)
+    if len(too_far):
         disp[too_far] *= (max_displacement / norm[too_far])[:, None]
     moved_now = norm > MOVE_EPSILON
-    positions[moved_now] += disp[moved_now]
+    np.add(positions, disp, out=positions, where=moved_now[:, None])
     moved_flags |= moved_now
     return moved_now
 
@@ -210,15 +304,14 @@ class NumpyKernelBackend(KernelBackend):
         ``pair_forces`` on force-model subclasses)."""
         self._count()
         return force_csr(positions, diameters, indptr, indices, active,
-                         pair_fn=force_model.pair_forces)
+                         force_model)
 
     def force_rows(self, force_model, positions, diameters, indptr, indices,
                    active, net_out, nz_out, lo, hi) -> int:
         """Chunked CSR force via :func:`force_rows`."""
         self._count()
         return force_rows(positions, diameters, indptr, indices, active,
-                          net_out, nz_out, lo, hi,
-                          pair_fn=force_model.pair_forces)
+                          net_out, nz_out, lo, hi, force_model)
 
     def displace(self, positions, moved_flags, net_force, dt,
                  max_displacement):

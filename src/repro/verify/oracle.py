@@ -279,7 +279,7 @@ def compare_kernel_outputs(
 
     # -- force ----------------------------------------------------------- #
     ref_net, ref_nz, ref_pairs = numpy_ref.force_csr(
-        pos, dia, indptr, indices, pair_fn=force_model.pair_forces
+        pos, dia, indptr, indices, force_model=force_model
     )
     got_net, got_nz, got_pairs = kb.force(force_model, pos, dia, indptr,
                                           indices)

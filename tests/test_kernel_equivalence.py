@@ -75,9 +75,9 @@ class TestNumpyReference:
         pos, dia, indptr, indices = _random_system(seed, n, span)
         force = InteractionForce()
         net1, nz1, p1 = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                            pair_fn=force.pair_forces)
+                                            force_model=force)
         net2, nz2, p2 = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                            pair_fn=force.pair_forces)
+                                            force_model=force)
         assert net1.tobytes() == net2.tobytes()      # bitwise repeatable
         assert np.array_equal(nz1, nz2) and p1 == p2
         result = force.compute(pos, dia, indptr, indices)
@@ -92,7 +92,7 @@ class TestNumpyReference:
         pos, dia, indptr, indices = _random_system(seed, n, span)
         force = InteractionForce()
         net, _, _ = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                        pair_fn=force.pair_forces)
+                                        force_model=force)
         pos_a, moved_a = pos.copy(), np.zeros(n, dtype=bool)
         pos_b, moved_b = pos.copy(), np.zeros(n, dtype=bool)
         numpy_ref.displace(pos_a, moved_a, net, dt, max_disp)
@@ -120,9 +120,9 @@ class TestNumpyReference:
         pos, dia, indptr, indices = _degenerate_system()
         force = InteractionForce()
         net1, _, _ = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                         pair_fn=force.pair_forces)
+                                         force_model=force)
         net2, _, _ = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                         pair_fn=force.pair_forces)
+                                         force_model=force)
         assert np.all(np.isfinite(net1))
         assert net1.tobytes() == net2.tobytes()
 
@@ -175,7 +175,7 @@ class TestCompiledBackends:
         pos, dia, indptr, indices = _random_system(seed, n, span)
         force = InteractionForce()
         ref_net, ref_nz, ref_pairs = numpy_ref.force_csr(
-            pos, dia, indptr, indices, pair_fn=force.pair_forces)
+            pos, dia, indptr, indices, force_model=force)
         kb = _compiled_backend(backend)
         net, nz, pairs = kb.force(force, pos, dia, indptr, indices)
         tol = tolerance_for("force", backend)
@@ -191,7 +191,7 @@ class TestCompiledBackends:
         pos, dia, indptr, indices = _degenerate_system()
         force = InteractionForce()
         ref_net, _, _ = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                            pair_fn=force.pair_forces)
+                                            force_model=force)
         kb = _compiled_backend(backend)
         net, _, _ = kb.force(force, pos, dia, indptr, indices)
         assert np.all(np.isfinite(net))
@@ -206,7 +206,7 @@ class TestCompiledBackends:
         pos, dia, indptr, indices = _random_system(21, 50, 40.0)
         force = InteractionForce()
         net, _, _ = numpy_ref.force_csr(pos, dia, indptr, indices,
-                                        pair_fn=force.pair_forces)
+                                        force_model=force)
         ref_pos, ref_moved = pos.copy(), np.zeros(len(pos), dtype=bool)
         numpy_ref.displace(ref_pos, ref_moved, net, 0.01, 2.0)
         kb = _compiled_backend(backend)
