@@ -303,13 +303,20 @@ def _cmd_trace(args) -> int:
               f"{soa.adopts} adopts, "
               f"attach {soa.attach_seconds * 1e3:.2f} ms")
         if reg.gauge("events:enabled").value:
+            blocked = reg.counters_with_prefix("events:blocked:")
+            top = max(blocked, key=blocked.get, default=None)
             print("  events: "
                   f"{int(reg.counter('events:jumps').value)} jumps, "
                   f"{int(reg.counter('events:skipped_steps').value)} "
                   "skipped steps, "
                   f"{int(reg.counter('events:deferred_dispatches').value)} "
                   "deferred dispatches, "
-                  f"max jump {int(reg.gauge('events:max_jump').value)}")
+                  f"max jump {int(reg.gauge('events:max_jump').value)}, "
+                  f"{int(reg.counter('events:horizon_recomputes').value)} "
+                  "horizon recomputes, "
+                  f"{int(reg.counter('events:sampler_replays').value)} "
+                  "sampler replays, top blocker "
+                  + (f"{top} ({int(blocked[top])})" if top else "none"))
         dist = {k[len("dist:"):]: v for k, v in reg.snapshot().items()
                 if k.startswith("dist:")}
         if any(dist.values()):

@@ -23,7 +23,8 @@ Every workload runs both configurations from the same seed and diffs the
 final state checksum — a speedup from a diverged run is meaningless.
 The events-on records carry the engine's own counters
 (``events:jumps``, ``events:skipped_steps``, ``events:deferred_dispatches``,
-``events:max_jump``) so a green artifact cannot be vacuous.
+``events:max_jump``, ``events:horizon_recomputes``,
+``events:sampler_replays``) so a green artifact cannot be vacuous.
 
 The artifact also carries a ``serve`` section: an idle
 ``epidemiology_interventions`` session advanced in the background by a
@@ -93,6 +94,10 @@ def _measure(factory, iterations: int, repeats: int, events: bool) -> dict:
                 "events_deferred_dispatches":
                     int(snap.get("events:deferred_dispatches", 0)),
                 "events_max_jump": int(snap.get("events:max_jump", 0)),
+                "events_horizon_recomputes":
+                    int(snap.get("events:horizon_recomputes", 0)),
+                "events_sampler_replays":
+                    int(snap.get("events:sampler_replays", 0)),
                 "kernel_calls": int(snap.get("kernel:calls", 0)),
                 "stage_seconds": {k: round(v, 4) for k, v in
                                   sim.obs.stage_seconds().items() if v > 0},

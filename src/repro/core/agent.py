@@ -82,6 +82,7 @@ class Agent:
         i = self.index
         self._sim.rm.positions[i] = np.asarray(value, dtype=np.float64)
         self._sim.rm.data["moved"][i] = True
+        self._sim.note_state_change()
 
     @property
     def diameter(self) -> float:
@@ -94,6 +95,7 @@ class Agent:
         if value > rm.data["diameter"][i]:
             rm.data["grew"][i] = True
         rm.data["diameter"][i] = value
+        self._sim.note_state_change()
 
     def get(self, column: str):
         """Read any registered attribute column."""
@@ -104,6 +106,7 @@ class Agent:
         self._sim.rm.data[column][self.index] = value
         if column == "behavior_mask":
             self._sim.rm.note_behavior_mask_changed()
+        self._sim.note_state_change()
 
     def neighbors(self) -> np.ndarray:
         """Storage indices of the agent's current neighbors."""

@@ -58,10 +58,18 @@ class Behavior:
         The wake-time contract of :mod:`repro.core.events`.  Return:
 
         - ``None`` — due every tick (the default: today's semantics);
-        - a scalar — one absolute iteration index for the whole cohort;
+        - a scalar — one absolute iteration index for the whole cohort
+          (``np.inf`` = asleep).  Prefer it whenever the answer does not
+          vary per agent: the scheduler keeps it a scalar, so testing and
+          minimizing it costs O(1) instead of a pass over the cohort;
         - an array aligned with ``idx`` — per-agent absolute iteration
           indices (``np.inf`` = asleep until the state that produced this
-          answer changes; re-evaluated whenever anything mutates).
+          answer changes).
+
+        The answer is cached until anything mutates state (a tick, or an
+        out-of-tick write announced via ``Simulation.note_state_change``)
+        and re-evaluated then — at most once per behavior per quiet
+        stretch, however many jumps cover it.
 
         A behavior that declares wake times promises two things, which
         together make event-driven dispatch bitwise identical to running

@@ -180,3 +180,4 @@ def restore_checkpoint(sim, path) -> None:
                 raise ValueError(f"checkpoint has unknown diffusion grid {gname!r}")
             sim.diffusion_grids[gname].concentration = data[k].copy()
         sim.invalidate_neighbor_cache()
+        sim.note_state_change()

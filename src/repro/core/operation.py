@@ -55,10 +55,20 @@ class Operation:
     parallelizable: bool = False
     #: Declares that :meth:`run` only *observes* the simulation (samplers,
     #: exporters): no column writes, no RNG draws, no structural changes.
-    #: Read-only operations are replayed at their due ticks inside an
+    #: Read-only operations are visited at their due ticks inside an
     #: event-scheduling horizon jump (:mod:`repro.core.events`); any
     #: operation without this flag caps the jump at its next due tick.
     read_only: bool = False
+    #: Optional ``replay(sim)`` method of a read-only operation whose
+    #: output is a function of simulation *state* only: "state is bitwise
+    #: what it was at your last :meth:`run`; only the clock moved — emit
+    #: that result again".  Inside a jump the event scheduler calls it
+    #: instead of :meth:`run` when it can prove exactly that (the last
+    #: real run happened in the current quiet epoch and no diffusion grid
+    #: is evolving).  ``sim.time`` / ``sim.scheduler.iteration`` are
+    #: current when it is called; ``None`` (the default) means every
+    #: sample is a real :meth:`run`.
+    replay = None
 
     def __init__(self, frequency: int | None = None):
         if frequency is not None:

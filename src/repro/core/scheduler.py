@@ -150,10 +150,13 @@ class Scheduler:
         """Advance by one scheduling quantum; return ticks consumed.
 
         With event scheduling enabled, a provably-inert stretch is
-        consumed as one horizon jump (up to ``max_ticks`` ticks, O(1)
-        per-agent work); otherwise exactly one normal tick runs.  This is
-        the primitive the serve layer's background advance loops on, so
-        idle sessions cost one jump per lock hold instead of one tick.
+        consumed as one horizon jump (up to ``max_ticks`` ticks);
+        otherwise exactly one normal tick runs.  The event horizon is
+        cached per quiet stretch, so consecutive calls inside one stretch
+        cost O(1) each — independent of the agent count and of
+        ``max_ticks`` but for the clock adds and the due samplers.  This
+        is the primitive the serve layer's background advance loops on,
+        so idle sessions cost one jump per lock hold instead of one tick.
         """
         if max_ticks <= 0:
             return 0

@@ -210,6 +210,7 @@ class Simulation:
             for b in behaviors:
                 self.attach_behavior(idx, b)
         self.invalidate_neighbor_cache()
+        self.note_state_change()
         return idx
 
     def register_behavior(self, behavior: Behavior) -> int:
@@ -231,6 +232,7 @@ class Simulation:
         mask = self.rm.data["behavior_mask"]
         fresh = idx[(mask[idx] & np.uint64(bit)) == 0]
         mask[fresh] |= np.uint64(bit)
+        self.note_state_change()
         if len(fresh):
             self.rm.note_behavior_mask_changed()
         if len(fresh) and self.agent_allocator is not None:
@@ -260,20 +262,41 @@ class Simulation:
             return
         self.rm.data["behavior_mask"][idx] &= ~np.uint64(bit)
         self.rm.note_behavior_mask_changed()
+        self.note_state_change()
 
     def add_diffusion_grid(self, grid: DiffusionGrid) -> DiffusionGrid:
         """Register a substance grid (stepped once per iteration)."""
         self.diffusion_grids[grid.name] = grid
+        self.note_state_change()
         return grid
 
     def add_operation(self, operation) -> None:
         """Register a user-defined operation (paper §2: agent operations
         and standalone operations with an execution frequency)."""
         self.operations.append(operation)
+        self.note_state_change()
 
     def remove_operation(self, operation) -> None:
         """Unregister a previously added operation."""
         self.operations.remove(operation)
+        self.note_state_change()
+
+    def note_state_change(self) -> None:
+        """Tell the event scheduler that state changed outside a tick.
+
+        With ``Param.event_scheduling`` the wake answers, the event
+        horizon and the diffusion fixed-point proof are cached per *quiet
+        epoch*; ticks end the epoch themselves, and so does every public
+        mutator (agent handles, ``add_cells``, behavior / operation /
+        grid registration, checkpoint restore).  Code that writes
+        ``rm.data[...]`` columns, grid concentrations or the RNG directly
+        between two ``simulate`` / ``advance`` calls must call this, or a
+        stretch may be jumped on the strength of the old state.  No-op
+        when event scheduling is off.
+        """
+        events = self.scheduler.events
+        if events is not None:
+            events.note_state_change()
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -33,9 +33,12 @@ class TimeSeriesOperation(Operation):
     name = "time_series"
     kind = OpKind.POST
     compute_ops = 200.0
-    # Collectors must be pure observers (the documented contract); the
-    # event scheduler then samples them at exactly their due ticks while
-    # jumping over quiescent stretches.
+    # Collectors must be pure observers *of simulation state* (the
+    # documented contract): ``time`` / ``iteration`` are recorded by the
+    # operation itself, never read by a collector.  The event scheduler
+    # then samples at exactly the due ticks while jumping over quiescent
+    # stretches, and — state being frozen there — calls the collectors
+    # once per stretch and :meth:`replay`s the row for the other samples.
     read_only = True
 
     def __init__(self, frequency: int = 1):
@@ -58,6 +61,15 @@ class TimeSeriesOperation(Operation):
         self._data["iteration"].append(sim.scheduler.iteration)
         for name, fn in self._collectors.items():
             self._data[name].append(float(fn(sim)))
+
+    def replay(self, sim) -> None:
+        """Repeat the last row at the current clock, collectors uncalled
+        (the :attr:`Operation.replay` contract: state is bitwise what it
+        was at the last :meth:`run`; only ``time``/``iteration`` moved)."""
+        self._data["time"].append(sim.time)
+        self._data["iteration"].append(sim.scheduler.iteration)
+        for name in self._collectors:
+            self._data[name].append(self._data[name][-1])
 
     # ------------------------------------------------------------------ #
 

@@ -22,8 +22,9 @@ O(1).  Results are bitwise identical either way (the behaviors honor the
 ``bench event_scheduling`` quantifies.
 
 An attached read-only :class:`~repro.core.timeseries.TimeSeriesOperation`
-samples the S/I/R/Q counts on a frequency — inside a jump it is replayed
-at exactly its due ticks, so the recorded series is identical too.
+samples the S/I/R/Q counts on a frequency — inside a jump it is sampled
+at exactly its due ticks (run once per quiet epoch, then replayed: the
+counts cannot change), so the recorded series is identical too.
 """
 
 from __future__ import annotations
@@ -101,22 +102,17 @@ class EpidemiologyInterventions(BenchmarkSimulation):
             ],
         )
         ts = TimeSeriesOperation(frequency=5)
-        ts.add_collector(
-            "susceptible",
-            lambda s: int((s.rm.data["state"] == Infection.SUSCEPTIBLE).sum()),
-        )
-        ts.add_collector(
-            "infected",
-            lambda s: int((s.rm.data["state"] == Infection.INFECTED).sum()),
-        )
-        ts.add_collector(
-            "recovered",
-            lambda s: int((s.rm.data["state"] == Infection.RECOVERED).sum()),
-        )
-        ts.add_collector(
-            "quarantined",
-            lambda s: int((s.rm.data["state"] == Lockdown.QUARANTINED).sum()),
-        )
+        # count_nonzero: ~4x cheaper than a bool .sum() at 5e4 agents, and
+        # these still run on every active tick's sample.
+        for column, code in (("susceptible", Infection.SUSCEPTIBLE),
+                             ("infected", Infection.INFECTED),
+                             ("recovered", Infection.RECOVERED),
+                             ("quarantined", Lockdown.QUARANTINED)):
+            ts.add_collector(
+                column,
+                lambda s, code=code: np.count_nonzero(
+                    s.rm.data["state"] == code),
+            )
         sim.add_operation(ts)
         sim.timeseries = ts
         return sim
