@@ -286,6 +286,16 @@ def _cmd_trace(args) -> int:
         print(f"trace: {len(events)} events -> {path}")
         print(f"  stages: {', '.join(stages)}")
         reg = sim.obs.registry
+        print("  environment: "
+              f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
+              f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "
+              "skipped (unchanged), "
+              f"{int(reg.counter('scheduler:env_builds_deferred').value)} "
+              "deferred (no reader)")
+        if sim.diffusion_grids:
+            print(f"  diffusion: {len(sim.diffusion_grids)} grids, "
+                  f"{int(reg.counter('diffusion:steps').value)} stencil steps, "
+                  f"{int(reg.counter('diffusion:voxels').value)} voxels")
         print("  neighbor cache: "
               f"{int(reg.counter('neighbor_cache:hits').value)} hits, "
               f"{int(reg.counter('neighbor_cache:misses').value)} misses, "

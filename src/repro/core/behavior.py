@@ -30,7 +30,12 @@ class Behavior:
 
     - ``compute_ops_per_agent`` — arithmetic ops per agent per iteration.
     - ``uses_neighbors`` — whether :meth:`run` reads neighbor data (adds
-      neighbor memory traffic to the cost model).
+      neighbor memory traffic to the cost model).  Declaring it is what
+      gets the environment built at tick start and ``sim.neighbors()``
+      answering with the *tick-start* lists; a model in which nothing
+      declares a reader defers the build, and an undeclared
+      ``sim.neighbors()`` call inside a tick then gets an on-demand
+      build of the positions it sees at that moment.
     - ``moves_agents`` / ``grows_agents`` / ``creates_agents`` /
       ``removes_agents`` — effects relevant to static detection (§5) and
       to iteration setup/teardown.

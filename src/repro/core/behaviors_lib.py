@@ -127,8 +127,10 @@ class Chemotaxis(Behavior):
         norm = np.linalg.norm(grad, axis=1)
         ok = norm > 1e-12
         step = np.zeros_like(grad)
-        step[ok] = grad[ok] / norm[ok, None]
-        rm.positions[idx] += step * self.speed * sim.param.simulation_time_step
+        np.divide(grad, norm[:, None], out=step, where=ok[:, None])
+        step *= self.speed
+        step *= sim.param.simulation_time_step
+        rm.positions[idx] += step
         rm.data["moved"][idx] |= ok
 
 

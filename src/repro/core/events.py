@@ -112,8 +112,8 @@ class EventScheduler:
         #: answers, aligned with the cached dispatch index lists and
         #: invalidated by the same version counters (plus the epoch).
         self._wake_cache: dict[int, tuple] = {}
-        #: ``(epoch, bool)`` — whether one tick's sub-step sequence left
-        #: every diffusion grid bitwise unchanged when probed in ``epoch``.
+        #: ``(epoch, bool)`` — whether the last sub-step of the tick probed
+        #: in ``epoch`` left every diffusion grid bitwise unchanged.
         self._grids_fixed: tuple | None = None
         #: ``(key, horizon, samplers, sampled)`` — see :meth:`_plan`.
         self._cached_plan: tuple | None = None
@@ -297,16 +297,17 @@ class EventScheduler:
         """One skipped tick's diffusion; True while grids keep evolving.
 
         The first stepped tick of an epoch doubles as the fixed-point
-        probe — if it leaves every grid bitwise unchanged, ``f(c) == c``
-        and all later skipped ticks need no grid work at all.
+        probe: each grid's spare buffer holds the state before its last
+        sub-step, so "that sub-step changed no byte" is a comparison, not
+        a copy.  It proves ``f(c) == c`` for the state the tick left —
+        all later skipped ticks need no grid work at all.
         """
         cached = self._grids_fixed
         probe = cached is None or cached[0] != self._epoch
-        before = [g.concentration.tobytes() for g in grids] if probe else ()
         self._sched._run_diffusion()
         if probe:
             self._grids_fixed = (self._epoch, all(
-                g.concentration.tobytes() == b for g, b in zip(grids, before)))
+                g.last_step_was_identity() for g in grids))
         return not self._grids_fixed[1]
 
     def try_jump(self, max_ticks: int) -> int:

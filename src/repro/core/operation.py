@@ -95,7 +95,11 @@ class AgentOperation(Operation):
     :meth:`run_on` receives the indices of all agents (like a behavior
     that is attached to everyone).  ``compute_ops_per_agent`` feeds the
     cost model; if ``uses_neighbors`` is set, neighbor memory traffic is
-    charged as well.
+    charged as well — and the environment is built at tick start, so
+    ``sim.neighbors()`` answers with the tick-start lists.  An operation
+    (of any kind) that reads ``sim.neighbors()`` *undeclared*, in a model
+    where nothing else declares a reader, gets an on-demand build of the
+    positions it sees at that moment instead.
     """
 
     kind = OpKind.AGENT

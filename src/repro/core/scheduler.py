@@ -64,12 +64,19 @@ class Scheduler:
             "scheduler:env_rebuild_skips"
         )
         self._iterations_done = self._obs.registry.counter("scheduler:iterations")
+        self._diffusion_steps = self._obs.registry.counter("diffusion:steps")
+        self._diffusion_voxels = self._obs.registry.counter("diffusion:voxels")
         #: (radius, structure_version, n) the current exact neighbor CSR
         #: answers for — set by full rebuilds *and* cache re-filters, so a
         #: static scene full-skips either way.
         self._env_key = None
         #: Whether any agent moved or grew since the last build.
         self._moved_since_build = True
+        #: Whether the last build stage deferred its build (no reader):
+        #: the first ``sim.neighbors()`` runs it on demand.
+        self._env_deferred = False
+        self._env_builds_deferred = self._obs.registry.counter(
+            "scheduler:env_builds_deferred")
         # --- Displacement-bounded neighbor cache (Verlet-skin CSR reuse).
         self._cache_hits = self._obs.registry.counter("neighbor_cache:hits")
         self._cache_misses = self._obs.registry.counter("neighbor_cache:misses")
@@ -299,36 +306,12 @@ class Scheduler:
         rm = sim.rm
         p = sim.param
         m = sim.machine
-        n = rm.n
         obs = self._obs
 
         # ---- Pre standalone: rebuild the environment (Algorithm 1, L3-5).
         self._run_standalone_ops(OpKind.PRE)
         with obs.stage("build_environment"):
-            radius = sim.interaction_radius()
-            # Rebuild only when something could have changed the answer: an
-            # agent moved or grew since the last build, the population was
-            # restructured, the radius changed, or the CSR cache was dropped
-            # by code outside the scheduler's view.
-            env_key = (radius, rm.structure_version, rm.n)
-            skip = (
-                not self._moved_since_build
-                and self._env_key == env_key
-                and sim._csr_cache is not None
-            )
-            work = None
-            if skip:
-                self._env_rebuild_skips.inc()
-            elif self._cache_enabled():
-                self._build_or_refilter(radius, env_key)
-            else:
-                self._drop_neighbor_cache()
-                work = sim.env.update(rm.positions, radius)
-                sim.invalidate_neighbor_cache()
-                self._env_rebuilds.inc()
-                self._env_key = env_key
-                self._moved_since_build = False
-                self._notify_rebuild(sim)
+            work = self._build_environment()
             if self._needs_neighbors():
                 # Materialize the CSR here, not lazily inside agent_ops, so
                 # the search is booked to the stage that owns it.
@@ -411,6 +394,77 @@ class Scheduler:
 
             with obs.stage("invariant_checks"):
                 check_simulation_invariants(sim, raise_on_violation=True)
+
+    # ------------------------------------------------------------------ #
+    # Environment build: skip, defer, or build
+    # ------------------------------------------------------------------ #
+
+    def _env_key_now(self):
+        """The ``_env_key`` an exact CSR built now would answer for."""
+        sim = self.sim
+        return (sim.interaction_radius(), sim.rm.structure_version, sim.rm.n)
+
+    def _build_environment(self, on_demand: bool = False):
+        """The ``build_environment`` stage's body (also run out of stage
+        by :meth:`ensure_environment`): skip, defer, or build.
+
+        Skips when nothing could have changed the answer: no agent moved
+        or grew since the last build, the population was not restructured,
+        the radius is the same, and the CSR cache was not dropped by code
+        outside the scheduler's view.  Defers when nobody will read the
+        result (no virtual machine to charge, no neighbor consumer in the
+        agent loop — §5's "omit the work nobody needs"), leaving
+        ``_moved_since_build`` / ``_env_key`` alone: the build stays owed
+        to the first reader.  Returns the ``BuildWork`` of a plain
+        ``env.update`` (what the virtual machine charges), else ``None``.
+        """
+        sim = self.sim
+        env_key = self._env_key_now()
+        if (not self._moved_since_build and self._env_key == env_key
+                and sim._csr_cache is not None):
+            self._env_rebuild_skips.inc()
+            return None
+        self._env_deferred = (not on_demand and sim.machine is None
+                              and not self._needs_neighbors())
+        if self._env_deferred:
+            self._drop_neighbor_cache()
+            sim.invalidate_neighbor_cache()
+            self._env_builds_deferred.inc()
+            return None
+        if self._cache_enabled():
+            self._build_or_refilter(env_key[0], env_key)
+            return None
+        self._drop_neighbor_cache()
+        work = sim.env.update(sim.rm.positions, env_key[0])
+        sim.invalidate_neighbor_cache()
+        self._env_rebuilds.inc()
+        self._env_key = env_key
+        self._moved_since_build = False
+        self._notify_rebuild(sim)
+        return work
+
+    def ensure_environment(self) -> None:
+        """Run the build a ``sim.neighbors()`` caller is owed, if any.
+
+        Inside a tick only a *deferred* build is owed: declared readers
+        got theirs in the build stage and keep the tick-start lists.
+        Between ticks it is owed whenever the build is not current, and
+        running it is the path the next tick would take — that tick
+        skips, the trajectory is unchanged.  Never under a virtual
+        machine (every build there is a charged one) or on a closed
+        simulation (its columns may be unmapped).
+        """
+        from repro.core.simulation import SimulationState
+
+        sim = self.sim
+        if sim.machine is not None or sim.state is SimulationState.CLOSED:
+            return
+        owed = self._env_deferred
+        if not owed and sim.state is not SimulationState.RUNNING:
+            owed = (self._moved_since_build
+                    or self._env_key != self._env_key_now())
+        if owed:
+            self._build_environment(on_demand=True)
 
     # ------------------------------------------------------------------ #
     # Displacement-bounded neighbor cache (Verlet-skin CSR reuse)
@@ -881,6 +935,8 @@ class Scheduler:
             sub_dt = dt / steps
             for _ in range(steps):
                 grid.step(sub_dt, kernels=kernels)
+            self._diffusion_steps.inc(steps)
+            self._diffusion_voxels.inc(grid.num_volumes * steps)
             total_voxels += grid.num_volumes * steps
         if m is not None and total_voxels:
             cm = m.cost_model

@@ -327,8 +327,16 @@ class Simulation:
         return float(self.rm.data["diameter"].max()) * self.param.interaction_radius_factor
 
     def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR neighbor lists from the current environment build (cached
-        within an iteration)."""
+        """CSR neighbor lists, cached until the next build.
+
+        Inside a tick: the tick-start lists (a model without a declared
+        neighbor reader has no tick-start build; the first call builds
+        from the positions it sees).  Between ticks: the lists of the
+        *current* positions — a stale build is redone first
+        (:meth:`Scheduler.ensure_environment`).
+        """
+        if self._csr_cache is None or self._state is not SimulationState.RUNNING:
+            self.scheduler.ensure_environment()
         if self._csr_cache is None:
             self._csr_cache = self.env.neighbor_csr()
         return self._csr_cache

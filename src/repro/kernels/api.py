@@ -226,12 +226,15 @@ class KernelBackend:
     # -- diffusion ------------------------------------------------------- #
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
-                decay, dt):
+                decay, dt, out=None):
         """One explicit diffusion-decay stencil update.
 
-        Returns the *new* concentration array (the input is not
-        modified), matching :meth:`repro.core.diffusion.DiffusionGrid
-        .step` with Neumann boundaries.
+        Returns the array holding the *new* concentration (the input is
+        not modified), matching :meth:`repro.core.diffusion.DiffusionGrid
+        .step` with Neumann boundaries.  ``out`` offers a host array of
+        the grid's shape and dtype, sharing no memory with it: a backend
+        writes into it and returns it, or ignores it and returns a fresh
+        array — callers keep what is returned.
         """
         raise NotImplementedError
 

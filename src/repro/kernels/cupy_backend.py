@@ -433,8 +433,9 @@ class CupyKernelBackend(KernelBackend):
     # -- diffusion ------------------------------------------------------- #
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
-                decay, dt):  # pragma: no cover - requires a GPU
-        """Stencil update on the device; returns a host array.
+                decay, dt, out=None):  # pragma: no cover - requires a GPU
+        """Stencil update on the device; returns a host array (``out``
+        when given).
 
         Grid shape is independent of the agent structure, so the
         concentration buffer is *not* keyed on ``structure_version`` —
@@ -451,10 +452,10 @@ class CupyKernelBackend(KernelBackend):
                 - 6.0 * c
             ) / voxel_size**2
             return cupy.asnumpy(
-                c + dt * (diffusion_coefficient * lap - decay * c)
+                c + dt * (diffusion_coefficient * lap - decay * c), out=out
             )
         except self.buffers.oom_errors:
             self.oom_fallbacks += 1
             self.buffers.clear()
             return numpy_ref.diffuse(concentration, voxel_size,
-                                     diffusion_coefficient, decay, dt)
+                                     diffusion_coefficient, decay, dt, out)

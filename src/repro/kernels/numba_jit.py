@@ -256,11 +256,12 @@ class NumbaKernelBackend(KernelBackend):
     # -- diffusion ------------------------------------------------------- #
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
-                decay, dt):
+                decay, dt, out=None):
         """Compiled stencil update; returns the new concentration."""
         self._count()
         self.warm_up()
-        out = np.empty_like(concentration)
+        if out is None:
+            out = np.empty_like(concentration)
         _diffuse_jit(concentration, out, float(voxel_size),
                      float(diffusion_coefficient), float(decay), float(dt))
         return out

@@ -17,7 +17,8 @@ row-aligned blocks of ~``_BLOCK_PAIRS`` pairs, so nothing of shape
 The textbook array-of-structs form they replaced is frozen in
 ``tests/pair_reference.py``; ``tests/test_pair_pipeline_differential.py``
 holds these kernels byte-equal to it (``docs/kernels.md`` lists the
-rules that keep them so).
+rules that keep them so).  The stencil is held the same way to the
+``np.pad`` form in ``tests/diffusion_reference.py``.
 
 Compiled backends (:mod:`repro.kernels.numba_jit`,
 :mod:`repro.kernels.cupy_backend`) re-express this math and are compared
@@ -268,23 +269,86 @@ def displace(positions, moved_flags, net_force, dt,
     return moved_now
 
 
-def diffuse(concentration, voxel_size, diffusion_coefficient, decay, dt):
+#: Bytes per slab buffer of the stencil kernel: axis 0 is walked in slabs
+#: of ``_SLAB_BYTES // plane_bytes`` planes (2 at 128^2 float64), so both
+#: buffers and the planes of ``c`` / ``out`` they touch stay inside a
+#: 2 MiB L2 for all thirteen passes (128^3: 2 planes ~10 ms, 8 and more
+#: 16-25 ms; ``docs/kernels.md``).  The output does not depend on it.
+_SLAB_BYTES = 1 << 18
+
+
+def diffuse(concentration, voxel_size, diffusion_coefficient, decay, dt,
+            out=None):
     """One explicit diffusion-decay stencil update (Neumann boundaries).
 
-    Returns the new concentration array; the input is not modified.
-    Zero-flux boundaries are realized by edge replication, equivalent to
-    clamping the 7-point stencil's neighbor indices at the faces.
+    Returns the array it wrote — ``out`` when given (the grid's shape and
+    dtype, no memory shared with it), else a fresh one; the input is not
+    modified.  Zero-flux boundaries clamp the 7-point stencil's neighbor
+    indices at the faces (edge replication).
+
+    Bitwise contract (``tests/diffusion_reference.py`` is the textbook
+    ``np.pad`` form): every voxel receives the reference's operands in
+    the reference's order — ``((((x+ + x-) + y+) + y-) + z+) + z-``,
+    ``- 6.0 * c``, ``/ h**2``, ``* D``, ``- decay * c``, ``* dt``,
+    ``c +`` — only slab by slab and in place.  A z-shift over the strided
+    ``s[:, :, :-1]`` view costs 5x a contiguous add, so it is issued as
+    one shifted add over the slab's flat views; that puts a wrong
+    neighbor into the edge column, whose correct sum is computed first
+    and stored back after.
     """
-    c = concentration
-    # Neumann (zero-flux) boundaries via edge replication.
-    p = np.pad(c, 1, mode="edge")
-    lap = (
-        p[2:, 1:-1, 1:-1] + p[:-2, 1:-1, 1:-1]
-        + p[1:-1, 2:, 1:-1] + p[1:-1, :-2, 1:-1]
-        + p[1:-1, 1:-1, 2:] + p[1:-1, 1:-1, :-2]
-        - 6.0 * c
-    ) / voxel_size**2
-    return c + dt * (diffusion_coefficient * lap - decay * c)
+    c = np.ascontiguousarray(concentration)
+    if out is None:
+        out = np.empty_like(c)
+    elif (out.shape != c.shape or out.dtype != c.dtype
+          or np.may_share_memory(out, concentration)):
+        raise ValueError(
+            "out must match the grid's shape and dtype and share no "
+            "memory with it")
+    nx, ny, nz = c.shape
+    if c.size == 0:
+        return out
+    h2 = voxel_size**2
+    planes = min(nx, max(1, _SLAB_BYTES // (ny * nz * c.itemsize)))
+    s_buf = np.empty((planes, ny, nz), dtype=c.dtype)
+    t_buf = np.empty((planes, ny, nz), dtype=c.dtype)
+    e_buf = np.empty((planes, ny), dtype=c.dtype)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    for lo in range(0, nx, planes):
+        hi = min(lo + planes, nx)
+        m = hi - lo
+        x, s, t, e = c[lo:hi], s_buf[:m], t_buf[:m], e_buf[:m]
+        # x+ + x-: planes whose two x neighbors both exist, then the
+        # clamped first / last plane of the grid.
+        a, b = int(lo == 0), int(hi == nx)
+        if m - a - b > 0:
+            add(c[lo + a + 1:hi - b + 1], c[lo + a - 1:hi - b - 1],
+                out=s[a:m - b])
+        if a:
+            add(c[min(1, nx - 1)], c[0], out=s[0])
+        if b:
+            add(c[nx - 1], c[max(nx - 2, 0)], out=s[m - 1])
+        # + y+, + y-: the interior rows shifted, the face row clamped.
+        add(s[:, :-1], x[:, 1:], out=s[:, :-1])
+        add(s[:, -1], x[:, -1], out=s[:, -1])
+        add(s[:, 1:], x[:, :-1], out=s[:, 1:])
+        add(s[:, 0], x[:, 0], out=s[:, 0])
+        # + z+, + z-: flat shifted adds (see the docstring).
+        sf, xf = s.reshape(-1), x.reshape(-1)
+        add(s[:, :, -1], x[:, :, -1], out=e)
+        add(sf[:-1], xf[1:], out=sf[:-1])
+        s[:, :, -1] = e
+        add(s[:, :, 0], x[:, :, 0], out=e)
+        add(sf[1:], xf[:-1], out=sf[1:])
+        s[:, :, 0] = e
+        multiply(x, 6.0, out=t)
+        subtract(s, t, out=s)
+        np.divide(s, h2, out=s)
+        multiply(s, diffusion_coefficient, out=s)
+        multiply(x, decay, out=t)
+        subtract(s, t, out=s)
+        multiply(s, dt, out=s)
+        add(x, s, out=out[lo:hi])
+    return out
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -328,8 +392,8 @@ class NumpyKernelBackend(KernelBackend):
                  dt, max_displacement)
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
-                decay, dt):
+                decay, dt, out=None):
         """Stencil update via :func:`diffuse`."""
         self._count()
         return diffuse(concentration, voxel_size, diffusion_coefficient,
-                       decay, dt)
+                       decay, dt, out)

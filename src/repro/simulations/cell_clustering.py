@@ -70,7 +70,7 @@ class CellClustering(BenchmarkSimulation):
     def clustering_metric(sim) -> float:
         """Fraction of neighbor pairs that are homotypic (rises as the
         two populations segregate)."""
-        indptr, indices = sim.env.neighbor_csr()
+        indptr, indices = sim.neighbors()
         if len(indices) == 0:
             return 0.0
         counts = np.diff(indptr)

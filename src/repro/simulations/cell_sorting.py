@@ -95,8 +95,7 @@ class CellSorting(BenchmarkSimulation):
     @staticmethod
     def homotypic_fraction(sim) -> float:
         """Fraction of neighbor pairs with equal type (sorting progress)."""
-        sim.env.update(sim.rm.positions, sim.interaction_radius())
-        indptr, indices = sim.env.neighbor_csr()
+        indptr, indices = sim.neighbors()
         if len(indices) == 0:
             return 0.0
         counts = np.diff(indptr)

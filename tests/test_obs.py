@@ -2,6 +2,7 @@
 shims over the old bespoke counters, and inertness of tracing."""
 
 import json
+import re
 import time
 
 import numpy as np
@@ -282,4 +283,11 @@ class TestTraceCli:
                        if e.get("cat") == "stage"}
         assert SCHEDULER_STAGES <= stage_names
         assert json.loads(metrics.read_text())["metrics"]
-        assert "trace:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "trace:" in printed
+        # The build stage's decisions and the stencil volume: two ticks
+        # of a mechanics model with two substance grids.
+        assert ("environment: 2 builds, 0 skipped (unchanged), "
+                "0 deferred (no reader)") in printed
+        assert re.search(
+            r"diffusion: 2 grids, 4 stencil steps, [1-9]\d* voxels", printed)

@@ -201,3 +201,248 @@ class TestNeighborStageAttribution:
         assert seen["builds_in_agent_ops"] == 0
         assert (sim.obs.stage_seconds()["build_environment"]
                 >= seen["csr_seconds"] > 0.0)
+
+
+# --------------------------------------------------------------------- #
+# Build only when read
+# --------------------------------------------------------------------- #
+
+def no_reader_model(seed=0, machine=None, n=150, **param_overrides):
+    """Cells that only secrete into / climb a substance field: agents move
+    every tick and nothing in the loop reads a neighbor list."""
+    from repro.core.behaviors_lib import Chemotaxis
+
+    sim = Simulation("no-reader", Param.optimized(**param_overrides),
+                     machine=machine, seed=seed)
+    sim.mechanics_enabled = False
+    rng = np.random.default_rng(seed)
+    idx = sim.add_cells(rng.uniform(0.0, 40.0, (n, 3)), diameters=6.0)
+    sim.add_diffusion_grid(DiffusionGrid(
+        "s", 8, 0.0, 40.0, diffusion_coefficient=0.5, decay=0.01))
+    sim.attach_behavior(idx, Secretion("s", 1.0))
+    sim.attach_behavior(idx[::2], Chemotaxis("s", 1.5))
+    return sim
+
+
+def count_env_updates(sim):
+    """Shadow ``sim.env.update`` with a counting wrapper."""
+    calls = []
+    real = sim.env.update
+
+    def update(positions, radius):
+        calls.append(radius)
+        return real(positions, radius)
+
+    sim.env.update = update
+    return calls
+
+
+def fresh_csr(sim):
+    """Exact CSR of the current positions from a brand-new grid."""
+    from repro.env import UniformGridEnvironment
+
+    env = UniformGridEnvironment()
+    env.update(sim.rm.positions.copy(), sim.interaction_radius())
+    return env.neighbor_csr()
+
+
+def assert_csr_equal(got, expected):
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+
+
+def eager_builds(monkeypatch):
+    """The scheduler of the parent commit: build whether or not read."""
+    from repro.core.scheduler import Scheduler
+
+    build = Scheduler._build_environment
+    monkeypatch.setattr(
+        Scheduler, "_build_environment",
+        lambda self, on_demand=False: build(self, on_demand=True))
+
+
+def per_tick_checksums(sim, ticks, at_tick=None, then=None):
+    from repro.verify.snapshot import state_checksum
+
+    out = []
+    for tick in range(ticks):
+        if tick == at_tick:
+            then(sim)
+        sim.simulate(1)
+        out.append(state_checksum(sim))
+    return out
+
+
+class TestDeferredEnvironmentBuild:
+    def test_no_reader_model_never_builds(self):
+        sim = no_reader_model()
+        calls = count_env_updates(sim)
+        sim.simulate(12)                       # incl. the sort tick
+        reg = sim.obs.registry
+        assert calls == []
+        assert reg.counter("scheduler:env_builds_deferred").value == 12
+        assert reg.counter("scheduler:env_rebuilds").value == 0
+        assert reg.counter("scheduler:env_rebuild_skips").value == 0
+
+    def test_neighbors_afterwards_builds_once_exact_and_cached(self):
+        sim = no_reader_model()
+        calls = count_env_updates(sim)
+        sim.simulate(7)
+        csr = sim.neighbors()
+        assert len(calls) == 1
+        assert len(csr[1]) > 0
+        assert_csr_equal(csr, fresh_csr(sim))
+        assert sim.neighbors() is csr and len(calls) == 1
+        # The next tick finds a current build (skip), the one after moves
+        # on from it and defers again.
+        sim.simulate(2)
+        reg = sim.obs.registry
+        assert len(calls) == 1
+        assert reg.counter("scheduler:env_rebuild_skips").value == 1
+        assert reg.counter("scheduler:env_builds_deferred").value == 8
+
+    @pytest.mark.parametrize("reader", ["mechanics", "behavior", "operation"])
+    def test_a_reader_enabled_mid_run_sees_what_eager_builds_give(
+            self, reader, monkeypatch):
+        from repro.core.behavior import Behavior
+        from repro.core.operation import AgentOperation
+
+        def swell(sim, idx):
+            """State that depends on the neighbor lists."""
+            indptr, _ = sim.neighbors()
+            sim.rm.data["diameter"][idx] += 1e-3 * np.diff(indptr)[idx]
+            sim.rm.data["grew"][idx] = True
+
+        class Crowding(Behavior):
+            uses_neighbors = True
+            run = staticmethod(swell)
+
+        class CrowdingOp(AgentOperation):
+            uses_neighbors = True
+            run_on = staticmethod(swell)
+
+        def enable(sim):
+            if reader == "mechanics":
+                sim.mechanics_enabled = True
+            elif reader == "behavior":
+                sim.attach_behavior(np.arange(sim.num_agents), Crowding())
+            else:
+                sim.add_operation(CrowdingOp())
+
+        deferred = no_reader_model(seed=3)
+        calls = count_env_updates(deferred)
+        got = per_tick_checksums(deferred, 10, at_tick=5, then=enable)
+        assert deferred.obs.registry.counter(
+            "scheduler:env_builds_deferred").value == 5
+        assert len(calls) >= 1
+
+        eager_builds(monkeypatch)
+        eager = no_reader_model(seed=3)
+        expected = per_tick_checksums(eager, 10, at_tick=5, then=enable)
+        assert eager.obs.registry.counter(
+            "scheduler:env_builds_deferred").value == 0
+        assert got == expected
+        assert len(set(got)) == 10
+
+    def test_under_a_machine_every_tick_builds_and_is_charged(self):
+        sim = no_reader_model(machine=Machine(SYSTEM_A, num_threads=8))
+        calls = count_env_updates(sim)
+        sim.simulate(6)
+        assert len(calls) == 6
+        assert sim.machine.stats["build_environment"].invocations == 6
+        assert sim.obs.registry.counter(
+            "scheduler:env_builds_deferred").value == 0
+
+    def test_checkpoint_restore_in_the_deferred_state(self, tmp_path):
+        from repro import restore_checkpoint, save_checkpoint
+
+        sim = no_reader_model(seed=4)
+        sim.simulate(5)
+        path = save_checkpoint(sim, tmp_path / "deferred.npz")
+        expected = per_tick_checksums(sim, 6)
+
+        resumed = no_reader_model(seed=4)
+        calls = count_env_updates(resumed)
+        restore_checkpoint(resumed, path)
+        assert per_tick_checksums(resumed, 6) == expected
+        assert calls == []
+
+    def test_invariant_checks_every_tick_stay_green(self):
+        sim = no_reader_model(check_invariants_frequency=1)
+        sim.simulate(6)
+        assert sim.obs.registry.counter(
+            "scheduler:env_builds_deferred").value == 6
+
+    def test_undeclared_in_tick_reader_gets_the_positions_it_sees(self):
+        from repro.core.behavior import Behavior
+
+        seen = []
+
+        class Undeclared(Behavior):
+            def run(self, sim, idx):
+                seen.append((sim.neighbors(), fresh_csr(sim)))
+
+        sim = no_reader_model()
+        calls = count_env_updates(sim)
+        sim.attach_behavior(np.arange(sim.num_agents), Undeclared())
+        sim.simulate(4)
+        assert len(seen) == 4 and len(calls) == 4
+        for got, expected in seen:
+            assert_csr_equal(got, expected)
+
+
+class TestOutOfTickNeighbors:
+    """``sim.neighbors()`` between ticks answers for the positions the
+    caller sees, not for the last tick's start."""
+
+    @pytest.mark.parametrize("model", ["oncology", "cell_clustering"])
+    @pytest.mark.parametrize("invalidate", [True, False])
+    def test_equals_a_fresh_build_of_the_current_positions(
+            self, model, invalidate):
+        from repro.simulations.registry import get_simulation
+
+        sim = get_simulation(model).build(2000, param=Param.optimized(),
+                                          seed=1)
+        sim.simulate(5)
+        if invalidate:
+            sim.invalidate_neighbor_cache()
+        csr = sim.neighbors()
+        assert_csr_equal(csr, fresh_csr(sim))
+        assert sim.neighbors() is csr          # current now: no rebuild
+
+    @pytest.mark.parametrize("neighbor_cache", [True, False])
+    def test_reading_between_ticks_leaves_the_trajectory_alone(
+            self, neighbor_cache):
+        from repro.simulations.registry import get_simulation
+
+        def run(read_at):
+            param = Param.optimized(neighbor_cache=neighbor_cache)
+            sim = get_simulation("oncology").build(600, param=param, seed=2)
+            return per_tick_checksums(
+                sim, 10, at_tick=read_at, then=lambda s: s.neighbors())
+
+        assert run(read_at=5) == run(read_at=None)
+
+    def test_in_tick_calls_keep_the_tick_start_lists(self):
+        from repro import OpKind, StandaloneOperation
+        from repro.simulations.registry import get_simulation
+
+        sim = get_simulation("oncology").build(400, param=Param.optimized(),
+                                               seed=0)
+        seen = []
+        sim.add_operation(StandaloneOperation(
+            lambda s: seen.append(s.neighbors()), kind=OpKind.STANDALONE))
+        calls = count_env_updates(sim)
+        at_start = []
+        real = sim.scheduler._run_agent_ops
+
+        def agent_ops():
+            at_start.append(sim.neighbors())
+            real()
+
+        sim.scheduler._run_agent_ops = agent_ops
+        sim.simulate(3)
+        assert len(calls) == 3
+        # Agents moved in between, yet the standalone op got the very
+        # lists the agent loop started with.
+        assert all(a is b for a, b in zip(at_start, seen))

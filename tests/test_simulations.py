@@ -114,11 +114,8 @@ class TestWorkloadCharacteristics:
     def test_clustering_increases_homotypic_fraction(self):
         bench = get_simulation("cell_clustering")
         sim = bench.build(400, seed=3)
-        sim.env.update(sim.rm.positions, sim.interaction_radius())
         before = CellClustering.clustering_metric(sim)
         sim.simulate(40)
-        sim.env.update(sim.rm.positions, sim.interaction_radius())
-        sim.invalidate_neighbor_cache()
         after = CellClustering.clustering_metric(sim)
         assert after > before
 
