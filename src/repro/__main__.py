@@ -286,6 +286,10 @@ def _cmd_trace(args) -> int:
         print(f"trace: {len(events)} events -> {path}")
         print(f"  stages: {', '.join(stages)}")
         reg = sim.obs.registry
+        kb, build = sim.kernels, reg.snapshot().get("kernel:build")
+        print(f"  kernels: {kb.name}, {kb.threads} thread"
+              f"{'' if kb.threads == 1 else 's'}"
+              + (f" ({build})" if build else ""))
         print("  environment: "
               f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "

@@ -46,7 +46,7 @@ def main(argv=None) -> int:
              "(default: 2)")
     wall_opts.add_argument(
         "--backends", nargs="+", default=None, metavar="NAME",
-        help="kernel backends for `kernels` (e.g. numpy numba; default: "
+        help="kernel backends for `kernels` (e.g. numpy c; default: "
              "numpy plus every available compiled backend)")
     wall_opts.add_argument(
         "--out", default=None,

@@ -1,4 +1,4 @@
-"""Kernel backend throughput: NumPy vs Numba vs CuPy, warm vs cold JIT.
+"""Kernel backend throughput: NumPy vs C, warm vs cold.
 
 Measures **wall-clock** throughput of the three hot kernels behind
 ``Param.kernel_backend`` (pairwise CSR force, displacement integration,
@@ -8,15 +8,13 @@ agent, with the CSR built once by the uniform grid (kernel time only —
 neighbor search is benchmarked by ``fig11``/``neighbor_cache``).
 
 For each backend and kernel the bench records the **cold** first call
-(which for compiled backends includes JIT compilation; the backend's
-``compile_seconds`` is reported separately) and the **warm**
-best-of-repeats call, as agents/sec and — for the force kernel —
-pairs/sec.  Every backend's outputs are compared against the NumPy
-reference within the per-kernel tolerances of
-:data:`repro.kernels.api.KERNEL_TOLERANCES`; a speedup from wrong
-answers is meaningless, so ``outputs_match`` gates the artifact.
+and the **warm** best-of-repeats call, as agents/sec and — for the
+force kernel — pairs/sec, with the threads it ran on.  Every backend's
+outputs are compared byte for byte against the NumPy reference; a
+speedup from wrong answers is meaningless, so ``outputs_match`` gates
+the artifact.
 
-Unavailable backends (no numba wheel, no CUDA device) are recorded as
+Unavailable backends (no C compiler) are recorded as
 ``available: false`` with the probe's reason — honestly, never with
 fabricated numbers.
 
@@ -39,7 +37,6 @@ __all__ = ["run", "main", "run_kernels"]
 
 SCALES = {
     "small": dict(agents=8_000, resolution=32, iterations=5, repeats=3),
-    # >= 50k agents: the scale of the Numba-vs-NumPy acceptance criterion.
     "medium": dict(agents=60_000, resolution=48, iterations=5, repeats=3),
 }
 
@@ -86,7 +83,6 @@ def _bench_backend(name: str, work: dict, iterations: int, repeats: int,
                    reference: dict | None) -> dict:
     """Measure one backend on the shared workload; compare to reference."""
     from repro.core.force import InteractionForce
-    from repro.kernels.api import tolerance_for
     from repro.kernels.dispatch import _probe, make_kernels
 
     if not _probe(name):
@@ -121,8 +117,7 @@ def _bench_backend(name: str, work: dict, iterations: int, repeats: int,
                           work["diffusion_coefficient"], work["decay"],
                           sub_dt)
 
-    # Cold: the very first calls on a fresh backend instance (JIT compile
-    # included for compiled backends).
+    # Cold: the very first calls on a fresh backend instance.
     cold_force_s, (net, nz, got_pairs) = _time_call(run_force)
     cold_displace_s, (disp_pos, disp_moved) = run_displace()
     cold_diffuse_s, conc = _time_call(run_diffuse)
@@ -136,7 +131,8 @@ def _bench_backend(name: str, work: dict, iterations: int, repeats: int,
     record = {
         "available": True,
         "compiled": kb.compiled,
-        "compile_seconds": kb.compile_seconds,
+        "build": kb.build,
+        "threads": kb.threads,
         "kernel_calls": kb.calls,
         "pairs": pairs,
         "cold": {
@@ -165,28 +161,18 @@ def _bench_backend(name: str, work: dict, iterations: int, repeats: int,
         record["agreement"] = {"reference": True, "ok": True}
     else:
         checks = {
-            "force": tolerance_for("force", name).max_exceedance(
-                net, reference["net"]),
-            "displacement": tolerance_for("displacement", name
-                                          ).max_exceedance(
-                disp_pos, reference["disp_pos"]),
-            "diffusion": tolerance_for("diffusion", name).max_exceedance(
-                conc, reference["conc"]),
-        }
-        record["agreement"] = {
-            "reference": False,
-            "max_exceedance": {k: v for k, v in checks.items()},
+            "force_bytes": net.tobytes() == reference["net"].tobytes(),
+            "displacement_bytes":
+                disp_pos.tobytes() == reference["disp_pos"].tobytes(),
+            "diffusion_bytes": conc.tobytes() == reference["conc"].tobytes(),
             "pairs_match": got_pairs == reference["pairs"],
             "nonzero_match": bool(np.array_equal(nz, reference["nz"])),
             "moved_match": bool(
                 np.array_equal(disp_moved, reference["disp_moved"])
             ),
-            "ok": (all(v <= 1.0 for v in checks.values())
-                   and got_pairs == reference["pairs"]
-                   and bool(np.array_equal(nz, reference["nz"]))
-                   and bool(np.array_equal(disp_moved,
-                                           reference["disp_moved"]))),
         }
+        record["agreement"] = {"reference": False, **checks,
+                               "ok": all(checks.values())}
     return record
 
 
@@ -197,7 +183,7 @@ def run_kernels(scale: str = "small", agents: int | None = None,
     """Benchmark every requested kernel backend; return the artifact.
 
     ``backends=None`` measures numpy plus every available compiled
-    backend; an explicit list (e.g. ``["numpy", "numba"]``) records
+    backend; an explicit list (e.g. ``["numpy", "c"]``) records
     unavailable entries as such instead of skipping them silently.
     """
     from repro.kernels.dispatch import KNOWN_BACKENDS, _probe
@@ -206,7 +192,7 @@ def run_kernels(scale: str = "small", agents: int | None = None,
     n = agents if agents is not None else cfg["agents"]
     its = iterations if iterations is not None else cfg["iterations"]
     if backends is None:
-        backends = ["numpy"] + [b for b in ("numba", "cupy") if _probe(b)]
+        backends = [b for b in KNOWN_BACKENDS if _probe(b)]
     backends = list(backends)
     unknown = [b for b in backends if b not in KNOWN_BACKENDS]
     if unknown:
@@ -243,12 +229,10 @@ def run_kernels(scale: str = "small", agents: int | None = None,
         "iterations": its,
         "cpu_count": os.cpu_count() or 1,
         "backends": results,
-        # Acceptance-criteria fields (ISSUE 6): warm force speedup over
-        # NumPy per compiled backend (None = backend unavailable here —
-        # recorded honestly, never fabricated).
-        "speedup_force_numba": speedup("numba", "force"),
-        "speedup_force_cupy": speedup("cupy", "force"),
-        "speedup_diffusion_numba": speedup("numba", "diffusion"),
+        # Warm speedups of the C backend over NumPy (None = unavailable
+        # here — recorded honestly, never fabricated).
+        "speedup_force_c": speedup("c", "force"),
+        "speedup_diffusion_c": speedup("c", "diffusion"),
         "outputs_match": all(
             rec.get("agreement", {}).get("ok", False)
             for rec in results.values() if rec.get("available")
@@ -276,34 +260,29 @@ def run(scale: str = "small", **overrides) -> ExperimentReport:
             f"{rec['warm']['displacement_agents_per_s'] / 1e6:.2f}M",
             f"{rec['warm']['diffusion_voxels_per_s'] / 1e6:.2f}M",
             round(rec["cold"]["force_s"], 4),
-            round(rec["compile_seconds"], 3),
+            rec["threads"],
             "ref" if agree.get("reference") else
             ("ok" if agree["ok"] else "DISAGREES"),
         ])
     notes = [
         f"{artifact['agents']} agents, {artifact['pairs']} CSR pairs, "
         f"{artifact['grid_resolution']}^3 voxels; warm = best of "
-        f"{artifact['iterations']}, cold = first call (includes JIT)",
-        "outputs " + ("within declared tolerances of the NumPy reference"
+        f"{artifact['iterations']}, cold = first call",
+        "outputs " + ("byte-identical to the NumPy reference"
                       if artifact["outputs_match"]
                       else "DISAGREE — kernel bug"),
     ]
-    if artifact["speedup_force_numba"] is not None:
+    if artifact["speedup_force_c"] is not None:
         notes.append(
-            f"numba warm force speedup: "
-            f"{artifact['speedup_force_numba']:.2f}x (criterion >= 2x "
-            f"at >= 50k agents)"
-        )
-    else:
-        notes.append("numba unavailable here: speedup not measured "
-                     "(recorded as null, see the CI numba leg)")
+            f"c warm speedup: force {artifact['speedup_force_c']:.2f}x, "
+            f"diffusion {artifact['speedup_diffusion_c']:.2f}x")
     if "path" in artifact:
         notes.append(f"artifact written to {artifact['path']}")
     return ExperimentReport(
         experiment="Kernels",
-        title="Kernel backend throughput (NumPy / Numba / CuPy)",
+        title="Kernel backend throughput (NumPy / C)",
         headers=["backend", "force_pairs/s", "displace_agents/s",
-                 "diffuse_voxels/s", "cold_force_s", "compile_s",
+                 "diffuse_voxels/s", "cold_force_s", "threads",
                  "agreement"],
         rows=rows,
         notes=notes,

@@ -114,14 +114,11 @@ class Param:
     #: ephemeral port per shard) — the first step toward shards on other
     #: hosts.  Ignored by the pipe/shm transports.
     distributed_endpoint: str = ""
-    #: Array-kernel implementation for the three hot kernels (CSR force,
-    #: displacement integration, diffusion stencil): "numpy" (the bitwise
-    #: reference and default), "numba" (JIT-compiled CPU), "cupy" (GPU),
-    #: or "auto" (best available, probed at Simulation construction,
-    #: falling back to NumPy with a warning — never an ImportError).
-    #: Compiled backends match the reference within the tolerances
-    #: declared in :data:`repro.kernels.api.KERNEL_TOLERANCES`, gated by
-    #: the ``verify.replay`` legs ``kernels`` / ``kernels_compiled``.
+    #: Array-kernel implementation for the hot kernels (CSR force,
+    #: displacement, Verlet refilter, diffusion stencil): "numpy" (the
+    #: reference and default), "c" (C/OpenMP, bit for bit the same), or
+    #: "auto" ("c" where it builds, else NumPy with a warning — never an
+    #: ImportError).  See docs/kernels.md and the ``kernels`` verify leg.
     kernel_backend: str = "numpy"
     #: Displacement-bounded neighbor caching (Verlet-skin CSR reuse): build
     #: the uniform grid with an inflated radius ``interaction_radius +
@@ -261,10 +258,9 @@ class Param:
     def optimized(cls, **overrides) -> "Param":
         """All six optimizations on (the paper's 'BioDynaMo optimized').
 
-        Also selects ``kernel_backend="auto"``: the best available array
-        kernel (numba/cupy when importable, probed once at Simulation
-        construction) with a warning-only fallback to the NumPy
-        reference on wheel-less boxes — never an ImportError.
+        Also selects ``kernel_backend="auto"``: the C kernels where they
+        build (probed once per process), with a warning-only fallback to
+        the NumPy reference elsewhere — never an ImportError.
         """
         overrides.setdefault("kernel_backend", "auto")
         overrides.setdefault("event_scheduling", True)
@@ -372,7 +368,11 @@ class Param:
                     f"distributed_endpoint must be 'host:port' (port "
                     f"0-65535), got {self.distributed_endpoint!r}"
                 )
-        kernel_backends = ("numpy", "numba", "cupy", "auto")
+        kernel_backends = ("numpy", "c", "auto")
+        if self.kernel_backend in ("numba", "cupy"):
+            raise ParamError(f"kernel backend {self.kernel_backend!r} was "
+                             "removed; use 'c' (C/OpenMP, bitwise equal to "
+                             "numpy) or 'auto'")
         if self.kernel_backend not in kernel_backends:
             close = difflib.get_close_matches(
                 str(self.kernel_backend), kernel_backends, n=1

@@ -575,7 +575,8 @@ class Scheduler:
                     "neighbor_refilter", cat="cache", iteration=self.iteration
                 ):
                     ip, ix, qi = refilter_csr(
-                        sup_ip, sup_ix, sup_qi, rm.positions, radius
+                        sup_ip, sup_ix, sup_qi, rm.positions, radius,
+                        kernels=getattr(sim, "kernels", None),
                     )
                 sim._csr_cache = (ip, ix)
                 self._qi_cache = (ix, np.diff(ip), qi)
@@ -612,7 +613,8 @@ class Scheduler:
             self._cache_csr = (sup_ip, sup_ix, sup_qi)
             self._cache_budget = radius + skin
             ip, ix, qi = refilter_csr(sup_ip, sup_ix, sup_qi,
-                                      rm.positions, radius)
+                                      rm.positions, radius,
+                                      kernels=getattr(sim, "kernels", None))
             sim._csr_cache = (ip, ix)
             self._qi_cache = (ix, np.diff(ip), qi)
         else:

@@ -150,9 +150,9 @@ class Simulation:
 
         #: Array-kernel backend for the hot loops (CSR force, displacement,
         #: diffusion stencil), resolved from ``Param.kernel_backend`` at
-        #: construction ("auto" probes numba/cupy availability and falls
-        #: back to NumPy with a warning).  Surfaces ``kernel:{backend,
-        #: calls,compile_seconds,fallbacks}`` metrics in ``self.obs``.
+        #: construction ("auto" is the C backend where it builds, else
+        #: NumPy with a warning).  Surfaces ``kernel:{backend,build,calls,
+        #: fallbacks,threads}`` metrics in ``self.obs``.
         self.kernels = make_kernels(self.param.kernel_backend,
                                     registry=self.obs.registry)
         self.scheduler = Scheduler(self)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import numpy_ref
+
 __all__ = [
     "BuildWork",
     "Environment",
@@ -172,7 +174,7 @@ def csr_row_index(indptr: np.ndarray,
 
 
 def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
-                 positions: np.ndarray, radius: float,
+                 positions: np.ndarray, radius: float, kernels=None,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Filter a superset CSR down to pairs within ``radius``, preserving order.
 
@@ -180,7 +182,8 @@ def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
     radius (interaction radius + skin) at some earlier positions; ``qi``
     is its row expansion (:func:`csr_row_index`).  One vectorized
     distance pass over the stored pairs — evaluated at the *current*
-    ``positions`` — keeps exactly the pairs within ``radius`` now.
+    ``positions`` — keeps exactly the pairs within ``radius`` now; the
+    ``kernels`` backend runs it (``numpy_ref.refilter`` when None).
 
     Order preservation is the bitwise-identity argument: the superset's
     rows are in canonical ascending-index order (required by
@@ -197,26 +200,9 @@ def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
     ``qi`` is the row expansion of the *result*, handed back so callers
     never recompute it.
     """
-    n = len(indptr) - 1
-    if len(indices) == 0:
-        return indptr, indices, qi
-    x, y, z = (np.ascontiguousarray(positions[:, c]) for c in range(3))
-    d2 = x[qi]
-    d2 -= x[indices]
-    d2 *= d2
-    for col in (y, z):
-        sq = col[qi]
-        sq -= col[indices]
-        sq *= sq
-        d2 += sq
-    # Index compaction: one flatnonzero, then a take per kept array (a
-    # boolean mask would be re-scanned for each of them).
-    kept = np.flatnonzero(d2 <= radius * radius)
-    qi_kept = qi[kept]
-    counts = np.bincount(qi_kept, minlength=n)
-    new_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, indices[kept], qi_kept
+    if kernels is None:
+        return numpy_ref.refilter(indptr, indices, qi, positions, radius)
+    return kernels.refilter(indptr, indices, qi, positions, radius)
 
 
 def brute_force_csr(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

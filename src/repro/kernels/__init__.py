@@ -1,17 +1,16 @@
-"""Pluggable kernel backends for the three hot array kernels.
+"""Pluggable kernel backends for the hot array kernels.
 
 The package behind ``Param.kernel_backend``: one narrow interface
 (:mod:`repro.kernels.api`) over the pairwise CSR force, the clamped
-displacement integration, and the 7-point diffusion stencil, with a
-bitwise NumPy reference (:mod:`repro.kernels.numpy_ref`), a Numba JIT
-CPU backend (:mod:`repro.kernels.numba_jit`), a CuPy GPU backend
-(:mod:`repro.kernels.cupy_backend`), and availability-probing selection
+displacement integration, the Verlet refilter and the 7-point diffusion
+stencil, with a bitwise NumPy reference (:mod:`repro.kernels.numpy_ref`),
+a C/OpenMP backend with the same bytes (:mod:`repro.kernels.c_backend`),
+and availability-probing selection
 (:mod:`repro.kernels.dispatch`).  See ``docs/kernels.md``.
 """
 
 from repro.kernels.api import (
     FORCE_EPSILON,
-    KERNEL_TOLERANCES,
     MOVE_EPSILON,
     KernelBackend,
     KernelTolerance,
@@ -28,7 +27,6 @@ from repro.kernels.dispatch import (
 __all__ = [
     "FORCE_EPSILON",
     "MOVE_EPSILON",
-    "KERNEL_TOLERANCES",
     "KernelTolerance",
     "tolerance_for",
     "KernelBackend",

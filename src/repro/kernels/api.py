@@ -9,38 +9,25 @@ narrow waist those loops go through:
 - **force** — the Cortex3D pairwise interaction force accumulated over
   the CSR neighbor lists (paper §5, the most expensive operation);
 - **displacement** — the clamped forward-Euler integration step;
+- **refilter** — the Verlet cache's distance pass over a superset CSR;
 - **diffusion** — the 7-point diffusion-decay stencil (Table 1).
 
 :class:`KernelBackend` is the strategy interface; the implementations
 live in sibling modules (:mod:`repro.kernels.numpy_ref` — the bitwise
-reference, :mod:`repro.kernels.numba_jit`,
-:mod:`repro.kernels.cupy_backend`) and are selected by
-``Param.kernel_backend`` through :mod:`repro.kernels.dispatch`.
-
-Tolerance policy
-----------------
-The NumPy implementation is the *reference*: it is the bitwise branch of
-``repro.verify`` (replay checksums are computed against it) and its
-tolerance against itself is exact.  Compiled backends reorder floating
-point work (LLVM autovectorization, GPU warp scheduling), so each kernel
-declares the deviation it is allowed against the reference in
-:data:`KERNEL_TOLERANCES` — one table, imported by the equivalence
-tests, the differential oracle helpers, ``verify.replay
-.kernel_equivalence`` and ``bench kernels`` alike, so a tolerance is
-never re-declared (and silently widened) at a use site.
+reference, :mod:`repro.kernels.c_backend` — the same bytes from C) and
+are selected by ``Param.kernel_backend`` through
+:mod:`repro.kernels.dispatch`.  No backend is toleranced:
+:func:`tolerance_for` is exact for every kernel on every backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "FORCE_EPSILON",
     "MOVE_EPSILON",
     "KernelTolerance",
-    "KERNEL_TOLERANCES",
     "tolerance_for",
     "KernelBackend",
 ]
@@ -73,69 +60,10 @@ class KernelTolerance:
         """Whether this tolerance demands bitwise equality."""
         return self.rtol == 0.0 and self.atol == 0.0
 
-    def allclose(self, got, ref) -> bool:
-        """Whether ``got`` matches ``ref`` within this tolerance."""
-        got = np.asarray(got)
-        ref = np.asarray(ref)
-        if self.exact:
-            return bool(np.array_equal(got, ref))
-        return bool(np.allclose(got, ref, rtol=self.rtol, atol=self.atol))
-
-    def max_exceedance(self, got, ref) -> float:
-        """Largest ``|got - ref| / (atol + rtol * |ref|)`` ratio.
-
-        Values ``<= 1.0`` are within tolerance; for the exact tolerance
-        this returns 0.0 on equality and ``inf`` otherwise.
-        """
-        got = np.asarray(got, dtype=np.float64)
-        ref = np.asarray(ref, dtype=np.float64)
-        diff = np.abs(got - ref)
-        if self.exact:
-            return 0.0 if not np.any(diff) else float("inf")
-        allowed = self.atol + self.rtol * np.abs(ref)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(diff == 0.0, 0.0, diff / allowed)
-        return float(ratio.max()) if ratio.size else 0.0
-
-
-#: The single declaration point for per-kernel tolerances (see the module
-#: docstring).  ``replay_state`` is the looser whole-state budget used by
-#: ``verify.replay.kernel_equivalence`` when comparing *positions after
-#: several integrated steps* — per-kernel deviations compound through the
-#: trajectory, so the replay comparison cannot reuse the single-call
-#: bounds directly.
-KERNEL_TOLERANCES: dict[str, KernelTolerance] = {
-    # One force evaluation: identical pair math, row accumulation in CSR
-    # order on every backend; only instruction scheduling may differ.
-    "force": KernelTolerance(rtol=1e-12, atol=1e-12),
-    # Row-elementwise: a handful of flops per row, no reductions.
-    "displacement": KernelTolerance(rtol=1e-12, atol=1e-14),
-    # 7-point stencil: one fused expression per voxel.
-    "diffusion": KernelTolerance(rtol=1e-12, atol=1e-13),
-    # Whole-state positions after a short replayed trajectory.
-    "replay_state": KernelTolerance(rtol=1e-9, atol=1e-9),
-}
-
-#: Exact tolerance: the reference backend against itself.
-_EXACT = KernelTolerance(rtol=0.0, atol=0.0)
-
 
 def tolerance_for(kernel: str, backend: str) -> KernelTolerance:
-    """The declared tolerance of ``backend`` for ``kernel``.
-
-    The NumPy reference is held to bitwise equality against itself; all
-    compiled backends share the per-kernel bounds in
-    :data:`KERNEL_TOLERANCES`.
-    """
-    if backend == "numpy":
-        return _EXACT
-    try:
-        return KERNEL_TOLERANCES[kernel]
-    except KeyError:
-        raise KeyError(
-            f"no declared tolerance for kernel {kernel!r}; known kernels: "
-            f"{sorted(KERNEL_TOLERANCES)}"
-        ) from None
+    """The tolerance of ``backend`` for ``kernel``: exact, always."""
+    return KernelTolerance(rtol=0.0, atol=0.0)
 
 
 def _is_plain_cortex3d(force_model) -> bool:
@@ -152,39 +80,31 @@ def _is_plain_cortex3d(force_model) -> bool:
 
 
 class KernelBackend:
-    """One implementation of the three hot kernels.
+    """One implementation of the hot kernels.
 
     Subclasses set :attr:`name` and :attr:`compiled` and implement the
     ``*_rows`` / full-array entry points.  Call accounting is built in:
-    :attr:`calls` counts kernel invocations and :attr:`compile_seconds`
-    accumulates JIT time, both surfaced as ``kernel:*`` metrics by
-    :func:`repro.kernels.dispatch.make_kernels`.
+    :attr:`calls` counts kernel invocations and :attr:`fallbacks` the
+    ones handed to the NumPy reference, both surfaced as ``kernel:*``
+    metrics by :func:`repro.kernels.dispatch.make_kernels`.
     """
 
-    #: Backend identifier ("numpy" | "numba" | "cupy").
+    #: Backend identifier ("numpy" | "c").
     name = "base"
-    #: Whether this backend runs compiled (non-reference) kernels.  The
-    #: execution backends use it to decide when the stock force model can
-    #: be replaced by the backend's hard-coded Cortex3D kernel.
+    #: Whether this backend runs compiled (non-reference) kernels.
     compiled = False
+    #: How a compiled backend's library got into this process ("cached"
+    #: or "built"); empty for backends that build nothing.
+    build = ""
+    #: Threads the next kernel call runs on in this process.
+    threads = 1
 
     def __init__(self):
         #: Kernel invocations through this backend instance.
         self.calls = 0
-        #: Seconds spent JIT-compiling (0 for interpreter backends).
-        self.compile_seconds = 0.0
         #: Invocations that fell back to the NumPy reference because the
         #: force model is a subclass the compiled kernel cannot express.
         self.fallbacks = 0
-        #: Invocations that fell back to the NumPy reference because the
-        #: device ran out of memory (GPU backends; see
-        #: :class:`repro.kernels.cupy_backend.DeviceBufferCache`).
-        self.oom_fallbacks = 0
-        #: The ResourceManager ``structure_version`` the last kernel call
-        #: ran against.  The execution backends refresh it before every
-        #: call; backends holding persistent device state key their
-        #: buffer invalidation on it.
-        self.structure_version = -1
 
     # -- mechanics ------------------------------------------------------- #
 
@@ -223,6 +143,10 @@ class KernelBackend:
         """Row-range displacement (the process backend's chunk kernel)."""
         raise NotImplementedError
 
+    def refilter(self, indptr, indices, qi, positions, radius):
+        """:func:`repro.env.environment.refilter_csr`'s distance pass."""
+        raise NotImplementedError
+
     # -- diffusion ------------------------------------------------------- #
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
@@ -237,23 +161,6 @@ class KernelBackend:
         array — callers keep what is returned.
         """
         raise NotImplementedError
-
-    # -- lifecycle ------------------------------------------------------- #
-
-    def bind_arena(self, soa, live_rows: int) -> None:
-        """Offer the consolidated SoA arena block before a kernel call.
-
-        The execution backends call this next to refreshing
-        :attr:`structure_version`, handing device-resident backends the
-        single-arena block (:class:`repro.core.arena.SoAArena`) the live
-        columns are views of — which lets the CuPy backend upload one
-        host-to-device copy per *domain* instead of one per column.
-        No-op for host backends; ``soa`` may be ``None`` (per-column
-        layout)."""
-
-    def warm_up(self) -> None:
-        """Pre-compile every kernel on tiny inputs (no-op when nothing
-        needs compiling).  JIT time lands in :attr:`compile_seconds`."""
 
     def _count(self) -> None:
         self.calls += 1

@@ -1,6 +1,6 @@
 """Backend selection: probe availability, resolve, fall back with warnings.
 
-``Param.kernel_backend`` names a backend ("numpy" | "numba" | "cupy") or
+``Param.kernel_backend`` names a backend ("numpy" | "c") or
 asks for the best available one ("auto").  Resolution happens once, at
 :class:`~repro.core.simulation.Simulation` construction, through
 :func:`make_kernels`:
@@ -8,20 +8,18 @@ asks for the best available one ("auto").  Resolution happens once, at
 - an explicitly requested backend that is unavailable **never raises an
   ImportError** — it warns (:class:`KernelBackendWarning`) and falls
   back to the NumPy reference, so a model parameterized for a machine
-  with numba/cupy still runs anywhere;
-- ``"auto"`` probes cupy (with a reachable device) first, then numba,
-  then settles on NumPy — with a warning when no compiled backend is
-  available, so silent slow runs are visible.
+  with a C compiler still runs anywhere;
+- ``"auto"`` is ``"c"`` when its library builds, else NumPy — with a
+  warning, so silent slow runs are visible.
 
 Workers of the process backend call :func:`worker_kernels` with the
 parent's *resolved* backend name and cache the instance at module level,
-so each worker owns one dispatch table (and one JIT compilation) for the
+so each worker owns one dispatch table for the
 life of the pool.
 """
 
 from __future__ import annotations
 
-import importlib
 import warnings
 
 from repro.kernels.api import KernelBackend
@@ -35,7 +33,7 @@ __all__ = [
 ]
 
 #: Backend names accepted by ``Param.kernel_backend`` (plus "auto").
-KNOWN_BACKENDS = ("numpy", "numba", "cupy")
+KNOWN_BACKENDS = ("numpy", "c")
 
 
 class KernelBackendWarning(UserWarning):
@@ -45,22 +43,16 @@ class KernelBackendWarning(UserWarning):
 def _probe(name: str) -> bool:
     """Whether backend ``name`` can actually be constructed here.
 
-    Monkeypatch point for the dispatch tests (simulating absent numba /
-    cupy); results are not cached so a patched probe takes effect
+    Monkeypatch point for the dispatch tests (simulating an absent C
+    library); results are not cached so a patched probe takes effect
     immediately.
     """
     if name == "numpy":
         return True
-    if name == "numba":
-        try:
-            importlib.import_module("numba")
-            return True
-        except ImportError:
-            return False
-    if name == "cupy":
-        from repro.kernels.cupy_backend import cuda_usable
+    if name == "c":
+        from repro.kernels import c_backend
 
-        return cuda_usable()
+        return c_backend.available()
     return False
 
 
@@ -70,14 +62,10 @@ def available_backends() -> dict[str, bool]:
 
 
 def _construct(name: str) -> KernelBackend:
-    if name == "numba":
-        from repro.kernels.numba_jit import NumbaKernelBackend
+    if name == "c":
+        from repro.kernels.c_backend import CKernelBackend
 
-        return NumbaKernelBackend()
-    if name == "cupy":
-        from repro.kernels.cupy_backend import CupyKernelBackend
-
-        return CupyKernelBackend()
+        return CKernelBackend()
     from repro.kernels.numpy_ref import NumpyKernelBackend
 
     return NumpyKernelBackend()
@@ -90,13 +78,11 @@ def _resolve(requested: str) -> tuple[str, str | None]:
     (None when the request was satisfied silently).
     """
     if requested == "auto":
-        if _probe("cupy"):
-            return "cupy", None
-        if _probe("numba"):
-            return "numba", None
+        if _probe("c"):
+            return "c", None
         return "numpy", (
             "kernel_backend='auto': no compiled backend is available "
-            "(numba and cupy are not importable/usable); using the NumPy "
+            "(the C kernels cannot be built here); using the NumPy "
             "reference kernels"
         )
     if requested in KNOWN_BACKENDS and not _probe(requested):
@@ -112,7 +98,8 @@ def make_kernels(requested: str, registry=None, warn: bool = True
     """Resolve + construct the kernel backend for a simulation.
 
     ``registry`` (a :class:`repro.obs.core.MetricsRegistry`) gets the
-    ``kernel:backend`` gauge and ``kernel:{calls,compile_seconds}``
+    ``kernel:backend`` gauge, the ``kernel:build`` gauge when the C
+    library was asked for, and ``kernel:{calls,fallbacks,threads}``
     callback metrics bound to the returned instance.  ``warn=False``
     silences the fallback warning (used by workers, which inherit the
     parent's already-warned resolution).
@@ -123,7 +110,7 @@ def make_kernels(requested: str, registry=None, warn: bool = True
     try:
         backend = _construct(name)
     except ImportError:
-        # The probe raced reality (e.g. numba imports but is broken);
+        # The probe raced reality (the library failed to load);
         # honor the no-ImportError contract.
         if warn:
             warnings.warn(
@@ -134,27 +121,26 @@ def make_kernels(requested: str, registry=None, warn: bool = True
         backend = _construct("numpy")
     if registry is not None:
         registry.gauge("kernel:backend").set(backend.name)
+        if requested in ("c", "auto"):
+            registry.gauge("kernel:build").set(backend.build or "unavailable")
         registry.register_callback("kernel:calls", lambda: backend.calls)
-        registry.register_callback("kernel:compile_seconds",
-                                   lambda: backend.compile_seconds)
         registry.register_callback("kernel:fallbacks",
                                    lambda: backend.fallbacks)
-        registry.register_callback("kernel:oom_fallbacks",
-                                   lambda: backend.oom_fallbacks)
+        registry.register_callback("kernel:threads", lambda: backend.threads)
     return backend
 
 
-#: Per-process cache for worker-side dispatch tables (one instance — and
-#: one JIT compilation — per worker process, keyed by resolved name).
+#: Per-process cache for worker-side dispatch tables (one instance per
+#: worker process, keyed by resolved name).
 _WORKER_CACHE: dict[str, KernelBackend] = {}
 
 
 def worker_kernels(name: str) -> KernelBackend:
     """The worker-side kernel backend for the parent's resolved ``name``.
 
-    Cached at module level so persistent pool workers construct (and JIT)
-    once; resolution re-runs quietly, so a worker missing the parent's
-    backend degrades to NumPy instead of crashing the pool.
+    Cached at module level so persistent pool workers construct once;
+    resolution re-runs quietly, so a worker missing the parent's backend
+    degrades to NumPy instead of crashing the pool.
     """
     backend = _WORKER_CACHE.get(name)
     if backend is None:

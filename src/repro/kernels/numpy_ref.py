@@ -20,11 +20,9 @@ holds these kernels byte-equal to it (``docs/kernels.md`` lists the
 rules that keep them so).  The stencil is held the same way to the
 ``np.pad`` form in ``tests/diffusion_reference.py``.
 
-Compiled backends (:mod:`repro.kernels.numba_jit`,
-:mod:`repro.kernels.cupy_backend`) re-express this math and are compared
-against these functions by ``verify.replay.kernel_equivalence`` and
-``tests/test_kernel_equivalence.py`` within the tolerances declared in
-:data:`repro.kernels.api.KERNEL_TOLERANCES`.
+The C backend (:mod:`repro.kernels.c_backend`) re-expresses this math
+and must reproduce these functions byte for byte; the differential
+suites run it against the same frozen references.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ __all__ = [
     "force_csr",
     "force_rows",
     "displace",
+    "refilter",
     "diffuse",
     "NumpyKernelBackend",
 ]
@@ -269,6 +268,31 @@ def displace(positions, moved_flags, net_force, dt,
     return moved_now
 
 
+def refilter(indptr, indices, qi, positions, radius):
+    """The superset pairs within ``radius`` now, in order (the body of
+    :func:`repro.env.environment.refilter_csr`, which explains it)."""
+    n = len(indptr) - 1
+    if len(indices) == 0:
+        return indptr, indices, qi
+    x, y, z = (np.ascontiguousarray(positions[:, c]) for c in range(3))
+    d2 = x[qi]
+    d2 -= x[indices]
+    d2 *= d2
+    for col in (y, z):
+        sq = col[qi]
+        sq -= col[indices]
+        sq *= sq
+        d2 += sq
+    # Index compaction: one flatnonzero, then a take per kept array (a
+    # boolean mask would be re-scanned for each of them).
+    kept = np.flatnonzero(d2 <= radius * radius)
+    qi_kept = qi[kept]
+    counts = np.bincount(qi_kept, minlength=n)
+    new_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_indptr[1:])
+    return new_indptr, indices[kept], qi_kept
+
+
 #: Bytes per slab buffer of the stencil kernel: axis 0 is walked in slabs
 #: of ``_SLAB_BYTES // plane_bytes`` planes (2 at 128^2 float64), so both
 #: buffers and the planes of ``c`` / ``out`` they touch stay inside a
@@ -364,11 +388,16 @@ class NumpyKernelBackend(KernelBackend):
 
     def force(self, force_model, positions, diameters, indptr, indices,
               active=None):
-        """Full-array CSR force via :func:`force_csr` (honors overridden
-        ``pair_forces`` on force-model subclasses)."""
-        self._count()
-        return force_csr(positions, diameters, indptr, indices, active,
-                         force_model)
+        """Full-array CSR force: :func:`force_csr`'s body, over
+        :meth:`force_rows` (honors overridden ``pair_forces``)."""
+        n = len(positions)
+        net, nonzero = np.zeros((n, 3)), np.zeros(n, dtype=np.int64)
+        if n == 0 or len(indices) == 0:
+            self._count()
+            return net, nonzero, 0
+        return net, nonzero, self.force_rows(
+            force_model, positions, diameters, indptr, indices, active, net,
+            nonzero, 0, n)
 
     def force_rows(self, force_model, positions, diameters, indptr, indices,
                    active, net_out, nz_out, lo, hi) -> int:
@@ -390,6 +419,11 @@ class NumpyKernelBackend(KernelBackend):
         self._count()
         displace(positions[lo:hi], moved_flags[lo:hi], net_force[lo:hi],
                  dt, max_displacement)
+
+    def refilter(self, indptr, indices, qi, positions, radius):
+        """Superset refilter via :func:`refilter`."""
+        self._count()
+        return refilter(indptr, indices, qi, positions, radius)
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
                 decay, dt, out=None):

@@ -118,10 +118,6 @@ class SerialBackend(ExecutionBackend):
             from repro.kernels.numpy_ref import NumpyKernelBackend
 
             kb = sim.kernels = NumpyKernelBackend()
-        # Device-resident backends (CuPy) key persistent buffers on this:
-        # a changed structure version invalidates cached device columns.
-        kb.structure_version = rm.structure_version
-        kb.bind_arena(rm.soa, rm.n)
         net, nonzero, pairs = kb.force(
             sim.force, rm.positions, rm.data["diameter"], indptr, indices,
             active,

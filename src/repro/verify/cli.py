@@ -14,10 +14,9 @@ Runs, in order and as selected by flags:
   the serial and the process backend) and ``process`` (the shared-memory
   worker pool vs serial under population-churning models, with proof
   that pool phases ran and commits fast-appended into the shm arena);
-- **kernels**: the ``kernels`` leg (NumPy dispatch is bitwise across
-  serial / process / ``auto``) and the ``kernels_compiled`` leg (every
-  available compiled backend within ``KERNEL_TOLERANCES``, with proof
-  that compiled kernels actually executed);
+- **kernels**: the ``kernels`` leg (the NumPy kernels under the process
+  pool and ``auto``, and the C kernels in the parent and in pool
+  workers, all bitwise, with proof that kernels ran in both places);
 - **distributed**: the halo-exchange backend vs serial over {models} ×
   {seeds} × {shard counts}, with proof that agents migrated between
   shards and halo ghosts existed in every cell;
@@ -84,7 +83,7 @@ def add_verify_parser(sub):
                         "checksums per step")
     p.add_argument("--kernels", action="store_true",
                    help="run the kernel-backend equivalence section "
-                        "(bitwise numpy, toleranced numba/cupy)")
+                        "(numpy vs process / auto / c, bitwise)")
     p.add_argument("--distributed", action="store_true",
                    help="run the distributed-backend equivalence section "
                         "(spatial sharding + halo exchange, bitwise vs "
@@ -214,7 +213,6 @@ def run_verify(args) -> int:
     if not selected or args.kernels:
         _section("kernel equivalence")
         ok &= _run_leg("kernels")
-        ok &= _run_leg("kernels_compiled")
     if not selected or args.distributed:
         _section("distributed equivalence")
         ok &= _run_distributed(args)

@@ -28,11 +28,9 @@ from repro.verify.snapshot import ORACLE_ENVIRONMENTS, QuerySnapshot
 
 __all__ = [
     "Disagreement",
-    "KernelDisagreement",
     "OracleReport",
     "compare_environments",
     "compare_point_queries",
-    "compare_kernel_outputs",
     "random_snapshots",
     "minimize_snapshot",
     "run_oracle",
@@ -59,34 +57,6 @@ class Disagreement:
         if len(self.extra):
             parts.append(f"extra {self.extra.tolist()}")
         return f"{self.env}: agent {self.agent} {', '.join(parts)}"
-
-
-@dataclass
-class KernelDisagreement:
-    """One kernel backend exceeding its declared tolerance on one kernel.
-
-    Tolerances come from the single declaration point
-    :data:`repro.kernels.api.KERNEL_TOLERANCES` (via
-    :func:`repro.kernels.api.tolerance_for`), never from the comparison
-    site — a float32 device array or a reassociated sum is judged by the
-    per-kernel ``rtol/atol`` the backend documented, not by an implicit
-    float64 exact-match assumption.
-    """
-
-    env: str            # "<backend>.<kernel>" (Disagreement-compatible)
-    agent: int          # worst-offending row/voxel (flat index)
-    #: Largest ``|got - ref| / (atol + rtol |ref|)``; > 1.0 by definition.
-    exceedance: float
-    rtol: float
-    atol: float
-
-    def describe(self) -> str:
-        """One-line human summary: backend.kernel, worst row, exceedance."""
-        return (
-            f"{self.env}: row {self.agent} deviates "
-            f"{self.exceedance:.3g}x beyond rtol={self.rtol:g}/"
-            f"atol={self.atol:g}"
-        )
 
 
 @dataclass
@@ -217,119 +187,6 @@ def compare_point_queries(
     return out
 
 
-def _kernel_deviation(got, ref, tol):
-    """Worst flat index + exceedance ratio of ``got`` against ``ref``."""
-    got = np.asarray(got, dtype=np.float64)
-    ref = np.asarray(ref, dtype=np.float64)
-    diff = np.abs(got - ref)
-    if tol.exact:
-        bad = np.flatnonzero(diff.reshape(-1))
-        if len(bad) == 0:
-            return None
-        return int(bad[0]), float("inf")
-    allowed = tol.atol + tol.rtol * np.abs(ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(diff == 0.0, 0.0, diff / allowed).reshape(-1)
-    worst = int(ratio.argmax()) if ratio.size else 0
-    if ratio.size == 0 or ratio[worst] <= 1.0:
-        return None
-    return worst, float(ratio[worst])
-
-
-def compare_kernel_outputs(
-    snapshot: QuerySnapshot,
-    backend: str,
-    tolerances=None,
-) -> list[KernelDisagreement]:
-    """Differential check of one kernel backend on an oracle snapshot.
-
-    Builds the brute-force CSR over the snapshot's adversarial agent set
-    (boundary-coincident pairs, duplicates, coincident centers — exactly
-    the degenerate cases of the pairwise force), runs the named backend's
-    force, displacement, and diffusion kernels, and compares each against
-    the NumPy reference within the *per-kernel* tolerance from the
-    central table (``tolerances`` defaults to
-    :data:`repro.kernels.api.KERNEL_TOLERANCES` via
-    :func:`repro.kernels.api.tolerance_for` — for ``backend="numpy"``
-    that means bitwise).  Returns one :class:`KernelDisagreement` per
-    kernel that exceeds its bound (empty list = agreement).
-    """
-    from repro.core.force import InteractionForce
-    from repro.env.environment import brute_force_csr
-    from repro.kernels import numpy_ref
-    from repro.kernels.api import KERNEL_TOLERANCES, tolerance_for
-    from repro.kernels.dispatch import make_kernels
-
-    if tolerances is None:
-        tolerances = KERNEL_TOLERANCES
-
-    def tol_of(kernel):
-        if backend == "numpy":
-            return tolerance_for(kernel, "numpy")
-        return tolerances[kernel]
-
-    kb = make_kernels(backend, registry=None, warn=False)
-    out: list[KernelDisagreement] = []
-    force_model = InteractionForce()
-    rng = np.random.default_rng(snapshot.seed)
-    pos = np.array(snapshot.positions, dtype=np.float64, copy=True)
-    n = len(pos)
-    dia = rng.uniform(0.5, 2.0, size=n) * snapshot.radius
-    indptr, indices = brute_force_csr(pos, snapshot.radius)
-
-    # -- force ----------------------------------------------------------- #
-    ref_net, ref_nz, ref_pairs = numpy_ref.force_csr(
-        pos, dia, indptr, indices, force_model=force_model
-    )
-    got_net, got_nz, got_pairs = kb.force(force_model, pos, dia, indptr,
-                                          indices)
-    tol = tol_of("force")
-    bad = _kernel_deviation(got_net, ref_net, tol)
-    if bad is None and (got_pairs != ref_pairs
-                        or not np.array_equal(got_nz, ref_nz)):
-        bad = (0, float("inf"))  # integer outputs must match exactly
-    if bad is not None:
-        out.append(KernelDisagreement(
-            env=f"{backend}.force", agent=bad[0] // 3, exceedance=bad[1],
-            rtol=tol.rtol, atol=tol.atol,
-        ))
-
-    # -- displacement ---------------------------------------------------- #
-    dt, max_disp = 0.01, snapshot.radius * 0.1
-    ref_pos = pos.copy()
-    ref_moved = np.zeros(n, dtype=bool)
-    numpy_ref.displace(ref_pos, ref_moved, ref_net, dt, max_disp)
-    got_pos = pos.copy()
-    got_moved = np.zeros(n, dtype=bool)
-    kb.displace(got_pos, got_moved, ref_net.copy(), dt, max_disp)
-    tol = tol_of("displacement")
-    bad = _kernel_deviation(got_pos, ref_pos, tol)
-    if bad is None and not np.array_equal(got_moved, ref_moved):
-        bad = (int(np.flatnonzero(got_moved != ref_moved)[0]) * 3,
-               float("inf"))
-    if bad is not None:
-        out.append(KernelDisagreement(
-            env=f"{backend}.displacement", agent=bad[0] // 3,
-            exceedance=bad[1], rtol=tol.rtol, atol=tol.atol,
-        ))
-
-    # -- diffusion ------------------------------------------------------- #
-    res = 6
-    conc = rng.uniform(0.0, 4.0, size=(res, res, res))
-    voxel, diff_coef, decay = 1.0, 0.5, 0.01
-    sub_dt = voxel**2 / (6.0 * diff_coef) * 0.5
-    ref_c = numpy_ref.diffuse(conc, voxel, diff_coef, decay, sub_dt)
-    got_c = kb.diffuse(conc.copy(), voxel, diff_coef, decay, sub_dt)
-    tol = tol_of("diffusion")
-    bad = _kernel_deviation(got_c, ref_c, tol)
-    if bad is not None:
-        out.append(KernelDisagreement(
-            env=f"{backend}.diffusion", agent=bad[0], exceedance=bad[1],
-            rtol=tol.rtol, atol=tol.atol,
-        ))
-    return out
-
-
 # --------------------------------------------------------------------- #
 # Configuration generation
 # --------------------------------------------------------------------- #
@@ -438,19 +295,8 @@ def run_oracle(
     environments: tuple[str, ...] = ORACLE_ENVIRONMENTS,
     snapshots=None,
     minimize: bool = True,
-    kernel_backends=None,
 ) -> OracleReport:
-    """Cross-check all environments over generated (or given) snapshots.
-
-    ``kernel_backends`` additionally runs
-    :func:`compare_kernel_outputs` for each named kernel backend on every
-    snapshot (``None`` probes and uses the available *compiled* backends
-    — numpy-vs-numpy is exact by construction and would be vacuous).
-    """
-    if kernel_backends is None:
-        from repro.kernels.dispatch import _probe
-
-        kernel_backends = [b for b in ("numba", "cupy") if _probe(b)]
+    """Cross-check all environments over generated (or given) snapshots."""
     if snapshots is None:
         snapshots = random_snapshots(num_configs, seed=seed)
     failures: list[OracleFailure] = []
@@ -460,15 +306,12 @@ def run_oracle(
         disagreements = compare_environments(snap, environments)
         if "uniform_grid" in environments:
             disagreements += compare_point_queries(snap)
-        for kb in kernel_backends:
-            disagreements += compare_kernel_outputs(snap, kb)
         if not disagreements:
             continue
         failure = OracleFailure(snap, disagreements)
         # Minimization replays compare_environments only, so it applies
         # just when the neighbor-list check itself disagreed (dotted env
-        # names — "<env>.query", "<backend>.<kernel>" — are the auxiliary
-        # differential helpers).
+        # names — "<env>.query" — come from the point-query helper).
         if minimize and any(
             not (isinstance(d.env, str) and "." in d.env)
             for d in disagreements

@@ -174,10 +174,6 @@ class Leg:
     #: compare the final state (multi-step horizon jumps only engage
     #: when several ticks are requested at once).
     chunked: bool = False
-    #: Compare positions + substance grids within this
-    #: :data:`~repro.kernels.api.KERNEL_TOLERANCES` class instead of
-    #: checksums (compiled kernels are toleranced, not bitwise).
-    tolerance: str | None = None
     #: Run the variants as sessions behind the socket server, evicted to
     #: a checkpoint and resumed mid-run, instead of in-process.
     served: bool = False
@@ -240,23 +236,16 @@ LEGS = {
         require={"trace:events": 1},
         models=("cell_clustering",), num_agents=300,
     ),
-    # Kernel dispatch adds no reordering, and "auto" falling back to
-    # numpy *is* the mainline path.
+    # Kernel dispatch adds no reordering, and the C kernels reproduce
+    # numpy's bytes, in the parent (threaded) and in pool workers.
     "kernels": Leg(
-        "numpy kernels: serial vs process / auto",
+        "numpy kernels vs process / auto / c",
         base={"kernel_backend": "numpy"},
-        variants={"process": _PROCESS, "auto": {"kernel_backend": "auto"}},
-        steps=6,
-    ),
-    "kernels_compiled": Leg(
-        "numpy vs compiled kernels (toleranced)",
-        base={"kernel_backend": "numpy"},
-        variants={f"{kb} {backend}": {"kernel_backend": kb,
-                                      "execution_backend": backend}
-                  for kb in ("numba", "cupy")
-                  for backend in ("serial", "process")},
+        variants={"process": _PROCESS, "auto": {"kernel_backend": "auto"},
+                  "c serial": {"kernel_backend": "c"},
+                  "c process": {"kernel_backend": "c", **_PROCESS}},
         require={"kernel:calls": 1, "kernel:worker_calls": 1},
-        tolerance="replay_state", steps=6,
+        steps=6,
     ),
     # Wire protocol, forked workers, shm arenas and a checkpoint
     # evict/resume round trip must all be invisible to the physics.
@@ -283,11 +272,8 @@ class EquivalenceReport:
     leg: Leg
     models: tuple
     steps: int
-    #: ``{cell: first diverging step or None}`` (bitwise legs).
+    #: ``{cell: first diverging step or None}``.
     divergences: dict = field(default_factory=dict)
-    #: ``{cell: max |got-ref| / (atol + rtol|ref|)}`` over the whole state
-    #: trace (toleranced legs); <= 1.0 is within tolerance.
-    deviations: dict = field(default_factory=dict)
     #: ``{cell: {counter: value}}`` for the counters in ``leg.require``.
     evidence: dict = field(default_factory=dict)
     #: ``{cell: digest}`` — the distributed backend's rolled per-shard
@@ -314,9 +300,8 @@ class EquivalenceReport:
     @property
     def ok(self) -> bool:
         return (
-            bool(self.divergences or self.deviations or self.skipped)
+            bool(self.divergences or self.skipped)
             and all(d is None for d in self.divergences.values())
-            and all(d <= 1.0 for d in self.deviations.values())
             and not self.mismatches
             and not self.unmet()
         )
@@ -331,14 +316,9 @@ class EquivalenceReport:
         lines += [f"  BACKEND MISMATCH: {m}" for m in self.mismatches]
         lines += [f"  VACUOUS: {need} not reached in {scope}"
                   for need in self.unmet()]
-        for cell in sorted(set(self.divergences) | set(self.deviations)):
+        for cell in sorted(self.divergences):
             model, label, seed = cell
-            if cell in self.deviations:
-                dev = self.deviations[cell]
-                verdict = ("within tolerance" if dev <= 1.0
-                           else "EXCEEDS tolerance")
-                verdict += f" (max exceedance {dev:.3g})"
-            elif self.divergences[cell] is None:
+            if self.divergences[cell] is None:
                 verdict = "byte-identical"
             else:
                 verdict = f"DIVERGES at step {self.divergences[cell]}"
@@ -355,26 +335,19 @@ class EquivalenceReport:
 
 class _Run(NamedTuple):
     trace: list             # per-step state checksums
-    states: list            # per-step float arrays (toleranced legs only)
     metrics: dict           # registry snapshot (+ pseudo-counters)
     digest: str | None = None
     mismatch: str | None = None
 
 
-def _run(bench, num_agents, param, seed, steps, leg, chunked=False) -> _Run:
+def _run(bench, num_agents, param, seed, steps, chunked=False) -> _Run:
     """One in-process run: per-step (or, ``chunked``, start + end)
-    checksums, float state for toleranced legs, and the run's metrics."""
-    import numpy as np
-
+    checksums and the run's metrics."""
     with bench.build(num_agents, param=param, seed=seed) as sim:
-        trace, states = [state_checksum(sim)], []
+        trace = [state_checksum(sim)]
         for _ in range(1 if chunked else steps):
             sim.simulate(steps if chunked else 1)
             trace.append(state_checksum(sim))
-            if leg.tolerance:
-                states.append([np.array(sim.rm.positions)] + [
-                    np.array(g.concentration)
-                    for g in sim.diffusion_grids.values()])
         metrics = dict(sim.obs.registry.snapshot())
         metrics["trace:events"] = len(sim.obs.tracer.events)
         resolved = {sim.kernels.name, *getattr(
@@ -384,7 +357,7 @@ def _run(bench, num_agents, param, seed, steps, leg, chunked=False) -> _Run:
     if param.kernel_backend != "auto" and resolved != {param.kernel_backend}:
         mismatch = (f"requested {param.kernel_backend}, host/workers "
                     f"resolved {sorted(resolved)}")
-    return _Run(trace, states, metrics, digest, mismatch)
+    return _Run(trace, metrics, digest, mismatch)
 
 
 @contextlib.contextmanager
@@ -423,29 +396,7 @@ def _served_run(pool, client, model, num_agents, seed, steps) -> _Run:
     after = pool.obs.registry.snapshot()
     metrics = {c: after.get(c, 0) - before.get(c, 0) for c in counters}
     metrics["session:resumed"] = int(resumed)
-    return _Run(trace, [], metrics)
-
-
-def _skip_reason(kernel: str, compiled: list, bitwise: bool) -> str | None:
-    """Why a variant asking for ``kernel`` cannot be meaningfully run on a
-    machine whose usable compiled kernel backends are ``compiled``."""
-    if kernel in ("numba", "cupy") and kernel not in compiled:
-        return f"{kernel} is not available here"
-    if kernel == "auto" and compiled and bitwise:
-        return f"auto resolves to {compiled[0]} here, which is not bitwise"
-    return None
-
-
-def _max_exceedance(got_states, ref_states, tol) -> float:
-    dev = 0.0
-    for got_arrays, ref_arrays in zip(got_states, ref_states):
-        for got, ref in zip(got_arrays, ref_arrays):
-            if got.shape != ref.shape:
-                # Populations diverged structurally — a numeric deviation
-                # crossed a division threshold.  Out of tolerance.
-                return float("inf")
-            dev = max(dev, tol.max_exceedance(got, ref))
-    return dev
+    return _Run(trace, metrics)
 
 
 def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
@@ -459,11 +410,11 @@ def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
     starting point, plus ``leg.base``) records the full per-step
     :func:`~repro.verify.snapshot.state_checksum` trace — all agent
     columns, domain layout, grids and RNG state — and every variant must
-    reproduce it exactly (or, for toleranced legs, within tolerance).
-    Process pools get ``workers`` workers.
+    reproduce it exactly.  Process pools get ``workers`` workers; a
+    variant asking for a kernel backend that is not available here is
+    skipped, with the reason in the report.
     """
     from repro.core.param import Param
-    from repro.kernels.api import tolerance_for
     from repro.kernels.dispatch import available_backends
     from repro.simulations import get_simulation
 
@@ -473,17 +424,14 @@ def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
     num_agents = num_agents or leg.num_agents
     steps = steps or leg.steps
     report = EquivalenceReport(leg=leg, models=models, steps=steps)
-    compiled = [k for k, usable in available_backends().items()
-                if usable and k != "numpy"]
+    usable = available_backends()
     variants = {}
     for label, delta in leg.variants.items():
         kernel = {**leg.base, **delta}.get("kernel_backend", "numpy")
-        reason = _skip_reason(kernel, compiled, leg.tolerance is None)
-        if reason:
-            report.skipped[label] = reason
-        else:
+        if usable.get(kernel, True):
             variants[label] = delta
-    tol = tolerance_for(leg.tolerance, "compiled") if leg.tolerance else None
+        else:
+            report.skipped[label] = f"{kernel} is not available here"
 
     with contextlib.ExitStack() as stack:
         served = stack.enter_context(_served(workers)) if leg.served else None
@@ -499,18 +447,14 @@ def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
                         return _served_run(*served, model, num_agents, seed,
                                            steps)
                     return _run(bench, num_agents, base_param.with_(**delta),
-                                seed, steps, leg, chunked)
+                                seed, steps, chunked)
 
-                ref = _run(bench, num_agents, base_param, seed, steps, leg)
+                ref = _run(bench, num_agents, base_param, seed, steps)
                 for label, delta in variants.items():
                     cell = (model, label, seed)
                     got = run(delta)
-                    if tol is not None:
-                        report.deviations[cell] = _max_exceedance(
-                            got.states, ref.states, tol)
-                    else:
-                        report.divergences[cell] = _first_divergence(
-                            ref.trace, got.trace)
+                    report.divergences[cell] = _first_divergence(
+                        ref.trace, got.trace)
                     proof = {c: got.metrics.get(c, 0) for c in leg.require}
                     if leg.chunked and report.divergences[cell] is None:
                         chunk = run(delta, chunked=True)

@@ -2,7 +2,9 @@
 the stencil kernel, the grid's point operations, ``Chemotaxis`` and the
 deferred environment build they ride with.
 
-``repro.kernels.numpy_ref.diffuse`` (slab-blocked, flat z-shifts),
+``repro.kernels.numpy_ref.diffuse`` (slab-blocked, flat z-shifts), the
+C stencil of ``repro.kernels.c_backend`` (float64 grids; every stencil
+case runs through every kernel backend built here),
 :class:`repro.core.diffusion.DiffusionGrid` (double-buffered, flat-index
 access) and :class:`repro.core.behaviors_lib.Chemotaxis` must reproduce
 the textbook forms frozen in :mod:`tests.diffusion_reference` byte for
@@ -32,6 +34,7 @@ from repro import Chemotaxis, DiffusionGrid, Param, Secretion, Simulation
 from repro.kernels import numpy_ref
 from repro.verify.snapshot import state_checksum
 from tests import diffusion_reference as ref
+from tests.kernel_backends import kernel_backends
 from tests.test_scheduler_details import eager_builds
 
 MIB = 1 << 20
@@ -120,9 +123,10 @@ class TestKernelDifferential:
         before = c.copy()
         with np.errstate(all="ignore"):
             expected = ref.diffuse(c, *args)
-            got = with_slab(slab, lambda: numpy_ref.diffuse(c, *args))
-        assert_same_bytes(got, expected, strict=family != "mixed")
-        assert c.tobytes() == before.tobytes()       # input untouched
+            for kb in kernel_backends():
+                got = with_slab(slab, lambda: kb.diffuse(c, *args))
+                assert_same_bytes(got, expected, strict=family != "mixed")
+                assert c.tobytes() == before.tobytes()   # input untouched
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 5, 7), (2, 3, 1),
                                        (5, 1, 4), (7, 6, 5), (33, 17, 9),
@@ -136,26 +140,30 @@ class TestKernelDifferential:
             got = with_slab(planes * plane, lambda: numpy_ref.diffuse(
                 c, 7.8125, 0.5, 0.01, 0.9))
             assert_same_bytes(got, expected)
+        for kb in kernel_backends():
+            assert_same_bytes(kb.diffuse(c, 7.8125, 0.5, 0.01, 0.9), expected)
 
     def test_default_slab_is_two_planes_at_128_squared(self):
         assert numpy_ref._SLAB_BYTES // (128 * 128 * 8) == 2
 
     def test_empty_axes(self):
         for shape in [(0, 3, 3), (3, 0, 3), (3, 3, 0)]:
-            out = numpy_ref.diffuse(np.zeros(shape), 1.0, 0.5, 0.0, 0.1)
-            assert out.shape == shape
+            for kb in kernel_backends():
+                out = kb.diffuse(np.zeros(shape), 1.0, 0.5, 0.0, 0.1)
+                assert out.shape == shape
 
     def test_many_steps_stay_equal(self):
         """Differences would compound: 40 steps of a point source."""
-        a = np.zeros((12, 9, 10))
-        a[5, 4, 4] = 100.0
-        b = a.copy()
-        spare = np.empty_like(b)
-        for _ in range(40):
-            a = ref.diffuse(a, 2.0, 0.5, 0.02, 1.2)
-            new = numpy_ref.diffuse(b, 2.0, 0.5, 0.02, 1.2, out=spare)
-            b, spare = new, b
-            assert_same_bytes(b, a)
+        for kb in kernel_backends():
+            a = np.zeros((12, 9, 10))
+            a[5, 4, 4] = 100.0
+            b = a.copy()
+            spare = np.empty_like(b)
+            for _ in range(40):
+                a = ref.diffuse(a, 2.0, 0.5, 0.02, 1.2)
+                new = kb.diffuse(b, 2.0, 0.5, 0.02, 1.2, out=spare)
+                b, spare = new, b
+                assert_same_bytes(b, a)
 
 
 class TestOutContract:
@@ -163,45 +171,49 @@ class TestOutContract:
 
     def test_out_is_written_and_returned(self):
         c = field(1, (6, 5, 4), np.float64, "finite")
-        out = np.full_like(c, 123.0)
-        got = numpy_ref.diffuse(c, *self.ARGS, out=out)
-        assert got is out
-        assert_same_bytes(out, ref.diffuse(c, *self.ARGS))
+        for kb in kernel_backends():
+            out = np.full_like(c, 123.0)
+            got = kb.diffuse(c, *self.ARGS, out=out)
+            assert got is out
+            assert_same_bytes(out, ref.diffuse(c, *self.ARGS))
 
     def test_non_contiguous_out_is_honoured(self):
         c = field(2, (6, 5, 4), np.float64, "finite")
-        out = np.asfortranarray(np.empty_like(c))
-        assert numpy_ref.diffuse(c, *self.ARGS, out=out) is out
-        assert_same_bytes(np.ascontiguousarray(out),
-                          ref.diffuse(c, *self.ARGS))
+        for kb in kernel_backends():
+            out = np.asfortranarray(np.empty_like(c))
+            assert kb.diffuse(c, *self.ARGS, out=out) is out
+            assert_same_bytes(np.ascontiguousarray(out),
+                              ref.diffuse(c, *self.ARGS))
 
     def test_aliasing_is_refused_before_anything_is_written(self):
         c = field(3, (6, 5, 4), np.float64, "finite")
         before = c.copy()
         wide = np.zeros((7, 5, 4))
-        for bad in (c, c[::-1], c.reshape(-1).reshape(c.shape)):
-            with pytest.raises(ValueError, match="share no memory"):
-                numpy_ref.diffuse(c, *self.ARGS, out=bad)
-        with pytest.raises(ValueError):
-            numpy_ref.diffuse(wide[1:], *self.ARGS, out=wide[:-1])
-        assert c.tobytes() == before.tobytes()
+        for kb in kernel_backends():
+            for bad in (c, c[::-1], c.reshape(-1).reshape(c.shape)):
+                with pytest.raises(ValueError, match="share no memory"):
+                    kb.diffuse(c, *self.ARGS, out=bad)
+            with pytest.raises(ValueError):
+                kb.diffuse(wide[1:], *self.ARGS, out=wide[:-1])
+            assert c.tobytes() == before.tobytes()
 
     def test_wrong_shape_or_dtype_is_refused(self):
         c = np.zeros((4, 4, 4))
-        with pytest.raises(ValueError):
-            numpy_ref.diffuse(c, *self.ARGS, out=np.zeros((4, 4, 5)))
-        with pytest.raises(ValueError):
-            numpy_ref.diffuse(c, *self.ARGS,
-                              out=np.zeros((4, 4, 4), dtype=np.float32))
+        for kb in kernel_backends():
+            with pytest.raises(ValueError):
+                kb.diffuse(c, *self.ARGS, out=np.zeros((4, 4, 5)))
+            with pytest.raises(ValueError):
+                kb.diffuse(c, *self.ARGS,
+                           out=np.zeros((4, 4, 4), dtype=np.float32))
 
     def test_backend_returns_the_array_it_wrote(self):
         """``perf/trace.py`` reads ``result.size`` off the return value."""
-        kb = numpy_ref.NumpyKernelBackend()
         c = np.ones((5, 4, 3))
-        out = np.empty_like(c)
-        assert kb.diffuse(c, *self.ARGS, out=out) is out
-        fresh = kb.diffuse(c, *self.ARGS)
-        assert fresh is not c and fresh.size == c.size
+        for kb in kernel_backends():
+            out = np.empty_like(c)
+            assert kb.diffuse(c, *self.ARGS, out=out) is out
+            fresh = kb.diffuse(c, *self.ARGS)
+            assert fresh is not c and fresh.size == c.size
 
 
 # --------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ queue-merge / rebuild-every-step engine (the ``certified`` stanza names
 the commit and the flags) and asserted equal to that commit's default
 engine before those paths were deleted, so a pass here means "still
 bitwise what the replaced implementation computed" — on the serial and
-the process backend alike.
+the process backend alike, with the NumPy kernels and with the C ones.
 
 ``tests/data/oncology_seed1_step3_percolumn.npz`` is a per-column
 checkpoint written by that same commit (nothing can write the layout any
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import restore_checkpoint
+from repro.kernels.dispatch import _probe
 from repro.simulations import get_simulation
 from repro.verify.snapshot import state_checksum
 
@@ -43,9 +44,20 @@ SEEDS = (1, 2, 3)
 STEPS = 8
 AGENTS = 200
 BACKENDS = {
-    "serial": {},
-    "process": {"execution_backend": "process", "backend_workers": 2},
+    "serial": {"kernel_backend": "numpy"},
+    "process": {"kernel_backend": "numpy", "execution_backend": "process",
+                "backend_workers": 2},
+    # The C kernels must land on the same frozen bytes: threaded in the
+    # parent, one thread in each pool worker.
+    "c-serial": {"kernel_backend": "c"},
+    "c-process": {"kernel_backend": "c", "execution_backend": "process",
+                  "backend_workers": 2},
 }
+
+
+def requires(delta):
+    if delta.get("kernel_backend") == "c" and not _probe("c"):
+        pytest.skip("the C kernel library cannot be built here")
 
 
 def checksum_trace(model, seed, steps=STEPS, restore_from=None, **delta):
@@ -100,6 +112,7 @@ def golden():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("model", MODELS)
 def test_trace_matches_golden(golden, model, seed, backend):
+    requires(BACKENDS[backend])
     got = checksum_trace(model, seed, **BACKENDS[backend])
     assert got == golden[model][str(seed)]
 
@@ -107,6 +120,7 @@ def test_trace_matches_golden(golden, model, seed, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_per_column_checkpoint_restores_onto_golden_trace(golden, backend):
     model, seed, step = CHECKPOINT_CELL
+    requires(BACKENDS[backend])
     got = checksum_trace(model, seed + 98, steps=STEPS - step,
                          restore_from=PER_COLUMN_CHECKPOINT,
                          **BACKENDS[backend])

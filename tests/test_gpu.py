@@ -69,9 +69,10 @@ class TestMeasuredRoofline:
 
     The model-only assertions in :class:`TestSpec` check internal
     consistency; these check the model against reality — the measured
-    host backends from ``BENCH_kernels.json``.  The paper's §2 argument
-    (offload wins at scale) only holds if the device roofline predicts
-    more force-pair throughput than any *measured* host backend.
+    host backends from ``BENCH_kernels.json`` (the NumPy reference and
+    the threaded C kernels).  The paper's §2 argument (offload wins at
+    scale) only holds if the device roofline predicts more force-pair
+    throughput than any *measured* host backend.
     """
 
     @pytest.fixture(scope="class")
@@ -90,8 +91,10 @@ class TestMeasuredRoofline:
         # nothing; the agreement gate must have passed.
         assert artifact["outputs_match"]
         measured = self._measured_pairs_per_s(artifact)
-        assert "numpy" in measured  # the reference always runs
+        assert {"numpy", "c"} <= set(measured)  # reference + compiled
         assert all(v > 0 for v in measured.values())
+        assert artifact["backends"]["c"]["agreement"]["force_bytes"]
+        assert artifact["speedup_force_c"] > 1.0
 
     def test_device_roofline_exceeds_every_measured_host_backend(
             self, artifact):
@@ -181,194 +184,3 @@ class TestEngineIntegration:
         large = times(4000, 110.0)
         assert small[True] > small[False]      # offload overhead dominates
         assert large[True] < large[False]      # device throughput wins
-
-
-class _FakeOOM(Exception):
-    """Stand-in for cupy's OutOfMemoryError in cache tests."""
-
-
-class _FlakyXp:
-    """numpy facade whose allocator fails the first ``fail_times`` calls."""
-
-    def __init__(self, fail_times=0):
-        self.fail_times = fail_times
-        self.empty_calls = 0
-
-    def empty(self, shape, dtype=None):
-        self.empty_calls += 1
-        if self.fail_times > 0:
-            self.fail_times -= 1
-            raise _FakeOOM("device out of memory")
-        return np.empty(shape, dtype=dtype)
-
-
-class TestDeviceBufferCache:
-    """The persistent device-buffer cache of the CuPy kernel backend,
-    exercised with an injected numpy allocator (no GPU needed)."""
-
-    def _cache(self, xp=None):
-        from repro.kernels.cupy_backend import DeviceBufferCache
-
-        return DeviceBufferCache(xp=xp if xp is not None else np,
-                                 oom_errors=(_FakeOOM,))
-
-    def test_upload_reuses_allocation_and_refreshes_data(self):
-        cache = self._cache()
-        host = np.arange(6.0)
-        buf1 = cache.upload("x", host)
-        buf2 = cache.upload("x", host + 1)
-        assert buf2 is buf1
-        assert np.array_equal(buf2, host + 1)
-        assert cache.allocations == 1
-        assert cache.reuses == 1
-
-    def test_upload_reallocates_on_shape_or_dtype_change(self):
-        cache = self._cache()
-        buf1 = cache.upload("x", np.zeros(4))
-        buf2 = cache.upload("x", np.zeros(8))
-        buf3 = cache.upload("x", np.zeros(8, dtype=np.int64))
-        assert buf2 is not buf1 and buf3 is not buf2
-        assert cache.allocations == 3
-        assert cache.reuses == 0
-
-    def test_stable_upload_skips_copy_for_same_object(self):
-        cache = self._cache()
-        indptr = np.arange(5, dtype=np.int64)
-        buf1 = cache.upload_stable("csr:indptr", indptr)
-        buf2 = cache.upload_stable("csr:indptr", indptr)
-        assert buf2 is buf1
-        assert cache.stable_hits == 1
-        # A different host object (a rebuilt CSR) re-uploads.
-        buf3 = cache.upload_stable("csr:indptr", indptr.copy())
-        assert buf3 is not buf1
-        assert cache.allocations == 2
-
-    def test_sync_invalidates_on_structure_version_change(self):
-        cache = self._cache()
-        cache.sync(1)
-        buf1 = cache.upload("x", np.ones(3))
-        csr = np.arange(4, dtype=np.int64)
-        cache.upload_stable("csr", csr)
-        cache.sync(1)  # same version: buffers survive
-        assert cache.upload("x", np.ones(3)) is buf1
-        assert cache.upload_stable("csr", csr) is not None
-        cache.sync(2)  # structure changed: everything is dropped
-        assert cache.upload("x", np.ones(3)) is not buf1
-        assert cache.upload_stable("csr", csr) is not None
-        assert cache.stable_hits == 1  # only the pre-sync repeat hit
-
-    def test_scratch_is_persistent_and_zero_filled(self):
-        cache = self._cache()
-        buf = cache.scratch("net", (4, 3), np.float64)
-        buf[...] = 7.0
-        again = cache.scratch("net", (4, 3), np.float64)
-        assert again is buf
-        assert np.array_equal(again, np.zeros((4, 3)))
-        kept = cache.scratch("net", (4, 3), np.float64, zero=False)
-        assert kept is buf
-
-    def test_oom_evicts_everything_and_retries_once(self):
-        cache = self._cache()
-        cache.upload("old", np.ones(4))
-        cache.xp = _FlakyXp(fail_times=1)
-        buf = cache.upload("new", np.full(3, 2.0))
-        assert np.array_equal(buf, np.full(3, 2.0))
-        assert cache.oom_evictions == 1
-        # The eviction dropped the pre-OOM buffer.
-        assert "old" not in cache._buffers
-
-    def test_oom_twice_propagates_to_caller(self):
-        cache = self._cache(xp=_FlakyXp(fail_times=2))
-        with pytest.raises(_FakeOOM):
-            cache.upload("x", np.ones(4))
-        assert cache.oom_evictions == 1
-
-    def test_nbytes_sums_all_tiers(self):
-        cache = self._cache()
-        cache.upload("a", np.zeros(8))            # 64 bytes
-        cache.upload_stable("b", np.zeros(4))     # 32 bytes
-        cache.scratch("c", (2,), np.float64)      # 16 bytes
-        assert cache.nbytes == 64 + 32 + 16
-
-    def test_backend_counters_exist_on_base(self):
-        from repro.kernels.api import KernelBackend
-
-        kb = KernelBackend()
-        assert kb.oom_fallbacks == 0
-        assert kb.structure_version == -1
-
-    def test_oom_fallback_metric_registered(self):
-        with Simulation("m", Param()) as sim:
-            snap = sim.obs.registry.snapshot()
-            assert "kernel:oom_fallbacks" in snap
-            assert snap["kernel:oom_fallbacks"] == 0
-
-
-class TestUploadBlock:
-    """Single-upload H2D path for arena-resident columns: one allocation
-    and one copy per domain, with per-column device views carved out of
-    the uploaded block (satellite of the distributed-backend PR)."""
-
-    def _cache(self, xp=None):
-        from repro.kernels.cupy_backend import DeviceBufferCache
-
-        return DeviceBufferCache(xp=xp if xp is not None else np,
-                                 oom_errors=(_FakeOOM,))
-
-    def _arena_columns(self, n=16):
-        from repro.core.arena import SoAArena
-
-        soa = SoAArena()
-        soa.add_column("position", np.float64, (3,))
-        soa.add_column("diameter", np.float64)
-        soa.reserve(n, live_rows=0)
-        pos = soa.view("position", n)
-        dia = soa.view("diameter", n)
-        pos[...] = np.arange(n * 3, dtype=np.float64).reshape(n, 3)
-        dia[...] = np.linspace(1.0, 2.0, n)
-        columns = {
-            "position": (soa.offsets["position"], pos.dtype, pos.shape),
-            "diameter": (soa.offsets["diameter"], dia.dtype, dia.shape),
-        }
-        return soa, pos, dia, columns
-
-    def test_multi_column_upload_is_one_allocation(self):
-        cache = self._cache()
-        soa, pos, dia, columns = self._arena_columns()
-        views = cache.upload_block("arena:block", soa.block, columns)
-        assert cache.allocations == 1
-        assert set(views) == {"position", "diameter"}
-        assert np.array_equal(views["position"], pos)
-        assert np.array_equal(views["diameter"], dia)
-        assert views["position"].dtype == np.float64
-        assert views["position"].shape == pos.shape
-
-    def test_block_reupload_reuses_allocation(self):
-        cache = self._cache()
-        soa, pos, dia, columns = self._arena_columns()
-        cache.upload_block("arena:block", soa.block, columns)
-        pos[...] += 1.0
-        views = cache.upload_block("arena:block", soa.block, columns)
-        assert cache.allocations == 1
-        assert cache.reuses == 1
-        assert np.array_equal(views["position"], pos)
-
-    def test_upload_spans_minimal_byte_range(self):
-        cache = self._cache()
-        soa, pos, dia, columns = self._arena_columns()
-        cache.upload_block("arena:block", soa.block, columns)
-        lo = min(off for off, _, _ in columns.values())
-        hi = max(off + np.dtype(dt).itemsize * int(np.prod(shape))
-                 for off, dt, shape in columns.values())
-        assert cache._buffers["arena:block"].nbytes == hi - lo
-
-    def test_empty_columns_is_noop(self):
-        cache = self._cache()
-        assert cache.upload_block("arena:block", np.zeros(64, np.uint8),
-                                  {}) == {}
-        assert cache.allocations == 0
-
-    def test_bind_arena_is_noop_on_base_backend(self):
-        from repro.kernels.api import KernelBackend
-
-        KernelBackend().bind_arena(None, 0)  # must not raise

@@ -6,8 +6,11 @@ Covers the selection contract (docs/kernels.md):
   an unknown name raises a typed :class:`ParamError` with a
   did-you-mean suggestion, never a late ``ImportError``;
 - ``"auto"`` probes at :class:`Simulation` construction and silently
-  uses the best available backend, falling back to NumPy with a
-  :class:`KernelBackendWarning` when no compiled backend imports;
+  uses the C backend, falling back to NumPy with a
+  :class:`KernelBackendWarning` when its library cannot be built;
+- the retired names ``numba`` / ``cupy`` raise a typed
+  :class:`ParamError` naming ``c`` / ``auto``, wherever a ``Param`` is
+  built;
 - an *explicitly requested* but unavailable backend also warns and
   falls back — the simulation still runs;
 - process-backend workers instantiate their own dispatch table and
@@ -39,18 +42,39 @@ class TestParamValidation:
     def test_default_is_numpy(self):
         assert Param().kernel_backend == "numpy"
 
-    @pytest.mark.parametrize("name", ["numpy", "numba", "cupy", "auto"])
+    @pytest.mark.parametrize("name", ["numpy", "c", "auto"])
     def test_known_names_validate(self, name):
         Param(kernel_backend=name).validate()
+
+    @pytest.mark.parametrize("name", ["numba", "cupy"])
+    def test_retired_names_name_the_replacement(self, name, tmp_path):
+        message = rf"{name!r} was removed; use 'c' .* or 'auto'"
+        with pytest.raises(ParamError, match=message):
+            Param(kernel_backend=name)
+        with pytest.raises(ParamError, match=message):
+            Param.optimized().with_(kernel_backend=name)
+        toml = tmp_path / "bdm.toml"
+        toml.write_text(f'[param]\nkernel_backend = "{name}"\n')
+        with pytest.raises(ParamError, match=message):
+            Param.from_file(toml)
+
+    def test_retired_name_in_serve_params_is_a_typed_setup_error(self):
+        from repro.serve.session import SessionSetupError, build_session_sim
+
+        spec = {"model": "oncology", "agents": 10, "seed": 1,
+                "params": {"kernel_backend": "numba"}}
+        with pytest.raises(SessionSetupError, match="'c'") as info:
+            build_session_sim(spec)
+        assert info.value.code == "unsupported_param"
 
     def test_typo_gets_suggestion(self):
         with pytest.raises(ParamError, match=r"did you mean 'numpy'"):
             Param(kernel_backend="numpa").validate()
-        with pytest.raises(ParamError, match=r"did you mean 'numba'"):
-            Param(kernel_backend="nmba").validate()
+        with pytest.raises(ParamError, match=r"did you mean 'auto'"):
+            Param(kernel_backend="atuo").validate()
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ParamError, match="numpy, numba, cupy, auto"):
+        with pytest.raises(ParamError, match="numpy, c, auto"):
             Param(kernel_backend="fortran").validate()
 
     def test_non_string_rejected(self):
@@ -76,22 +100,21 @@ class TestDispatch:
     def test_explicit_unavailable_warns_never_raises(self, monkeypatch):
         monkeypatch.setattr(dispatch_mod, "_probe",
                             lambda name: name == "numpy")
-        with pytest.warns(KernelBackendWarning, match="numba"):
-            kb = make_kernels("numba")
+        with pytest.warns(KernelBackendWarning, match="'c'"):
+            kb = make_kernels("c")
         assert kb.name == "numpy"  # degraded, but functional
 
     def test_auto_prefers_compiled_when_probe_says_available(self,
                                                              monkeypatch):
-        # Simulate "numba importable": auto must pick it over numpy.  The
-        # constructor is also patched so the test runs without a wheel.
+        # Simulate "the C library is built": auto must pick it over numpy.
+        # The constructor is also patched so the test runs without cc.
         sentinel = make_kernels("numpy", warn=False)
-        sentinel.name = "numba"
-        monkeypatch.setattr(dispatch_mod, "_probe",
-                            lambda name: name in ("numpy", "numba"))
+        sentinel.name = "c"
+        monkeypatch.setattr(dispatch_mod, "_probe", lambda name: True)
         monkeypatch.setattr(dispatch_mod, "_construct",
                             lambda name: sentinel)
         kb = make_kernels("auto", warn=False)
-        assert kb.name == "numba"
+        assert kb.name == "c"
 
     def test_worker_kernels_caches_per_name(self):
         dispatch_mod._WORKER_CACHE.clear()
@@ -100,7 +123,7 @@ class TestDispatch:
         assert kb1 is kb2
 
     def test_known_backends_tuple(self):
-        assert KNOWN_BACKENDS == ("numpy", "numba", "cupy")
+        assert KNOWN_BACKENDS == ("numpy", "c")
 
 
 def _clustered_sim(**overrides) -> Simulation:
@@ -121,7 +144,7 @@ class TestSimulationWiring:
         monkeypatch.setattr(dispatch_mod, "_probe",
                             lambda name: name == "numpy")
         with pytest.warns(KernelBackendWarning):
-            sim = _clustered_sim(kernel_backend="numba")
+            sim = _clustered_sim(kernel_backend="c")
         assert sim.kernels.name == "numpy"
         sim.simulate(2)  # degraded mode must remain functional
         assert sim.kernels.calls > 0
@@ -133,6 +156,8 @@ class TestSimulationWiring:
         assert snap["kernel:backend"] == "numpy"
         assert snap["kernel:calls"] > 0
         assert snap["kernel:fallbacks"] == 0
+        assert snap["kernel:threads"] == 1
+        assert "kernel:build" not in snap    # the C library was not asked
 
     def test_process_workers_report_parent_backend(self):
         sim = _clustered_sim(kernel_backend="numpy",
@@ -167,9 +192,9 @@ class TestSimulationWiring:
 
 class TestOptimizedParamSelectsAuto:
     """Regression for ``Param.optimized()`` flipping to kernel
-    auto-detection: optimized configs must pick the best available
-    backend, and on a wheel-less box must degrade to numpy with exactly
-    one visible warning — never an ImportError."""
+    auto-detection: optimized configs must pick the C backend, and on a
+    box that cannot build it must degrade to numpy with exactly one
+    visible warning — never an ImportError."""
 
     def test_optimized_defaults_to_auto(self):
         p = Param.optimized()

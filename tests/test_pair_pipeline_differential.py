@@ -2,15 +2,18 @@
 after the neighbor search: the force kernel, the Verlet-cache refilter
 and the displacement.
 
-``repro.kernels.numpy_ref`` (per-coordinate, row-blocked) and
-``repro.env.environment.refilter_csr`` (index compaction) must reproduce
-the array-of-structs kernels frozen in :mod:`tests.pair_reference` byte
-for byte -- ``tobytes()`` on the float outputs, so a ``-0.0`` for a
-``0.0`` is caught -- on the inputs where a per-coordinate rewrite, a row
-block or an index compaction could go wrong.  Runs in CI's ``golden``
-job under the pinned numpy, so a numpy upgrade that changes ``bincount``
-or the reduction order of ``linalg.norm`` fails here, not in a golden
-trace three layers up.
+``repro.kernels.numpy_ref`` (per-coordinate, row-blocked),
+``repro.env.environment.refilter_csr`` (index compaction) and the C
+kernels of ``repro.kernels.c_backend`` (one thread per row) must
+reproduce the array-of-structs kernels frozen in
+:mod:`tests.pair_reference` byte for byte -- ``tobytes()`` on the float
+outputs, so a ``-0.0`` for a ``0.0`` is caught -- on the inputs where a
+per-coordinate rewrite, a row block, a C loop or an index compaction
+could go wrong.  Every force and refilter case runs through every kernel
+backend built here (:func:`tests.kernel_backends.kernel_backends`).
+Runs in CI's ``golden`` job under the pinned numpy, so a numpy upgrade
+that changes ``bincount`` or the reduction order of ``linalg.norm``
+fails here, not in a golden trace three layers up.
 """
 
 import tracemalloc
@@ -26,6 +29,7 @@ from repro.env.environment import brute_force_csr
 from repro.kernels import numpy_ref
 from repro.simulations.cell_sorting import DifferentialAdhesionForce
 from tests import pair_reference
+from tests.kernel_backends import kernel_backends
 
 
 def cloud(seed, n, span):
@@ -89,8 +93,9 @@ def assert_same_force(got, want):
 
 def assert_force_matches(pos, dia, indptr, indices, active=None, model=None):
     want = reference_force_csr(pos, dia, indptr, indices, active, model)
-    got = numpy_ref.force_csr(pos, dia, indptr, indices, active, model)
-    assert_same_force(got, want)
+    for kb in kernel_backends():
+        got = kb.force(model, pos, dia, indptr, indices, active)
+        assert_same_force(got, want)
     return got
 
 
@@ -242,13 +247,8 @@ class TestForceDifferential:
         net = np.full((n, 3), np.nan)
         nonzero = np.full(n, -7, dtype=np.int64)
         ref_net, ref_nonzero = net.copy(), nonzero.copy()
-        pairs = ref_pairs = 0
+        ref_pairs = 0
         pair_fn = None if not hooked else model.pair_forces
-        with blocks(block):
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                pairs += numpy_ref.force_rows(pos, dia, indptr, indices,
-                                              mask, net, nonzero, lo, hi,
-                                              model)
         with mock.patch.object(numpy_ref, "pair_forces",
                                pair_reference.pair_forces):
             for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -256,21 +256,29 @@ class TestForceDifferential:
                     pos, dia, indptr, indices, mask, ref_net, ref_nonzero,
                     lo, hi, pair_fn=pair_fn, repulsion=model.repulsion,
                     attraction=model.attraction)
-        assert_same_force((net, nonzero, pairs),
-                          (ref_net, ref_nonzero, ref_pairs))
-        assert_same_force((net, nonzero, pairs), want)
+        for kb in kernel_backends():
+            got_net, got_nonzero, pairs = net.copy(), nonzero.copy(), 0
+            with blocks(block):
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    pairs += kb.force_rows(model, pos, dia, indptr, indices,
+                                           mask, got_net, got_nonzero, lo, hi)
+            assert_same_force((got_net, got_nonzero, pairs),
+                              (ref_net, ref_nonzero, ref_pairs))
+            assert_same_force((got_net, got_nonzero, pairs), want)
 
     def test_rows_outside_the_chunk_are_untouched(self):
         pos = cloud(1, 50, 10.0)
         indptr, indices = brute_force_csr(pos, 5.0)
-        net = np.full((50, 3), 99.0)
-        nonzero = np.full(50, 99, dtype=np.int64)
-        with blocks(16):
-            numpy_ref.force_rows(pos, np.full(50, 4.0), indptr, indices,
-                                 None, net, nonzero, 20, 30)
         outside = np.r_[0:20, 30:50]
-        assert np.all(net[outside] == 99.0) and np.all(nonzero[outside] == 99)
-        assert not np.any(net[20:30] == 99.0)
+        for kb in kernel_backends():
+            net = np.full((50, 3), 99.0)
+            nonzero = np.full(50, 99, dtype=np.int64)
+            with blocks(16):
+                kb.force_rows(None, pos, np.full(50, 4.0), indptr, indices,
+                              None, net, nonzero, 20, 30)
+            assert np.all(net[outside] == 99.0)
+            assert np.all(nonzero[outside] == 99)
+            assert not np.any(net[20:30] == 99.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, n=st.integers(2, 150), active=active_kinds,
@@ -283,11 +291,14 @@ class TestForceDifferential:
         mask = active_mask(seed, n, active)
         model = adhesion_model(seed, n)
         want = reference_force_csr(pos, dia, indptr, indices, mask, model)
-        model.calls = 0
-        with blocks(block):
-            got = numpy_ref.force_csr(pos, dia, indptr, indices, mask, model)
-        assert_same_force(got, want)
-        assert (model.calls > 0) == (got[2] > 0)
+        for kb in kernel_backends():
+            model.calls = 0
+            with blocks(block):
+                got = kb.force(model, pos, dia, indptr, indices, mask)
+            assert_same_force(got, want)
+            assert (model.calls > 0) == (got[2] > 0)
+            # A compiled backend hands a subclass to the NumPy hook path.
+            assert kb.fallbacks == (1 if kb.compiled and len(indices) else 0)
 
     def test_the_hook_changes_the_forces(self):
         pos = cloud(3, 150, 20.0)
@@ -324,22 +335,25 @@ class TestForceDifferential:
         pos = cloud(8, 120, 14.0)
         dia = mixed_diameters(8, 120, "positive")
         indptr, indices = brute_force_csr(pos, 6.0)
-        with blocks(64):
-            got = numpy_ref.force_csr(pos, dia, indptr, indices, None,
-                                      Stiffer(3.0, 0.7))
-        assert_same_force(got, reference_force_csr(
-            pos, dia, indptr, indices, None, InteractionForce(3.0, 0.7)))
+        want = reference_force_csr(pos, dia, indptr, indices, None,
+                                   InteractionForce(3.0, 0.7))
+        for kb in kernel_backends():
+            with blocks(64):
+                got = kb.force(Stiffer(3.0, 0.7), pos, dia, indptr, indices)
+            assert_same_force(got, want)
 
 
 class TestRefilterDifferential:
     def assert_matches(self, indptr, indices, positions, radius):
         qi = csr_row_index(indptr, indices)
-        got = refilter_csr(indptr, indices, qi, positions, radius)
         want = pair_reference.refilter_csr(indptr, indices, qi, positions,
                                            radius)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w)
+        for kernels in [None, *kernel_backends()]:
+            got = refilter_csr(indptr, indices, qi, positions, radius,
+                               kernels=kernels)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
         return got
 
     @settings(max_examples=60, deadline=None)
