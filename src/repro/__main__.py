@@ -289,7 +289,8 @@ def _cmd_trace(args) -> int:
         kb, build = sim.kernels, reg.snapshot().get("kernel:build")
         print(f"  kernels: {kb.name}, {kb.threads} thread"
               f"{'' if kb.threads == 1 else 's'}"
-              + (f" ({build})" if build else ""))
+              + (f" ({build})" if build else "")
+              + f", {kb.search_calls} grid searches")
         print("  environment: "
               f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "

@@ -148,13 +148,14 @@ class Simulation:
         self.force = InteractionForce()
         from repro.kernels import make_kernels
 
-        #: Array-kernel backend for the hot loops (CSR force, displacement,
-        #: diffusion stencil), resolved from ``Param.kernel_backend`` at
+        #: Array-kernel backend for the hot loops (grid search, CSR force,
+        #: displacement, stencil), resolved from ``Param.kernel_backend`` at
         #: construction ("auto" is the C backend where it builds, else
         #: NumPy with a warning).  Surfaces ``kernel:{backend,build,calls,
-        #: fallbacks,threads}`` metrics in ``self.obs``.
+        #: fallbacks,threads,search_calls}`` metrics in ``self.obs``.
         self.kernels = make_kernels(self.param.kernel_backend,
                                     registry=self.obs.registry)
+        self.env.kernels = self.kernels
         self.scheduler = Scheduler(self)
         from repro.parallel.backend import make_backend
 

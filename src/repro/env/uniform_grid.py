@@ -24,24 +24,26 @@ Design points reproduced from the paper:
 The all-pairs search (:meth:`UniformGridEnvironment.neighbor_csr`) is
 where the wall clock goes, and it is organised the way the GPU grid
 (Hesam et al., PAPERS.md) is -- around the cell-sorted agent order the
-build already produces:
+build already produces.  The ``c`` kernel backend's search
+(``docs/kernels.md``) and the NumPy one here emit the same bytes:
 
 - **Cell-sorted space.**  Coordinates are gathered once through
   ``_order``; every box is then a contiguous slice and a candidate is a
   position in that order, not an index to chase.
-- **x-run merging.**  Box ids are x-fastest, so the up-to-three
-  x-adjacent boxes of one stencil row are ONE contiguous run, found with
-  two binary searches over the *occupied* box ids (the timestamp
-  discipline's O(#agents) promise: no pass over the box arrays).
-- **Half stencil.**  Each agent scans the rest of its own box + box x+1
-  and the four forward ``(dy, dz)`` rows -- 5 runs, not 27 boxes -- so
-  each unordered pair is distance-checked once and mirrored.  The filter
-  is a sum of squares, identical for both directions bit for bit.
-- **Blocked evaluation.**  Candidates are expanded ``_BLOCK_CANDIDATES``
-  at a time: temporaries are O(block), only kept pairs are held in full.
-- **Canonical rows by key sort.**  The kept pairs (both directions) are
-  sorted as int64 keys ``row * n + col``; the CSR is therefore a pure
-  function of ``(positions, radius)``, whatever the storage order.
+- **x-run merging.**  Box ids are x-fastest, so the live boxes among the
+  up-to-three x-adjacent ones of a stencil row are ONE contiguous run.
+  Only occupied boxes are visited (O(#agents)): NumPy finds a run's ends
+  by binary search over the occupied ids, C in the timestamped box arrays.
+- **Half stencil in NumPy, whole rows in C.**  NumPy scans the rest of
+  its own box + box x+1 and the four forward ``(dy, dz)`` rows -- 5 runs,
+  not 27 boxes -- each pair checked once and mirrored, in blocks of
+  ``_BLOCK_CANDIDATES``; C scans all 9 runs of every row, on one thread.
+  The filter squares ``x_p - x_q == -(x_q - x_p)`` (IEEE), so both
+  directions of a pair keep it or neither, bit for bit.
+- **Canonical rows.**  Rows are ascending, so the CSR is a pure function
+  of ``(positions, radius)``: NumPy sorts the kept pairs (both
+  directions) as int64 keys ``row * n + col``; C visits the rows in
+  ascending order and appends each to its neighbors' rows.
 
 What the *paper's* search costs is a separate question with a separate
 answer: :meth:`UniformGridEnvironment.search_candidates_per_agent` still
@@ -86,6 +88,10 @@ class UniformGridEnvironment(Environment):
     #: Rows are canonically ordered, so skin-inflated builds can be
     #: re-filtered bitwise-identically (see repro.core.scheduler).
     supports_neighbor_cache = True
+
+    #: The kernel backend :meth:`neighbor_csr` may run through (set by
+    #: ``Simulation`` to ``sim.kernels``); None runs the NumPy search here.
+    kernels = None
 
     def __init__(self, box_length_factor: float = 1.0, max_boxes: int = 1 << 26):
         super().__init__()
@@ -376,7 +382,8 @@ class UniformGridEnvironment(Environment):
         run each) -- 5 runs per agent instead of 27 boxes, every
         unordered pair distance-checked once and mirrored.  Candidates are
         expanded in blocks of ``_BLOCK_CANDIDATES``, so temporaries are
-        O(block); only the kept pairs are ever held in full.
+        O(block); only the kept pairs are ever held in full.  A
+        :attr:`kernels` backend with a search (``c``) runs it instead.
         """
         if self._csr is not None:
             return self._csr
@@ -386,6 +393,13 @@ class UniformGridEnvironment(Environment):
         if n == 0:
             self._csr = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
             return self._csr
+        if self.kernels is not None:
+            self._csr = self.kernels.grid_search(
+                self._positions, self._radius, self._order, self._run_start,
+                self._occupied, self._dims, self._box_start, self._box_count,
+                self._box_stamp, self._timestamp)
+            if self._csr is not None:
+                return self._csr
 
         order = self._order
         num_occupied = len(self._occupied)

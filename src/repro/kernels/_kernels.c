@@ -170,3 +170,89 @@ void repro_diffuse(const double *c, double *out, int64_t nx, int64_t ny,
         }
     })
 }
+
+/* The uniform grid's search (env/uniform_grid.py) in cell-sorted space, on
+ * one thread: xyz is positions[order], box b is the slice [start[b],
+ * start[b] + count[b]) and is live iff its stamp is now.
+ *
+ * Box b's 9 (dy, dz) stencil rows, each ONE run [lo, hi): the live boxes
+ * among its <= 3 x-adjacent ones are consecutive.  Returns their total. */
+static int64_t box_runs(int64_t b, const int64_t *dims, const int64_t *start,
+                        const int64_t *count, const int64_t *stamp,
+                        int64_t now, int64_t *lo, int64_t *hi) {
+    const int64_t nx = dims[0], ny = dims[1], nz = dims[2];
+    const int64_t cx = b % nx, cy = b / nx % ny, cz = b / (nx * ny);
+    const int64_t x0 = cx > 0 ? cx - 1 : 0, x1 = cx + 1 < nx ? cx + 1 : cx;
+    int64_t m = 0, total = 0;
+    for (int64_t z = cz - 1; z <= cz + 1; z++)
+        for (int64_t y = cy - 1; y <= cy + 1; y++, m++) {
+            lo[m] = hi[m] = 0;
+            if (z < 0 || z >= nz || y < 0 || y >= ny) continue;
+            int64_t a = (z * ny + y) * nx + x0, e = a - x0 + x1;
+            while (a <= e && stamp[a] != now) a++;
+            if (a > e) continue;
+            while (stamp[e] != now) e--;
+            lo[m] = start[a], hi[m] = start[e] + count[e];
+            total += hi[m] - lo[m];
+        }
+    return total;
+}
+
+/* Row p keeps each q of its runs with (dx*dx + dy*dy) + dz*dz <= r2 and
+ * q != p, branch-free, as the agent order[q], staged unsorted at stage +
+ * at[a] for agent a = order[p], with indptr[a + 1] its length.  A row is
+ * staged only while stage (cap slots) holds all of its candidates; else
+ * the search returns -(the slots it needs), and resume = {occupied box,
+ * row, staged slots} is where the next call starts.  Done, it returns the
+ * kept total with indptr (n + 1) the prefix sum.  x_p - x_q == -(x_q - x_p)
+ * in IEEE arithmetic, so a keeps b iff b keeps a. */
+int64_t repro_grid_search(const double *xyz, const int64_t *order,
+                          const int64_t *occupied, const int64_t *run_start,
+                          int64_t boxes, const int64_t *start,
+                          const int64_t *count, const int64_t *stamp,
+                          int64_t now, const int64_t *dims, double r2,
+                          int64_t *stage, int64_t cap, int64_t *resume,
+                          int64_t *indptr, int64_t *at) {
+    int64_t used = resume[2], lo[9], hi[9];
+    for (int64_t k = resume[0]; k < boxes; k++) {
+        const int64_t bound = box_runs(occupied[k], dims, start, count, stamp,
+                                       now, lo, hi);
+        const int64_t first = k == resume[0] ? resume[1] : run_start[k];
+        for (int64_t p = first; p < run_start[k + 1]; p++) {
+            if (used + bound > cap) {
+                resume[0] = k, resume[1] = p, resume[2] = used;
+                return -(used + bound);
+            }
+            int64_t *row = stage + used, kept = 0;
+            const double x = xyz[3 * p], y = xyz[3 * p + 1],
+                         z = xyz[3 * p + 2];
+            for (int r = 0; r < 9; r++)
+                for (int64_t q = lo[r]; q < hi[r]; q++) {
+                    const double dx = x - xyz[3 * q], dy = y - xyz[3 * q + 1],
+                                 dz = z - xyz[3 * q + 2];
+                    row[kept] = order[q];
+                    kept += (((dx * dx + dy * dy) + dz * dz) <= r2) & (q != p);
+                }
+            at[order[p]] = used;
+            indptr[order[p] + 1] = kept;
+            used += kept;
+        }
+    }
+    const int64_t n = run_start[boxes];
+    indptr[0] = 0;
+    for (int64_t i = 0; i < n; i++) indptr[i + 1] += indptr[i];
+    return indptr[n];
+}
+
+/* Row a's columns are the b whose rows hold a (the symmetry above), so
+ * appending b to those rows for b = 0, 1, ... writes every row ascending,
+ * without a comparison.  cursor (n) is scratch. */
+void repro_grid_fill(const int64_t *stage, const int64_t *at,
+                     const int64_t *indptr, int64_t n, int64_t *cursor,
+                     int64_t *indices) {
+    for (int64_t b = 0; b < n; b++) cursor[b] = indptr[b];
+    for (int64_t b = 0; b < n; b++) {
+        const int64_t *row = stage + at[b], m = indptr[b + 1] - indptr[b];
+        for (int64_t k = 0; k < m; k++) indices[cursor[row[k]]++] = b;
+    }
+}

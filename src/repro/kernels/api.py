@@ -10,7 +10,9 @@ narrow waist those loops go through:
   the CSR neighbor lists (paper §5, the most expensive operation);
 - **displacement** — the clamped forward-Euler integration step;
 - **refilter** — the Verlet cache's distance pass over a superset CSR;
-- **diffusion** — the 7-point diffusion-decay stencil (Table 1).
+- **diffusion** — the 7-point diffusion-decay stencil (Table 1);
+- **search** — the uniform grid's neighbor CSR (§3.1); the NumPy
+  backend leaves it to the grid's own body, the reference.
 
 :class:`KernelBackend` is the strategy interface; the implementations
 live in sibling modules (:mod:`repro.kernels.numpy_ref` — the bitwise
@@ -105,6 +107,8 @@ class KernelBackend:
         #: Invocations that fell back to the NumPy reference because the
         #: force model is a subclass the compiled kernel cannot express.
         self.fallbacks = 0
+        #: Uniform-grid searches this backend ran (:meth:`grid_search`).
+        self.search_calls = 0
 
     # -- mechanics ------------------------------------------------------- #
 
@@ -146,6 +150,13 @@ class KernelBackend:
     def refilter(self, indptr, indices, qi, positions, radius):
         """:func:`repro.env.environment.refilter_csr`'s distance pass."""
         raise NotImplementedError
+
+    def grid_search(self, positions, radius, order, run_start, occupied,
+                    dims, box_start, box_count, box_stamp, timestamp):
+        """The CSR ``(indptr, indices)`` of a finished uniform-grid build
+        (:meth:`repro.env.UniformGridEnvironment.neighbor_csr`), or None:
+        the grid then runs its own NumPy search, the reference."""
+        return None
 
     # -- diffusion ------------------------------------------------------- #
 

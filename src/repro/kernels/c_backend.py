@@ -1,7 +1,8 @@
-"""The ``c`` kernel backend: force, refilter and stencil in C with OpenMP.
+"""The ``c`` kernel backend: force, refilter, stencil and search in C.
 
 :class:`CKernelBackend` runs the stock Cortex3D force, the Verlet-cache
-refilter and the float64 stencil through ``_kernels.c`` via :mod:`ctypes`
+refilter, the float64 stencil and the uniform grid's neighbor search
+through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
 (which releases the GIL per call); the rest is the inherited NumPy code,
 whose bytes the C kernels reproduce.  ``docs/kernels.md`` has the
 bitwise, build and thread rules.
@@ -45,6 +46,9 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
     "repro_refilter_count": ([_D, _L, _L, _I, _F, _U, _L, _N], _I),
     "repro_refilter_fill": ([_L, _L, _U, _I, _L, _L, _L, _N], None),
     "repro_diffuse": ([_D, _D, _I, _I, _I, _F, _F, _F, _F, _N], None),
+    "repro_grid_search": ([_D, _L, _L, _L, _I, _L, _L, _L, _I, _L, _F, _L,
+                           _I, _L, _L, _L], _I),
+    "repro_grid_fill": ([_L, _L, _L, _I, _L, _L], None),
 }
 
 
@@ -115,7 +119,7 @@ def _set_threads(n: int | None) -> None:
 
 
 class CKernelBackend(numpy_ref.NumpyKernelBackend):
-    """Force, refilter and float64 stencil in C; the rest is NumPy."""
+    """Force, refilter, float64 stencil and grid search in C; else NumPy."""
 
     name = "c"
     compiled = True
@@ -179,6 +183,36 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         dll.repro_refilter_fill(ip, ix, keep, n, new_indptr, new_indices,
                                 new_qi, threads)
         return new_indptr, new_indices, new_qi
+
+    def grid_search(self, positions, radius, order, run_start, occupied,
+                    dims, box_start, box_count, box_stamp, timestamp):
+        """On one thread: the rows go unsorted into a NumPy stage, doubled
+        while a row's candidates do not fit, then a transposing fill."""
+        self._count()
+        self.search_calls += 1
+        n = len(order)
+        xyz = np.ascontiguousarray(positions[order], dtype=np.float64)
+        if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
+                or len(run_start) != len(occupied) + 1
+                or run_start[-1] != n or xyz.shape != (n, 3)):
+            raise ValueError("the arrays do not describe one grid build")
+        dll = self._lib.dll
+        indptr = np.empty(n + 1, dtype=np.int64)
+        at, cursor = np.empty((2, n), dtype=np.int64)
+        # 8 slots an agent (an exact build at the benchmark density keeps
+        # ~7.7): each growth costs a copy and one more call.
+        stage = np.empty(8 * n, dtype=np.int64)
+        resume = np.zeros(3, dtype=np.int64)  # box, row, staged slots
+        while (total := dll.repro_grid_search(
+                xyz, order, occupied, run_start, len(occupied), box_start,
+                box_count, box_stamp, timestamp, dims, radius * radius,
+                stage, len(stage), resume, indptr, at)) < 0:
+            grown = np.empty(max(-total, 2 * len(stage)), dtype=np.int64)
+            grown[:resume[2]] = stage[:resume[2]]
+            stage = grown
+        indices = np.empty(total, dtype=np.int64)
+        dll.repro_grid_fill(stage, at, indptr, n, cursor, indices)
+        return indptr, indices
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
                 decay, dt, out=None):

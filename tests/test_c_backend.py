@@ -7,8 +7,8 @@
   survive ``fork``), and finishes.
 - **Fallback**: no compiler or an unwritable cache leaves NumPy running
   with one :class:`KernelBackendWarning`, never an exception.
-- **Observability**: ``kernel:threads`` / ``kernel:build`` and the
-  ``repro trace`` line.
+- **Observability**: ``kernel:threads`` / ``kernel:build`` /
+  ``kernel:search_calls`` and the ``repro trace`` line.
 
 The byte-equality of each kernel to the frozen references lives in the
 differential suites, which run every case through this backend too.
@@ -17,6 +17,7 @@ differential suites, which run every case through this backend too.
 from __future__ import annotations
 
 import os
+import re
 import signal
 import time
 
@@ -53,13 +54,18 @@ def tissue(n=3000, seed=4):
 
 
 def every_output(kb):
-    """Force (with and without an active mask), refilter and stencil."""
+    """Grid search, force (with and without an active mask), refilter and
+    stencil."""
     pos, dia, indptr, indices = tissue()
     active = np.random.default_rng(5).random(len(pos)) < 0.6
     force = InteractionForce()
     moved = pos + np.random.default_rng(6).uniform(-1.0, 1.0, pos.shape)
     grid = np.random.default_rng(7).uniform(0.0, 3.0, (23, 19, 17))
+    env = UniformGridEnvironment()
+    env.kernels = kb
+    env.update(moved, 13.0)
     return [
+        *env.neighbor_csr(),
         *kb.force(force, pos, dia, indptr, indices)[:2],
         *kb.force(force, pos, dia, indptr, indices, active)[:2],
         *kb.refilter(indptr, indices, csr_row_index(indptr, indices), moved,
@@ -165,13 +171,19 @@ class TestObservability:
             assert snap["kernel:backend"] == "c"
             assert snap["kernel:build"] in ("cached", "built")
             assert snap["kernel:threads"] == sim.kernels.threads >= 1
+            assert sim.env.kernels is sim.kernels
+            sim.add_cells(np.random.default_rng(2).uniform(0.0, 30.0, (80, 3)),
+                          diameters=10.0)
+            sim.simulate(2)
+            assert sim.obs.registry.snapshot()["kernel:search_calls"] >= 1
         assert main(["trace", "cell_proliferation", "--agents", "100",
                      "--iterations", "2", "--out",
                      str(tmp_path / "t.json")]) == 0
         kb = make_kernels("c")
         plural = "" if kb.threads == 1 else "s"
-        assert (f"kernels: c, {kb.threads} thread{plural} ({kb.build})"
-                in capsys.readouterr().out)
+        assert re.search(rf"kernels: c, {kb.threads} thread{plural} "
+                         rf"\({kb.build}\), [1-9][0-9]* grid searches",
+                         capsys.readouterr().out)
 
     def test_a_subclassed_force_model_counts_a_fallback(self):
         class Softer(InteractionForce):

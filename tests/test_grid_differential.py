@@ -1,12 +1,14 @@
 """Differential, property and memory-shape tests for the uniform grid's
-cell-sorted half-stencil ``neighbor_csr``.
+``neighbor_csr``: the NumPy half stencil and the ``c`` backend's search.
 
-The production build must reproduce, ``array_equal``, the CSR and the
-per-agent 27-box candidate counts of the full 27-box expansion kept in
-:mod:`tests.grid_reference`, and the CSR of ``brute_force_csr`` -- on the
-inputs where a half stencil, an x-run merge, a row block or a key sort
-could go wrong.  Runs in CI's ``golden`` job under the pinned numpy, so
-a numpy upgrade that changes sort behaviour cannot silently reorder rows.
+Every case runs through every kernel backend built here
+(:mod:`tests.kernel_backends`): each build must reproduce, ``array_equal``,
+the CSR and the per-agent 27-box candidate counts of the full 27-box
+expansion kept in :mod:`tests.grid_reference`, and the CSR of
+``brute_force_csr`` -- on the inputs where a half stencil, an x-run merge,
+a row block, a key sort or the C search's staging could go wrong.  Runs
+in CI's ``golden`` job under the pinned numpy, so a numpy upgrade that
+changes sort behaviour cannot silently reorder rows.
 """
 
 import tracemalloc
@@ -20,23 +22,35 @@ from repro.env import UniformGridEnvironment
 from repro.env.environment import brute_force_csr
 from repro.sfc.morton import morton_encode_3d
 from tests.grid_reference import reference_neighbor_csr
+from tests.kernel_backends import kernel_backends
+
+
+def built(pos, radius, kernels=None, box_length_factor=1.0):
+    """A finished ``update()`` whose search runs through ``kernels``."""
+    env = UniformGridEnvironment(box_length_factor=box_length_factor)
+    env.kernels = kernels
+    env.update(pos, radius)
+    return env
 
 
 def assert_matches_references(pos, radius, box_length_factor=1.0):
-    """Build ``pos`` and compare against both references (the O(n^2) one
-    only while its n x n x 3 temporaries stay small); returns the CSR."""
-    env = UniformGridEnvironment(box_length_factor=box_length_factor)
-    env.update(pos, radius)
-    indptr, indices = env.neighbor_csr()
-    ref_indptr, ref_indices, ref_candidates = reference_neighbor_csr(env)
-    assert np.array_equal(indptr, ref_indptr)
-    assert np.array_equal(indices, ref_indices)
-    assert np.array_equal(env.search_candidates_per_agent(), ref_candidates)
+    """Build ``pos`` through every kernel backend and compare each CSR
+    against both references (the O(n^2) one only while its n x n x 3
+    temporaries stay small); returns the CSR."""
+    envs = [built(pos, radius, kb, box_length_factor)
+            for kb in kernel_backends()]
+    ref_indptr, ref_indices, ref_candidates = reference_neighbor_csr(envs[0])
     if 0 < len(pos) <= 1000:
         brute_indptr, brute_indices = brute_force_csr(pos, radius)
-        assert np.array_equal(indptr, brute_indptr)
-        assert np.array_equal(indices, brute_indices)
-    assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(ref_indptr, brute_indptr)
+        assert np.array_equal(ref_indices, brute_indices)
+    for env in envs:
+        indptr, indices = env.neighbor_csr()
+        assert np.array_equal(indptr, ref_indptr), env.kernels.name
+        assert np.array_equal(indices, ref_indices), env.kernels.name
+        assert np.array_equal(env.search_candidates_per_agent(),
+                              ref_candidates)
+        assert indptr.dtype == indices.dtype == np.int64
     return indptr, indices
 
 
@@ -146,21 +160,49 @@ class TestDifferential:
     @given(seed=seeds, n=st.integers(0, 150))
     def test_incremental_build_is_bitwise_the_batch_build(self, seed, n):
         pos = cloud(seed, n, 25.0)
-        inc = UniformGridEnvironment()
-        inc.begin_incremental([0.0] * 3, [25.0] * 3, 5.0)
-        for p in pos:
-            inc.insert_agent(p)
-        batch = UniformGridEnvironment()
-        batch.update(pos, 5.0)
-        for got, want in zip(inc.neighbor_csr(), batch.neighbor_csr()):
-            assert np.array_equal(got, want)
-        # Box-id order, the layout the search needs.
-        state = inc.linked_list_state()
-        assert np.all(np.diff(state["box_of_agent"][state["order"]]) >= 0)
+        want = built(pos, 5.0).neighbor_csr()
+        for kb in kernel_backends():
+            # Head insertion: within a box, the search sees agents in
+            # descending index order.
+            inc = UniformGridEnvironment()
+            inc.kernels = kb
+            inc.begin_incremental([0.0] * 3, [25.0] * 3, 5.0)
+            for p in pos:
+                inc.insert_agent(p)
+            for got, expected in zip(inc.neighbor_csr(), want):
+                assert np.array_equal(got, expected), kb.name
+            # Box-id order, the layout the search needs.
+            state = inc.linked_list_state()
+            assert np.all(np.diff(state["box_of_agent"][state["order"]]) >= 0)
+
+    def test_a_dense_cluster_row(self):
+        # One row with 6000 kept neighbors, far past any fixed row buffer:
+        # 12 clusters of 500 coincident points on an icosahedron of
+        # circumradius 0.98 r around one centre point.  The clusters sit
+        # 1.03 r apart, so a cluster point keeps its 499 mates and the
+        # centre: 3e6 pairs, where 6000 coincident points would be 3.6e7.
+        radius, phi = 10.0, (1.0 + 5.0**0.5) / 2.0
+        vertices = np.array([v for a in (-1.0, 1.0) for b in (-phi, phi)
+                             for v in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))])
+        vertices *= 0.98 * radius / np.linalg.norm(vertices[0])
+        group = np.repeat(np.arange(13), [1] + [500] * 12)
+        perm = np.random.default_rng(7).permutation(len(group))
+        group = group[perm]
+        pos = np.vstack((np.zeros((1, 3)), vertices))[group] + 50.0
+        centre = int(np.flatnonzero(group == 0)[0])
+        for kb in kernel_backends():
+            indptr, indices = built(pos, radius, kb).neighbor_csr()
+            assert indptr[-1] == 12 * 500 * 499 + 2 * 6000
+            for i in (centre, *np.flatnonzero(group == 5)[:3]):
+                row = indices[indptr[i]:indptr[i + 1]]
+                mates = (np.flatnonzero(group != 0) if i == centre
+                         else np.flatnonzero((group == 5) | (group == 0)))
+                assert np.array_equal(row, mates[mates != i]), kb.name
 
 
 def csr_peak_bytes(env, build):
-    """tracemalloc peak of one CSR build on a finished ``update()``."""
+    """Peak bytes of one CSR build on a finished ``update()`` (the C
+    search stages its rows in NumPy, so tracemalloc sees them too)."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -173,38 +215,44 @@ def csr_peak_bytes(env, build):
 
 
 class TestMemoryShape:
-    def density_matched(self, n):
+    def density_matched(self, n, kernels=None):
         # ~46 27-box candidates per agent, the oncology benchmark's density.
         span = 10.0 * (n * 27.0 / 46.0) ** (1.0 / 3.0)
-        env = UniformGridEnvironment()
-        env.update(cloud(2, n, span), 10.0)
-        return env
+        return built(cloud(2, n, span), 10.0, kernels)
 
     def test_peak_follows_kept_pairs_not_candidates(self):
-        small = self.density_matched(20_000)
-        peak_small, (_, indices) = csr_peak_bytes(
-            small, UniformGridEnvironment.neighbor_csr)
-        peak_large, _ = csr_peak_bytes(
-            self.density_matched(40_000), UniformGridEnvironment.neighbor_csr)
-        peak_reference, _ = csr_peak_bytes(small, reference_neighbor_csr)
-        assert peak_large <= 2.5 * peak_small
-        assert peak_small < peak_reference / 4
-        # Kept pairs (int64 keys, their pieces, the CSR) + one block + O(n)
-        # index arrays; the 9.3e5 candidates alone would be 7.4 MB an array.
-        assert peak_small < 48 * indices.nbytes // 8 + (4 << 20)
+        peak_reference, _ = csr_peak_bytes(self.density_matched(20_000),
+                                           reference_neighbor_csr)
+        for kb in kernel_backends():
+            small = self.density_matched(20_000, kb)
+            peak_small, (_, indices) = csr_peak_bytes(
+                small, UniformGridEnvironment.neighbor_csr)
+            peak_large, _ = csr_peak_bytes(
+                self.density_matched(40_000, kb),
+                UniformGridEnvironment.neighbor_csr)
+            assert peak_large <= 2.5 * peak_small, kb.name
+            assert peak_small < peak_reference / 4, kb.name
+            # Kept pairs (int64 keys, their pieces, the CSR; or the C
+            # staging and the CSR) + one block + O(n) index arrays; the
+            # 9.3e5 candidates alone would be 7.4 MB an array.
+            assert peak_small < 48 * indices.nbytes // 8 + (4 << 20), kb.name
+            if kb.name == "c":
+                # The staging doubles to fit the kept pairs, not the
+                # candidates: CSR + staging + O(n) arrays, under 5.6 MB.
+                assert peak_small < 4 * indices.nbytes + 64 * 20_000
 
     def test_sparse_space_allocates_nothing_per_box(self):
         # 2e4 agents over > 1e7 boxes: update() owns three uninitialised
         # box arrays; the search stays O(#agents) -- under what a fourth
         # per-box array of even one byte a box would take.
         n = 20_000
-        env = UniformGridEnvironment()
-        env.update(cloud(3, n, 2200.0), 10.0)
-        assert env.num_boxes > 10_000_000 >= 500 * n
-        peak, (indptr, _) = csr_peak_bytes(
-            env, UniformGridEnvironment.neighbor_csr)
-        assert peak < 500 * n
-        assert len(indptr) == n + 1
-        peak, _ = csr_peak_bytes(
-            env, UniformGridEnvironment.search_candidates_per_agent)
-        assert peak < 500 * n
+        for kb in kernel_backends():
+            env = built(cloud(3, n, 2200.0), 10.0, kb)
+            assert env.num_boxes > 10_000_000 >= 500 * n
+            peak, (indptr, _) = csr_peak_bytes(
+                env, UniformGridEnvironment.neighbor_csr)
+            assert peak < 500 * n, kb.name
+            assert len(indptr) == n + 1
+            peak, _ = csr_peak_bytes(
+                env, UniformGridEnvironment.search_candidates_per_agent)
+            assert peak < 500 * n
