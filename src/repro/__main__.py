@@ -290,7 +290,8 @@ def _cmd_trace(args) -> int:
         print(f"  kernels: {kb.name}, {kb.threads} thread"
               f"{'' if kb.threads == 1 else 's'}"
               + (f" ({build})" if build else "")
-              + f", {kb.search_calls} grid searches")
+              + f", {kb.search_calls} grid searches"
+              + f", {kb.grid_builds} grid builds")
         print("  environment: "
               f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "

@@ -18,6 +18,7 @@ Typical use::
 from __future__ import annotations
 
 import enum
+import weakref
 
 import numpy as np
 
@@ -148,11 +149,12 @@ class Simulation:
         self.force = InteractionForce()
         from repro.kernels import make_kernels
 
-        #: Array-kernel backend for the hot loops (grid search, CSR force,
-        #: displacement, stencil), resolved from ``Param.kernel_backend`` at
-        #: construction ("auto" is the C backend where it builds, else
-        #: NumPy with a warning).  Surfaces ``kernel:{backend,build,calls,
-        #: fallbacks,threads,search_calls}`` metrics in ``self.obs``.
+        #: Array-kernel backend for the hot loops (grid build and search,
+        #: CSR force, displacement, stencil), resolved from
+        #: ``Param.kernel_backend`` at construction ("auto" is the C backend
+        #: where it builds, else NumPy with a warning).  Surfaces
+        #: ``kernel:{backend,build,calls,fallbacks,threads,search_calls,
+        #: grid_builds}`` metrics in ``self.obs``.
         self.kernels = make_kernels(self.param.kernel_backend,
                                     registry=self.obs.registry)
         self.env.kernels = self.kernels
@@ -432,6 +434,13 @@ class Simulation:
         arena = getattr(self.rm, "arena", None)
         if arena is not None:
             arena.close()
+        # Back-references close the cycles that would keep a closed
+        # simulation (neighbor build, caches, columns) alive until the
+        # collector's next full pass -- a serve worker closes one per
+        # eviction.  A closed simulation jumps nothing, and its scheduler
+        # reaches it weakly: it goes with its last user.
+        self.scheduler.events = None
+        self.scheduler.sim = weakref.proxy(self)
         self._state = SimulationState.CLOSED
 
     def __enter__(self) -> "Simulation":

@@ -21,29 +21,32 @@ Design points reproduced from the paper:
   parallel; the reported :class:`BuildWork` charges per-agent cycles to a
   parallel region (unlike the serial kd-tree/octree builds).
 
-The all-pairs search (:meth:`UniformGridEnvironment.neighbor_csr`) is
-where the wall clock goes, and it is organised the way the GPU grid
-(Hesam et al., PAPERS.md) is -- around the cell-sorted agent order the
-build already produces.  The ``c`` kernel backend's search
-(``docs/kernels.md``) and the NumPy one here emit the same bytes:
+The build and the all-pairs search (:meth:`UniformGridEnvironment
+.neighbor_csr`) are organised the way the GPU grid (Hesam et al.,
+PAPERS.md) is -- around a cell-sorted agent order produced by a counting
+sort.  Both run in NumPy here, the reference, and in the ``c`` kernel
+backend (``docs/kernels.md``), which writes the same bytes:
 
-- **Cell-sorted space.**  Coordinates are gathered once through
-  ``_order``; every box is then a contiguous slice and a candidate is a
-  position in that order, not an index to chase.
+- **The build.**  The geometry (``mins``, ``dims``) is NumPy's for every
+  backend.  NumPy bins and sorts with ``argsort``; C bins with the same
+  operations and radix-sorts by box id in one O(#agents) pass per 13-bit
+  digit.  Both then write the live boxes, the successor list and the
+  cell-sorted coordinates ``_xyz`` -- the snapshot the search reads, in
+  which every box is a contiguous slice.
 - **x-run merging.**  Box ids are x-fastest, so the live boxes among the
   up-to-three x-adjacent ones of a stencil row are ONE contiguous run.
   Only occupied boxes are visited (O(#agents)): NumPy finds a run's ends
   by binary search over the occupied ids, C in the timestamped box arrays.
-- **Half stencil in NumPy, whole rows in C.**  NumPy scans the rest of
-  its own box + box x+1 and the four forward ``(dy, dz)`` rows -- 5 runs,
-  not 27 boxes -- each pair checked once and mirrored, in blocks of
-  ``_BLOCK_CANDIDATES``; C scans all 9 runs of every row, on one thread.
-  The filter squares ``x_p - x_q == -(x_q - x_p)`` (IEEE), so both
-  directions of a pair keep it or neither, bit for bit.
+- **Half stencil in both backends.**  Each agent scans the rest of its own
+  box + box x+1 and the four forward ``(dy, dz)`` rows -- 5 runs, not 27
+  boxes -- so each pair is checked once and mirrored (NumPy in blocks of
+  ``_BLOCK_CANDIDATES``; C on one thread).  The filter squares ``x_p -
+  x_q == -(x_q - x_p)`` (IEEE), so which agent of a pair checks it cannot
+  change a bit.
 - **Canonical rows.**  Rows are ascending, so the CSR is a pure function
   of ``(positions, radius)``: NumPy sorts the kept pairs (both
-  directions) as int64 keys ``row * n + col``; C visits the rows in
-  ascending order and appends each to its neighbors' rows.
+  directions) as int64 keys ``row * n + col``; C scatters them into
+  unsorted rows and transposes those in ascending row order.
 
 What the *paper's* search costs is a separate question with a separate
 answer: :meth:`UniformGridEnvironment.search_candidates_per_agent` still
@@ -118,6 +121,9 @@ class UniformGridEnvironment(Environment):
         self._run_start = np.zeros(1, dtype=np.int64)
         self._incremental = False
         self._positions = np.empty((0, 3))
+        # positions[_order]: the snapshot the search reads (and then drops),
+        # every box one contiguous slice of it.
+        self._xyz = np.empty((0, 3))
         self._box_of_agent = np.empty(0, dtype=np.int64)
         self._radius = 0.0
         self._candidates: np.ndarray | None = None
@@ -129,8 +135,10 @@ class UniformGridEnvironment(Environment):
 
     def _grid_geometry(self, positions: np.ndarray, radius: float):
         box_len = radius * self.box_length_factor
-        mins = positions.min(axis=0) - 1e-9
-        maxs = positions.max(axis=0)
+        # Per column: the same values as an axis-0 reduction over the
+        # (n, 3) array, at a tenth of its cost.
+        mins = np.array([positions[:, d].min() for d in range(3)]) - 1e-9
+        maxs = np.array([positions[:, d].max() for d in range(3)])
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise ValueError("positions contain non-finite coordinates")
         dims = np.maximum(np.ceil((maxs - mins) / box_len).astype(np.int64), 1)
@@ -181,6 +189,8 @@ class UniformGridEnvironment(Environment):
             self._order = np.empty(0, dtype=np.int64)
             self._occupied = np.empty(0, dtype=np.int64)
             self._run_start = np.zeros(1, dtype=np.int64)
+            self._successor = np.empty(0, dtype=np.int64)
+            self._xyz = np.empty((0, 3))
             self.last_build_work = BuildWork(parallelizable=True,
                                              per_item_cycles=np.empty(0))
             return self.last_build_work
@@ -193,29 +203,11 @@ class UniformGridEnvironment(Environment):
             self._box_count = np.empty(num_boxes, dtype=np.int64)
             self._box_stamp = np.zeros(num_boxes, dtype=np.int64)  # one-time
 
-        box_id = self._box_ids(positions, self._mins, self._dims, self._box_len)
-        self._box_of_agent = box_id
-
-        # Counting-sort equivalent of the parallel linked-list build: touch
-        # only boxes that contain agents (O(#agents) semantics).
-        order = np.argsort(box_id, kind="stable")
-        sorted_boxes = box_id[order]
-        run_starts = np.flatnonzero(np.diff(sorted_boxes)) + 1
-        starts = np.concatenate(([0], run_starts, [n]))
-        boxes_touched = sorted_boxes[starts[:-1]]
-        self._box_start[boxes_touched] = starts[:-1]
-        self._box_count[boxes_touched] = np.diff(starts)
-        self._box_stamp[boxes_touched] = self._timestamp
-        self._order = order
-        self._occupied = boxes_touched
-        self._run_start = starts
-
-        # Array-based linked list: successor chains within each box, using
-        # ResourceManager agent indices.
-        succ = np.full(n, _NO_AGENT, dtype=np.int64)
-        same_box = sorted_boxes[:-1] == sorted_boxes[1:]
-        succ[order[:-1][same_box]] = order[1:][same_box]
-        self._successor = succ
+        built = None if self.kernels is None else self.kernels.grid_build(
+            positions, self._mins, self._dims, self._box_len, self._box_start,
+            self._box_count, self._box_stamp, self._timestamp)
+        (self._box_of_agent, self._order, self._occupied, self._run_start,
+         self._successor, self._xyz) = built or self._build(positions)
 
         self.last_build_work = BuildWork(
             parallelizable=True,
@@ -227,6 +219,31 @@ class UniformGridEnvironment(Environment):
             random_access_spread_bytes=float(num_boxes * 20),
         )
         return self.last_build_work
+
+    def _build(self, positions):
+        """The NumPy build (the reference for :meth:`KernelBackend
+        .grid_build`): bins, a stable sort by box, the live boxes' entries,
+        the successor list and the cell-sorted coordinates."""
+        n = len(positions)
+        box_id = self._box_ids(positions, self._mins, self._dims, self._box_len)
+
+        # Counting-sort equivalent of the parallel linked-list build: touch
+        # only boxes that contain agents (O(#agents) semantics).
+        order = np.argsort(box_id, kind="stable")
+        sorted_boxes = box_id[order]
+        run_starts = np.flatnonzero(np.diff(sorted_boxes)) + 1
+        starts = np.concatenate(([0], run_starts, [n]))
+        boxes_touched = sorted_boxes[starts[:-1]]
+        self._box_start[boxes_touched] = starts[:-1]
+        self._box_count[boxes_touched] = np.diff(starts)
+        self._box_stamp[boxes_touched] = self._timestamp
+
+        # Array-based linked list: successor chains within each box, using
+        # ResourceManager agent indices.
+        succ = np.full(n, _NO_AGENT, dtype=np.int64)
+        same_box = sorted_boxes[:-1] == sorted_boxes[1:]
+        succ[order[:-1][same_box]] = order[1:][same_box]
+        return box_id, order, boxes_touched, starts, succ, positions[order]
 
     # ------------------------------------------------------------------ #
     # Faithful single-agent insertion (timestamp + linked-list semantics)
@@ -324,6 +341,7 @@ class UniformGridEnvironment(Environment):
         self._order = order
         self._occupied = np.asarray(occupied, dtype=np.int64)
         self._run_start = run_start
+        self._xyz = self._positions[order]
         self._incremental = False
 
     def box_chain(self, box_id: int) -> list[int]:
@@ -375,15 +393,15 @@ class UniformGridEnvironment(Environment):
     def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """All-pairs fixed-radius neighbors as CSR ``(indptr, indices)``.
 
-        Works in cell-sorted space (positions gathered once through
-        ``_order``, so every box is a contiguous slice) and visits only
-        the forward half stencil: the agents after it in its own box plus
-        box ``x+1`` (one run), and the four forward ``(dy, dz)`` rows (one
-        run each) -- 5 runs per agent instead of 27 boxes, every
-        unordered pair distance-checked once and mirrored.  Candidates are
-        expanded in blocks of ``_BLOCK_CANDIDATES``, so temporaries are
-        O(block); only the kept pairs are ever held in full.  A
-        :attr:`kernels` backend with a search (``c``) runs it instead.
+        Works in cell-sorted space (the build's ``_xyz``, where every box
+        is a contiguous slice) and visits only the forward half stencil:
+        the agents after it in its own box plus box ``x+1`` (one run), and
+        the four forward ``(dy, dz)`` rows (one run each) -- 5 runs per
+        agent instead of 27 boxes, every unordered pair distance-checked
+        once and mirrored.  Candidates are expanded in blocks of
+        ``_BLOCK_CANDIDATES``, so temporaries are O(block); only the kept
+        pairs are ever held in full.  A :attr:`kernels` backend with a
+        search (``c``) runs it instead.
         """
         if self._csr is not None:
             return self._csr
@@ -395,12 +413,19 @@ class UniformGridEnvironment(Environment):
             return self._csr
         if self.kernels is not None:
             self._csr = self.kernels.grid_search(
-                self._positions, self._radius, self._order, self._run_start,
+                self._xyz, self._radius, self._order, self._run_start,
                 self._occupied, self._dims, self._box_start, self._box_count,
                 self._box_stamp, self._timestamp)
-            if self._csr is not None:
-                return self._csr
+        if self._csr is None:
+            self._csr = self._half_stencil(n)
+        # The CSR stays cached until the next build, which writes a new
+        # snapshot: this one is not read again.
+        self._xyz = None
+        return self._csr
 
+    def _half_stencil(self, n):
+        """The NumPy search (the reference for :meth:`KernelBackend
+        .grid_search`)."""
         order = self._order
         num_occupied = len(self._occupied)
         cx, cy, cz = self._occupied_coords()
@@ -424,8 +449,7 @@ class UniformGridEnvironment(Environment):
             cum, np.arange(_BLOCK_CANDIDATES, cum[-1], _BLOCK_CANDIDATES)) + 1
         bounds = np.unique(np.concatenate(([0], cuts, [n])))
 
-        pos = self._positions
-        xs, ys, zs = pos[order, 0], pos[order, 1], pos[order, 2]
+        xs, ys, zs = self._xyz.T
         r2 = self._radius * self._radius
         kept_i, kept_j = [], []
         for p0, p1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
@@ -471,8 +495,7 @@ class UniformGridEnvironment(Environment):
         keys = np.concatenate((i * n + j, j * n + i))
         keys.sort()
         keys -= np.repeat(rows * n, counts)
-        self._csr = (indptr, keys)
-        return self._csr
+        return indptr, keys
 
     def search_candidates_per_agent(self) -> np.ndarray:
         """Agents in the 3x3x3 box cube around each agent (itself

@@ -3,6 +3,7 @@
  * each output slot is written by one thread, so the team size cannot
  * change a bit.  docs/kernels.md lists the rules. */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <omp.h>
 
@@ -171,41 +172,111 @@ void repro_diffuse(const double *c, double *out, int64_t nx, int64_t ny,
     })
 }
 
+/* The uniform grid's build (env/uniform_grid.py's update) in O(#agents),
+ * for dims and mins from numpy: box ids with numpy's operations (truncate
+ * (p - mins) / box_len, clamp to dims - 1, x fastest), a stable LSD radix
+ * sort by box id in DIGIT-bit digits (as many passes as the largest id
+ * needs; == np.argsort(kind="stable")), then one pass over the sorted
+ * agents for the occupied boxes and their runs, the live boxes' start /
+ * count / stamp, the successor list and xyz = pos[order].  No box is
+ * visited that holds no agent.  successor doubles as the sort's second
+ * buffer; hist has RADIX slots.  Returns the number of occupied boxes. */
+#define DIGIT 13
+#define RADIX (1 << DIGIT)
+int64_t repro_grid_build(const double *pos, int64_t n, const double *mins,
+                         double box_len, const int64_t *dims, int64_t *start,
+                         int64_t *count, int64_t *stamp, int64_t now,
+                         int64_t *box, int64_t *order, int64_t *successor,
+                         int64_t *occupied, int64_t *run_start, double *xyz,
+                         int64_t *hist) {
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c[3];
+        for (int d = 0; d < 3; d++) {
+            c[d] = (int64_t)((pos[3 * i + d] - mins[d]) / box_len);
+            c[d] = c[d] < dims[d] - 1 ? c[d] : dims[d] - 1;
+        }
+        box[i] = (c[2] * dims[1] + c[1]) * dims[0] + c[0];
+    }
+    int passes = 0;
+    for (int64_t b = dims[0] * dims[1] * dims[2] - 1; b > 0; b >>= DIGIT)
+        passes++;
+    /* pass 0 reads the identity, pass p what pass p - 1 wrote; pass p
+     * writes order iff passes - p is odd, so the last one writes it */
+    const int64_t *src = NULL;
+    for (int p = 0; p < passes; p++) {
+        int64_t *dst = (passes - p) % 2 ? order : successor;
+        const int shift = p * DIGIT;
+        for (int64_t v = 0; v < RADIX; v++) hist[v] = 0;
+        for (int64_t k = 0; k < n; k++) hist[box[k] >> shift & (RADIX - 1)]++;
+        for (int64_t v = 0, sum = 0; v < RADIX; v++) {
+            const int64_t c = hist[v];
+            hist[v] = sum, sum += c;
+        }
+        for (int64_t k = 0; k < n; k++) {
+            const int64_t a = src ? src[k] : k;
+            dst[hist[box[a] >> shift & (RADIX - 1)]++] = a;
+        }
+        src = dst;
+    }
+    if (!passes)
+        for (int64_t k = 0; k < n; k++) order[k] = k;
+    int64_t m = 0;
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t a = order[k], b = box[a];
+        if (k == 0 || b != box[order[k - 1]]) {
+            if (m) count[occupied[m - 1]] = k - run_start[m - 1];
+            occupied[m] = b, run_start[m++] = k;
+            start[b] = k, stamp[b] = now;
+        }
+        successor[a] = k + 1 < n && box[order[k + 1]] == b ? order[k + 1] : -1;
+        for (int d = 0; d < 3; d++) xyz[3 * k + d] = pos[3 * a + d];
+    }
+    if (m) count[occupied[m - 1]] = n - run_start[m - 1];
+    run_start[m] = n;
+    return m;
+}
+
 /* The uniform grid's search (env/uniform_grid.py) in cell-sorted space, on
  * one thread: xyz is positions[order], box b is the slice [start[b],
  * start[b] + count[b]) and is live iff its stamp is now.
  *
- * Box b's 9 (dy, dz) stencil rows, each ONE run [lo, hi): the live boxes
- * among its <= 3 x-adjacent ones are consecutive.  Returns their total. */
-static int64_t box_runs(int64_t b, const int64_t *dims, const int64_t *start,
-                        const int64_t *count, const int64_t *stamp,
-                        int64_t now, int64_t *lo, int64_t *hi) {
+ * Box b's half stencil (_FORWARD_ROWS), each ONE run [lo, hi): the live
+ * boxes among the <= 3 x-adjacent ones of a (dy, dz) row are consecutive.
+ * Run 0 is box b itself and box x+1 (the caller starts it after the agent),
+ * runs 1-4 the four forward rows; c is the box's (x, y, z).  Returns
+ * their total. */
+static const int64_t FORWARD[5][2] = {{0, 0}, {1, 0}, {-1, 1}, {0, 1}, {1, 1}};
+static int64_t box_runs(const int64_t *c, const int64_t *dims,
+                        const int64_t *start, const int64_t *count,
+                        const int64_t *stamp, int64_t now, int64_t *lo,
+                        int64_t *hi) {
     const int64_t nx = dims[0], ny = dims[1], nz = dims[2];
-    const int64_t cx = b % nx, cy = b / nx % ny, cz = b / (nx * ny);
+    const int64_t cx = c[0], cy = c[1], cz = c[2];
     const int64_t x0 = cx > 0 ? cx - 1 : 0, x1 = cx + 1 < nx ? cx + 1 : cx;
-    int64_t m = 0, total = 0;
-    for (int64_t z = cz - 1; z <= cz + 1; z++)
-        for (int64_t y = cy - 1; y <= cy + 1; y++, m++) {
-            lo[m] = hi[m] = 0;
-            if (z < 0 || z >= nz || y < 0 || y >= ny) continue;
-            int64_t a = (z * ny + y) * nx + x0, e = a - x0 + x1;
-            while (a <= e && stamp[a] != now) a++;
-            if (a > e) continue;
-            while (stamp[e] != now) e--;
-            lo[m] = start[a], hi[m] = start[e] + count[e];
-            total += hi[m] - lo[m];
-        }
+    int64_t total = 0;
+    for (int r = 0; r < 5; r++) {
+        const int64_t y = cy + FORWARD[r][0], z = cz + FORWARD[r][1];
+        lo[r] = hi[r] = 0;
+        if (z >= nz || y < 0 || y >= ny) continue;
+        const int64_t row = (z * ny + y) * nx;
+        int64_t a = row + (r ? x0 : cx), e = row + x1;
+        while (a <= e && stamp[a] != now) a++;
+        if (a > e) continue;
+        while (stamp[e] != now) e--;
+        lo[r] = start[a], hi[r] = start[e] + count[e];
+        total += hi[r] - lo[r];
+    }
     return total;
 }
 
-/* Row p keeps each q of its runs with (dx*dx + dy*dy) + dz*dz <= r2 and
- * q != p, branch-free, as the agent order[q], staged unsorted at stage +
- * at[a] for agent a = order[p], with indptr[a + 1] its length.  A row is
- * staged only while stage (cap slots) holds all of its candidates; else
- * the search returns -(the slots it needs), and resume = {occupied box,
- * row, staged slots} is where the next call starts.  Done, it returns the
- * kept total with indptr (n + 1) the prefix sum.  x_p - x_q == -(x_q - x_p)
- * in IEEE arithmetic, so a keeps b iff b keeps a. */
+/* Row p checks each q of its 5 runs once, q > p in its own box: it keeps
+ * q with (dx*dx + dy*dy) + dz*dz <= r2, branch-free, as the agent order[q],
+ * staged at stage + at[p], and counts the pair in indptr[a + 1] for both
+ * of its agents a (indptr starts zeroed).  A row is staged only while
+ * stage (cap slots) holds all of its candidates; else the search returns
+ * -(the slots it needs), and resume = {occupied box, row, staged slots} is
+ * where the next call starts.  Done, it sets at[n] and returns the staged
+ * total with indptr (n + 1) the prefix sum. */
 int64_t repro_grid_search(const double *xyz, const int64_t *order,
                           const int64_t *occupied, const int64_t *run_start,
                           int64_t boxes, const int64_t *start,
@@ -213,10 +284,19 @@ int64_t repro_grid_search(const double *xyz, const int64_t *order,
                           int64_t now, const int64_t *dims, double r2,
                           int64_t *stage, int64_t cap, int64_t *resume,
                           int64_t *indptr, int64_t *at) {
-    int64_t used = resume[2], lo[9], hi[9];
+    int64_t used = resume[2], lo[5], hi[5], c[3] = {0, 0, 0}, prev = -1;
     for (int64_t k = resume[0]; k < boxes; k++) {
-        const int64_t bound = box_runs(occupied[k], dims, start, count, stamp,
-                                       now, lo, hi);
+        /* the box's coordinates: a step along its x row, else (one in ~nx
+         * boxes on a dense grid) three 64-bit divisions, which are slow */
+        const int64_t b = occupied[k];
+        if (prev >= 0 && b - prev < dims[0] - c[0])
+            c[0] += b - prev;
+        else
+            c[0] = b % dims[0], c[1] = b / dims[0] % dims[1],
+            c[2] = b / (dims[0] * dims[1]);
+        prev = b;
+        const int64_t bound = box_runs(c, dims, start, count, stamp, now, lo,
+                                       hi);
         const int64_t first = k == resume[0] ? resume[1] : run_start[k];
         for (int64_t p = first; p < run_start[k + 1]; p++) {
             if (used + bound > cap) {
@@ -226,27 +306,46 @@ int64_t repro_grid_search(const double *xyz, const int64_t *order,
             int64_t *row = stage + used, kept = 0;
             const double x = xyz[3 * p], y = xyz[3 * p + 1],
                          z = xyz[3 * p + 2];
-            for (int r = 0; r < 9; r++)
+            lo[0] = p + 1;
+            for (int r = 0; r < 5; r++)
                 for (int64_t q = lo[r]; q < hi[r]; q++) {
                     const double dx = x - xyz[3 * q], dy = y - xyz[3 * q + 1],
                                  dz = z - xyz[3 * q + 2];
                     row[kept] = order[q];
-                    kept += (((dx * dx + dy * dy) + dz * dz) <= r2) & (q != p);
+                    kept += ((dx * dx + dy * dy) + dz * dz) <= r2;
                 }
-            at[order[p]] = used;
-            indptr[order[p] + 1] = kept;
+            for (int64_t s = 0; s < kept; s++) indptr[row[s] + 1]++;
+            at[p] = used;
+            indptr[order[p] + 1] += kept;
             used += kept;
         }
     }
     const int64_t n = run_start[boxes];
-    indptr[0] = 0;
+    at[n] = used;
     for (int64_t i = 0; i < n; i++) indptr[i + 1] += indptr[i];
-    return indptr[n];
+    return used;
 }
 
-/* Row a's columns are the b whose rows hold a (the symmetry above), so
- * appending b to those rows for b = 0, 1, ... writes every row ascending,
- * without a comparison.  cursor (n) is scratch. */
+/* Each staged pair (order[p], b) into both of its rows, unsorted: rows
+ * gets the CSR layout of indptr.  cursor (n) is scratch. */
+void repro_grid_scatter(const int64_t *stage, const int64_t *at,
+                        const int64_t *order, const int64_t *indptr,
+                        int64_t n, int64_t *cursor, int64_t *rows) {
+    for (int64_t a = 0; a < n; a++) cursor[a] = indptr[a];
+    for (int64_t p = 0; p < n; p++) {
+        const int64_t a = order[p];
+        for (int64_t s = at[p]; s < at[p + 1]; s++) {
+            const int64_t b = stage[s];
+            rows[cursor[a]++] = b;
+            rows[cursor[b]++] = a;
+        }
+    }
+}
+
+/* Row a's columns are the b whose rows hold a (the kept relation is
+ * symmetric), so appending b to those rows for b = 0, 1, ... writes every
+ * row ascending, without a comparison.  Row b is read at stage + at[b];
+ * cursor (n) is scratch. */
 void repro_grid_fill(const int64_t *stage, const int64_t *at,
                      const int64_t *indptr, int64_t n, int64_t *cursor,
                      int64_t *indices) {

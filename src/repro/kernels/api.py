@@ -11,8 +11,9 @@ narrow waist those loops go through:
 - **displacement** — the clamped forward-Euler integration step;
 - **refilter** — the Verlet cache's distance pass over a superset CSR;
 - **diffusion** — the 7-point diffusion-decay stencil (Table 1);
-- **search** — the uniform grid's neighbor CSR (§3.1); the NumPy
-  backend leaves it to the grid's own body, the reference.
+- **grid build and search** — the uniform grid's binning and neighbor
+  CSR (§3.1); the NumPy backend leaves both to the grid's own body, the
+  reference.
 
 :class:`KernelBackend` is the strategy interface; the implementations
 live in sibling modules (:mod:`repro.kernels.numpy_ref` — the bitwise
@@ -109,6 +110,8 @@ class KernelBackend:
         self.fallbacks = 0
         #: Uniform-grid searches this backend ran (:meth:`grid_search`).
         self.search_calls = 0
+        #: Uniform-grid builds this backend ran (:meth:`grid_build`).
+        self.grid_builds = 0
 
     # -- mechanics ------------------------------------------------------- #
 
@@ -151,11 +154,21 @@ class KernelBackend:
         """:func:`repro.env.environment.refilter_csr`'s distance pass."""
         raise NotImplementedError
 
-    def grid_search(self, positions, radius, order, run_start, occupied,
-                    dims, box_start, box_count, box_stamp, timestamp):
+    def grid_build(self, positions, mins, dims, box_len, box_start,
+                   box_count, box_stamp, timestamp):
+        """A uniform-grid build (:meth:`repro.env.UniformGridEnvironment
+        .update`) over the given geometry, writing the live boxes' entries
+        of the box arrays: ``(box_of_agent, order, occupied, run_start,
+        successor, xyz)``, or None: the grid then runs its own NumPy build,
+        the reference."""
+        return None
+
+    def grid_search(self, xyz, radius, order, run_start, occupied, dims,
+                    box_start, box_count, box_stamp, timestamp):
         """The CSR ``(indptr, indices)`` of a finished uniform-grid build
-        (:meth:`repro.env.UniformGridEnvironment.neighbor_csr`), or None:
-        the grid then runs its own NumPy search, the reference."""
+        (:meth:`repro.env.UniformGridEnvironment.neighbor_csr`) over its
+        cell-sorted coordinates ``xyz``, or None: the grid then runs its
+        own NumPy search, the reference."""
         return None
 
     # -- diffusion ------------------------------------------------------- #

@@ -1,8 +1,8 @@
-"""The ``c`` kernel backend: force, refilter, stencil and search in C.
+"""The ``c`` kernel backend: force, refilter, stencil, grid build and search.
 
 :class:`CKernelBackend` runs the stock Cortex3D force, the Verlet-cache
-refilter, the float64 stencil and the uniform grid's neighbor search
-through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
+refilter, the float64 stencil and the uniform grid's build and neighbor
+search through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
 (which releases the GIL per call); the rest is the inherited NumPy code,
 whose bytes the C kernels reproduce.  ``docs/kernels.md`` has the
 bitwise, build and thread rules.
@@ -46,10 +46,15 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
     "repro_refilter_count": ([_D, _L, _L, _I, _F, _U, _L, _N], _I),
     "repro_refilter_fill": ([_L, _L, _U, _I, _L, _L, _L, _N], None),
     "repro_diffuse": ([_D, _D, _I, _I, _I, _F, _F, _F, _F, _N], None),
+    "repro_grid_build": ([_D, _I, _D, _F, _L, _L, _L, _L, _I, _L, _L, _L,
+                          _L, _L, _D, _L], _I),
     "repro_grid_search": ([_D, _L, _L, _L, _I, _L, _L, _L, _I, _L, _F, _L,
                            _I, _L, _L, _L], _I),
+    "repro_grid_scatter": ([_L, _L, _L, _L, _I, _L, _L], None),
     "repro_grid_fill": ([_L, _L, _L, _I, _L, _L], None),
 }
+#: Slots of the radix sort's digit histogram (``RADIX`` in ``_kernels.c``).
+_RADIX = 1 << 13
 
 
 @functools.cache
@@ -119,7 +124,8 @@ def _set_threads(n: int | None) -> None:
 
 
 class CKernelBackend(numpy_ref.NumpyKernelBackend):
-    """Force, refilter, float64 stencil and grid search in C; else NumPy."""
+    """Force, refilter, float64 stencil, grid build and search in C; else
+    NumPy."""
 
     name = "c"
     compiled = True
@@ -184,24 +190,47 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
                                 new_qi, threads)
         return new_indptr, new_indices, new_qi
 
-    def grid_search(self, positions, radius, order, run_start, occupied,
-                    dims, box_start, box_count, box_stamp, timestamp):
-        """On one thread: the rows go unsorted into a NumPy stage, doubled
-        while a row's candidates do not fit, then a transposing fill."""
+    def grid_build(self, positions, mins, dims, box_len, box_start,
+                   box_count, box_stamp, timestamp):
+        """Box ids, a radix sort and one pass over the sorted agents."""
+        self._count()
+        self.grid_builds += 1
+        pos = np.ascontiguousarray(positions, dtype=np.float64)
+        n = len(pos)
+        if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
+                or pos.shape != (n, 3) or len(mins) != 3 or len(dims) != 3):
+            raise ValueError("the arrays do not describe one grid")
+        box, order, successor = np.empty((3, n), dtype=np.int64)
+        occupied, run_start = (np.empty(k, dtype=np.int64) for k in (n, n + 1))
+        xyz = np.empty((n, 3))
+        m = self._lib.dll.repro_grid_build(
+            pos, n, np.ascontiguousarray(mins, dtype=np.float64), box_len,
+            dims, box_start, box_count, box_stamp, timestamp, box, order,
+            successor, occupied, run_start, xyz,
+            np.empty(_RADIX, dtype=np.int64))
+        # Copied to their length: the grid keeps no n-sized buffer for them.
+        return (box, order, occupied[:m].copy(), run_start[:m + 1].copy(),
+                successor, xyz)
+
+    def grid_search(self, xyz, radius, order, run_start, occupied, dims,
+                    box_start, box_count, box_stamp, timestamp):
+        """On one thread: forward pairs go into a NumPy stage, doubled
+        while a row's candidates do not fit, then into both of their rows,
+        then a transposing fill."""
         self._count()
         self.search_calls += 1
         n = len(order)
-        xyz = np.ascontiguousarray(positions[order], dtype=np.float64)
         if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
                 or len(run_start) != len(occupied) + 1
-                or run_start[-1] != n or xyz.shape != (n, 3)):
+                or run_start[-1] != n or xyz.shape != (n, 3)
+                or not xyz.flags.c_contiguous):
             raise ValueError("the arrays do not describe one grid build")
         dll = self._lib.dll
-        indptr = np.empty(n + 1, dtype=np.int64)
-        at, cursor = np.empty((2, n), dtype=np.int64)
-        # 8 slots an agent (an exact build at the benchmark density keeps
-        # ~7.7): each growth costs a copy and one more call.
-        stage = np.empty(8 * n, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        at = np.empty(n + 1, dtype=np.int64)
+        # 4 slots an agent (an exact build at the benchmark density keeps
+        # ~3.5 forward pairs): each growth costs a copy and one more call.
+        stage = np.empty(4 * n, dtype=np.int64)
         resume = np.zeros(3, dtype=np.int64)  # box, row, staged slots
         while (total := dll.repro_grid_search(
                 xyz, order, occupied, run_start, len(occupied), box_start,
@@ -210,8 +239,12 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             grown = np.empty(max(-total, 2 * len(stage)), dtype=np.int64)
             grown[:resume[2]] = stage[:resume[2]]
             stage = grown
-        indices = np.empty(total, dtype=np.int64)
-        dll.repro_grid_fill(stage, at, indptr, n, cursor, indices)
+        cursor = np.empty(n, dtype=np.int64)
+        rows = np.empty(2 * total, dtype=np.int64)  # full rows, unsorted
+        dll.repro_grid_scatter(stage, at, order, indptr, n, cursor, rows)
+        del stage  # before indices: the peak is max(stage, indices) + rows
+        indices = np.empty(2 * total, dtype=np.int64)
+        dll.repro_grid_fill(rows, indptr, indptr, n, cursor, indices)
         return indptr, indices
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,

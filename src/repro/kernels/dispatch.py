@@ -100,7 +100,7 @@ def make_kernels(requested: str, registry=None, warn: bool = True
     ``registry`` (a :class:`repro.obs.core.MetricsRegistry`) gets the
     ``kernel:backend`` gauge, the ``kernel:build`` gauge when the C
     library was asked for, and ``kernel:{calls,fallbacks,threads,
-    search_calls}`` callbacks bound to the returned instance.  ``warn=False``
+    search_calls,grid_builds}`` callbacks bound to the returned instance.  ``warn=False``
     silences the fallback warning (used by workers, which inherit the
     parent's already-warned resolution).
     """
@@ -129,6 +129,8 @@ def make_kernels(requested: str, registry=None, warn: bool = True
         registry.register_callback("kernel:threads", lambda: backend.threads)
         registry.register_callback("kernel:search_calls",
                                    lambda: backend.search_calls)
+        registry.register_callback("kernel:grid_builds",
+                                   lambda: backend.grid_builds)
     return backend
 
 

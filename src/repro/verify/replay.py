@@ -242,7 +242,7 @@ LEGS = {
     # Kernel dispatch adds no reordering, and the C kernels reproduce
     # numpy's bytes, in the parent (threaded) and in pool workers.  The
     # force alone meets kernel:calls, so each c cell must also show that
-    # its grid search ran in C.
+    # its grid build and search ran in C.
     "kernels": Leg(
         "numpy kernels vs process / auto / c",
         base={"kernel_backend": "numpy"},
@@ -250,7 +250,8 @@ LEGS = {
                   "c serial": {"kernel_backend": "c"},
                   "c process": {"kernel_backend": "c", **_PROCESS}},
         require={"kernel:calls": 1, "kernel:worker_calls": 1},
-        require_variant={label: {"kernel:search_calls": 1}
+        require_variant={label: {"kernel:search_calls": 1,
+                                 "kernel:grid_builds": 1}
                          for label in ("c serial", "c process")},
         steps=6,
     ),

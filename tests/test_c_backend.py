@@ -8,7 +8,8 @@
 - **Fallback**: no compiler or an unwritable cache leaves NumPy running
   with one :class:`KernelBackendWarning`, never an exception.
 - **Observability**: ``kernel:threads`` / ``kernel:build`` /
-  ``kernel:search_calls`` and the ``repro trace`` line.
+  ``kernel:search_calls`` / ``kernel:grid_builds`` and the ``repro
+  trace`` line.
 
 The byte-equality of each kernel to the frozen references lives in the
 differential suites, which run every case through this backend too.
@@ -175,14 +176,17 @@ class TestObservability:
             sim.add_cells(np.random.default_rng(2).uniform(0.0, 30.0, (80, 3)),
                           diameters=10.0)
             sim.simulate(2)
-            assert sim.obs.registry.snapshot()["kernel:search_calls"] >= 1
+            snap = sim.obs.registry.snapshot()
+            assert snap["kernel:search_calls"] >= 1
+            assert snap["kernel:grid_builds"] >= 1
         assert main(["trace", "cell_proliferation", "--agents", "100",
                      "--iterations", "2", "--out",
                      str(tmp_path / "t.json")]) == 0
         kb = make_kernels("c")
         plural = "" if kb.threads == 1 else "s"
         assert re.search(rf"kernels: c, {kb.threads} thread{plural} "
-                         rf"\({kb.build}\), [1-9][0-9]* grid searches",
+                         rf"\({kb.build}\), [1-9][0-9]* grid searches, "
+                         rf"[1-9][0-9]* grid builds",
                          capsys.readouterr().out)
 
     def test_a_subclassed_force_model_counts_a_fallback(self):

@@ -1,14 +1,18 @@
 """Differential, property and memory-shape tests for the uniform grid's
-``neighbor_csr``: the NumPy half stencil and the ``c`` backend's search.
+``update`` and ``neighbor_csr``: the NumPy build and half stencil, and the
+``c`` backend's build and half stencil.
 
 Every case runs through every kernel backend built here
 (:mod:`tests.kernel_backends`): each build must reproduce, ``array_equal``,
 the CSR and the per-agent 27-box candidate counts of the full 27-box
 expansion kept in :mod:`tests.grid_reference`, and the CSR of
 ``brute_force_csr`` -- on the inputs where a half stencil, an x-run merge,
-a row block, a key sort or the C search's staging could go wrong.  Runs
-in CI's ``golden`` job under the pinned numpy, so a numpy upgrade that
-changes sort behaviour cannot silently reorder rows.
+a row block, a key sort or the C search's staging could go wrong.  Every
+build's own outputs (order, runs, live boxes, successor list, cell-sorted
+coordinates) must equal the NumPy ``update()``'s -- on the inputs where
+binning, a radix digit, the upper-face clamp or a stale box stamp could go
+wrong.  Runs in CI's ``golden`` job under the pinned numpy, so a numpy
+upgrade that changes sort behaviour cannot silently reorder rows.
 """
 
 import tracemalloc
@@ -33,12 +37,37 @@ def built(pos, radius, kernels=None, box_length_factor=1.0):
     return env
 
 
+#: What a build leaves behind besides the box arrays.
+BUILD_OUTPUTS = ("_order", "_occupied", "_run_start", "_box_of_agent",
+                 "_successor", "_xyz", "_mins", "_dims")
+
+
+def assert_same_build(env, ref):
+    """``env``'s build is ``array_equal`` to the NumPy build ``ref`` of the
+    same positions at the same timestamp, live box entries included, and
+    no box outside ``ref``'s occupied ones is live."""
+    assert env._timestamp == ref._timestamp
+    for name in BUILD_OUTPUTS:
+        got, want = getattr(env, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), (name, env.kernels.name)
+    live = ref._occupied
+    for name in ("_box_start", "_box_count"):
+        assert np.array_equal(getattr(env, name)[live],
+                              getattr(ref, name)[live]), name
+    stamps = env._box_stamp[:env.num_boxes]
+    assert np.array_equal(np.flatnonzero(stamps == env._timestamp), live)
+
+
 def assert_matches_references(pos, radius, box_length_factor=1.0):
-    """Build ``pos`` through every kernel backend and compare each CSR
-    against both references (the O(n^2) one only while its n x n x 3
-    temporaries stay small); returns the CSR."""
+    """Build ``pos`` through every kernel backend, compare each build with
+    the NumPy build and each CSR against both references (the O(n^2) one
+    only while its n x n x 3 temporaries stay small); returns the CSR."""
     envs = [built(pos, radius, kb, box_length_factor)
             for kb in kernel_backends()]
+    ref = built(pos, radius, None, box_length_factor)
+    for env in envs:
+        assert_same_build(env, ref)
     ref_indptr, ref_indices, ref_candidates = reference_neighbor_csr(envs[0])
     if 0 < len(pos) <= 1000:
         brute_indptr, brute_indices = brute_force_csr(pos, radius)
@@ -200,6 +229,103 @@ class TestDifferential:
                 assert np.array_equal(row, mates[mates != i]), kb.name
 
 
+def upper_face_radius(span):
+    """A radius whose boxes end exactly on the upper face of ``[0, span]``:
+    ``(span - mins) / radius`` is an integer, so the point at ``span``
+    bins one past the last box and only the ``dims - 1`` clamp keeps it."""
+    width = span - (0.0 - 1e-9)
+    for k in range(2, 200):
+        if width / (width / k) == k:
+            return width / k
+    raise AssertionError("no radius puts the upper face on a box face")
+
+
+class TestBuild:
+    """The build's own hard inputs.  Every case above compares the builds
+    too (``assert_matches_references``), n in {0, 1, 2} and one box -- no
+    radix pass -- included."""
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_coordinates(self, zero):
+        # +-0.0 minima give the same mins (-1e-9 either way), the same dims
+        # and the same bins.
+        pos = cloud(3, 60, 20.0)
+        pos[::3, 0] = zero
+        pos[1::3, 1] = -zero
+        pos[5] = zero
+        assert_matches_references(pos, 4.0)
+        assert np.array_equal(built(pos, 4.0)._mins, np.full(3, -1e-9))
+
+    @pytest.mark.parametrize("side", [2, 5])
+    def test_points_on_box_faces(self, side):
+        # Lattice spacing = box edge: every point sits on a box face.
+        g = np.arange(side, dtype=np.float64) * 3.0
+        pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+        pos = pos[np.random.default_rng(side).permutation(len(pos))]
+        assert_matches_references(pos, 3.0)
+
+    def test_upper_face_clamp(self):
+        span = 10.0
+        radius = upper_face_radius(span)
+        pos = np.vstack((cloud(4, 80, span), [[span, span, span], [span, 0, 0]]))
+        assert_matches_references(pos, radius)
+        ref = built(pos, radius)
+        raw = ((pos - ref._mins) / ref._box_len).astype(np.int64)
+        assert np.any(raw == ref._dims)   # clamped, not out of the grid
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (40, 20, 11), (64, 64, 64)])
+    def test_box_ids_past_one_radix_digit(self, dims):
+        # 512 boxes: one 13-bit digit; 8800 and 2**18 boxes: two.  (64, 64,
+        # 64) fills max_boxes exactly.
+        dims = np.asarray(dims)
+        rng = np.random.default_rng(int(dims.sum()))
+        pos = rng.uniform(0.0, 1.0, (3000, 3)) * (dims - 0.5)
+        pos[:2] = [[0, 0, 0], dims - 0.5]      # pin the grid's extent
+        max_boxes = int(np.prod(dims))
+        ref = UniformGridEnvironment(max_boxes=max_boxes)
+        ref.update(pos, 1.0)
+        assert np.array_equal(ref.dims, dims)
+        assert ref._occupied[-1] >= (1 << 13) or max_boxes <= 1 << 13
+        for kb in kernel_backends():
+            env = UniformGridEnvironment(max_boxes=max_boxes)
+            env.kernels = kb
+            env.update(pos, 1.0)
+            assert_same_build(env, ref)
+        with pytest.raises(MemoryError):
+            UniformGridEnvironment(max_boxes=max_boxes - 1).update(pos, 1.0)
+
+    def test_back_to_back_builds_over_reused_box_arrays(self):
+        # Grids shrink and grow over the same box arrays: stale stamps from
+        # earlier (larger) builds must never read as live.
+        steps = [(400, 60.0, 2.0), (150, 12.0, 3.0), (300, 40.0, 2.5),
+                 (0, 1.0, 1.0), (2, 9.0, 2.0), (500, 90.0, 2.0),
+                 (500, 90.0, 2.0), (80, 20.0, 7.0)]
+        envs = [built(np.empty((0, 3)), 1.0, kb) for kb in kernel_backends()]
+        ref = built(np.empty((0, 3)), 1.0)
+        for seed, (n, span, radius) in enumerate(steps):
+            pos = cloud(seed, n, span)
+            ref.update(pos, radius)
+            want = reference_neighbor_csr(ref)[:2]
+            for env in envs:
+                env.update(pos, radius)
+                assert_same_build(env, ref)
+                for got, expected in zip(env.neighbor_csr(), want):
+                    assert np.array_equal(got, expected), env.kernels.name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_the_same_error(self, bad):
+        pos = cloud(6, 30, 10.0)
+        pos[7, 1] = bad
+        messages = set()
+        for kb in [None, *kernel_backends()]:
+            env = UniformGridEnvironment()
+            env.kernels = kb
+            with pytest.raises(ValueError) as err:
+                env.update(pos, 2.0)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+
 def csr_peak_bytes(env, build):
     """Peak bytes of one CSR build on a finished ``update()`` (the C
     search stages its rows in NumPy, so tracemalloc sees them too)."""
@@ -238,17 +364,30 @@ class TestMemoryShape:
             assert peak_small < 48 * indices.nbytes // 8 + (4 << 20), kb.name
             if kb.name == "c":
                 # The staging doubles to fit the kept pairs, not the
-                # candidates: CSR + staging + O(n) arrays, under 5.6 MB.
+                # candidates: CSR + staging + O(n) arrays, under 5.6 MB --
+                # for the search alone, and for a fresh grid's box arrays,
+                # build and search together.
                 assert peak_small < 4 * indices.nbytes + 64 * 20_000
+                pos, radius = small._positions, small._radius
+                fresh = UniformGridEnvironment()
+                fresh.kernels = kb
+                peak_both, (_, both) = csr_peak_bytes(fresh, lambda env: (
+                    env.update(pos, radius), env.neighbor_csr())[1])
+                assert np.array_equal(both, indices)
+                assert peak_both < 4 * indices.nbytes + 64 * 20_000
 
     def test_sparse_space_allocates_nothing_per_box(self):
         # 2e4 agents over > 1e7 boxes: update() owns three uninitialised
-        # box arrays; the search stays O(#agents) -- under what a fourth
-        # per-box array of even one byte a box would take.
+        # box arrays; a rebuild over them and the search stay O(#agents)
+        # -- under what a fourth per-box array of even one byte a box
+        # would take.
         n = 20_000
+        pos = cloud(3, n, 2200.0)
         for kb in kernel_backends():
-            env = built(cloud(3, n, 2200.0), 10.0, kb)
+            env = built(pos, 10.0, kb)
             assert env.num_boxes > 10_000_000 >= 500 * n
+            peak, _ = csr_peak_bytes(env, lambda env: env.update(pos, 10.0))
+            assert peak < 500 * n, kb.name
             peak, (indptr, _) = csr_peak_bytes(
                 env, UniformGridEnvironment.neighbor_csr)
             assert peak < 500 * n, kb.name

@@ -8,6 +8,9 @@ RUNNING or CLOSED simulation must all raise :class:`LifecycleError`;
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -72,6 +75,28 @@ def test_close_is_idempotent():
     sim.close()
     sim.close()
     assert sim.state is SimulationState.CLOSED
+
+
+@pytest.mark.parametrize("event_scheduling", [False, True])
+def test_a_closed_simulation_goes_with_its_last_reference(event_scheduling):
+    """No reference cycle outlives close(): the simulation, its scheduler
+    and its neighbor build are freed without the cyclic collector (a serve
+    worker closes one per eviction)."""
+    sim = get_simulation("oncology").build(
+        200, param=get_simulation("oncology").default_param().with_(
+            event_scheduling=event_scheduling), seed=3)
+    sim.simulate(2)
+    alive = [weakref.ref(obj) for obj in (sim, sim.scheduler, sim.env)]
+    sim.close()
+    sim.neighbors()  # the scheduler still reaches its simulation
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sim
+        assert [ref() for ref in alive] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_failed_step_leaves_simulation_pausable(tmp_path):
