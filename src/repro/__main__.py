@@ -291,7 +291,8 @@ def _cmd_trace(args) -> int:
               f"{'' if kb.threads == 1 else 's'}"
               + (f" ({build})" if build else "")
               + f", {kb.search_calls} grid searches"
-              + f", {kb.grid_builds} grid builds")
+              + f", {kb.grid_builds} grid builds"
+              + f", {kb.sort_calls} sorts")
         print("  environment: "
               f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "
@@ -306,7 +307,9 @@ def _cmd_trace(args) -> int:
               f"{int(reg.counter('neighbor_cache:hits').value)} hits, "
               f"{int(reg.counter('neighbor_cache:misses').value)} misses, "
               f"{int(reg.counter('neighbor_cache:refilters').value)} "
-              "refilters")
+              "refilters, "
+              f"{int(reg.counter('neighbor_cache:relabels').value)} "
+              "relabels")
         print("  agent ops: "
               f"{int(reg.counter('commit:fast_appends').value)} "
               "fast appends, "

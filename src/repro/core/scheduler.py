@@ -83,13 +83,18 @@ class Scheduler:
         self._cache_refilters = self._obs.registry.counter(
             "neighbor_cache:refilters"
         )
+        self._cache_relabels = self._obs.registry.counter(
+            "neighbor_cache:relabels"
+        )
         #: Superset CSR built at ``interaction_radius + skin``:
-        #: ``(indptr, indices, qi)`` or None.
+        #: ``(indptr, indices, qi)`` or None; ``qi`` is None after a
+        #: relabel (the backend that relabels does not read it).
         self._cache_csr = None
         #: Build radius including the skin — the displacement budget B.
         self._cache_budget = 0.0
-        #: ``rm.structure_version`` at build time; any structural change
-        #: (commit, sort/reorder, checkpoint restore) bumps it and thereby
+        #: ``rm.structure_version`` the superset's rows answer for; any
+        #: structural change (commit, checkpoint restore, a sort the
+        #: kernels cannot relabel it through) bumps it and thereby
         #: invalidates the cache.
         self._cache_struct = None
         #: Positions snapshot at build time (displacement reference).
@@ -102,7 +107,9 @@ class Scheduler:
         #: growth), updated on every cache miss; None until first measured.
         self._consumption = None
         #: EMA of "the last miss was structural and came quickly" — under
-        #: sustained churn (e.g. a division wave) the skin drops to 0.
+        #: sustained churn (e.g. a division wave) the skin drops to 0.  A
+        #: relabelled sort is no miss, so on such backends only commits
+        #: and restores feed it.
         self._churn = 0.0
         #: ``(indices, counts, qi)`` of the CSR last expanded for the agent
         #: loop, keyed by the identity of ``indices`` (strong ref kept, so
@@ -350,6 +357,7 @@ class Scheduler:
         with obs.stage("agent_sorting"):
             freq = p.agent_sort_frequency
             if freq > 0 and (self.iteration + 1) % freq == 0:
+                struct = rm.structure_version
                 result = sort_and_balance(sim)
                 if result is not None and m is not None:
                     cm = m.cost_model
@@ -371,6 +379,7 @@ class Scheduler:
                     m.run_serial("agent_sorting", result.serial_cycles)
                 if result is not None:
                     sim.invalidate_neighbor_cache()
+                    self._relabel_neighbor_cache(result.new_order, struct)
             self._drain_allocator_cycles("agent_sorting")
 
         # ---- Post standalone: commit agent modifications, visualization.
@@ -505,6 +514,33 @@ class Scheduler:
         self._pos_at_build = None
         self._cache_budget = 0.0
 
+    def _relabel_neighbor_cache(self, new_order, struct) -> None:
+        """Carry the superset through a sort instead of dropping it.
+
+        ``struct`` is ``rm.structure_version`` before the sort.  If the
+        superset answered for it, the kernels renumber it by the
+        permutation (new row ``b`` is old row ``new_order[b]``, columns
+        through the inverse, rows ascending) and the build positions are
+        gathered the same way: the pair set and every displacement are
+        unchanged, so the next refilter reproduces the exact CSR of the
+        sorted agents bit for bit.  Kernels that answer None leave the
+        superset behind the new ``structure_version``: the next build
+        misses and rebuilds it.
+        """
+        sim = self.sim
+        if self._cache_csr is None or self._cache_struct != struct:
+            return
+        kernels = getattr(sim, "kernels", None)
+        sup_ip, sup_ix, _ = self._cache_csr
+        relabelled = (None if kernels is None
+                      else kernels.relabel_csr(sup_ip, sup_ix, new_order))
+        if relabelled is None:
+            return
+        self._cache_csr = (*relabelled, None)
+        self._pos_at_build = self._pos_at_build[new_order]
+        self._cache_struct = sim.rm.structure_version
+        self._cache_relabels.inc()
+
     def _notify_rebuild(self, sim) -> None:
         """Tell adaptive backends the environment was just rebuilt (the
         boundary where ``execution_backend="auto"`` re-decides)."""
@@ -553,8 +589,9 @@ class Scheduler:
         ``|xi - xj| <= r`` the triangle inequality gives ``|x0i - x0j| <=
         r + 2*Dmax``, so while ``r + 2*Dmax <= B`` the superset covers the
         exact CSR and one order-preserving distance pass reproduces it
-        bit for bit.  Any structural change (commit, reorder, restore)
-        bumps ``rm.structure_version`` and forces the rebuild path.
+        bit for bit.  Any structural change (commit, restore, a sort not
+        relabelled by :meth:`_relabel_neighbor_cache`) bumps
+        ``rm.structure_version`` and forces the rebuild path.
         """
         sim = self.sim
         rm = sim.rm

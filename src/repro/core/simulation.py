@@ -150,11 +150,11 @@ class Simulation:
         from repro.kernels import make_kernels
 
         #: Array-kernel backend for the hot loops (grid build and search,
-        #: CSR force, displacement, stencil), resolved from
+        #: CSR force, displacement, stencil, sort order), resolved from
         #: ``Param.kernel_backend`` at construction ("auto" is the C backend
         #: where it builds, else NumPy with a warning).  Surfaces
         #: ``kernel:{backend,build,calls,fallbacks,threads,search_calls,
-        #: grid_builds}`` metrics in ``self.obs``.
+        #: grid_builds,sort_calls}`` metrics in ``self.obs``.
         self.kernels = make_kernels(self.param.kernel_backend,
                                     registry=self.obs.registry)
         self.env.kernels = self.kernels

@@ -133,7 +133,15 @@ class UniformGridEnvironment(Environment):
     # Build
     # ------------------------------------------------------------------ #
 
-    def _grid_geometry(self, positions: np.ndarray, radius: float):
+    def grid_geometry(self, positions: np.ndarray, radius: float):
+        """``(mins, dims, box_len)`` of a build of ``positions`` at
+        ``radius``, without touching the current build.
+
+        Agent sorting (§4.2) bins with it so that its Morton keys always
+        reflect the *current* positions at the *exact* interaction radius
+        -- independent of whether the live build is skin-inflated or
+        several steps old (the neighbor cache).
+        """
         box_len = radius * self.box_length_factor
         # Per column: the same values as an axis-0 reduction over the
         # (n, 3) array, at a tenth of its cost.
@@ -150,26 +158,13 @@ class UniformGridEnvironment(Environment):
         return mins, dims, box_len
 
     @staticmethod
-    def _box_ids(positions, mins, dims, box_len):
-        # x-fastest linearization of the box coordinates (shared by the
-        # batch build and bin_positions so the two can never drift apart).
+    def box_ids(positions, mins, dims, box_len):
+        """x-fastest box id of each position in the grid geometry ``(mins,
+        dims, box_len)`` (shared by the batch build and agent sorting so
+        the two can never drift apart)."""
         coords = ((positions - mins) / box_len).astype(np.int64)
         coords = np.minimum(coords, dims - 1)
         return (coords[:, 2] * dims[1] + coords[:, 1]) * dims[0] + coords[:, 0]
-
-    def bin_positions(self, positions: np.ndarray,
-                      radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """Box id per position and grid dims for a hypothetical build.
-
-        Pure query: bins ``positions`` with exact-``radius`` geometry
-        without touching the current build.  Agent sorting (§4.2) uses
-        this so its Morton keys always reflect the *current* positions at
-        the *exact* interaction radius — independent of whether the live
-        build is skin-inflated or several steps old (the neighbor cache).
-        """
-        positions = np.asarray(positions, dtype=np.float64)
-        mins, dims, box_len = self._grid_geometry(positions, radius)
-        return self._box_ids(positions, mins, dims, box_len), dims
 
     def update(self, positions: np.ndarray, radius: float) -> BuildWork:
         positions = np.asarray(positions, dtype=np.float64)
@@ -195,7 +190,7 @@ class UniformGridEnvironment(Environment):
                                              per_item_cycles=np.empty(0))
             return self.last_build_work
 
-        self._mins, self._dims, self._box_len = self._grid_geometry(positions, radius)
+        self._mins, self._dims, self._box_len = self.grid_geometry(positions, radius)
         num_boxes = int(np.prod(self._dims))
         if len(self._box_stamp) < num_boxes:
             # Reallocate WITHOUT zeroing: the timestamp makes this safe.
@@ -225,7 +220,7 @@ class UniformGridEnvironment(Environment):
         .grid_build`): bins, a stable sort by box, the live boxes' entries,
         the successor list and the cell-sorted coordinates."""
         n = len(positions)
-        box_id = self._box_ids(positions, self._mins, self._dims, self._box_len)
+        box_id = self.box_ids(positions, self._mins, self._dims, self._box_len)
 
         # Counting-sort equivalent of the parallel linked-list build: touch
         # only boxes that contain agents (O(#agents) semantics).

@@ -172,17 +172,54 @@ void repro_diffuse(const double *c, double *out, int64_t nx, int64_t ny,
     })
 }
 
-/* The uniform grid's build (env/uniform_grid.py's update) in O(#agents),
- * for dims and mins from numpy: box ids with numpy's operations (truncate
- * (p - mins) / box_len, clamp to dims - 1, x fastest), a stable LSD radix
- * sort by box id in DIGIT-bit digits (as many passes as the largest id
- * needs; == np.argsort(kind="stable")), then one pass over the sorted
- * agents for the occupied boxes and their runs, the live boxes' start /
- * count / stamp, the successor list and xyz = pos[order].  No box is
- * visited that holds no agent.  successor doubles as the sort's second
- * buffer; hist has RADIX slots.  Returns the number of occupied boxes. */
+/* Agent i's box coordinates with numpy's operations (env/uniform_grid.py's
+ * box_ids): truncate (p - mins) / box_len, clamp to dims - 1. */
+static inline void bin(const double *pos, int64_t i, const double *mins,
+                       double box_len, const int64_t *dims, int64_t *c) {
+    for (int d = 0; d < 3; d++) {
+        c[d] = (int64_t)((pos[3 * i + d] - mins[d]) / box_len);
+        c[d] = c[d] < dims[d] - 1 ? c[d] : dims[d] - 1;
+    }
+}
+
+/* order = np.argsort(key, kind="stable") for keys in [0, top]: a stable LSD
+ * radix sort in DIGIT-bit digits, as many passes as top needs.  buf (n) is
+ * the second buffer; hist has RADIX slots. */
 #define DIGIT 13
 #define RADIX (1 << DIGIT)
+static void radix_order(const int64_t *key, int64_t n, uint64_t top,
+                        int64_t *order, int64_t *buf, int64_t *hist) {
+    int passes = 0;
+    for (; top > 0; top >>= DIGIT) passes++;
+    /* pass 0 reads the identity, pass p what pass p - 1 wrote; pass p
+     * writes order iff passes - p is odd, so the last one writes it */
+    const int64_t *src = NULL;
+    for (int p = 0; p < passes; p++) {
+        int64_t *dst = (passes - p) % 2 ? order : buf;
+        const int shift = p * DIGIT;
+        for (int64_t v = 0; v < RADIX; v++) hist[v] = 0;
+        for (int64_t k = 0; k < n; k++) hist[key[k] >> shift & (RADIX - 1)]++;
+        for (int64_t v = 0, sum = 0; v < RADIX; v++) {
+            const int64_t c = hist[v];
+            hist[v] = sum, sum += c;
+        }
+        for (int64_t k = 0; k < n; k++) {
+            const int64_t a = src ? src[k] : k;
+            dst[hist[key[a] >> shift & (RADIX - 1)]++] = a;
+        }
+        src = dst;
+    }
+    if (!passes)
+        for (int64_t k = 0; k < n; k++) order[k] = k;
+}
+
+/* The uniform grid's build (env/uniform_grid.py's update) in O(#agents),
+ * for dims and mins from numpy: box ids (bin, x fastest), radix_order by
+ * box id, then one pass over the sorted agents for the occupied boxes and
+ * their runs, the live boxes' start / count / stamp, the successor list
+ * and xyz = pos[order].  No box is visited that holds no agent.  successor
+ * doubles as the sort's second buffer; hist has RADIX slots.  Returns the
+ * number of occupied boxes. */
 int64_t repro_grid_build(const double *pos, int64_t n, const double *mins,
                          double box_len, const int64_t *dims, int64_t *start,
                          int64_t *count, int64_t *stamp, int64_t now,
@@ -191,35 +228,11 @@ int64_t repro_grid_build(const double *pos, int64_t n, const double *mins,
                          int64_t *hist) {
     for (int64_t i = 0; i < n; i++) {
         int64_t c[3];
-        for (int d = 0; d < 3; d++) {
-            c[d] = (int64_t)((pos[3 * i + d] - mins[d]) / box_len);
-            c[d] = c[d] < dims[d] - 1 ? c[d] : dims[d] - 1;
-        }
+        bin(pos, i, mins, box_len, dims, c);
         box[i] = (c[2] * dims[1] + c[1]) * dims[0] + c[0];
     }
-    int passes = 0;
-    for (int64_t b = dims[0] * dims[1] * dims[2] - 1; b > 0; b >>= DIGIT)
-        passes++;
-    /* pass 0 reads the identity, pass p what pass p - 1 wrote; pass p
-     * writes order iff passes - p is odd, so the last one writes it */
-    const int64_t *src = NULL;
-    for (int p = 0; p < passes; p++) {
-        int64_t *dst = (passes - p) % 2 ? order : successor;
-        const int shift = p * DIGIT;
-        for (int64_t v = 0; v < RADIX; v++) hist[v] = 0;
-        for (int64_t k = 0; k < n; k++) hist[box[k] >> shift & (RADIX - 1)]++;
-        for (int64_t v = 0, sum = 0; v < RADIX; v++) {
-            const int64_t c = hist[v];
-            hist[v] = sum, sum += c;
-        }
-        for (int64_t k = 0; k < n; k++) {
-            const int64_t a = src ? src[k] : k;
-            dst[hist[box[a] >> shift & (RADIX - 1)]++] = a;
-        }
-        src = dst;
-    }
-    if (!passes)
-        for (int64_t k = 0; k < n; k++) order[k] = k;
+    radix_order(box, n, dims[0] * dims[1] * dims[2] - 1, order, successor,
+                hist);
     int64_t m = 0;
     for (int64_t k = 0; k < n; k++) {
         const int64_t a = order[k], b = box[a];
@@ -354,4 +367,69 @@ void repro_grid_fill(const int64_t *stage, const int64_t *at,
         const int64_t *row = stage + at[b], m = indptr[b + 1] - indptr[b];
         for (int64_t k = 0; k < m; k++) indices[cursor[row[k]]++] = b;
     }
+}
+
+/* Spread the low 21 bits of x: bit i to bit 3i (sfc/morton.py's
+ * _part1by2). */
+static inline uint64_t part1by2(uint64_t x) {
+    x &= 0x1FFFFF;
+    x = (x | x << 32) & 0x1F00000000FFFF;
+    x = (x | x << 16) & 0x1F0000FF0000FF;
+    x = (x | x << 8) & 0x100F00F00F00F00F;
+    x = (x | x << 4) & 0x10C30C30C30C30C3;
+    x = (x | x << 2) & 0x1249249249249249;
+    return x;
+}
+
+/* Agent sorting's order (core/sorting.py): each agent's box (bin), the
+ * box's 3D Morton code (x in the lowest bit, as sfc/morton.py's
+ * morton_encode_3d), then radix_order by code.  A box's compact Morton rank
+ * is strictly increasing in its code, so this is np.argsort(ranks,
+ * kind="stable").  code and buf (n) are scratch; hist has RADIX slots. */
+void repro_morton_order(const double *pos, int64_t n, const double *mins,
+                        double box_len, const int64_t *dims, int64_t *code,
+                        int64_t *order, int64_t *buf, int64_t *hist) {
+    uint64_t top = 0;  /* as many bits as the largest code */
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c[3];
+        bin(pos, i, mins, box_len, dims, c);
+        const uint64_t m = part1by2(c[0]) | part1by2(c[1]) << 1
+                           | part1by2(c[2]) << 2;
+        code[i] = (int64_t)m, top |= m;
+    }
+    radix_order(code, n, top, order, buf, hist);
+}
+
+/* A symmetric CSR (indptr, indices) over n agents renumbered by the
+ * permutation order (agent order[b] becomes b), rows ascending: inv =
+ * order's inverse, new row b has old row order[b]'s length, and for b = 0,
+ * 1, ... b is appended to new row inv[j] of every j in old row order[b] --
+ * repro_grid_fill's transpose, reading the old rows in new order (by
+ * symmetry the rows b lands in are new row b's columns).  cursor (n) is
+ * scratch.  Returns -1, before writing out of range, if order is not a
+ * permutation of 0..n-1, a column is out of range or a row receives more
+ * columns than it has (the rows are not symmetric), else 0. */
+int64_t repro_csr_relabel(const int64_t *indptr, const int64_t *indices,
+                          const int64_t *order, int64_t n, int64_t *inv,
+                          int64_t *cursor, int64_t *new_indptr,
+                          int64_t *new_indices) {
+    for (int64_t b = 0; b < n; b++) inv[b] = -1;
+    new_indptr[0] = 0;
+    for (int64_t b = 0; b < n; b++) {
+        const int64_t o = order[b];
+        if (o < 0 || o >= n || inv[o] >= 0) return -1;
+        inv[o] = b;
+        new_indptr[b + 1] = new_indptr[b] + indptr[o + 1] - indptr[o];
+    }
+    for (int64_t b = 0; b < n; b++) cursor[b] = new_indptr[b];
+    for (int64_t b = 0; b < n; b++) {
+        for (int64_t k = indptr[order[b]]; k < indptr[order[b] + 1]; k++) {
+            const int64_t j = indices[k];
+            if (j < 0 || j >= n) return -1;
+            const int64_t a = inv[j];
+            if (cursor[a] == new_indptr[a + 1]) return -1;
+            new_indices[cursor[a]++] = b;
+        }
+    }
+    return 0;
 }

@@ -13,7 +13,11 @@ narrow waist those loops go through:
 - **diffusion** — the 7-point diffusion-decay stencil (Table 1);
 - **grid build and search** — the uniform grid's binning and neighbor
   CSR (§3.1); the NumPy backend leaves both to the grid's own body, the
-  reference.
+  reference;
+- **sorting** — agent sorting's Morton order (§4.2) and the renumbering
+  of the Verlet cache's superset through that permutation; the NumPy
+  backend leaves the order to ``core/sorting.py``'s key pipeline, the
+  reference, and the superset to be dropped and rebuilt.
 
 :class:`KernelBackend` is the strategy interface; the implementations
 live in sibling modules (:mod:`repro.kernels.numpy_ref` — the bitwise
@@ -112,6 +116,8 @@ class KernelBackend:
         self.search_calls = 0
         #: Uniform-grid builds this backend ran (:meth:`grid_build`).
         self.grid_builds = 0
+        #: Agent-sorting orders this backend computed (:meth:`morton_order`).
+        self.sort_calls = 0
 
     # -- mechanics ------------------------------------------------------- #
 
@@ -169,6 +175,24 @@ class KernelBackend:
         (:meth:`repro.env.UniformGridEnvironment.neighbor_csr`) over its
         cell-sorted coordinates ``xyz``, or None: the grid then runs its
         own NumPy search, the reference."""
+        return None
+
+    # -- agent sorting --------------------------------------------------- #
+
+    def morton_order(self, positions, mins, dims, box_len):
+        """Agent sorting's order (:func:`repro.core.sorting
+        .sort_and_balance`): the stable argsort of each agent's box's Morton
+        rank, the boxes those of the grid geometry ``(mins, dims, box_len)``
+        -- or None: the sort then runs its NumPy key pipeline, the
+        reference."""
+        return None
+
+    def relabel_csr(self, indptr, indices, order):
+        """The CSR ``(indptr, indices)`` of a *symmetric* neighbor relation
+        with its agents renumbered by the permutation ``order`` (agent
+        ``order[b]`` becomes ``b``), rows ascending: exactly the CSR a
+        fresh build over ``positions[order]`` would return -- or None: the
+        scheduler then drops its superset and rebuilds it."""
         return None
 
     # -- diffusion ------------------------------------------------------- #

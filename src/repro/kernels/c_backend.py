@@ -1,8 +1,10 @@
-"""The ``c`` kernel backend: force, refilter, stencil, grid build and search.
+"""The ``c`` kernel backend: force, refilter, stencil, grid build and
+search, agent sorting's order and the superset relabel.
 
 :class:`CKernelBackend` runs the stock Cortex3D force, the Verlet-cache
-refilter, the float64 stencil and the uniform grid's build and neighbor
-search through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
+refilter, the float64 stencil, the uniform grid's build and neighbor
+search, the Morton order of agent sorting and the renumbering of a cached
+superset CSR through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
 (which releases the GIL per call); the rest is the inherited NumPy code,
 whose bytes the C kernels reproduce.  ``docs/kernels.md`` has the
 bitwise, build and thread rules.
@@ -52,9 +54,14 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
                            _I, _L, _L, _L], _I),
     "repro_grid_scatter": ([_L, _L, _L, _L, _I, _L, _L], None),
     "repro_grid_fill": ([_L, _L, _L, _I, _L, _L], None),
+    "repro_morton_order": ([_D, _I, _D, _F, _L, _L, _L, _L, _L], None),
+    "repro_csr_relabel": ([_L, _L, _L, _I, _L, _L, _L, _L], _I),
 }
 #: Slots of the radix sort's digit histogram (``RADIX`` in ``_kernels.c``).
 _RADIX = 1 << 13
+#: Boxes per axis a Morton code spreads (``sfc.morton._part1by2`` keeps 21
+#: bits); a longer grid's order is left to NumPy.
+_MORTON_AXIS = 1 << 21
 
 
 @functools.cache
@@ -124,8 +131,8 @@ def _set_threads(n: int | None) -> None:
 
 
 class CKernelBackend(numpy_ref.NumpyKernelBackend):
-    """Force, refilter, float64 stencil, grid build and search in C; else
-    NumPy."""
+    """Force, refilter, float64 stencil, grid build and search, Morton order
+    and CSR relabel in C; else NumPy."""
 
     name = "c"
     compiled = True
@@ -174,11 +181,12 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             self.threads))
 
     def refilter(self, indptr, indices, qi, positions, radius):
-        """Count, prefix sum, fill: one thread per row."""
+        """Count, prefix sum, fill: one thread per row (``qi`` is not
+        read, and may be None)."""
         self._count()
         n = len(indptr) - 1
         if len(indices) == 0:
-            return indptr, indices, qi
+            return indptr, indices, np.empty(0, dtype=np.int64)
         pos, ip, ix = _csr(n, positions, indptr, indices)
         threads, dll = self.threads, self._lib.dll
         keep = np.empty(len(ix), dtype=np.uint8)
@@ -246,6 +254,45 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         indices = np.empty(2 * total, dtype=np.int64)
         dll.repro_grid_fill(rows, indptr, indptr, n, cursor, indices)
         return indptr, indices
+
+    def morton_order(self, positions, mins, dims, box_len):
+        """Box coordinates, Morton codes and a radix sort by code."""
+        if len(dims) != 3 or max(dims) > _MORTON_AXIS:
+            return None
+        self._count()
+        self.sort_calls += 1
+        pos = np.ascontiguousarray(positions, dtype=np.float64)
+        n = len(pos)
+        if pos.shape != (n, 3) or len(mins) != 3:
+            raise ValueError("the arrays do not describe one grid")
+        order = np.empty(n, dtype=np.int64)
+        code, buf = np.empty((2, n), dtype=np.int64)
+        self._lib.dll.repro_morton_order(
+            pos, n, np.ascontiguousarray(mins, dtype=np.float64), box_len,
+            np.ascontiguousarray(dims, dtype=np.int64), code, order, buf,
+            np.empty(_RADIX, dtype=np.int64))
+        return order
+
+    def relabel_csr(self, indptr, indices, order):
+        """The grid search's transposing fill, reading the old rows in the
+        new order through the inverse permutation: one pass."""
+        self._count()
+        ip, ix, order = (np.ascontiguousarray(a, dtype=np.int64)
+                         for a in (indptr, indices, order))
+        n = len(ip) - 1
+        if (n < 0 or order.shape != (n,) or ip[0] != 0 or ip[n] > len(ix)
+                or np.any(ip[1:] < ip[:-1])):
+            raise ValueError(f"the arrays do not describe one CSR over "
+                             f"{len(order)} agents")
+        inv, cursor = np.empty((2, n), dtype=np.int64)
+        new_indptr = np.empty(n + 1, dtype=np.int64)
+        new_indices = np.empty(ip[n], dtype=np.int64)
+        if self._lib.dll.repro_csr_relabel(ip, ix, order, n, inv, cursor,
+                                           new_indptr, new_indices) < 0:
+            raise ValueError("order is not a permutation of the rows, a "
+                             "column is out of range, or the CSR is not "
+                             "symmetric")
+        return new_indptr, new_indices
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
                 decay, dt, out=None):

@@ -16,6 +16,10 @@ Each allocator keeps per-NUMA-domain state:
 - a **central free list** and **thread-private free lists**; when a private
   list exceeds a threshold, a bulk of nodes migrates to the central list
   (the paper's skip lists make this O(1); we charge a constant cost).
+  Each list is a :class:`_Stack` -- one growable int64 array and a length
+  -- so a bulk free or allocation is one array copy, not one Python int
+  per node; ``tests/pool_allocator_reference.py`` keeps the list-backed
+  version whose address sequences it reproduces.
 
 Initialization of fresh memory is on demand ("carving"), in segment-sized
 chunks, to bound worst-case allocation latency.
@@ -43,6 +47,53 @@ _MIGRATION_BATCH = 64
 _PRIVATE_LIST_LIMIT = 256
 
 
+class _Stack:
+    """A LIFO free list: one growable int64 array plus a length.
+
+    Keeps the order of the Python list it replaced: :meth:`push` and
+    :meth:`extend` append, :meth:`pop` and :meth:`take` remove from the
+    end, and :meth:`take` returns the removed entries in stored order.
+    """
+
+    __slots__ = ("_buf", "_n")
+
+    def __init__(self):
+        self._buf = np.empty(0, dtype=np.int64)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _reserve(self, extra: int) -> None:
+        need = self._n + extra
+        if need > len(self._buf):
+            grown = np.empty(max(need, 2 * len(self._buf), 64), dtype=np.int64)
+            grown[: self._n] = self._buf[: self._n]
+            self._buf = grown
+
+    def push(self, addr) -> None:
+        self._reserve(1)
+        self._buf[self._n] = addr
+        self._n += 1
+
+    def extend(self, addrs: np.ndarray) -> None:
+        k = len(addrs)
+        self._reserve(k)
+        self._buf[self._n : self._n + k] = addrs
+        self._n += k
+
+    def pop(self) -> int:
+        self._n -= 1
+        return int(self._buf[self._n])
+
+    def take(self, k: int) -> np.ndarray:
+        """Remove the last ``k`` entries and return them in stored order
+        (a view: copy it before the next push onto this list)."""
+        k = min(k, self._n)
+        self._n -= k
+        return self._buf[self._n : self._n + k]
+
+
 class _DomainPool:
     """Per-NUMA-domain state of a :class:`NumaPoolAllocator`."""
 
@@ -58,8 +109,8 @@ class _DomainPool:
             )
         self.elements_per_segment = per_seg
         self.next_block_bytes = max(initial_block_bytes, self.segment_bytes * 2)
-        self.central: list[int] = []
-        self.private: dict[int, list[int]] = {}
+        self.central = _Stack()
+        self.private: dict[int, _Stack] = {}
         # Carving cursor within the current segment, and remaining aligned
         # segment range of the current block.
         self._carve_addr = 0
@@ -68,6 +119,13 @@ class _DomainPool:
 
     def aligned_remaining(self) -> int:
         return self._block_end - self._carve_seg_end
+
+    def private_list(self, thread: int) -> _Stack:
+        """Thread ``thread``'s private free list (created empty)."""
+        priv = self.private.get(thread)
+        if priv is None:
+            priv = self.private[thread] = _Stack()
+        return priv
 
 
 class NumaPoolAllocator(Allocator):
@@ -145,14 +203,12 @@ class NumaPoolAllocator(Allocator):
         if size > self.max_allocation:
             raise ValueError("allocation exceeds N*page_size - metadata_size")
         pool = self._domains[domain]
-        priv = pool.private.setdefault(thread, [])
+        priv = pool.private_list(thread)
         self.stats.cycles += _COST_PRIVATE_OP
         if not priv:
             if pool.central:
                 # Refill a batch from the central list (skip-list bulk move).
-                batch = pool.central[-_MIGRATION_BATCH:]
-                del pool.central[-_MIGRATION_BATCH:]
-                priv.extend(batch)
+                priv.extend(pool.central.take(_MIGRATION_BATCH))
                 self.stats.cycles += _COST_CENTRAL_MIGRATION
                 self.stats.central_migrations += 1
             else:
@@ -165,17 +221,15 @@ class NumaPoolAllocator(Allocator):
 
     def free(self, addr: int, size: int = 0, domain: int = 0, thread: int = 0) -> None:
         pool = self._domains[domain]
-        priv = pool.private.setdefault(thread, [])
-        priv.append(addr)
+        priv = pool.private_list(thread)
+        priv.push(addr)
         self.stats.cycles += _COST_PRIVATE_OP
         self.stats.frees += 1
         self.stats.note_live(-self.element_size)
         if len(priv) > _PRIVATE_LIST_LIMIT:
             # Migrate a bulk back to the central list to avoid memory leaks
             # across threads (paper: skip lists make this constant-time).
-            batch = priv[-_MIGRATION_BATCH:]
-            del priv[-_MIGRATION_BATCH:]
-            pool.central.extend(batch)
+            pool.central.extend(priv.take(_MIGRATION_BATCH))
             self.stats.cycles += _COST_CENTRAL_MIGRATION
             self.stats.central_migrations += 1
 
@@ -186,18 +240,16 @@ class NumaPoolAllocator(Allocator):
         pool = self._domains[domain]
         out = np.empty(count, dtype=np.int64)
         filled = 0
-        priv = pool.private.setdefault(thread, [])
+        priv = pool.private_list(thread)
         # Reuse freed elements first (LIFO), then central, then carve runs.
         take = min(len(priv), count)
         if take:
-            out[:take] = priv[-take:]
-            del priv[-take:]
+            out[:take] = priv.take(take)
             self.stats.cycles += _COST_PRIVATE_OP * take
             filled = take
         if filled < count and pool.central:
             take = min(len(pool.central), count - filled)
-            out[filled : filled + take] = pool.central[-take:]
-            del pool.central[-take:]
+            out[filled : filled + take] = pool.central.take(take)
             self.stats.cycles += _COST_CENTRAL_MIGRATION * (1 + take // _MIGRATION_BATCH)
             self.stats.central_migrations += 1 + take // _MIGRATION_BATCH
             filled += take
@@ -224,7 +276,7 @@ class NumaPoolAllocator(Allocator):
         """Bulk free straight to the central list (skip-list bulk move)."""
         addrs = np.asarray(addrs, dtype=np.int64)
         pool = self._domains[domain]
-        pool.central.extend(int(a) for a in addrs)
+        pool.central.extend(addrs)
         self.stats.cycles += _COST_CENTRAL_MIGRATION * (1 + len(addrs) // _MIGRATION_BATCH)
         self.stats.central_migrations += 1 + len(addrs) // _MIGRATION_BATCH
         self.stats.frees += len(addrs)

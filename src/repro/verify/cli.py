@@ -11,12 +11,15 @@ Runs, in order and as selected by flags:
   different seed → different trajectory), then the equivalence legs that
   share its model: ``tracing`` (``Param(tracing=True)`` is inert),
   ``neighbor_cache`` (Verlet-skin CSR reuse vs rebuilding every step, on
-  the serial and the process backend) and ``process`` (the shared-memory
-  worker pool vs serial under population-churning models, with proof
-  that pool phases ran and commits fast-appended into the shm arena);
+  the serial and the process backend, and on the C kernels with proof
+  that the superset was relabelled through two sorts) and ``process``
+  (the shared-memory worker pool vs serial under population-churning
+  models, with proof that pool phases ran and commits fast-appended into
+  the shm arena);
 - **kernels**: the ``kernels`` leg (the NumPy kernels under the process
   pool and ``auto``, and the C kernels in the parent and in pool
-  workers, all bitwise, with proof that kernels ran in both places);
+  workers, all bitwise, with proof that kernels ran in both places and
+  that the grid build, search and sort order ran in C);
 - **distributed**: the halo-exchange backend vs serial over {models} ×
   {seeds} × {shard counts}, with proof that agents migrated between
   shards and halo ghosts existed in every cell;
@@ -166,7 +169,7 @@ def _run_leg(leg, *args, **kwargs) -> bool:
 
 
 def _run_replay(args, model: str) -> bool:
-    from repro.verify.replay import replay_model
+    from repro.verify.replay import LEGS, replay_model
 
     seed = 4357 + args.seed
     report = replay_model(model, num_agents=args.agents, steps=args.steps,
@@ -175,7 +178,9 @@ def _run_replay(args, model: str) -> bool:
     sizes = dict(num_agents=args.agents, steps=args.steps)
     ok = report.ok
     ok &= _run_leg("tracing", (model,), (seed,), **sizes)
-    ok &= _run_leg("neighbor_cache", (model,), **sizes)
+    # At least the leg's own steps: its relabel proof needs two sorts.
+    ok &= _run_leg("neighbor_cache", (model,), num_agents=args.agents,
+                   steps=max(args.steps, LEGS["neighbor_cache"].steps))
     ok &= _run_leg("process")
     return ok
 

@@ -209,14 +209,18 @@ LEGS = {
         require={"dist:migrations": 1, "dist:halo_agents": 1},
         every_cell=True, num_agents=300, steps=12,
     ),
-    # Verlet-skin CSR reuse vs a fresh build every step.
+    # Verlet-skin CSR reuse vs a fresh build every step.  The c cells
+    # carry the superset through the sorts after ticks 10 and 20 (the
+    # default agent_sort_frequency) and must refilter it afterwards.
     "neighbor_cache": Leg(
         "neighbor cache off vs on",
         base={"neighbor_cache": False},
         variants={"serial": {"neighbor_cache": True},
-                  "process": {"neighbor_cache": True, **_PROCESS}},
+                  "process": {"neighbor_cache": True, **_PROCESS},
+                  "c": {"neighbor_cache": True, "kernel_backend": "c"}},
         require={"neighbor_cache:hits": 1},
-        models=("cell_clustering",), num_agents=300,
+        require_variant={"c": {"neighbor_cache:relabels": 2}},
+        models=("cell_clustering",), num_agents=300, steps=22,
     ),
     # Deferred dispatch + horizon jumps vs tick-by-tick: one
     # burst-quiescent scenario and one always-dynamic control.
@@ -242,7 +246,7 @@ LEGS = {
     # Kernel dispatch adds no reordering, and the C kernels reproduce
     # numpy's bytes, in the parent (threaded) and in pool workers.  The
     # force alone meets kernel:calls, so each c cell must also show that
-    # its grid build and search ran in C.
+    # its grid build and search, and the sort after tick 10, ran in C.
     "kernels": Leg(
         "numpy kernels vs process / auto / c",
         base={"kernel_backend": "numpy"},
@@ -251,9 +255,10 @@ LEGS = {
                   "c process": {"kernel_backend": "c", **_PROCESS}},
         require={"kernel:calls": 1, "kernel:worker_calls": 1},
         require_variant={label: {"kernel:search_calls": 1,
-                                 "kernel:grid_builds": 1}
+                                 "kernel:grid_builds": 1,
+                                 "kernel:sort_calls": 1}
                          for label in ("c serial", "c process")},
-        steps=6,
+        steps=10,
     ),
     # Wire protocol, forked workers, shm arenas and a checkpoint
     # evict/resume round trip must all be invisible to the physics.

@@ -167,7 +167,8 @@ class TestObservability:
     def test_gauges_and_trace_line(self, capsys, tmp_path):
         from repro.__main__ import main
 
-        with Simulation("gauges", Param(kernel_backend="c")) as sim:
+        with Simulation("gauges", Param(kernel_backend="c",
+                                        agent_sort_frequency=2)) as sim:
             snap = sim.obs.registry.snapshot()
             assert snap["kernel:backend"] == "c"
             assert snap["kernel:build"] in ("cached", "built")
@@ -179,15 +180,17 @@ class TestObservability:
             snap = sim.obs.registry.snapshot()
             assert snap["kernel:search_calls"] >= 1
             assert snap["kernel:grid_builds"] >= 1
+            assert snap["kernel:sort_calls"] == 1
         assert main(["trace", "cell_proliferation", "--agents", "100",
-                     "--iterations", "2", "--out",
+                     "--iterations", "11", "--out",
                      str(tmp_path / "t.json")]) == 0
         kb = make_kernels("c")
         plural = "" if kb.threads == 1 else "s"
+        out = capsys.readouterr().out
         assert re.search(rf"kernels: c, {kb.threads} thread{plural} "
                          rf"\({kb.build}\), [1-9][0-9]* grid searches, "
-                         rf"[1-9][0-9]* grid builds",
-                         capsys.readouterr().out)
+                         rf"[1-9][0-9]* grid builds, 1 sorts", out)
+        assert re.search(r"neighbor cache: .*, [0-9]+ relabels", out)
 
     def test_a_subclassed_force_model_counts_a_fallback(self):
         class Softer(InteractionForce):

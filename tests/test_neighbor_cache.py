@@ -16,6 +16,7 @@ from repro import Param, ParamError, Simulation
 from repro.core.behaviors_lib import RandomWalk
 from repro.env import UniformGridEnvironment, csr_row_index, refilter_csr
 from repro.verify.snapshot import state_checksum
+from tests.kernel_backends import kernel_backends
 
 
 def _counters(sim):
@@ -24,6 +25,7 @@ def _counters(sim):
         "hits": int(reg.counter("neighbor_cache:hits").value),
         "misses": int(reg.counter("neighbor_cache:misses").value),
         "refilters": int(reg.counter("neighbor_cache:refilters").value),
+        "relabels": int(reg.counter("neighbor_cache:relabels").value),
         "rebuilds": int(reg.counter("scheduler:env_rebuilds").value),
     }
 
@@ -106,17 +108,37 @@ class TestInvalidation:
 
         assert run(True) == run(False)
 
-    def test_sorting_invalidates_cache(self):
-        # A static-but-flagged scene: the reorder bumps the structure
-        # version, so the build after each sort must be a miss even
-        # though no agent moved an inch.
-        sim = _lattice_sim(Param(agent_sort_frequency=3), speed=0.5)
+    @pytest.mark.parametrize("backend", [kb.name for kb in kernel_backends()])
+    def test_sorting_relabels_or_invalidates_cache(self, backend):
+        # A slowly moving lattice sorted after steps 2, 5 and 8.  numpy
+        # cannot relabel the superset: the reorder bumps the structure
+        # version, so the build after each sort is a miss.  c carries the
+        # superset through each permutation: one build, then refilters.
+        param = Param(agent_sort_frequency=3, kernel_backend=backend)
+        sim = _lattice_sim(param, speed=0.5)
         sim.simulate(9)
         c = _counters(sim)
-        # Builds at steps 0 (cold), 3, 6 (after sorts at steps 2 and 5).
-        assert c["rebuilds"] == 3
-        assert c["misses"] == 3
-        assert c["hits"] == 6
+        if backend == "numpy":
+            # Builds at steps 0 (cold), 3, 6 (after sorts at steps 2 and 5).
+            assert (c["rebuilds"], c["misses"], c["hits"]) == (3, 3, 6)
+            assert c["relabels"] == 0
+        else:
+            assert (c["rebuilds"], c["misses"], c["hits"]) == (1, 1, 8)
+            assert c["relabels"] == 3
+        # Every CSR after a sort -- the one the next tick's agents read --
+        # is the exact build over the sorted agents.
+        sim = _lattice_sim(param, speed=0.5)
+        for step in range(9):
+            sim.simulate(1)
+            indptr, indices = sim.neighbors()
+            fresh = UniformGridEnvironment()
+            fresh.update(sim.rm.positions.copy(), sim.interaction_radius())
+            want_indptr, want_indices = fresh.neighbor_csr()
+            assert np.array_equal(indptr, want_indptr), step
+            assert np.array_equal(indices, want_indices), step
+        c = _counters(sim)
+        assert c["relabels"] == (0 if backend == "numpy" else 3)
+        assert c["rebuilds"] == (4 if backend == "numpy" else 1)
 
     def test_commit_invalidates_cache(self):
         sim = _lattice_sim(Param(agent_sort_frequency=0), speed=0.5)
