@@ -108,7 +108,20 @@ class TestInvalidation:
 
         assert run(True) == run(False)
 
-    @pytest.mark.parametrize("backend", [kb.name for kb in kernel_backends()])
+    def test_sorting_invalidates_cache(self):
+        # A static-but-flagged scene on the default numpy backend: the
+        # reorder bumps the structure version, so the build after each
+        # sort must be a miss even though no agent moved an inch.
+        sim = _lattice_sim(Param(agent_sort_frequency=3), speed=0.5)
+        sim.simulate(9)
+        c = _counters(sim)
+        # Builds at steps 0 (cold), 3, 6 (after sorts at steps 2 and 5).
+        assert c["rebuilds"] == 3
+        assert c["misses"] == 3
+        assert c["hits"] == 6
+        assert c["relabels"] == 0
+
+    @pytest.mark.parametrize("backend",[kb.name for kb in kernel_backends()])
     def test_sorting_relabels_or_invalidates_cache(self, backend):
         # A slowly moving lattice sorted after steps 2, 5 and 8.  numpy
         # cannot relabel the superset: the reorder bumps the structure
