@@ -19,14 +19,20 @@ Eviction
 --------
 At most ``max_resident`` sessions keep live simulation state.  Creating
 or resuming past the cap checkpoints the least-recently-used idle
-resident session to the spool directory (checkpoint format v2, with the
-session's rebuild spec as ``extra_meta``) and frees its worker memory.
-Touching an evicted session transparently resumes it — rebuild from
-spec, restore checkpoint — and the PR 7 ``__rng__`` persistence makes
-the continuation bitwise-identical to never having been evicted.
+resident session to the spool directory (checkpoint format v3, with the
+session's rebuild spec as ``extra_meta``) and frees its worker memory,
+in one ``evict`` round trip.  Touching an evicted session transparently
+resumes it — rebuild from spec, restore checkpoint — and the persisted
+RNG state makes the continuation bitwise-identical to never having been
+evicted (up to the ``addr`` column, which restarts with the allocator).
 Sessions running a background advance are never eviction victims; if
 every resident session is busy the cap is soft (the new session is
 admitted anyway).
+
+Admission (:meth:`SessionPool._admit`) overlaps the evictions with the
+create or restore they make room for: the incoming session goes to a
+worker hosting no victim when there is one, and every command is sent
+before any reply is awaited.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ __all__ = ["SessionPool", "StateView"]
 
 #: Seconds to wait for one worker command before declaring it dead.
 _CALL_TIMEOUT_S = 300.0
+
+#: The reply fields a session's cached status keeps.
+_STATUS_KEYS = ("iteration", "time", "n_agents")
 
 _SID_OK = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-"
@@ -160,6 +169,14 @@ class SessionPool:
         self._advance_chunks = reg.counter("serve:advance_chunks")
         self._evictions = reg.counter("serve:evictions")
         self._resumes = reg.counter("serve:resume_count")
+        #: Worker seconds in ``evict`` (checkpoint + close) and in the
+        #: two phases of a resume: the model rebuild and the restore.
+        self._evict_s = reg.counter("serve:evict_seconds")
+        self._resume_build_s = reg.counter("serve:resume_build_seconds")
+        self._resume_load_s = reg.counter("serve:resume_load_seconds")
+        #: Admissions whose create/restore ran on another worker than
+        #: (and concurrently with) an eviction it made room for.
+        self._overlapped = reg.counter("serve:overlapped_admissions")
         self._owns_spool = spool_dir is None
         self.spool_dir = Path(
             tempfile.mkdtemp(prefix="repro-serve-")
@@ -187,20 +204,40 @@ class SessionPool:
 
     # -- worker RPC ----------------------------------------------------- #
 
+    def _exchange(self, legs: list) -> list:
+        """Send every ``(worker_id, msg)`` leg, then collect one reply per
+        leg, in order: its payload dict, or a :class:`_WorkerError`.
+
+        Nothing is awaited before everything is sent, so legs on
+        different workers run concurrently; legs on one worker queue in
+        its inbox in order.  Worker locks are taken in ascending worker
+        id and held from send to reply — and a one-leg exchange holds one
+        — so two exchanges cannot deadlock.
+        """
+        ids = sorted({w for w, _msg in legs})
+        for w in ids:
+            self._workers[w].lock.acquire()
+        try:
+            for w, msg in legs:
+                self._workers[w].inbox.put(msg)
+            return [self._reply(w) for w, _msg in legs]
+        finally:
+            for w in reversed(ids):
+                self._workers[w].lock.release()
+
+    def _reply(self, worker_id: int):
+        try:
+            status, _sid, *rest = self._workers[worker_id].replies.get(
+                timeout=_CALL_TIMEOUT_S)
+        except queue.Empty:
+            return _WorkerError("internal", f"worker {worker_id} did not reply")
+        return rest[0] if status == "ok" else _WorkerError(*rest)
+
     def _call(self, worker_id: int, msg: tuple) -> dict:
-        w = self._workers[worker_id]
-        with w.lock:
-            w.inbox.put(msg)
-            try:
-                status, _sid, *rest = w.replies.get(timeout=_CALL_TIMEOUT_S)
-            except queue.Empty:
-                raise _WorkerError(
-                    "internal", f"worker {worker_id} did not reply"
-                ) from None
-        if status == "ok":
-            return rest[0]
-        code, message = rest
-        raise _WorkerError(code, message)
+        (result,) = self._exchange([(worker_id, msg)])
+        if isinstance(result, _WorkerError):
+            raise result
+        return result
 
     # -- session table -------------------------------------------------- #
 
@@ -226,62 +263,106 @@ class SessionPool:
             raise _WorkerError("unknown_session", f"no session {sid!r}")
         return rec
 
-    def _least_loaded_worker(self) -> int:
-        return min(
-            range(len(self._workers)),
-            key=lambda w: len(self._workers[w].sessions),
-        )
-
     def _resident_count(self) -> int:
         return sum(
             1 for s in self._sessions.values()
             if s.resident and not s.deleted
         )
 
-    def _evict_for_room(self, incoming: str) -> None:
-        """Checkpoint LRU idle residents until the cap has room for one
-        more.  Busy (advancing or locked-by-another-request) sessions
-        are skipped; the cap is soft when everyone is busy."""
-        while self._resident_count() >= self.max_resident:
-            with self._table_lock:
-                candidates = sorted(
-                    (
-                        s for s in self._sessions.values()
-                        if s.resident and not s.deleted
-                        and not s.advancing and s.sid != incoming
-                    ),
-                    key=lambda s: s.last_used,
-                )
-            evicted_one = False
-            for victim in candidates:
-                if not victim.lock.acquire(blocking=False):
-                    continue
-                try:
-                    if not victim.resident or victim.deleted:
-                        continue
-                    self._evict(victim)
-                    evicted_one = True
-                    break
-                finally:
-                    victim.lock.release()
-            if not evicted_one:
-                return
+    def _pick_victims(self, incoming: str) -> list:
+        """LRU idle residents, enough to leave room for one more, each
+        returned with its ``lock`` held.  Busy (advancing or
+        locked-by-another-request) sessions are skipped; the cap is soft
+        when everyone is busy."""
+        with self._table_lock:
+            excess = self._resident_count() - self.max_resident + 1
+            if excess <= 0:
+                return []
+            candidates = sorted(
+                (
+                    s for s in self._sessions.values()
+                    if s.resident and not s.deleted
+                    and not s.advancing and s.sid != incoming
+                ),
+                key=lambda s: s.last_used,
+            )
+        victims = []
+        for rec in candidates:
+            if len(victims) == excess:
+                break
+            if not rec.lock.acquire(blocking=False):
+                continue
+            if rec.resident and not rec.deleted and not rec.advancing:
+                victims.append(rec)
+            else:
+                rec.lock.release()
+        return victims
 
-    def _evict(self, rec: _Session) -> None:
-        """Checkpoint ``rec`` to the spool and free its worker memory.
-        Caller holds ``rec.lock``."""
-        path = str(self.spool_dir / f"{rec.sid}.npz")
-        payload = self._call(
-            rec.worker, ("checkpoint", rec.sid, path, rec.spec)
+    def _place(self, victims: list) -> int:
+        """The least-loaded worker once ``victims`` are gone, preferring
+        one that hosts no victim, so the evictions and the incoming
+        command run side by side."""
+        hosts = {v.worker for v in victims}
+        gone = {v.sid for v in victims}
+        return min(
+            range(len(self._workers)),
+            key=lambda w: (w in hosts,
+                           len(self._workers[w].sessions - gone)),
         )
-        rec.status = {k: payload[k] for k in ("iteration", "time", "n_agents")}
-        self._call(rec.worker, ("delete", rec.sid))
+
+    def _spool_path(self, rec: _Session) -> str:
+        return str(self.spool_dir / f"{rec.sid}.npz")
+
+    def _evicted(self, rec: _Session, path: str, payload: dict) -> None:
+        """Record a successful ``evict`` reply: ``rec`` is detached."""
+        rec.status = {k: payload[k] for k in _STATUS_KEYS}
         self._workers[rec.worker].sessions.discard(rec.sid)
         rec.ckpt_path = path
         rec.resident = False
         rec.worker = None
-        self._evictions.inc()
-        self.obs.instant("serve:evict", session=rec.sid)
+        self._evict_s.inc(payload["evict_s"])
+
+    def _admit(self, rec: _Session, command: tuple) -> tuple:
+        """Run ``rec``'s ``create`` / ``restore`` ``command`` with room
+        made for it.  Caller holds ``rec.lock``.
+
+        Pick the victims, place the incoming session, then send every
+        victim's ``evict`` and the command before collecting any reply.
+        The table ends as the workers left it: a victim whose ``evict``
+        failed stays resident, and ``rec`` is resident iff its command
+        succeeded.  Returns ``(payload, error)``: the command's reply
+        (``None`` if it failed) and the typed error to answer with — the
+        command's own if it failed, else the first failed victim's, else
+        ``None``.
+        """
+        victims = self._pick_victims(rec.sid)
+        try:
+            worker = self._place(victims)
+            paths = [self._spool_path(v) for v in victims]
+            legs = [(v.worker, ("evict", v.sid, path, v.spec))
+                    for v, path in zip(victims, paths)]
+            replies = self._exchange(legs + [(worker, command)])
+            failed = [r for r in replies if isinstance(r, _WorkerError)]
+            overlapped = False
+            for v, path, reply in zip(victims, paths, replies):
+                if isinstance(reply, _WorkerError):
+                    continue
+                overlapped |= v.worker != worker
+                self._evicted(v, path, reply)
+                self._evictions.inc()
+                self.obs.instant("serve:evict", session=v.sid)
+        finally:
+            for v in victims:
+                v.lock.release()
+        payload = replies[-1]
+        if isinstance(payload, _WorkerError):
+            return None, payload
+        rec.status = {k: payload[k] for k in _STATUS_KEYS}
+        rec.worker = worker
+        rec.resident = True
+        self._workers[worker].sessions.add(rec.sid)
+        self._overlapped.inc(int(overlapped))
+        return payload, (failed[0] if failed else None)
 
     def _ensure_resident(self, rec: _Session) -> bool:
         """Resume ``rec`` if evicted/detached; returns True on resume.
@@ -292,18 +373,16 @@ class SessionPool:
             raise _WorkerError(
                 "internal", f"session {rec.sid!r} has no state to resume"
             )
-        self._evict_for_room(rec.sid)
-        worker = self._least_loaded_worker()
-        payload = self._call(
-            worker, ("restore", rec.sid, rec.spec, rec.ckpt_path)
-        )
-        rec.status = payload
-        rec.worker = worker
-        rec.resident = True
-        rec.ever_resumed = True
-        self._workers[worker].sessions.add(rec.sid)
-        self._resumes.inc()
-        self.obs.instant("serve:resume", session=rec.sid)
+        payload, error = self._admit(
+            rec, ("restore", rec.sid, rec.spec, rec.ckpt_path))
+        if payload is not None:
+            rec.ever_resumed = True
+            self._resumes.inc()
+            self._resume_build_s.inc(payload["build_s"])
+            self._resume_load_s.inc(payload["load_s"])
+            self.obs.instant("serve:resume", session=rec.sid)
+        if error is not None:
+            raise error
         return True
 
     def _touch(self, rec: _Session) -> None:
@@ -352,21 +431,17 @@ class SessionPool:
         with rec.lock:
             with self._table_lock:
                 self._sessions[sid] = rec
-            try:
-                self._evict_for_room(sid)
-                worker = self._least_loaded_worker()
-                payload = self._call(worker, ("create", sid, spec))
-            except _WorkerError:
+            payload, error = self._admit(rec, ("create", sid, spec))
+            if payload is None:
                 with self._table_lock:
                     self._sessions.pop(sid, None)
-                raise
-            rec.status = payload
-            rec.worker = worker
-            rec.resident = True
-            self._workers[worker].sessions.add(sid)
+                raise error
             self._touch(rec)
         self._created.inc()
         self._active.set(self._live_count())
+        if error is not None:
+            # The session exists (a victim failed to make room for it).
+            raise error
         return P.SessionCreated(
             session=sid,
             model=req.model,
@@ -386,9 +461,7 @@ class SessionPool:
                 )
             resumed = self._ensure_resident(rec)
             payload = self._call(rec.worker, op)
-            rec.status = {
-                k: payload[k] for k in ("iteration", "time", "n_agents")
-            }
+            rec.status = {k: payload[k] for k in _STATUS_KEYS}
             self._touch(rec)
         self._steps.inc(int(payload["steps_done"]))
         return P.StepReply(
@@ -459,10 +532,7 @@ class SessionPool:
                     payload = self._call(
                         rec.worker, ("step_chunk", rec.sid, remaining)
                     )
-                    rec.status = {
-                        k: payload[k]
-                        for k in ("iteration", "time", "n_agents")
-                    }
+                    rec.status = {k: payload[k] for k in _STATUS_KEYS}
                     self._touch(rec)
                 done = max(1, int(payload["steps_done"]))
                 remaining -= done
@@ -483,9 +553,7 @@ class SessionPool:
                     rec.worker,
                     ("snapshot", rec.sid, bool(req.include_timeseries)),
                 )
-                rec.status = {
-                    k: payload[k] for k in ("iteration", "time", "n_agents")
-                }
+                rec.status = {k: payload[k] for k in _STATUS_KEYS}
                 metrics = dict(payload["metrics"])
                 series = payload["timeseries"]
             else:
@@ -517,19 +585,16 @@ class SessionPool:
                     "checkpoint mid-advance", session=sid,
                 )
             self._ensure_resident(rec)
-            path = str(self.spool_dir / f"{rec.sid}.npz")
-            payload = self._call(
-                rec.worker, ("checkpoint", rec.sid, path, rec.spec)
-            )
-            rec.status = {
-                k: payload[k] for k in ("iteration", "time", "n_agents")
-            }
-            rec.ckpt_path = path
+            path = self._spool_path(rec)
             if detach:
-                self._call(rec.worker, ("delete", rec.sid))
-                self._workers[rec.worker].sessions.discard(rec.sid)
-                rec.resident = False
-                rec.worker = None
+                payload = self._call(
+                    rec.worker, ("evict", rec.sid, path, rec.spec))
+                self._evicted(rec, path, payload)
+            else:
+                payload = self._call(
+                    rec.worker, ("checkpoint", rec.sid, path, rec.spec))
+                rec.status = {k: payload[k] for k in _STATUS_KEYS}
+                rec.ckpt_path = path
             self._touch(rec)
         return P.CheckpointReply(
             session=sid, path=path, iteration=int(payload["iteration"])

@@ -24,9 +24,14 @@ Worker command set (host → inbox)::
     ("run_to",     sid, tick, want_checksum)
     ("snapshot",   sid, include_timeseries)
     ("checkpoint", sid, path, extra_meta)
+    ("evict",      sid, path, extra_meta)     checkpoint, then close
     ("layout",     sid)                       shm segment name + offsets
     ("delete",     sid)
     ("stop",)
+
+``restore`` replies carry the seconds spent rebuilding the model
+(``build_s``) and loading the checkpoint (``load_s``); ``evict`` replies
+carry ``evict_s``.  A failed ``evict`` leaves the session hosted.
 
 Replies (worker → its reply queue)::
 
@@ -39,6 +44,8 @@ worker — or a restarted server — can resume an evicted session.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -128,17 +135,22 @@ class HostedSession:
         return cls(sid, spec, build_session_sim(spec))
 
     @classmethod
-    def restore(cls, sid: str, spec: dict, ckpt_path: str) -> "HostedSession":
+    def restore(cls, sid: str, spec: dict, ckpt_path: str
+                ) -> tuple["HostedSession", dict]:
         """Rebuild from the spec, then overwrite state from the
-        checkpoint.  Building with the *same seed* re-attaches behaviors
-        in the same registration order, and the checkpoint's ``__rng__``
-        payload rewinds the generator — the continuation is
-        bitwise-identical to never having been evicted."""
+        checkpoint; returns the session and ``{build_s, load_s}``.
+        Building with the *same seed* re-attaches behaviors in the same
+        registration order, and the checkpoint's RNG state rewinds the
+        generator — the continuation is bitwise-identical to never having
+        been evicted (up to ``addr``, which restarts with the allocator)."""
         from repro.core.checkpoint import restore_checkpoint
 
+        start = time.perf_counter()
         session = cls.create(sid, spec)
+        built = time.perf_counter()
         restore_checkpoint(session.sim, ckpt_path)
-        return session
+        return session, {"build_s": built - start,
+                         "load_s": time.perf_counter() - built}
 
     # -- operations ----------------------------------------------------- #
 
@@ -202,7 +214,7 @@ class HostedSession:
         return out
 
     def checkpoint(self, path: str, extra_meta: dict | None) -> dict:
-        """Save a format-v2 checkpoint to ``path``; returns status."""
+        """Save a format-v3 checkpoint to ``path``; returns status."""
         from repro.core.checkpoint import save_checkpoint
 
         save_checkpoint(self.sim, path, extra_meta=extra_meta)
@@ -253,8 +265,9 @@ def serve_worker_main(worker_id: int, inbox, replies) -> None:
                 sessions[sid] = HostedSession.create(sid, msg[2])
                 replies.put(("ok", sid, sessions[sid].status()))
             elif op == "restore":
-                sessions[sid] = HostedSession.restore(sid, msg[2], msg[3])
-                replies.put(("ok", sid, sessions[sid].status()))
+                sessions[sid], phases = HostedSession.restore(
+                    sid, msg[2], msg[3])
+                replies.put(("ok", sid, {**sessions[sid].status(), **phases}))
             elif op == "step":
                 replies.put(("ok", sid, sessions[sid].step(msg[2], msg[3])))
             elif op == "step_chunk":
@@ -267,6 +280,12 @@ def serve_worker_main(worker_id: int, inbox, replies) -> None:
                 replies.put(
                     ("ok", sid, sessions[sid].checkpoint(msg[2], msg[3]))
                 )
+            elif op == "evict":
+                start = time.perf_counter()
+                out = sessions[sid].checkpoint(msg[2], msg[3])
+                sessions.pop(sid).close()
+                out["evict_s"] = time.perf_counter() - start
+                replies.put(("ok", sid, out))
             elif op == "layout":
                 replies.put(("ok", sid, sessions[sid].layout()))
             elif op == "delete":

@@ -261,12 +261,14 @@ LEGS = {
         steps=10,
     ),
     # Wire protocol, forked workers, shm arenas and a checkpoint
-    # evict/resume round trip must all be invisible to the physics.
+    # evict/resume round trip must all be invisible to the physics.  On
+    # two workers the eviction and the admission it makes room for run
+    # side by side.
     "serve": Leg(
         "direct run vs served session",
         variants={"served": {}},
         require={"serve:evictions": 1, "serve:resume_count": 1,
-                 "session:resumed": 1},
+                 "serve:overlapped_admissions": 1, "session:resumed": 1},
         every_cell=True, served=True, model_defaults=True,
         models=("cell_proliferation", "cell_clustering"),
         num_agents=120, steps=6,
@@ -400,8 +402,10 @@ def _served_run(pool, client, model, num_agents, seed, steps) -> _Run:
     """Step a served session one request at a time.  Before step 3 a
     decoy session is created: with a one-slot pool that *forces* the
     session under test out through checkpoint eviction, and its next step
-    must transparently resume it (on whichever worker is least loaded)."""
-    counters = ("serve:evictions", "serve:resume_count")
+    must transparently resume it (on a worker the decoy's eviction does
+    not occupy, when the pool has two)."""
+    counters = ("serve:evictions", "serve:resume_count",
+                "serve:overlapped_admissions")
     before = pool.obs.registry.snapshot()
     handle = client.create_session(model, agents=num_agents, seed=seed)
     trace = [handle.step(0, checksum=True).checksum]

@@ -9,10 +9,13 @@ engine before those paths were deleted, so a pass here means "still
 bitwise what the replaced implementation computed" — on the serial and
 the process backend alike, with the NumPy kernels and with the C ones.
 
-``tests/data/oncology_seed1_step3_percolumn.npz`` is a per-column
-checkpoint written by that same commit (nothing can write the layout any
-more); it must restore into the arena layout and continue onto the
-golden trace.
+``tests/data/oncology_seed1_step3_percolumn.npz`` is a per-column (v1)
+checkpoint written by that same commit, and
+``tests/data/oncology_seed1_step3_arena_v2.npz`` a v2 checkpoint (scalars
+as separate members, the arena block plus its layout) written by the last
+v2 writer, with ``extra_meta``.  Nothing writes either layout any more;
+both must restore into the arena layout and continue onto the golden
+trace.
 
 Checksums cover float state, so they are only comparable under the numpy
 build that produced them: a different numpy skips with a reason (CI pins
@@ -36,7 +39,8 @@ from repro.verify.snapshot import state_checksum
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "traces.json"
 PER_COLUMN_CHECKPOINT = HERE / "data" / "oncology_seed1_step3_percolumn.npz"
-#: (model, seed, step) the checkpoint fixture was saved at.
+ARENA_V2_CHECKPOINT = HERE / "data" / "oncology_seed1_step3_arena_v2.npz"
+#: (model, seed, step) the checkpoint fixtures were saved at.
 CHECKPOINT_CELL = ("oncology", 1, 3)
 
 MODELS = ("cell_proliferation", "oncology", "epidemiology_interventions")
@@ -123,6 +127,22 @@ def test_per_column_checkpoint_restores_onto_golden_trace(golden, backend):
     requires(BACKENDS[backend])
     got = checksum_trace(model, seed + 98, steps=STEPS - step,
                          restore_from=PER_COLUMN_CHECKPOINT,
+                         **BACKENDS[backend])
+    assert got == golden[model][str(seed)][step:]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_v2_checkpoint_restores_onto_golden_trace(golden, backend):
+    from repro.core.checkpoint import read_checkpoint_meta
+
+    model, seed, step = CHECKPOINT_CELL
+    requires(BACKENDS[backend])
+    meta = read_checkpoint_meta(ARENA_V2_CHECKPOINT)
+    assert (meta["format"], meta["iteration"]) == (2, step)
+    assert meta["extra"] == {"model": model, "agents": AGENTS, "seed": seed,
+                             "step": step}
+    got = checksum_trace(model, seed + 98, steps=STEPS - step,
+                         restore_from=ARENA_V2_CHECKPOINT,
                          **BACKENDS[backend])
     assert got == golden[model][str(seed)][step:]
 

@@ -212,15 +212,43 @@ def test_lru_eviction_and_transparent_resume():
         assert not Path(ckpt).exists()
 
 
-def test_evicted_continuation_matches_uninterrupted_run():
+def _record_exchanges(pool, monkeypatch):
+    """Every ``_exchange`` the pool makes, as its list of
+    ``(worker, message)`` legs."""
+    sent = []
+    real = pool._exchange
+
+    def recording(legs):
+        sent.append(list(legs))
+        return real(legs)
+
+    monkeypatch.setattr(pool, "_exchange", recording)
+    return sent
+
+
+def _direct_checksum(spec, steps):
+    """The checksum a never-served simulation of ``spec`` reaches."""
+    from repro.serve.session import build_session_sim
+    from repro.verify.snapshot import state_checksum
+
+    with build_session_sim(spec) as sim:
+        sim.simulate(steps)
+        return state_checksum(sim)
+
+
+def _evicted_continuation(workers, monkeypatch):
     """The headline guarantee: evict → restore → step produces the same
     checksum as never having been evicted (one seed; the full matrix
-    lives in verify.replay.serve_equivalence)."""
+    lives in verify.replay.serve_equivalence).  The resume is one
+    admission: the decoy's ``evict`` and the victim's ``restore`` are
+    sent together — queued in order in the one inbox of a one-worker
+    pool, and on two different workers otherwise."""
     with SessionPool(workers=1, max_resident=8) as p:
         ref = _create(p, agents=32, seed=5)
         direct = p.handle(P.StepRequest(session=ref, steps=6, checksum=True))
 
-    with SessionPool(workers=1, max_resident=1) as p:
+    with SessionPool(workers=workers, max_resident=1) as p:
+        sent = _record_exchanges(p, monkeypatch)
         sid = _create(p, name="victim", agents=32, seed=5)
         p.handle(P.StepRequest(session=sid, steps=3))
         _create(p, name="decoy", agents=8, seed=0)  # evicts victim
@@ -228,6 +256,138 @@ def test_evicted_continuation_matches_uninterrupted_run():
         resumed = p.handle(P.StepRequest(session=sid, steps=3, checksum=True))
         assert resumed.resumed
         assert resumed.checksum == direct.checksum
+
+        (admission,) = [legs for legs in sent
+                        if any(msg[0] == "restore" for _w, msg in legs)]
+        (evict_worker, evict), (restore_worker, restore) = admission
+        assert evict[:2] == ("evict", "decoy")
+        assert restore[:2] == ("restore", "victim")
+        reg = p.obs.registry.snapshot()
+        if workers == 1:
+            assert evict_worker == restore_worker == 0
+            assert reg["serve:overlapped_admissions"] == 0
+        else:
+            assert evict_worker != restore_worker
+            assert p._sessions[sid].worker == restore_worker
+            # The decoy's creation overlapped the victim's eviction too.
+            assert reg["serve:overlapped_admissions"] == 2
+        assert reg["serve:evictions"] == 2
+        assert reg["serve:evict_seconds"] > 0
+        assert reg["serve:resume_build_seconds"] > 0
+        assert reg["serve:resume_load_seconds"] > 0
+
+
+def test_evicted_continuation_matches_uninterrupted_run(monkeypatch):
+    _evicted_continuation(1, monkeypatch)
+
+
+def test_evicted_continuation_on_two_workers_overlaps(monkeypatch):
+    _evicted_continuation(2, monkeypatch)
+
+
+def test_detach_is_one_round_trip(monkeypatch):
+    with SessionPool(workers=1, max_resident=2) as p:
+        sid = _create(p, agents=16)
+        p.handle(P.StepRequest(session=sid, steps=2))
+        sent = _record_exchanges(p, monkeypatch)
+        ck = p.handle(P.DetachRequest(session=sid))
+        assert isinstance(ck, P.CheckpointReply) and ck.iteration == 2
+        assert [[(w, msg[0]) for w, msg in legs] for legs in sent] == [
+            [(0, "evict")]]
+        assert not p._sessions[sid].resident
+        assert p._workers[0].sessions == set()
+        assert p.obs.registry.snapshot()["serve:evict_seconds"] > 0
+
+
+def test_failed_eviction_keeps_the_victim_resident(monkeypatch):
+    """A victim whose checkpoint fails stays resident on its worker, the
+    request that needed the room gets the typed error, and nothing is
+    lost: later requests succeed and every session still resumes onto
+    its uninterrupted trajectory."""
+    from repro.serve.session import HostedSession
+
+    real = HostedSession.checkpoint
+    failed = []  # per process: the worker's copy records its one failure
+
+    def flaky(self, path, extra_meta):
+        if self.sid == "a" and not failed:
+            failed.append(self.sid)
+            raise RuntimeError("spool disk full")
+        return real(self, path, extra_meta)
+
+    # Patched before the pool forks, so the worker inherits it.
+    monkeypatch.setattr(HostedSession, "checkpoint", flaky)
+    spec = {"model": MODEL, "agents": 24, "seed": 5, "params": {}}
+    with SessionPool(workers=1, max_resident=1) as p:
+        _create(p, name="a", agents=24, seed=5)
+        p.handle(P.StepRequest(session="a", steps=1))
+        err = p.handle(P.CreateSession(
+            model=MODEL, agents=24, seed=6, name="b"))
+        assert isinstance(err, P.SessionError) and err.code == "internal"
+        assert "spool disk full" in err.message
+        assert p._sessions["a"].resident and p._sessions["b"].resident
+        assert p._workers[0].sessions == {"a", "b"}
+        assert p.obs.registry.snapshot()["serve:evictions"] == 0
+
+        r = p.handle(P.StepRequest(session="a", steps=1))
+        assert isinstance(r, P.StepReply) and not r.resumed
+        assert r.iteration == 2
+        r = p.handle(P.StepRequest(session="b", steps=1))
+        assert isinstance(r, P.StepReply) and r.iteration == 1
+
+        _create(p, name="c", agents=8)  # evicts both a and b
+        assert not p._sessions["a"].resident
+        assert not p._sessions["b"].resident
+        r = p.handle(P.StepRequest(session="a", steps=1, checksum=True))
+        assert r.resumed and r.iteration == 3
+        assert r.checksum == _direct_checksum(spec, 3)
+        r = p.handle(P.StepRequest(session="b", steps=1))
+        assert r.resumed and r.iteration == 2
+
+
+def test_concurrent_admissions_keep_the_table_consistent():
+    """More workers than cores, more tenants than slots, a short switch
+    interval: every tenant's steps all land, and the table ends naming
+    exactly the sessions each worker hosts (a lost update or a session
+    the table misplaced fails a step with ``unknown_session``)."""
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SessionPool(workers=3, max_resident=2) as p:
+            sids = [_create(p, name=f"t{k}", agents=16, seed=k)
+                    for k in range(5)]
+            bad = []
+
+            def drive(sid):
+                for _ in range(6):
+                    r = p.handle(P.StepRequest(session=sid, steps=1))
+                    if not isinstance(r, P.StepReply):
+                        bad.append(r)
+
+            threads = [threading.Thread(target=drive, args=(sid,))
+                       for sid in sids]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert bad == []
+            assert all(p._sessions[sid].status["iteration"] == 6
+                       for sid in sids)
+            resident = {sid for sid in sids if p._sessions[sid].resident}
+            for w, worker in enumerate(p._workers):
+                assert worker.sessions == {
+                    sid for sid in resident if p._sessions[sid].worker == w}
+            reg = p.obs.registry.snapshot()
+            assert reg["serve:evictions"] >= 1 and reg["serve:resume_count"] >= 1
+            for sid in sids:  # every session still answers, resuming if needed
+                r = p.handle(P.StepRequest(session=sid, steps=1))
+                assert isinstance(r, P.StepReply) and r.iteration == 7
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pool_shutdown_is_idempotent_and_final():
