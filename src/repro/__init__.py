@@ -9,15 +9,12 @@ Curated public API — the pieces a model author needs::
 
 Everything in ``__all__`` below is stable; engine internals remain
 importable from their defining modules but carry no compatibility
-promise.  Names that moved keep working at their old import path
-through ``DeprecationWarning`` shims for one release.
+promise.
 
 See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 paper-figure reproduction index, and docs/observability.md for the
 tracing/metrics layer (``sim.obs``).
 """
-
-import warnings as _warnings
 
 from repro.core import (
     Agent,
@@ -152,21 +149,9 @@ _LAZY_EXPORTS = {
     "ProtocolError": ("repro.serve", "ProtocolError"),
 }
 
-#: Old import paths kept alive one release: ``repro.<old>`` resolves to
-#: the current home with a DeprecationWarning.
-_DEPRECATED_ALIASES = {
-    # The checksum/trace helpers predate repro.obs and were reachable as
-    # engine internals; point old code at the curated surface.
-    "NullTracer": ("repro.obs", "NullTracer"),
-    "NULL_TRACER": ("repro.obs", "NULL_TRACER"),
-    "metrics_snapshot": ("repro.obs", "metrics_snapshot"),
-    # MOVE_EPSILON historically rode on the scheduler module.
-    "MOVE_EPSILON": ("repro.parallel.backend", "MOVE_EPSILON"),
-}
-
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS) | set(_DEPRECATED_ALIASES))
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))
 
 
 def __getattr__(name: str):
@@ -178,16 +163,4 @@ def __getattr__(name: str):
         value = getattr(importlib.import_module(module), attr)
         globals()[name] = value  # cache: next access skips __getattr__
         return value
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is not None:
-        module, attr = target
-        _warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"import it from {module!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module), attr)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@
     python -m repro run cell_sorting --machine A --threads 72 --agents 3000
     python -m repro run oncology --param bdm.toml --param agent_sort_frequency=0
     python -m repro bench fig09 --scale small
-    python -m repro bench serve --tenants 8 --steps 20
     python -m repro verify --fuzz 200
     python -m repro trace oncology --out trace.json
     python -m repro serve --port 7464 --workers 2
@@ -22,10 +21,10 @@ either a TOML/JSON parameter file or a repeatable ``key=value`` override
 (coerced to the :class:`~repro.core.param.Param` field's type); a file
 and overrides compose, overrides winning.
 
-``serve`` starts the multi-tenant session server (see ``docs/serve.md``);
-``bench serve`` measures it.  ``trace`` runs a model with tracing enabled
-and writes a Chrome trace-event JSON (load it at
-https://ui.perfetto.dev).  ``verify`` runs the correctness suite
+``serve`` starts the multi-tenant session server (see ``docs/serve.md``;
+``perf/run.py --workload serve_sessions`` measures it).  ``trace`` runs a
+model with tracing enabled and writes a Chrome trace-event JSON (load it
+at https://ui.perfetto.dev).  ``verify`` runs the correctness suite
 (:mod:`repro.verify`), including the served-session equivalence check.
 """
 
@@ -270,8 +269,6 @@ def _cmd_trace(args) -> int:
         overrides["execution_backend"] = args.backend
     if args.workers:
         overrides["backend_workers"] = args.workers
-    if args.shards:
-        overrides["backend_shards"] = args.shards
     param = param.with_(**overrides)
 
     with bench.build(args.agents, param=param, seed=args.seed) as sim:
@@ -336,23 +333,6 @@ def _cmd_trace(args) -> int:
                   f"{int(reg.counter('events:sampler_replays').value)} "
                   "sampler replays, top blocker "
                   + (f"{top} ({int(blocked[top])})" if top else "none"))
-        dist = {k[len("dist:"):]: v for k, v in reg.snapshot().items()
-                if k.startswith("dist:")}
-        if any(dist.values()):
-            print("  distributed: "
-                  + ", ".join(
-                      f"{k} {v:.3f}" if isinstance(v, float)
-                      and not float(v).is_integer() else f"{k} {int(v)}"
-                      for k, v in sorted(dist.items())))
-        stats = sim.backend.stats() if sim.backend is not None else {}
-        if "auto_decisions" in stats:
-            model = sim.backend.model
-            print("  auto backend: "
-                  f"{stats['auto_decisions']} decisions, "
-                  f"{stats['auto_switches']} switches, "
-                  f"active {stats['active']}, "
-                  "process_overhead_ratio "
-                  f"{model.process_overhead_ratio(sim.num_agents):.2f}")
         if workers:
             print(f"  worker threads: {len(workers)}")
         if args.metrics:
@@ -369,18 +349,6 @@ def _cmd_bench(args) -> int:
         forwarded += ["--agents", str(args.agents)]
     if args.iterations is not None:
         forwarded += ["--iterations", str(args.iterations)]
-    if args.workers:
-        forwarded += ["--workers", *map(str, args.workers)]
-    if args.backend:
-        forwarded += ["--backend", args.backend]
-    if args.shards:
-        forwarded += ["--shards", *map(str, args.shards)]
-    if args.backends:
-        forwarded += ["--backends", *args.backends]
-    if args.tenants is not None:
-        forwarded += ["--tenants", str(args.tenants)]
-    if args.steps is not None:
-        forwarded += ["--steps", str(args.steps)]
     if args.out:
         forwarded += ["--out", args.out]
     if args.profile is not None:
@@ -448,17 +416,11 @@ SUBCOMMANDS: tuple[Subcommand, ...] = (
         shared=("model", "seed", "param"),
         args=(
             arg("--iterations", type=int, default=20),
-            arg("--backend",
-                choices=["serial", "process", "distributed", "auto"],
+            arg("--backend", choices=["serial", "process"],
                 help="override the execution backend (process-pool runs "
-                     "add per-worker phase spans and steal markers; "
-                     "distributed runs spatial shards with halo exchange "
-                     "and print dist:* counters; auto picks from the "
-                     "measured cost model)"),
+                     "add per-worker phase spans and steal markers)"),
             arg("--workers", type=int,
                 help="worker count for --backend process"),
-            arg("--shards", type=int,
-                help="shard count for --backend distributed (default 2)"),
             arg("--out", default="trace.json",
                 help="Chrome trace JSON output path (default trace.json)"),
             arg("--metrics",
@@ -467,30 +429,15 @@ SUBCOMMANDS: tuple[Subcommand, ...] = (
     ),
     Subcommand(
         "bench",
-        "regenerate a paper figure or measure the serve stack "
-        "(see `python -m repro.bench -h`)",
+        "regenerate a paper figure (see `python -m repro.bench -h`)",
         _cmd_bench,
         args=(
             arg("experiment"),
             arg("--scale", default="small", choices=["small", "medium", "large"]),
             arg("--agents", type=int),
             arg("--iterations", type=int),
-            arg("--workers", type=int, nargs="+",
-                help="worker counts for the `scaling` experiment"),
-            arg("--backend", choices=["process", "distributed"],
-                help="execution-backend leg for `scaling` (distributed "
-                     "= serial vs spatial shards with halo exchange)"),
-            arg("--shards", type=int, nargs="+",
-                help="shard counts for `scaling --backend distributed`"),
-            arg("--backends", nargs="+", metavar="NAME",
-                help="kernel backends for the `kernels` experiment"),
-            arg("--tenants", type=int,
-                help="concurrent tenants for the `serve` experiment"),
-            arg("--steps", type=int,
-                help="steps per tenant for the `serve` experiment"),
-            arg("--out", help="artifact path for the wall-clock "
-                              "experiments (scaling, neighbor_cache, "
-                              "event_scheduling, kernels, serve)"),
+            arg("--out", help="artifact path for the `neighbor_cache` "
+                              "experiment"),
             arg("--profile", nargs="?", const="profiles", metavar="DIR",
                 help="run under cProfile; write top cumulative "
                      "functions to DIR/<experiment>.prof.txt"),

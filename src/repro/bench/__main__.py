@@ -26,39 +26,12 @@ def main(argv=None) -> int:
                         choices=["small", "medium", "large"],
                         help="size preset (`large`: `neighbor_cache` only)")
     wall_opts = parser.add_argument_group(
-        "wall-clock", "options for the `scaling`, `neighbor_cache`, "
-                      "`event_scheduling` and `kernels` experiments")
+        "wall-clock", "options for the `neighbor_cache` experiment")
     wall_opts.add_argument("--agents", type=int, default=None)
     wall_opts.add_argument("--iterations", type=int, default=None)
     wall_opts.add_argument(
-        "--workers", type=int, nargs="+", default=None,
-        help="process-pool worker counts for `scaling` "
-             "(default: 1 2 cpu_count)")
-    wall_opts.add_argument(
-        "--backend", default=None, choices=["process", "distributed"],
-        help="`scaling` execution-backend leg: the default serial/"
-             "process/auto comparison, or `distributed` (serial vs the "
-             "spatially-sharded halo-exchange backend, merged into the "
-             "artifact under the 'distributed' key)")
-    wall_opts.add_argument(
-        "--shards", type=int, nargs="+", default=None,
-        help="shard counts for `scaling --backend distributed` "
-             "(default: 2)")
-    wall_opts.add_argument(
-        "--backends", nargs="+", default=None, metavar="NAME",
-        help="kernel backends for `kernels` (e.g. numpy c; default: "
-             "numpy plus every available compiled backend)")
-    wall_opts.add_argument(
         "--out", default=None,
         help="artifact path (defaults to BENCH_<experiment>.json)")
-    serve_opts = parser.add_argument_group(
-        "serve", "options for the `serve` experiment")
-    serve_opts.add_argument(
-        "--tenants", type=int, default=None,
-        help="concurrent socket tenants for `serve` (default: scale preset)")
-    serve_opts.add_argument(
-        "--steps", type=int, default=None,
-        help="steps per tenant for `serve` (default: scale preset)")
     parser.add_argument(
         "--profile", nargs="?", const="profiles", default=None,
         metavar="DIR",
@@ -74,25 +47,9 @@ def main(argv=None) -> int:
             parser.error(f"`{name}` has no `{args.scale}` scale "
                          f"(available: {', '.join(mod.SCALES)})")
         kwargs = {}
-        if name == "scaling":
-            kwargs = dict(agents=args.agents, iterations=args.iterations,
-                          workers=args.workers, backend=args.backend,
-                          shards=args.shards,
-                          out=args.out or "BENCH_scaling.json")
-        elif name == "neighbor_cache":
+        if name == "neighbor_cache":
             kwargs = dict(agents=args.agents, iterations=args.iterations,
                           out=args.out or "BENCH_neighbor_cache.json")
-        elif name == "event_scheduling":
-            kwargs = dict(agents=args.agents, iterations=args.iterations,
-                          out=args.out or "BENCH_events.json")
-        elif name == "kernels":
-            kwargs = dict(agents=args.agents, iterations=args.iterations,
-                          backends=args.backends,
-                          out=args.out or "BENCH_kernels.json")
-        elif name == "serve":
-            kwargs = dict(tenants=args.tenants, steps=args.steps,
-                          agents=args.agents,
-                          out=args.out or "BENCH_serve.json")
         t0 = time.perf_counter()
         if args.profile is not None:
             report = _profiled_run(name, mod, args, kwargs)

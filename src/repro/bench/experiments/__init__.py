@@ -7,7 +7,6 @@ not expected to match — the substrate is a simulated machine).
 """
 
 from repro.bench.experiments import (
-    event_scheduling,
     ext_ablations,
     ext_distributed,
     ext_gpu,
@@ -20,16 +19,12 @@ from repro.bench.experiments import (
     fig11_neighbor,
     fig12_sorting,
     fig13_allocator,
-    kernels,
     neighbor_cache,
-    scaling,
     sec610_numa,
-    serve,
     table1_characteristics,
 )
 
 ALL_EXPERIMENTS = {
-    "event_scheduling": event_scheduling,
     "table1": table1_characteristics,
     "fig05": fig05_breakdown,
     "fig06": fig06_complexity,
@@ -40,11 +35,8 @@ ALL_EXPERIMENTS = {
     "fig11": fig11_neighbor,
     "fig12": fig12_sorting,
     "fig13": fig13_allocator,
-    "kernels": kernels,
     "neighbor_cache": neighbor_cache,
-    "scaling": scaling,
     "sec610": sec610_numa,
-    "serve": serve,
     "ext_distributed": ext_distributed,
     "ext_ablations": ext_ablations,
     "ext_gpu": ext_gpu,

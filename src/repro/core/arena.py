@@ -1,8 +1,8 @@
 """Single-arena SoA block: all agent columns in one contiguous buffer.
 
 Allocating every attribute array independently would turn every bulk
-state movement — shared-memory attach, checkpoint save/restore, shard
-migration, GPU upload — into a per-column loop.  :class:`SoAArena` is the
+state movement — shared-memory attach, checkpoint save/restore, GPU
+upload — into a per-column loop.  :class:`SoAArena` is the
 :class:`~repro.core.resource_manager.ResourceManager`'s backing store and
 holds the columns in **one** dtype-packed ``uint8`` block:
 
@@ -189,7 +189,7 @@ class SoAArena:
         self.attach_seconds += time.perf_counter() - t0
 
     # ------------------------------------------------------------------ #
-    # Row packing (shard migration / whole-domain device upload)
+    # Row packing (whole-domain device upload)
     # ------------------------------------------------------------------ #
 
     def packed_nbytes(self, names, num_rows: int) -> int:

@@ -49,8 +49,7 @@ pin down:
 
 The layer is **off by default** (``Param.event_scheduling``) and
 enabled by ``Param.optimized()``; it never engages under a virtual
-machine (cost accounting must see every tick) or the distributed
-backend (shards assume every epoch passes through them).
+machine (cost accounting must see every tick).
 """
 
 from __future__ import annotations

@@ -72,14 +72,8 @@ class Param:
     #: "serial" keeps the original in-process NumPy path; "process" runs
     #: mechanics (and vectorizable agent operations) on a pool of worker
     #: processes over shared-memory columns (:mod:`repro.parallel.shm`),
-    #: bitwise identical to serial.  "auto" measures both and picks per
-    #: run: a cost model (:class:`repro.parallel.costmodel.BackendCostModel`)
-    #: fed by population, churn, and the measured process-overhead /
-    #: arena-attach counters re-decides at environment-rebuild
-    #: boundaries; decisions surface as ``backend:auto_decisions``.
-    #: "distributed" spatially shards the domain across OS processes
-    #: with halo exchange (:mod:`repro.distributed.shard_backend`); see
-    #: ``backend_shards`` / ``distributed_transport``.
+    #: bitwise identical to serial and measured slower than serial C
+    #: (docs/parallel_backend.md).
     execution_backend: str = "serial"
     #: Force the agent storage into shared memory even when the execution
     #: backend is serial: the consolidated SoA block lives in a
@@ -92,28 +86,6 @@ class Param:
     shared_storage: bool = False
     backend_workers: int = 0               # 0 = os.cpu_count()
     backend_chunk_size: int = 4096         # agent rows per process-kernel chunk
-    #: Shard count for ``execution_backend="distributed"``: space is
-    #: partitioned along the space-filling curve
-    #: (:class:`repro.distributed.partition.SpatialPartition`) into this
-    #: many OS-process shards, each owning a shard-local uniform grid +
-    #: CSR plus a halo ring of ghost agents; results are bitwise
-    #: identical to serial (``verify.replay`` leg ``distributed``).
-    #: 0 means "not configured": the auto cost model never selects the
-    #: distributed backend, and selecting it explicitly defaults to 2.
-    backend_shards: int = 0
-    #: Inter-shard transport for the distributed backend: "pipe"
-    #: (multiprocessing pipe, default), "shm" (control pipe + payloads
-    #: through reusable shared-memory segments), or "socket"
-    #: (length-prefixed stream framing — the multi-node wire stub).
-    distributed_transport: str = "pipe"
-    #: Bind endpoint (``"host:port"``) for the socket transport's
-    #: listener.  Empty (the default) keeps today's in-process
-    #: ``socketpair`` — the localhost stub.  A non-empty endpoint makes
-    #: the host side bind a real listening socket (shard ``s`` uses
-    #: ``port + s`` when ``port`` is non-zero; ``port`` 0 picks an
-    #: ephemeral port per shard) — the first step toward shards on other
-    #: hosts.  Ignored by the pipe/shm transports.
-    distributed_endpoint: str = ""
     #: Array-kernel implementation for the hot kernels (CSR force,
     #: displacement, Verlet refilter, diffusion stencil): "numpy" (the
     #: reference and default), "c" (C/OpenMP, bit for bit the same), or
@@ -141,8 +113,7 @@ class Param:
     #: time-dependent state (read-only samplers, diffusion, the time
     #: accumulator).  Bitwise identical to tick-stepping (enforced by
     #: the ``verify.replay`` leg ``events``); off by default, enabled by
-    #: :meth:`optimized`.  Never engages under a virtual machine or the
-    #: distributed backend.
+    #: :meth:`optimized`.  Never engages under a virtual machine.
     event_scheduling: bool = False
 
     # --- Memory layout (O4, O5) --------------------------------------------
@@ -343,31 +314,19 @@ class Param:
             raise ParamError("check_invariants_frequency must be >= 0")
         if self.block_size < 1:
             raise ParamError("block_size must be >= 1")
-        if self.execution_backend not in ("serial", "process", "auto",
-                                          "distributed"):
+        execution_backends = ("serial", "process")
+        if self.execution_backend in ("distributed", "auto"):
+            raise ParamError(f"execution backend {self.execution_backend!r} "
+                             "was removed; use 'serial' or 'process'")
+        if self.execution_backend not in execution_backends:
             raise ParamError(
-                f"unknown execution backend {self.execution_backend!r}"
+                f"unknown execution backend {self.execution_backend!r}; "
+                f"choose one of {', '.join(execution_backends)}"
             )
         if self.backend_workers < 0:
             raise ParamError("backend_workers must be >= 0 (0 = cpu count)")
         if self.backend_chunk_size < 1:
             raise ParamError("backend_chunk_size must be >= 1")
-        if self.backend_shards < 0:
-            raise ParamError("backend_shards must be >= 0 (0 = unset)")
-        if self.distributed_transport not in ("pipe", "shm", "socket"):
-            raise ParamError(
-                f"unknown distributed transport "
-                f"{self.distributed_transport!r}; choose pipe, shm, or "
-                f"socket"
-            )
-        if self.distributed_endpoint:
-            host, sep, port = self.distributed_endpoint.rpartition(":")
-            if not sep or not host or not port.isdigit() \
-                    or not 0 <= int(port) <= 65535:
-                raise ParamError(
-                    f"distributed_endpoint must be 'host:port' (port "
-                    f"0-65535), got {self.distributed_endpoint!r}"
-                )
         kernel_backends = ("numpy", "c", "auto")
         if self.kernel_backend in ("numba", "cupy"):
             raise ParamError(f"kernel backend {self.kernel_backend!r} was "

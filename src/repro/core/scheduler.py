@@ -138,14 +138,9 @@ class Scheduler:
         # --- Event-driven quiescence scheduling (repro.core.events).
         #: Wake-time bookkeeping + jump executor, or None when disabled.
         #: Never engages under a virtual machine (every tick must be
-        #: charged) or the distributed backend (shards assume every epoch
-        #: passes through them).
+        #: charged).
         self.events = None
-        if (
-            sim.param.event_scheduling
-            and sim.machine is None
-            and sim.param.execution_backend in ("serial", "process")
-        ):
+        if sim.param.event_scheduling and sim.machine is None:
             from repro.core.events import EventScheduler
 
             self.events = EventScheduler(self)
@@ -449,7 +444,6 @@ class Scheduler:
         self._env_rebuilds.inc()
         self._env_key = env_key
         self._moved_since_build = False
-        self._notify_rebuild(sim)
         return work
 
     def ensure_environment(self) -> None:
@@ -540,13 +534,6 @@ class Scheduler:
         self._pos_at_build = self._pos_at_build[new_order]
         self._cache_struct = sim.rm.structure_version
         self._cache_relabels.inc()
-
-    def _notify_rebuild(self, sim) -> None:
-        """Tell adaptive backends the environment was just rebuilt (the
-        boundary where ``execution_backend="auto"`` re-decides)."""
-        backend = getattr(sim, "backend", None)
-        if backend is not None:
-            backend.on_environment_rebuild(sim)
 
     def _max_displacement(self) -> float:
         """Max Euclidean distance any agent moved since the last build."""
@@ -665,7 +652,6 @@ class Scheduler:
         self._env_rebuilds.inc()
         self._env_key = env_key
         self._moved_since_build = False
-        self._notify_rebuild(sim)
 
     def _expand_csr(self, indptr, indices):
         """``(counts, row-ids)`` of a CSR, cached by ``indices`` identity.
@@ -796,11 +782,6 @@ class Scheduler:
         if need_neighbors:
             indptr, indices = sim.neighbors()
             counts_arr, qi_all = self._expand_csr(indptr, indices)
-            # Backends that re-derive neighbor lists elsewhere (the
-            # distributed shards) need the positions this CSR was
-            # materialized from: behaviors below may move agents, and
-            # mechanics pairs are defined by *these* coordinates.
-            sim.backend.stash_csr_positions(rm)
             if charge:
                 nbr_mem, nbr_dom = self._neighbor_memory_profile(qi_all, indices, n)
                 self._charge_transient_buffers(len(indices) * 16)

@@ -111,17 +111,12 @@ class Simulation:
         if self.other_allocator is not self.agent_allocator:
             self.obs.register_allocator("other", self.other_allocator)
 
-        # "auto" may switch to the process pool mid-run, so its storage
-        # must be shared-memory-backed from the start (serial over shm
-        # columns is bitwise identical to serial over private ones).
-        # With a virtual machine attached, auto resolves to serial and
-        # private storage suffices.  ``shared_storage`` forces shm even
-        # for serial execution (session server: the host process attaches
-        # each session's arena block zero-copy).
+        # ``shared_storage`` forces shm even for serial execution (session
+        # server: the host process attaches each session's arena block
+        # zero-copy).
         wants_shm = (
             self.param.shared_storage
             or self.param.execution_backend == "process"
-            or (self.param.execution_backend == "auto" and machine is None)
         )
         if wants_shm:
             from repro.parallel.shm import SharedMemoryResourceManager

@@ -20,29 +20,14 @@ simulated substrate used for the single-node reproduction:
   comes from per-node virtual machines and communication time from the
   network model, so scaling studies across node counts are possible.
 
-Beyond the virtual engine, the subpackage now hosts the **real**
-distributed execution backend (``Param.execution_backend =
-"distributed"``), which runs spatial shards as OS processes:
-
-- :mod:`repro.distributed.partition` — SFC-based equal-population
-  spatial partition with frozen cell geometry.
-- :mod:`repro.distributed.delta` — delta-encoded agent serialization
-  (per-column dirty masks against the last exchanged epoch).
-- :mod:`repro.distributed.transport` — pluggable host↔shard transports
-  (pipe / shm / socket framing stub).
-- :mod:`repro.distributed.shard_backend` — the halo-exchange execution
-  backend itself, bitwise identical to serial
-  (``verify.replay.distributed_equivalence``).
+The engine is virtual: it runs on one host and prices the nodes and the
+network.  A real multi-host launcher is future work.
 """
 
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.decomposition import GridDecomposition, SlabDecomposition
-from repro.distributed.delta import apply_delta, encode_delta
 from repro.distributed.engine import DistributedEngine
 from repro.distributed.motility import BrownianMotion
-from repro.distributed.partition import SpatialPartition
-from repro.distributed.shard_backend import DistributedBackend
-from repro.distributed.transport import make_transport
 
 __all__ = [
     "ClusterSpec",
@@ -50,9 +35,4 @@ __all__ = [
     "GridDecomposition",
     "DistributedEngine",
     "BrownianMotion",
-    "SpatialPartition",
-    "DistributedBackend",
-    "encode_delta",
-    "apply_delta",
-    "make_transport",
 ]

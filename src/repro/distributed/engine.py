@@ -29,10 +29,10 @@ import numpy as np
 
 from repro.core.force import InteractionForce
 from repro.core.scheduler import DISPLACEMENT_OPS
-from repro.parallel.backend import MOVE_EPSILON
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.decomposition import SlabDecomposition
 from repro.env.uniform_grid import UniformGridEnvironment
+from repro.kernels.api import MOVE_EPSILON
 from repro.parallel.machine import Machine, SchedulePolicy, make_blocks
 
 __all__ = ["DistributedEngine", "StepReport"]
@@ -95,11 +95,10 @@ class DistributedEngine:
         else:
             self.decomposition = SlabDecomposition(cluster.num_nodes, self.positions)
         self.iteration = 0
-        # Step timings live in a MetricsRegistry (the same ``dist:*``
-        # namespace the real distributed backend uses) rather than
-        # ad-hoc engine attributes, so ``python -m repro trace`` and any
-        # obs consumer can read them; the ``total_*`` properties below
-        # keep the historical attribute API.
+        # Step timings live in a MetricsRegistry (the ``dist:*``
+        # namespace) rather than ad-hoc engine attributes, so any obs
+        # consumer can read them; the ``total_*`` properties below keep
+        # the historical attribute API.
         if registry is None:
             from repro.obs.core import MetricsRegistry
 

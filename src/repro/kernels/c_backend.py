@@ -146,7 +146,7 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
 
     @property
     def threads(self) -> int:
-        """1 in any child process (pool, serve or shard worker, or anything
+        """1 in any child process (pool or serve worker, or anything
         forked after loading), whose calls then enter no OpenMP construct;
         else the loading process's team."""
         lib = self._lib

@@ -19,7 +19,7 @@ off every tick still dispatches Infection/Recovery to every agent just
 to discover there is nothing to do; with events on those stretches cost
 O(1).  Results are bitwise identical either way (the behaviors honor the
 ``next_fire`` no-op contract), which ``verify --events`` enforces and
-``bench event_scheduling`` quantifies.
+``perf/run.py --workload epidemic_quiescent --trace 1`` quantifies.
 
 An attached read-only :class:`~repro.core.timeseries.TimeSeriesOperation`
 samples the S/I/R/Q counts on a frequency — inside a jump it is sampled

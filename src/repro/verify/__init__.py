@@ -15,8 +15,8 @@ tools, all seeded and reproducible:
 - **Replay harness** (:mod:`repro.verify.replay`): same seed →
   byte-identical per-step state checksums; different seed → different
   trajectory; and one :func:`equivalence` driver over a table of legs
-  (process pool, shards, neighbor cache, events, tracing, kernels,
-  serve) that must each leave those checksums untouched.
+  (process pool, neighbor cache, events, tracing, kernels, serve) that
+  must each leave those checksums untouched.
 - **Seeded fuzzer** (:mod:`repro.verify.fuzz`): randomized
   add/remove/sort/query interleavings against a reference model, with a
   shrinking loop that minimizes failures to copy-pasteable reproducers.

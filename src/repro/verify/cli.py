@@ -20,9 +20,6 @@ Runs, in order and as selected by flags:
   pool and ``auto``, and the C kernels in the parent and in pool
   workers, all bitwise, with proof that kernels ran in both places and
   that the grid build, search and sort order ran in C);
-- **distributed**: the halo-exchange backend vs serial over {models} ×
-  {seeds} × {shard counts}, with proof that agents migrated between
-  shards and halo ghosts existed in every cell;
 - **events**: deferred dispatch and horizon jumps vs tick-by-tick
   stepping, on both backends, with proof that a multi-step jump happened
   and a dispatch was deferred;
@@ -34,15 +31,16 @@ call on a row of :data:`~repro.verify.replay.LEGS`; each prints its
 per-cell anti-vacuity evidence and fails when it is missing.
 
 With no flags everything runs at smoke-test sizes.  ``--fuzz N``,
-``--oracle``, ``--replay MODEL``, ``--kernels`` and ``--distributed``
-select individual sections (and scale them), which is what CI uses::
+``--oracle``, ``--replay MODEL``, ``--kernels``, ``--events`` and
+``--serve`` select individual sections (and scale them), which is what
+CI uses::
 
     python -m repro verify --fuzz 200
     python -m repro verify --oracle --configs 100
     python -m repro verify --replay oncology --steps 10
     python -m repro verify --kernels
-    python -m repro verify --distributed
     python -m repro verify --events
+    python -m repro verify --serve
 
 Exit status is 0 only when every selected check passes.
 """
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import replace
 
 __all__ = ["add_verify_parser", "run_verify"]
 
@@ -87,14 +84,6 @@ def add_verify_parser(sub):
     p.add_argument("--kernels", action="store_true",
                    help="run the kernel-backend equivalence section "
                         "(numpy vs process / auto / c, bitwise)")
-    p.add_argument("--distributed", action="store_true",
-                   help="run the distributed-backend equivalence section "
-                        "(spatial sharding + halo exchange, bitwise vs "
-                        "serial over models x seeds x shard counts)")
-    p.add_argument("--shards", type=_positive_int, default=None,
-                   metavar="N",
-                   help="restrict the distributed section to one shard "
-                        "count (default: 2 and 4)")
     p.add_argument("--serve", action="store_true",
                    help="run the session-server equivalence section "
                         "(served sessions, incl. a forced evict/resume "
@@ -185,23 +174,11 @@ def _run_replay(args, model: str) -> bool:
     return ok
 
 
-def _run_distributed(args) -> bool:
-    from repro.verify.replay import LEGS
-
-    leg = LEGS["distributed"]
-    if args.shards is not None:
-        label = f"shards={args.shards}"
-        leg = replace(leg, variants={label: {
-            "execution_backend": "distributed",
-            "backend_shards": args.shards}})
-    return _run_leg(leg)
-
-
 def run_verify(args) -> int:
     """Execute the selected (or, with no flags, all) verification sections."""
     selected = ((args.fuzz is not None) or args.oracle
                 or (args.replay is not None) or args.kernels
-                or args.serve or args.distributed or args.events)
+                or args.serve or args.events)
     ok = True
     if not selected or args.oracle:
         _section("differential oracle")
@@ -218,9 +195,6 @@ def run_verify(args) -> int:
     if not selected or args.kernels:
         _section("kernel equivalence")
         ok &= _run_leg("kernels")
-    if not selected or args.distributed:
-        _section("distributed equivalence")
-        ok &= _run_distributed(args)
     if not selected or args.events:
         _section("event-scheduling equivalence")
         ok &= _run_leg("events")

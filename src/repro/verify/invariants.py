@@ -18,10 +18,6 @@ properties as code:
 - **Static-agent detection** (§5): no agent flagged static would move if
   its force were computed after all — recomputing the full force on
   static agents must yield sub-epsilon displacements.
-- **Spatial sharding** (:mod:`repro.distributed`): shard ownership is a
-  partition — no agent owned by two shards, none orphaned — and every
-  boundary agent is ghosted on each neighboring shard it interacts
-  with, so no cross-shard force pair can be silently dropped.
 
 :func:`check_simulation_invariants` runs everything applicable to a live
 simulation; the scheduler calls it every
@@ -45,7 +41,6 @@ __all__ = [
     "check_uniform_grid",
     "check_morton_runs",
     "check_static_agents",
-    "check_halo_ownership",
     "check_permutation",
     "check_simulation_invariants",
     "InvariantCheckOperation",
@@ -311,92 +306,6 @@ def check_static_agents(sim, csr=None) -> list[Violation]:
 
 
 # --------------------------------------------------------------------- #
-# Distributed spatial sharding: ownership partition + halo coverage
-# --------------------------------------------------------------------- #
-
-def check_halo_ownership(backend, positions=None,
-                         radius=None) -> list[Violation]:
-    """Shard ownership is a partition and halos cover every boundary pair.
-
-    Two properties of the spatial decomposition, checked against the
-    backend's live :class:`~repro.distributed.partition.SpatialPartition`:
-
-    - **exactly one owner**: the per-shard owned masks must agree with
-      ``owner_of`` and sum to one everywhere — an agent owned by two
-      shards would be displaced twice, an orphan never;
-    - **boundary ghosting**: for every interacting pair ``(i, j)``
-      (within the interaction radius, from a fresh grid build) whose
-      members live on different shards, each partner must appear in the
-      other owner's ghost mask — the halo stencil's floor/clamp
-      arithmetic must never under-reach, or a cross-shard force pair
-      silently vanishes.
-
-    No-op (empty list) before the first partition is built.
-    """
-    out: list[Violation] = []
-
-    def bad(msg):
-        out.append(Violation("halo_ownership", msg))
-
-    part = getattr(backend, "_partition", None)
-    if part is None:
-        return out
-    sim = backend.sim
-    if positions is None:
-        positions = sim.rm.positions
-    if radius is None:
-        radius = sim.interaction_radius()
-    n = len(positions)
-    if n == 0:
-        return out
-    from repro.distributed.shard_backend import HALO_SKIN_FRACTION
-
-    num_shards = backend.num_shards
-    owner = part.owner_of(positions)
-    if int(owner.min()) < 0 or int(owner.max()) >= num_shards:
-        bad(f"owner_of produced shard ids outside [0, {num_shards})")
-        return out
-    p = sim.param
-    skin = p.neighbor_skin if p.neighbor_skin > 0 \
-        else HALO_SKIN_FRACTION * radius
-    owned_masks, ghost_masks = part.members(
-        positions, halo_width=radius + skin)
-
-    owned_count = np.zeros(n, dtype=np.int64)
-    for s in range(num_shards):
-        owned_count += owned_masks[s].astype(np.int64)
-        if not np.array_equal(owned_masks[s], owner == s):
-            bad(f"shard {s} owned mask disagrees with owner_of")
-        overlap = int(np.sum(owned_masks[s] & ghost_masks[s]))
-        if overlap:
-            bad(f"shard {s} ghosts {overlap} agents it also owns")
-    if np.any(owned_count != 1):
-        multi = int(np.sum(owned_count > 1))
-        orphan = int(np.sum(owned_count == 0))
-        bad(f"ownership is not a partition: {multi} agents owned by "
-            f"multiple shards, {orphan} by none")
-
-    # Boundary coverage over the actual interacting pairs.
-    env = UniformGridEnvironment()
-    env.update(np.array(positions, dtype=np.float64, copy=True),
-               float(radius))
-    indptr, indices = env.neighbor_csr()
-    qi = np.repeat(np.arange(n), np.diff(indptr))
-    cross = owner[qi] != owner[indices]
-    if np.any(cross):
-        ci, cj = qi[cross], indices[cross]
-        ghost_stack = np.stack(ghost_masks)
-        missing = ~ghost_stack[owner[cj], ci]
-        if np.any(missing):
-            k = int(np.argmax(missing))
-            bad(f"{int(missing.sum())} cross-shard interacting pair "
-                f"sides lack a ghost: e.g. agent {int(ci[k])} (owner "
-                f"{int(owner[ci[k]])}) interacts into shard "
-                f"{int(owner[cj[k]])} but is not ghosted there")
-    return out
-
-
-# --------------------------------------------------------------------- #
 # Whole-simulation driver
 # --------------------------------------------------------------------- #
 
@@ -418,12 +327,6 @@ def check_simulation_invariants(sim, raise_on_violation: bool = False
         violations += check_morton_runs(env)
         if sim.param.detect_static_agents:
             violations += check_static_agents(sim, csr=env.neighbor_csr())
-        backend = getattr(sim, "backend", None)
-        if backend is not None:
-            # AutoBackend wraps the live backend in ``.active``.
-            backend = getattr(backend, "active", backend)
-            if getattr(backend, "name", "") == "distributed":
-                violations += check_halo_ownership(backend)
     if raise_on_violation and violations:
         raise InvariantViolation(violations)
     return violations

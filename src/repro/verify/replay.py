@@ -199,16 +199,6 @@ LEGS = {
         require={"backend:phases": 1, "commit:fast_appends": 1,
                  "commit:staged_rows": 1},
     ),
-    # Spatial shards + halo exchange.  numpy on both sides isolates the
-    # execution topology from kernel dispatch.
-    "distributed": Leg(
-        "serial vs spatially-sharded backend",
-        base={"kernel_backend": "numpy"},
-        variants={f"shards={k}": {"execution_backend": "distributed",
-                                  "backend_shards": k} for k in (2, 4)},
-        require={"dist:migrations": 1, "dist:halo_agents": 1},
-        every_cell=True, num_agents=300, steps=12,
-    ),
     # Verlet-skin CSR reuse vs a fresh build every step.  The c cells
     # carry the superset through the sorts after ticks 10 and 20 (the
     # default agent_sort_frequency) and must refilter it afterwards.
@@ -291,9 +281,6 @@ class EquivalenceReport:
     divergences: dict = field(default_factory=dict)
     #: ``{cell: {counter: value}}`` for the counters in ``leg.require``.
     evidence: dict = field(default_factory=dict)
-    #: ``{cell: digest}`` — the distributed backend's rolled per-shard
-    #: replica digest at the final step.
-    digests: dict = field(default_factory=dict)
     #: ``{variant label: reason}`` for variants that cannot run here.
     skipped: dict = field(default_factory=dict)
     #: Runs whose resolved kernel backend differed from the requested one.
@@ -350,8 +337,6 @@ class EquivalenceReport:
             line = f"  {model} {label} seed {seed}: {verdict}"
             if proof:
                 line += f" [{proof}]"
-            if cell in self.digests:
-                line += f" digest {str(self.digests[cell])[:16]}..."
             lines.append(line)
         return "\n".join(lines)
 
@@ -359,7 +344,6 @@ class EquivalenceReport:
 class _Run(NamedTuple):
     trace: list             # per-step state checksums
     metrics: dict           # registry snapshot (+ pseudo-counters)
-    digest: str | None = None
     mismatch: str | None = None
 
 
@@ -375,12 +359,11 @@ def _run(bench, num_agents, param, seed, steps, chunked=False) -> _Run:
         metrics["trace:events"] = len(sim.obs.tracer.events)
         resolved = {sim.kernels.name, *getattr(
             sim.backend, "worker_kernel_backends", {}).values()}
-        digest = getattr(sim.backend, "last_global_digest", None)
     mismatch = None
     if param.kernel_backend != "auto" and resolved != {param.kernel_backend}:
         mismatch = (f"requested {param.kernel_backend}, host/workers "
                     f"resolved {sorted(resolved)}")
-    return _Run(trace, metrics, digest, mismatch)
+    return _Run(trace, metrics, mismatch)
 
 
 @contextlib.contextmanager
@@ -490,8 +473,6 @@ def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
                         proof = {c: max(v, chunk.metrics.get(c, 0))
                                  for c, v in proof.items()}
                     report.evidence[cell] = proof
-                    if got.digest:
-                        report.digests[cell] = got.digest
                     if got.mismatch:
                         report.mismatches.append(
                             f"{model} {label} seed {seed}: {got.mismatch}")

@@ -3,9 +3,8 @@
 Covers the ISSUE 10 contract: all-static scenes fully skip the force
 kernels (flat ``kernel:calls``), horizon jumps are bitwise identical to
 tick-stepping, mid-run behavior attachment invalidates the wake-time
-columns, the timed-interventions scenario is golden-deterministic, the
-``distributed_endpoint`` plumbing works end to end, and served sessions
-advance idle stretches in O(1) RPCs.
+columns, the timed-interventions scenario is golden-deterministic, and
+served sessions advance idle stretches in O(1) RPCs.
 
 And the ISSUE 17 one (O(1) jumps): writes between ticks end the quiet
 epoch, everything that can move the cached horizon without a tick
@@ -200,51 +199,6 @@ class TestInterventionsGolden:
         from repro.simulations.registry import available_simulations
 
         assert "epidemiology_interventions" in available_simulations()
-
-
-class TestDistributedEndpoint:
-    def test_param_validation(self):
-        Param(distributed_endpoint="0.0.0.0:5600")
-        Param(distributed_endpoint="127.0.0.1:0")
-        for bad in ("nonsense", ":", "host:", ":123", "host:notaport",
-                    "host:70000"):
-            with pytest.raises(Exception):
-                Param(distributed_endpoint=bad)
-
-    def test_socket_transport_binds_configurable_endpoint(self):
-        from repro.distributed.transport import make_transport
-
-        a, b = make_transport("socket", "127.0.0.1:0")
-        try:
-            a.send(("header", 1), b"x" * 4096)
-            header, payload = b.recv(5.0)
-            assert header == ("header", 1)
-            assert payload == b"x" * 4096
-        finally:
-            a.close()
-            b.close()
-
-    def test_socket_transport_bad_bind_raises(self):
-        from repro.distributed.transport import (
-            TransportError,
-            make_transport,
-        )
-
-        # 203.0.113.1 is TEST-NET-3 (RFC 5737): never a local address,
-        # so binding it fails without touching the network.
-        with pytest.raises(TransportError):
-            make_transport("socket", "203.0.113.1:0")
-
-    def test_pipe_ignores_endpoint(self):
-        from repro.distributed.transport import make_transport
-
-        a, b = make_transport("pipe", "127.0.0.1:0")
-        try:
-            a.send("ping")
-            assert b.recv(5.0) == ("ping", b"")
-        finally:
-            a.close()
-            b.close()
 
 
 class TestServeIdleSessions:

@@ -130,64 +130,3 @@ class TestFastModelAgreesWithCacheSim:
             fast.append(model.total_access_cycles(np.diff(addrs)))
         assert fast == sorted(fast)
         assert lru == sorted(lru)
-
-
-class TestDistributedCostModel:
-    """The distributed (halo-exchange) candidate in the backend cost
-    model: estimates, overhead learning, and the three-way decision."""
-
-    def _measured(self, shards, per_agent=1e-4, workers=2):
-        from repro.parallel.costmodel import BackendCostModel
-
-        m = BackendCostModel(workers, min_agents=100, shards=shards)
-        m.observe_serial(10_000, per_agent * 10_000)
-        return m
-
-    def test_shards_zero_keeps_distributed_out(self):
-        m = self._measured(shards=0)
-        d = m.decide(100_000, "serial")
-        assert d.distributed_seconds is None
-        assert d.backend in ("serial", "process")
-        assert "distributed_seconds" not in d.as_dict()
-
-    def test_estimate_divides_compute_by_shards(self):
-        m = self._measured(shards=4)
-        serial = m.serial_estimate(100_000)
-        est = m.distributed_estimate(100_000)
-        assert est == pytest.approx(serial / 4 + m.dist_overhead_seconds)
-
-    def test_churn_penalized_harder_than_process(self):
-        m = self._measured(shards=2, workers=2)
-        calm_d = m.distributed_estimate(100_000, churn_rate=0.0)
-        churn_d = m.distributed_estimate(100_000, churn_rate=0.5)
-        calm_p = m.process_estimate(100_000, churn_rate=0.0)
-        churn_p = m.process_estimate(100_000, churn_rate=0.5)
-        # Structural changes force full resyncs on the shards, so the
-        # same churn costs the distributed candidate more.
-        assert churn_d - calm_d > churn_p - calm_p
-
-    def test_decide_picks_distributed_at_scale(self):
-        # 4 shards vs 2 workers: the distributed estimate halves the
-        # parallel part again, dwarfing its overhead prior at 100k agents.
-        m = self._measured(shards=4, workers=2)
-        d = m.decide(100_000, "serial")
-        assert d.backend == "distributed"
-        assert d.distributed_seconds == pytest.approx(
-            m.distributed_estimate(100_000))
-        assert d.as_dict()["distributed_seconds"] == d.distributed_seconds
-
-    def test_observe_distributed_learns_overhead(self):
-        m = self._measured(shards=2)
-        prior = m.dist_overhead_seconds
-        # Measured step far above serial/shards: overhead EMA must rise.
-        m.observe_distributed(10_000, 5.0)
-        assert m.dist_overhead_seconds > prior
-        assert m.distributed_samples == 1
-        # Estimates move with the learned overhead.
-        assert m.distributed_estimate(10_000) > prior
-
-    def test_small_population_stays_serial(self):
-        m = self._measured(shards=4)
-        d = m.decide(50, "serial")
-        assert d.backend == "serial"
-        assert d.distributed_seconds is not None  # still reported

@@ -110,6 +110,21 @@ class TestValueChecks:
         with pytest.raises(ParamError):
             Param(**kwargs)
 
+    @pytest.mark.parametrize("name", ["distributed", "auto"])
+    def test_retired_execution_backends_name_the_survivors(self, name):
+        from repro.serve.session import SessionSetupError, build_session_sim
+
+        message = rf"{name!r} was removed; use 'serial' or 'process'"
+        with pytest.raises(ParamError, match=message):
+            Param(execution_backend=name)
+        with pytest.raises(ParamError, match=message):
+            Param().with_(execution_backend=name)
+        spec = {"model": "oncology", "agents": 10, "seed": 1,
+                "params": {"execution_backend": name}}
+        with pytest.raises(SessionSetupError) as info:
+            build_session_sim(spec)
+        assert info.value.code == "unsupported_param"
+
     def test_param_error_is_a_value_error(self):
         assert issubclass(ParamError, ValueError)
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """The curated public facade: everything in repro.__all__ imports, and
-names that moved keep working through DeprecationWarning shims."""
+none of it warns."""
 
 import warnings
 
@@ -43,19 +43,6 @@ class TestCuratedSurface:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("old,module,attr", [
-        ("NullTracer", "repro.obs", "NullTracer"),
-        ("NULL_TRACER", "repro.obs", "NULL_TRACER"),
-        ("metrics_snapshot", "repro.obs", "metrics_snapshot"),
-        ("MOVE_EPSILON", "repro.parallel.backend", "MOVE_EPSILON"),
-    ])
-    def test_old_path_warns_and_resolves(self, old, module, attr):
-        import importlib
-
-        with pytest.warns(DeprecationWarning, match=old):
-            value = getattr(repro, old)
-        assert value is getattr(importlib.import_module(module), attr)
-
     def test_curated_names_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

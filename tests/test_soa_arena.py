@@ -207,9 +207,9 @@ class TestSingleCopyRestore:
 
 
 class TestPackedRows:
-    """Single-buffer row migration primitive (``pack_rows`` /
-    ``unpack_rows``): the distributed backend's payload gather/scatter
-    must round-trip bitwise through one contiguous uint8 block."""
+    """Single-buffer row gather/scatter (``pack_rows`` /
+    ``unpack_rows``) must round-trip bitwise through one contiguous
+    uint8 block."""
 
     def _arena(self, n=12):
         a = SoAArena()
