@@ -189,61 +189,6 @@ class SoAArena:
         self.attach_seconds += time.perf_counter() - t0
 
     # ------------------------------------------------------------------ #
-    # Row packing (whole-domain device upload)
-    # ------------------------------------------------------------------ #
-
-    def packed_nbytes(self, names, num_rows: int) -> int:
-        """Bytes :meth:`pack_rows` produces for ``num_rows`` rows of the
-        named columns."""
-        return sum(self._specs[name][2] for name in names) * int(num_rows)
-
-    def pack_rows(self, names, rows, live_rows: int) -> np.ndarray:
-        """Gather ``rows`` of the named columns into **one** contiguous
-        ``uint8`` buffer (column-major segments, registration order of
-        ``names``).
-
-        This is the migration payload primitive: instead of sending one
-        message (or device upload) per column, a whole row set leaves the
-        domain as a single slice.  ``rows`` are indices into the live
-        prefix (``live_rows``); :meth:`unpack_rows` is the inverse.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty(self.packed_nbytes(names, len(rows)), dtype=np.uint8)
-        off = 0
-        for name in names:
-            row_nbytes = self._specs[name][2]
-            seg = np.ascontiguousarray(self.view(name, live_rows)[rows])
-            nbytes = row_nbytes * len(rows)
-            out[off:off + nbytes] = seg.reshape(-1).view(np.uint8)
-            off += nbytes
-        return out
-
-    def unpack_rows(self, names, rows, blob, live_rows: int) -> None:
-        """Scatter a :meth:`pack_rows` buffer back into ``rows`` of the
-        named columns (which must be the same ``names`` sequence the
-        buffer was packed with)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if isinstance(blob, (bytes, bytearray, memoryview)):
-            blob = np.frombuffer(blob, dtype=np.uint8)
-        else:
-            blob = np.ascontiguousarray(blob, dtype=np.uint8).reshape(-1)
-        expected = self.packed_nbytes(names, len(rows))
-        if len(blob) != expected:
-            raise ArenaLayoutError(
-                f"packed row buffer is {len(blob)} bytes, layout says "
-                f"{expected}"
-            )
-        off = 0
-        for name in names:
-            dtype, shape, row_nbytes = self._specs[name]
-            nbytes = row_nbytes * len(rows)
-            arr = np.frombuffer(
-                blob[off:off + nbytes].tobytes(), dtype=dtype
-            ).reshape(len(rows), *shape)
-            self.view(name, live_rows)[rows] = arr
-            off += nbytes
-
-    # ------------------------------------------------------------------ #
     # Bulk snapshot / restore (the single-copy fast path)
     # ------------------------------------------------------------------ #
 

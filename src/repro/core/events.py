@@ -201,7 +201,8 @@ class EventScheduler:
         # would not, so a sampler calling sim.neighbors() mid-jump could
         # see pre-move pairs.  Cheap and conservative: no jump until then.
         if rm.data["moved"].any() or rm.data["grew"].any() or (
-                sched._moved_since_build and sched._needs_neighbors()):
+                sched.neighbor_cache.moved_since_build
+                and sched.neighbor_cache.needed()):
             return now, "stale_neighbors"
         if not self._mechanics_quiescent():
             return now, "mechanics_active"
@@ -246,7 +247,7 @@ class EventScheduler:
         key = (
             self._epoch, rm.structure_version, rm.mask_version, rm.n,
             rm.pending_additions, rm.pending_removals,
-            sched._moved_since_build, sim.visualize_callback,
+            sched.neighbor_cache.moved_since_build, sim.visualize_callback,
             sim.mechanics_enabled, p.agent_sort_frequency,
             p.check_invariants_frequency, tuple(sim.behaviors),
             tuple([(op, op.frequency) for op in sim.operations]),

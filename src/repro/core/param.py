@@ -43,13 +43,14 @@ class ParamError(ValueError):
     """
 
 
-#: Former on/off fields whose "on" behaviour is now the only
-#: implementation, mapped to what they used to select; old configs that
-#: still carry them get an explanation instead of a did-you-mean.
+#: Former fields whose default behaviour is now the only implementation,
+#: mapped to what they used to select; old configs that still carry them
+#: get an explanation instead of a did-you-mean.
 _REMOVED_FIELDS = {
     "batched_agent_ops": "the staged commit pipeline",
     "soa_arena": "the single-arena SoA layout",
     "skip_unchanged_environment": "the unchanged-environment rebuild skip",
+    "neighbor_skin": "the auto-tuned Verlet skin",
 }
 
 
@@ -94,18 +95,14 @@ class Param:
     kernel_backend: str = "numpy"
     #: Displacement-bounded neighbor caching (Verlet-skin CSR reuse): build
     #: the uniform grid with an inflated radius ``interaction_radius +
-    #: skin`` and, while no agent has consumed the skin budget, reuse the
+    #: skin`` (the skin auto-tuned from the observed per-step displacement
+    #: and radius growth) and, while no agent has consumed it, reuse the
     #: cached superset CSR with a cheap order-preserving re-filter instead
     #: of rebuilding.  Results are bitwise identical to rebuilding every
     #: step (enforced by the ``verify.replay`` leg ``neighbor_cache``).
     #: Only engages for environments that support it (the uniform grid)
     #: and never during virtual-machine cost-model runs.
     neighbor_cache: bool = True
-    #: Skin width added to the build radius.  0 (the default) auto-tunes
-    #: the skin from the recently observed per-step displacement and
-    #: interaction-radius growth; a positive value fixes it.  Negative
-    #: values are invalid.
-    neighbor_skin: float = 0.0
     #: Event-driven quiescence scheduling (:mod:`repro.core.events`):
     #: behaviors declare per-agent wake times (``Behavior.next_fire``),
     #: the scheduler dispatches only due agents, and provably-inert
@@ -340,10 +337,6 @@ class Param:
             raise ParamError(
                 f"unknown kernel backend {self.kernel_backend!r}{hint}; "
                 f"choose one of {', '.join(kernel_backends)}"
-            )
-        if self.neighbor_skin < 0:
-            raise ParamError(
-                "neighbor_skin must be >= 0 (0 = auto-tune)"
             )
         if self.simulation_time_step <= 0:
             raise ParamError("simulation_time_step must be positive")

@@ -11,13 +11,12 @@ Executes, per iteration:
 4. *post* standalone operations (L16–18): committing queued agent
    additions/removals, visualization hook.
 
-When the simulation carries a virtual :class:`~repro.parallel.machine.Machine`,
-every region charges its cost: parallel regions submit per-agent cycle
-estimates (compute from the operations' op counts, memory from the cost
-model priced at the agents' *actual simulated addresses*), serial regions
-charge one thread.  Region names match the paper's Fig. 5 breakdown:
-``agent_ops``, ``build_environment``, ``agent_sorting``, ``diffusion``,
-``setup_teardown``, ``visualization``.
+Two jobs ride along, each behind one owner: the :class:`NeighborCache`
+holds every piece of neighbor-list state (the exact CSR, the Verlet
+superset and its skin tuner, the build/moved/deferred decisions), and a
+:class:`~repro.parallel.accounting.CostAccountant` — built only when the
+simulation carries a virtual machine — charges each stage's cost at its
+boundary.
 """
 
 from __future__ import annotations
@@ -27,30 +26,350 @@ import time
 
 import numpy as np
 
-from repro.core.force import InteractionForce
 from repro.env.environment import csr_row_index, refilter_csr
 from repro.core.sorting import sort_and_balance
-from repro.core.static_detection import (
-    DETECTION_OPS_PER_AGENT,
-    update_static_flags,
-)
-from repro.core.diffusion import OPS_PER_VOXEL
+from repro.core.static_detection import update_static_flags
 from repro.core.operation import AgentOperation, OpKind
-from repro.parallel.machine import SchedulePolicy, make_blocks
 
-__all__ = ["Scheduler"]
+__all__ = ["Scheduler", "NeighborCache"]
 
 
-#: Arithmetic ops for one agent's displacement integration.
-DISPLACEMENT_OPS = 30.0
+class NeighborCache:
+    """The one owner of a simulation's neighbor-list state.
 
-#: Transient per-iteration buffers are charged to the "other objects"
-#: allocator in chunks of this many bytes.
-TRANSIENT_CHUNK = 64 * 1024
+    Decides, per build stage, whether to skip (nothing could have changed
+    the answer), defer (nobody reads it), re-filter the cached Verlet
+    superset, or build; holds the exact CSR ``sim.neighbors()`` answers
+    with and its row-id expansion.  The superset is built at
+    ``interaction_radius + skin`` and reused, one order-preserving
+    distance pass per tick, while no agent has used up the skin; the skin
+    is auto-tuned from the measured displacement and radius growth.  See
+    docs/neighbor_cache.md.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        reg = sim.obs.registry
+        self._rebuilds = reg.counter("scheduler:env_rebuilds")
+        self._skips = reg.counter("scheduler:env_rebuild_skips")
+        self._deferrals = reg.counter("scheduler:env_builds_deferred")
+        self._hits = reg.counter("neighbor_cache:hits")
+        self._misses = reg.counter("neighbor_cache:misses")
+        self._refilters = reg.counter("neighbor_cache:refilters")
+        self._relabels = reg.counter("neighbor_cache:relabels")
+        #: Exact CSR ``(indptr, indices)`` of the current build, or None.
+        self._csr = None
+        #: ``(indices, counts, qi)`` of the CSR last expanded, keyed by the
+        #: identity of ``indices`` (strong ref kept, so the id cannot be
+        #: reused while cached).
+        self._expanded = None
+        #: (radius, structure_version, n) the exact CSR answers for — set
+        #: by full rebuilds *and* re-filters, so a static scene full-skips
+        #: either way.
+        self._key = None
+        #: Whether any agent moved or grew since the last build.
+        self.moved_since_build = True
+        #: Whether the last build stage deferred its build (no reader):
+        #: the first ``sim.neighbors()`` runs it on demand.
+        self._deferred = False
+        # --- Verlet superset.
+        #: ``(indptr, indices, qi)`` built at ``budget``, or None; ``qi``
+        #: is None after a relabel (the kernels that relabel do not read
+        #: it).
+        self._superset = None
+        #: Build radius including the skin — the displacement budget B.
+        self.budget = 0.0
+        #: ``rm.structure_version`` the superset's rows answer for; any
+        #: structural change (commit, checkpoint restore, a sort the
+        #: kernels cannot relabel it through) bumps it and thereby
+        #: invalidates the superset.
+        self._version = None
+        #: Positions at build time (displacement reference).
+        self._snapshot = None
+        #: Interaction radius at build time (radius growth eats budget).
+        self._build_radius = 0.0
+        #: Iteration of the last build (rebuild-interval stat).
+        self._build_iteration = 0
+        #: Estimated skin consumption per step (displacement + radius
+        #: growth), updated on every miss; None until first measured.
+        self._consumption = None
+        #: EMA of "the last miss was structural and came quickly" — under
+        #: sustained churn (e.g. a division wave) the skin drops to 0.  A
+        #: relabelled sort is no miss, so on such backends only commits
+        #: and restores feed it.
+        self._churn = 0.0
+
+    # ------------------------------------------------------------------ #
+    # Readers
+    # ------------------------------------------------------------------ #
+
+    def needed(self) -> bool:
+        """Whether this iteration's agent loop consumes neighbor lists."""
+        sim = self.sim
+        return (
+            sim.mechanics_enabled
+            or any(b.uses_neighbors for b, _ in sim.behaviors)
+            or any(
+                isinstance(op, AgentOperation) and op.uses_neighbors
+                for op in sim.operations
+            )
+        )
+
+    def neighbors(self, running: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The exact CSR (``Simulation.neighbors``); ``running`` says
+        whether a tick is in progress."""
+        if self._csr is None or not running:
+            self.ensure()
+        if self._csr is None:
+            self._csr = self.sim.env.neighbor_csr()
+        return self._csr
+
+    def invalidate(self) -> None:
+        """Drop the exact CSR (after moves, commits, or sorting)."""
+        self._csr = None
+
+    def expand(self, indptr, indices):
+        """``(counts, row-ids)`` of a CSR, cached by ``indices`` identity.
+
+        The ``np.repeat(arange(n), counts)`` expansion is O(#pairs) and a
+        pure function of the CSR, so recomputing it while the CSR object
+        is unchanged (skipped rebuilds) is waste.  The cache keeps a
+        strong reference to ``indices``, so its id cannot be recycled
+        while the entry lives.
+        """
+        cached = self._expanded
+        if (
+            cached is not None
+            and cached[0] is indices
+            and len(cached[1]) == len(indptr) - 1
+        ):
+            return cached[1], cached[2]
+        counts = np.diff(indptr)
+        qi = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), counts)
+        self._expanded = (indices, counts, qi)
+        return counts, qi
+
+    # ------------------------------------------------------------------ #
+    # Build: skip, defer, re-filter or build
+    # ------------------------------------------------------------------ #
+
+    def _key_now(self):
+        """The key an exact CSR built now would answer for."""
+        sim = self.sim
+        return (sim.interaction_radius(), sim.rm.structure_version, sim.rm.n)
+
+    def _managed(self) -> bool:
+        """Whether the Verlet superset may manage this build.
+
+        Off under a virtual machine (cost-model figures must keep the
+        paper's rebuild-every-step accounting), for environments that do
+        not guarantee canonically ordered CSR rows (kd-tree, octree), and
+        for models that never read neighbor lists (no CSR worth caching).
+        """
+        sim = self.sim
+        return (
+            sim.param.neighbor_cache
+            and sim.machine is None
+            and sim.env.supports_neighbor_cache
+            and self.needed()
+        )
+
+    def build(self, on_demand: bool = False):
+        """The ``build_environment`` stage's body (also run out of stage
+        by :meth:`ensure`): skip, defer, re-filter, or build.
+
+        Skips when nothing could have changed the answer: no agent moved
+        or grew since the last build, the population was not restructured,
+        the radius is the same, and the exact CSR was not dropped by code
+        outside the scheduler's view.  Defers when nobody will read the
+        result (no virtual machine to charge, no neighbor consumer in the
+        agent loop — §5's "omit the work nobody needs"), leaving
+        ``moved_since_build`` and the key alone: the build stays owed to
+        the first reader.  Returns the ``BuildWork`` of the environment
+        build (what the virtual machine charges), else ``None``.
+        """
+        sim = self.sim
+        key = self._key_now()
+        if (not self.moved_since_build and self._key == key
+                and self._csr is not None):
+            self._skips.inc()
+            return None
+        self._deferred = (not on_demand and sim.machine is None
+                         and not self.needed())
+        if self._deferred:
+            self._drop_superset()
+            self._csr = None
+            self._deferrals.inc()
+            return None
+        radius = key[0]
+        work = None
+        if not self._managed():
+            work = self._rebuild(radius, 0.0)
+        else:
+            # A superset built at positions ``P0`` with radius ``B`` holds
+            # every pair within ``B`` of ``P0``; a current pair ``|xi - xj|
+            # <= r`` has ``|x0i - x0j| <= r + 2*Dmax``, so while ``r +
+            # 2*Dmax <= B`` one order-preserving distance pass over the
+            # superset reproduces the exact CSR bit for bit.  Any
+            # structural change (commit, restore, a sort not carried
+            # through by :meth:`relabel`) bumps ``structure_version`` and
+            # misses.
+            rm = sim.rm
+            same = (self._version == rm.structure_version
+                    and self._snapshot is not None
+                    and len(self._snapshot) == rm.n)
+            dmax = self._max_displacement() if same else 0.0
+            slack = self.budget - radius
+            if (self._superset is not None and same and slack > 0.0
+                    and 2.0 * dmax <= slack):
+                sup_ip, sup_ix, sup_qi = self._superset
+                with sim.obs.tracer.span("neighbor_refilter", cat="cache",
+                                         iteration=sim.scheduler.iteration):
+                    ip, ix, _ = refilter_csr(sup_ip, sup_ix, sup_qi,
+                                             rm.positions, radius,
+                                             kernels=sim.kernels)
+                self._csr = (ip, ix)
+                self._hits.inc()
+                self._refilters.inc()
+            else:
+                work = self._rebuild(radius, self._retune(radius, same, dmax))
+                self._version = rm.structure_version
+                self._snapshot = rm.positions.copy()
+                self._build_radius = radius
+                self._build_iteration = sim.scheduler.iteration
+        self._key = key
+        self.moved_since_build = False
+        return work
+
+    def ensure(self) -> None:
+        """Run the build a ``sim.neighbors()`` caller is owed, if any.
+
+        Inside a tick only a *deferred* build is owed: declared readers
+        got theirs in the build stage and keep the tick-start lists.
+        Between ticks it is owed whenever the build is not current, and
+        running it is the path the next tick would take — that tick
+        skips, the trajectory is unchanged.  Never under a virtual
+        machine (every build there is a charged one) or on a closed
+        simulation (its columns may be unmapped).
+        """
+        from repro.core.simulation import SimulationState
+
+        sim = self.sim
+        if sim.machine is not None or sim.state is SimulationState.CLOSED:
+            return
+        owed = self._deferred
+        if not owed and sim.state is not SimulationState.RUNNING:
+            owed = self.moved_since_build or self._key != self._key_now()
+        if owed:
+            self.build(on_demand=True)
+
+    def _retune(self, radius: float, same: bool, dmax: float) -> float:
+        """A miss: measure how fast the budget was consumed, update the
+        churn estimate, and return the skin for the rebuild."""
+        self._misses.inc()
+        interval = max(self.sim.scheduler.iteration - self._build_iteration, 1)
+        struct_changed = (self._version is not None
+                          and self.sim.rm.structure_version != self._version)
+        if same:
+            c = (2.0 * dmax + max(radius - self._build_radius, 0.0)) / interval
+            old = self._consumption
+            self._consumption = c if old is None else max(c, 0.7 * old)
+        self._churn = 0.5 * self._churn + (
+            0.5 if struct_changed and interval <= 2 else 0.0
+        )
+        return self._choose_skin(radius)
+
+    def _choose_skin(self, radius: float) -> float:
+        """Skin width for the next superset build.
+
+        Sizes the skin so the measured per-step consumption (displacement
+        + radius growth) lasts ~10 steps, clamped to ``[0.05, 0.3] *
+        radius``; falls back to 0 (plain exact builds, no re-filter cost)
+        when the scene moves too fast for even the largest skin to buy two
+        cached steps, or while structural churn keeps killing the cache.
+        """
+        if self._churn > 0.7:
+            return 0.0
+        c = self._consumption
+        if c is None or c <= 0.0:
+            return 0.1 * radius
+        skin = min(max(10.0 * c, 0.05 * radius), 0.3 * radius)
+        if skin < 10.0 * c and skin / c < 2.0:
+            return 0.0
+        return skin
+
+    def _rebuild(self, radius: float, skin: float):
+        """Build the environment at ``radius`` — padded by ``skin`` into a
+        superset when ``skin > 0`` — and return its ``BuildWork``."""
+        sim = self.sim
+        rm = sim.rm
+        # Tiny relative pad so float rounding in ``radius + skin`` cannot
+        # shave a boundary pair off the superset; extra pairs are harmless
+        # (the re-filter removes them).
+        work = sim.env.update(
+            rm.positions, (radius + skin) * (1.0 + 1e-9) if skin > 0.0 else radius)
+        self._rebuilds.inc()
+        if skin <= 0.0:
+            self._drop_superset()
+            self._csr = None
+            return work
+        # Materialize eagerly: ``env._positions`` aliases the live position
+        # columns, so a lazily built CSR after agents move would no longer
+        # describe the build-time snapshot.
+        sup_ip, sup_ix = sim.env.neighbor_csr()
+        sup_qi = csr_row_index(sup_ip, sup_ix)
+        self._superset = (sup_ip, sup_ix, sup_qi)
+        self.budget = radius + skin
+        ip, ix, _ = refilter_csr(sup_ip, sup_ix, sup_qi, rm.positions, radius,
+                                 kernels=sim.kernels)
+        self._csr = (ip, ix)
+        return work
+
+    def _max_displacement(self) -> float:
+        """Max Euclidean distance any agent moved since the last build."""
+        rm = self.sim.rm
+        if rm.n == 0 or self._snapshot is None:
+            return 0.0
+        delta = rm.positions - self._snapshot
+        d2 = np.einsum("ij,ij->i", delta, delta)
+        return math.sqrt(float(d2.max()))
+
+    def _drop_superset(self) -> None:
+        """Forget the superset and its displacement bookkeeping."""
+        self._superset = None
+        self._version = None
+        self._snapshot = None
+        self.budget = 0.0
+
+    def relabel(self, new_order, struct) -> None:
+        """Follow a sort: drop the exact CSR and carry the superset
+        through the permutation instead of dropping it.
+
+        ``struct`` is ``rm.structure_version`` before the sort.  If the
+        superset answered for it, the kernels renumber it by the
+        permutation (new row ``b`` is old row ``new_order[b]``, columns
+        through the inverse, rows ascending) and the snapshot is gathered
+        the same way: the pair set and every displacement are unchanged,
+        so the next re-filter reproduces the exact CSR of the sorted
+        agents bit for bit.  Kernels that answer None leave the superset
+        behind the new ``structure_version``: the next build misses and
+        rebuilds it.
+        """
+        self._csr = None
+        if self._superset is None or self._version != struct:
+            return
+        sup_ip, sup_ix, _ = self._superset
+        relabelled = self.sim.kernels.relabel_csr(sup_ip, sup_ix, new_order)
+        if relabelled is None:
+            return
+        self._superset = (*relabelled, None)
+        self._snapshot = self._snapshot[new_order]
+        self._version = self.sim.rm.structure_version
+        self._relabels.inc()
 
 
 class Scheduler:
-    """Runs Algorithm 1 and performs all virtual-cost accounting."""
+    """Runs Algorithm 1."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -59,75 +378,24 @@ class Scheduler:
         #: Observability bundle (``sim.obs``): stage timings and every
         #: scheduler counter live in its registry.
         self._obs = sim.obs
-        self._env_rebuilds = self._obs.registry.counter("scheduler:env_rebuilds")
-        self._env_rebuild_skips = self._obs.registry.counter(
-            "scheduler:env_rebuild_skips"
-        )
-        self._iterations_done = self._obs.registry.counter("scheduler:iterations")
-        self._diffusion_steps = self._obs.registry.counter("diffusion:steps")
-        self._diffusion_voxels = self._obs.registry.counter("diffusion:voxels")
-        #: (radius, structure_version, n) the current exact neighbor CSR
-        #: answers for — set by full rebuilds *and* cache re-filters, so a
-        #: static scene full-skips either way.
-        self._env_key = None
-        #: Whether any agent moved or grew since the last build.
-        self._moved_since_build = True
-        #: Whether the last build stage deferred its build (no reader):
-        #: the first ``sim.neighbors()`` runs it on demand.
-        self._env_deferred = False
-        self._env_builds_deferred = self._obs.registry.counter(
-            "scheduler:env_builds_deferred")
-        # --- Displacement-bounded neighbor cache (Verlet-skin CSR reuse).
-        self._cache_hits = self._obs.registry.counter("neighbor_cache:hits")
-        self._cache_misses = self._obs.registry.counter("neighbor_cache:misses")
-        self._cache_refilters = self._obs.registry.counter(
-            "neighbor_cache:refilters"
-        )
-        self._cache_relabels = self._obs.registry.counter(
-            "neighbor_cache:relabels"
-        )
-        #: Superset CSR built at ``interaction_radius + skin``:
-        #: ``(indptr, indices, qi)`` or None; ``qi`` is None after a
-        #: relabel (the backend that relabels does not read it).
-        self._cache_csr = None
-        #: Build radius including the skin — the displacement budget B.
-        self._cache_budget = 0.0
-        #: ``rm.structure_version`` the superset's rows answer for; any
-        #: structural change (commit, checkpoint restore, a sort the
-        #: kernels cannot relabel it through) bumps it and thereby
-        #: invalidates the cache.
-        self._cache_struct = None
-        #: Positions snapshot at build time (displacement reference).
-        self._pos_at_build = None
-        #: Interaction radius at build time (radius growth eats budget).
-        self._build_radius = 0.0
-        #: Iteration of the last superset build (rebuild-interval stat).
-        self._build_iteration = 0
-        #: Estimated skin consumption per step (displacement + radius
-        #: growth), updated on every cache miss; None until first measured.
-        self._consumption = None
-        #: EMA of "the last miss was structural and came quickly" — under
-        #: sustained churn (e.g. a division wave) the skin drops to 0.  A
-        #: relabelled sort is no miss, so on such backends only commits
-        #: and restores feed it.
-        self._churn = 0.0
-        #: ``(indices, counts, qi)`` of the CSR last expanded for the agent
-        #: loop, keyed by the identity of ``indices`` (strong ref kept, so
-        #: the id cannot be reused while cached).
-        self._qi_cache = None
+        reg = self._obs.registry
+        self._iterations_done = reg.counter("scheduler:iterations")
+        self._diffusion_steps = reg.counter("diffusion:steps")
+        self._diffusion_voxels = reg.counter("diffusion:voxels")
+        #: Environment builds and every neighbor list.
+        self.neighbor_cache = NeighborCache(sim)
+        #: Virtual-cost charging; None without a virtual machine, so the
+        #: wall-clock path never prices anything.
+        self.accountant = None
+        if sim.machine is not None:
+            from repro.parallel.accounting import CostAccountant
+
+            self.accountant = CostAccountant(sim)
         # --- Agent-ops pipeline (staged commits + cached dispatch).
-        self._commit_fast_appends = self._obs.registry.counter(
-            "commit:fast_appends"
-        )
-        self._commit_staged_rows = self._obs.registry.counter(
-            "commit:staged_rows"
-        )
-        self._mask_cache_hits = self._obs.registry.counter(
-            "agent_ops:mask_cache_hits"
-        )
-        self._dispatch_seconds = self._obs.registry.counter(
-            "agent_ops:dispatch_seconds"
-        )
+        self._commit_fast_appends = reg.counter("commit:fast_appends")
+        self._commit_staged_rows = reg.counter("commit:staged_rows")
+        self._mask_cache_hits = reg.counter("agent_ops:mask_cache_hits")
+        self._dispatch_seconds = reg.counter("agent_ops:dispatch_seconds")
         #: Behavior-dispatch cache: ``{bit: flatnonzero(mask & bit)}``
         #: valid for ``_mask_cache_key`` — any structural change or
         #: out-of-commit mask write (``rm.mask_version``) starts a fresh
@@ -177,116 +445,6 @@ class Scheduler:
         return 1
 
     # ------------------------------------------------------------------ #
-    # Cost-charging helpers
-    # ------------------------------------------------------------------ #
-
-    @property
-    def _policy(self) -> SchedulePolicy:
-        """NUMA-aware placement with two-level stealing when O3 is on;
-        plain dynamic scheduling otherwise (OpenMP balances load either
-        way — what it lacks is the domain matching, §4.1)."""
-        if self.sim.param.numa_aware_iteration:
-            return SchedulePolicy.NUMA_AWARE
-        return SchedulePolicy.DYNAMIC
-
-    def _effective_threads(self) -> float:
-        m = self.sim.machine
-        return float(np.sum(m.thread_speeds)) if m is not None else 1.0
-
-    def _charge_agent_region(
-        self, name, cycles, mem_cycles=None, domain_counts=None
-    ) -> None:
-        """Charge a parallel-over-agents region split by domain segments."""
-        m = self.sim.machine
-        if m is None or len(cycles) == 0:
-            return
-        rm = self.sim.rm
-        blocks = []
-        for d in range(rm.num_domains):
-            sl = rm.domain_slice(d)
-            seg_len = sl.stop - sl.start
-            if seg_len == 0:
-                continue
-            # Blocks must outnumber the domain's threads or the machine
-            # cannot be utilized at small scales (BioDynaMo sizes its
-            # blocks relative to the thread count, Fig. 2 step 2).
-            threads_here = max(1, len(m.threads_of_domain(d)))
-            # ~8 blocks per thread: fine enough that a straggler block on a
-            # slow SMT slot cannot dominate the makespan, coarse enough to
-            # keep scheduling overhead negligible.
-            block_size = max(
-                8,
-                min(self.sim.param.block_size, -(-seg_len // (threads_here * 8))),
-            )
-            blocks.extend(
-                make_blocks(
-                    cycles[sl],
-                    None if mem_cycles is None else mem_cycles[sl],
-                    domain=d,
-                    access_domain_counts=None
-                    if domain_counts is None
-                    else domain_counts[sl],
-                    block_size=block_size,
-                )
-            )
-        m.run_parallel(name, blocks, self._policy)
-
-    def _charge_items_region(self, name, total_cycles, total_mem, items) -> None:
-        """Charge a parallel region over non-agent items (voxels, swaps)."""
-        m = self.sim.machine
-        if m is None or items == 0:
-            return
-        per = total_cycles / items
-        per_mem = total_mem / items
-        n_blocks = max(
-            min(items, m.num_threads * 2), items // self.sim.param.block_size
-        )
-        blocks = make_blocks(
-            np.full(n_blocks, per * items / n_blocks),
-            np.full(n_blocks, per_mem * items / n_blocks),
-            domain=0,
-            block_size=1,
-        )
-        for i, b in enumerate(blocks):  # spread across domains
-            b.preferred_domain = i % (m.num_domains)
-        m.run_parallel(name, blocks, self._policy)
-
-    def _charge_transient_buffers(self, nbytes: int) -> None:
-        """Model per-iteration scratch allocations via the 'other' allocator."""
-        al = self.sim.other_allocator
-        if al is None or nbytes <= 0:
-            return
-        addrs = []
-        remaining = int(nbytes)
-        while remaining > 0:
-            chunk = min(remaining, TRANSIENT_CHUNK)
-            addrs.append((al.allocate(chunk), chunk))
-            remaining -= chunk
-        for a, c in addrs:
-            al.free(a, c)
-
-    def _drain_allocator_cycles(self, name: str) -> None:
-        m = self.sim.machine
-        if m is None:
-            return
-        eff = self._effective_threads()
-        total = 0.0
-        for al in {id(self.sim.agent_allocator): self.sim.agent_allocator,
-                   id(self.sim.other_allocator): self.sim.other_allocator}.values():
-            if al is None:
-                continue
-            cycles = al.drain_cycles()
-            if not cycles:
-                continue
-            # Allocations happen inside parallel loops, but only scale as
-            # far as the allocator's synchronization allows (arena locks
-            # vs thread-private free lists).
-            parallelism = 1.0 + (eff - 1.0) * al.parallel_scalability
-            total += cycles / parallelism
-        if total:
-            m.run_serial(name, total, memory_cycles=total * 0.5)
-
-    # ------------------------------------------------------------------ #
     # One iteration
     # ------------------------------------------------------------------ #
 
@@ -305,40 +463,21 @@ class Scheduler:
 
     def _iterate_stages(self) -> None:
         sim = self.sim
-        rm = sim.rm
         p = sim.param
-        m = sim.machine
         obs = self._obs
+        acc = self.accountant
+        cache = self.neighbor_cache
 
         # ---- Pre standalone: rebuild the environment (Algorithm 1, L3-5).
         self._run_standalone_ops(OpKind.PRE)
         with obs.stage("build_environment"):
-            work = self._build_environment()
-            if self._needs_neighbors():
+            work = cache.build()
+            if cache.needed():
                 # Materialize the CSR here, not lazily inside agent_ops, so
                 # the search is booked to the stage that owns it.
                 sim.neighbors()
-            if m is not None and work is not None:
-                if work.parallelizable and work.per_item_cycles is not None:
-                    cycles = work.per_item_cycles
-                    if work.random_access_spread_bytes:
-                        scatter = float(
-                            m.cost_model.latency_for_deltas(
-                                work.random_access_spread_bytes / 27.0
-                            )
-                        )
-                        cycles = cycles + scatter
-                    self._charge_agent_region(
-                        "build_environment",
-                        cycles,
-                        cycles * 0.6,
-                    )
-                else:
-                    m.run_serial(
-                        "build_environment",
-                        work.serial_cycles,
-                        memory_cycles=work.serial_cycles * 0.6,
-                    )
+            if acc is not None and work is not None:
+                acc.build_environment(work)
 
         # ---- Agent operations (Algorithm 1, L7-11).
         with obs.stage("agent_ops"):
@@ -350,32 +489,15 @@ class Scheduler:
         self._run_standalone_ops(OpKind.STANDALONE)
 
         with obs.stage("agent_sorting"):
+            result = None
             freq = p.agent_sort_frequency
             if freq > 0 and (self.iteration + 1) % freq == 0:
-                struct = rm.structure_version
+                struct = sim.rm.structure_version
                 result = sort_and_balance(sim)
-                if result is not None and m is not None:
-                    cm = m.cost_model
-                    cycles = np.full(
-                        rm.n, cm.compute_cycles(result.rank_ops_per_agent)
-                    )
-                    copy_mem = cm.stream_cycles(result.copied_bytes) / max(rm.n, 1)
-                    self._charge_agent_region(
-                        "agent_sorting", cycles + copy_mem, np.full(rm.n, copy_mem)
-                    )
-                    # Step F: per-box counting + work-efficient scan (parallel).
-                    self._charge_items_region(
-                        "agent_sorting",
-                        result.boxes_touched * 4.0,
-                        result.boxes_touched * 2.0,
-                        result.boxes_touched,
-                    )
-                    # Step D: serial gap traversal (tiny — O(#runs * depth)).
-                    m.run_serial("agent_sorting", result.serial_cycles)
                 if result is not None:
-                    sim.invalidate_neighbor_cache()
-                    self._relabel_neighbor_cache(result.new_order, struct)
-            self._drain_allocator_cycles("agent_sorting")
+                    cache.relabel(result.new_order, struct)
+            if acc is not None:
+                acc.sorting(result)
 
         # ---- Post standalone: commit agent modifications, visualization.
         with obs.stage("setup_teardown"):
@@ -384,8 +506,8 @@ class Scheduler:
         with obs.stage("visualization"):
             if sim.visualize_callback is not None:
                 sim.visualize_callback(sim)
-                if m is not None:
-                    m.run_serial("visualization", rm.n * 1.0)
+                if acc is not None:
+                    acc.visualization()
         # Simulated time advances before the end-of-iteration operations,
         # so post-op samplers (e.g. TimeSeries) see the completed step.
         sim.time += p.simulation_time_step
@@ -400,333 +522,8 @@ class Scheduler:
                 check_simulation_invariants(sim, raise_on_violation=True)
 
     # ------------------------------------------------------------------ #
-    # Environment build: skip, defer, or build
+    # Agent operations
     # ------------------------------------------------------------------ #
-
-    def _env_key_now(self):
-        """The ``_env_key`` an exact CSR built now would answer for."""
-        sim = self.sim
-        return (sim.interaction_radius(), sim.rm.structure_version, sim.rm.n)
-
-    def _build_environment(self, on_demand: bool = False):
-        """The ``build_environment`` stage's body (also run out of stage
-        by :meth:`ensure_environment`): skip, defer, or build.
-
-        Skips when nothing could have changed the answer: no agent moved
-        or grew since the last build, the population was not restructured,
-        the radius is the same, and the CSR cache was not dropped by code
-        outside the scheduler's view.  Defers when nobody will read the
-        result (no virtual machine to charge, no neighbor consumer in the
-        agent loop — §5's "omit the work nobody needs"), leaving
-        ``_moved_since_build`` / ``_env_key`` alone: the build stays owed
-        to the first reader.  Returns the ``BuildWork`` of a plain
-        ``env.update`` (what the virtual machine charges), else ``None``.
-        """
-        sim = self.sim
-        env_key = self._env_key_now()
-        if (not self._moved_since_build and self._env_key == env_key
-                and sim._csr_cache is not None):
-            self._env_rebuild_skips.inc()
-            return None
-        self._env_deferred = (not on_demand and sim.machine is None
-                              and not self._needs_neighbors())
-        if self._env_deferred:
-            self._drop_neighbor_cache()
-            sim.invalidate_neighbor_cache()
-            self._env_builds_deferred.inc()
-            return None
-        if self._cache_enabled():
-            self._build_or_refilter(env_key[0], env_key)
-            return None
-        self._drop_neighbor_cache()
-        work = sim.env.update(sim.rm.positions, env_key[0])
-        sim.invalidate_neighbor_cache()
-        self._env_rebuilds.inc()
-        self._env_key = env_key
-        self._moved_since_build = False
-        return work
-
-    def ensure_environment(self) -> None:
-        """Run the build a ``sim.neighbors()`` caller is owed, if any.
-
-        Inside a tick only a *deferred* build is owed: declared readers
-        got theirs in the build stage and keep the tick-start lists.
-        Between ticks it is owed whenever the build is not current, and
-        running it is the path the next tick would take — that tick
-        skips, the trajectory is unchanged.  Never under a virtual
-        machine (every build there is a charged one) or on a closed
-        simulation (its columns may be unmapped).
-        """
-        from repro.core.simulation import SimulationState
-
-        sim = self.sim
-        if sim.machine is not None or sim.state is SimulationState.CLOSED:
-            return
-        owed = self._env_deferred
-        if not owed and sim.state is not SimulationState.RUNNING:
-            owed = (self._moved_since_build
-                    or self._env_key != self._env_key_now())
-        if owed:
-            self._build_environment(on_demand=True)
-
-    # ------------------------------------------------------------------ #
-    # Displacement-bounded neighbor cache (Verlet-skin CSR reuse)
-    # ------------------------------------------------------------------ #
-
-    def _needs_neighbors(self) -> bool:
-        """Whether this iteration's agent loop consumes neighbor lists."""
-        sim = self.sim
-        return (
-            sim.mechanics_enabled
-            or any(b.uses_neighbors for b, _ in sim.behaviors)
-            or any(
-                isinstance(op, AgentOperation) and op.uses_neighbors
-                for op in sim.operations
-            )
-        )
-
-    def _cache_enabled(self) -> bool:
-        """Whether the displacement-bounded cache may manage this build.
-
-        Off under a virtual machine (cost-model figures must keep the
-        paper's rebuild-every-step accounting), for environments that do
-        not guarantee canonically ordered CSR rows (kd-tree, octree), and
-        for models that never read neighbor lists (no CSR worth caching).
-        """
-        sim = self.sim
-        return (
-            sim.param.neighbor_cache
-            and sim.machine is None
-            and sim.env.supports_neighbor_cache
-            and self._needs_neighbors()
-        )
-
-    def _drop_neighbor_cache(self) -> None:
-        """Forget the superset CSR and its displacement bookkeeping."""
-        self._cache_csr = None
-        self._cache_struct = None
-        self._pos_at_build = None
-        self._cache_budget = 0.0
-
-    def _relabel_neighbor_cache(self, new_order, struct) -> None:
-        """Carry the superset through a sort instead of dropping it.
-
-        ``struct`` is ``rm.structure_version`` before the sort.  If the
-        superset answered for it, the kernels renumber it by the
-        permutation (new row ``b`` is old row ``new_order[b]``, columns
-        through the inverse, rows ascending) and the build positions are
-        gathered the same way: the pair set and every displacement are
-        unchanged, so the next refilter reproduces the exact CSR of the
-        sorted agents bit for bit.  Kernels that answer None leave the
-        superset behind the new ``structure_version``: the next build
-        misses and rebuilds it.
-        """
-        sim = self.sim
-        if self._cache_csr is None or self._cache_struct != struct:
-            return
-        kernels = getattr(sim, "kernels", None)
-        sup_ip, sup_ix, _ = self._cache_csr
-        relabelled = (None if kernels is None
-                      else kernels.relabel_csr(sup_ip, sup_ix, new_order))
-        if relabelled is None:
-            return
-        self._cache_csr = (*relabelled, None)
-        self._pos_at_build = self._pos_at_build[new_order]
-        self._cache_struct = sim.rm.structure_version
-        self._cache_relabels.inc()
-
-    def _max_displacement(self) -> float:
-        """Max Euclidean distance any agent moved since the last build."""
-        rm = self.sim.rm
-        if rm.n == 0 or self._pos_at_build is None:
-            return 0.0
-        delta = rm.positions - self._pos_at_build
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        return math.sqrt(float(d2.max()))
-
-    def _choose_skin(self, radius: float) -> float:
-        """Skin width for the next superset build.
-
-        ``Param.neighbor_skin > 0`` fixes it.  Otherwise auto-tune: size
-        the skin so the measured per-step consumption (displacement +
-        radius growth) lasts ~10 steps, clamped to ``[0.05, 0.3] *
-        radius``; fall back to 0 (plain exact builds, no re-filter cost)
-        when the scene moves too fast for even the largest skin to buy two
-        cached steps, or while structural churn keeps killing the cache.
-        """
-        p = self.sim.param
-        if p.neighbor_skin > 0:
-            return float(p.neighbor_skin)
-        if self._churn > 0.7:
-            return 0.0
-        c = self._consumption
-        if c is None or c <= 0.0:
-            return 0.1 * radius
-        skin = min(max(10.0 * c, 0.05 * radius), 0.3 * radius)
-        if skin < 10.0 * c and skin / c < 2.0:
-            return 0.0
-        return skin
-
-    def _build_or_refilter(self, radius: float, env_key) -> None:
-        """The cache-managed build stage: re-filter if the budget holds,
-        else measure, retune the skin, and rebuild the superset.
-
-        A cached superset built at positions ``P0`` with radius ``B``
-        contains every pair within ``B`` of ``P0``; for a current pair
-        ``|xi - xj| <= r`` the triangle inequality gives ``|x0i - x0j| <=
-        r + 2*Dmax``, so while ``r + 2*Dmax <= B`` the superset covers the
-        exact CSR and one order-preserving distance pass reproduces it
-        bit for bit.  Any structural change (commit, restore, a sort not
-        relabelled by :meth:`_relabel_neighbor_cache`) bumps
-        ``rm.structure_version`` and forces the rebuild path.
-        """
-        sim = self.sim
-        rm = sim.rm
-        obs = self._obs
-        struct = rm.structure_version
-        same_struct = (
-            self._cache_struct is not None
-            and struct == self._cache_struct
-            and self._pos_at_build is not None
-            and len(self._pos_at_build) == rm.n
-        )
-        dmax = self._max_displacement() if same_struct else 0.0
-        if self._cache_csr is not None and same_struct:
-            slack = self._cache_budget - radius
-            if slack > 0.0 and 2.0 * dmax <= slack:
-                sup_ip, sup_ix, sup_qi = self._cache_csr
-                with obs.tracer.span(
-                    "neighbor_refilter", cat="cache", iteration=self.iteration
-                ):
-                    ip, ix, qi = refilter_csr(
-                        sup_ip, sup_ix, sup_qi, rm.positions, radius,
-                        kernels=getattr(sim, "kernels", None),
-                    )
-                sim._csr_cache = (ip, ix)
-                self._qi_cache = (ix, np.diff(ip), qi)
-                self._cache_hits.inc()
-                self._cache_refilters.inc()
-                self._env_key = env_key
-                self._moved_since_build = False
-                return
-        # Miss: measure how fast the budget was consumed, update the churn
-        # estimate, pick a skin, and rebuild.
-        self._cache_misses.inc()
-        interval = max(self.iteration - self._build_iteration, 1)
-        struct_changed = (
-            self._cache_struct is not None and struct != self._cache_struct
-        )
-        if same_struct:
-            c = (2.0 * dmax + max(radius - self._build_radius, 0.0)) / interval
-            old = self._consumption
-            self._consumption = c if old is None else max(c, 0.7 * old)
-        self._churn = 0.5 * self._churn + (
-            0.5 if struct_changed and interval <= 2 else 0.0
-        )
-        skin = self._choose_skin(radius)
-        if skin > 0.0:
-            # Tiny relative pad so float rounding in ``radius + skin``
-            # cannot shave a boundary pair off the superset; extra pairs
-            # are harmless (the re-filter removes them).
-            sim.env.update(rm.positions, (radius + skin) * (1.0 + 1e-9))
-            # Materialize eagerly: ``env._positions`` aliases the live
-            # position columns, so a lazily built CSR after agents move
-            # would no longer describe the build-time snapshot.
-            sup_ip, sup_ix = sim.env.neighbor_csr()
-            sup_qi = csr_row_index(sup_ip, sup_ix)
-            self._cache_csr = (sup_ip, sup_ix, sup_qi)
-            self._cache_budget = radius + skin
-            ip, ix, qi = refilter_csr(sup_ip, sup_ix, sup_qi,
-                                      rm.positions, radius,
-                                      kernels=getattr(sim, "kernels", None))
-            sim._csr_cache = (ip, ix)
-            self._qi_cache = (ix, np.diff(ip), qi)
-        else:
-            self._drop_neighbor_cache()
-            sim.env.update(rm.positions, radius)
-            sim.invalidate_neighbor_cache()
-        self._cache_struct = struct
-        self._pos_at_build = rm.positions.copy()
-        self._build_radius = radius
-        self._build_iteration = self.iteration
-        self._env_rebuilds.inc()
-        self._env_key = env_key
-        self._moved_since_build = False
-
-    def _expand_csr(self, indptr, indices):
-        """``(counts, row-ids)`` of a CSR, cached by ``indices`` identity.
-
-        The ``np.repeat(arange(n), counts)`` expansion is O(#pairs) and a
-        pure function of the CSR, so recomputing it while the CSR object
-        is unchanged (skipped rebuilds, multi-consumer iterations) is
-        waste.  The cache keeps a strong reference to ``indices``, so its
-        id cannot be recycled while the entry lives; cache re-filters
-        pre-populate it with the row ids the filter already produced.
-        """
-        cached = self._qi_cache
-        if (
-            cached is not None
-            and cached[0] is indices
-            and len(cached[1]) == len(indptr) - 1
-        ):
-            return cached[1], cached[2]
-        counts = np.diff(indptr)
-        qi = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), counts)
-        self._qi_cache = (indices, counts, qi)
-        return counts, qi
-
-    # ------------------------------------------------------------------ #
-
-    def _neighbor_memory_profile(self, qi, qj, n):
-        """Per-agent memory cycles + per-domain access counts for CSR pairs.
-
-        A neighbor access costs the *minimum* of two locality proxies:
-
-        - **spatial**: the address distance between the reader's and the
-          target's payloads (streaming/prefetch locality — what agent
-          sorting §4.2 shortens), and
-        - **temporal reuse**: the distance, in iteration order, to the
-          previous reader of the same payload (once agent k's line is
-          fetched, its other readers hit cache *if* they run soon after —
-          which is again what sorting arranges, since a payload's readers
-          are its spatial neighbors).
-
-        Only accesses that miss to memory (effective latency at DRAM
-        level) count toward the remote-domain premium.
-        """
-        m = self.sim.machine
-        rm = self.sim.rm
-        cm = m.cost_model
-        addr = rm.data["addr"]
-        spatial = cm.latency_for_deltas(addr[qi] - addr[qj])
-
-        # Temporal reuse: group accesses by target, readers in iteration
-        # order; the gap to the previous reader (scaled by the per-agent
-        # iteration footprint) is the reuse distance.
-        order = np.lexsort((qi, qj))
-        qis = qi[order]
-        qjs = qj[order]
-        footprint = rm.agent_size_bytes * 1.5
-        gap_bytes = np.full(len(qis), np.inf)
-        if len(qis) > 1:
-            same = qjs[1:] == qjs[:-1]
-            gap_bytes[1:] = np.where(
-                same, np.abs(qis[1:] - qis[:-1]) * footprint, np.inf
-            )
-        reuse = cm.latency_for_deltas(np.where(np.isfinite(gap_bytes), gap_bytes, 1e18))
-        lat = np.minimum(spatial[order], reuse)
-
-        mem = np.bincount(qis, weights=lat, minlength=n)
-        misses = lat >= cm.spec.dram_latency
-        # 2-D bincount: one pass over the missing accesses keyed by
-        # ``reader * num_domains + target_domain`` replaces the per-domain
-        # loop (identical counts; see the cost-model regression test).
-        num_dom = rm.num_domains
-        dom_j = rm.domain_of_index(qjs[misses])
-        counts = np.bincount(
-            qis[misses] * num_dom + dom_j, minlength=n * num_dom
-        ).reshape(n, num_dom).astype(np.float64)
-        return mem, counts
 
     def _behavior_indices(self, rm, bit) -> np.ndarray:
         """Storage indices of agents carrying behavior ``bit``.
@@ -757,34 +554,14 @@ class Scheduler:
         sim = self.sim
         rm = sim.rm
         p = sim.param
-        m = sim.machine
-        n = rm.n
-        if n == 0:
+        if rm.n == 0:
             return
-        charge = m is not None
-        cm = m.cost_model if charge else None
-
-        if charge:
-            cycles = np.zeros(n)
-            mem = np.zeros(n)
-            dom_counts = np.zeros((n, rm.num_domains))
-            own_stream = cm.stream_cycles(rm.agent_size_bytes)
-            # An agent's own payload lives in its segment's domain; those
-            # cache lines also go remote when a foreign thread runs the
-            # block (the main cost NUMA-aware iteration avoids, §4.1).
-            own_lines = rm.agent_size_bytes / 64.0
-            own_domain = rm.domain_of_index(np.arange(n))
-            dom_counts[np.arange(n), own_domain] += own_lines * 2.0
-
+        acc = self.accountant
         # Neighbor relations are needed by forces and neighbor-using
         # behaviors; fetch once (cached).
-        need_neighbors = self._needs_neighbors()
-        if need_neighbors:
-            indptr, indices = sim.neighbors()
-            counts_arr, qi_all = self._expand_csr(indptr, indices)
-            if charge:
-                nbr_mem, nbr_dom = self._neighbor_memory_profile(qi_all, indices, n)
-                self._charge_transient_buffers(len(indices) * 16)
+        csr = sim.neighbors() if self.neighbor_cache.needed() else None
+        if acc is not None:
+            acc.begin_agent_ops(csr)
 
         # --- Behaviors.
         with self._obs.stage("behaviors"):
@@ -803,59 +580,24 @@ class Scheduler:
                 behavior.run(sim, idx)
                 if self.events is not None:
                     self.events.note_state_change()
-                if charge:
-                    cycles[idx] += cm.compute_cycles(behavior.compute_ops_per_agent) + own_stream
-                    mem[idx] += own_stream
-                    if behavior.uses_neighbors and need_neighbors:
-                        cycles[idx] += nbr_mem[idx] + cm.compute_cycles(
-                            8.0 * counts_arr[idx]
-                        )
-                        mem[idx] += nbr_mem[idx]
-                        dom_counts[idx] += nbr_dom[idx]
+                if acc is not None:
+                    acc.behavior(behavior, idx)
 
         # --- User-defined agent operations.
         if any(isinstance(op, AgentOperation) for op in sim.operations):
-            self._run_user_agent_ops(
-                cycles if charge else None,
-                mem if charge else None,
-                nbr_mem if charge and need_neighbors else None,
-                counts_arr if need_neighbors else None,
-                need_neighbors,
-            )
+            self._run_user_agent_ops()
 
         # --- Mechanical forces + displacement (via the execution backend).
         if sim.mechanics_enabled:
+            indptr, indices = csr
             # §5: the detection conditions are tied to the force
             # implementation; refuse to skip agents under a force that
             # does not support them.
             detect = p.detect_static_agents and sim.force.supports_static_detection
             with self._obs.stage("mechanics"):
                 res = sim.backend.force_and_displace(sim, indptr, indices, detect)
-
-            if charge and sim.gpu_device is not None:
-                # Transparent GPU offload (§2): the device does the grid
-                # build and force kernels; the host blocks on transfers +
-                # kernels (charged serially, like a synchronous offload).
-                bd = sim.gpu_device.mechanics_offload(n, res.pairs_evaluated)
-                m.run_serial(
-                    "gpu_offload",
-                    m.spec.seconds_to_cycles(bd.total_s),
-                    memory_cycles=m.spec.seconds_to_cycles(
-                        bd.upload_s + bd.download_s
-                    ),
-                )
-            elif charge:
-                act = ~rm.data["static"] if detect else np.ones(n, dtype=bool)
-                search = sim.env.search_cycles_per_agent()
-                pair_comp = cm.compute_cycles(
-                    counts_arr * InteractionForce.OPS_PER_PAIR
-                ) + cm.compute_cycles(DISPLACEMENT_OPS)
-                cycles[act] += (
-                    pair_comp[act] + nbr_mem[act] + search[act] + own_stream
-                )
-                mem[act] += nbr_mem[act] + search[act] + own_stream
-                dom_counts[act] += nbr_dom[act]
-
+            if acc is not None:
+                acc.mechanics(res, detect)
             if detect:
                 # In place: the column must keep its (possibly shared-
                 # memory) backing buffer.
@@ -866,12 +608,8 @@ class Scheduler:
                     indptr,
                     indices,
                 )
-                if charge:
-                    det = cm.compute_cycles(DETECTION_OPS_PER_AGENT)
-                    cycles += det
-        if charge:
-            self._charge_agent_region("agent_ops", cycles, mem, dom_counts)
-        self._drain_allocator_cycles("agent_ops")
+        if acc is not None:
+            acc.end_agent_ops()
         self._finish_agent_ops(rm, p)
 
     def _finish_agent_ops(self, rm, p) -> None:
@@ -892,7 +630,7 @@ class Scheduler:
         moved_any = bool(moved.any())
         grew_any = bool(grew.any())
         if moved_any or grew_any:
-            self._moved_since_build = True
+            self.neighbor_cache.moved_since_build = True
             if moved_any:
                 moved[:] = False
             if grew_any:
@@ -901,7 +639,6 @@ class Scheduler:
     def _run_standalone_ops(self, kind: OpKind) -> None:
         """Execute user operations of the given kind that are due."""
         sim = self.sim
-        m = sim.machine
         for op in sim.operations:
             if op.kind is not kind or isinstance(op, AgentOperation):
                 continue
@@ -912,91 +649,49 @@ class Scheduler:
             # getattr: operations are duck-typed (read_only is optional).
             if self.events is not None and not getattr(op, "read_only", False):
                 self.events.note_state_change()
-            if m is None:
-                continue
-            cm = m.cost_model
-            if op.parallelizable:
-                items = op.num_items(sim)
-                total = cm.compute_cycles(op.compute_ops)
-                self._charge_items_region(op.name, total, total * 0.3, items)
-            else:
-                m.run_serial(op.name, cm.compute_cycles(op.compute_ops))
+            if self.accountant is not None:
+                self.accountant.standalone(op)
 
-    def _run_user_agent_ops(self, cycles, mem, nbr_mem, counts_arr,
-                            need_neighbors) -> None:
+    def _run_user_agent_ops(self) -> None:
         """Execute user-defined agent operations inside the agent loop."""
         sim = self.sim
-        m = sim.machine
-        cm = m.cost_model if m is not None else None
-        n = sim.rm.n
         for op in sim.operations:
             if not isinstance(op, AgentOperation) or not op.due(self.iteration):
                 continue
             sim.backend.run_agent_operation(sim, op)
             if self.events is not None:
                 self.events.note_state_change()
-            if cm is not None and cycles is not None:
-                own = cm.stream_cycles(sim.rm.agent_size_bytes)
-                cycles += cm.compute_cycles(op.compute_ops_per_agent) + own
-                mem += own
-                if op.uses_neighbors and nbr_mem is not None:
-                    cycles += nbr_mem + cm.compute_cycles(4.0 * counts_arr)
-                    mem += nbr_mem
+            if self.accountant is not None:
+                self.accountant.user_op(op)
 
     def _run_diffusion(self) -> None:
         sim = self.sim
-        m = sim.machine
         dt = sim.param.simulation_time_step
-        kernels = getattr(sim, "kernels", None)
         total_voxels = 0
         for grid in sim.diffusion_grids.values():
             stable = grid.stable_time_step()
             steps = max(1, int(np.ceil(dt / stable)))
             sub_dt = dt / steps
             for _ in range(steps):
-                grid.step(sub_dt, kernels=kernels)
+                grid.step(sub_dt, kernels=sim.kernels)
             self._diffusion_steps.inc(steps)
             self._diffusion_voxels.inc(grid.num_volumes * steps)
             total_voxels += grid.num_volumes * steps
-        if m is not None and total_voxels:
-            cm = m.cost_model
-            comp = cm.compute_cycles(OPS_PER_VOXEL) * total_voxels
-            memc = cm.stream_cycles(total_voxels * 8 * 2)
-            self._charge_items_region("diffusion", comp + memc, memc, total_voxels)
+        if self.accountant is not None and total_voxels:
+            self.accountant.diffusion(total_voxels)
 
     def _commit(self) -> None:
         sim = self.sim
-        rm = sim.rm
-        p = sim.param
         m = sim.machine
-        num_threads = m.num_threads if m is not None else 4
-        stats = rm.commit(
-            parallel=p.parallel_agent_modifications, num_threads=num_threads
+        stats = sim.rm.commit(
+            parallel=sim.param.parallel_agent_modifications,
+            num_threads=m.num_threads if m is not None else 4,
         )
         if stats.fast_append:
             self._commit_fast_appends.inc()
         if stats.staged_rows:
             self._commit_staged_rows.inc(stats.staged_rows)
-        if m is not None:
-            # Fixed per-iteration teardown cost (queue scans, barriers).
-            m.run_serial("setup_teardown", 300.0)
-        if m is not None:
-            cm = m.cost_model
-            if p.parallel_agent_modifications:
-                items = stats.added + stats.removed
-                if items:
-                    comp = items * cm.compute_cycles(40.0)
-                    memc = cm.stream_cycles(items * rm.agent_size_bytes)
-                    self._charge_items_region(
-                        "setup_teardown", comp + memc, memc, items
-                    )
-            else:
-                # Serial path: scans the whole vector to compact it.
-                scan = stats.serial_scan_items if stats.removed else 0
-                items = stats.added + stats.removed
-                cycles = items * cm.compute_cycles(40.0) + scan * 4.0
-                if cycles:
-                    m.run_serial("setup_teardown", cycles, memory_cycles=cycles * 0.5)
-        self._drain_allocator_cycles("setup_teardown")
+        if self.accountant is not None:
+            self.accountant.commit(stats)
         if stats.added or stats.removed:
-            sim.invalidate_neighbor_cache()
+            self.neighbor_cache.invalidate()

@@ -172,7 +172,6 @@ class Simulation:
         self.fixed_interaction_radius: float | None = None
         self.visualize_callback = None
         self.time = 0.0
-        self._csr_cache = None
         self._state = SimulationState.CREATED
 
     # ------------------------------------------------------------------ #
@@ -331,17 +330,14 @@ class Simulation:
         neighbor reader has no tick-start build; the first call builds
         from the positions it sees).  Between ticks: the lists of the
         *current* positions — a stale build is redone first
-        (:meth:`Scheduler.ensure_environment`).
+        (:meth:`NeighborCache.ensure`).
         """
-        if self._csr_cache is None or self._state is not SimulationState.RUNNING:
-            self.scheduler.ensure_environment()
-        if self._csr_cache is None:
-            self._csr_cache = self.env.neighbor_csr()
-        return self._csr_cache
+        return self.scheduler.neighbor_cache.neighbors(
+            self._state is SimulationState.RUNNING)
 
     def invalidate_neighbor_cache(self) -> None:
         """Drop the cached CSR (after moves, commits, or sorting)."""
-        self._csr_cache = None
+        self.scheduler.neighbor_cache.invalidate()
 
     @property
     def num_agents(self) -> int:
@@ -433,9 +429,14 @@ class Simulation:
         # simulation (neighbor build, caches, columns) alive until the
         # collector's next full pass -- a serve worker closes one per
         # eviction.  A closed simulation jumps nothing, and its scheduler
-        # reaches it weakly: it goes with its last user.
-        self.scheduler.events = None
-        self.scheduler.sim = weakref.proxy(self)
+        # (with its neighbor cache and accountant) reaches it weakly: it
+        # goes with its last user.
+        sched = self.scheduler
+        sched.events = None
+        proxy = weakref.proxy(self)
+        for part in (sched, sched.neighbor_cache, sched.accountant):
+            if part is not None:
+                part.sim = proxy
         self._state = SimulationState.CLOSED
 
     def __enter__(self) -> "Simulation":

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.force import InteractionForce
-from repro.core.scheduler import DISPLACEMENT_OPS
+from repro.parallel.accounting import DISPLACEMENT_OPS
 from repro.distributed.cluster import ClusterSpec
 from repro.distributed.decomposition import SlabDecomposition
 from repro.env.uniform_grid import UniformGridEnvironment

@@ -370,9 +370,10 @@ class TestNeighborMemoryProfileRegression:
         sim.simulate(1)
         indptr, indices = sim.neighbors()
         sched = sim.scheduler
-        counts_arr, qi = sched._expand_csr(indptr, indices)
+        counts_arr, qi = sched.neighbor_cache.expand(indptr, indices)
         assert len(indices) > 0, "workload produced no neighbor pairs"
-        mem, counts = sched._neighbor_memory_profile(qi, indices, sim.rm.n)
+        mem, counts = sched.accountant.neighbor_memory_profile(
+            qi, indices, sim.rm.n)
 
         # Reference: the pre-vectorization per-domain loop, verbatim.
         rm = sim.rm

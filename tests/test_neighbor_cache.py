@@ -179,11 +179,12 @@ class TestInvalidation:
         # Growing diameters raise the interaction radius; the slack
         # shrinks even with zero displacement and must eventually force
         # a rebuild at the larger radius.
-        sim = _lattice_sim(Param(agent_sort_frequency=0,
-                                 neighbor_skin=1.0))
+        sim = _lattice_sim(Param(agent_sort_frequency=0))
         sim.rm.data["diameter"][:] = 10.0
         sim.simulate(2)
         assert _counters(sim)["rebuilds"] == 1
+        # Nothing measured yet: the first build's auto skin is 0.1 * r.
+        assert sim.scheduler.neighbor_cache.budget == pytest.approx(11.0)
         # Radius grows by more than the 1.0 skin: slack goes negative.
         sim.rm.data["diameter"][0] = 12.0
         sim.rm.data["grew"][0] = True
@@ -194,17 +195,12 @@ class TestInvalidation:
 
 class TestConfiguration:
     def test_negative_skin_rejected(self):
-        with pytest.raises(ParamError):
-            Param(neighbor_skin=-0.5)
-
-    def test_fixed_skin_used_verbatim(self):
-        sim = _lattice_sim(Param(neighbor_skin=3.0), speed=0.5)
-        sim.simulate(2)
-        assert sim.scheduler._cache_budget == pytest.approx(
-            sim.interaction_radius() + 3.0
-        )
-        # Build radius carries the float-safety pad on top.
-        assert sim.env.build_radius >= sim.interaction_radius() + 3.0
+        # The skin is always auto-tuned: any setting, negative or not,
+        # gets the removed-field explanation.
+        for skin in (-0.5, 3.0):
+            with pytest.raises(ParamError,
+                               match="'neighbor_skin' was removed"):
+                Param(neighbor_skin=skin)
 
     def test_kdtree_opts_out(self):
         # Environments without ordered CSR rows never engage the cache.
@@ -226,10 +222,10 @@ class TestConfiguration:
     def test_qi_expansion_cached_across_skipped_builds(self):
         sim = _lattice_sim(Param(agent_sort_frequency=0), speed=None)
         sim.simulate(5)  # static: builds once, then full-skips
-        sched = sim.scheduler
+        cache = sim.scheduler.neighbor_cache
         indptr, indices = sim.neighbors()
-        counts, qi = sched._expand_csr(indptr, indices)
-        counts2, qi2 = sched._expand_csr(indptr, indices)
+        counts, qi = cache.expand(indptr, indices)
+        counts2, qi2 = cache.expand(indptr, indices)
         assert counts is counts2 and qi is qi2
         np.testing.assert_array_equal(
             qi, np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))

@@ -84,6 +84,32 @@ class TestRegionAccounting:
         assert sim.machine.op_seconds("agent_ops") > 0
         assert sim.machine.op_seconds("nonexistent") == 0
 
+    def test_wall_clock_path_prices_nothing(self, monkeypatch):
+        """Without a virtual machine no accountant exists: every stage,
+        hook included, runs with the accountant unconstructible."""
+        from repro.core.operation import OpKind, StandaloneOperation
+        from repro.parallel.accounting import CostAccountant
+
+        def refuse(self, sim):
+            raise AssertionError("a wall-clock tick built a CostAccountant")
+
+        monkeypatch.setattr(CostAccountant, "__init__", refuse)
+        p = Param.optimized(agent_sort_frequency=2, event_scheduling=False)
+        sim = Simulation("wall", p, seed=0)
+        rng = np.random.default_rng(0)
+        sim.add_cells(rng.uniform(0, 40, (150, 3)), diameters=8.0,
+                      behaviors=[RandomWalk(0.5)])
+        sim.add_diffusion_grid(DiffusionGrid("s", 8, 0.0, 50.0))
+        sim.add_operation(StandaloneOperation(
+            lambda s: None, name="post", kind=OpKind.POST,
+            parallelizable=True))
+        sim.visualize_callback = lambda s: None
+        assert sim.scheduler.accountant is None
+        sim.simulate(5)
+        assert sim.scheduler.iteration == 5
+        with pytest.raises(AssertionError, match="CostAccountant"):
+            Simulation("priced", p, machine=Machine(SYSTEM_A, num_threads=8))
+
 
 class TestTransientBuffers:
     def test_other_allocator_sees_traffic(self):
@@ -252,12 +278,12 @@ def assert_csr_equal(got, expected):
 
 
 def eager_builds(monkeypatch):
-    """The scheduler of the parent commit: build whether or not read."""
-    from repro.core.scheduler import Scheduler
+    """The scheduler before deferred builds: build whether or not read."""
+    from repro.core.scheduler import NeighborCache
 
-    build = Scheduler._build_environment
+    build = NeighborCache.build
     monkeypatch.setattr(
-        Scheduler, "_build_environment",
+        NeighborCache, "build",
         lambda self, on_demand=False: build(self, on_demand=True))
 
 

@@ -204,63 +204,3 @@ class TestSingleCopyRestore:
             assert adopt_nbytes == [target.rm.soa.nbytes]
             assert store_calls == []
             assert state_checksum(target) == ref
-
-
-class TestPackedRows:
-    """Single-buffer row gather/scatter (``pack_rows`` /
-    ``unpack_rows``) must round-trip bitwise through one contiguous
-    uint8 block."""
-
-    def _arena(self, n=12):
-        a = SoAArena()
-        a.add_column("position", np.float64, (3,))
-        a.add_column("diameter", np.float64)
-        a.add_column("static", np.bool_)
-        a.reserve(n, live_rows=0)
-        rng = np.random.default_rng(5)
-        a.view("position", n)[...] = rng.uniform(0, 10, (n, 3))
-        a.view("diameter", n)[...] = rng.uniform(1, 2, n)
-        a.view("static", n)[...] = rng.random(n) > 0.5
-        return a
-
-    def test_round_trip_is_bitwise(self):
-        names = ("position", "diameter", "static")
-        src = self._arena()
-        rows = np.array([1, 4, 7, 10], dtype=np.int64)
-        blob = src.pack_rows(names, rows, live_rows=12)
-        assert blob.dtype == np.uint8
-        assert blob.nbytes == src.packed_nbytes(names, len(rows))
-
-        dst = self._arena()
-        for name in names:
-            dst.view(name, 12)[...] = 0
-        dst.unpack_rows(names, rows, blob, live_rows=12)
-        for name in names:
-            assert np.array_equal(dst.view(name, 12)[rows],
-                                  src.view(name, 12)[rows]), name
-
-    def test_unpack_accepts_bytes(self):
-        # Transports hand back ``bytes``; the scatter side must not
-        # require an ndarray.
-        src = self._arena()
-        rows = np.array([0, 3], dtype=np.int64)
-        blob = src.pack_rows(("position",), rows, live_rows=12).tobytes()
-        dst = self._arena()
-        dst.view("position", 12)[...] = -1.0
-        dst.unpack_rows(("position",), rows, blob, live_rows=12)
-        assert np.array_equal(dst.view("position", 12)[rows],
-                              src.view("position", 12)[rows])
-
-    def test_wrong_size_blob_rejected(self):
-        src = self._arena()
-        rows = np.array([0, 1], dtype=np.int64)
-        blob = src.pack_rows(("position",), rows, live_rows=12)
-        with pytest.raises(ArenaLayoutError):
-            src.unpack_rows(("position",), rows, blob[:-1], live_rows=12)
-
-    def test_empty_row_set(self):
-        src = self._arena()
-        rows = np.empty(0, dtype=np.int64)
-        blob = src.pack_rows(("position", "diameter"), rows, live_rows=12)
-        assert blob.nbytes == 0
-        src.unpack_rows(("position", "diameter"), rows, blob, live_rows=12)
