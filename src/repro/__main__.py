@@ -289,7 +289,9 @@ def _cmd_trace(args) -> int:
               + (f" ({build})" if build else "")
               + f", {kb.search_calls} grid searches"
               + f", {kb.grid_builds} grid builds"
-              + f", {kb.sort_calls} sorts")
+              + f", {kb.sort_calls} sorts"
+              + f", {kb.field_calls} field calls"
+              + (f", {kb.stencil_isa} stencil" if kb.stencil_isa else ""))
         print("  environment: "
               f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "

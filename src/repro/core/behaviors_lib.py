@@ -122,16 +122,9 @@ class Chemotaxis(Behavior):
     def run(self, sim, idx: np.ndarray) -> None:
         """Move agents up the substance gradient."""
         rm = sim.rm
-        grid = sim.diffusion_grids[self.substance]
-        grad = grid.gradient_at(rm.positions[idx])
-        norm = np.linalg.norm(grad, axis=1)
-        ok = norm > 1e-12
-        step = np.zeros_like(grad)
-        np.divide(grad, norm[:, None], out=step, where=ok[:, None])
-        step *= self.speed
-        step *= sim.param.simulation_time_step
-        rm.positions[idx] += step
-        rm.data["moved"][idx] |= ok
+        sim.kernels.chemotaxis(sim.diffusion_grids[self.substance],
+                               rm.positions, rm.data["moved"], idx,
+                               self.speed, sim.param.simulation_time_step)
 
 
 class Secretion(Behavior):
@@ -146,8 +139,8 @@ class Secretion(Behavior):
 
     def run(self, sim, idx: np.ndarray) -> None:
         """Deposit substance into the voxel of each agent."""
-        grid = sim.diffusion_grids[self.substance]
-        grid.add_substance(sim.rm.positions[idx], self.amount)
+        sim.kernels.secrete(sim.diffusion_grids[self.substance],
+                            sim.rm.positions, idx, self.amount)
 
 
 class Infection(Behavior):

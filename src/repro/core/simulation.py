@@ -149,7 +149,7 @@ class Simulation:
         #: ``Param.kernel_backend`` at construction ("auto" is the C backend
         #: where it builds, else NumPy with a warning).  Surfaces
         #: ``kernel:{backend,build,calls,fallbacks,threads,search_calls,
-        #: grid_builds,sort_calls}`` metrics in ``self.obs``.
+        #: grid_builds,sort_calls,field_calls}`` metrics in ``self.obs``.
         self.kernels = make_kernels(self.param.kernel_backend,
                                     registry=self.obs.registry)
         self.env.kernels = self.kernels

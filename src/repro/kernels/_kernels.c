@@ -20,6 +20,33 @@
 
 #define BLOCK 64  /* pairs per vectorized block of a force row */
 
+/* The stencil is built twice on x86-64 GCC / Clang with ifunc support, for
+ * AVX2 and for the baseline ISA, and the loader picks the clone the CPU
+ * runs.  Only the vector width differs: -ffp-contract=off rules out FMA
+ * and + - * / are correctly rounded at any width, so both clones write the
+ * same bytes -- save which NaN survives a NaN + NaN of different signs,
+ * which follows the operand order each build picked, as in numpy
+ * (tests/test_c_backend.py builds this file with STENCIL_CLONES defined
+ * empty and compares).  Elsewhere the macro is empty and the library is
+ * the baseline build. */
+#ifndef STENCIL_CLONES
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define STENCIL_CLONES __attribute__((target_clones("avx2", "default")))
+#define STENCIL_ISA (__builtin_cpu_supports("avx2") ? "avx2" : "baseline")
+#endif
+#endif
+#endif
+#ifndef STENCIL_CLONES
+#define STENCIL_CLONES
+#endif
+#ifndef STENCIL_ISA
+#define STENCIL_ISA "baseline"
+#endif
+
+/* The stencil clone the loader chose: "avx2" or "baseline". */
+const char *repro_stencil_isa(void) { return STENCIL_ISA; }
+
 int repro_max_threads(void) { return omp_get_max_threads(); }
 
 /* np.maximum(a, b): NaN in a propagates (C's fmax would drop it). */
@@ -153,6 +180,7 @@ void repro_refilter_fill(const int64_t *indptr, const int64_t *indices,
 #define VOXEL(k, kp, km)                                                   \
     o[k] = x[k] + ((((((((xp[k] + xm[k]) + yp[k]) + ym[k]) + x[kp]) + x[km]) \
                       - x[k] * 6.0) / h2) * d - x[k] * decay) * dt
+STENCIL_CLONES
 void repro_diffuse(const double *c, double *out, int64_t nx, int64_t ny,
                    int64_t nz, double h2, double d, double decay, double dt,
                    int nthreads) {
@@ -170,6 +198,81 @@ void repro_diffuse(const double *c, double *out, int64_t nx, int64_t ny,
             if (last) VOXEL(last, last, last - 1);
         }
     })
+}
+
+/* Agent-field coupling (Secretion / Chemotaxis, numpy_ref.secrete /
+ * chemotaxis).  An agent's voxel is DiffusionGrid._locate's: truncate
+ * (p - lower) / h, clamp to [0, r - 1]; voxel (i, j, k) is cell (i r + j)
+ * r + k of the C-ordered grid. */
+static inline int64_t voxel(const double *p, double lower, double h,
+                            int64_t r, int64_t *ijk) {
+    for (int d = 0; d < 3; d++) {
+        const int64_t v = (int64_t)((p[d] - lower) / h);
+        ijk[d] = v < 0 ? 0 : v < r - 1 ? v : r - 1;
+    }
+    return (ijk[0] * r + ijk[1]) * r + ijk[2];
+}
+
+/* 0 if C reproduces numpy on the agents idx (m) of pos (n, 3), else -1:
+ * idx must be strictly ascending within [0, n) (a duplicate changes a fancy
+ * +=), and every (p - lower) / h must truncate to an int64 (NaN, +-inf and
+ * |v| >= 2^63 do not; numpy's astype result there is platform-defined). */
+static int64_t locatable(const double *pos, int64_t n, const int64_t *idx,
+                         int64_t m, double lower, double h) {
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t a = idx[k];
+        if (a < 0 || a >= n || (k && a <= idx[k - 1])) return -1;
+        for (int d = 0; d < 3; d++) {
+            const double v = (pos[3 * a + d] - lower) / h;
+            if (!(v >= -0x1p63 && v < 0x1p63)) return -1;
+        }
+    }
+    return 0;
+}
+
+/* Secretion: amount into each agent's voxel, in idx order on one thread --
+ * np.add.at's accumulation order.  Returns -1 before any write if the
+ * agents are not locatable, else 0. */
+int64_t repro_secrete(double *cells, int64_t r, double lower, double h,
+                      const double *pos, int64_t n, const int64_t *idx,
+                      int64_t m, double amount) {
+    if (locatable(pos, n, idx, m, lower, h) < 0) return -1;
+    for (int64_t k = 0; k < m; k++) {
+        int64_t ijk[3];
+        cells[voxel(pos + 3 * idx[k], lower, h, r, ijk)] += amount;
+    }
+    return 0;
+}
+
+/* Chemotaxis, one agent per iteration: the central-difference gradient
+ * (cells[up] - cells[dn]) / (2 h) with the faces clamped, the norm
+ * sqrt((x*x + y*y) + z*z), the step g / norm where norm > 1e-12 and 0.0
+ * elsewhere, then p += (step * speed) * dt and moved |= ok -- every agent
+ * writes only its own row.  Returns -1 before any write if the agents are
+ * not locatable, else 0. */
+int64_t repro_chemotaxis(const double *cells, int64_t r, double lower,
+                         double h, double *pos, uint8_t *moved, int64_t n,
+                         const int64_t *idx, int64_t m, double speed,
+                         double dt, int nthreads) {
+    if (locatable(pos, n, idx, m, lower, h) < 0) return -1;
+    const double h2 = 2.0 * h;
+    const int64_t stride[3] = {r * r, r, 1};
+    FOR_ROWS(k, 0, m, {
+        double *p = pos + 3 * idx[k], g[3];
+        int64_t ijk[3];
+        const int64_t at = voxel(p, lower, h, r, ijk);
+        for (int d = 0; d < 3; d++) {
+            const int64_t up = at + (ijk[d] < r - 1 ? stride[d] : 0),
+                          dn = at - (ijk[d] > 0 ? stride[d] : 0);
+            g[d] = (cells[up] - cells[dn]) / h2;
+        }
+        const double norm = sqrt((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2]);
+        const int ok = norm > 1e-12;
+        for (int d = 0; d < 3; d++)
+            p[d] += ((ok ? g[d] / norm : 0.0) * speed) * dt;
+        moved[idx[k]] |= ok;
+    })
+    return 0;
 }
 
 /* Agent i's box coordinates with numpy's operations (env/uniform_grid.py's

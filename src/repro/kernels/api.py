@@ -11,6 +11,8 @@ narrow waist those loops go through:
 - **displacement** — the clamped forward-Euler integration step;
 - **refilter** — the Verlet cache's distance pass over a superset CSR;
 - **diffusion** — the 7-point diffusion-decay stencil (Table 1);
+- **agent-field coupling** — ``Secretion`` into and ``Chemotaxis`` up
+  the gradient of a substance grid, per agent;
 - **grid build and search** — the uniform grid's binning and neighbor
   CSR (§3.1); the NumPy backend leaves both to the grid's own body, the
   reference;
@@ -105,6 +107,9 @@ class KernelBackend:
     build = ""
     #: Threads the next kernel call runs on in this process.
     threads = 1
+    #: The stencil build the loader chose ("avx2" or "baseline"); empty
+    #: for backends that build nothing.
+    stencil_isa = ""
 
     def __init__(self):
         #: Kernel invocations through this backend instance.
@@ -118,6 +123,9 @@ class KernelBackend:
         self.grid_builds = 0
         #: Agent-sorting orders this backend computed (:meth:`morton_order`).
         self.sort_calls = 0
+        #: Agent-field kernels this backend ran (:meth:`secrete`,
+        #: :meth:`chemotaxis`); fallbacks are not counted here.
+        self.field_calls = 0
 
     # -- mechanics ------------------------------------------------------- #
 
@@ -208,6 +216,22 @@ class KernelBackend:
         writes into it and returns it, or ignores it and returns a fresh
         array — callers keep what is returned.
         """
+        raise NotImplementedError
+
+    # -- agent-field coupling ------------------------------------------- #
+
+    def secrete(self, grid, positions, idx, amount):
+        """``Secretion.run``: add ``amount`` (a scalar or one value per
+        agent) into the voxel of ``grid`` holding each agent ``idx`` of
+        ``positions``, duplicates accumulating in ``idx`` order (exactly
+        :meth:`repro.core.diffusion.DiffusionGrid.add_substance`)."""
+        raise NotImplementedError
+
+    def chemotaxis(self, grid, positions, moved, idx, speed, dt):
+        """``Chemotaxis.run``: move each agent ``idx`` of ``positions``
+        ``speed * dt`` along the unit gradient of ``grid`` at its voxel
+        (not at all where the gradient's norm is ``<= 1e-12``), in place,
+        and OR into ``moved`` whether it did."""
         raise NotImplementedError
 
     def _count(self) -> None:

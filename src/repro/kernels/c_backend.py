@@ -1,9 +1,11 @@
-"""The ``c`` kernel backend: force, refilter, stencil, grid build and
-search, agent sorting's order and the superset relabel.
+"""The ``c`` kernel backend: force, refilter, stencil, agent-field
+coupling, grid build and search, agent sorting's order and the superset
+relabel.
 
 :class:`CKernelBackend` runs the stock Cortex3D force, the Verlet-cache
-refilter, the float64 stencil, the uniform grid's build and neighbor
-search, the Morton order of agent sorting and the renumbering of a cached
+refilter, the float64 stencil (an AVX2 clone where the CPU has it),
+secretion and chemotaxis, the uniform grid's build and neighbor search,
+the Morton order of agent sorting and the renumbering of a cached
 superset CSR through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
 (which releases the GIL per call); the rest is the inherited NumPy code,
 whose bytes the C kernels reproduce.  ``docs/kernels.md`` has the
@@ -48,6 +50,10 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
     "repro_refilter_count": ([_D, _L, _L, _I, _F, _U, _L, _N], _I),
     "repro_refilter_fill": ([_L, _L, _U, _I, _L, _L, _L, _N], None),
     "repro_diffuse": ([_D, _D, _I, _I, _I, _F, _F, _F, _F, _N], None),
+    "repro_stencil_isa": ([], ctypes.c_char_p),
+    "repro_secrete": ([_D, _I, _F, _F, _D, _I, _L, _I, _F], _I),
+    "repro_chemotaxis": ([_D, _I, _F, _F, _D, _U, _I, _L, _I, _F, _F, _N],
+                         _I),
     "repro_grid_build": ([_D, _I, _D, _F, _L, _L, _L, _L, _I, _L, _L, _L,
                           _L, _L, _D, _L], _I),
     "repro_grid_search": ([_D, _L, _L, _L, _I, _L, _L, _L, _I, _L, _F, _L,
@@ -106,7 +112,8 @@ def _library() -> SimpleNamespace | None:
     except (OSError, AttributeError):
         return None
     return SimpleNamespace(dll=dll, build=build, pid=os.getpid(),
-                           team=max(1, dll.repro_max_threads()), override=None)
+                           team=max(1, dll.repro_max_threads()), override=None,
+                           isa=dll.repro_stencil_isa().decode())
 
 
 def _csr(n, positions, indptr, indices):
@@ -120,6 +127,27 @@ def _csr(n, positions, indptr, indices):
     return pos, ip, ix
 
 
+def _field_args(grid, positions, idx, *scalars):
+    """C-ready ``(cells, idx, *scalars)`` of a field kernel call, or None if
+    the call belongs to NumPy: the grid is not a C-ordered float64 r^3
+    array, the positions no C-ordered float64 ``(n, 3)``, ``idx`` no 1-D
+    integer array, or a scalar no Python int / float that a double holds
+    (an array, a numpy scalar other than float64, an int beyond 2^1024)."""
+    c, r = grid.concentration, grid.resolution
+    if (c.dtype != np.float64 or not c.flags.c_contiguous
+            or c.shape != (r, r, r) or positions.dtype != np.float64
+            or not positions.flags.c_contiguous or positions.ndim != 2
+            or positions.shape[1] != 3 or not isinstance(idx, np.ndarray)
+            or idx.ndim != 1 or idx.dtype.kind not in "iu"
+            or not all(isinstance(x, (int, float)) for x in scalars)):
+        return None
+    try:
+        doubles = [float(x) for x in scalars]
+    except OverflowError:
+        return None
+    return (c, np.ascontiguousarray(idx, dtype=np.int64), *doubles)
+
+
 def available() -> bool:
     """Whether the library is built (building it on first call)."""
     return _library() is not None
@@ -131,8 +159,8 @@ def _set_threads(n: int | None) -> None:
 
 
 class CKernelBackend(numpy_ref.NumpyKernelBackend):
-    """Force, refilter, float64 stencil, grid build and search, Morton order
-    and CSR relabel in C; else NumPy."""
+    """Force, refilter, float64 stencil, secretion and chemotaxis, grid
+    build and search, Morton order and CSR relabel in C; else NumPy."""
 
     name = "c"
     compiled = True
@@ -143,6 +171,7 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         if self._lib is None:
             raise ImportError("the C kernel library could not be built")
         self.build = self._lib.build
+        self.stencil_isa = self._lib.isa
 
     @property
     def threads(self) -> int:
@@ -312,3 +341,35 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
                                         diffusion_coefficient, decay, dt,
                                         self.threads)
         return out
+
+    def secrete(self, grid, positions, idx, amount):
+        """On one thread, in ``idx`` order.  A call :func:`_field_args`
+        refuses, or whose agents C cannot locate exactly (``locatable`` in
+        ``_kernels.c``), runs in NumPy and counts a fallback."""
+        args = _field_args(grid, positions, idx, amount)
+        if args is None or self._lib.dll.repro_secrete(
+                args[0], grid.resolution, grid.lower, grid.voxel_size,
+                positions, len(positions), args[1], len(args[1]),
+                args[2]) < 0:
+            self.fallbacks += 1
+            return numpy_ref.secrete(grid, positions, idx, amount)
+        self._count()
+        self.field_calls += 1
+
+    def chemotaxis(self, grid, positions, moved, idx, speed, dt):
+        """One agent per iteration on the team; what :meth:`secrete` hands
+        to NumPy, and a ``moved`` that is no C-ordered bool column, goes
+        there too."""
+        args = _field_args(grid, positions, idx, speed, dt)
+        if (args is None or moved.dtype != np.bool_
+                or not moved.flags.c_contiguous
+                or moved.shape != (len(positions),)
+                or self._lib.dll.repro_chemotaxis(
+                    args[0], grid.resolution, grid.lower, grid.voxel_size,
+                    positions, moved.view(np.uint8), len(positions), args[1],
+                    len(args[1]), *args[2:], self.threads) < 0):
+            self.fallbacks += 1
+            return numpy_ref.chemotaxis(grid, positions, moved, idx, speed,
+                                        dt)
+        self._count()
+        self.field_calls += 1

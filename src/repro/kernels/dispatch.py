@@ -100,10 +100,10 @@ def make_kernels(requested: str, registry=None, warn: bool = True
     ``registry`` (a :class:`repro.obs.core.MetricsRegistry`) gets the
     ``kernel:backend`` gauge, the ``kernel:build`` gauge when the C
     library was asked for, and ``kernel:{calls,fallbacks,threads,
-    search_calls,grid_builds,sort_calls}`` callbacks bound to the returned
-    instance.  ``warn=False``
-    silences the fallback warning (used by workers, which inherit the
-    parent's already-warned resolution).
+    search_calls,grid_builds,sort_calls,field_calls}`` callbacks bound to
+    the returned instance.  ``warn=False`` silences the fallback warning
+    (used by workers, which inherit the parent's already-warned
+    resolution).
     """
     name, message = _resolve(requested)
     if message and warn:
@@ -134,6 +134,8 @@ def make_kernels(requested: str, registry=None, warn: bool = True
                                    lambda: backend.grid_builds)
         registry.register_callback("kernel:sort_calls",
                                    lambda: backend.sort_calls)
+        registry.register_callback("kernel:field_calls",
+                                   lambda: backend.field_calls)
     return backend
 
 

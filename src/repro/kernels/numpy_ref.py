@@ -43,6 +43,8 @@ __all__ = [
     "displace",
     "refilter",
     "diffuse",
+    "secrete",
+    "chemotaxis",
     "NumpyKernelBackend",
 ]
 
@@ -375,6 +377,27 @@ def diffuse(concentration, voxel_size, diffusion_coefficient, decay, dt,
     return out
 
 
+def secrete(grid, positions, idx, amount):
+    """``amount`` into each agent's voxel (the body of ``Secretion.run``)."""
+    grid.add_substance(positions[idx], amount)
+
+
+def chemotaxis(grid, positions, moved, idx, speed, dt):
+    """Each agent ``speed * dt`` up the unit gradient at its voxel (the
+    body of ``Chemotaxis.run``): the norm reduces ``(x*x + y*y) + z*z``,
+    rows at or below ``1e-12`` take a ``+0.0`` step, and ``positions[idx]
+    += step`` is a fancy ``+=`` (a duplicate agent moves once)."""
+    grad = grid.gradient_at(positions[idx])
+    norm = np.linalg.norm(grad, axis=1)
+    ok = norm > 1e-12
+    step = np.zeros_like(grad)
+    np.divide(grad, norm[:, None], out=step, where=ok[:, None])
+    step *= speed
+    step *= dt
+    positions[idx] += step
+    moved[idx] |= ok
+
+
 class NumpyKernelBackend(KernelBackend):
     """The reference backend: dispatches straight to this module.
 
@@ -431,3 +454,15 @@ class NumpyKernelBackend(KernelBackend):
         self._count()
         return diffuse(concentration, voxel_size, diffusion_coefficient,
                        decay, dt, out)
+
+    def secrete(self, grid, positions, idx, amount):
+        """Secretion via :func:`secrete`."""
+        self._count()
+        self.field_calls += 1
+        secrete(grid, positions, idx, amount)
+
+    def chemotaxis(self, grid, positions, moved, idx, speed, dt):
+        """Chemotaxis via :func:`chemotaxis`."""
+        self._count()
+        self.field_calls += 1
+        chemotaxis(grid, positions, moved, idx, speed, dt)

@@ -171,7 +171,8 @@ class Leg:
     #: its own; otherwise one cell reaching the minimum is enough.
     every_cell: bool = False
     #: ``{variant label: {counter: minimum}}`` that every cell of that
-    #: variant must meet on its own, on top of ``require``.
+    #: variant must meet on its own, on top of ``require``; a
+    #: ``(model, variant label)`` key binds only that model's cells.
     require_variant: dict = field(default_factory=dict)
     #: Also replay each variant as ONE ``simulate(steps)`` call and
     #: compare the final state (multi-step horizon jumps only engage
@@ -236,7 +237,8 @@ LEGS = {
     # Kernel dispatch adds no reordering, and the C kernels reproduce
     # numpy's bytes, in the parent (threaded) and in pool workers.  The
     # force alone meets kernel:calls, so each c cell must also show that
-    # its grid build and search, and the sort after tick 10, ran in C.
+    # its grid build and search, and the sort after tick 10, ran in C,
+    # and each cell_clustering one that its secretion and chemotaxis did.
     "kernels": Leg(
         "numpy kernels vs process / auto / c",
         base={"kernel_backend": "numpy"},
@@ -244,10 +246,13 @@ LEGS = {
                   "c serial": {"kernel_backend": "c"},
                   "c process": {"kernel_backend": "c", **_PROCESS}},
         require={"kernel:calls": 1, "kernel:worker_calls": 1},
-        require_variant={label: {"kernel:search_calls": 1,
-                                 "kernel:grid_builds": 1,
-                                 "kernel:sort_calls": 1}
-                         for label in ("c serial", "c process")},
+        require_variant={
+            **{label: {"kernel:search_calls": 1, "kernel:grid_builds": 1,
+                       "kernel:sort_calls": 1}
+               for label in ("c serial", "c process")},
+            **{("cell_clustering", label): {"kernel:field_calls": 1}
+               for label in ("c serial", "c process")}},
+        models=("cell_proliferation", "oncology", "cell_clustering"),
         steps=10,
     ),
     # Wire protocol, forked workers, shm arenas and a checkpoint
@@ -300,10 +305,13 @@ class EquivalenceReport:
             if not reached(cell[counter] >= minimum
                            for cell in self.evidence.values())
         ]
-        for label, need in self.leg.require_variant.items():
-            cells = [v for k, v in self.evidence.items() if k[1] == label]
+        for key, need in self.leg.require_variant.items():
+            model, label = key if isinstance(key, tuple) else (None, key)
+            cells = [v for k, v in self.evidence.items()
+                     if k[1] == label and model in (None, k[0])]
+            which = label if model is None else f"{model} {label}"
             missed += [
-                f"{counter} >= {minimum} not reached in every {label} cell"
+                f"{counter} >= {minimum} not reached in every {which} cell"
                 for counter, minimum in need.items()
                 if not all(cell[counter] >= minimum for cell in cells)
             ]
@@ -464,8 +472,9 @@ def equivalence(leg, models=None, seeds=(1, 2, 3), *, num_agents=None,
                     report.divergences[cell] = _first_divergence(
                         ref.trace, got.trace)
                     proof = {c: got.metrics.get(c, 0) for c in
-                             {**leg.require, **leg.require_variant.get(
-                                 label, {})}}
+                             {**leg.require,
+                              **leg.require_variant.get(label, {}),
+                              **leg.require_variant.get((model, label), {})}}
                     if leg.chunked and report.divergences[cell] is None:
                         chunk = run(delta, chunked=True)
                         if chunk.trace[-1] != ref.trace[-1]:

@@ -1,17 +1,20 @@
 """Test-only reference for the substance-grid pipeline.
 
-The stencil kernel, the grid's point operations and the ``Chemotaxis``
-body the engine shipped before the slab-blocked kernel, the flat-index
-grid access and the in-place normalisation replaced them, copied
-verbatim: ``diffuse`` pads the grid and adds six shifted full-size
-slices, the grid operations index ``concentration`` with an ``(i, j, k)``
-tuple, ``chemotaxis_run`` normalises through boolean compaction.  Slow
-and allocation-heavy (~12 grid-sized temporaries per stencil call), but
+The stencil kernel, the grid's point operations and the ``Chemotaxis`` /
+``Secretion`` bodies the engine shipped before the slab-blocked kernel,
+the flat-index grid access, the in-place normalisation and the
+agent-field kernels replaced them, copied verbatim: ``diffuse`` pads the
+grid and adds six shifted full-size slices, the grid operations index
+``concentration`` with an ``(i, j, k)`` tuple, ``chemotaxis_run``
+normalises through boolean compaction, ``secretion_run`` deposits
+through the grid's ``add_substance``.  Slow and allocation-heavy (~12
+grid-sized temporaries per stencil call), but
 each line is the textbook expression, which is what makes it the
 differential baseline: ``repro.kernels.numpy_ref.diffuse``,
 :class:`repro.core.diffusion.DiffusionGrid` and
-:class:`repro.core.behaviors_lib.Chemotaxis` must reproduce every output
-byte for byte (``tests/test_diffusion_differential.py``).
+:class:`repro.core.behaviors_lib.Chemotaxis` / ``Secretion`` on every
+kernel backend must reproduce every output byte for byte
+(``tests/test_diffusion_differential.py``).
 
 The grid functions take the :class:`DiffusionGrid` as their first
 argument, so they can be monkeypatched back onto the class for the
@@ -108,3 +111,9 @@ def chemotaxis_run(behavior, sim, idx):
     step[ok] = grad[ok] / norm[ok, None]
     rm.positions[idx] += step * behavior.speed * sim.param.simulation_time_step
     rm.data["moved"][idx] |= ok
+
+
+def secretion_run(behavior, sim, idx):
+    """``Secretion.run``: deposit substance into the voxel of each agent."""
+    grid = sim.diffusion_grids[behavior.substance]
+    grid.add_substance(sim.rm.positions[idx], behavior.amount)

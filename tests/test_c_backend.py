@@ -8,8 +8,10 @@
 - **Fallback**: no compiler or an unwritable cache leaves NumPy running
   with one :class:`KernelBackendWarning`, never an exception.
 - **Observability**: ``kernel:threads`` / ``kernel:build`` /
-  ``kernel:search_calls`` / ``kernel:grid_builds`` and the ``repro
-  trace`` line.
+  ``kernel:search_calls`` / ``kernel:grid_builds`` /
+  ``kernel:field_calls`` and the ``repro trace`` line.
+- **Stencil clones**: the AVX2 clone of ``repro_diffuse`` the loader
+  picks writes the bytes of a build without clones.
 
 The byte-equality of each kernel to the frozen references lives in the
 differential suites, which run every case through this backend too.
@@ -17,9 +19,13 @@ differential suites, which run every case through this backend too.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import platform
 import re
+import shutil
 import signal
+import subprocess
 import time
 
 import numpy as np
@@ -181,6 +187,7 @@ class TestObservability:
             assert snap["kernel:search_calls"] >= 1
             assert snap["kernel:grid_builds"] >= 1
             assert snap["kernel:sort_calls"] == 1
+            assert snap["kernel:field_calls"] == 0     # no substance grid
         assert main(["trace", "cell_proliferation", "--agents", "100",
                      "--iterations", "11", "--out",
                      str(tmp_path / "t.json")]) == 0
@@ -189,8 +196,22 @@ class TestObservability:
         out = capsys.readouterr().out
         assert re.search(rf"kernels: c, {kb.threads} thread{plural} "
                          rf"\({kb.build}\), [1-9][0-9]* grid searches, "
-                         rf"[1-9][0-9]* grid builds, 1 sorts", out)
+                         rf"[1-9][0-9]* grid builds, 1 sorts, 0 field calls, "
+                         rf"{kb.stencil_isa} stencil", out)
+        assert kb.stencil_isa in ("avx2", "baseline")
         assert re.search(r"neighbor cache: .*, [0-9]+ relabels", out)
+
+    def test_field_calls_on_the_trace_line(self, capsys, tmp_path):
+        """``cell_clustering`` secretes and climbs two fields: 2 x 2
+        field-kernel calls a tick, all of them in C."""
+        from repro.__main__ import main
+
+        assert main(["trace", "cell_clustering", "--agents", "200",
+                     "--iterations", "3", "--out",
+                     str(tmp_path / "t.json")]) == 0
+        assert re.search(r"kernels: c, .*, 12 field calls, "
+                         r"(avx2|baseline) stencil",
+                         capsys.readouterr().out)
 
     def test_a_subclassed_force_model_counts_a_fallback(self):
         class Softer(InteractionForce):
@@ -202,3 +223,150 @@ class TestObservability:
         want = kb.force(InteractionForce(1.0, 0.2), pos, dia, indptr, indices)
         assert kb.fallbacks == 1
         assert got[0].tobytes() == want[0].tobytes()
+
+
+def field_inputs(case=None):
+    """``(grid, positions, idx, amount)`` of a field-kernel call the ``c``
+    backend keeps (``case`` None) or hands to NumPy (``case``)."""
+    from repro import DiffusionGrid
+
+    grid = DiffusionGrid("s", 4, 0.0, 8.0)
+    grid.concentration = np.arange(64.0).reshape(4, 4, 4)
+    pos = np.random.default_rng(3).uniform(0.0, 8.0, (10, 3))
+    idx, amount = np.arange(10), 1.0
+    if case == "descending":
+        idx = idx[::-1].copy()
+    elif case == "duplicates":
+        idx = np.array([0, 1, 1, 4])
+    elif case in ("nan", "inf", "beyond_int64"):
+        pos[5, 1] = {"nan": np.nan, "inf": -np.inf,
+                     "beyond_int64": 2.0 * 2.0**63}[case]
+    elif case == "float32_grid":
+        grid.concentration = grid.concentration.astype(np.float32)
+    elif case == "fortran_grid":
+        grid.concentration = np.asfortranarray(grid.concentration)
+    elif case == "fortran_positions":
+        pos = np.asfortranarray(pos)
+    elif case == "array_amount":
+        amount = np.linspace(0.5, 5.0, 10)
+    elif case == "numpy_scalar_amount":
+        amount = np.float32(0.25)
+    return grid, pos, idx, amount
+
+
+def secrete_then_climb(kb, grid, positions, idx, amount):
+    """One secretion, then one chemotaxis step: the arrays they wrote."""
+    moved = np.zeros(len(positions), dtype=bool)
+    kb.secrete(grid, positions, idx, amount)
+    kb.chemotaxis(grid, positions, moved, idx, 1.5, 0.5)
+    return np.ascontiguousarray(grid.concentration), positions, moved
+
+
+class TestFieldKernels:
+    """Secretion and chemotaxis: what stays in C and what goes to NumPy
+    (the byte-equality lives in ``tests/test_diffusion_differential.py``)."""
+
+    def test_c_runs_both_and_counts_them(self):
+        kb = make_kernels("c")
+        moved = secrete_then_climb(kb, *field_inputs())[2]
+        assert (kb.field_calls, kb.fallbacks, kb.calls) == (2, 0, 2)
+        assert moved.all()
+
+    @pytest.mark.parametrize("case", [
+        "descending", "duplicates", "nan", "inf", "beyond_int64",
+        "float32_grid", "fortran_grid", "fortran_positions", "array_amount",
+        "numpy_scalar_amount"])
+    def test_fallback_cases_count_and_match_numpy(self, case):
+        got, want = make_kernels("c"), make_kernels("numpy")
+        with np.errstate(invalid="ignore"):
+            outputs = [secrete_then_climb(kb, *field_inputs(case))
+                       for kb in (got, want)]
+        for a, b in zip(*outputs):
+            assert a.tobytes() == b.tobytes()
+        # The amount only decides the secretion's path, and the NumPy
+        # secretion leaves a Fortran grid C-ordered (``_locate``).
+        c_chemotaxis = case in ("array_amount", "numpy_scalar_amount",
+                                "fortran_grid")
+        assert got.fallbacks == (1 if c_chemotaxis else 2)
+        assert got.field_calls == (1 if c_chemotaxis else 0)
+
+
+def _baseline_stencil(tmp_path):
+    """``_kernels.c`` built with ``STENCIL_CLONES`` defined empty: the
+    library of a host without clones, loaded beside the real one."""
+    out = tmp_path / "baseline.so"
+    subprocess.run([shutil.which(c_backend.COMPILER), *c_backend.FLAGS,
+                    "-DSTENCIL_CLONES=", "-o", str(out),
+                    str(c_backend.SOURCE), "-lm"],
+                   check=True, capture_output=True, timeout=300)
+    dll = ctypes.CDLL(str(out))
+    for name in ("repro_diffuse", "repro_stencil_isa"):
+        fn = getattr(dll, name)
+        fn.argtypes, fn.restype = c_backend._SIGNATURES[name]
+    return dll
+
+
+class TestStencilClones:
+    """The AVX2 clone the loader picks writes the baseline build's bytes:
+    no FMA (``-ffp-contract=off``) and correctly rounded ``+ - * /`` at
+    every vector width, checked here on grids where a wrong operand order,
+    a contraction or a flush-to-zero would show.
+
+    One carve-out, the one ``tests/test_diffusion_differential.py`` makes
+    for numpy itself: when both operands of an add are NaN with different
+    sign bits (``np.nan`` meeting the NaN that ``inf - inf`` makes), the
+    operand the instruction keeps decides the sign, and the two builds
+    order the operands of a commutative add differently.  Grids that mix
+    NaN and +-inf cells are compared with every NaN canonicalised; the
+    NaN-only, inf-only, denormal and random grids stay strict.
+    """
+
+    @pytest.fixture(scope="class")
+    def builds(self, tmp_path_factory):
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("the stencil is only cloned on x86-64")
+        kb = make_kernels("c")
+        if kb.stencil_isa != "avx2":
+            pytest.skip("the loader did not pick an AVX2 stencil here (no "
+                        "AVX2 on this CPU, or no ifunc support)")
+        dll = _baseline_stencil(tmp_path_factory.mktemp("clones"))
+        assert dll.repro_stencil_isa() == b"baseline"
+        return kb._lib.dll, dll
+
+    GRIDS = {
+        "random": lambda rng, shape: rng.normal(size=shape),
+        "denormal": lambda rng, shape: rng.choice(
+            [5e-324, -5e-324, 1e-310, -2.5e-309, 0.0, -0.0, 2.2e-308],
+            size=shape),
+        "nan": lambda rng, shape: np.where(
+            rng.random(shape) < 0.3, np.nan, rng.normal(size=shape)),
+        "inf": lambda rng, shape: np.where(
+            rng.random(shape) < 0.3,
+            rng.choice([np.inf, -np.inf, 1e308, -1e308], size=shape),
+            rng.normal(size=shape)),
+        "mixed": lambda rng, shape: np.where(
+            rng.random(shape) < 0.3,
+            rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], size=shape),
+            rng.normal(size=shape)),
+    }
+    SHAPES = [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 5), (1, 1, 37),
+              (1, 1, 1000), (7, 6, 5), (33, 17, 9), (64, 64, 64)]
+
+    @pytest.mark.parametrize("family", sorted(GRIDS))
+    def test_clone_and_baseline_write_the_same_bytes(self, builds, family):
+        cloned, baseline = builds
+        rng = np.random.default_rng(11)
+        for shape in self.SHAPES:
+            c = self.GRIDS[family](rng, shape)
+            for args in ((1.5, 0.5, 0.01, 0.3), (7.8125, 1.3, 0.5, 0.9),
+                         (1e-154, 1e-10, 0.0, 1e-300)):
+                h, d, decay, dt = args
+                for threads in (1, 2):
+                    a, b = np.empty_like(c), np.empty_like(c)
+                    cloned.repro_diffuse(c, a, *shape, h**2, d, decay, dt,
+                                         threads)
+                    baseline.repro_diffuse(c, b, *shape, h**2, d, decay,
+                                           dt, threads)
+                    if family == "mixed":
+                        a[np.isnan(a)] = b[np.isnan(b)] = np.nan
+                    assert a.tobytes() == b.tobytes(), (shape, args, threads)

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Chemotaxis, DiffusionGrid, Param, Secretion, Simulation
-from repro.kernels import numpy_ref
+from repro.kernels import available_backends, numpy_ref
 from repro.verify.snapshot import state_checksum
 from tests import diffusion_reference as ref
 from tests.kernel_backends import kernel_backends
@@ -382,12 +382,14 @@ class TestStepDoubleBuffer:
 # Chemotaxis and whole trajectories
 # --------------------------------------------------------------------- #
 
-def field_model(seed, event_scheduling, agents=400, resolution=16):
+def field_model(seed, event_scheduling, agents=400, resolution=16,
+                kernel_backend="auto"):
     """``perf/workloads.py``'s ``diffusion_field`` at test size: cells that
     only secrete into / climb two substance fields, no mechanics."""
     box = 1000.0
     rng = np.random.default_rng(seed)
-    param = Param.optimized().with_(event_scheduling=event_scheduling)
+    param = Param.optimized().with_(event_scheduling=event_scheduling,
+                                    kernel_backend=kernel_backend)
     sim = Simulation("diffusion_field", param, seed=seed)
     sim.mechanics_enabled = False
     idx = sim.add_cells(rng.uniform(0.0, box, (agents, 3)), diameters=10.0)
@@ -407,39 +409,175 @@ def install_reference(monkeypatch):
                  "consume", "gradient_at"):
         monkeypatch.setattr(DiffusionGrid, name, getattr(ref, name))
     monkeypatch.setattr(Chemotaxis, "run", ref.chemotaxis_run)
+    monkeypatch.setattr(Secretion, "run", ref.secretion_run)
     eager_builds(monkeypatch)
 
 
+#: Agent placements for the field kernels on a [0, 40) grid: in and
+#: around it, far outside, on voxel faces, all in one voxel, with NaN /
+#: +-inf coordinates, and with cells beyond int64 (+-1e300, 2^63 h) or
+#: right at its edges (-2^63 h, 2^62 h).
+agent_kinds = st.sampled_from(["inside", "outside", "faces", "one_voxel",
+                               "nonfinite", "huge"])
+#: ``idx`` orders: the C kernels take strictly ascending ones; the rest
+#: (a duplicate changes a fancy ``+=``) are their NumPy fallback.
+idx_orders = st.sampled_from(["ascending", "subset", "empty", "descending",
+                              "duplicates"])
+
+
+def agent_positions(seed, n, r, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "outside":
+        return rng.uniform(-60.0, 100.0, (n, 3))
+    if kind == "faces":
+        return 40.0 / r * rng.integers(-1, r + 2, (n, 3))
+    if kind == "one_voxel":
+        return np.full((n, 3), 2.5) + rng.uniform(0.0, 1e-3, (n, 3))
+    pts = rng.uniform(-5.0, 45.0, (n, 3))
+    odd = rng.random((n, 3)) < 0.1
+    h = 40.0 / r
+    values = ([np.nan, np.inf, -np.inf] if kind == "nonfinite" else
+              [1e300, -1e300, h * 2.0**63, -h * 2.0**63, h * 2.0**62]
+              if kind == "huge" else [])
+    if values:
+        pts[odd] = rng.choice(values, size=int(odd.sum()))
+    return pts
+
+
+def agent_idx(seed, n, order):
+    rng = np.random.default_rng(seed + 3)
+    if order == "ascending":
+        return np.arange(n)
+    if order == "subset":
+        return np.flatnonzero(rng.random(n) < 0.5)
+    if order == "empty":
+        return np.arange(0)
+    if order == "descending":
+        return np.arange(n)[::-1].copy()
+    return np.sort(rng.integers(0, n, n))              # duplicates
+
+
+def field_sim(seed, n, r, kind, dtype=np.float64, layout="c", flat=False,
+              kernels=None):
+    """One simulation with ``n`` agents placed by ``kind`` and a random
+    ``r^3`` grid ``s`` on ``[0, 40)`` (zero when ``flat``) of ``dtype``,
+    C- or Fortran-ordered by ``layout``."""
+    sim = Simulation("c", Param(simulation_time_step=0.7), seed=1)
+    sim.add_cells(np.zeros((n, 3)), diameters=4.0)
+    sim.rm.positions[:] = agent_positions(seed, n, r, kind)
+    grid = sim.add_diffusion_grid(DiffusionGrid("s", r, 0.0, 40.0))
+    rng = np.random.default_rng(seed)
+    c = rng.random((r, r, r)).astype(dtype)
+    c[rng.random((r, r, r)) < 0.4] = 0.25
+    if flat:         # a flat field has zero gradient: nobody moves
+        c[...] = 0.0
+    grid.concentration = np.asfortranarray(c) if layout == "fortran" else c
+    if kernels is not None:
+        sim.kernels = kernels
+    return sim
+
+
+def c_runs(sim, idx, amount=1.0):
+    """Whether the ``c`` backend keeps this field-kernel call in C (the
+    rule of ``_kernels.c``'s ``locatable`` and ``c_backend``'s argument
+    checks)."""
+    grid = sim.diffusion_grids["s"]
+    c = grid.concentration
+    with np.errstate(all="ignore"):
+        v = (sim.rm.positions[idx] - grid.lower) / grid.voxel_size
+    return bool(c.dtype == np.float64 and c.flags.c_contiguous
+                and isinstance(amount, (int, float))
+                and np.all(np.diff(idx) > 0)
+                and np.all((v >= -2.0**63) & (v < 2.0**63)))
+
+
+def assert_field_accounting(kb, compiled_in_c):
+    if kb.compiled:
+        assert (kb.field_calls, kb.fallbacks) == (
+            (1, 0) if compiled_in_c else (0, 1))
+    else:
+        assert (kb.field_calls, kb.fallbacks) == (1, 0)
+
+
 class TestChemotaxisDifferential:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(seed=seeds, n=st.integers(1, 150), r=st.integers(1, 8),
-           flat=st.booleans())
-    def test_run_moves_agents_identically(self, seed, n, r, flat):
-        sims = []
-        for _ in range(2):
-            sim = Simulation("c", Param(simulation_time_step=0.7), seed=1)
-            rng = np.random.default_rng(seed)
-            sim.add_cells(rng.uniform(-5.0, 45.0, (n, 3)), diameters=4.0)
-            grid = sim.add_diffusion_grid(DiffusionGrid("s", r, 0.0, 40.0))
-            if not flat:     # a flat field has zero gradient: nobody moves
-                grid.concentration[:] = rng.random((r, r, r))
-                grid.concentration[rng.random((r, r, r)) < 0.4] = 0.25
-            sims.append(sim)
-        new, old = sims
-        behavior = Chemotaxis("s", speed=1.75)
-        idx = np.arange(n)[::-1].copy()
-        behavior.run(new, idx)
-        ref.chemotaxis_run(behavior, old, idx)
-        assert new.rm.positions.tobytes() == old.rm.positions.tobytes()
-        assert np.array_equal(new.rm.data["moved"], old.rm.data["moved"])
+           flat=st.booleans(), kind=agent_kinds, order=idx_orders,
+           speed=st.sampled_from([1.75, -2.5, 0.0]), dtype=dtypes,
+           layout=st.sampled_from(["c", "fortran"]))
+    def test_run_moves_agents_identically(self, seed, n, r, flat, kind,
+                                          order, speed, dtype, layout):
+        """Every backend against the frozen body over the frozen gradient.
+        A negative speed turns a zero step into ``-0.0``, which moves a
+        ``-0.0`` coordinate to ``+0.0``: the step must be added, not
+        skipped."""
+        idx = agent_idx(seed, n, order)
+        behavior = Chemotaxis("s", speed=speed)
+        old = field_sim(seed, n, r, kind, dtype, layout, flat)
+        old.rm.positions[::7] = -0.0
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(DiffusionGrid, "gradient_at", ref.gradient_at)
+            ref.chemotaxis_run(behavior, old, idx)
+        for kb in kernel_backends():
+            new = field_sim(seed, n, r, kind, dtype, layout, flat, kb)
+            new.rm.positions[::7] = -0.0
+            in_c = c_runs(new, idx)
+            with np.errstate(all="ignore"):
+                behavior.run(new, idx)
+            assert new.rm.positions.tobytes() == old.rm.positions.tobytes()
+            assert np.array_equal(new.rm.data["moved"], old.rm.data["moved"])
+            assert_same_bytes(
+                np.ascontiguousarray(new.diffusion_grids["s"].concentration),
+                np.ascontiguousarray(old.diffusion_grids["s"].concentration))
+            assert_field_accounting(kb, in_c)
+
+
+class TestSecretionDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=seeds, n=st.integers(1, 150), r=st.integers(1, 8),
+           kind=agent_kinds, order=idx_orders, dtype=dtypes,
+           layout=st.sampled_from(["c", "fortran"]),
+           amounts=st.sampled_from(["scalar", "large", "int", "array",
+                                    "cancelling", "float32"]))
+    def test_run_secretes_identically(self, seed, n, r, kind, order, dtype,
+                                      layout, amounts):
+        """Every backend against the frozen ``add_substance``.  With
+        amounts like 1e16, 1, -1e16 only ``np.add.at``'s order (``idx``
+        order, one by one) gives the reference's sums."""
+        idx = agent_idx(seed, n, order)
+        rng = np.random.default_rng(seed + 5)
+        amount = {"scalar": 0.1, "large": 1e16, "int": 3,
+                  "array": rng.normal(size=len(idx)),
+                  "cancelling": rng.choice([1e16, 1.0, -1e16, 3.0, 1e-8],
+                                           size=len(idx)),
+                  "float32": np.float32(0.1)}[amounts]
+        behavior = Secretion("s", amount)
+        old = field_sim(seed, n, r, kind, dtype, layout)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(DiffusionGrid, "add_substance", ref.add_substance)
+            ref.secretion_run(behavior, old, idx)
+        for kb in kernel_backends():
+            new = field_sim(seed, n, r, kind, dtype, layout, kernels=kb)
+            in_c = c_runs(new, idx, amount)
+            with np.errstate(all="ignore"):
+                behavior.run(new, idx)
+            assert_same_bytes(
+                np.ascontiguousarray(new.diffusion_grids["s"].concentration),
+                np.ascontiguousarray(old.diffusion_grids["s"].concentration))
+            assert new.rm.positions.tobytes() == old.rm.positions.tobytes()
+            assert_field_accounting(kb, in_c)
 
 
 class TestTrajectoryDifferential:
     @pytest.mark.parametrize("event_scheduling", [False, True])
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
     def test_engine_equals_reference_functions_at_every_tick(
-            self, event_scheduling, monkeypatch):
+            self, event_scheduling, backend, monkeypatch):
+        if not available_backends()[backend]:
+            pytest.skip(f"the {backend} kernels cannot be built here")
         ticks = 24                                   # sort ticks: 10, 20
-        engine = field_model(5, event_scheduling)
+        engine = field_model(5, event_scheduling, kernel_backend=backend)
+        assert engine.kernels.name == backend
         got = []
         for _ in range(ticks):
             engine.simulate(1)
@@ -447,6 +585,8 @@ class TestTrajectoryDifferential:
         reg = engine.obs.registry
         assert reg.counter("scheduler:env_builds_deferred").value == ticks
         assert reg.counter("scheduler:env_rebuilds").value == 0
+        assert engine.kernels.field_calls > 0
+        assert engine.kernels.fallbacks == 0
 
         install_reference(monkeypatch)
         reference = field_model(5, event_scheduling)
@@ -456,6 +596,7 @@ class TestTrajectoryDifferential:
             expected.append(state_checksum(reference))
         reg = reference.obs.registry
         assert reg.counter("scheduler:env_rebuilds").value == ticks
+        assert reference.kernels.field_calls == 0    # the frozen bodies ran
         assert got == expected
         assert len(set(got)) == ticks                # the model does move
 

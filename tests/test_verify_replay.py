@@ -138,3 +138,22 @@ def test_checksum_trace_is_reproducible(seed):
     report = replay(factory, steps=3, seed=seed,
                     check_seed_sensitivity=False)
     assert report.ok, report.render()
+
+
+def test_model_bound_variant_requirement_reads_only_that_models_cells():
+    """A ``(model, label)`` key of ``require_variant`` binds that model's
+    cells of the variant: another model's zero does not make it unmet, the
+    model's own zero does."""
+    from repro.verify.replay import EquivalenceReport, Leg
+
+    leg = Leg("t", variants={"c": {}},
+              require_variant={("b", "c"): {"kernel:field_calls": 1}})
+    report = EquivalenceReport(leg=leg, models=("a", "b"), steps=1)
+    report.divergences = {("a", "c", 1): None, ("b", "c", 1): None}
+    report.evidence = {("a", "c", 1): {"kernel:field_calls": 0},
+                       ("b", "c", 1): {"kernel:field_calls": 4}}
+    assert report.unmet() == [] and report.ok
+    report.evidence[("b", "c", 1)]["kernel:field_calls"] = 0
+    assert report.unmet() == [
+        "kernel:field_calls >= 1 not reached in every b c cell"]
+    assert not report.ok
