@@ -297,7 +297,11 @@ def _cmd_trace(args) -> int:
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "
               "skipped (unchanged), "
               f"{int(reg.counter('scheduler:env_builds_deferred').value)} "
-              "deferred (no reader)")
+              "deferred (no reader), "
+              f"{int(reg.counter('neighbor_cache:overlapped_searches').value)}"
+              " overlapped (waited "
+              f"{reg.counter('neighbor_cache:search_wait_s').value * 1e3:.2f}"
+              " ms)")
         if sim.diffusion_grids:
             print(f"  diffusion: {len(sim.diffusion_grids)} grids, "
                   f"{int(reg.counter('diffusion:steps').value)} stencil steps, "

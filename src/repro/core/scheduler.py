@@ -30,6 +30,7 @@ from repro.env.environment import csr_row_index, refilter_csr
 from repro.core.sorting import sort_and_balance
 from repro.core.static_detection import update_static_flags
 from repro.core.operation import AgentOperation, OpKind
+from repro.obs.core import SEARCH_TID
 
 __all__ = ["Scheduler", "NeighborCache"]
 
@@ -57,6 +58,12 @@ class NeighborCache:
         self._misses = reg.counter("neighbor_cache:misses")
         self._refilters = reg.counter("neighbor_cache:refilters")
         self._relabels = reg.counter("neighbor_cache:relabels")
+        self._overlapped = reg.counter("neighbor_cache:overlapped_searches")
+        self._search_wait = reg.counter("neighbor_cache:search_wait_s")
+        self._search_helper = reg.counter("neighbor_cache:search_helper_s")
+        #: The exact search :meth:`start_search` started, until its counters
+        #: and trace event are recorded.
+        self._pending = None
         #: Exact CSR ``(indptr, indices)`` of the current build, or None.
         self._csr = None
         #: ``(indices, counts, qi)`` of the CSR last expanded, keyed by the
@@ -105,14 +112,14 @@ class NeighborCache:
 
     def needed(self) -> bool:
         """Whether this iteration's agent loop consumes neighbor lists."""
+        return self.sim.mechanics_enabled or self._declared_readers()
+
+    def _declared_readers(self) -> bool:
+        """Whether a behavior or agent operation reads neighbors."""
         sim = self.sim
-        return (
-            sim.mechanics_enabled
-            or any(b.uses_neighbors for b, _ in sim.behaviors)
-            or any(
-                isinstance(op, AgentOperation) and op.uses_neighbors
-                for op in sim.operations
-            )
+        return any(b.uses_neighbors for b, _ in sim.behaviors) or any(
+            isinstance(op, AgentOperation) and op.uses_neighbors
+            for op in sim.operations
         )
 
     def neighbors(self, running: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +129,56 @@ class NeighborCache:
             self.ensure()
         if self._csr is None:
             self._csr = self.sim.env.neighbor_csr()
+            self._note_search()
         return self._csr
+
+    # ------------------------------------------------------------------ #
+    # The exact search overlapped with the behaviors
+    # ------------------------------------------------------------------ #
+
+    def start_search(self) -> bool:
+        """Start the exact search of the build this stage made on a helper
+        thread, so that it runs while the behaviors do; True if it did.
+
+        Only when mechanics, which comes after the behaviors, is the one
+        neighbor reader; under no virtual machine (its accountant reads the
+        CSR first); with the ``c`` kernels on more than one thread (never in
+        a forked pool or serve worker); and for an exact uniform-grid batch
+        build (the environment declines anything else).  The first reader
+        joins it (``sim.neighbors()``), :meth:`finish_search` at the latest.
+        """
+        sim = self.sim
+        if (self._csr is not None or sim.machine is not None
+                or sim.kernels.threads < 2 or not sim.mechanics_enabled
+                or self._declared_readers()):
+            return False
+        self._pending = sim.env.start_search()
+        if self._pending is None:
+            return False
+        self._overlapped.inc()
+        return True
+
+    def finish_search(self) -> None:
+        """Join a started search's helper thread, whether or not anyone
+        read its CSR (an aborted tick): no helper outlives its tick.  The
+        CSR, or the helper's exception, stays with the environment for its
+        next reader."""
+        if self._pending is not None:
+            self._pending.wait()
+            self._note_search()
+
+    def _note_search(self) -> None:
+        """Record a joined search: the counters, and when tracing its
+        helper's span on its own thread id -- from this thread, after the
+        join, so the tracer is never touched from the helper."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        self._search_wait.inc(pending.waited)
+        self._search_helper.inc((pending.ended - pending.began) * 1e-9)
+        self.sim.obs.tracer.record_complete(
+            "grid_search", pending.began, pending.ended - pending.began,
+            cat="kernel", tid=SEARCH_TID)
 
     def invalidate(self) -> None:
         """Drop the exact CSR (after moves, commits, or sorting)."""
@@ -472,7 +528,7 @@ class Scheduler:
         self._run_standalone_ops(OpKind.PRE)
         with obs.stage("build_environment"):
             work = cache.build()
-            if cache.needed():
+            if cache.needed() and not cache.start_search():
                 # Materialize the CSR here, not lazily inside agent_ops, so
                 # the search is booked to the stage that owns it.
                 sim.neighbors()
@@ -480,8 +536,11 @@ class Scheduler:
                 acc.build_environment(work)
 
         # ---- Agent operations (Algorithm 1, L7-11).
-        with obs.stage("agent_ops"):
-            self._run_agent_ops()
+        try:
+            with obs.stage("agent_ops"):
+                self._run_agent_ops()
+        finally:
+            cache.finish_search()
 
         # ---- Standalone operations (L12-14).
         with obs.stage("diffusion"):
@@ -557,11 +616,9 @@ class Scheduler:
         if rm.n == 0:
             return
         acc = self.accountant
-        # Neighbor relations are needed by forces and neighbor-using
-        # behaviors; fetch once (cached).
-        csr = sim.neighbors() if self.neighbor_cache.needed() else None
         if acc is not None:
-            acc.begin_agent_ops(csr)
+            acc.begin_agent_ops(
+                sim.neighbors() if self.neighbor_cache.needed() else None)
 
         # --- Behaviors.
         with self._obs.stage("behaviors"):
@@ -589,7 +646,9 @@ class Scheduler:
 
         # --- Mechanical forces + displacement (via the execution backend).
         if sim.mechanics_enabled:
-            indptr, indices = csr
+            # Fetched here, by its first reader: a search the build stage
+            # started ran beside the behaviors and is joined now.
+            indptr, indices = sim.neighbors()
             # §5: the detection conditions are tied to the force
             # implementation; refuse to skip agents under a force that
             # does not support them.

@@ -421,6 +421,7 @@ class Simulation:
         hook reclaim leaked segments otherwise."""
         if self._state is SimulationState.CLOSED:
             return
+        self.scheduler.neighbor_cache.finish_search()
         self.backend.shutdown()
         arena = getattr(self.rm, "arena", None)
         if arena is not None:

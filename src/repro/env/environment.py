@@ -75,6 +75,14 @@ class Environment(ABC):
         interaction radius of agent ``i`` (excluding ``i`` itself).
         """
 
+    def start_search(self):
+        """Start the current build's search on a helper thread, for the
+        next :meth:`neighbor_csr` to join; returns the pending search
+        (``wait()`` joins its helper), or None if nothing was started.  No
+        environment but the uniform grid under the ``c`` kernels starts
+        one."""
+        return None
+
     @abstractmethod
     def search_candidates_per_agent(self) -> np.ndarray:
         """Number of candidate agents examined per query during the last

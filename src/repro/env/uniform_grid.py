@@ -47,6 +47,10 @@ backend (``docs/kernels.md``), which writes the same bytes:
   of ``(positions, radius)``: NumPy sorts the kept pairs (both
   directions) as int64 keys ``row * n + col``; C scatters them into
   unsorted rows and transposes those in ascending row order.
+- **Overlap.**  :meth:`UniformGridEnvironment.start_search` runs the C
+  search of a finished build on a helper thread (the scheduler starts it
+  while the behaviors run); :meth:`neighbor_csr` joins it, and every
+  mutator joins it before it writes anything the search reads.
 
 What the *paper's* search costs is a separate question with a separate
 answer: :meth:`UniformGridEnvironment.search_candidates_per_agent` still
@@ -128,6 +132,8 @@ class UniformGridEnvironment(Environment):
         self._radius = 0.0
         self._candidates: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        #: The search of this build running on a helper thread, or None.
+        self._pending = None
 
     # ------------------------------------------------------------------ #
     # Build
@@ -167,6 +173,7 @@ class UniformGridEnvironment(Environment):
         return (coords[:, 2] * dims[1] + coords[:, 1]) * dims[0] + coords[:, 0]
 
     def update(self, positions: np.ndarray, radius: float) -> BuildWork:
+        self._join()
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError("positions must have shape (n, 3)")
@@ -252,6 +259,7 @@ class UniformGridEnvironment(Environment):
         searches consolidate the chains on demand.  The batch
         :meth:`update` path produces the same neighbor sets.
         """
+        self._join()
         if radius <= 0:
             raise ValueError("interaction radius must be positive")
         lower = np.asarray(lower, dtype=np.float64)
@@ -285,6 +293,7 @@ class UniformGridEnvironment(Environment):
 
         Returns the agent's index.  Requires :meth:`begin_incremental`.
         """
+        self._join()
         if not self._incremental:
             raise RuntimeError("call begin_incremental() first")
         position = np.asarray(position, dtype=np.float64)
@@ -313,6 +322,7 @@ class UniformGridEnvironment(Environment):
 
     def _consolidate(self) -> None:
         """Turn the head-insertion chains into the batch search layout."""
+        self._join()
         n = len(self._inc_positions)
         self._positions = (
             np.vstack(self._inc_positions) if n else np.empty((0, 3))
@@ -396,8 +406,10 @@ class UniformGridEnvironment(Environment):
         once and mirrored.  Candidates are expanded in blocks of
         ``_BLOCK_CANDIDATES``, so temporaries are O(block); only the kept
         pairs are ever held in full.  A :attr:`kernels` backend with a
-        search (``c``) runs it instead.
+        search (``c``) runs it instead, and a search :meth:`start_search`
+        started is joined and adopted.
         """
+        self._join()
         if self._csr is not None:
             return self._csr
         if self._incremental:
@@ -417,6 +429,32 @@ class UniformGridEnvironment(Environment):
         # snapshot: this one is not read again.
         self._xyz = None
         return self._csr
+
+    def start_search(self):
+        """Start the search of the current batch build as
+        :meth:`KernelBackend.start_grid_search`, on a helper thread; None
+        if the backend has none, the build is incremental or empty, or its
+        CSR is already here.  The helper reads only this build's own
+        snapshot (``_xyz``, ``_order``, the box arrays), which nothing
+        writes before it is joined."""
+        if (self._csr is not None or self._pending is not None
+                or self._incremental or self.kernels is None
+                or not len(self._positions)):
+            return None
+        self._pending = self.kernels.start_grid_search(
+            self._xyz, self._radius, self._order, self._run_start,
+            self._occupied, self._dims, self._box_start, self._box_count,
+            self._box_stamp, self._timestamp)
+        return self._pending
+
+    def _join(self) -> None:
+        """Adopt the CSR of a search :meth:`start_search` started (after
+        its helper ends), or re-raise the helper's exception; the first
+        step of :meth:`neighbor_csr` and of every mutator."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            self._csr = pending.result()
+            self._xyz = None
 
     def _half_stencil(self, n):
         """The NumPy search (the reference for :meth:`KernelBackend

@@ -472,6 +472,28 @@ void repro_grid_fill(const int64_t *stage, const int64_t *at,
     }
 }
 
+/* The search, the scatter and the fill as one call, for a caller that runs
+ * it on a helper thread (one GIL release, nothing allocated): every buffer
+ * is the caller's, rows and indices hold 2 * cap slots.  *result is the
+ * search's return value; if it is negative (the stage overflowed) the
+ * scatter and fill did not run and resume says where to go on. */
+void repro_grid_csr(const double *xyz, const int64_t *order,
+                    const int64_t *occupied, const int64_t *run_start,
+                    int64_t boxes, const int64_t *start,
+                    const int64_t *count, const int64_t *stamp, int64_t now,
+                    const int64_t *dims, double r2, int64_t *stage,
+                    int64_t cap, int64_t *resume, int64_t *indptr,
+                    int64_t *at, int64_t *cursor, int64_t *rows,
+                    int64_t *indices, int64_t *result) {
+    const int64_t n = run_start[boxes];
+    *result = repro_grid_search(xyz, order, occupied, run_start, boxes, start,
+                                count, stamp, now, dims, r2, stage, cap,
+                                resume, indptr, at);
+    if (*result < 0) return;
+    repro_grid_scatter(stage, at, order, indptr, n, cursor, rows);
+    repro_grid_fill(rows, indptr, indptr, n, cursor, indices);
+}
+
 /* Spread the low 21 bits of x: bit i to bit 3i (sfc/morton.py's
  * _part1by2). */
 static inline uint64_t part1by2(uint64_t x) {

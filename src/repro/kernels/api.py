@@ -185,6 +185,14 @@ class KernelBackend:
         own NumPy search, the reference."""
         return None
 
+    def start_grid_search(self, xyz, radius, order, run_start, occupied,
+                          dims, box_start, box_count, box_stamp, timestamp):
+        """:meth:`grid_search` started on a helper thread: a pending search
+        whose ``result()`` is the CSR (``wait()`` joins the helper only),
+        or None: nothing was started, and the grid's first
+        ``neighbor_csr()`` searches on the calling thread."""
+        return None
+
     # -- agent sorting --------------------------------------------------- #
 
     def morton_order(self, positions, mins, dims, box_len):

@@ -8,8 +8,9 @@ secretion and chemotaxis, the uniform grid's build and neighbor search,
 the Morton order of agent sorting and the renumbering of a cached
 superset CSR through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
 (which releases the GIL per call); the rest is the inherited NumPy code,
-whose bytes the C kernels reproduce.  ``docs/kernels.md`` has the
-bitwise, build and thread rules.
+whose bytes the C kernels reproduce.  A grid search may also run as one
+call on a helper thread (:class:`PendingSearch`), beside the interpreter.
+``docs/kernels.md`` has the bitwise, build and thread rules.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import multiprocessing
 import os
 import shutil
 import subprocess
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,7 +33,7 @@ import numpy as np
 from repro.kernels import numpy_ref
 from repro.kernels.api import _is_plain_cortex3d
 
-__all__ = ["CKernelBackend", "available"]
+__all__ = ["CKernelBackend", "PendingSearch", "SEARCH_THREAD", "available"]
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 COMPILER = "cc"
@@ -60,11 +63,16 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
                            _I, _L, _L, _L], _I),
     "repro_grid_scatter": ([_L, _L, _L, _L, _I, _L, _L], None),
     "repro_grid_fill": ([_L, _L, _L, _I, _L, _L], None),
+    # Raw addresses: converting them takes the helper no Python code.
+    "repro_grid_csr": ([_P, _P, _P, _P, _I, _P, _P, _P, _I, _P, _F, _P, _I,
+                        _P, _P, _P, _P, _P, _P, _P], None),
     "repro_morton_order": ([_D, _I, _D, _F, _L, _L, _L, _L, _L], None),
     "repro_csr_relabel": ([_L, _L, _L, _I, _L, _L, _L, _L], _I),
 }
 #: Slots of the radix sort's digit histogram (``RADIX`` in ``_kernels.c``).
 _RADIX = 1 << 13
+#: Name of the thread an overlapped grid search runs on.
+SEARCH_THREAD = "repro-grid-search"
 #: Boxes per axis a Morton code spreads (``sfc.morton._part1by2`` keeps 21
 #: bits); a longer grid's order is left to NumPy.
 _MORTON_AXIS = 1 << 21
@@ -148,6 +156,147 @@ def _field_args(grid, positions, idx, *scalars):
     return (c, np.ascontiguousarray(idx, dtype=np.int64), *doubles)
 
 
+def _search_into(dll, grid, indptr, at, resume, stage=None):
+    """Run or go on with a search over ``grid`` (the first 11 arguments of
+    ``repro_grid_search``) into ``stage`` (4 slots an agent if None: an
+    exact build at the benchmark density keeps ~3.5 forward pairs an
+    agent, and each growth costs a copy and one more call), doubled while
+    a row's candidates do not fit; then scatter and fill: the CSR."""
+    n = len(indptr) - 1
+    if stage is None:
+        stage = np.empty(4 * n, dtype=np.int64)
+    while (total := dll.repro_grid_search(*grid, stage, len(stage), resume,
+                                          indptr, at)) < 0:
+        grown = np.empty(max(-total, 2 * len(stage)), dtype=np.int64)
+        grown[:resume[2]] = stage[:resume[2]]
+        stage = grown
+    cursor = np.empty(n, dtype=np.int64)
+    rows = np.empty(2 * total, dtype=np.int64)  # full rows, unsorted
+    dll.repro_grid_scatter(stage, at, grid[1], indptr, n, cursor, rows)
+    del stage  # before indices: the peak is max(stage, indices) + rows
+    indices = np.empty(2 * total, dtype=np.int64)
+    dll.repro_grid_fill(rows, indptr, indptr, n, cursor, indices)
+    return indptr, indices
+
+
+#: ``madvise`` advice that faults pages in writable without writing them
+#: (Linux >= 5.14); elsewhere the call fails and changes nothing.
+_MADV_POPULATE_WRITE = 23
+
+
+@functools.cache
+def _madvise():
+    """libc's ``madvise``, or None where this process has no libc."""
+    try:
+        fn = ctypes.CDLL(None, use_errno=True).madvise
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [_P, ctypes.c_size_t, _N], _N
+    return fn
+
+
+def _populate(a) -> None:
+    """Fault in the whole pages of ``a``'s buffer without touching a byte,
+    so a thread may do it while another writes there."""
+    madvise, page = _madvise(), os.sysconf("SC_PAGE_SIZE")
+    lo = -(-a.ctypes.data // page) * page
+    hi = (a.ctypes.data + a.nbytes) // page * page
+    if madvise is not None and hi > lo:
+        madvise(lo, hi - lo, _MADV_POPULATE_WRITE)
+
+
+class _SearchThread(threading.Thread):
+    """A thread whose target is one ctypes call: :meth:`run` only reads the
+    clock around it and keeps its exception for the joining thread."""
+
+    error = None
+    began = ended = 0
+
+    def run(self):
+        self.began = time.perf_counter_ns()
+        try:
+            super().run()
+        except BaseException as exc:  # re-raised by PendingSearch.result
+            self.error = exc
+        self.ended = time.perf_counter_ns()
+
+
+class PendingSearch:
+    """One grid search running as a single GIL-free ``repro_grid_csr``
+    call on a helper thread (:meth:`CKernelBackend.start_grid_search`).
+
+    Every buffer was allocated by the thread that started it; the helper
+    allocates nothing and touches no Python object but its own.
+    :meth:`wait` joins the helper, :meth:`result` also hands over the CSR
+    (finishing an overflowed stage on the calling thread) or re-raises
+    the helper's exception.  ``waited`` is the joining thread's wait in
+    seconds; ``began`` / ``ended`` the helper's ``perf_counter_ns``.
+    """
+
+    def __init__(self, backend, grid, n):
+        self._backend, self._grid = backend, grid
+        self._resume = np.zeros(3, dtype=np.int64)
+        self._total = np.zeros(1, dtype=np.int64)
+        self._scratch = at, stage, cursor, rows = backend._take_scratch(n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        # Room for every pair the stage holds; the CSR's is its prefix.
+        self._indices = np.empty(len(rows), dtype=np.int64)
+        self.waited = 0.0
+        address = [a.ctypes.data if isinstance(a, np.ndarray) else a
+                   for a in grid]
+        address += [stage.ctypes.data, len(stage)]
+        address += [a.ctypes.data for a in (
+            self._resume, self.indptr, at, cursor, rows, self._indices,
+            self._total)]
+        self._thread = _SearchThread(target=backend._lib.dll.repro_grid_csr,
+                                     name=SEARCH_THREAD, args=address)
+        self._thread.start()
+        # The fill, the helper's last step, writes indices: fault its fresh
+        # pages in from this thread, which reaches the join with time to
+        # spare, as far as the last search's pairs reached.
+        _populate(self._indices[:backend._pairs])
+
+    @property
+    def began(self) -> int:
+        """``perf_counter_ns`` as the helper's call started (0 before)."""
+        return self._thread.began
+
+    @property
+    def ended(self) -> int:
+        """``perf_counter_ns`` as the helper's call returned (0 before)."""
+        return self._thread.ended
+
+    def wait(self) -> None:
+        """Join the helper; ``waited`` adds the time this took."""
+        t0 = time.perf_counter()
+        self._thread.join()
+        self.waited += time.perf_counter() - t0
+
+    def result(self):
+        """The CSR ``(indptr, indices)``, after :meth:`wait`; the helper's
+        exception, with its type, if it raised.  A stage that overflowed
+        goes on here through the synchronous search's growth loop, from
+        where the helper stopped.  Call it once."""
+        self.wait()
+        scratch, self._scratch = self._scratch, None
+        indices, self._indices = self._indices, None
+        try:
+            if self._thread.error is not None:
+                raise self._thread.error
+            total = int(self._total[0])
+            if total < 0:
+                del indices
+                csr = _search_into(self._backend._lib.dll, self._grid,
+                                   self.indptr, scratch[0], self._resume,
+                                   scratch[1])
+            else:
+                csr = self.indptr, indices[:2 * total]
+            self._backend._pairs = len(csr[1])
+            return csr
+        finally:
+            self._backend._scratch = scratch  # for the next search
+
+
 def available() -> bool:
     """Whether the library is built (building it on first call)."""
     return _library() is not None
@@ -172,6 +321,11 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             raise ImportError("the C kernel library could not be built")
         self.build = self._lib.build
         self.stencil_isa = self._lib.isa
+        #: The overlapped search's reusable buffers (:meth:`_take_scratch`),
+        #: None while a pending search holds them.
+        self._scratch = None
+        #: Directed pairs the last overlapped search found.
+        self._pairs = 0
 
     @property
     def threads(self) -> int:
@@ -249,40 +403,61 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         return (box, order, occupied[:m].copy(), run_start[:m + 1].copy(),
                 successor, xyz)
 
-    def grid_search(self, xyz, radius, order, run_start, occupied, dims,
-                    box_start, box_count, box_stamp, timestamp):
-        """On one thread: forward pairs go into a NumPy stage, doubled
-        while a row's candidates do not fit, then into both of their rows,
-        then a transposing fill."""
+    def _grid(self, xyz, radius, order, run_start, occupied, dims,
+              box_start, box_count, box_stamp, timestamp):
+        """The first 11 arguments of ``repro_grid_search`` over one finished
+        build (int64 arrays in C order), counting one search."""
         self._count()
         self.search_calls += 1
         n = len(order)
         if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
                 or len(run_start) != len(occupied) + 1
                 or run_start[-1] != n or xyz.shape != (n, 3)
-                or not xyz.flags.c_contiguous):
+                or xyz.dtype != np.float64 or not xyz.flags.c_contiguous):
             raise ValueError("the arrays do not describe one grid build")
-        dll = self._lib.dll
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        at = np.empty(n + 1, dtype=np.int64)
-        # 4 slots an agent (an exact build at the benchmark density keeps
-        # ~3.5 forward pairs): each growth costs a copy and one more call.
-        stage = np.empty(4 * n, dtype=np.int64)
-        resume = np.zeros(3, dtype=np.int64)  # box, row, staged slots
-        while (total := dll.repro_grid_search(
-                xyz, order, occupied, run_start, len(occupied), box_start,
-                box_count, box_stamp, timestamp, dims, radius * radius,
-                stage, len(stage), resume, indptr, at)) < 0:
-            grown = np.empty(max(-total, 2 * len(stage)), dtype=np.int64)
-            grown[:resume[2]] = stage[:resume[2]]
-            stage = grown
-        cursor = np.empty(n, dtype=np.int64)
-        rows = np.empty(2 * total, dtype=np.int64)  # full rows, unsorted
-        dll.repro_grid_scatter(stage, at, order, indptr, n, cursor, rows)
-        del stage  # before indices: the peak is max(stage, indices) + rows
-        indices = np.empty(2 * total, dtype=np.int64)
-        dll.repro_grid_fill(rows, indptr, indptr, n, cursor, indices)
-        return indptr, indices
+        order, occupied, run_start, box_start, box_count, box_stamp, dims = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (
+                order, occupied, run_start, box_start, box_count, box_stamp,
+                dims))
+        return (xyz, order, occupied, run_start, len(occupied), box_start,
+                box_count, box_stamp, timestamp, dims, radius * radius)
+
+    def grid_search(self, xyz, radius, order, run_start, occupied, dims,
+                    box_start, box_count, box_stamp, timestamp):
+        """On one thread: forward pairs go into a NumPy stage, doubled
+        while a row's candidates do not fit, then into both of their rows,
+        then a transposing fill."""
+        grid = self._grid(xyz, radius, order, run_start, occupied, dims,
+                          box_start, box_count, box_stamp, timestamp)
+        n = len(order)
+        return _search_into(self._lib.dll, grid,
+                            np.zeros(n + 1, dtype=np.int64),
+                            np.empty(n + 1, dtype=np.int64),
+                            np.zeros(3, dtype=np.int64))  # box, row, slots
+
+    def start_grid_search(self, xyz, radius, order, run_start, occupied,
+                          dims, box_start, box_count, box_stamp, timestamp):
+        """:meth:`grid_search` as one ``repro_grid_csr`` call on a helper
+        thread: the same kernels on the same arrays, so the same bytes."""
+        grid = self._grid(xyz, radius, order, run_start, occupied, dims,
+                          box_start, box_count, box_stamp, timestamp)
+        return PendingSearch(self, grid, len(order))
+
+    def _take_scratch(self, n):
+        """``(at, stage, cursor, rows)`` for an overlapped search over ``n``
+        agents: the last search's if they fit (and are not twice too big),
+        else new ones with an eighth to spare.  Kept between searches so
+        that their pages are resident: a fresh page costs the helper a
+        fault.  The stage has the synchronous search's 4 slots an agent,
+        rows room for every pair it can hold."""
+        scratch, self._scratch = self._scratch, None
+        if scratch is None or not n <= len(scratch[2]) <= 2 * n + 64:
+            m = n + n // 8
+            stage = np.empty(4 * m, dtype=np.int64)
+            scratch = (np.empty(m + 1, dtype=np.int64), stage,
+                       np.empty(m, dtype=np.int64),
+                       np.empty(2 * len(stage), dtype=np.int64))
+        return scratch
 
     def morton_order(self, positions, mins, dims, box_len):
         """Box coordinates, Morton codes and a radix sort by code."""

@@ -40,10 +40,15 @@ __all__ = [
     "NULL_TRACER",
     "Observability",
     "STAGE_PREFIX",
+    "SEARCH_TID",
 ]
 
 #: Registry-key prefix for per-stage wall-time counters (seconds).
 STAGE_PREFIX = "stage:"
+
+#: Trace thread id of the helper thread an overlapped grid search runs on
+#: (the host is 0, process-pool workers 1..W).
+SEARCH_TID = -1
 
 
 class Counter:
@@ -186,9 +191,11 @@ class Tracer:
 
     The host records on thread id 0; worker processes record locally and
     the backend funnels their events through :meth:`ingest` with their
-    worker's thread id.  ``t0_ns`` anchors the export's time origin
-    (``perf_counter_ns`` is CLOCK_MONOTONIC on Linux — one timebase
-    across processes, so worker timestamps line up with host spans).
+    worker's thread id; the host records an overlapped grid search's
+    helper span on :data:`SEARCH_TID` after joining it.  ``t0_ns``
+    anchors the export's time origin (``perf_counter_ns`` is
+    CLOCK_MONOTONIC on Linux — one timebase across processes, so worker
+    timestamps line up with host spans).
     """
 
     enabled = True

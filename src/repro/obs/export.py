@@ -7,13 +7,17 @@ instant (``ph="i"``) events, timestamps and durations in microseconds.
 Thread id 0 is the host scheduler; the process backend's workers show
 up as threads 1..W (named via ``thread_name`` metadata events), so a
 trace of a process-pool run shows the per-worker phase spans and steal
-markers of paper Fig. 2 under the scheduler's stage spans.
+markers of paper Fig. 2 under the scheduler's stage spans.  An
+overlapped grid search shows up on thread ``SEARCH_TID`` (-1), beside
+the behaviors it ran with.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+from repro.obs.core import SEARCH_TID
 
 __all__ = [
     "chrome_trace",
@@ -24,6 +28,9 @@ __all__ = [
 
 #: pid used for every event — the engine is one logical process.
 TRACE_PID = 1
+
+#: ``thread_name`` of the host's thread ids; the others are workers.
+_THREAD_NAMES = {0: "scheduler", SEARCH_TID: "grid-search"}
 
 
 def _json_default(obj):
@@ -72,7 +79,7 @@ def chrome_trace(tracer, process_name: str = "repro") -> dict:
             "ph": "M",
             "pid": TRACE_PID,
             "tid": tid,
-            "args": {"name": "scheduler" if tid == 0 else f"worker-{tid - 1}"},
+            "args": {"name": _THREAD_NAMES.get(tid, f"worker-{tid - 1}")},
         })
     events.extend(body)
     return {"traceEvents": events, "displayTimeUnit": "ms"}

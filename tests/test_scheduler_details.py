@@ -186,8 +186,10 @@ class TestGridBoxScatterCost:
 
 
 class TestNeighborStageAttribution:
-    """The CSR is materialized inside ``build_environment``, so
-    ``stage_seconds()`` books the search to the stage that owns it."""
+    """A search the build stage does not overlap with the behaviors is
+    materialized inside ``build_environment``, so ``stage_seconds()``
+    books it to the stage that owns it; an overlapped one is started
+    there and joined by mechanics, its first reader."""
 
     @pytest.mark.parametrize("neighbor_cache", [True, False])
     def test_oncology_books_csr_to_build_environment(self, neighbor_cache):
@@ -199,6 +201,9 @@ class TestNeighborStageAttribution:
         param = bench.default_param().with_(neighbor_cache=neighbor_cache)
         sim = bench.build(1500, param=param, seed=0)
         env, scheduler = sim.env, sim.scheduler
+        # The synchronous search (one kernel thread, NumPy, a declared
+        # reader); the overlapped one is the next test's.
+        scheduler.neighbor_cache.start_search = lambda: False
         seen = {"in_agent_ops": False, "builds": 0, "builds_in_agent_ops": 0,
                 "csr_seconds": 0.0}
         real_csr, real_ops = env.neighbor_csr, scheduler._run_agent_ops
@@ -227,6 +232,47 @@ class TestNeighborStageAttribution:
         assert seen["builds_in_agent_ops"] == 0
         assert (sim.obs.stage_seconds()["build_environment"]
                 >= seen["csr_seconds"] > 0.0)
+
+    def test_oncology_overlapped_search_is_joined_before_mechanics(self):
+        from repro.kernels import c_backend
+        from repro.kernels.dispatch import _probe
+        from repro.simulations.registry import get_simulation
+
+        if not _probe("c"):
+            pytest.skip("the C kernel library cannot be built here")
+        bench = get_simulation("oncology")
+        c_backend._set_threads(2)
+        try:
+            sim = bench.build(1500, param=bench.default_param(), seed=0)
+            env, backend = sim.env, sim.backend
+            events = []
+            real_start, real_csr = env.start_search, env.neighbor_csr
+            real_force = backend.force_and_displace
+
+            def start():
+                events.append("start")
+                return real_start()
+
+            def csr():
+                events.append("join" if env._pending is not None else "csr")
+                return real_csr()
+
+            def force(*args):
+                events.append("mechanics")
+                return real_force(*args)
+
+            env.start_search, env.neighbor_csr = start, csr
+            backend.force_and_displace = force
+            sim.simulate(6)
+        finally:
+            c_backend._set_threads(None)
+        overlapped = sim.obs.registry.counter(
+            "neighbor_cache:overlapped_searches").value
+        assert overlapped >= 4  # every exact build but the first ones
+        assert events.count("start") == events.count("join") == overlapped
+        for i, event in enumerate(events):
+            if event == "start":  # nothing reads the CSR before mechanics
+                assert events[i + 1:i + 3] == ["join", "mechanics"]
 
 
 # --------------------------------------------------------------------- #
