@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import mmap
 import multiprocessing
 import os
 import shutil
@@ -189,7 +190,7 @@ def _madvise():
     """libc's ``madvise``, or None where this process has no libc."""
     try:
         fn = ctypes.CDLL(None, use_errno=True).madvise
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None)
         return None
     fn.argtypes, fn.restype = [_P, ctypes.c_size_t, _N], _N
     return fn
@@ -198,7 +199,7 @@ def _madvise():
 def _populate(a) -> None:
     """Fault in the whole pages of ``a``'s buffer without touching a byte,
     so a thread may do it while another writes there."""
-    madvise, page = _madvise(), os.sysconf("SC_PAGE_SIZE")
+    madvise, page = _madvise(), mmap.PAGESIZE
     lo = -(-a.ctypes.data // page) * page
     hi = (a.ctypes.data + a.nbytes) // page * page
     if madvise is not None and hi > lo:

@@ -161,6 +161,16 @@ def test_prefix_of_the_helper_buffers_is_the_csr():
         assert a.tobytes() == b.tobytes()
 
 
+def test_faulting_in_the_csr_pages_changes_no_byte():
+    """The main thread faults in ``indices`` while the helper may already
+    write there: the call must not write (a no-op where unsupported)."""
+    a = np.random.default_rng(4).integers(-9, 9, 300_000)
+    want = a.copy()
+    c_backend._populate(a[7:])
+    c_backend._populate(a[:0])
+    assert a.tobytes() == want.tobytes()
+
+
 @pytest.fixture
 def slow_helper(monkeypatch):
     """Helpers that sleep 0.2 s before their call: still searching long
