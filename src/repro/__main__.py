@@ -291,7 +291,8 @@ def _cmd_trace(args) -> int:
               + f", {kb.grid_builds} grid builds"
               + f", {kb.sort_calls} sorts"
               + f", {kb.field_calls} field calls"
-              + (f", {kb.stencil_isa} stencil" if kb.stencil_isa else ""))
+              + (f", {kb.stencil_isa} stencil" if kb.stencil_isa else "")
+              + f", {kb.search_overflows} search overflows")
         print("  environment: "
               f"{int(reg.counter('scheduler:env_rebuilds').value)} builds, "
               f"{int(reg.counter('scheduler:env_rebuild_skips').value)} "
@@ -301,7 +302,9 @@ def _cmd_trace(args) -> int:
               f"{int(reg.counter('neighbor_cache:overlapped_searches').value)}"
               " overlapped (waited "
               f"{reg.counter('neighbor_cache:search_wait_s').value * 1e3:.2f}"
-              " ms)")
+              " ms, "
+              f"{int(reg.counter('neighbor_cache:search_chunks_joined').value)}"
+              " chunks joined)")
         if sim.diffusion_grids:
             print(f"  diffusion: {len(sim.diffusion_grids)} grids, "
                   f"{int(reg.counter('diffusion:steps').value)} stencil steps, "

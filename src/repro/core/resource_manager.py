@@ -495,17 +495,34 @@ class ResourceManager:
         self._staged_entries.clear()
 
     def _remove_indices(self, removed, parallel, num_threads, stats) -> None:
-        """Apply the §3.2 swap plans with one gather per column.
+        """Apply the §3.2 swap plans.
 
-        Each domain's plan maps its segment to ``new_size`` survivors; the
-        per-domain results are fused into a single index vector so every
-        column is rebuilt by one fancy-indexed copy (no per-column
-        per-domain loop, no list-of-pieces concatenation).
+        On one domain the plan's moves run in place, as §3.2 writes them:
+        each survivor past the new end fills a hole (``col[dst] =
+        col[src]``, holes and sources disjoint) and every column becomes a
+        shorter view of itself (of its arena region, unless a column was
+        re-bound behind the arena's back, which the next growth carries
+        over), so O(removed) rows move.  With more domains the later
+        segments must shift: the per-domain plans are fused into one index
+        vector and every column is rebuilt by one fancy-indexed copy.
         """
+        threads = num_threads if parallel else 1
+        if self.num_domains == 1:
+            plan = plan_removal(self.n, removed, num_threads=threads)
+            if not parallel:
+                stats.serial_scan_items += self.n
+            src, dst = plan.moves
+            for name in self._columns:
+                col = self.data[name]
+                col[dst] = col[src]
+                self.data[name] = col[:plan.new_size]
+            self.n = plan.new_size
+            self.structure_version += 1
+            self.domain_starts = np.array([0, self.n], dtype=np.int64)
+            return
         doms = self.domain_of_index(removed)
         new_starts = np.zeros(self.num_domains + 1, dtype=np.int64)
         keep = np.empty(self.n - len(removed), dtype=np.int64)
-        threads = num_threads if parallel else 1
         for d in range(self.num_domains):
             lo, hi = int(self.domain_starts[d]), int(self.domain_starts[d + 1])
             local = removed[doms == d] - lo

@@ -61,6 +61,8 @@ class NeighborCache:
         self._overlapped = reg.counter("neighbor_cache:overlapped_searches")
         self._search_wait = reg.counter("neighbor_cache:search_wait_s")
         self._search_helper = reg.counter("neighbor_cache:search_helper_s")
+        self._search_joined = reg.counter(
+            "neighbor_cache:search_chunks_joined")
         #: The exact search :meth:`start_search` started, until its counters
         #: and trace event are recorded.
         self._pending = None
@@ -137,15 +139,17 @@ class NeighborCache:
     # ------------------------------------------------------------------ #
 
     def start_search(self) -> bool:
-        """Start the exact search of the build this stage made on a helper
-        thread, so that it runs while the behaviors do; True if it did.
+        """Start the exact build this stage planned and its search on a
+        helper thread, so that they run while the behaviors do; True if it
+        did.
 
         Only when mechanics, which comes after the behaviors, is the one
         neighbor reader; under no virtual machine (its accountant reads the
         CSR first); with the ``c`` kernels on more than one thread (never in
         a forked pool or serve worker); and for an exact uniform-grid batch
         build (the environment declines anything else).  The first reader
-        joins it (``sim.neighbors()``), :meth:`finish_search` at the latest.
+        joins it (``sim.neighbors()``), running the search chunks the helper
+        has not claimed; :meth:`finish_search` joins it at the latest.
         """
         sim = self.sim
         if (self._csr is not None or sim.machine is not None
@@ -168,13 +172,15 @@ class NeighborCache:
             self._note_search()
 
     def _note_search(self) -> None:
-        """Record a joined search: the counters, and when tracing its
-        helper's span on its own thread id -- from this thread, after the
-        join, so the tracer is never touched from the helper."""
+        """Record a joined search: the counters (the reader's time at the
+        join and the chunks it ran there), and when tracing its helper's
+        span on its own thread id -- from this thread, after the join, so
+        the tracer is never touched from the helper."""
         pending, self._pending = self._pending, None
         if pending is None:
             return
         self._search_wait.inc(pending.waited)
+        self._search_joined.inc(getattr(pending, "joined", 0))
         self._search_helper.inc((pending.ended - pending.began) * 1e-9)
         self.sim.obs.tracer.record_complete(
             "grid_search", pending.began, pending.ended - pending.began,
@@ -283,7 +289,8 @@ class NeighborCache:
                                          iteration=sim.scheduler.iteration):
                     ip, ix, _ = refilter_csr(sup_ip, sup_ix, sup_qi,
                                              rm.positions, radius,
-                                             kernels=sim.kernels)
+                                             kernels=sim.kernels,
+                                             row_index=False)
                 self._csr = (ip, ix)
                 self._hits.inc()
                 self._refilters.inc()
@@ -373,11 +380,13 @@ class NeighborCache:
         # columns, so a lazily built CSR after agents move would no longer
         # describe the build-time snapshot.
         sup_ip, sup_ix = sim.env.neighbor_csr()
-        sup_qi = csr_row_index(sup_ip, sup_ix)
+        # The row index only for a refilter that reads it (NumPy's).
+        sup_qi = (csr_row_index(sup_ip, sup_ix)
+                  if getattr(sim.kernels, "refilter_reads_qi", True) else None)
         self._superset = (sup_ip, sup_ix, sup_qi)
         self.budget = radius + skin
         ip, ix, _ = refilter_csr(sup_ip, sup_ix, sup_qi, rm.positions, radius,
-                                 kernels=sim.kernels)
+                                 kernels=sim.kernels, row_index=False)
         self._csr = (ip, ix)
         return work
 

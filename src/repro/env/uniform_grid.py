@@ -27,12 +27,14 @@ PAPERS.md) is -- around a cell-sorted agent order produced by a counting
 sort.  Both run in NumPy here, the reference, and in the ``c`` kernel
 backend (``docs/kernels.md``), which writes the same bytes:
 
-- **The build.**  The geometry (``mins``, ``dims``) is NumPy's for every
-  backend.  NumPy bins and sorts with ``argsort``; C bins with the same
-  operations and radix-sorts by box id in one O(#agents) pass per 13-bit
-  digit.  Both then write the live boxes, the successor list and the
-  cell-sorted coordinates ``_xyz`` -- the snapshot the search reads, in
-  which every box is a contiguous slice.
+- **The build.**  The geometry (``mins``, ``dims``) comes from the same
+  bounds for every backend: NumPy reduces each column, C takes them in the
+  pass that copies the positions into its build's snapshot.  NumPy bins
+  and sorts with ``argsort``; C bins with the same operations and
+  radix-sorts by box id in one O(#agents) pass per 13-bit digit.  Both
+  then write the live boxes, the successor list and the cell-sorted
+  coordinates ``_xyz`` -- the snapshot the search reads, in which every
+  box is a contiguous slice.
 - **x-run merging.**  Box ids are x-fastest, so the live boxes among the
   up-to-three x-adjacent ones of a stencil row are ONE contiguous run.
   Only occupied boxes are visited (O(#agents)): NumPy finds a run's ends
@@ -40,17 +42,21 @@ backend (``docs/kernels.md``), which writes the same bytes:
 - **Half stencil in both backends.**  Each agent scans the rest of its own
   box + box x+1 and the four forward ``(dy, dz)`` rows -- 5 runs, not 27
   boxes -- so each pair is checked once and mirrored (NumPy in blocks of
-  ``_BLOCK_CANDIDATES``; C on one thread).  The filter squares ``x_p -
-  x_q == -(x_q - x_p)`` (IEEE), so which agent of a pair checks it cannot
-  change a bit.
+  ``_BLOCK_CANDIDATES``; C in box-range chunks).  The filter squares
+  ``x_p - x_q == -(x_q - x_p)`` (IEEE), so which agent of a pair checks it
+  cannot change a bit.
 - **Canonical rows.**  Rows are ascending, so the CSR is a pure function
   of ``(positions, radius)``: NumPy sorts the kept pairs (both
   directions) as int64 keys ``row * n + col``; C scatters them into
   unsorted rows and transposes those in ascending row order.
-- **Overlap.**  :meth:`UniformGridEnvironment.start_search` runs the C
-  search of a finished build on a helper thread (the scheduler starts it
-  while the behaviors run); :meth:`neighbor_csr` joins it, and every
-  mutator joins it before it writes anything the search reads.
+- **Two threads.**  With the C kernels, :meth:`UniformGridEnvironment
+  .update` only takes the snapshot and plans a task: the build and the
+  search as one chunked job (``docs/kernels.md``).  The first reader of a
+  build output runs the build; :meth:`neighbor_csr` runs the job, with a
+  helper beside it; :meth:`UniformGridEnvironment.start_search` starts it
+  on the helper alone (the scheduler does, while the behaviors run), and
+  then the first reader joins it, running the chunks the helper has not
+  claimed.  Every mutator joins first.
 
 What the *paper's* search costs is a separate question with a separate
 answer: :meth:`UniformGridEnvironment.search_candidates_per_agent` still
@@ -80,6 +86,24 @@ _FORWARD_ROWS = ((1, 0), (-1, 1), (0, 1), (1, 1))
 _BLOCK_CANDIDATES = 1 << 14
 
 
+class _BuildOutput:
+    """An attribute a build writes: reading it first runs (or joins) a
+    build its task has not handed over yet."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_built" + name
+
+    def __get__(self, env, owner=None):
+        if env is None:
+            return self
+        if env._task is not None and not env._adopted:
+            env._finish_build()
+        return env.__dict__[self.slot]
+
+    def __set__(self, env, value):
+        env.__dict__[self.slot] = value
+
+
 class UniformGridEnvironment(Environment):
     """Uniform grid with timestamped boxes and array-based linked lists.
 
@@ -100,6 +124,16 @@ class UniformGridEnvironment(Environment):
     #: ``Simulation`` to ``sim.kernels``); None runs the NumPy search here.
     kernels = None
 
+    _box_start = _BuildOutput()
+    _box_count = _BuildOutput()
+    _box_stamp = _BuildOutput()
+    _successor = _BuildOutput()
+    _order = _BuildOutput()
+    _occupied = _BuildOutput()
+    _run_start = _BuildOutput()
+    _xyz = _BuildOutput()
+    _box_of_agent = _BuildOutput()
+
     def __init__(self, box_length_factor: float = 1.0, max_boxes: int = 1 << 26):
         super().__init__()
         if box_length_factor < 1.0:
@@ -107,6 +141,10 @@ class UniformGridEnvironment(Environment):
                              "smaller than the interaction radius)")
         self.box_length_factor = box_length_factor
         self.max_boxes = max_boxes
+        #: The kernel task of the current build (its build and search), until
+        #: its CSR is in; ``_adopted`` once its build outputs are.
+        self._task = None
+        self._adopted = True
         self._timestamp = 0
         self._dims = np.zeros(3, dtype=np.int64)
         self._mins = np.zeros(3)
@@ -148,11 +186,17 @@ class UniformGridEnvironment(Environment):
         -- independent of whether the live build is skin-inflated or
         several steps old (the neighbor cache).
         """
-        box_len = radius * self.box_length_factor
         # Per column: the same values as an axis-0 reduction over the
         # (n, 3) array, at a tenth of its cost.
-        mins = np.array([positions[:, d].min() for d in range(3)]) - 1e-9
-        maxs = np.array([positions[:, d].max() for d in range(3)])
+        return self._geometry(
+            np.array([positions[:, d].min() for d in range(3)]),
+            np.array([positions[:, d].max() for d in range(3)]), radius)
+
+    def _geometry(self, lo, hi, radius):
+        """:meth:`grid_geometry` of positions whose columns span ``[lo,
+        hi]`` (NaN where a column holds one)."""
+        box_len = radius * self.box_length_factor
+        mins, maxs = lo - 1e-9, hi
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
             raise ValueError("positions contain non-finite coordinates")
         dims = np.maximum(np.ceil((maxs - mins) / box_len).astype(np.int64), 1)
@@ -173,7 +217,10 @@ class UniformGridEnvironment(Environment):
         return (coords[:, 2] * dims[1] + coords[:, 1]) * dims[0] + coords[:, 0]
 
     def update(self, positions: np.ndarray, radius: float) -> BuildWork:
+        """Build over ``positions`` at ``radius``; with a kernel task the
+        build itself is left to the task (see the module docstring)."""
         self._join()
+        self._drop_task()
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError("positions must have shape (n, 3)")
@@ -197,24 +244,34 @@ class UniformGridEnvironment(Environment):
                                              per_item_cycles=np.empty(0))
             return self.last_build_work
 
-        self._mins, self._dims, self._box_len = self.grid_geometry(positions, radius)
+        task = (None if self.kernels is None
+                else self.kernels.grid_task(positions, radius))
+        try:
+            self._mins, self._dims, self._box_len = (
+                self.grid_geometry(positions, radius) if task is None
+                else self._geometry(task.bounds[:3], task.bounds[3:], radius))
+        except BaseException:
+            if task is not None:
+                task.release()
+            raise
         num_boxes = int(np.prod(self._dims))
         if len(self._box_stamp) < num_boxes:
             # Reallocate WITHOUT zeroing: the timestamp makes this safe.
             self._box_start = np.empty(num_boxes, dtype=np.int64)
             self._box_count = np.empty(num_boxes, dtype=np.int64)
             self._box_stamp = np.zeros(num_boxes, dtype=np.int64)  # one-time
-
-        built = None if self.kernels is None else self.kernels.grid_build(
-            positions, self._mins, self._dims, self._box_len, self._box_start,
-            self._box_count, self._box_stamp, self._timestamp)
-        (self._box_of_agent, self._order, self._occupied, self._run_start,
-         self._successor, self._xyz) = built or self._build(positions)
+        boxes = self._box_start, self._box_count, self._box_stamp
+        if task is None:
+            self._adopt(self._build(positions))
+        else:
+            task.plan(self._mins, self._dims, self._box_len, *boxes,
+                      self._timestamp)
+            self._task, self._adopted = task, False
 
         self.last_build_work = BuildWork(
             parallelizable=True,
             per_item_cycles=np.full(n, _ASSIGN_CYCLES),
-            memory_bytes=int(len(self._box_stamp) * 20 + n * 16),
+            memory_bytes=int(len(boxes[2]) * 20 + n * 16),
             # Each insert writes into the box array at an effectively
             # random offset; wider (sparser) environments spread these
             # writes over more memory and miss deeper cache levels.
@@ -223,9 +280,10 @@ class UniformGridEnvironment(Environment):
         return self.last_build_work
 
     def _build(self, positions):
-        """The NumPy build (the reference for :meth:`KernelBackend
-        .grid_build`): bins, a stable sort by box, the live boxes' entries,
-        the successor list and the cell-sorted coordinates."""
+        """The NumPy build (the reference for the build of
+        :meth:`KernelBackend.grid_task`): bins, a stable sort by box, the
+        live boxes' entries, the successor list and the cell-sorted
+        coordinates."""
         n = len(positions)
         box_id = self.box_ids(positions, self._mins, self._dims, self._box_len)
 
@@ -260,6 +318,7 @@ class UniformGridEnvironment(Environment):
         :meth:`update` path produces the same neighbor sets.
         """
         self._join()
+        self._drop_task()
         if radius <= 0:
             raise ValueError("interaction radius must be positive")
         lower = np.asarray(lower, dtype=np.float64)
@@ -406,8 +465,9 @@ class UniformGridEnvironment(Environment):
         once and mirrored.  Candidates are expanded in blocks of
         ``_BLOCK_CANDIDATES``, so temporaries are O(block); only the kept
         pairs are ever held in full.  A :attr:`kernels` backend with a
-        search (``c``) runs it instead, and a search :meth:`start_search`
-        started is joined and adopted.
+        search (``c``) runs it instead -- the build's task, or a search of
+        a finished build -- and a search :meth:`start_search` started is
+        joined and adopted.
         """
         self._join()
         if self._csr is not None:
@@ -418,7 +478,14 @@ class UniformGridEnvironment(Environment):
         if n == 0:
             self._csr = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
             return self._csr
-        if self.kernels is not None:
+        task, self._task = self._task, None
+        if task is not None:
+            try:
+                self._csr = task.run()
+            finally:
+                if not self._adopted:
+                    self._adopt(task.outputs())
+        elif self.kernels is not None:
             self._csr = self.kernels.grid_search(
                 self._xyz, self._radius, self._order, self._run_start,
                 self._occupied, self._dims, self._box_start, self._box_count,
@@ -431,30 +498,61 @@ class UniformGridEnvironment(Environment):
         return self._csr
 
     def start_search(self):
-        """Start the search of the current batch build as
-        :meth:`KernelBackend.start_grid_search`, on a helper thread; None
-        if the backend has none, the build is incremental or empty, or its
-        CSR is already here.  The helper reads only this build's own
-        snapshot (``_xyz``, ``_order``, the box arrays), which nothing
-        writes before it is joined."""
+        """Start the search of the current batch build on a helper thread:
+        the build's task (its build too, if nobody ran it), else
+        :meth:`KernelBackend.start_grid_search` of the finished build; None
+        if the backend has neither, the build is incremental or empty, or
+        its CSR is already here.  The helper reads only this build's own
+        snapshot, which nothing writes before it is joined."""
         if (self._csr is not None or self._pending is not None
                 or self._incremental or self.kernels is None
                 or not len(self._positions)):
             return None
-        self._pending = self.kernels.start_grid_search(
-            self._xyz, self._radius, self._order, self._run_start,
-            self._occupied, self._dims, self._box_start, self._box_count,
-            self._box_stamp, self._timestamp)
+        if self._task is not None:
+            self._pending = self._task.start()
+        else:
+            self._pending = self.kernels.start_grid_search(
+                self._xyz, self._radius, self._order, self._run_start,
+                self._occupied, self._dims, self._box_start, self._box_count,
+                self._box_stamp, self._timestamp)
         return self._pending
 
     def _join(self) -> None:
-        """Adopt the CSR of a search :meth:`start_search` started (after
-        its helper ends), or re-raise the helper's exception; the first
+        """Adopt the CSR of a search :meth:`start_search` started -- and
+        its task's build -- once this thread has run the chunks left and
+        the helper has ended, or re-raise the helper's exception; the first
         step of :meth:`neighbor_csr` and of every mutator."""
         pending, self._pending = self._pending, None
-        if pending is not None:
+        if pending is None:
+            return
+        task, self._task = self._task, None
+        try:
             self._csr = pending.result()
-            self._xyz = None
+        finally:
+            if task is not None and not self._adopted:
+                self._adopt(task.outputs())
+        self._xyz = None
+
+    def _finish_build(self) -> None:
+        """Hand the task's build over (a :class:`_BuildOutput` was read):
+        join a started task, else run its build on this thread."""
+        if self._pending is not None:
+            self._join()
+        else:
+            self._adopt(self._task.build())
+
+    def _adopt(self, outputs) -> None:
+        """Take ``(box_of_agent, order, occupied, run_start, successor,
+        xyz)`` as the current build's."""
+        self._adopted = True
+        (self._box_of_agent, self._order, self._occupied, self._run_start,
+         self._successor, self._xyz) = outputs
+
+    def _drop_task(self) -> None:
+        """Forget a task nobody started (its kept buffers go back)."""
+        task, self._task = self._task, None
+        if task is not None:
+            task.release()
 
     def _half_stencil(self, n):
         """The NumPy search (the reference for :meth:`KernelBackend

@@ -3,9 +3,13 @@
  * each output slot is written by one thread, so the team size cannot
  * change a bit.  docs/kernels.md lists the rules. */
 #include <math.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <omp.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* for (i = lo; i < hi; i++) BODY on nthreads threads.  One thread runs a
  * plain loop that enters no OpenMP construct: libgomp's team does not
@@ -162,15 +166,38 @@ int64_t repro_refilter_count(const double *pos, const int64_t *indptr,
 void repro_refilter_fill(const int64_t *indptr, const int64_t *indices,
                          const uint8_t *keep, int64_t n,
                          const int64_t *new_indptr, int64_t *out_indices,
-                         int64_t *out_qi, int nthreads) {
+                         int nthreads) {
     FOR_ROWS(i, 0, n, {
         int64_t w = new_indptr[i];
         for (int64_t k = indptr[i]; w < new_indptr[i + 1]; k++) {
             out_indices[w] = indices[k];
-            out_qi[w] = i;
             w += keep[k];
         }
     })
+}
+
+/* Rows [lo, hi) of numpy_ref.displace, one row at a time on one thread:
+ * disp = f * dt, norm = sqrt((x*x + y*y) + z*z), disp *= max_disp / norm
+ * where norm > max_disp, then where norm > eps pos += disp; moved |= and
+ * now (NULL: not kept) = norm > eps.  A NaN norm neither clamps nor
+ * moves. */
+void repro_displace(double *pos, uint8_t *moved, const double *net,
+                    double dt, double max_disp, double eps, uint8_t *now,
+                    int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; i++) {
+        double d[3];
+        for (int k = 0; k < 3; k++) d[k] = net[3 * i + k] * dt;
+        const double norm = sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]);
+        if (norm > max_disp) {
+            const double s = max_disp / norm;
+            for (int k = 0; k < 3; k++) d[k] *= s;
+        }
+        const uint8_t go = norm > eps;
+        if (go)
+            for (int k = 0; k < 3; k++) pos[3 * i + k] += d[k];
+        moved[i] |= go;
+        if (now) now[i] = go;
+    }
 }
 
 /* The Neumann-clamped 7-point stencil, c -> out, one plane per task; per
@@ -316,6 +343,52 @@ static void radix_order(const int64_t *key, int64_t n, uint64_t top,
         for (int64_t k = 0; k < n; k++) order[k] = k;
 }
 
+/* The grid build's first pass, on the thread that plans it: pos (n >= 1
+ * rows) copied into snap, and lohi = each column's min then max, NaN if
+ * the column holds one (np.min / np.max).  Two rows at a time into six
+ * independent lanes (SSE2 where the ISA has it: min / max are exactly
+ * "v < lo ? v : lo"), whose ties may keep another of +0.0 / -0.0 than
+ * numpy's; no caller can tell (the grid geometry subtracts 1e-9 first). */
+void repro_grid_bounds(const double *pos, int64_t n, double *snap,
+                       double *lohi) {
+    double lo[6], hi[6], bad[6] = {0};  /* lane k is column k % 3 */
+    for (int k = 0; k < 6; k++) lo[k] = hi[k] = pos[k % 3];
+    const int64_t m = 3 * n;
+    int64_t i = 0;
+#ifdef __SSE2__
+    __m128d vlo[3], vhi[3], vbad[3];
+    for (int j = 0; j < 3; j++)
+        vlo[j] = vhi[j] = _mm_loadu_pd(lo + 2 * j),
+        vbad[j] = _mm_setzero_pd();
+    for (; i + 6 <= m; i += 6)
+        for (int j = 0; j < 3; j++) {
+            const __m128d v = _mm_loadu_pd(pos + i + 2 * j);
+            _mm_storeu_pd(snap + i + 2 * j, v);
+            vlo[j] = _mm_min_pd(v, vlo[j]);
+            vhi[j] = _mm_max_pd(v, vhi[j]);
+            vbad[j] = _mm_or_pd(vbad[j], _mm_cmpunord_pd(v, v));
+        }
+    for (int j = 0; j < 3; j++) {
+        _mm_storeu_pd(lo + 2 * j, vlo[j]), _mm_storeu_pd(hi + 2 * j, vhi[j]);
+        _mm_storeu_pd(bad + 2 * j, vbad[j]);
+    }
+#endif
+    for (int k = 0; i < m; i++, k = (k + 1) % 6) {
+        const double v = pos[i];
+        snap[i] = v;
+        lo[k] = v < lo[k] ? v : lo[k];
+        hi[k] = v > hi[k] ? v : hi[k];
+        bad[k] = v != v ? 1.0 : bad[k];
+    }
+    for (int d = 0; d < 3; d++) {
+        const int k = d + 3;
+        const double l = lo[k] < lo[d] ? lo[k] : lo[d];
+        const double h = hi[k] > hi[d] ? hi[k] : hi[d];
+        const int nan = bad[d] != 0.0 || bad[k] != 0.0;
+        lohi[d] = nan ? NAN : l, lohi[3 + d] = nan ? NAN : h;
+    }
+}
+
 /* The uniform grid's build (env/uniform_grid.py's update) in O(#agents),
  * for dims and mins from numpy: box ids (bin, x fastest), radix_order by
  * box id, then one pass over the sorted agents for the occupied boxes and
@@ -352,9 +425,9 @@ int64_t repro_grid_build(const double *pos, int64_t n, const double *mins,
     return m;
 }
 
-/* The uniform grid's search (env/uniform_grid.py) in cell-sorted space, on
- * one thread: xyz is positions[order], box b is the slice [start[b],
- * start[b] + count[b]) and is live iff its stamp is now.
+/* The uniform grid's search (env/uniform_grid.py) in cell-sorted space: xyz
+ * is positions[order], box b is the slice [start[b], start[b] + count[b])
+ * and is live iff its stamp is now.
  *
  * Box b's half stencil (_FORWARD_ROWS), each ONE run [lo, hi): the live
  * boxes among the <= 3 x-adjacent ones of a (dy, dz) row are consecutive.
@@ -385,23 +458,26 @@ static int64_t box_runs(const int64_t *c, const int64_t *dims,
     return total;
 }
 
-/* Row p checks each q of its 5 runs once, q > p in its own box: it keeps
- * q with (dx*dx + dy*dy) + dz*dz <= r2, branch-free, as the agent order[q],
- * staged at stage + at[p], and counts the pair in indptr[a + 1] for both
- * of its agents a (indptr starts zeroed).  A row is staged only while
- * stage (cap slots) holds all of its candidates; else the search returns
- * -(the slots it needs), and resume = {occupied box, row, staged slots} is
- * where the next call starts.  Done, it sets at[n] and returns the staged
- * total with indptr (n + 1) the prefix sum. */
-int64_t repro_grid_search(const double *xyz, const int64_t *order,
-                          const int64_t *occupied, const int64_t *run_start,
-                          int64_t boxes, const int64_t *start,
-                          const int64_t *count, const int64_t *stamp,
-                          int64_t now, const int64_t *dims, double r2,
-                          int64_t *stage, int64_t cap, int64_t *resume,
-                          int64_t *indptr, int64_t *at) {
+/* The occupied boxes [resume[0], end) of one search chunk.  Row p checks
+ * each q of its 5 runs once, q > p in its own box: it keeps q with
+ * (dx*dx + dy*dy) + dz*dz <= r2 as the agent order[q], staged at stage +
+ * at[p], and counts the pair in counts[a + 1] for both of its agents a.
+ * Where stage (cap slots) holds all of the row's candidates it stages
+ * branch-free (a store per candidate, kept ones advance); near its end it
+ * counts first and stores kept ones only.  A row that does not fit is not
+ * staged: the search returns -(its slots plus the row's candidates), and
+ * resume = {occupied box, row, staged slots} is where the next call
+ * starts.  Done, it returns the staged slots, also left in resume[2]. */
+static int64_t search_boxes(const double *xyz, const int64_t *order,
+                            const int64_t *occupied,
+                            const int64_t *run_start, int64_t end,
+                            const int64_t *start, const int64_t *count,
+                            const int64_t *stamp, int64_t now,
+                            const int64_t *dims, double r2, int64_t *stage,
+                            int64_t cap, int64_t *resume, int64_t *counts,
+                            int64_t *at) {
     int64_t used = resume[2], lo[5], hi[5], c[3] = {0, 0, 0}, prev = -1;
-    for (int64_t k = resume[0]; k < boxes; k++) {
+    for (int64_t k = resume[0]; k < end; k++) {
         /* the box's coordinates: a step along its x row, else (one in ~nx
          * boxes on a dense grid) three 64-bit divisions, which are slow */
         const int64_t b = occupied[k];
@@ -415,83 +491,242 @@ int64_t repro_grid_search(const double *xyz, const int64_t *order,
                                        hi);
         const int64_t first = k == resume[0] ? resume[1] : run_start[k];
         for (int64_t p = first; p < run_start[k + 1]; p++) {
-            if (used + bound > cap) {
-                resume[0] = k, resume[1] = p, resume[2] = used;
-                return -(used + bound);
-            }
             int64_t *row = stage + used, kept = 0;
             const double x = xyz[3 * p], y = xyz[3 * p + 1],
                          z = xyz[3 * p + 2];
             lo[0] = p + 1;
-            for (int r = 0; r < 5; r++)
-                for (int64_t q = lo[r]; q < hi[r]; q++) {
-                    const double dx = x - xyz[3 * q], dy = y - xyz[3 * q + 1],
-                                 dz = z - xyz[3 * q + 2];
-                    row[kept] = order[q];
-                    kept += ((dx * dx + dy * dy) + dz * dz) <= r2;
+#define KEEP(q) (((x - xyz[3 * (q)]) * (x - xyz[3 * (q)])                  \
+                  + (y - xyz[3 * (q) + 1]) * (y - xyz[3 * (q) + 1]))       \
+                 + (z - xyz[3 * (q) + 2]) * (z - xyz[3 * (q) + 2]) <= r2)
+            if (used + bound <= cap) {
+                for (int r = 0; r < 5; r++)
+                    for (int64_t q = lo[r]; q < hi[r]; q++) {
+                        row[kept] = order[q];
+                        kept += KEEP(q);
+                    }
+            } else {
+                for (int r = 0; r < 5; r++)
+                    for (int64_t q = lo[r]; q < hi[r]; q++) kept += KEEP(q);
+                if (used + kept > cap) {
+                    resume[0] = k, resume[1] = p, resume[2] = used;
+                    return -(used + bound);
                 }
-            for (int64_t s = 0; s < kept; s++) indptr[row[s] + 1]++;
+                kept = 0;
+                for (int r = 0; r < 5; r++)
+                    for (int64_t q = lo[r]; q < hi[r]; q++)
+                        if (KEEP(q)) row[kept++] = order[q];
+            }
+#undef KEEP
+            for (int64_t s = 0; s < kept; s++) counts[row[s] + 1]++;
             at[p] = used;
-            indptr[order[p] + 1] += kept;
+            counts[order[p] + 1] += kept;
             used += kept;
         }
     }
-    const int64_t n = run_start[boxes];
-    at[n] = used;
-    for (int64_t i = 0; i < n; i++) indptr[i + 1] += indptr[i];
+    resume[2] = used;
     return used;
-}
-
-/* Each staged pair (order[p], b) into both of its rows, unsorted: rows
- * gets the CSR layout of indptr.  cursor (n) is scratch. */
-void repro_grid_scatter(const int64_t *stage, const int64_t *at,
-                        const int64_t *order, const int64_t *indptr,
-                        int64_t n, int64_t *cursor, int64_t *rows) {
-    for (int64_t a = 0; a < n; a++) cursor[a] = indptr[a];
-    for (int64_t p = 0; p < n; p++) {
-        const int64_t a = order[p];
-        for (int64_t s = at[p]; s < at[p + 1]; s++) {
-            const int64_t b = stage[s];
-            rows[cursor[a]++] = b;
-            rows[cursor[b]++] = a;
-        }
-    }
 }
 
 /* Row a's columns are the b whose rows hold a (the kept relation is
  * symmetric), so appending b to those rows for b = 0, 1, ... writes every
- * row ascending, without a comparison.  Row b is read at stage + at[b];
+ * row ascending, without a comparison.  Row b is read at rows + indptr[b];
  * cursor (n) is scratch. */
-void repro_grid_fill(const int64_t *stage, const int64_t *at,
-                     const int64_t *indptr, int64_t n, int64_t *cursor,
-                     int64_t *indices) {
+static void fill(const int64_t *rows, const int64_t *indptr, int64_t n,
+                 int64_t *cursor, int64_t *indices) {
     for (int64_t b = 0; b < n; b++) cursor[b] = indptr[b];
     for (int64_t b = 0; b < n; b++) {
-        const int64_t *row = stage + at[b], m = indptr[b + 1] - indptr[b];
+        const int64_t *row = rows + indptr[b], m = indptr[b + 1] - indptr[b];
         for (int64_t k = 0; k < m; k++) indices[cursor[row[k]]++] = b;
     }
 }
 
-/* The search, the scatter and the fill as one call, for a caller that runs
- * it on a helper thread (one GIL release, nothing allocated): every buffer
- * is the caller's, rows and indices hold 2 * cap slots.  *result is the
- * search's return value; if it is negative (the stage overflowed) the
- * scatter and fill did not run and resume says where to go on. */
-void repro_grid_csr(const double *xyz, const int64_t *order,
-                    const int64_t *occupied, const int64_t *run_start,
-                    int64_t boxes, const int64_t *start,
-                    const int64_t *count, const int64_t *stamp, int64_t now,
-                    const int64_t *dims, double r2, int64_t *stage,
-                    int64_t cap, int64_t *resume, int64_t *indptr,
-                    int64_t *at, int64_t *cursor, int64_t *rows,
-                    int64_t *indices, int64_t *result) {
-    const int64_t n = run_start[boxes];
-    *result = repro_grid_search(xyz, order, occupied, run_start, boxes, start,
-                                count, stamp, now, dims, r2, stage, cap,
-                                resume, indptr, at);
-    if (*result < 0) return;
-    repro_grid_scatter(stage, at, order, indptr, n, cursor, rows);
-    repro_grid_fill(rows, indptr, indptr, n, cursor, indices);
+/* A grid task (c_backend.GridTask): a build and its search as one job for
+ * two threads, a helper (role 0) and the CSR's first reader (role 1).
+ * Python allocates every buffer and this block, and calls
+ * repro_grid_task to fill it; repro_grid_work then runs on either thread.
+ *
+ * - The build comes first, run by whichever thread claims it (the other
+ *   waits): repro_grid_build from the kept snapshot (box == NULL: the
+ *   build was given), the chunk table, and zeroed counts.
+ * - The search is CHUNKS box ranges of ~n / CHUNKS agents each, claimed
+ *   from an atomic counter.  A chunk stages its rows in its own region of
+ *   the stage, writes at[p] (region offsets) for its own rows only and
+ *   counts into its thread's counts array.
+ * - The thread that completes the last chunk merges: indptr is the prefix
+ *   sum of both threads' counts (integer sums: any order), the scatter
+ *   walks the rows in p order chunk by chunk, the fill transposes.  So the
+ *   CSR does not depend on which thread ran which chunk.  If a chunk's
+ *   region overflowed, nothing is merged: Python grows its region and
+ *   calls repro_grid_resume, then repro_grid_finish
+ *   (c_backend._search_into).
+ *
+ * A chunk-table row (CHUNK int64 slots) is {resume box, resume row, staged
+ * slots (resume[2]), end box, region slots, region address, state (0
+ * unclaimed, 1 done, -(slots it needs) overflowed), first row}.  info is
+ * {occupied boxes, forward pairs (-1 on overflow), chunks each role ran}. */
+#define CHUNK 8
+typedef struct {
+    const double *snap;
+    int64_t n;
+    const double *mins;
+    double box_len;
+    const int64_t *dims;
+    int64_t *start, *count, *stamp;
+    int64_t now;
+    int64_t *box, *order, *successor, *occupied, *run_start;
+    double *xyz;
+    int64_t *hist;
+    double r2;
+    int64_t *stage;
+    int64_t cap;
+    int64_t *counts[2];
+    int64_t *at, *indptr, *cursor, *rows, *indices;
+    int64_t chunks;
+    int64_t *table;
+    const double *density;
+    int64_t *info;
+    int64_t built, next, done; /* claims: build 0 / 1 running / 2 done */
+} task_t;
+
+int64_t repro_grid_task_size(void) { return sizeof(task_t); }
+
+void repro_grid_task(task_t *t, const double *snap, int64_t n,
+                     const double *mins, double box_len, const int64_t *dims,
+                     int64_t *start, int64_t *count, int64_t *stamp,
+                     int64_t now, int64_t *box, int64_t *order,
+                     int64_t *successor, int64_t *occupied,
+                     int64_t *run_start, double *xyz, int64_t *hist,
+                     double r2, int64_t *stage, int64_t cap,
+                     int64_t *counts0, int64_t *counts1, int64_t *at,
+                     int64_t *indptr, int64_t *cursor, int64_t *rows,
+                     int64_t *indices, int64_t chunks, int64_t *table,
+                     const double *density, int64_t *info) {
+    *t = (task_t){snap, n, mins, box_len, dims, start, count, stamp, now,
+                  box, order, successor, occupied, run_start, xyz, hist, r2,
+                  stage, cap, {counts0, counts1}, at, indptr, cursor, rows,
+                  indices, chunks, table, density, info, 0, 0, 0};
+}
+
+/* Chunk c ends at the first box starting at or past agent (c + 1) n /
+ * chunks.  Its region has 5/4 of the most pairs an agent that chunk c or
+ * a neighbour found in the last search (density; a chunk's boxes shift
+ * between searches, and a chunk of a growing tissue densifies by up to
+ * ~15 % a tick), and at least 4 slots an agent. */
+static void plan_chunks(task_t *t) {
+    const int64_t n = t->n, boxes = t->info[0], last = t->chunks - 1;
+    int64_t k = 0, base = 0;
+    for (int64_t c = 0; c <= last; c++) {
+        int64_t *row = t->table + CHUNK * c, end = k;
+        const int64_t target = (c + 1) * n / t->chunks;
+        while (end < boxes && t->run_start[end] < target) end++;
+        const int64_t agents = t->run_start[end] - t->run_start[k];
+        double slots = 4.0;
+        for (int64_t d = c > 0 ? c - 1 : 0; d <= c + 1 && d <= last; d++)
+            slots = 1.25 * t->density[d] > slots ? 1.25 * t->density[d] : slots;
+        int64_t cap = (int64_t)ceil((double)agents * slots);
+        cap = cap < t->cap - base ? cap : t->cap - base;
+        row[0] = k, row[1] = t->run_start[k], row[2] = 0, row[3] = end;
+        row[4] = cap, row[5] = (int64_t)(intptr_t)(t->stage + base);
+        row[6] = 0, row[7] = t->run_start[k];
+        base += cap, k = end;
+    }
+}
+
+static void build(task_t *t) {
+    if (t->box)
+        t->info[0] = repro_grid_build(t->snap, t->n, t->mins, t->box_len,
+                                      t->dims, t->start, t->count, t->stamp,
+                                      t->now, t->box, t->order, t->successor,
+                                      t->occupied, t->run_start, t->xyz,
+                                      t->hist);
+    plan_chunks(t);
+    for (int64_t i = 0; i <= t->n; i++) t->counts[0][i] = t->counts[1][i] = 0;
+}
+
+/* The merge into rows and indices (2 * the forward pairs each): indptr,
+ * the scatter of each staged pair (order[p], b) into both of its rows,
+ * unsorted, then the fill.  Returns the forward pairs. */
+int64_t repro_grid_finish(task_t *t, int64_t *rows, int64_t *indices) {
+    const int64_t n = t->n, *c0 = t->counts[0], *c1 = t->counts[1];
+    int64_t *indptr = t->indptr, *cursor = t->cursor;
+    indptr[0] = 0;
+    for (int64_t i = 0; i < n; i++)
+        indptr[i + 1] = indptr[i] + (c0[i + 1] + c1[i + 1]);
+    for (int64_t a = 0; a < n; a++) cursor[a] = indptr[a];
+    for (int64_t c = 0; c < t->chunks; c++) {
+        const int64_t *row = t->table + CHUNK * c;
+        const int64_t *stage = (const int64_t *)(intptr_t)row[5];
+        const int64_t last = t->run_start[row[3]];
+        for (int64_t p = row[7]; p < last; p++) {
+            const int64_t a = t->order[p];
+            const int64_t end = p + 1 < last ? t->at[p + 1] : row[2];
+            for (int64_t s = t->at[p]; s < end; s++) {
+                const int64_t b = stage[s];
+                rows[cursor[a]++] = b;
+                rows[cursor[b]++] = a;
+            }
+        }
+    }
+    fill(rows, indptr, n, cursor, indices);
+    return indptr[n] / 2;
+}
+
+/* Chunk c's search (on from its resume slots) as role: its state becomes
+ * 1, or -(the slots it needs) if its region overflowed. */
+static void run_chunk(task_t *t, int role, int64_t c) {
+    int64_t *row = t->table + CHUNK * c;
+    const int64_t got = search_boxes(
+        t->xyz, t->order, t->occupied, t->run_start, row[3], t->start,
+        t->count, t->stamp, t->now, t->dims, t->r2,
+        (int64_t *)(intptr_t)row[5], row[4], row, t->counts[role], t->at);
+    row[6] = got < 0 ? got : 1;
+}
+
+/* Run the build if nobody has (else wait for it), then up to limit chunks
+ * (limit < 0: every one left) as role; the thread completing the last
+ * chunk merges.  Returns the chunks it ran. */
+int64_t repro_grid_work(task_t *t, int role, int64_t limit) {
+    int64_t idle = 0;
+    if (__atomic_compare_exchange_n(&t->built, &idle, 1, 0, __ATOMIC_ACQUIRE,
+                                    __ATOMIC_ACQUIRE)) {
+        build(t);
+        __atomic_store_n(&t->built, 2, __ATOMIC_RELEASE);
+    } else {
+        while (__atomic_load_n(&t->built, __ATOMIC_ACQUIRE) != 2)
+            sched_yield();
+    }
+    int64_t ran = 0;
+    for (; ran != limit; ran++) {
+        const int64_t c = __atomic_fetch_add(&t->next, 1, __ATOMIC_RELAXED);
+        if (c >= t->chunks) break;
+        run_chunk(t, role, c);
+        if (__atomic_add_fetch(&t->done, 1, __ATOMIC_ACQ_REL) != t->chunks)
+            continue;
+        int64_t overflowed = 0;
+        for (int64_t k = 0; k < t->chunks; k++)
+            overflowed |= t->table[CHUNK * k + 6] < 0;
+        t->info[1] = overflowed ? -1 : repro_grid_finish(t, t->rows,
+                                                         t->indices);
+    }
+    t->info[2 + role] += ran;
+    return ran;
+}
+
+/* The helper's entry: the whole task, as role 0. */
+void repro_grid_csr(task_t *t) { repro_grid_work(t, 0, -1); }
+
+/* The overflow finish's search, on the joining thread (role 1) once both
+ * are done: every chunk whose state Python reset to 0 -- given a larger
+ * region holding what it had staged -- goes on from its resume slots.
+ * Returns the chunks that overflowed again. */
+int64_t repro_grid_resume(task_t *t) {
+    int64_t again = 0;
+    for (int64_t c = 0; c < t->chunks; c++)
+        if (t->table[CHUNK * c + 6] == 0) {
+            run_chunk(t, 1, c);
+            again += t->table[CHUNK * c + 6] < 0;
+        }
+    return again;
 }
 
 /* Spread the low 21 bits of x: bit i to bit 3i (sfc/morton.py's
@@ -529,7 +764,7 @@ void repro_morton_order(const double *pos, int64_t n, const double *mins,
  * permutation order (agent order[b] becomes b), rows ascending: inv =
  * order's inverse, new row b has old row order[b]'s length, and for b = 0,
  * 1, ... b is appended to new row inv[j] of every j in old row order[b] --
- * repro_grid_fill's transpose, reading the old rows in new order (by
+ * the grid search's fill, reading the old rows in new order (by
  * symmetry the rows b lands in are new row b's columns).  cursor (n) is
  * scratch.  Returns -1, before writing out of range, if order is not a
  * permutation of 0..n-1, a column is out of range or a row receives more

@@ -117,9 +117,13 @@ class KernelBackend:
         #: Invocations that fell back to the NumPy reference because the
         #: force model is a subclass the compiled kernel cannot express.
         self.fallbacks = 0
-        #: Uniform-grid searches this backend ran (:meth:`grid_search`).
+        #: Uniform-grid searches this backend ran (:meth:`grid_task`,
+        #: :meth:`grid_search`).
         self.search_calls = 0
-        #: Uniform-grid builds this backend ran (:meth:`grid_build`).
+        #: Searches that outgrew their stage and were finished by the
+        #: joining thread.
+        self.search_overflows = 0
+        #: Uniform-grid builds this backend ran (:meth:`grid_task`).
         self.grid_builds = 0
         #: Agent-sorting orders this backend computed (:meth:`morton_order`).
         self.sort_calls = 0
@@ -164,17 +168,22 @@ class KernelBackend:
         """Row-range displacement (the process backend's chunk kernel)."""
         raise NotImplementedError
 
-    def refilter(self, indptr, indices, qi, positions, radius):
-        """:func:`repro.env.environment.refilter_csr`'s distance pass."""
+    #: Whether :meth:`refilter` reads its ``qi`` argument (else it may be
+    #: None, and nobody need build it).
+    refilter_reads_qi = True
+
+    def refilter(self, indptr, indices, qi, positions, radius,
+                 row_index=True):
+        """:func:`repro.env.environment.refilter_csr`'s distance pass;
+        the result's row index is None unless ``row_index``."""
         raise NotImplementedError
 
-    def grid_build(self, positions, mins, dims, box_len, box_start,
-                   box_count, box_stamp, timestamp):
-        """A uniform-grid build (:meth:`repro.env.UniformGridEnvironment
-        .update`) over the given geometry, writing the live boxes' entries
-        of the box arrays: ``(box_of_agent, order, occupied, run_start,
-        successor, xyz)``, or None: the grid then runs its own NumPy build,
-        the reference."""
+    def grid_task(self, positions, radius):
+        """A uniform-grid build at ``radius`` and its search as one task
+        (:class:`repro.kernels.c_backend.GridTask`: ``bounds``, ``plan``,
+        ``build``, ``start``, ``run``, ``result``, ``release``) over a
+        snapshot of ``positions`` taken now, or None: the grid runs its own
+        NumPy build and asks :meth:`grid_search`, the reference."""
         return None
 
     def grid_search(self, xyz, radius, order, run_start, occupied, dims,

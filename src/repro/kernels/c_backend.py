@@ -2,15 +2,16 @@
 coupling, grid build and search, agent sorting's order and the superset
 relabel.
 
-:class:`CKernelBackend` runs the stock Cortex3D force, the Verlet-cache
-refilter, the float64 stencil (an AVX2 clone where the CPU has it),
-secretion and chemotaxis, the uniform grid's build and neighbor search,
-the Morton order of agent sorting and the renumbering of a cached
-superset CSR through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
+:class:`CKernelBackend` runs the stock Cortex3D force, the displacement,
+the Verlet-cache refilter, the float64 stencil (an AVX2 clone where the
+CPU has it), secretion and chemotaxis, the uniform grid's build and
+neighbor search, the Morton order of agent sorting and the renumbering of
+a cached superset CSR through ``_kernels.c`` (OpenMP) via :mod:`ctypes`
 (which releases the GIL per call); the rest is the inherited NumPy code,
-whose bytes the C kernels reproduce.  A grid search may also run as one
-call on a helper thread (:class:`PendingSearch`), beside the interpreter.
-``docs/kernels.md`` has the bitwise, build and thread rules.
+whose bytes the C kernels reproduce.  A grid build and its search run as
+one chunked job on two threads (:class:`GridTask`): a helper beside the
+interpreter, and the CSR's first reader.  ``docs/kernels.md`` has the
+bitwise, build and thread rules.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import math
 import mmap
 import multiprocessing
 import os
@@ -32,9 +34,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.kernels import numpy_ref
-from repro.kernels.api import _is_plain_cortex3d
+from repro.kernels.api import MOVE_EPSILON, _is_plain_cortex3d
 
-__all__ = ["CKernelBackend", "PendingSearch", "SEARCH_THREAD", "available"]
+__all__ = ["CKernelBackend", "GridTask", "SEARCH_THREAD", "available"]
 
 SOURCE = Path(__file__).with_name("_kernels.c")
 COMPILER = "cc"
@@ -52,21 +54,26 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
     "repro_force_rows": ([_D, _D, _L, _L, _P, _F, _F, _D, _L, _I, _I, _N],
                          _I),
     "repro_refilter_count": ([_D, _L, _L, _I, _F, _U, _L, _N], _I),
-    "repro_refilter_fill": ([_L, _L, _U, _I, _L, _L, _L, _N], None),
+    "repro_refilter_fill": ([_L, _L, _U, _I, _L, _L, _N], None),
     "repro_diffuse": ([_D, _D, _I, _I, _I, _F, _F, _F, _F, _N], None),
     "repro_stencil_isa": ([], ctypes.c_char_p),
     "repro_secrete": ([_D, _I, _F, _F, _D, _I, _L, _I, _F], _I),
     "repro_chemotaxis": ([_D, _I, _F, _F, _D, _U, _I, _L, _I, _F, _F, _N],
                          _I),
+    "repro_grid_bounds": ([_D, _I, _D, _D], None),
     "repro_grid_build": ([_D, _I, _D, _F, _L, _L, _L, _L, _I, _L, _L, _L,
                           _L, _L, _D, _L], _I),
-    "repro_grid_search": ([_D, _L, _L, _L, _I, _L, _L, _L, _I, _L, _F, _L,
-                           _I, _L, _L, _L], _I),
-    "repro_grid_scatter": ([_L, _L, _L, _L, _I, _L, _L], None),
-    "repro_grid_fill": ([_L, _L, _L, _I, _L, _L], None),
-    # Raw addresses: converting them takes the helper no Python code.
-    "repro_grid_csr": ([_P, _P, _P, _P, _I, _P, _P, _P, _I, _P, _F, _P, _I,
-                        _P, _P, _P, _P, _P, _P, _P], None),
+    # Raw addresses from here on: converting them takes a thread no
+    # Python code, and a NULL is a None.
+    "repro_grid_task_size": ([], _I),
+    "repro_grid_task": ([_P, _P, _I, _P, _F, _P, _P, _P, _P, _I, _P, _P, _P,
+                         _P, _P, _P, _P, _F, _P, _I, _P, _P, _P, _P, _P, _P,
+                         _P, _I, _P, _P, _P], None),
+    "repro_grid_work": ([_P, _N, _I], _I),
+    "repro_grid_csr": ([_P], None),
+    "repro_grid_resume": ([_P], _I),
+    "repro_grid_finish": ([_P, _P, _P], _I),
+    "repro_displace": ([_P, _P, _P, _F, _F, _F, _P, _I, _I], None),
     "repro_morton_order": ([_D, _I, _D, _F, _L, _L, _L, _L, _L], None),
     "repro_csr_relabel": ([_L, _L, _L, _I, _L, _L, _L, _L], _I),
 }
@@ -157,27 +164,39 @@ def _field_args(grid, positions, idx, *scalars):
     return (c, np.ascontiguousarray(idx, dtype=np.int64), *doubles)
 
 
-def _search_into(dll, grid, indptr, at, resume, stage=None):
-    """Run or go on with a search over ``grid`` (the first 11 arguments of
-    ``repro_grid_search``) into ``stage`` (4 slots an agent if None: an
-    exact build at the benchmark density keeps ~3.5 forward pairs an
-    agent, and each growth costs a copy and one more call), doubled while
-    a row's candidates do not fit; then scatter and fill: the CSR."""
-    n = len(indptr) - 1
-    if stage is None:
-        stage = np.empty(4 * n, dtype=np.int64)
-    while (total := dll.repro_grid_search(*grid, stage, len(stage), resume,
-                                          indptr, at)) < 0:
-        grown = np.empty(max(-total, 2 * len(stage)), dtype=np.int64)
-        grown[:resume[2]] = stage[:resume[2]]
-        stage = grown
-    cursor = np.empty(n, dtype=np.int64)
-    rows = np.empty(2 * total, dtype=np.int64)  # full rows, unsorted
-    dll.repro_grid_scatter(stage, at, grid[1], indptr, n, cursor, rows)
-    del stage  # before indices: the peak is max(stage, indices) + rows
-    indices = np.empty(2 * total, dtype=np.int64)
-    dll.repro_grid_fill(rows, indptr, indptr, n, cursor, indices)
-    return indptr, indices
+#: Search chunks of a grid task: box ranges of ~n / _CHUNKS agents, short
+#: enough that the thread finishing last waits for little.
+_CHUNKS = 32
+#: int64 slots of a chunk-table row (``CHUNK`` in ``_kernels.c``): resume
+#: (box, row, staged slots), end box, region slots, region address, state
+#: (1 done, -(slots it needs) overflowed), first row.
+_ROW = 8
+_END, _SLOTS, _REGION, _STATE, _FIRST = 3, 4, 5, 6, 7
+
+
+def _search_into(dll, ctl, table):
+    """Finish, on the joining thread, the chunks of a grid task whose stage
+    region overflowed, with the growth loop: each gets a region twice its
+    size (or what it asked for) in one new stage, holding what it had
+    staged, and goes on from where it stopped (``repro_grid_resume``),
+    again while any overflows.  Regions are sized from the last search,
+    so this runs about once per density step.  The table is pointed at
+    the new regions, which are returned: the caller keeps them until the
+    merge."""
+    grown = []
+    while (over := np.flatnonzero(table[:, _STATE] < 0)).size:
+        rows = table[over]
+        slots = np.maximum(-rows[:, _STATE], 2 * rows[:, _SLOTS])
+        stage = np.empty(int(slots.sum()), dtype=np.int64)
+        at = stage.ctypes.data + 8 * (np.cumsum(slots) - slots)
+        for old, new, used in zip(rows[:, _REGION].tolist(), at.tolist(),
+                                  rows[:, 2].tolist()):
+            ctypes.memmove(new, old, 8 * used)
+        table[over, _SLOTS], table[over, _REGION], table[over, _STATE] = (
+            slots, at, 0)
+        grown.append(stage)
+        dll.repro_grid_resume(ctl)
+    return grown
 
 
 #: ``madvise`` advice that faults pages in writable without writing them
@@ -217,85 +236,188 @@ class _SearchThread(threading.Thread):
         self.began = time.perf_counter_ns()
         try:
             super().run()
-        except BaseException as exc:  # re-raised by PendingSearch.result
+        except BaseException as exc:  # re-raised by GridTask.result
             self.error = exc
         self.ended = time.perf_counter_ns()
 
 
-class PendingSearch:
-    """One grid search running as a single GIL-free ``repro_grid_csr``
-    call on a helper thread (:meth:`CKernelBackend.start_grid_search`).
+class GridTask:
+    """A uniform-grid build and its search as one job for two threads
+    (``repro_grid_work`` in ``_kernels.c``): a helper and the CSR's first
+    reader claim the build, then the search's box-range chunks, and the
+    thread completing the last chunk merges them into the CSR, whose bytes
+    do not depend on which thread ran what.
 
-    Every buffer was allocated by the thread that started it; the helper
-    allocates nothing and touches no Python object but its own.
-    :meth:`wait` joins the helper, :meth:`result` also hands over the CSR
-    (finishing an overflowed stage on the calling thread) or re-raises
-    the helper's exception.  ``waited`` is the joining thread's wait in
-    seconds; ``began`` / ``ended`` the helper's ``perf_counter_ns``.
+    The thread that makes the task allocates every buffer
+    (:meth:`CKernelBackend.grid_task` and :meth:`plan`, or
+    :meth:`CKernelBackend.search_task` for a finished build); a helper
+    makes one ctypes call and allocates nothing.  :meth:`build` runs the
+    build on the calling thread, :meth:`start` starts the helper,
+    :meth:`result` joins the job -- running the chunks nobody claimed yet
+    -- and hands over the CSR, :meth:`run` does both at once (no helper on
+    a one-thread backend).  ``waited`` is the seconds the reader spent in
+    :meth:`result` or :meth:`wait`, ``joined`` the chunks it ran.
     """
 
-    def __init__(self, backend, grid, n):
-        self._backend, self._grid = backend, grid
-        self._resume = np.zeros(3, dtype=np.int64)
-        self._total = np.zeros(1, dtype=np.int64)
-        self._scratch = at, stage, cursor, rows = backend._take_scratch(n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
+    waited = 0.0
+    joined = 0
+    _thread = None
+
+    def __init__(self, backend, n, radius):
+        backend._count()
+        self._backend, self._radius, self.n = backend, radius, n
+        self._r3 = radius ** 3
+        self._dll = backend._lib.dll
+        # Each chunk's pairs an agent in the last search, kept per cubed
+        # radius (a superset build's larger radius scales them up).  The
+        # stage holds every chunk's region (plan_chunks), whatever its
+        # agents.
+        density = backend._density * self._r3
+        self._cap = cap = math.ceil(
+            n * max(4.0, 1.25 * float(density.max()))) + 2 * _CHUNKS
+        self._scratch = sc = backend._take_scratch(n, cap)
+        sc.density[:] = density
+        self.bounds = np.empty(6)
+        self.indptr = np.empty(n + 1, dtype=np.int64)
         # Room for every pair the stage holds; the CSR's is its prefix.
-        self._indices = np.empty(len(rows), dtype=np.int64)
-        self.waited = 0.0
-        address = [a.ctypes.data if isinstance(a, np.ndarray) else a
-                   for a in grid]
-        address += [stage.ctypes.data, len(stage)]
-        address += [a.ctypes.data for a in (
-            self._resume, self.indptr, at, cursor, rows, self._indices,
-            self._total)]
-        self._thread = _SearchThread(target=backend._lib.dll.repro_grid_csr,
-                                     name=SEARCH_THREAD, args=address)
-        self._thread.start()
-        # The fill, the helper's last step, writes indices: fault its fresh
-        # pages in from this thread, which reaches the join with time to
-        # spare, as far as the last search's pairs reached.
-        _populate(self._indices[:backend._pairs])
+        self._indices = np.empty(2 * cap, dtype=np.int64)
+        self._info = np.zeros(4, dtype=np.int64)
+
+    def plan(self, mins, dims, box_len, box_start, box_count, box_stamp,
+             timestamp):
+        """Allocate the build's outputs and hand the job its geometry:
+        ``mins`` / ``dims`` / ``box_len`` from :attr:`bounds`, box arrays of
+        at least ``prod(dims)`` entries."""
+        n = self.n
+        if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
+                or len(mins) != 3 or len(dims) != 3):
+            raise ValueError("the arrays do not describe one grid")
+        self._backend.grid_builds += 1
+        box, order, successor = np.empty((3, n), dtype=np.int64)
+        occupied, run_start = (np.empty(k, dtype=np.int64) for k in (n, n + 1))
+        self._built = (box, order, successor, np.empty((n, 3)))
+        self._init(True, mins, dims, box_len, box, order, successor,
+                   occupied, run_start, self._built[3], box_start, box_count,
+                   box_stamp, timestamp)
+
+    def _init(self, build, mins, dims, box_len, box, order, successor,
+              occupied, run_start, xyz, box_start, box_count, box_stamp,
+              timestamp):
+        sc, kept = self._scratch, self._scratch.addresses
+        addr = lambda a: None if a is None else a.ctypes.data  # noqa: E731
+        self._mins = np.ascontiguousarray(mins, dtype=np.float64)
+        self._dims = np.ascontiguousarray(dims, dtype=np.int64)
+        # What the C side reads and nothing else holds.
+        self._held = (box_start, box_count, box_stamp, xyz, order)
+        self._runs = occupied, run_start
+        self._ctl = kept["ctl"]
+        self._dll.repro_grid_task(
+            self._ctl, kept["snapshot"] if build else None, self.n,
+            self._mins.ctypes.data, box_len, self._dims.ctypes.data,
+            *map(addr, (box_start, box_count, box_stamp)), timestamp,
+            *map(addr, (box, order, successor, occupied, run_start, xyz)),
+            kept["hist"], self._radius * self._radius, kept["stage"],
+            self._cap, kept["counts0"], kept["counts1"], kept["at"],
+            self.indptr.ctypes.data, kept["cursor"], kept["rows"],
+            self._indices.ctypes.data, _CHUNKS, kept["table"],
+            kept["density"], self._info.ctypes.data)
+
+    def outputs(self):
+        """``(box_of_agent, order, occupied, run_start, successor, xyz)`` of
+        the build, after it ran."""
+        box, order, successor, xyz = self._built
+        (occupied, run_start), m = self._runs, int(self._info[0])
+        return box, order, occupied[:m], run_start[:m + 1], successor, xyz
+
+    def build(self):
+        """Run the build on this thread (unless it ran): :meth:`outputs`."""
+        self._dll.repro_grid_work(self._ctl, 1, 0)
+        return self.outputs()
 
     @property
     def began(self) -> int:
         """``perf_counter_ns`` as the helper's call started (0 before)."""
-        return self._thread.began
+        return 0 if self._thread is None else self._thread.began
 
     @property
     def ended(self) -> int:
         """``perf_counter_ns`` as the helper's call returned (0 before)."""
-        return self._thread.ended
+        return 0 if self._thread is None else self._thread.ended
+
+    def start(self):
+        """Start the job on a helper thread; returns the task."""
+        self._backend.search_calls += 1
+        self._thread = _SearchThread(target=self._dll.repro_grid_csr,
+                                     name=SEARCH_THREAD, args=(self._ctl,))
+        self._thread.start()
+        # The fill, the job's last step, writes indices: fault its fresh
+        # pages in from this thread, which reaches the join with time to
+        # spare, as far as the last search's pairs reached.
+        pairs = self._backend._pairs * self._r3 * self.n
+        _populate(self._indices[:int(min(pairs, len(self._indices)))])
+        return self
 
     def wait(self) -> None:
-        """Join the helper; ``waited`` adds the time this took."""
-        t0 = time.perf_counter()
-        self._thread.join()
-        self.waited += time.perf_counter() - t0
+        """Join the helper, which then has run every chunk nobody claimed;
+        ``waited`` adds the time this took."""
+        if self._thread is not None:
+            t0 = time.perf_counter()
+            self._thread.join()
+            self.waited += time.perf_counter() - t0
+
+    def run(self):
+        """:meth:`result` of the job run at once: with a helper beside
+        this thread on a backend with more than one, else on this one."""
+        if self._backend.threads > 1:
+            self.start()
+        return self.result()
 
     def result(self):
-        """The CSR ``(indptr, indices)``, after :meth:`wait`; the helper's
-        exception, with its type, if it raised.  A stage that overflowed
-        goes on here through the synchronous search's growth loop, from
-        where the helper stopped.  Call it once."""
-        self.wait()
-        scratch, self._scratch = self._scratch, None
-        indices, self._indices = self._indices, None
+        """The CSR ``(indptr, indices)``: this thread runs the build if
+        nobody has, and the chunks nobody claimed, then joins the helper;
+        the helper's exception, with its type, if it raised.  Chunks whose
+        region overflowed are finished here (:func:`_search_into`).  Call
+        it once."""
+        if self._thread is None:
+            self._backend.search_calls += 1
+        t0 = time.perf_counter()
         try:
-            if self._thread.error is not None:
-                raise self._thread.error
-            total = int(self._total[0])
-            if total < 0:
-                del indices
-                csr = _search_into(self._backend._lib.dll, self._grid,
-                                   self.indptr, scratch[0], self._resume,
-                                   scratch[1])
-            else:
-                csr = self.indptr, indices[:2 * total]
-            self._backend._pairs = len(csr[1])
-            return csr
+            self.joined = self._dll.repro_grid_work(self._ctl, 1, -1)
+            if self._thread is not None:
+                self._thread.join()
+                if self._thread.error is not None:
+                    raise self._thread.error
+            return self._csr()
         finally:
-            self._backend._scratch = scratch  # for the next search
+            self.waited += time.perf_counter() - t0
+            self.release()
+
+    def _csr(self):
+        sc, backend, total = self._scratch, self._backend, int(self._info[1])
+        table = sc.table
+        if total < 0:
+            backend.search_overflows += 1
+            regions = _search_into(self._dll, self._ctl, table)
+            total = int(table[:, 2].sum())
+            rows, indices = (np.empty(2 * total, dtype=np.int64)
+                             for _ in range(2))
+            self._dll.repro_grid_finish(self._ctl, rows.ctypes.data,
+                                        indices.ctypes.data)
+            del regions, rows
+        else:
+            indices = self._indices[:2 * total]
+        self._indices = None
+        # The next search sizes its regions from these.
+        agents = self._runs[1][table[:, _END]] - table[:, _FIRST]
+        backend._density = table[:, 2] / np.maximum(agents, 1) / self._r3
+        backend._pairs = 2 * total / self.n / self._r3
+        return self.indptr, indices
+
+    def release(self) -> None:
+        """Hand the kept buffers back for the next task: after
+        :meth:`result`, or for a task never started."""
+        if self._scratch is not None:
+            self._backend._scratch, self._scratch = self._scratch, None
 
 
 def available() -> bool:
@@ -309,11 +431,13 @@ def _set_threads(n: int | None) -> None:
 
 
 class CKernelBackend(numpy_ref.NumpyKernelBackend):
-    """Force, refilter, float64 stencil, secretion and chemotaxis, grid
-    build and search, Morton order and CSR relabel in C; else NumPy."""
+    """Force, displacement, refilter, float64 stencil, secretion and
+    chemotaxis, grid build and search, Morton order and CSR relabel in C;
+    else NumPy."""
 
     name = "c"
     compiled = True
+    refilter_reads_qi = False
 
     def __init__(self):
         super().__init__()
@@ -322,11 +446,14 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             raise ImportError("the C kernel library could not be built")
         self.build = self._lib.build
         self.stencil_isa = self._lib.isa
-        #: The overlapped search's reusable buffers (:meth:`_take_scratch`),
-        #: None while a pending search holds them.
+        #: A grid task's kept buffers (:meth:`_take_scratch`), None while a
+        #: task holds them.
         self._scratch = None
-        #: Directed pairs the last overlapped search found.
-        self._pairs = 0
+        #: The last search's forward pairs an agent in each chunk, and its
+        #: directed pairs an agent, per cubed radius: a grid task sizes its
+        #: buffers from them.
+        self._density = np.zeros(_CHUNKS)
+        self._pairs = 0.0
 
     @property
     def threads(self) -> int:
@@ -364,101 +491,143 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             getattr(force_model, "attraction", 0.4), net_out, nz_out, lo, hi,
             self.threads))
 
-    def refilter(self, indptr, indices, qi, positions, radius):
+    def displace(self, positions, moved_flags, net_force, dt,
+                 max_displacement):
+        """One pass over the rows; the moved mask is returned."""
+        now = np.empty(len(positions), dtype=np.bool_)
+        if not self._displace(positions, moved_flags, net_force, dt,
+                              max_displacement, now, 0, len(positions)):
+            return super().displace(positions, moved_flags, net_force, dt,
+                                    max_displacement)
+        return now
+
+    def displace_rows(self, positions, moved_flags, net_force, dt,
+                      max_displacement, lo, hi) -> None:
+        """Rows ``[lo, hi)`` of :meth:`displace`."""
+        if not self._displace(positions, moved_flags, net_force, dt,
+                              max_displacement, None, lo, hi):
+            super().displace_rows(positions, moved_flags, net_force, dt,
+                                  max_displacement, lo, hi)
+
+    def _displace(self, positions, moved, net, dt, max_displacement, now,
+                  lo, hi) -> bool:
+        """``repro_displace`` over rows ``[lo, hi)``, on one thread; False
+        (a fallback counted, nothing written) unless the positions and
+        forces are C-ordered float64 ``(n, 3)``, ``moved`` a C-ordered bool
+        ``(n,)`` and the scalars Python ints or floats."""
+        n = len(positions)
+        if (not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and a.shape == (n, 3) and a.flags.c_contiguous
+                    for a in (positions, net))
+                or not isinstance(moved, np.ndarray)
+                or moved.dtype != np.bool_ or moved.shape != (n,)
+                or not moved.flags.c_contiguous or not 0 <= lo <= hi <= n
+                or not all(isinstance(x, (int, float))
+                           for x in (dt, max_displacement))):
+            self.fallbacks += 1
+            return False
+        self._count()
+        self._lib.dll.repro_displace(
+            positions.ctypes.data, moved.ctypes.data, net.ctypes.data,
+            float(dt), float(max_displacement), MOVE_EPSILON,
+            None if now is None else now.ctypes.data, lo, hi)
+        return True
+
+    def refilter(self, indptr, indices, qi, positions, radius,
+                 row_index=True):
         """Count, prefix sum, fill: one thread per row (``qi`` is not
-        read, and may be None)."""
+        read, and may be None); the result's row index only if asked."""
         self._count()
         n = len(indptr) - 1
         if len(indices) == 0:
-            return indptr, indices, np.empty(0, dtype=np.int64)
+            return indptr, indices, (np.empty(0, dtype=np.int64) if row_index
+                                     else None)
         pos, ip, ix = _csr(n, positions, indptr, indices)
         threads, dll = self.threads, self._lib.dll
         keep = np.empty(len(ix), dtype=np.uint8)
         new_indptr = np.empty(n + 1, dtype=np.int64)
         kept = dll.repro_refilter_count(pos, ip, ix, n, radius * radius, keep,
                                         new_indptr, threads)
-        new_indices, new_qi = np.empty((2, kept), dtype=np.int64)
+        new_indices = np.empty(kept, dtype=np.int64)
         dll.repro_refilter_fill(ip, ix, keep, n, new_indptr, new_indices,
-                                new_qi, threads)
-        return new_indptr, new_indices, new_qi
+                                threads)
+        return new_indptr, new_indices, (
+            np.repeat(np.arange(n, dtype=np.int64), np.diff(new_indptr))
+            if row_index else None)
 
-    def grid_build(self, positions, mins, dims, box_len, box_start,
-                   box_count, box_stamp, timestamp):
-        """Box ids, a radix sort and one pass over the sorted agents."""
-        self._count()
-        self.grid_builds += 1
+    def grid_task(self, positions, radius):
+        """A :class:`GridTask` (build and search at ``radius``) over
+        ``positions``, after its first pass: the positions copied into the
+        kept snapshot the build reads, whatever moves them meanwhile, and
+        their per-column min and max into ``task.bounds``."""
         pos = np.ascontiguousarray(positions, dtype=np.float64)
         n = len(pos)
-        if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
-                or pos.shape != (n, 3) or len(mins) != 3 or len(dims) != 3):
-            raise ValueError("the arrays do not describe one grid")
-        box, order, successor = np.empty((3, n), dtype=np.int64)
-        occupied, run_start = (np.empty(k, dtype=np.int64) for k in (n, n + 1))
-        xyz = np.empty((n, 3))
-        m = self._lib.dll.repro_grid_build(
-            pos, n, np.ascontiguousarray(mins, dtype=np.float64), box_len,
-            dims, box_start, box_count, box_stamp, timestamp, box, order,
-            successor, occupied, run_start, xyz,
-            np.empty(_RADIX, dtype=np.int64))
-        # Copied to their length: the grid keeps no n-sized buffer for them.
-        return (box, order, occupied[:m].copy(), run_start[:m + 1].copy(),
-                successor, xyz)
+        if pos.shape != (n, 3) or n == 0:
+            raise ValueError("a grid task needs positions of shape (n, 3)")
+        task = GridTask(self, n, radius)
+        self._lib.dll.repro_grid_bounds(pos, n, task._scratch.snapshot[:n],
+                                        task.bounds)
+        return task
 
-    def _grid(self, xyz, radius, order, run_start, occupied, dims,
-              box_start, box_count, box_stamp, timestamp):
-        """The first 11 arguments of ``repro_grid_search`` over one finished
-        build (int64 arrays in C order), counting one search."""
-        self._count()
-        self.search_calls += 1
+    def search_task(self, xyz, radius, order, run_start, occupied, dims,
+                    box_start, box_count, box_stamp, timestamp):
+        """A :class:`GridTask` searching a finished build (its cell-sorted
+        ``xyz``, order, runs and box arrays)."""
         n = len(order)
         if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
                 or len(run_start) != len(occupied) + 1
                 or run_start[-1] != n or xyz.shape != (n, 3)
                 or xyz.dtype != np.float64 or not xyz.flags.c_contiguous):
             raise ValueError("the arrays do not describe one grid build")
-        order, occupied, run_start, box_start, box_count, box_stamp, dims = (
+        order, occupied, run_start, box_start, box_count, box_stamp = (
             np.ascontiguousarray(a, dtype=np.int64) for a in (
-                order, occupied, run_start, box_start, box_count, box_stamp,
-                dims))
-        return (xyz, order, occupied, run_start, len(occupied), box_start,
-                box_count, box_stamp, timestamp, dims, radius * radius)
+                order, occupied, run_start, box_start, box_count, box_stamp))
+        task = GridTask(self, n, radius)
+        task._info[0] = len(occupied)
+        task._init(False, np.zeros(3), dims, 0.0, None, order, None, occupied,
+                   run_start, xyz, box_start, box_count, box_stamp,
+                   timestamp)
+        return task
 
     def grid_search(self, xyz, radius, order, run_start, occupied, dims,
                     box_start, box_count, box_stamp, timestamp):
-        """On one thread: forward pairs go into a NumPy stage, doubled
-        while a row's candidates do not fit, then into both of their rows,
-        then a transposing fill."""
-        grid = self._grid(xyz, radius, order, run_start, occupied, dims,
-                          box_start, box_count, box_stamp, timestamp)
-        n = len(order)
-        return _search_into(self._lib.dll, grid,
-                            np.zeros(n + 1, dtype=np.int64),
-                            np.empty(n + 1, dtype=np.int64),
-                            np.zeros(3, dtype=np.int64))  # box, row, slots
+        """:meth:`search_task`, run at once."""
+        return self.search_task(xyz, radius, order, run_start, occupied,
+                                dims, box_start, box_count, box_stamp,
+                                timestamp).run()
 
-    def start_grid_search(self, xyz, radius, order, run_start, occupied,
-                          dims, box_start, box_count, box_stamp, timestamp):
-        """:meth:`grid_search` as one ``repro_grid_csr`` call on a helper
-        thread: the same kernels on the same arrays, so the same bytes."""
-        grid = self._grid(xyz, radius, order, run_start, occupied, dims,
-                          box_start, box_count, box_stamp, timestamp)
-        return PendingSearch(self, grid, len(order))
-
-    def _take_scratch(self, n):
-        """``(at, stage, cursor, rows)`` for an overlapped search over ``n``
-        agents: the last search's if they fit (and are not twice too big),
-        else new ones with an eighth to spare.  Kept between searches so
+    def _take_scratch(self, n, cap):
+        """A grid task's kept buffers for ``n`` agents and a ``cap``-slot
+        stage: the last task's where they fit (and are not four times too
+        big), else new ones with an eighth to spare.  Kept between tasks so
         that their pages are resident: a fresh page costs the helper a
-        fault.  The stage has the synchronous search's 4 slots an agent,
-        rows room for every pair it can hold."""
-        scratch, self._scratch = self._scratch, None
-        if scratch is None or not n <= len(scratch[2]) <= 2 * n + 64:
-            m = n + n // 8
-            stage = np.empty(4 * m, dtype=np.int64)
-            scratch = (np.empty(m + 1, dtype=np.int64), stage,
-                       np.empty(m, dtype=np.int64),
-                       np.empty(2 * len(stage), dtype=np.int64))
-        return scratch
+        fault."""
+        sc, self._scratch = self._scratch, None
+        fits = sc is not None
+        if sc is None:
+            size = -(-self._lib.dll.repro_grid_task_size() // 8)
+            sc = SimpleNamespace(
+                hist=np.empty(_RADIX, dtype=np.int64),
+                ctl=np.zeros(size, dtype=np.int64),
+                table=np.zeros((_CHUNKS, _ROW), dtype=np.int64),
+                density=np.zeros(_CHUNKS), cursor=np.empty(0, np.int64),
+                stage=np.empty(0, dtype=np.int64))
+        if not n <= len(sc.cursor) <= 4 * n + 64:
+            m, fits = n + n // 8, False
+            sc.snapshot, sc.cursor = np.empty((m, 3)), np.empty(m, np.int64)
+            sc.at = np.empty(m + 1, dtype=np.int64)
+            sc.counts = np.empty((2, m + 1), dtype=np.int64)
+        if not cap <= len(sc.stage) <= 4 * cap + 64:
+            fits = False
+            sc.stage = np.empty(cap + cap // 8, dtype=np.int64)
+            sc.rows = np.empty(2 * len(sc.stage), dtype=np.int64)
+        if not fits:  # looked up once: .ctypes.data costs microseconds
+            sc.addresses = {name: getattr(sc, name).ctypes.data for name in (
+                "hist", "ctl", "table", "density", "cursor", "stage",
+                "snapshot", "at", "rows")}
+            sc.addresses["counts0"], sc.addresses["counts1"] = (
+                c.ctypes.data for c in sc.counts)
+        return sc
 
     def morton_order(self, positions, mins, dims, box_len):
         """Box coordinates, Morton codes and a radix sort by code."""

@@ -100,7 +100,8 @@ def make_kernels(requested: str, registry=None, warn: bool = True
     ``registry`` (a :class:`repro.obs.core.MetricsRegistry`) gets the
     ``kernel:backend`` gauge, the ``kernel:build`` gauge when the C
     library was asked for, and ``kernel:{calls,fallbacks,threads,
-    search_calls,grid_builds,sort_calls,field_calls}`` callbacks bound to
+    search_calls,search_overflows,grid_builds,sort_calls,field_calls}``
+    callbacks bound to
     the returned instance.  ``warn=False`` silences the fallback warning
     (used by workers, which inherit the parent's already-warned
     resolution).
@@ -130,6 +131,8 @@ def make_kernels(requested: str, registry=None, warn: bool = True
         registry.register_callback("kernel:threads", lambda: backend.threads)
         registry.register_callback("kernel:search_calls",
                                    lambda: backend.search_calls)
+        registry.register_callback("kernel:search_overflows",
+                                   lambda: backend.search_overflows)
         registry.register_callback("kernel:grid_builds",
                                    lambda: backend.grid_builds)
         registry.register_callback("kernel:sort_calls",

@@ -270,12 +270,12 @@ def displace(positions, moved_flags, net_force, dt,
     return moved_now
 
 
-def refilter(indptr, indices, qi, positions, radius):
+def refilter(indptr, indices, qi, positions, radius, row_index=True):
     """The superset pairs within ``radius`` now, in order (the body of
     :func:`repro.env.environment.refilter_csr`, which explains it)."""
     n = len(indptr) - 1
     if len(indices) == 0:
-        return indptr, indices, qi
+        return indptr, indices, qi if row_index else None
     x, y, z = (np.ascontiguousarray(positions[:, c]) for c in range(3))
     d2 = x[qi]
     d2 -= x[indices]
@@ -292,7 +292,7 @@ def refilter(indptr, indices, qi, positions, radius):
     counts = np.bincount(qi_kept, minlength=n)
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, indices[kept], qi_kept
+    return new_indptr, indices[kept], qi_kept if row_index else None
 
 
 #: Bytes per slab buffer of the stencil kernel: axis 0 is walked in slabs
@@ -443,10 +443,11 @@ class NumpyKernelBackend(KernelBackend):
         displace(positions[lo:hi], moved_flags[lo:hi], net_force[lo:hi],
                  dt, max_displacement)
 
-    def refilter(self, indptr, indices, qi, positions, radius):
+    def refilter(self, indptr, indices, qi, positions, radius,
+                 row_index=True):
         """Superset refilter via :func:`refilter`."""
         self._count()
-        return refilter(indptr, indices, qi, positions, radius)
+        return refilter(indptr, indices, qi, positions, radius, row_index)
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
                 decay, dt, out=None):

@@ -9,16 +9,22 @@ biologically plausible structures.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.neuro.neuron import KIND_NEURITE, KIND_SOMA
+
+if TYPE_CHECKING:  # imported where used: networkx takes ~0.15 s to load
+    import networkx as nx
 
 __all__ = ["arbor_graph", "total_cable_length", "branch_counts", "terminal_tips"]
 
 
 def arbor_graph(sim) -> nx.DiGraph:
     """Parent→child digraph over all agents (somas are roots)."""
+    import networkx as nx
+
     rm = sim.rm
     g = nx.DiGraph()
     uids = rm.data["uid"]

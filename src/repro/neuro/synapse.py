@@ -11,11 +11,15 @@ graph — the typical end product of a developmental simulation.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.behavior import Behavior
 from repro.neuro.neuron import KIND_NEURITE, KIND_SOMA
+
+if TYPE_CHECKING:  # imported where used: networkx takes ~0.15 s to load
+    import networkx as nx
 
 __all__ = ["SynapseFormation", "connectome"]
 
@@ -88,6 +92,8 @@ def connectome(sim, synapse_behavior: SynapseFormation) -> nx.DiGraph:
     Element uids are resolved through their (historical) neuron ids, so
     the graph survives element removals.
     """
+    import networkx as nx
+
     rm = sim.rm
     uid_to_neuron = dict(
         zip(rm.data["uid"].tolist(), rm.data["neuron_id"].tolist())

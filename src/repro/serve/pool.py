@@ -188,6 +188,10 @@ class SessionPool:
         self._seq = 0
         self._closed = False
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        if method == "fork":
+            # Workers forked after the model registry is imported start
+            # warm: their first create builds a model, not the imports.
+            import repro.simulations.registry  # noqa: F401
         ctx = mp.get_context(method)
         self._workers: list[_Worker] = []
         for w in range(int(workers)):

@@ -395,3 +395,25 @@ class TestMemoryShape:
             peak, _ = csr_peak_bytes(
                 env, UniformGridEnvironment.search_candidates_per_agent)
             assert peak < 500 * n
+
+
+@pytest.mark.skipif(not any(kb.name == "c" for kb in kernel_backends()),
+                    reason="the C kernel library cannot be built here")
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, n=st.integers(1, 40),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_c_bounds_pass_copies_and_bounds_like_numpy(seed, n, bad):
+    """The C task's first pass: the snapshot is the positions' bytes and
+    the bounds are each column's np.min / np.max (NaN where one is)."""
+    from repro.kernels.c_backend import _library
+
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(n, 3)) * 10.0
+    if bad is not None:
+        pos[rng.integers(n), rng.integers(3)] = bad
+    snap, bounds = np.empty((n, 3)), np.empty(6)
+    _library().dll.repro_grid_bounds(pos, n, snap, bounds)
+    assert snap.tobytes() == pos.tobytes()
+    want = [pos[:, d].min() for d in range(3)] + [
+        pos[:, d].max() for d in range(3)]
+    assert np.array_equal(bounds, want, equal_nan=True)

@@ -458,6 +458,74 @@ class TestDisplaceDifferential:
         assert np.array_equal(moved, ref_moved)
 
 
+class TestDisplaceBackends:
+    """Every backend's ``displace`` / ``displace_rows`` against the frozen
+    reference: the clamp by ``max_displacement / norm``, ``MOVE_EPSILON``,
+    NaN and infinite rows and ``moved |=``, whole and in row slices; odd
+    inputs go to NumPy, counted."""
+
+    def forces(self, seed, n):
+        net = TestDisplaceDifferential().forces(seed, n)
+        rng = np.random.default_rng(seed + 9)
+        net[rng.random(n) < 0.03, 2] = np.inf
+        net[rng.random(n) < 0.03, 0] = -np.inf
+        # Displacements at MOVE_EPSILON exactly and just past it.
+        edge = rng.random(n) < 0.05
+        net[edge] = [1e-9 / 0.1, 0.0, 0.0]
+        net[rng.random(n) < 0.03] = [np.nextafter(1e-9, 1.0) / 0.1, 0.0, 0.0]
+        return net
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, n=st.integers(0, 300), parts=st.integers(1, 4),
+           max_displacement=st.sampled_from([1e-3, 0.5, 3.0, 1e9]))
+    @np.errstate(invalid="ignore")  # inf * 0 in the clamp: NaN rows
+    def test_every_backend_matches_the_reference(self, seed, n, parts,
+                                                 max_displacement):
+        net = self.forces(seed, n)
+        pos = cloud(seed, n, 50.0)
+        moved = np.random.default_rng(seed + 5).random(n) < 0.3
+        want_pos, want_moved = pos.copy(), moved.copy()
+        want = pair_reference.displace(want_pos, want_moved, net.copy(), 0.1,
+                                       max_displacement)
+        bounds = np.unique(np.concatenate(
+            ([0, n], np.random.default_rng(seed).integers(0, n + 1,
+                                                          parts - 1))))
+        for kb in kernel_backends():
+            got_pos, got_moved = pos.copy(), moved.copy()
+            got = kb.displace(got_pos, got_moved, net, 0.1, max_displacement)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_pos.tobytes() == want_pos.tobytes(), kb.name
+            assert np.array_equal(got_moved, want_moved), kb.name
+            got_pos, got_moved = pos.copy(), moved.copy()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                kb.displace_rows(got_pos, got_moved, net, 0.1,
+                                 max_displacement, lo, hi)
+            assert got_pos.tobytes() == want_pos.tobytes(), kb.name
+            assert np.array_equal(got_moved, want_moved), kb.name
+            assert kb.fallbacks == 0
+
+    @np.errstate(invalid="ignore")
+    def test_odd_inputs_fall_back_to_numpy(self):
+        n = 40
+        net = self.forces(3, n)
+        for kb in kernel_backends():
+            for pos, moved, dt in (
+                    (cloud(3, n, 50.0).astype(np.float32),
+                     np.zeros(n, dtype=bool), 0.1),
+                    (np.asfortranarray(cloud(3, n, 50.0)),
+                     np.zeros(n, dtype=bool), 0.1),
+                    (cloud(3, n, 50.0), np.zeros(n, dtype=np.int8), 0.1),
+                    (cloud(3, n, 50.0), np.zeros(n, dtype=bool),
+                     np.float32(0.1))):
+                want_pos, want_moved = pos.copy(), moved.copy()
+                numpy_ref.displace(want_pos, want_moved, net.copy(), dt, 2.0)
+                before = kb.fallbacks
+                kb.displace(pos, moved, net, dt, 2.0)
+                assert pos.tobytes() == want_pos.tobytes(), kb.name
+                assert np.array_equal(moved, want_moved), kb.name
+                assert kb.fallbacks == before + kb.compiled, kb.name
+
+
 def peak_bytes(fn):
     """tracemalloc peak of one call, over what was live before it."""
     tracemalloc.start()

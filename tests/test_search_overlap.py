@@ -15,6 +15,10 @@
   on one thread, in a forked child, or beside a declared neighbor reader.
 - **Fork safety**: a process pool forked after an overlapped run finds
   no extra thread and lands on its serial twin's bytes.
+- **The grid task on both threads**: the same bytes tick by tick with
+  the reader arriving before the helper's build, mid-search and after
+  the merge, and without the overlap on two threads; one stage overflow
+  per density doubling; build outputs read before the search.
 """
 
 from __future__ import annotations
@@ -468,3 +472,157 @@ def test_a_pool_forked_after_an_overlapped_run_matches_its_twin(
         assert pooled.obs.registry.counter(OVERLAPPED).value > 0
         assert state_checksum(pooled) == want
     assert at_fork == [(baseline, [])]
+
+
+# --------------------------------------------------------------------- #
+# The grid task: build and search on both threads
+# --------------------------------------------------------------------- #
+
+JOINED = "neighbor_cache:search_chunks_joined"
+
+
+def run_joined(model, agents, ticks, **delta):
+    """:func:`run_recording` plus the chunks the reader ran at the joins."""
+    digests = []
+    with build(model, agents, **delta) as sim:
+        backend = sim.backend
+        force_and_displace = backend.force_and_displace
+
+        def recording(sim_, indptr, indices, detect):
+            digests.append(hashlib.sha256(
+                indptr.tobytes() + indices.tobytes()).hexdigest())
+            return force_and_displace(sim_, indptr, indices, detect)
+
+        backend.force_and_displace = recording
+        sim.simulate(ticks)
+        assert not helpers_alive()
+        reg = sim.obs.registry
+        return (digests, state_checksum(sim),
+                int(reg.counter(OVERLAPPED).value),
+                int(reg.counter(JOINED).value))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_one_two_and_overlapped_threads_give_the_same_bytes(
+        case, threads, monkeypatch):
+    """Tick by tick: NumPy, C on one thread, C on two threads without the
+    overlap, and the overlap with the reader arriving before the helper's
+    grid build, mid-search and after the fill."""
+    from repro.core.scheduler import NeighborCache
+
+    model, agents, ticks, delta = CASES[case]
+    want = run_joined(model, agents, ticks, kernel_backend="numpy", **delta)
+    threads(1)
+    assert run_joined(model, agents, ticks, kernel_backend="c",
+                      **delta)[:3] == want[:3]
+    threads(2)
+    with monkeypatch.context() as m:
+        m.setattr(NeighborCache, "start_search", lambda self: False)
+        assert run_joined(model, agents, ticks, kernel_backend="c",
+                          **delta)[:3] == want[:3]
+    dll = c_backend._library().dll
+    helper, chunks = dll.repro_grid_csr, c_backend._CHUNKS
+
+    def late(ctl):  # the reader claims the build and every chunk
+        time.sleep(0.05)
+        return helper(ctl)
+
+    def partial(ctl):  # the build and at most three chunks
+        return dll.repro_grid_work(ctl, 0, 3)
+
+    result = c_backend.GridTask.result
+
+    def after_the_fill(self):  # the helper ran every chunk and merged
+        self._thread.join()
+        return result(self)
+
+    # (what the helper runs, the chunks the reader must have joined)
+    arrivals = ((dll, "repro_grid_csr", late, lambda n: ran == chunks * n),
+                (dll, "repro_grid_csr", partial,
+                 lambda n: ran >= (chunks - 3) * n),
+                (c_backend.GridTask, "result", after_the_fill,
+                 lambda n: ran == 0))
+    for owner, name, patch, joined in arrivals:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, patch)
+            digests, checksum, overlapped, ran = run_joined(
+                model, agents, ticks, kernel_backend="c", **delta)
+        assert overlapped >= ticks - 2
+        assert (digests, checksum) == want[:2]
+        assert joined(overlapped), (patch.__name__, ran, overlapped)
+
+
+def denser(n, seed, span):
+    """``n`` agents uniform in a cube of side ``span``: at radius 4, ~1.1
+    forward pairs an agent at 12 000 agents and span 120, and ``1 /
+    shrink ** 3`` times that at span ``120 * shrink``."""
+    return np.random.default_rng(seed).uniform(0.0, span, (n, 3))
+
+
+@pytest.mark.parametrize("nthreads", [1, 2])
+@pytest.mark.parametrize("overlap", [False, True])
+def test_a_densifying_state_overflows_once_per_doubling(nthreads, overlap,
+                                                        threads):
+    """Forward pairs an agent double at every step (from ~1 to ~30), and
+    each density is searched twice: the stage is sized from the last
+    search, so only the first search of a density may overflow, and every
+    CSR is the NumPy search's bytes."""
+    threads(nthreads)
+    kb = make_kernels("c")
+    for k in range(6):
+        for again in (False, True):
+            before = kb.search_overflows
+            pos = denser(12_000, 2 * k + again, 120.0 * 2.0 ** (-k / 3.0))
+            ref = UniformGridEnvironment()
+            ref.update(pos, 4.0)
+            env = UniformGridEnvironment()
+            env.kernels = kb
+            env.update(pos, 4.0)
+            if overlap:
+                assert env.start_search() is not None
+            for a, b in zip(env.neighbor_csr(), ref.neighbor_csr()):
+                assert a.tobytes() == b.tobytes()
+            assert kb.search_overflows <= before + (not again)
+    assert kb.search_overflows >= 3
+    assert not helpers_alive()
+
+
+def test_an_overflow_in_every_chunk_on_both_threads(threads):
+    """A fresh backend sizes at 4 slots an agent, so each of a dense
+    cloud's chunks overflows, on whichever thread ran it; the joining
+    thread finishes them all in one pass, and the next search of that
+    density needs none."""
+    threads(2)
+    pos = denser(4000, 5, 21.0)
+    ref = UniformGridEnvironment()
+    ref.update(pos, 4.0)
+    want = ref.neighbor_csr()
+    kb = make_kernels("c")
+    for overflows in (1, 1):
+        env = UniformGridEnvironment()
+        env.kernels = kb
+        env.update(pos, 4.0)
+        assert env.start_search() is not None
+        for a, b in zip(env.neighbor_csr(), want):
+            assert a.tobytes() == b.tobytes()
+        assert kb.search_overflows == overflows
+
+
+def test_build_outputs_are_read_through_the_task(threads):
+    """Reading a build output before the search runs the build on this
+    thread; the search then starts from it, and the outputs are the NumPy
+    build's."""
+    threads(2)
+    pos = np.random.default_rng(9).uniform(0.0, 80.0, (1500, 3))
+    ref = UniformGridEnvironment()
+    ref.update(pos, 6.0)
+    env = UniformGridEnvironment()
+    env.kernels = make_kernels("c")
+    env.update(pos, 6.0)
+    assert env._task is not None and not env._adopted
+    assert np.array_equal(env.box_of_agent, ref.box_of_agent)
+    assert env._adopted
+    assert env.start_search() is not None
+    for a, b in zip(env.neighbor_csr(), ref.neighbor_csr()):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(env.linked_list_state()["order"], ref._order)

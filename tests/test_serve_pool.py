@@ -399,3 +399,30 @@ def test_pool_shutdown_is_idempotent_and_final():
     assert not spool.exists()
     err = p.handle(P.StepRequest(session=sid))
     assert isinstance(err, P.SessionError) and err.code == "internal"
+
+
+def test_workers_fork_with_the_registry_imported_and_no_networkx():
+    """A fresh worker's first create builds a model, not the imports: the
+    pool imports the model registry before it forks, and that import
+    leaves networkx (~0.15 s) to the graph helpers that use it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "from repro.serve.pool import SessionPool\n"
+            "assert 'repro.simulations.registry' not in sys.modules\n"
+            "pool = SessionPool(workers=1, max_resident=1)\n"
+            "try:\n"
+            "    assert 'repro.simulations.registry' in sys.modules\n"
+            "    assert 'networkx' not in sys.modules\n"
+            "finally:\n"
+            "    pool.shutdown()\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
