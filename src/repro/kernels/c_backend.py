@@ -227,10 +227,13 @@ def _populate(a) -> None:
 
 class _SearchThread(threading.Thread):
     """A thread whose target is one ctypes call: :meth:`run` only reads the
-    clock around it and keeps its exception for the joining thread."""
+    clock around it and keeps its exception for the joining thread.
+    ``keep`` holds the owner of the call's buffers until the call returns
+    (the call gets raw addresses)."""
 
     error = None
     began = ended = 0
+    keep = None
 
     def run(self):
         self.began = time.perf_counter_ns()
@@ -239,6 +242,7 @@ class _SearchThread(threading.Thread):
         except BaseException as exc:  # re-raised by GridTask.result
             self.error = exc
         self.ended = time.perf_counter_ns()
+        self.keep = None
 
 
 class GridTask:
@@ -349,6 +353,7 @@ class GridTask:
         self._backend.search_calls += 1
         self._thread = _SearchThread(target=self._dll.repro_grid_csr,
                                      name=SEARCH_THREAD, args=(self._ctl,))
+        self._thread.keep = self
         self._thread.start()
         # The fill, the job's last step, writes indices: fault its fresh
         # pages in from this thread, which reaches the join with time to
@@ -415,7 +420,10 @@ class GridTask:
 
     def release(self) -> None:
         """Hand the kept buffers back for the next task: after
-        :meth:`result`, or for a task never started."""
+        :meth:`result`, or for a task never started -- never while a
+        helper may still write them (a join interrupted)."""
+        if self._thread is not None and self._thread.is_alive():
+            return
         if self._scratch is not None:
             self._backend._scratch, self._scratch = self._scratch, None
 
