@@ -287,10 +287,9 @@ class NeighborCache:
                 sup_ip, sup_ix, sup_qi = self._superset
                 with sim.obs.tracer.span("neighbor_refilter", cat="cache",
                                          iteration=sim.scheduler.iteration):
-                    ip, ix, _ = refilter_csr(sup_ip, sup_ix, sup_qi,
-                                             rm.positions, radius,
-                                             kernels=sim.kernels,
-                                             row_index=False)
+                    ip, ix = refilter_csr(sup_ip, sup_ix, sup_qi,
+                                          rm.positions, radius,
+                                          kernels=sim.kernels)
                 self._csr = (ip, ix)
                 self._hits.inc()
                 self._refilters.inc()
@@ -385,8 +384,8 @@ class NeighborCache:
                   if getattr(sim.kernels, "refilter_reads_qi", True) else None)
         self._superset = (sup_ip, sup_ix, sup_qi)
         self.budget = radius + skin
-        ip, ix, _ = refilter_csr(sup_ip, sup_ix, sup_qi, rm.positions, radius,
-                                 kernels=sim.kernels, row_index=False)
+        ip, ix = refilter_csr(sup_ip, sup_ix, sup_qi, rm.positions, radius,
+                              kernels=sim.kernels)
         self._csr = (ip, ix)
         return work
 

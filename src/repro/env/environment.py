@@ -183,8 +183,7 @@ def csr_row_index(indptr: np.ndarray,
 
 def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
                  positions: np.ndarray, radius: float, kernels=None,
-                 row_index: bool = True,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Filter a superset CSR down to pairs within ``radius``, preserving order.
 
     ``(indptr, indices)`` is a neighbor CSR built with an *inflated*
@@ -205,17 +204,12 @@ def refilter_csr(indptr: np.ndarray, indices: np.ndarray, qi: np.ndarray,
     taken in place) matches the grid build's filter, so the boundary
     cases round identically too.
 
-    Returns ``(indptr, indices, qi)`` of the filtered CSR; the returned
-    ``qi`` is the row expansion of the *result*, handed back so callers
-    never recompute it -- or None with ``row_index=False``, for callers
-    that do not read it.  ``qi`` may be None for a backend whose
-    ``refilter_reads_qi`` is False.
+    Returns ``(indptr, indices)`` of the filtered CSR.  ``qi`` may be None
+    for a backend whose ``refilter_reads_qi`` is False.
     """
     if kernels is None:
-        return numpy_ref.refilter(indptr, indices, qi, positions, radius,
-                                  row_index)
-    return kernels.refilter(indptr, indices, qi, positions, radius,
-                            row_index)
+        return numpy_ref.refilter(indptr, indices, qi, positions, radius)
+    return kernels.refilter(indptr, indices, qi, positions, radius)
 
 
 def brute_force_csr(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -172,10 +172,8 @@ class KernelBackend:
     #: None, and nobody need build it).
     refilter_reads_qi = True
 
-    def refilter(self, indptr, indices, qi, positions, radius,
-                 row_index=True):
-        """:func:`repro.env.environment.refilter_csr`'s distance pass;
-        the result's row index is None unless ``row_index``."""
+    def refilter(self, indptr, indices, qi, positions, radius):
+        """:func:`repro.env.environment.refilter_csr`'s distance pass."""
         raise NotImplementedError
 
     def grid_task(self, positions, radius):

@@ -541,15 +541,13 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             None if now is None else now.ctypes.data, lo, hi)
         return True
 
-    def refilter(self, indptr, indices, qi, positions, radius,
-                 row_index=True):
+    def refilter(self, indptr, indices, qi, positions, radius):
         """Count, prefix sum, fill: one thread per row (``qi`` is not
-        read, and may be None); the result's row index only if asked."""
+        read, and may be None)."""
         self._count()
         n = len(indptr) - 1
         if len(indices) == 0:
-            return indptr, indices, (np.empty(0, dtype=np.int64) if row_index
-                                     else None)
+            return indptr, indices
         pos, ip, ix = _csr(n, positions, indptr, indices)
         threads, dll = self.threads, self._lib.dll
         keep = np.empty(len(ix), dtype=np.uint8)
@@ -559,9 +557,7 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         new_indices = np.empty(kept, dtype=np.int64)
         dll.repro_refilter_fill(ip, ix, keep, n, new_indptr, new_indices,
                                 threads)
-        return new_indptr, new_indices, (
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(new_indptr))
-            if row_index else None)
+        return new_indptr, new_indices
 
     def grid_task(self, positions, radius):
         """A :class:`GridTask` (build and search at ``radius``) over

@@ -270,12 +270,12 @@ def displace(positions, moved_flags, net_force, dt,
     return moved_now
 
 
-def refilter(indptr, indices, qi, positions, radius, row_index=True):
+def refilter(indptr, indices, qi, positions, radius):
     """The superset pairs within ``radius`` now, in order (the body of
     :func:`repro.env.environment.refilter_csr`, which explains it)."""
     n = len(indptr) - 1
     if len(indices) == 0:
-        return indptr, indices, qi if row_index else None
+        return indptr, indices
     x, y, z = (np.ascontiguousarray(positions[:, c]) for c in range(3))
     d2 = x[qi]
     d2 -= x[indices]
@@ -288,11 +288,10 @@ def refilter(indptr, indices, qi, positions, radius, row_index=True):
     # Index compaction: one flatnonzero, then a take per kept array (a
     # boolean mask would be re-scanned for each of them).
     kept = np.flatnonzero(d2 <= radius * radius)
-    qi_kept = qi[kept]
-    counts = np.bincount(qi_kept, minlength=n)
+    counts = np.bincount(qi[kept], minlength=n)
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, indices[kept], qi_kept if row_index else None
+    return new_indptr, indices[kept]
 
 
 #: Bytes per slab buffer of the stencil kernel: axis 0 is walked in slabs
@@ -443,11 +442,10 @@ class NumpyKernelBackend(KernelBackend):
         displace(positions[lo:hi], moved_flags[lo:hi], net_force[lo:hi],
                  dt, max_displacement)
 
-    def refilter(self, indptr, indices, qi, positions, radius,
-                 row_index=True):
+    def refilter(self, indptr, indices, qi, positions, radius):
         """Superset refilter via :func:`refilter`."""
         self._count()
-        return refilter(indptr, indices, qi, positions, radius, row_index)
+        return refilter(indptr, indices, qi, positions, radius)
 
     def diffuse(self, concentration, voxel_size, diffusion_coefficient,
                 decay, dt, out=None):

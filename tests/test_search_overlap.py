@@ -626,3 +626,106 @@ def test_build_outputs_are_read_through_the_task(threads):
     for a, b in zip(env.neighbor_csr(), ref.neighbor_csr()):
         assert a.tobytes() == b.tobytes()
     assert np.array_equal(env.linked_list_state()["order"], ref._order)
+
+
+class TestMutatorsJoinTheTask:
+    """Every mutator joins a started grid task before it writes -- its
+    helper sleeps 0.2 s first, so it is still running -- and adopts the
+    task's CSR and build, the NumPy build's bytes.  (``_consolidate``
+    needs an incremental build, which ``begin_incremental`` enters by
+    joining.)"""
+
+    BUILD = ("_box_of_agent", "_order", "_occupied", "_run_start",
+             "_successor", "_xyz")
+
+    @pytest.fixture
+    def started(self, slow_helper, monkeypatch):
+        pos = np.random.default_rng(2).uniform(0.0, 50.0, (400, 3))
+        ref = UniformGridEnvironment()
+        ref.update(pos, 5.0)
+        want_build = [getattr(ref, name) for name in self.BUILD]
+        want_csr = ref.neighbor_csr()
+        env = UniformGridEnvironment()
+        env.kernels = make_kernels("c")
+        joined = []
+        result, adopt = c_backend.GridTask.result, env._adopt
+
+        def noting_result(task):
+            joined.append(("csr", env._timestamp, result(task)))
+            return joined[-1][2]
+
+        def noting_adopt(outputs):
+            joined.append(("build", env._timestamp, outputs))
+            adopt(outputs)
+
+        monkeypatch.setattr(c_backend.GridTask, "result", noting_result)
+        env._adopt = noting_adopt
+        env.update(pos, 5.0)
+        assert env.start_search() is not None and helpers_alive()
+        stamp = env._timestamp
+
+        def check():
+            assert not helpers_alive()
+            assert [what[:2] for what in joined] == [("csr", stamp),
+                                                     ("build", stamp)]
+            for a, b in zip(joined[0][2], want_csr, strict=True):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(joined[1][2], want_build, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        return env, check
+
+    def test_update(self, started):
+        env, check = started
+        env.update(np.zeros((3, 3)), 5.0)
+        check()
+
+    def test_begin_incremental(self, started):
+        env, check = started
+        env.begin_incremental(np.zeros(3), np.full(3, 10.0), 5.0)
+        check()
+
+    def test_insert_agent(self, started):
+        env, check = started
+        with pytest.raises(RuntimeError, match="begin_incremental"):
+            env.insert_agent(np.zeros(3))
+        check()
+
+    def test_a_build_output_read(self, started):
+        env, check = started
+        env.linked_list_state()
+        check()
+
+    def test_neighbor_csr(self, started):
+        env, check = started
+        indptr, _ = env.neighbor_csr()
+        check()
+        assert env.neighbor_csr()[0] is indptr
+
+
+class TestNoTaskStarts(TestNoHelper):
+    """:class:`TestNoHelper`'s cases, spied on where the ``c`` kernels now
+    start a helper for the overlap: no ``start_search`` hands back a
+    started task."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Every task ``UniformGridEnvironment.start_search`` started."""
+        calls = []
+        original = UniformGridEnvironment.start_search
+
+        def counting(self):
+            started = original(self)
+            if started is not None:
+                calls.append(started)
+            return started
+
+        monkeypatch.setattr(UniformGridEnvironment, "start_search", counting)
+        return calls
+
+    def test_the_spy_sees_every_overlapped_search(self, starts, threads):
+        threads(2)
+        with build("oncology", 400, kernel_backend="c") as sim:
+            sim.simulate(3)
+            overlapped = sim.obs.registry.counter(OVERLAPPED).value
+            assert len(starts) == overlapped >= 2
