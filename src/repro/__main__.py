@@ -354,12 +354,6 @@ def _cmd_bench(args) -> int:
     from repro.bench.__main__ import main as bench_main
 
     forwarded = [args.experiment, "--scale", args.scale]
-    if args.agents is not None:
-        forwarded += ["--agents", str(args.agents)]
-    if args.iterations is not None:
-        forwarded += ["--iterations", str(args.iterations)]
-    if args.out:
-        forwarded += ["--out", args.out]
     if args.profile is not None:
         forwarded += ["--profile", args.profile]
     return bench_main(forwarded)
@@ -442,11 +436,7 @@ SUBCOMMANDS: tuple[Subcommand, ...] = (
         _cmd_bench,
         args=(
             arg("experiment"),
-            arg("--scale", default="small", choices=["small", "medium", "large"]),
-            arg("--agents", type=int),
-            arg("--iterations", type=int),
-            arg("--out", help="artifact path for the `neighbor_cache` "
-                              "experiment"),
+            arg("--scale", default="small", choices=["small", "medium"]),
             arg("--profile", nargs="?", const="profiles", metavar="DIR",
                 help="run under cProfile; write top cumulative "
                      "functions to DIR/<experiment>.prof.txt"),

@@ -23,15 +23,7 @@ def main(argv=None) -> int:
         help="which table/figure to regenerate",
     )
     parser.add_argument("--scale", default="small",
-                        choices=["small", "medium", "large"],
-                        help="size preset (`large`: `neighbor_cache` only)")
-    wall_opts = parser.add_argument_group(
-        "wall-clock", "options for the `neighbor_cache` experiment")
-    wall_opts.add_argument("--agents", type=int, default=None)
-    wall_opts.add_argument("--iterations", type=int, default=None)
-    wall_opts.add_argument(
-        "--out", default=None,
-        help="artifact path (defaults to BENCH_<experiment>.json)")
+                        choices=["small", "medium"], help="size preset")
     parser.add_argument(
         "--profile", nargs="?", const="profiles", default=None,
         metavar="DIR",
@@ -43,18 +35,11 @@ def main(argv=None) -> int:
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         mod = ALL_EXPERIMENTS[name]
-        if args.scale not in getattr(mod, "SCALES", (args.scale,)):
-            parser.error(f"`{name}` has no `{args.scale}` scale "
-                         f"(available: {', '.join(mod.SCALES)})")
-        kwargs = {}
-        if name == "neighbor_cache":
-            kwargs = dict(agents=args.agents, iterations=args.iterations,
-                          out=args.out or "BENCH_neighbor_cache.json")
         t0 = time.perf_counter()
         if args.profile is not None:
-            report = _profiled_run(name, mod, args, kwargs)
+            report = _profiled_run(name, mod, args)
         else:
-            report = mod.run(scale=args.scale, **kwargs)
+            report = mod.run(scale=args.scale)
         elapsed = time.perf_counter() - t0
         print(report.render())
         print(f"[{name} completed in {elapsed:.1f}s]\n")
@@ -65,7 +50,7 @@ def main(argv=None) -> int:
 PROFILE_TOP_N = 40
 
 
-def _profiled_run(name, mod, args, kwargs):
+def _profiled_run(name, mod, args):
     """Run one experiment under cProfile; dump top functions to a file."""
     import cProfile
     import io
@@ -75,7 +60,7 @@ def _profiled_run(name, mod, args, kwargs):
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        report = mod.run(scale=args.scale, **kwargs)
+        report = mod.run(scale=args.scale)
     finally:
         profiler.disable()
     buf = io.StringIO()

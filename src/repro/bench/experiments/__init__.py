@@ -19,7 +19,6 @@ from repro.bench.experiments import (
     fig11_neighbor,
     fig12_sorting,
     fig13_allocator,
-    neighbor_cache,
     sec610_numa,
     table1_characteristics,
 )
@@ -35,7 +34,6 @@ ALL_EXPERIMENTS = {
     "fig11": fig11_neighbor,
     "fig12": fig12_sorting,
     "fig13": fig13_allocator,
-    "neighbor_cache": neighbor_cache,
     "sec610": sec610_numa,
     "ext_distributed": ext_distributed,
     "ext_ablations": ext_ablations,

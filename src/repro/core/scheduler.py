@@ -180,7 +180,7 @@ class NeighborCache:
         if pending is None:
             return
         self._search_wait.inc(pending.waited)
-        self._search_joined.inc(getattr(pending, "joined", 0))
+        self._search_joined.inc(pending.joined)
         self._search_helper.inc((pending.ended - pending.began) * 1e-9)
         self.sim.obs.tracer.record_complete(
             "grid_search", pending.began, pending.ended - pending.began,

@@ -25,8 +25,8 @@ that Hilbert ordering gains ~0.5% locality but pays more for decoding.
 
 Steps 1-2 are the NumPy key pipeline below -- bin, Morton encode,
 ``ranks_for_codes``, count, scan, ``argsort(kind="stable")`` -- and it is
-the reference.  Without a virtual machine, a Morton sort asks the kernel
-backend for the order instead (:meth:`KernelBackend.morton_order
+the reference.  A Morton sort asks the kernel backend for the order
+instead, with or without a virtual machine (:meth:`KernelBackend.morton_order
 <repro.kernels.api.KernelBackend.morton_order>`): ``c`` bins with the
 grid's operations and radix-sorts the Morton *codes*, which gives the same
 permutation because a box's compact rank is strictly increasing in its
@@ -157,7 +157,7 @@ def sort_and_balance(sim) -> SortResult | None:
     curve = sim.param.space_filling_curve
     kernels = getattr(sim, "kernels", None)
     new_order = None
-    if curve == "morton" and sim.machine is None and kernels is not None:
+    if curve == "morton" and kernels is not None:
         new_order = kernels.morton_order(positions, mins, dims, box_len)
     if new_order is None:
         keys = sort_keys(env.box_ids(positions, mins, dims, box_len), dims,

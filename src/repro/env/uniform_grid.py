@@ -56,7 +56,9 @@ backend (``docs/kernels.md``), which writes the same bytes:
   helper beside it; :meth:`UniformGridEnvironment.start_search` starts it
   on the helper alone (the scheduler does, while the behaviors run), and
   then the first reader joins it, running the chunks the helper has not
-  claimed.  Every mutator joins first.
+  claimed.  Every mutator joins first.  An incremental build
+  (:meth:`UniformGridEnvironment.begin_incremental`) has no task: it
+  searches with the NumPy half stencil on every backend.
 
 What the *paper's* search costs is a separate question with a separate
 answer: :meth:`UniformGridEnvironment.search_candidates_per_agent` still
@@ -120,8 +122,9 @@ class UniformGridEnvironment(Environment):
     #: re-filtered bitwise-identically (see repro.core.scheduler).
     supports_neighbor_cache = True
 
-    #: The kernel backend :meth:`neighbor_csr` may run through (set by
-    #: ``Simulation`` to ``sim.kernels``); None runs the NumPy search here.
+    #: The kernel backend whose task a batch :meth:`update` plans (set by
+    #: ``Simulation`` to ``sim.kernels``); None builds and searches in NumPy
+    #: here.
     kernels = None
 
     _box_start = _BuildOutput()
@@ -170,8 +173,6 @@ class UniformGridEnvironment(Environment):
         self._radius = 0.0
         self._candidates: np.ndarray | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
-        #: The search of this build running on a helper thread, or None.
-        self._pending = None
 
     # ------------------------------------------------------------------ #
     # Build
@@ -464,10 +465,9 @@ class UniformGridEnvironment(Environment):
         agent instead of 27 boxes, every unordered pair distance-checked
         once and mirrored.  Candidates are expanded in blocks of
         ``_BLOCK_CANDIDATES``, so temporaries are O(block); only the kept
-        pairs are ever held in full.  A :attr:`kernels` backend with a
-        search (``c``) runs it instead -- the build's task, or a search of
-        a finished build -- and a search :meth:`start_search` started is
-        joined and adopted.
+        pairs are ever held in full.  A build with a kernel task (``c``)
+        runs the task's search instead, and a task :meth:`start_search`
+        started is joined and adopted.
         """
         self._join()
         if self._csr is not None:
@@ -479,64 +479,50 @@ class UniformGridEnvironment(Environment):
             self._csr = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
             return self._csr
         task, self._task = self._task, None
-        if task is not None:
+        if task is None:
+            self._csr = self._half_stencil(n)
+        else:
             try:
                 self._csr = task.run()
             finally:
                 if not self._adopted:
                     self._adopt(task.outputs())
-        elif self.kernels is not None:
-            self._csr = self.kernels.grid_search(
-                self._xyz, self._radius, self._order, self._run_start,
-                self._occupied, self._dims, self._box_start, self._box_count,
-                self._box_stamp, self._timestamp)
-        if self._csr is None:
-            self._csr = self._half_stencil(n)
         # The CSR stays cached until the next build, which writes a new
         # snapshot: this one is not read again.
         self._xyz = None
         return self._csr
 
     def start_search(self):
-        """Start the search of the current batch build on a helper thread:
-        the build's task (its build too, if nobody ran it), else
-        :meth:`KernelBackend.start_grid_search` of the finished build; None
-        if the backend has neither, the build is incremental or empty, or
-        its CSR is already here.  The helper reads only this build's own
-        snapshot, which nothing writes before it is joined."""
-        if (self._csr is not None or self._pending is not None
-                or self._incremental or self.kernels is None
-                or not len(self._positions)):
+        """Start the current build's task on a helper thread (its build
+        too, if nobody ran it) and return it; None if the build has no
+        task (NumPy kernels, an incremental or empty build, its CSR already
+        here) or it started already.  The helper reads only this build's
+        own snapshot, which nothing writes before it is joined."""
+        task = self._task
+        if task is None or task.started:
             return None
-        if self._task is not None:
-            self._pending = self._task.start()
-        else:
-            self._pending = self.kernels.start_grid_search(
-                self._xyz, self._radius, self._order, self._run_start,
-                self._occupied, self._dims, self._box_start, self._box_count,
-                self._box_stamp, self._timestamp)
-        return self._pending
+        return task.start()
 
     def _join(self) -> None:
-        """Adopt the CSR of a search :meth:`start_search` started -- and
-        its task's build -- once this thread has run the chunks left and
-        the helper has ended, or re-raise the helper's exception; the first
-        step of :meth:`neighbor_csr` and of every mutator."""
-        pending, self._pending = self._pending, None
-        if pending is None:
+        """Adopt the CSR of a task :meth:`start_search` started -- and its
+        build -- once this thread has run the chunks left and the helper
+        has ended, or re-raise the helper's exception; the first step of
+        :meth:`neighbor_csr` and of every mutator."""
+        task = self._task
+        if task is None or not task.started:
             return
-        task, self._task = self._task, None
+        self._task = None
         try:
-            self._csr = pending.result()
+            self._csr = task.result()
         finally:
-            if task is not None and not self._adopted:
+            if not self._adopted:
                 self._adopt(task.outputs())
         self._xyz = None
 
     def _finish_build(self) -> None:
         """Hand the task's build over (a :class:`_BuildOutput` was read):
         join a started task, else run its build on this thread."""
-        if self._pending is not None:
+        if self._task.started:
             self._join()
         else:
             self._adopt(self._task.build())
@@ -555,8 +541,8 @@ class UniformGridEnvironment(Environment):
             task.release()
 
     def _half_stencil(self, n):
-        """The NumPy search (the reference for :meth:`KernelBackend
-        .grid_search`)."""
+        """The NumPy search (the reference for the search of
+        :meth:`KernelBackend.grid_task`)."""
         order = self._order
         num_occupied = len(self._occupied)
         cx, cy, cz = self._occupied_coords()

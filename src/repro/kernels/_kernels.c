@@ -396,12 +396,12 @@ void repro_grid_bounds(const double *pos, int64_t n, double *snap,
  * and xyz = pos[order].  No box is visited that holds no agent.  successor
  * doubles as the sort's second buffer; hist has RADIX slots.  Returns the
  * number of occupied boxes. */
-int64_t repro_grid_build(const double *pos, int64_t n, const double *mins,
-                         double box_len, const int64_t *dims, int64_t *start,
-                         int64_t *count, int64_t *stamp, int64_t now,
-                         int64_t *box, int64_t *order, int64_t *successor,
-                         int64_t *occupied, int64_t *run_start, double *xyz,
-                         int64_t *hist) {
+static int64_t grid_build(const double *pos, int64_t n, const double *mins,
+                          double box_len, const int64_t *dims, int64_t *start,
+                          int64_t *count, int64_t *stamp, int64_t now,
+                          int64_t *box, int64_t *order, int64_t *successor,
+                          int64_t *occupied, int64_t *run_start, double *xyz,
+                          int64_t *hist) {
     for (int64_t i = 0; i < n; i++) {
         int64_t c[3];
         bin(pos, i, mins, box_len, dims, c);
@@ -546,8 +546,8 @@ static void fill(const int64_t *rows, const int64_t *indptr, int64_t n,
  * repro_grid_task to fill it; repro_grid_work then runs on either thread.
  *
  * - The build comes first, run by whichever thread claims it (the other
- *   waits): repro_grid_build from the kept snapshot (box == NULL: the
- *   build was given), the chunk table, and zeroed counts.
+ *   waits): grid_build from the kept snapshot, the chunk table, and
+ *   zeroed counts.
  * - The search is CHUNKS box ranges of ~n / CHUNKS agents each, claimed
  *   from an atomic counter.  A chunk stages its rows in its own region of
  *   the stage, writes at[p] (region offsets) for its own rows only and
@@ -633,12 +633,10 @@ static void plan_chunks(task_t *t) {
 }
 
 static void build(task_t *t) {
-    if (t->box)
-        t->info[0] = repro_grid_build(t->snap, t->n, t->mins, t->box_len,
-                                      t->dims, t->start, t->count, t->stamp,
-                                      t->now, t->box, t->order, t->successor,
-                                      t->occupied, t->run_start, t->xyz,
-                                      t->hist);
+    t->info[0] = grid_build(t->snap, t->n, t->mins, t->box_len, t->dims,
+                            t->start, t->count, t->stamp, t->now, t->box,
+                            t->order, t->successor, t->occupied,
+                            t->run_start, t->xyz, t->hist);
     plan_chunks(t);
     for (int64_t i = 0; i <= t->n; i++) t->counts[0][i] = t->counts[1][i] = 0;
 }

@@ -117,8 +117,7 @@ class KernelBackend:
         #: Invocations that fell back to the NumPy reference because the
         #: force model is a subclass the compiled kernel cannot express.
         self.fallbacks = 0
-        #: Uniform-grid searches this backend ran (:meth:`grid_task`,
-        #: :meth:`grid_search`).
+        #: Uniform-grid searches this backend ran (:meth:`grid_task`).
         self.search_calls = 0
         #: Searches that outgrew their stage and were finished by the
         #: joining thread.
@@ -181,23 +180,7 @@ class KernelBackend:
         (:class:`repro.kernels.c_backend.GridTask`: ``bounds``, ``plan``,
         ``build``, ``start``, ``run``, ``result``, ``release``) over a
         snapshot of ``positions`` taken now, or None: the grid runs its own
-        NumPy build and asks :meth:`grid_search`, the reference."""
-        return None
-
-    def grid_search(self, xyz, radius, order, run_start, occupied, dims,
-                    box_start, box_count, box_stamp, timestamp):
-        """The CSR ``(indptr, indices)`` of a finished uniform-grid build
-        (:meth:`repro.env.UniformGridEnvironment.neighbor_csr`) over its
-        cell-sorted coordinates ``xyz``, or None: the grid then runs its
-        own NumPy search, the reference."""
-        return None
-
-    def start_grid_search(self, xyz, radius, order, run_start, occupied,
-                          dims, box_start, box_count, box_stamp, timestamp):
-        """:meth:`grid_search` started on a helper thread: a pending search
-        whose ``result()`` is the CSR (``wait()`` joins the helper only),
-        or None: nothing was started, and the grid's first
-        ``neighbor_csr()`` searches on the calling thread."""
+        NumPy build and half-stencil search, the reference."""
         return None
 
     # -- agent sorting --------------------------------------------------- #

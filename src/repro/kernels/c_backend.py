@@ -61,8 +61,6 @@ _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
     "repro_chemotaxis": ([_D, _I, _F, _F, _D, _U, _I, _L, _I, _F, _F, _N],
                          _I),
     "repro_grid_bounds": ([_D, _I, _D, _D], None),
-    "repro_grid_build": ([_D, _I, _D, _F, _L, _L, _L, _L, _I, _L, _L, _L,
-                          _L, _L, _D, _L], _I),
     # Raw addresses from here on: converting them takes a thread no
     # Python code, and a NULL is a None.
     "repro_grid_task_size": ([], _I),
@@ -253,10 +251,9 @@ class GridTask:
     do not depend on which thread ran what.
 
     The thread that makes the task allocates every buffer
-    (:meth:`CKernelBackend.grid_task` and :meth:`plan`, or
-    :meth:`CKernelBackend.search_task` for a finished build); a helper
-    makes one ctypes call and allocates nothing.  :meth:`build` runs the
-    build on the calling thread, :meth:`start` starts the helper,
+    (:meth:`CKernelBackend.grid_task` and :meth:`plan`); a helper makes one
+    ctypes call and allocates nothing.  :meth:`build` runs the build on the
+    calling thread, :meth:`start` starts the helper (:attr:`started`),
     :meth:`result` joins the job -- running the chunks nobody claimed yet
     -- and hands over the CSR, :meth:`run` does both at once (no helper on
     a one-thread backend).  ``waited`` is the seconds the reader spent in
@@ -297,29 +294,22 @@ class GridTask:
                 or len(mins) != 3 or len(dims) != 3):
             raise ValueError("the arrays do not describe one grid")
         self._backend.grid_builds += 1
+        kept = self._scratch.addresses
         box, order, successor = np.empty((3, n), dtype=np.int64)
         occupied, run_start = (np.empty(k, dtype=np.int64) for k in (n, n + 1))
         self._built = (box, order, successor, np.empty((n, 3)))
-        self._init(True, mins, dims, box_len, box, order, successor,
-                   occupied, run_start, self._built[3], box_start, box_count,
-                   box_stamp, timestamp)
-
-    def _init(self, build, mins, dims, box_len, box, order, successor,
-              occupied, run_start, xyz, box_start, box_count, box_stamp,
-              timestamp):
-        sc, kept = self._scratch, self._scratch.addresses
-        addr = lambda a: None if a is None else a.ctypes.data  # noqa: E731
+        self._runs = occupied, run_start
         self._mins = np.ascontiguousarray(mins, dtype=np.float64)
         self._dims = np.ascontiguousarray(dims, dtype=np.int64)
-        # What the C side reads and nothing else holds.
-        self._held = (box_start, box_count, box_stamp, xyz, order)
-        self._runs = occupied, run_start
+        # The box arrays the build writes, held while a helper may.
+        self._held = box_start, box_count, box_stamp
         self._ctl = kept["ctl"]
         self._dll.repro_grid_task(
-            self._ctl, kept["snapshot"] if build else None, self.n,
-            self._mins.ctypes.data, box_len, self._dims.ctypes.data,
-            *map(addr, (box_start, box_count, box_stamp)), timestamp,
-            *map(addr, (box, order, successor, occupied, run_start, xyz)),
+            self._ctl, kept["snapshot"], n, self._mins.ctypes.data, box_len,
+            self._dims.ctypes.data,
+            *(a.ctypes.data for a in (box_start, box_count, box_stamp)),
+            timestamp, *(a.ctypes.data for a in (
+                box, order, successor, occupied, run_start, self._built[3])),
             kept["hist"], self._radius * self._radius, kept["stage"],
             self._cap, kept["counts0"], kept["counts1"], kept["at"],
             self.indptr.ctypes.data, kept["cursor"], kept["rows"],
@@ -337,6 +327,11 @@ class GridTask:
         """Run the build on this thread (unless it ran): :meth:`outputs`."""
         self._dll.repro_grid_work(self._ctl, 1, 0)
         return self.outputs()
+
+    @property
+    def started(self) -> bool:
+        """Whether :meth:`start` gave the job a helper."""
+        return self._thread is not None
 
     @property
     def began(self) -> int:
@@ -572,33 +567,6 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         self._lib.dll.repro_grid_bounds(pos, n, task._scratch.snapshot[:n],
                                         task.bounds)
         return task
-
-    def search_task(self, xyz, radius, order, run_start, occupied, dims,
-                    box_start, box_count, box_stamp, timestamp):
-        """A :class:`GridTask` searching a finished build (its cell-sorted
-        ``xyz``, order, runs and box arrays)."""
-        n = len(order)
-        if (min(map(len, (box_start, box_count, box_stamp))) < np.prod(dims)
-                or len(run_start) != len(occupied) + 1
-                or run_start[-1] != n or xyz.shape != (n, 3)
-                or xyz.dtype != np.float64 or not xyz.flags.c_contiguous):
-            raise ValueError("the arrays do not describe one grid build")
-        order, occupied, run_start, box_start, box_count, box_stamp = (
-            np.ascontiguousarray(a, dtype=np.int64) for a in (
-                order, occupied, run_start, box_start, box_count, box_stamp))
-        task = GridTask(self, n, radius)
-        task._info[0] = len(occupied)
-        task._init(False, np.zeros(3), dims, 0.0, None, order, None, occupied,
-                   run_start, xyz, box_start, box_count, box_stamp,
-                   timestamp)
-        return task
-
-    def grid_search(self, xyz, radius, order, run_start, occupied, dims,
-                    box_start, box_count, box_stamp, timestamp):
-        """:meth:`search_task`, run at once."""
-        return self.search_task(xyz, radius, order, run_start, occupied,
-                                dims, box_start, box_count, box_stamp,
-                                timestamp).run()
 
     def _take_scratch(self, n, cap):
         """A grid task's kept buffers for ``n`` agents and a ``cap``-slot

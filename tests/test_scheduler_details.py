@@ -254,7 +254,9 @@ class TestNeighborStageAttribution:
                 return real_start()
 
             def csr():
-                events.append("join" if env._pending is not None else "csr")
+                task = env._task
+                events.append("join" if task is not None and task.started
+                              else "csr")
                 return real_csr()
 
             def force(*args):

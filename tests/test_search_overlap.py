@@ -36,7 +36,6 @@ import pytest
 from repro.env import UniformGridEnvironment
 from repro.kernels import c_backend, make_kernels
 from repro.kernels.dispatch import _probe
-from repro.kernels.numpy_ref import NumpyKernelBackend
 from repro.parallel import SYSTEM_A, Machine
 from repro.parallel.process_backend import ProcessBackend
 from repro.simulations import get_simulation
@@ -316,73 +315,28 @@ class TestLifecycle:
             assert names[SEARCH_TID] == "grid-search"
 
 
-class _Pending:
-    """A stand-in pending search that notes the build it was joined in."""
-
-    def __init__(self, env, n):
-        self.env, self.n, self.joined_at = env, n, None
-
-    def wait(self):
-        pass
-
-    def result(self):
-        self.joined_at = self.env._timestamp
-        return np.zeros(self.n + 1, dtype=np.int64), np.empty(0, np.int64)
-
-
-class _Starting(NumpyKernelBackend):
-    def __init__(self, env):
-        super().__init__()
-        self.env, self.pending = env, []
-
-    def start_grid_search(self, xyz, *args):
-        self.pending.append(_Pending(self.env, len(xyz)))
-        return self.pending[-1]
-
-
-class TestMutatorsJoinFirst:
-    def started(self):
-        env = UniformGridEnvironment()
-        env.kernels = _Starting(env)
-        env.update(np.random.default_rng(2).uniform(0, 50, (100, 3)), 5.0)
-        pending = env.start_search()
-        assert pending is env.kernels.pending[-1]
-        return env, pending, env._timestamp
-
-    def test_update(self):
-        env, pending, stamp = self.started()
-        env.update(np.zeros((3, 3)), 5.0)
-        assert pending.joined_at == stamp and env._pending is None
-
-    def test_begin_incremental(self):
-        env, pending, stamp = self.started()
-        env.begin_incremental(np.zeros(3), np.full(3, 10.0), 5.0)
-        assert pending.joined_at == stamp and env._pending is None
-
-    def test_neighbor_csr_adopts(self):
-        env, pending, stamp = self.started()
-        indptr, _ = env.neighbor_csr()
-        assert pending.joined_at == stamp and len(indptr) == 101
-        assert env.neighbor_csr()[0] is indptr
-
-
 # --------------------------------------------------------------------- #
 # The gate
 # --------------------------------------------------------------------- #
 
-class TestNoHelper:
+class TestNoTaskStarts:
+    """No helper starts under a virtual machine, under NumPy, on one
+    thread, beside a declared neighbor reader or in a forked child: no
+    ``start_search`` hands back a started task."""
+
     @pytest.fixture
     def starts(self, monkeypatch):
-        """Every ``start_grid_search`` call, on any backend."""
+        """Every task ``UniformGridEnvironment.start_search`` started."""
         calls = []
-        original = c_backend.CKernelBackend.start_grid_search
+        original = UniformGridEnvironment.start_search
 
-        def counting(self, *args):
-            calls.append(threading.current_thread().name)
-            return original(self, *args)
+        def counting(self):
+            started = original(self)
+            if started is not None:
+                calls.append(started)
+            return started
 
-        monkeypatch.setattr(c_backend.CKernelBackend, "start_grid_search",
-                            counting)
+        monkeypatch.setattr(UniformGridEnvironment, "start_search", counting)
         return calls
 
     def assert_none(self, sim, starts, ticks=3):
@@ -441,6 +395,13 @@ class TestNoHelper:
                 time.sleep(0.01)
             with os.fdopen(read_end) as pipe:
                 assert pipe.read() == "0"
+
+    def test_the_spy_sees_every_overlapped_search(self, starts, threads):
+        threads(2)
+        with build("oncology", 400, kernel_backend="c") as sim:
+            sim.simulate(3)
+            overlapped = sim.obs.registry.counter(OVERLAPPED).value
+            assert len(starts) == overlapped >= 2
 
 
 # --------------------------------------------------------------------- #
@@ -701,31 +662,3 @@ class TestMutatorsJoinTheTask:
         indptr, _ = env.neighbor_csr()
         check()
         assert env.neighbor_csr()[0] is indptr
-
-
-class TestNoTaskStarts(TestNoHelper):
-    """:class:`TestNoHelper`'s cases, spied on where the ``c`` kernels now
-    start a helper for the overlap: no ``start_search`` hands back a
-    started task."""
-
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        """Every task ``UniformGridEnvironment.start_search`` started."""
-        calls = []
-        original = UniformGridEnvironment.start_search
-
-        def counting(self):
-            started = original(self)
-            if started is not None:
-                calls.append(started)
-            return started
-
-        monkeypatch.setattr(UniformGridEnvironment, "start_search", counting)
-        return calls
-
-    def test_the_spy_sees_every_overlapped_search(self, starts, threads):
-        threads(2)
-        with build("oncology", 400, kernel_backend="c") as sim:
-            sim.simulate(3)
-            overlapped = sim.obs.registry.counter(OVERLAPPED).value
-            assert len(starts) == overlapped >= 2
