@@ -315,28 +315,83 @@ class TestLifecycle:
             assert names[SEARCH_TID] == "grid-search"
 
 
+class TestMutatorsJoinFirst:
+    """A started task whose helper has already ended is still joined
+    first by every mutator -- at the build it was started in -- and its
+    CSR adopted, not dropped."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        pos = np.random.default_rng(2).uniform(0, 50, (100, 3))
+        env = UniformGridEnvironment()
+        env.kernels = make_kernels("c")
+        joined = []
+        result = c_backend.GridTask.result
+
+        def noting_result(task):
+            joined.append(env._timestamp)
+            return result(task)
+
+        monkeypatch.setattr(c_backend.GridTask, "result", noting_result)
+        env.update(pos, 5.0)
+        task = env.start_search()
+        assert task is env._task and task.started
+        task.wait()
+        assert not helpers_alive() and joined == []
+        return env, joined, env._timestamp, pos
+
+    def test_update(self, started):
+        env, joined, stamp, _ = started
+        env.update(np.zeros((3, 3)), 5.0)
+        assert joined == [stamp] and not env._task.started
+
+    def test_begin_incremental(self, started):
+        env, joined, stamp, _ = started
+        env.begin_incremental(np.zeros(3), np.full(3, 10.0), 5.0)
+        assert joined == [stamp] and env._task is None
+
+    def test_neighbor_csr_adopts(self, started):
+        env, joined, stamp, pos = started
+        indptr, indices = env.neighbor_csr()
+        assert joined == [stamp] and len(indptr) == 101
+        assert env.neighbor_csr()[0] is indptr
+        ref = UniformGridEnvironment()
+        ref.update(pos, 5.0)
+        want = ref.neighbor_csr()
+        assert indptr.tobytes() == want[0].tobytes()
+        assert indices.tobytes() == want[1].tobytes()
+
+
 # --------------------------------------------------------------------- #
 # The gate
 # --------------------------------------------------------------------- #
 
-class TestNoTaskStarts:
+class TestNoHelper:
     """No helper starts under a virtual machine, under NumPy, on one
-    thread, beside a declared neighbor reader or in a forked child: no
-    ``start_search`` hands back a started task."""
+    thread, beside a declared neighbor reader or in a forked child."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
-        """Every task ``UniformGridEnvironment.start_search`` started."""
-        calls = []
-        original = UniformGridEnvironment.start_search
+        """Every helper :meth:`GridTask.start` left running past its
+        call, on any backend (:meth:`GridTask.run` joins its own helper
+        before it returns: that one runs beside no behavior)."""
+        calls, running = [], []
+        start, run = c_backend.GridTask.start, c_backend.GridTask.run
 
         def counting(self):
-            started = original(self)
-            if started is not None:
-                calls.append(started)
-            return started
+            if not running:
+                calls.append(threading.current_thread().name)
+            return start(self)
 
-        monkeypatch.setattr(UniformGridEnvironment, "start_search", counting)
+        def joined_within(self):
+            running.append(self)
+            try:
+                return run(self)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(c_backend.GridTask, "start", counting)
+        monkeypatch.setattr(c_backend.GridTask, "run", joined_within)
         return calls
 
     def assert_none(self, sim, starts, ticks=3):
@@ -402,6 +457,27 @@ class TestNoTaskStarts:
             sim.simulate(3)
             overlapped = sim.obs.registry.counter(OVERLAPPED).value
             assert len(starts) == overlapped >= 2
+
+
+class TestNoTaskStarts(TestNoHelper):
+    """:class:`TestNoHelper`'s cases, spied on where the environment
+    starts a task for the overlap: no ``start_search`` hands back a
+    started task."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Every task ``UniformGridEnvironment.start_search`` started."""
+        calls = []
+        original = UniformGridEnvironment.start_search
+
+        def counting(self):
+            started = original(self)
+            if started is not None:
+                calls.append(started)
+            return started
+
+        monkeypatch.setattr(UniformGridEnvironment, "start_search", counting)
+        return calls
 
 
 # --------------------------------------------------------------------- #
