@@ -1,42 +1,58 @@
 """Checkpoint / restore (BioDynaMo's backup-and-restore feature).
 
 BioDynaMo can persist a running simulation and resume it later (its
-``backup_file`` parameter).  We persist everything needed to continue a
-run deterministically-enough for analysis workflows:
+``backup_file`` parameter).  A checkpoint carries everything a
+continuation needs, so a restore into a model *shell*
+(:meth:`~repro.simulations.base.BenchmarkSimulation.shell`: the columns,
+grids, operations and behaviors, no agents) continues bitwise like the
+uninterrupted run, every column included:
 
 - all ResourceManager columns (including user-registered ones),
 - domain segmentation and uid counter,
 - diffusion grid concentrations,
-- iteration counter and simulated time.
+- iteration counter, simulated time and the RNG state,
+- the simulated allocators and their shared address space, which hand
+  out the ``addr`` column's payload addresses.
 
-Format v3 (written): an ``.npz`` with three kinds of member —
+Format v4 (written): an ``.npz`` with four kinds of member —
 
-- ``__format__`` (the version, ``3``);
+- ``__format__`` (the version, ``4``);
 - one ``__meta__`` JSON document (UTF-8 bytes) holding ``n``,
   ``next_uid``, ``iteration``, ``time``, ``domain_starts``, the column
-  list, the RNG state, the arena's :meth:`~repro.core.arena.SoAArena.layout_meta`
-  and the caller's ``extra`` dict;
+  list, the RNG state, the arena's :meth:`~repro.core.arena.SoAArena.layout_meta`,
+  the allocators' state (:meth:`repro.mem.Allocator.state`) with each
+  free list replaced by its index into ``allocator__lists``, the warm
+  hints and the caller's ``extra`` dict;
 - ``arena__block`` — the SoA arena's **whole backing block**
-  (:mod:`repro.core.arena`) — and one ``grid__<name>`` per diffusion grid.
+  (:mod:`repro.core.arena`) — and one ``grid__<name>`` per diffusion grid;
+- ``allocator__lists`` — every free list, concatenated (int64).
+
+The *warm hints* (``__meta__["warm"]``) are what the first tick after a
+restore would otherwise have to relearn: the neighbor cache's skin tuner
+and the kernel backend's per-chunk search density.  They size buffers
+and pick a skin; no byte of the trajectory depends on them.  A restore
+counts as a structural change for the tuner, so the first tick makes the
+choice the uninterrupted run makes on one.
 
 Restore reads ``__meta__`` once and the block once, and adopts the block
 into an arena with the same column set with a **single contiguous copy**
 (:meth:`SoAArena.adopt`) — O(domains) instead of O(columns);
 :func:`read_checkpoint_meta` reads ``__meta__`` alone.
 
-Formats v1 and v2 are read-only: nothing writes them any more, and they
-restore through their own reader.  v2 stored each scalar as its own
-member plus the block and a separate ``arena__meta``; v1 stored one
-``col__<name>`` array per column.  v1 files, and v2/v3 files whose
-column set differs from the target's, restore through the per-column
-placement funnel (:meth:`ResourceManager.restore_columns`).
+Formats v1–v3 are read-only: nothing writes them any more.  v3 is v4
+without the allocators and the warm hints: it restores the agent state,
+and the target's allocators stay as they are, so its ``addr`` column
+departs from the uninterrupted run's at the first allocation after the
+restore.  v2 stored each scalar as its own member plus the block and a
+separate ``arena__meta``; v1 stored one ``col__<name>`` array per column.
+v1 files, and v2–v4 files whose column set differs from the target's,
+restore through the per-column placement funnel
+(:meth:`ResourceManager.restore_columns`).
 
 Not persisted (documented limitations, as in BioDynaMo's ROOT backup):
-behavior *instances* are code — the caller re-attaches the same behavior
-objects to the restored simulation in registration order; virtual-machine
-accounting restarts at zero; the pool allocator's free lists are not
-saved, so the ``addr`` column restarts with the allocator and differs
-from an uninterrupted run's from the first post-restore division on.
+behavior *instances* are code — the caller registers the same behavior
+objects on the target simulation in registration order (a model shell
+does); virtual-machine accounting restarts at zero.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ import numpy as np
 
 __all__ = ["save_checkpoint", "restore_checkpoint", "read_checkpoint_meta"]
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 #: Oldest format this module still restores.
 _MIN_FORMAT_VERSION = 1
@@ -82,20 +98,49 @@ def _npz_path(path) -> Path:
         path.suffix + ".npz")
 
 
+#: Key of the JSON object that stands for an int64 array in ``__meta__``:
+#: ``{"@list": [start, stop]}``, a slice of ``allocator__lists``.
+_LIST = "@list"
+
+
+def _encoder(lists: list):
+    """``json.dumps``' fallback for ``__meta__``: a NumPy scalar as the
+    Python one (the allocators' counters may be either); an array (a free
+    list) appended to ``lists`` and written as its slice of their
+    concatenation."""
+    def default(value):
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            start = sum(map(len, lists))
+            lists.append(value)
+            return {_LIST: [start, start + len(value)]}
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return default
+
+
+def _allocators(sim) -> dict:
+    """The simulation's allocators by role; ``other`` is None when it is
+    the agent allocator itself."""
+    agent, other = sim.agent_allocator, sim.other_allocator
+    return {"agent": agent, "other": None if other is agent else other}
+
+
 def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
-    """Write the simulation state to a format-v3 ``.npz`` checkpoint and
+    """Write the simulation state to a format-v4 ``.npz`` checkpoint and
     return the path written (``path``, with ``.npz`` appended when
     missing).
 
     The consolidated arena block is saved verbatim (one contiguous
-    array); every scalar, the RNG state and the block's layout go into
-    one JSON ``__meta__`` member.
+    array), and so are the allocators' free lists (one more); every
+    scalar, the RNG state, the block's layout, the rest of the allocator
+    state and the warm hints go into one JSON ``__meta__`` member.
 
     ``extra_meta`` is an optional JSON-serializable dict stored verbatim
     alongside the state (``read_checkpoint_meta`` returns it without
-    loading any arrays).  The session server uses it to record how to
-    rebuild an evicted session (model, population, seed, parameter
-    overrides) so any worker can resume it.
+    loading any arrays).  The session server uses it to record an evicted
+    session's spec (model, population, seed, parameter overrides) so any
+    worker can resume it.
     """
     _require_checkpointable(sim, "checkpoint")
     rm = sim.rm
@@ -110,12 +155,23 @@ def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
         "columns": list(rm.data),
         "rng": sim.random.get_state(),
         "arena": soa.layout_meta(),
+        "warm": {
+            "neighbor_cache": sim.scheduler.neighbor_cache.tuner_state(),
+            "kernels": sim.kernels.sizing_hints(),
+        },
         "extra": {} if extra_meta is None else extra_meta,
     }
+    meta["allocators"] = {role: None if a is None else a.state()
+                          for role, a in _allocators(sim).items()}
+    meta["allocators"]["space"] = sim.agent_allocator.space.state()
+    lists: list = []
+    document = json.dumps(meta, default=_encoder(lists)).encode()
     payload = {
         "__format__": np.array([_FORMAT_VERSION]),
-        "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        "__meta__": np.frombuffer(document, dtype=np.uint8),
         "arena__block": np.asarray(soa.block[: soa.nbytes]),
+        "allocator__lists": (np.concatenate(lists) if lists
+                             else np.empty(0, dtype=np.int64)),
     }
     for gname, grid in sim.diffusion_grids.items():
         payload[f"grid__{gname}"] = grid.concentration
@@ -204,9 +260,13 @@ def _read_member(data, name: str) -> np.ndarray:
     return out
 
 
-def _read_meta(data) -> dict:
-    """The ``__meta__`` document of a v3 file."""
-    return json.loads(_read_member(data, "__meta__").tobytes())
+def _read_meta(data, lists: np.ndarray | None = None) -> dict:
+    """The ``__meta__`` document of a v3/v4 file, with each free list
+    sliced out of ``lists`` (``allocator__lists``) when given."""
+    hook = None if lists is None else (
+        lambda obj: lists[slice(*obj[_LIST])] if _LIST in obj else obj)
+    return json.loads(_read_member(data, "__meta__").tobytes(),
+                      object_hook=hook)
 
 
 def read_checkpoint_meta(path) -> dict:
@@ -236,17 +296,21 @@ def read_checkpoint_meta(path) -> dict:
 
 def restore_checkpoint(sim, path) -> None:
     """Load a checkpoint into ``sim`` (which must have the same columns
-    registered and the same diffusion grids added).
+    registered, the same diffusion grids added and, for a v4 file,
+    allocators of the same kinds).
 
     When the checkpoint holds an arena block with ``sim``'s column set,
     the whole agent state lands with one contiguous block copy; v1
     per-column files and layout mismatches go through per-column
-    placement (:meth:`ResourceManager.restore_columns`).
+    placement (:meth:`ResourceManager.restore_columns`).  A v4 file also
+    replaces the allocators' state and loads the warm hints; ``sim`` may
+    then be a model shell.
     """
     _require_checkpointable(sim, "restore into")
     with np.load(Path(path)) as data:
         if "__meta__" in data.files:
-            meta = _read_meta(data)
+            meta = _read_meta(data, _read_member(data, "allocator__lists")
+                              if "allocator__lists" in data.files else None)
             block, cols = _read_member(data, "arena__block"), None
         else:
             meta, block, cols = _read_legacy(data)
@@ -267,6 +331,16 @@ def restore_checkpoint(sim, path) -> None:
                 f"checkpoint has columns {sorted(extra)}; register them "
                 "on the target simulation before restoring"
             )
+        allocators = meta.get("allocators")
+        if allocators is not None:
+            kinds = {role: None if a is None else a.name
+                     for role, a in _allocators(sim).items()}
+            saved_kinds = {role: None if allocators[role] is None
+                           else allocators[role]["kind"] for role in kinds}
+            if saved_kinds != kinds:
+                raise ValueError(f"checkpoint allocators are {saved_kinds}; "
+                                 f"the target's are {kinds}")
+        struct = rm.structure_version
         if cols is None and not rm.adopt_arena(block, arena, n):
             cols = _arena_columns(block, arena)
         if cols is not None:
@@ -280,6 +354,11 @@ def restore_checkpoint(sim, path) -> None:
             # sequence the saving run would have (bitwise-identical
             # per-step checksums).
             sim.random.set_state(meta["rng"])
+        if allocators is not None:
+            for role, allocator in _allocators(sim).items():
+                if allocator is not None:
+                    allocator.load_state(allocators[role])
+            sim.agent_allocator.space.load_state(allocators["space"])
         for k in data.files:
             if not k.startswith("grid__"):
                 continue
@@ -287,5 +366,10 @@ def restore_checkpoint(sim, path) -> None:
             if gname not in sim.diffusion_grids:
                 raise ValueError(f"checkpoint has unknown diffusion grid {gname!r}")
             sim.diffusion_grids[gname].concentration = _read_member(data, k)
+        warm = meta.get("warm")
+        if warm is not None:
+            sim.scheduler.neighbor_cache.load_tuner_state(
+                warm["neighbor_cache"], struct)
+            sim.kernels.load_sizing_hints(warm["kernels"])
         sim.invalidate_neighbor_cache()
         sim.note_state_change()

@@ -325,6 +325,26 @@ class NeighborCache:
         if owed:
             self.build(on_demand=True)
 
+    def tuner_state(self) -> dict:
+        """The skin tuner's inputs, as JSON scalars: what a restored
+        simulation needs to choose the skin the saving one would have
+        (checkpoints carry it as a warm hint)."""
+        return {"churn": self._churn, "consumption": self._consumption,
+                "build_radius": self._build_radius,
+                "build_iteration": self._build_iteration}
+
+    def load_tuner_state(self, state: dict, struct: int) -> None:
+        """Continue from a :meth:`tuner_state` after a restore that
+        replaced the population of ``rm.structure_version`` ``struct``:
+        the next build counts the restore as the structural change it is,
+        exactly as a commit since the last build."""
+        self._drop_superset()
+        self._churn = float(state["churn"])
+        self._consumption = state["consumption"]
+        self._build_radius = float(state["build_radius"])
+        self._build_iteration = int(state["build_iteration"])
+        self._version = struct
+
     def _retune(self, radius: float, same: bool, dmax: float) -> float:
         """A miss: measure how fast the budget was consumed, update the
         churn estimate, and return the skin for the rebuild."""

@@ -183,6 +183,16 @@ class KernelBackend:
         NumPy build and half-stencil search, the reference."""
         return None
 
+    def sizing_hints(self) -> dict:
+        """What this backend learnt from past searches to size the next
+        one's buffers, as JSON scalars (a checkpoint's warm hint); the
+        result never depends on it."""
+        return {}
+
+    def load_sizing_hints(self, hints: dict) -> None:
+        """Take over the :meth:`sizing_hints` of a backend of any kind
+        (a kind's own hints only; others are ignored)."""
+
     # -- agent sorting --------------------------------------------------- #
 
     def morton_order(self, positions, mins, dims, box_len):

@@ -458,6 +458,15 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         self._density = np.zeros(_CHUNKS)
         self._pairs = 0.0
 
+    def sizing_hints(self) -> dict:
+        """The last search's per-chunk density and pairs an agent."""
+        return {"density": self._density.tolist(), "pairs": self._pairs}
+
+    def load_sizing_hints(self, hints: dict) -> None:
+        if len(hints.get("density", ())) == _CHUNKS:
+            self._density = np.array(hints["density"], dtype=np.float64)
+            self._pairs = float(hints["pairs"])
+
     @property
     def threads(self) -> int:
         """1 in any child process (pool or serve worker, or anything

@@ -51,6 +51,20 @@ class AddressSpace:
         self.reserved_bytes += nbytes
         return base
 
+    def state(self) -> dict:
+        """The bump pointers and the reservation total, as JSON scalars
+        (:meth:`load_state` takes it back; checkpoints carry it)."""
+        return {"next": list(self._next), "reserved_bytes": self.reserved_bytes}
+
+    def load_state(self, state: dict) -> None:
+        """Continue from a :meth:`state` of a space with as many domains."""
+        if len(state["next"]) != self.num_domains:
+            raise ValueError(
+                f"address space state has {len(state['next'])} domains, "
+                f"this space {self.num_domains}")
+        self._next = [int(x) for x in state["next"]]
+        self.reserved_bytes = int(state["reserved_bytes"])
+
     def domain_of(self, addr) -> np.ndarray:
         """NUMA domain(s) owning the given address(es)."""
         return np.asarray(addr, dtype=np.int64) >> DOMAIN_SHIFT

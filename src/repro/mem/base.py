@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,6 +82,21 @@ class Allocator(ABC):
         """Release many same-size allocations."""
         for a in np.asarray(addrs, dtype=np.int64):
             self.free(int(a), size, domain, thread)
+
+    def state(self) -> dict:
+        """Everything that decides the addresses this allocator hands out
+        next, plus its accounting: JSON scalars, with each free list an
+        int64 array.  :meth:`load_state` continues from it exactly; the
+        shared :class:`~repro.mem.AddressSpace` is saved on its own."""
+        return {"kind": self.name, "stats": dict(vars(self.stats))}
+
+    def load_state(self, state: dict) -> None:
+        """Take over a :meth:`state` of an allocator of the same kind."""
+        if state["kind"] != self.name:
+            raise ValueError(
+                f"allocator state is {state['kind']!r}, this allocator "
+                f"{self.name!r}")
+        self.stats = AllocatorStats(**state["stats"])
 
     def drain_cycles(self) -> float:
         """Return and reset the accumulated allocation cost in cycles."""

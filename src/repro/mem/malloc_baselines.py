@@ -74,6 +74,21 @@ class PtmallocLike(Allocator):
             {} for _ in range(address_space.num_domains)
         ]
 
+    def state(self) -> dict:
+        return {
+            **super().state(),
+            "arenas": [[d, a, *cur] for (d, a), cur in self._arenas.items()],
+            "bins": [{str(cls): np.array(b, dtype=np.int64)
+                      for cls, b in bins.items()} for bins in self._bins],
+        }
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        self._arenas = {(int(d), int(a)): [int(top), int(room)]
+                        for d, a, top, room in state["arenas"]}
+        self._bins = [{int(cls): b.tolist() for cls, b in bins.items()}
+                      for bins in state["bins"]]
+
     def _bump(self, domain: int, arena: int, cls: int) -> int:
         state = self._arenas.setdefault((domain, arena), [0, 0])
         if state[1] < cls:
@@ -147,6 +162,21 @@ class JemallocLike(Allocator):
         self._runs: dict[tuple[int, int], list[int]] = {}
         # (domain, size class) -> free list (thread caches flush here).
         self._bins: dict[tuple[int, int], list[int]] = {}
+
+    def state(self) -> dict:
+        return {
+            **super().state(),
+            "runs": [[t, cls, *run] for (t, cls), run in self._runs.items()],
+            "bins": [[d, cls, np.array(b, dtype=np.int64)]
+                     for (d, cls), b in self._bins.items()],
+        }
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        self._runs = {(int(t), int(cls)): [int(cur), int(end)]
+                      for t, cls, cur, end in state["runs"]}
+        self._bins = {(int(d), int(cls)): b.tolist()
+                      for d, cls, b in state["bins"]}
 
     def allocate(self, size: int, domain: int = 0, thread: int = 0) -> int:
         cls = _je_size_class(size)

@@ -86,6 +86,17 @@ class _Stack:
         self._n -= 1
         return int(self._buf[self._n])
 
+    def array(self) -> np.ndarray:
+        """The entries in stored order (a view, like :meth:`take`'s)."""
+        return self._buf[: self._n]
+
+    @classmethod
+    def of(cls, addrs) -> "_Stack":
+        """A stack holding ``addrs`` in stored order."""
+        stack = cls()
+        stack.extend(np.asarray(addrs, dtype=np.int64))
+        return stack
+
     def take(self, k: int) -> np.ndarray:
         """Remove the last ``k`` entries and return them in stored order
         (a view: copy it before the next push onto this list)."""
@@ -119,6 +130,23 @@ class _DomainPool:
 
     def aligned_remaining(self) -> int:
         return self._block_end - self._carve_seg_end
+
+    def state(self) -> dict:
+        """Block size, carving cursors and free lists (thread-keyed)."""
+        return {
+            "next_block_bytes": self.next_block_bytes,
+            "carve": [self._carve_addr, self._carve_seg_end, self._block_end],
+            "central": self.central.array(),
+            "private": {str(t): p.array() for t, p in self.private.items()},
+        }
+
+    def load_state(self, state: dict) -> None:
+        self.next_block_bytes = int(state["next_block_bytes"])
+        self._carve_addr, self._carve_seg_end, self._block_end = (
+            int(x) for x in state["carve"])
+        self.central = _Stack.of(state["central"])
+        self.private = {int(t): _Stack.of(a)
+                        for t, a in state["private"].items()}
 
     def private_list(self, thread: int) -> _Stack:
         """Thread ``thread``'s private free list (created empty)."""
@@ -168,6 +196,17 @@ class NumaPoolAllocator(Allocator):
     def central_migrations(self) -> int:
         """Bulk moves between private and central free lists so far."""
         return self.stats.central_migrations
+
+    def state(self) -> dict:
+        return {**super().state(),
+                "domains": [pool.state() for pool in self._domains]}
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        if len(state["domains"]) != len(self._domains):
+            raise ValueError("allocator state has another domain count")
+        for pool, saved in zip(self._domains, state["domains"]):
+            pool.load_state(saved)
 
     # ------------------------------------------------------------------ #
 
@@ -310,6 +349,16 @@ class PoolAllocatorSet(Allocator):
                 aligned_pages_shift=self.aligned_pages_shift,
             )
         return self._pools[size]
+
+    def state(self) -> dict:
+        return {**super().state(),
+                "pools": {str(size): p.state() for size, p in self._pools.items()}}
+
+    def load_state(self, state: dict) -> None:
+        super().load_state(state)
+        self._pools = {}
+        for size, saved in state["pools"].items():
+            self._pool(int(size)).load_state(saved)
 
     def allocate(self, size: int, domain: int = 0, thread: int = 0) -> int:
         return self._pool(size).allocate(size, domain, thread)

@@ -19,12 +19,13 @@ Eviction
 --------
 At most ``max_resident`` sessions keep live simulation state.  Creating
 or resuming past the cap checkpoints the least-recently-used idle
-resident session to the spool directory (checkpoint format v3, with the
-session's rebuild spec as ``extra_meta``) and frees its worker memory,
-in one ``evict`` round trip.  Touching an evicted session transparently
-resumes it — rebuild from spec, restore checkpoint — and the persisted
-RNG state makes the continuation bitwise-identical to never having been
-evicted (up to the ``addr`` column, which restarts with the allocator).
+resident session to the spool directory (checkpoint format v4, with the
+session's spec as ``extra_meta``) and frees its worker memory, in one
+``evict`` round trip.  Touching an evicted session transparently resumes
+it — the spec's model shell, filled from the checkpoint, with no
+population code run — and the persisted RNG state and allocators make
+the continuation bitwise-identical to never having been evicted, every
+column included.
 Sessions running a background advance are never eviction victims; if
 every resident session is busy the cap is soft (the new session is
 admitted anyway).
@@ -170,7 +171,7 @@ class SessionPool:
         self._evictions = reg.counter("serve:evictions")
         self._resumes = reg.counter("serve:resume_count")
         #: Worker seconds in ``evict`` (checkpoint + close) and in the
-        #: two phases of a resume: the model rebuild and the restore.
+        #: two phases of a resume: the model shell and the restore.
         self._evict_s = reg.counter("serve:evict_seconds")
         self._resume_build_s = reg.counter("serve:resume_build_seconds")
         self._resume_load_s = reg.counter("serve:resume_load_seconds")

@@ -18,7 +18,7 @@ sessions reproduce direct runs exactly.
 Worker command set (host → inbox)::
 
     ("create",     sid, spec)                 build from the registry
-    ("restore",    sid, spec, ckpt_path)      rebuild + restore_checkpoint
+    ("restore",    sid, spec, ckpt_path)      model shell + restore_checkpoint
     ("step",       sid, steps, want_checksum)
     ("step_chunk", sid, max_steps)            one scheduling quantum
     ("run_to",     sid, tick, want_checksum)
@@ -29,16 +29,16 @@ Worker command set (host → inbox)::
     ("delete",     sid)
     ("stop",)
 
-``restore`` replies carry the seconds spent rebuilding the model
-(``build_s``) and loading the checkpoint (``load_s``); ``evict`` replies
-carry ``evict_s``.  A failed ``evict`` leaves the session hosted.
+``restore`` replies carry the seconds spent building the model shell
+(``build_s``) and loading the checkpoint into it (``load_s``); ``evict``
+replies carry ``evict_s``.  A failed ``evict`` leaves the session hosted.
 
 Replies (worker → its reply queue)::
 
     ("ok",  sid, payload_dict)
     ("err", sid, code, message)
 
-``spec`` is the session's rebuild recipe ``{"model", "agents", "seed",
+``spec`` is the session's recipe ``{"model", "agents", "seed",
 "params"}``; it is also stored as checkpoint ``extra_meta`` so *any*
 worker — or a restarted server — can resume an evicted session.
 """
@@ -72,8 +72,10 @@ class SessionSetupError(ValueError):
         self.code = code
 
 
-def build_session_sim(spec: dict):
-    """Build a hostable Simulation from a session spec.
+def build_session_sim(spec: dict, shell: bool = False):
+    """Build a hostable Simulation from a session spec: the populated
+    model, or with ``shell`` only its shell (no agents; what a restore
+    fills).
 
     Applies client param overrides on top of the model's
     ``default_param()``, then forces the hosting invariants: serial
@@ -104,9 +106,8 @@ def build_session_sim(spec: dict):
             execution_backend="serial",
             shared_storage=True,
         )
-        sim = bench.build(
-            int(spec["agents"]), param=param, seed=int(spec["seed"])
-        )
+        make = bench.shell if shell else bench.build
+        sim = make(int(spec["agents"]), param=param, seed=int(spec["seed"]))
     except (ParamError, TypeError, ValueError) as exc:
         raise SessionSetupError("unsupported_param", str(exc)) from None
     return sim
@@ -123,7 +124,7 @@ def _jsonable(value):
 
 class HostedSession:
     """One session living inside a worker: the Simulation plus its
-    rebuild spec."""
+    spec."""
 
     def __init__(self, sid: str, spec: dict, sim):
         self.sid = sid
@@ -137,20 +138,25 @@ class HostedSession:
     @classmethod
     def restore(cls, sid: str, spec: dict, ckpt_path: str
                 ) -> tuple["HostedSession", dict]:
-        """Rebuild from the spec, then overwrite state from the
-        checkpoint; returns the session and ``{build_s, load_s}``.
-        Building with the *same seed* re-attaches behaviors in the same
-        registration order, and the checkpoint's RNG state rewinds the
-        generator — the continuation is bitwise-identical to never having
-        been evicted (up to ``addr``, which restarts with the allocator)."""
+        """Fill the spec's model shell from a checkpoint this server wrote;
+        returns the session and ``{build_s, load_s}``.
+
+        The shell registers the spec's behaviors in the same order, and
+        the checkpoint carries every column, the allocators and the RNG
+        state: the continuation is bitwise-identical to never having been
+        evicted, and the population code never runs."""
         from repro.core.checkpoint import restore_checkpoint
 
         start = time.perf_counter()
-        session = cls.create(sid, spec)
+        sim = build_session_sim(spec, shell=True)
         built = time.perf_counter()
-        restore_checkpoint(session.sim, ckpt_path)
-        return session, {"build_s": built - start,
-                         "load_s": time.perf_counter() - built}
+        try:
+            restore_checkpoint(sim, ckpt_path)
+        except BaseException:
+            sim.close()
+            raise
+        return cls(sid, spec, sim), {"build_s": built - start,
+                                     "load_s": time.perf_counter() - built}
 
     # -- operations ----------------------------------------------------- #
 
@@ -214,7 +220,7 @@ class HostedSession:
         return out
 
     def checkpoint(self, path: str, extra_meta: dict | None) -> dict:
-        """Save a format-v3 checkpoint to ``path``; returns status."""
+        """Save a checkpoint to ``path``; returns status."""
         from repro.core.checkpoint import save_checkpoint
 
         save_checkpoint(self.sim, path, extra_meta=extra_meta)

@@ -5,8 +5,9 @@ agent-based simulation — cell proliferation, cell clustering,
 epidemiology, neuroscience, oncology — plus the Biocellion cell-sorting
 model used for the §6.5 comparison.  Each module exposes a
 :class:`BenchmarkSimulation` with Table-1 characteristics and a
-``build(num_agents, ...)`` factory; :mod:`repro.simulations.registry`
-collects them.
+``build(num_agents, ...)`` factory — its ``shell`` (the model without
+agents, what a checkpoint restore fills) plus ``populate``;
+:mod:`repro.simulations.registry` collects them.
 """
 
 from repro.simulations.base import BenchmarkSimulation, Characteristics

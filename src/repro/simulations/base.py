@@ -36,7 +36,6 @@ class BenchmarkSimulation(ABC):
     name: str = "benchmark"
     characteristics: Characteristics = Characteristics()
 
-    @abstractmethod
     def build(
         self,
         num_agents: int,
@@ -44,11 +43,36 @@ class BenchmarkSimulation(ABC):
         machine=None,
         seed: int = 0,
     ) -> Simulation:
-        """Create the initialized simulation.
+        """Create the initialized simulation: :meth:`shell`, then
+        :meth:`populate`.
 
         ``num_agents`` is the workload scale: the initial population for
         fixed-population models, or the population cap for growing ones.
         """
+        sim = self.shell(num_agents, param=param, machine=machine, seed=seed)
+        self.populate(sim, num_agents, seed=seed)
+        return sim
+
+    @abstractmethod
+    def shell(
+        self,
+        num_agents: int,
+        param: Param | None = None,
+        machine=None,
+        seed: int = 0,
+    ) -> Simulation:
+        """The model without its agents: the ``Param``, the columns, the
+        diffusion grids, the operations and the behaviors (registered in
+        the order that fixes their mask bits).
+
+        A checkpoint restore fills a shell: it never runs the population
+        code (``serve.session.HostedSession.restore``).
+        """
+
+    @abstractmethod
+    def populate(self, sim: Simulation, num_agents: int, seed: int = 0) -> None:
+        """Add the initial agents (and initial field values) to a
+        :meth:`shell`, attaching its registered behaviors."""
 
     def default_param(self) -> Param:
         """Fully optimized parameters, with the static-detection flag set

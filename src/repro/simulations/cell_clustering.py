@@ -30,18 +30,16 @@ class CellClustering(BenchmarkSimulation):
 
     MAX_RESOLUTION = 40
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
-        rng = np.random.default_rng(seed)
-
-        diameter = 10.0
+    @staticmethod
+    def _span(num_agents) -> float:
         # Dense random packing: cells are in contact, as in the paper's
         # clustering model (mechanics dominate; sorting helps strongly).
-        span = diameter * max(2.0, (num_agents ** (1 / 3)) * 1.1)
-        pos = rng.uniform(0, span, (num_agents, 3))
-        types = rng.integers(0, 2, num_agents)
+        return 10.0 * max(2.0, (num_agents ** (1 / 3)) * 1.1)
 
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
+        span = self._span(num_agents)
         resolution = int(round((num_agents * 27) ** (1 / 3)))
         resolution = int(np.clip(resolution, 8, self.MAX_RESOLUTION))
         for t in (0, 1):
@@ -54,17 +52,24 @@ class CellClustering(BenchmarkSimulation):
 
         sim.rm.register_column("cell_type", np.int8, (), 0)
         for t in (0, 1):
+            sim.register_behavior(Secretion(f"substance_{t}", amount=1.0))
+            sim.register_behavior(Chemotaxis(f"substance_{t}", speed=60.0))
+        return sim
+
+    def populate(self, sim, num_agents, seed=0) -> None:
+        rng = np.random.default_rng(seed)
+        span = self._span(num_agents)
+        pos = rng.uniform(0, span, (num_agents, 3))
+        types = rng.integers(0, 2, num_agents)
+        behaviors = [b for b, _bit in sim.behaviors]
+        for t in (0, 1):
             sel = types == t
             sim.add_cells(
                 pos[sel],
-                diameters=diameter,
-                behaviors=[
-                    Secretion(f"substance_{t}", amount=1.0),
-                    Chemotaxis(f"substance_{t}", speed=60.0),
-                ],
+                diameters=10.0,
+                behaviors=behaviors[2 * t:2 * t + 2],
                 cell_type=np.full(int(sel.sum()), t, dtype=np.int8),
             )
-        return sim
 
     @staticmethod
     def clustering_metric(sim) -> float:

@@ -35,11 +35,18 @@ class CellProliferation(BenchmarkSimulation):
         # of this model from 1.82x to 4.68x.
         self.random_init = random_init
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
-        rng = np.random.default_rng(seed)
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
+        sim.register_behavior(GrowDivide(
+            growth_rate=120.0,
+            division_diameter=14.0,
+            max_agents=num_agents,
+        ))
+        return sim
 
+    def populate(self, sim, num_agents, seed=0) -> None:
+        rng = np.random.default_rng(seed)
         diameter = 10.0
         initial = max(1, num_agents // 2)
         spacing = diameter * self.SPACING_FACTOR
@@ -52,15 +59,5 @@ class CellProliferation(BenchmarkSimulation):
             x, y, z = np.meshgrid(g, g, g, indexing="ij")
             pos = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)[:initial]
 
-        sim.add_cells(
-            pos,
-            diameters=diameter,
-            behaviors=[
-                GrowDivide(
-                    growth_rate=120.0,
-                    division_diameter=14.0,
-                    max_agents=num_agents,
-                )
-            ],
-        )
-        return sim
+        sim.add_cells(pos, diameters=diameter,
+                      behaviors=[b for b, _bit in sim.behaviors])

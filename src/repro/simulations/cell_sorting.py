@@ -69,28 +69,34 @@ class CellSorting(BenchmarkSimulation):
         paper_agents_millions=26.8,
     )
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def _radius(num_agents) -> float:
+        """Radius of the ball the cells start in."""
+        return 10.0 * max(1.0, (num_agents ** (1 / 3)) * 0.7)
 
-        diameter = 10.0
-        radius = diameter * max(1.0, (num_agents ** (1 / 3)) * 0.7)
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
+        radius = self._radius(num_agents)
+        sim.rm.register_column("cell_type", np.int8, (), 0)
+        # Small random motility lets cells escape local adhesion minima —
+        # without it differential-adhesion sorting freezes (as in the
+        # Biocellion model, which includes stochastic cell motion).
+        sim.register_behavior(RandomWalk(speed=15.0))
+        sim.register_behavior(Confinement(np.full(3, 1.5 * radius), radius))
+        sim.force = DifferentialAdhesionForce(sim)
+        return sim
+
+    def populate(self, sim, num_agents, seed=0) -> None:
+        rng = np.random.default_rng(seed)
+        radius = self._radius(num_agents)
         direction = rng.normal(size=(num_agents, 3))
         direction /= np.linalg.norm(direction, axis=1)[:, None]
         r = radius * rng.random(num_agents) ** (1 / 3)
         pos = 1.5 * radius + direction * r[:, None]
         types = rng.integers(0, 2, num_agents).astype(np.int8)
-
-        sim.rm.register_column("cell_type", np.int8, (), 0)
-        # Small random motility lets cells escape local adhesion minima —
-        # without it differential-adhesion sorting freezes (as in the
-        # Biocellion model, which includes stochastic cell motion).
-        sim.add_cells(pos, diameters=diameter, cell_type=types,
-                      behaviors=[RandomWalk(speed=15.0),
-                                 Confinement(np.full(3, 1.5 * radius), radius)])
-        sim.force = DifferentialAdhesionForce(sim)
-        return sim
+        sim.add_cells(pos, diameters=10.0, cell_type=types,
+                      behaviors=[b for b, _bit in sim.behaviors])
 
     @staticmethod
     def homotypic_fraction(sim) -> float:

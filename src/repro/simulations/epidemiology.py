@@ -31,38 +31,43 @@ class Epidemiology(BenchmarkSimulation):
     #: Fraction of agents packed into the dense city cluster.
     CITY_FRACTION = 0.6
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
-        sim.mechanics_enabled = False
-        rng = np.random.default_rng(seed)
+    #: Infection radius (the fixed neighbor radius), in µm.
+    INFECTION_RADIUS = 6.0
 
-        infection_radius = 6.0
-        sim.fixed_interaction_radius = infection_radius
+    @classmethod
+    def layout(cls, num_agents, rng) -> np.ndarray:
+        """The uneven city + countryside layout of ``num_agents`` agents."""
         # Wide, sparse world: several empty grid boxes per agent (the other
         # benchmarks are densely packed), giving the increased environment
         # update share the paper notes in §6.3.
-        span = infection_radius * max(4.0, (num_agents ** (1 / 3)) * 1.8)
-        n_city = int(num_agents * self.CITY_FRACTION)
+        span = cls.INFECTION_RADIUS * max(4.0, (num_agents ** (1 / 3)) * 1.8)
+        n_city = int(num_agents * cls.CITY_FRACTION)
         city_center = np.full(3, span / 4.0)
         city = city_center + rng.normal(scale=span / 10.0, size=(n_city, 3))
         country = rng.uniform(0, span, (num_agents - n_city, 3))
-        pos = np.clip(np.concatenate([city, country]), 0.0, span)
+        return np.clip(np.concatenate([city, country]), 0.0, span)
 
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
+        sim.mechanics_enabled = False
+        sim.fixed_interaction_radius = self.INFECTION_RADIUS
         sim.rm.register_column("state", np.int8, (), Infection.SUSCEPTIBLE)
-        idx = sim.add_cells(
-            pos,
-            diameters=2.0,
-            behaviors=[
-                RandomWalk(speed=infection_radius * 40.0),
-                Infection(probability=0.25),
-                Recovery(probability=0.03),
-            ],
-        )
+        for behavior in (
+            RandomWalk(speed=self.INFECTION_RADIUS * 40.0),
+            Infection(probability=0.25),
+            Recovery(probability=0.03),
+        ):
+            sim.register_behavior(behavior)
+        return sim
+
+    def populate(self, sim, num_agents, seed=0) -> None:
+        pos = self.layout(num_agents, np.random.default_rng(seed))
+        idx = sim.add_cells(pos, diameters=2.0,
+                            behaviors=[b for b, _bit in sim.behaviors])
         # Patient zero cohort in the city.
         seeds = max(1, num_agents // 500)
         sim.rm.data["state"][idx[:seeds]] = Infection.INFECTED
-        return sim
 
     @staticmethod
     def sir_counts(sim) -> tuple[int, int, int]:

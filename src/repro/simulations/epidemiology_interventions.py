@@ -67,40 +67,23 @@ class EpidemiologyInterventions(BenchmarkSimulation):
         # quiescent jumps.
         return super().default_param().with_(agent_sort_frequency=0)
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
         sim.mechanics_enabled = False
-        rng = np.random.default_rng(seed)
-
-        infection_radius = 6.0
-        sim.fixed_interaction_radius = infection_radius
-        # Same uneven city + countryside layout as the base benchmark
-        # (dense cluster → load imbalance), but nobody moves.
-        span = infection_radius * max(4.0, (num_agents ** (1 / 3)) * 1.8)
-        n_city = int(num_agents * Epidemiology.CITY_FRACTION)
-        city_center = np.full(3, span / 4.0)
-        city = city_center + rng.normal(scale=span / 10.0, size=(n_city, 3))
-        country = rng.uniform(0, span, (num_agents - n_city, 3))
-        pos = np.clip(np.concatenate([city, country]), 0.0, span)
-
+        sim.fixed_interaction_radius = Epidemiology.INFECTION_RADIUS
         sim.rm.register_column("state", np.int8, (), Infection.SUSCEPTIBLE)
-        infection = Infection(probability=0.3)
         # Interventions are ordered before Infection/Recovery so that
         # cases imported at tick t already transmit at tick t, matching
         # the every-tick dispatch order bit for bit.
-        sim.add_cells(
-            pos,
-            diameters=2.0,
-            behaviors=[
-                ImportCases(self.IMPORT_AT,
-                            cases=max(3, num_agents // 200)),
-                Lockdown(*self.LOCKDOWN, fraction=0.5),
-                Vaccination(self.VACCINATE_AT, fraction=0.4),
-                infection,
-                Recovery(probability=0.2),
-            ],
-        )
+        for behavior in (
+            ImportCases(self.IMPORT_AT, cases=max(3, num_agents // 200)),
+            Lockdown(*self.LOCKDOWN, fraction=0.5),
+            Vaccination(self.VACCINATE_AT, fraction=0.4),
+            Infection(probability=0.3),
+            Recovery(probability=0.2),
+        ):
+            sim.register_behavior(behavior)
         ts = TimeSeriesOperation(frequency=5)
         # count_nonzero: ~4x cheaper than a bool .sum() at 5e4 agents, and
         # these still run on every active tick's sample.
@@ -116,3 +99,10 @@ class EpidemiologyInterventions(BenchmarkSimulation):
         sim.add_operation(ts)
         sim.timeseries = ts
         return sim
+
+    def populate(self, sim, num_agents, seed=0) -> None:
+        # Same uneven city + countryside layout as the base benchmark
+        # (dense cluster → load imbalance), but nobody moves.
+        pos = Epidemiology.layout(num_agents, np.random.default_rng(seed))
+        sim.add_cells(pos, diameters=2.0,
+                      behaviors=[b for b, _bit in sim.behaviors])

@@ -36,34 +36,43 @@ class Neuroscience(BenchmarkSimulation):
     #: Final elements per neuron, used to derive the neuron count.
     ELEMENTS_PER_NEURON = 40
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
-        sim.fixed_interaction_radius = 5.0
-        rng = np.random.default_rng(seed)
-        register_neuro_columns(sim)
-
-        num_neurons = max(1, num_agents // self.ELEMENTS_PER_NEURON)
+    @classmethod
+    def _plate(cls, num_agents) -> tuple[int, int, float, float]:
+        """``(neurons, side, spacing, span)`` of the neuron plate."""
+        num_neurons = max(1, num_agents // cls.ELEMENTS_PER_NEURON)
         side = int(np.ceil(np.sqrt(num_neurons)))
         spacing = 30.0
-        span = max(spacing * side, 120.0)
+        return num_neurons, side, spacing, max(spacing * side, 120.0)
 
-        cue = sim.add_diffusion_grid(
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
+        sim.fixed_interaction_radius = 5.0
+        register_neuro_columns(sim)
+        span = self._plate(num_agents)[3]
+        sim.add_diffusion_grid(
             DiffusionGrid("guidance_cue", 16, 0.0, span,
                           diffusion_coefficient=span / 200.0, decay=0.0)
         )
-        # Attractive cue plane above the neuron plate.
-        top = np.linspace(0, 1, cue.resolution)
-        cue.concentration[:] = top[None, None, :]  # increases with z
-
-        ext = NeuriteExtension(
+        sim.register_behavior(NeuriteExtension(
             speed=80.0,
             max_segment_length=6.0,
             bifurcation_probability=0.03,
             max_branch_order=5,
             guidance_substance="guidance_cue",
             max_agents=num_agents,
-        )
+        ))
+        return sim
+
+    def populate(self, sim, num_agents, seed=0) -> None:
+        rng = np.random.default_rng(seed)
+        num_neurons, side, spacing, _span = self._plate(num_agents)
+        cue = sim.diffusion_grids["guidance_cue"]
+        # Attractive cue plane above the neuron plate.
+        top = np.linspace(0, 1, cue.resolution)
+        cue.concentration[:] = top[None, None, :]  # increases with z
+
+        ext = sim.behaviors[0][0]
         for k in range(num_neurons):
             gx, gy = divmod(k, side)
             center = np.array(
@@ -72,4 +81,3 @@ class Neuroscience(BenchmarkSimulation):
             center[:2] += rng.normal(scale=2.0, size=2)
             _, tips = add_neuron(sim, center, num_neurites=2, rng=rng)
             sim.attach_behavior(tips, ext)
-        return sim

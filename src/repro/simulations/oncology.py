@@ -29,11 +29,20 @@ class Oncology(BenchmarkSimulation):
         paper_agents_millions=10.0,
     )
 
-    def build(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
-        param = param or self.default_param()
-        sim = Simulation(self.name, param, machine=machine, seed=seed)
-        rng = np.random.default_rng(seed)
+    def shell(self, num_agents, param=None, machine=None, seed=0) -> Simulation:
+        sim = Simulation(self.name, param or self.default_param(),
+                         machine=machine, seed=seed)
+        for behavior in (
+            GrowDivide(growth_rate=80.0, division_diameter=14.0,
+                       max_agents=num_agents),
+            StochasticDeath(probability=0.002),
+            RandomWalk(speed=20.0),
+        ):
+            sim.register_behavior(behavior)
+        return sim
 
+    def populate(self, sim, num_agents, seed=0) -> None:
+        rng = np.random.default_rng(seed)
         diameter = 10.0
         initial = max(1, int(num_agents * 0.7))
         # Random points inside a ball (rejection-free: direction * r^(1/3)).
@@ -43,14 +52,5 @@ class Oncology(BenchmarkSimulation):
         r = radius * rng.random(initial) ** (1 / 3)
         pos = 1.5 * radius + direction * r[:, None]
 
-        sim.add_cells(
-            pos,
-            diameters=diameter,
-            behaviors=[
-                GrowDivide(growth_rate=80.0, division_diameter=14.0,
-                           max_agents=num_agents),
-                StochasticDeath(probability=0.002),
-                RandomWalk(speed=20.0),
-            ],
-        )
-        return sim
+        sim.add_cells(pos, diameters=diameter,
+                      behaviors=[b for b, _bit in sim.behaviors])

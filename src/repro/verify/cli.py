@@ -199,7 +199,11 @@ def run_verify(args) -> int:
         _section("event-scheduling equivalence")
         ok &= _run_leg("events")
     if not selected or args.serve:
+        from repro.verify.replay import LEGS
+
         _section("served-session equivalence")
-        ok &= _run_leg("serve", steps=args.steps)
+        # At least the leg's own steps: it evicts after the tick-10 sort.
+        ok &= _run_leg("serve",
+                       steps=max(args.steps, LEGS["serve"].steps))
     print("verify: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1

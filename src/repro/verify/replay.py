@@ -255,18 +255,20 @@ LEGS = {
         models=("cell_proliferation", "oncology", "cell_clustering"),
         steps=10,
     ),
-    # Wire protocol, forked workers, shm arenas and a checkpoint
-    # evict/resume round trip must all be invisible to the physics.  On
-    # two workers the eviction and the admission it makes room for run
+    # Wire protocol, forked workers, shm arenas and two checkpoint
+    # evict/resume round trips (``_EVICT_AT``: one before the tick-10
+    # sort, which moves every agent to freshly allocated payloads, one
+    # after it) must all be invisible to the physics, ``addr`` included.
+    # On two workers the eviction and the admission it makes room for run
     # side by side.
     "serve": Leg(
         "direct run vs served session",
         variants={"served": {}},
-        require={"serve:evictions": 1, "serve:resume_count": 1,
-                 "serve:overlapped_admissions": 1, "session:resumed": 1},
+        require={"serve:evictions": 2, "serve:resume_count": 2,
+                 "serve:overlapped_admissions": 1, "session:resumed": 2},
         every_cell=True, served=True, model_defaults=True,
         models=("cell_proliferation", "cell_clustering"),
-        num_agents=120, steps=6,
+        num_agents=120, steps=14,
     ),
 }
 
@@ -389,29 +391,39 @@ def _served(workers):
         pool.shutdown()
 
 
+#: Ticks at which the serve leg forces its session out to a checkpoint.
+_EVICT_AT = (4, 12)
+
+
 def _served_run(pool, client, model, num_agents, seed, steps) -> _Run:
-    """Step a served session one request at a time.  Before step 3 a
-    decoy session is created: with a one-slot pool that *forces* the
-    session under test out through checkpoint eviction, and its next step
-    must transparently resume it (on a worker the decoy's eviction does
-    not occupy, when the pool has two)."""
+    """Step a served session one request at a time.  At each tick of
+    ``_EVICT_AT`` a decoy session is admitted (created, then resumed):
+    with a one-slot pool that *forces* the session under test out through
+    checkpoint eviction, and its next step must transparently resume it
+    (on a worker the decoy's eviction does not occupy, when the pool has
+    two).  ``session:resumed`` counts the resumed steps."""
     counters = ("serve:evictions", "serve:resume_count",
                 "serve:overlapped_admissions")
     before = pool.obs.registry.snapshot()
     handle = client.create_session(model, agents=num_agents, seed=seed)
     trace = [handle.step(0, checksum=True).checksum]
-    resumed = False
+    resumed = 0
+    decoy = None
     for k in range(steps):
-        if k == min(3, steps - 1):
-            decoy = client.create_session(model, agents=32, seed=9999)
+        if k in _EVICT_AT:
+            if decoy is None:
+                decoy = client.create_session(model, agents=32, seed=9999)
+            else:
+                decoy.resume()
         reply = handle.step(1, checksum=True)
-        resumed |= reply.resumed
+        resumed += reply.resumed
         trace.append(reply.checksum)
-    decoy.delete()
+    if decoy is not None:
+        decoy.delete()
     handle.delete()
     after = pool.obs.registry.snapshot()
     metrics = {c: after.get(c, 0) - before.get(c, 0) for c in counters}
-    metrics["session:resumed"] = int(resumed)
+    metrics["session:resumed"] = resumed
     return _Run(trace, metrics)
 
 

@@ -1,9 +1,9 @@
-"""Frozen writers of the retired checkpoint layouts (v1 and v2).
+"""Frozen writers of the retired checkpoint layouts (v1, v2 and v3).
 
 ``repro.core.checkpoint`` only reads these formats now; the tests use
-these copies of the old writers to produce v1/v2 files from a live
-simulation.  (``tests/data`` holds one file of each, written by the real
-retired writers, for the golden-trace restores.)
+these copies of the old writers to produce v1/v2/v3 files from a live
+simulation.  (``tests/data`` holds one v1 and one v2 file, written by the
+real retired writers, for the golden-trace restores.)
 """
 
 import json
@@ -28,6 +28,33 @@ def _scalars(sim, version, extra_meta):
     for gname, grid in sim.diffusion_grids.items():
         payload[f"grid__{gname}"] = grid.concentration
     return payload
+
+
+def save_v3(sim, path, extra_meta=None):
+    """The format-v3 writer: one JSON ``__meta__`` member, the arena
+    block and the grids -- no allocator state, no warm hints."""
+    rm = sim.rm
+    soa = rm.soa
+    meta = {
+        "format": 3,
+        "n": int(rm.n),
+        "next_uid": int(rm._next_uid),
+        "iteration": int(sim.scheduler.iteration),
+        "time": float(sim.time),
+        "domain_starts": rm.domain_starts.tolist(),
+        "columns": list(rm.data),
+        "rng": sim.random.get_state(),
+        "arena": soa.layout_meta(),
+        "extra": {} if extra_meta is None else extra_meta,
+    }
+    payload = {
+        "__format__": np.array([3]),
+        "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        "arena__block": np.asarray(soa.block[: soa.nbytes]),
+    }
+    for gname, grid in sim.diffusion_grids.items():
+        payload[f"grid__{gname}"] = grid.concentration
+    np.savez(path, **payload)
 
 
 def save_v2(sim, path, extra_meta=None):

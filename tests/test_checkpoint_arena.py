@@ -3,8 +3,8 @@
 A run saved mid-flight and restored — through the single-copy arena
 adopt or the per-column placement funnel, and under the shared-memory
 process backend — must continue producing bitwise-identical per-step
-state checksums to the uninterrupted run, whatever format (v3, or the
-retired v2 / v1 layouts) the file was written in.  (The files written by
+state checksums to the uninterrupted run, whatever format (v4, or the
+retired v3 / v2 / v1 layouts) the file was written in.  (The files written by
 the retired writers themselves are covered by
 ``tests/test_golden_traces.py``.)
 """
@@ -19,7 +19,7 @@ from repro.core.checkpoint import (
 )
 from repro.simulations import get_simulation
 from repro.verify.snapshot import state_checksum
-from tests.checkpoint_legacy import save_v1, save_v2
+from tests.checkpoint_legacy import save_v1, save_v2, save_v3
 
 MODEL = "cell_proliferation"
 AGENTS = 120
@@ -42,7 +42,7 @@ def _continuous_trace(bench, param, seed):
     return trace
 
 
-_WRITERS = {3: save_checkpoint, 2: save_v2, 1: save_v1}
+_WRITERS = {4: save_checkpoint, 3: save_v3, 2: save_v2, 1: save_v1}
 
 
 def _round_trip(tmp_path, save_shared, fmt):
@@ -77,7 +77,7 @@ def test_round_trip_continues_bitwise(tmp_path, save_shared, per_column_file):
     layout — the placement funnel: the continuation is bitwise identical
     either way."""
     got, ref, adopts = _round_trip(tmp_path, save_shared,
-                                   1 if per_column_file else 3)
+                                   1 if per_column_file else 4)
     assert got == ref
     # The single-copy fast path engages exactly when the file holds an
     # arena block; per-column files take the placement funnel.
@@ -105,7 +105,7 @@ def test_v3_restore_reads_meta_and_block_once(tmp_path, monkeypatch):
     path = tmp_path / "v3.npz"
     with bench.build(AGENTS, param=_param(bench), seed=7) as sim:
         sim.simulate(PRE_STEPS)
-        save_checkpoint(sim, path)
+        save_v3(sim, path)
         ref = state_checksum(sim)
 
     reads = []
@@ -122,6 +122,27 @@ def test_v3_restore_reads_meta_and_block_once(tmp_path, monkeypatch):
     reads.clear()
     read_checkpoint_meta(path)
     assert reads == ["__meta__"]
+
+
+def test_v4_restore_reads_each_member_once(tmp_path, monkeypatch):
+    """A v4 restore adds one read to v3's: the allocators' free lists."""
+    from repro.core import checkpoint
+
+    bench = get_simulation(MODEL)
+    path = tmp_path / "v4.npz"
+    with bench.build(AGENTS, param=_param(bench), seed=7) as sim:
+        sim.simulate(PRE_STEPS)
+        save_checkpoint(sim, path)
+        ref = state_checksum(sim)
+
+    reads = []
+    direct = checkpoint._read_member
+    monkeypatch.setattr(checkpoint, "_read_member", lambda data, name: (
+        reads.append(name), direct(data, name))[1])
+    with bench.shell(AGENTS, param=_param(bench), seed=99) as sim2:
+        restore_checkpoint(sim2, path)
+        assert state_checksum(sim2) == ref
+    assert sorted(reads) == ["__meta__", "allocator__lists", "arena__block"]
 
 
 def test_round_trip_under_process_backend(tmp_path):

@@ -13,7 +13,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.verify.snapshot import state_checksum
-from tests.checkpoint_legacy import save_v1, save_v2
+from tests.checkpoint_legacy import save_v1, save_v2, save_v3
 
 
 def build_sim(seed=0, with_grid=True, extra_column=False):
@@ -80,6 +80,7 @@ class TestRoundtrip:
 
 class TestFormatV3:
     def test_round_trip_continues_bitwise(self, tmp_path):
+        """A file from the retired v3 writer still continues bitwise."""
         ref = build_sim()
         ref.simulate(6)
         expected = []
@@ -89,7 +90,8 @@ class TestFormatV3:
 
         sim = build_sim()
         sim.simulate(6)
-        path = save_checkpoint(sim, tmp_path / "state.npz")
+        path = tmp_path / "state.npz"
+        save_v3(sim, path)
         assert read_checkpoint_meta(path)["format"] == 3
         fresh = build_sim(seed=1)
         restore_checkpoint(fresh, path)
@@ -101,11 +103,18 @@ class TestFormatV3:
 
     def test_members(self, tmp_path):
         """Three kinds of member: the version, one JSON document, and the
-        arrays (the arena block and one per diffusion grid)."""
-        path = save_checkpoint(build_sim(), tmp_path / "state.npz")
-        with np.load(path) as data:
+        arrays (the arena block and one per diffusion grid).  v4 adds one
+        array, the allocators' free lists."""
+        sim = build_sim()
+        save_v3(sim, tmp_path / "v3.npz")
+        path = save_checkpoint(sim, tmp_path / "state.npz")
+        with np.load(tmp_path / "v3.npz") as data:
             assert sorted(data.files) == [
                 "__format__", "__meta__", "arena__block", "grid__oxygen"]
+        with np.load(path) as data:
+            assert sorted(data.files) == [
+                "__format__", "__meta__", "allocator__lists", "arena__block",
+                "grid__oxygen"]
 
     def test_npz_suffix_appended(self, tmp_path):
         path = save_checkpoint(build_sim(), tmp_path / "state")
@@ -147,7 +156,37 @@ class TestFormatV3:
         np.testing.assert_array_equal(fresh.rm.positions, state_a[1])
 
 
-_WRITERS = {3: save_checkpoint, 2: save_v2, 1: save_v1}
+class TestFormatV4:
+    def test_restore_into_an_empty_simulation_continues_bitwise(self, tmp_path):
+        """The allocators travel with the state: a simulation with the
+        model's grid and behavior but no agent continues exactly like
+        the saving one, ``addr`` included, through many divisions."""
+        ref = build_sim()
+        ref.simulate(6)
+        path = save_checkpoint(ref, tmp_path / "state.npz")
+        shell = Simulation("ckpt-test",
+                           Param.optimized(agent_sort_frequency=0), seed=5)
+        shell.add_diffusion_grid(DiffusionGrid("oxygen", 8, 0.0, 64.0))
+        shell.register_behavior(GrowDivide(
+            growth_rate=30.0, division_diameter=12.0, max_agents=200))
+        restore_checkpoint(shell, path)
+        n = ref.num_agents
+        ref.simulate(8)
+        shell.simulate(8)
+        assert ref.num_agents > n
+        assert state_checksum(shell) == state_checksum(ref)
+        assert (shell.agent_allocator.reserved_bytes
+                == ref.agent_allocator.reserved_bytes)
+
+    def test_allocator_kinds_must_match(self, tmp_path):
+        path = save_checkpoint(build_sim(), tmp_path / "state.npz")
+        target = Simulation("other", Param(agent_allocator="jemalloc"))
+        with pytest.raises(ValueError, match="allocators"):
+            restore_checkpoint(target, path)
+        assert target.num_agents == 0
+
+
+_WRITERS = {4: save_checkpoint, 3: save_v3, 2: save_v2, 1: save_v1}
 
 
 @pytest.mark.parametrize("extra", [None, {"model": "m", "seed": 3}])
@@ -188,11 +227,11 @@ class TestValidation:
         with np.load(path) as data:
             payload = {k: data[k] for k in data.files}
         meta = json.loads(payload["__meta__"].tobytes())
-        meta["format"] = 4
+        meta["format"] = 5
         payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
                                             dtype=np.uint8)
         np.savez(path, **payload)
-        with pytest.raises(ValueError, match="unsupported checkpoint format 4"):
+        with pytest.raises(ValueError, match="unsupported checkpoint format 5"):
             restore_checkpoint(build_sim(), path)
 
     def test_unknown_grid_rejected(self, tmp_path):

@@ -247,3 +247,81 @@ class TestBaselines:
         assert make_allocator("jemalloc").name == "jemalloc"
         with pytest.raises(ValueError):
             make_allocator("tcmalloc")  # deadlocked in the paper, not modeled
+
+
+def _churn(allocator, rng, rounds, live):
+    """``rounds`` random bulk and single allocations and frees over two
+    sizes, every domain and two threads; ``live`` maps ``(size, domain)``
+    to the addresses held.  Returns every address handed out, in order."""
+    out = []
+    domains = allocator.space.num_domains
+    for _ in range(rounds):
+        size = int(rng.choice([56, 136]))
+        d, t = int(rng.integers(domains)), int(rng.integers(2))
+        held = live.setdefault((size, d), [])
+        if held and rng.random() < 0.4:
+            k = int(rng.integers(1, len(held) + 1))
+            freed, held[:] = held[-k:], held[:-k]
+            if rng.random() < 0.5:
+                allocator.free_many(freed, size, domain=d, thread=t)
+            else:
+                for a in freed:
+                    allocator.free(a, size, domain=d, thread=t)
+        else:
+            got = [int(a) for a in allocator.allocate_many(
+                size, int(rng.integers(1, 40)), domain=d, thread=t)]
+            got.append(allocator.allocate(size, domain=d, thread=t))
+            held.extend(got)
+            out.extend(got)
+    return out
+
+
+class TestAllocatorState:
+    """``state`` / ``load_state``: what a checkpoint carries so that a
+    restored simulation's ``addr`` column continues exactly."""
+
+    @pytest.mark.parametrize("kind", ["bdm", "ptmalloc2", "jemalloc"])
+    def test_loaded_state_continues_the_address_sequence(self, kind):
+        import copy
+        import json
+
+        from repro.core.checkpoint import _LIST, _encoder
+
+        space = AddressSpace(2)
+        saved = make_allocator(kind, 2, address_space=space)
+        live = {}
+        _churn(saved, np.random.default_rng(0), 300, live)
+        # JSON scalars plus int64 arrays, nothing else: the checkpoint's
+        # encoding of it.
+        lists = []
+        document = json.dumps(saved.state(), default=_encoder(lists))
+        assert lists and all(a.dtype == np.int64 for a in lists)
+        flat = np.concatenate(lists)
+        state = json.loads(document, object_hook=lambda obj: (
+            flat[slice(*obj[_LIST])] if _LIST in obj else obj))
+
+        space2 = AddressSpace(2)
+        space2.load_state(json.loads(json.dumps(space.state())))
+        loaded = make_allocator(kind, 2, address_space=space2)
+        loaded.load_state(state)
+        assert loaded.reserved_bytes == saved.reserved_bytes
+        assert loaded.allocations == saved.allocations
+
+        live2 = copy.deepcopy(live)
+        want = _churn(saved, np.random.default_rng(1), 300, live)
+        got = _churn(loaded, np.random.default_rng(1), 300, live2)
+        assert got == want
+        assert space2.state() == space.state()
+        assert (loaded.live_bytes, loaded.frees) == (saved.live_bytes,
+                                                     saved.frees)
+
+    def test_kind_and_domains_must_match(self):
+        bdm = make_allocator("bdm", 1)
+        with pytest.raises(ValueError, match="ptmalloc2"):
+            bdm.load_state(make_allocator("ptmalloc2", 1).state())
+        two = make_allocator("bdm", 2)
+        two.allocate(64, domain=1)
+        with pytest.raises(ValueError, match="domain"):
+            bdm.load_state(two.state())
+        with pytest.raises(ValueError, match="domains"):
+            AddressSpace(1).load_state(AddressSpace(2).state())
