@@ -5,7 +5,8 @@ arena (:mod:`repro.parallel.shm`) once and then executes *phases*: the
 host partitions the agent range into domain-major chunks, loads them into
 the two-level stealing queues (:mod:`repro.parallel.steal`), broadcasts a
 tiny phase message (arena layout + array shapes + kernel name + pickled
-scalar args — never agent data), and waits for one acknowledgment per
+scalar args — never agent data) down each worker's pipe
+(:mod:`repro.parallel.workers`), and waits for one acknowledgment per
 worker.  Workers drain their own queue front-to-back, then steal — same
 NUMA domain first, then cross-domain (paper Fig. 2 steps 4–5).
 
@@ -23,9 +24,7 @@ the host in fixed chunk order.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import queue as queue_mod
 import time
 import traceback
 
@@ -35,17 +34,14 @@ from repro.core.force import ForceResult
 from repro.kernels.dispatch import worker_kernels
 from repro.parallel.backend import ExecutionBackend
 from repro.parallel.shm import COLUMN_PREFIX, SOA_BLOCK, WorkerArena
-from repro.parallel.steal import StealQueues
+from repro.parallel.steal import DEFAULT_CAPACITY, StealQueues
+from repro.parallel.workers import CONTEXT, WorkerLost, WorkerTeam
 
 __all__ = ["ProcessBackend", "BackendError"]
 
-#: Seconds the host waits for any single worker acknowledgment before
-#: declaring the pool dead (a worker crash would otherwise hang the step).
-ACK_TIMEOUT_S = 120.0
-
 
 class BackendError(RuntimeError):
-    """A worker failed, died, or the pool lost synchronization."""
+    """A worker failed, died or hung; the pool stays dead after it."""
 
 
 # --------------------------------------------------------------------- #
@@ -109,7 +105,7 @@ KERNELS = {
 }
 
 
-def worker_main(worker_id, inbox, ack, queues):
+def worker_main(worker_id, conn, queues):
     """Worker loop: wait for a phase, drain/steal chunks, acknowledge.
 
     When the phase message carries ``trace=True``, the worker records
@@ -121,10 +117,10 @@ def worker_main(worker_id, inbox, ack, queues):
     arena = WorkerArena()
     queues.attach()
     while True:
-        msg = inbox.get()
+        msg = conn.recv()
         if msg[0] == "stop":
             break
-        _, gen, layout, shapes, kernel, args, trace = msg
+        _, layout, shapes, kernel, args, trace = msg
         done = same_steals = cross_steals = 0
         error = None
         events = [] if trace else None
@@ -183,8 +179,8 @@ def worker_main(worker_id, inbox, ack, queues):
         # kernel:worker_calls counter honest (anti-vacuous equivalence).
         kinfo = ((kb.name, kb.calls - kb_calls_before)
                  if kb is not None else None)
-        ack.put((worker_id, gen, done, same_steals, cross_steals, error,
-                 events, kinfo))
+        conn.send((worker_id, done, same_steals, cross_steals, error, events,
+                   kinfo))
     arena.close()
 
 
@@ -215,16 +211,8 @@ class ProcessBackend(ExecutionBackend):
         #: per domain, mirroring Machine.thread_domains.
         self.worker_domains = [w % self.num_domains
                                for w in range(self.num_workers)]
-        # fork shares the parent's module state (fast start, no re-import);
-        # spawn is the portable fallback.
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(method)
-        self._procs = []
-        self._inboxes = []
-        self._ack = None
+        self._team = None
         self._queues = None
-        self._gen = 0
-        self._started = False
         self._dead = False
         #: (id(indptr), id(indices), arena.layout_version) of the CSR copy
         #: currently in the arena; lets repeat steps over an unchanged CSR
@@ -246,53 +234,24 @@ class ProcessBackend(ExecutionBackend):
     # -- pool lifecycle ------------------------------------------------- #
 
     def _start(self) -> None:
-        if mp.current_process().daemon:
-            # Daemonic processes (serve-pool workers, this backend's own
-            # workers) may not have children; mp.Process.start() would raise
-            # an opaque AssertionError deep in _bootstrap.  Fail with an
-            # actionable message instead — sessions hosted inside a worker
-            # must run execution_backend='serial'.
-            raise BackendError(
-                "process backend cannot start inside a daemonic process "
-                "(e.g. a serve-pool worker); use execution_backend='serial'"
-            )
-        ctx = self._ctx
-        self._queues = StealQueues(ctx, self.worker_domains)
-        self._ack = ctx.Queue()
-        for w in range(self.num_workers):
-            inbox = ctx.SimpleQueue()
-            proc = ctx.Process(
-                target=worker_main,
-                args=(w, inbox, self._ack, self._queues),
-                daemon=True,
-                name=f"repro-shm-worker-{w}",
-            )
-            proc.start()
-            self._inboxes.append(inbox)
-            self._procs.append(proc)
-        self._started = True
+        if self._queues is None:
+            self._queues = StealQueues(CONTEXT, self.worker_domains)
+        self._team = WorkerTeam(worker_main, self.num_workers,
+                                "repro-shm-worker", args=(self._queues,))
 
     def shutdown(self) -> None:
-        if self._started:
-            for inbox in self._inboxes:
-                try:
-                    inbox.put(("stop",))
-                except (OSError, ValueError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1)
-            self._procs = []
-            self._inboxes = []
-            self._started = False
+        if self._team is not None:
+            self._team.close()
+            self._team = None
         if self._queues is not None:
             self._queues.destroy()
             self._queues = None
-        if self._ack is not None:
-            self._ack.close()
-            self._ack = None
+
+    def _fail(self, message: str):
+        """Mark the pool dead, shut it down and raise ``message``."""
+        self._dead = True
+        self.shutdown()
+        raise BackendError(message)
 
     def stats(self) -> dict:
         """Pool tallies (a view over the ``backend:*`` counters)."""
@@ -319,17 +278,11 @@ class ProcessBackend(ExecutionBackend):
             # Respect queue capacity even for enormous populations.
             step = max(
                 self.chunk_size,
-                -(-seg // (workers_here * (self._queue_capacity() - 1))),
+                -(-seg // (workers_here * (DEFAULT_CAPACITY - 1))),
             )
             for s in range(lo, hi, step):
                 rows.append((s, min(s + step, hi), d))
         return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-
-    def _queue_capacity(self) -> int:
-        from repro.parallel.steal import DEFAULT_CAPACITY
-
-        return (self._queues.capacity if self._queues is not None
-                else DEFAULT_CAPACITY)
 
     def _distribute(self, chunks: np.ndarray) -> list[list[int]]:
         """Round-robin each domain's chunks over that domain's workers."""
@@ -360,35 +313,22 @@ class ProcessBackend(ExecutionBackend):
         if self._dead:
             raise BackendError("process backend is dead after an earlier "
                                "failure; rebuild the simulation")
-        if not self._started:
+        if self._team is None:
             self._start()
-        self._gen += 1
         self._queues.fill(per_worker)
         tracer = self.sim.obs.tracer
         trace = tracer.enabled
-        message = ("phase", self._gen, self.sim.rm.arena.layout(), shapes,
-                   kernel, args, trace)
+        message = ("phase", self.sim.rm.arena.layout(), shapes, kernel, args,
+                   trace)
+        legs = [(w, message) for w in range(self.num_workers)]
         with tracer.span(f"phase:{kernel}", cat="backend", chunks=num_chunks):
-            for inbox in self._inboxes:
-                inbox.put(message)
             done = 0
             errors = []
-            for _ in range(self.num_workers):
-                try:
-                    (wid, gen, d, same, cross, error, events,
-                     kinfo) = self._ack.get(timeout=ACK_TIMEOUT_S)
-                except queue_mod.Empty:
-                    self._dead = True
-                    self.shutdown()
-                    raise BackendError(
-                        "worker did not acknowledge the phase (crashed or hung)"
-                    ) from None
-                if gen != self._gen:
-                    self._dead = True
-                    self.shutdown()
-                    raise BackendError(
-                        f"pool out of sync: expected phase {self._gen}, got {gen}"
-                    )
+            for _i, ack in self._team.exchange(legs):
+                if isinstance(ack, WorkerLost):
+                    # Survivors may wait on a lock it held: stop now.
+                    self._fail(f"{ack}; rebuild the simulation")
+                wid, d, same, cross, error, events, kinfo = ack
                 done += d
                 self._steals_same.inc(same)
                 self._steals_cross.inc(cross)
@@ -402,16 +342,9 @@ class ProcessBackend(ExecutionBackend):
                 if error is not None:
                     errors.append(f"worker {wid}:\n{error}")
         if errors:
-            self._dead = True
-            self.shutdown()
-            raise BackendError("kernel failed in worker(s):\n"
-                               + "\n".join(errors))
+            self._fail("kernel failed in worker(s):\n" + "\n".join(errors))
         if done != num_chunks:
-            self._dead = True
-            self.shutdown()
-            raise BackendError(
-                f"phase executed {done} of {num_chunks} chunks"
-            )
+            self._fail(f"phase executed {done} of {num_chunks} chunks")
         self._phases.inc()
         self._chunks.inc(num_chunks)
 

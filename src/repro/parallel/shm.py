@@ -72,6 +72,20 @@ def attach_block(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original
 
 
+def own_resource_tracker() -> None:
+    """Give this worker process a resource tracker of its own.
+
+    A forked or spawned worker shares its parent's tracker, which unlinks
+    a dead client's segments only once the parent exits too.  Its own
+    tracker, started with its first segment, unlinks them as soon as the
+    worker dies.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._fd = None
+    resource_tracker._resource_tracker._pid = None
+
+
 @dataclass
 class _Block:
     shm: shared_memory.SharedMemory

@@ -8,8 +8,9 @@ out, never an exception (errors become :class:`SessionError` frames).
 
 Execution model
 ---------------
-A warm pool of persistent forked daemon workers
-(:func:`repro.serve.session.serve_worker_main`) hosts the simulations;
+A warm pool of persistent daemon workers
+(:func:`repro.serve.session.serve_worker_main`, started and reached
+through :class:`repro.parallel.workers.WorkerTeam`) hosts the simulations;
 each session has **worker affinity** — its Simulation object lives in
 exactly one worker — so a session's commands are serialized by that
 worker's command lock while different tenants proceed in parallel on
@@ -34,11 +35,14 @@ Admission (:meth:`SessionPool._admit`) overlaps the evictions with the
 create or restore they make room for: the incoming session goes to a
 worker hosting no victim when there is one, and every command is sent
 before any reply is awaited.
+
+A worker that dies (or hangs) is lost for good: its sessions answer
+``internal``, naming it and its exit code, and never resume an older
+spool, which would roll them back.  New sessions go to live workers.
 """
 
 from __future__ import annotations
 
-import queue
 import shutil
 import tempfile
 import threading
@@ -46,18 +50,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import multiprocessing as mp
-
 import numpy as np
 
 from repro.obs.core import Observability
+from repro.parallel.workers import WorkerLost, WorkerTeam
 from repro.serve import protocol as P
 from repro.serve.session import serve_worker_main
 
 __all__ = ["SessionPool", "StateView"]
-
-#: Seconds to wait for one worker command before declaring it dead.
-_CALL_TIMEOUT_S = 300.0
 
 #: The reply fields a session's cached status keeps.
 _STATUS_KEYS = ("iteration", "time", "n_agents")
@@ -68,7 +68,7 @@ _SID_OK = frozenset(
 
 
 class _WorkerError(RuntimeError):
-    """A worker replied ``("err", ...)``; carries the protocol code."""
+    """A worker command failed; carries the protocol code."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -77,9 +77,6 @@ class _WorkerError(RuntimeError):
 
 @dataclass
 class _Worker:
-    proc: object
-    inbox: object
-    replies: object
     #: Serializes commands on this worker (one outstanding at a time).
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Session ids currently resident here.
@@ -94,7 +91,6 @@ class _Session:
     resident: bool = False
     deleted: bool = False
     advancing: bool = False
-    ever_resumed: bool = False
     last_used: float = 0.0
     ckpt_path: str = ""
     #: Last known ``{iteration, time, n_agents}`` (kept fresh on every
@@ -188,34 +184,24 @@ class SessionPool:
         self._table_lock = threading.Lock()
         self._seq = 0
         self._closed = False
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        if method == "fork":
-            # Workers forked after the model registry is imported start
-            # warm: their first create builds a model, not the imports.
-            import repro.simulations.registry  # noqa: F401
-        ctx = mp.get_context(method)
-        self._workers: list[_Worker] = []
-        for w in range(int(workers)):
-            inbox = ctx.SimpleQueue()
-            replies = ctx.Queue()
-            proc = ctx.Process(
-                target=serve_worker_main,
-                args=(w, inbox, replies),
-                daemon=True,
-                name=f"repro-serve-worker-{w}",
-            )
-            proc.start()
-            self._workers.append(_Worker(proc, inbox, replies))
+        # Workers forked after the model registry is imported start warm:
+        # their first create builds a model, not the imports.
+        import repro.simulations.registry  # noqa: F401
+
+        self._team = WorkerTeam(serve_worker_main, int(workers),
+                                "repro-serve-worker")
+        self._workers = [_Worker() for _ in range(int(workers))]
 
     # -- worker RPC ----------------------------------------------------- #
 
     def _exchange(self, legs: list) -> list:
         """Send every ``(worker_id, msg)`` leg, then collect one reply per
-        leg, in order: its payload dict, or a :class:`_WorkerError`.
+        leg, in order: its payload dict, or a :class:`_WorkerError`
+        (``internal`` for a lost worker).
 
         Nothing is awaited before everything is sent, so legs on
         different workers run concurrently; legs on one worker queue in
-        its inbox in order.  Worker locks are taken in ascending worker
+        its pipe in order.  Worker locks are taken in ascending worker
         id and held from send to reply — and a one-leg exchange holds one
         — so two exchanges cannot deadlock.
         """
@@ -223,20 +209,16 @@ class SessionPool:
         for w in ids:
             self._workers[w].lock.acquire()
         try:
-            for w, msg in legs:
-                self._workers[w].inbox.put(msg)
-            return [self._reply(w) for w, _msg in legs]
+            out = [None] * len(legs)
+            for i, reply in self._team.exchange(legs):
+                if isinstance(reply, WorkerLost):
+                    reply = ("internal", str(reply))
+                out[i] = (reply if isinstance(reply, dict)
+                          else _WorkerError(*reply))
+            return out
         finally:
             for w in reversed(ids):
                 self._workers[w].lock.release()
-
-    def _reply(self, worker_id: int):
-        try:
-            status, _sid, *rest = self._workers[worker_id].replies.get(
-                timeout=_CALL_TIMEOUT_S)
-        except queue.Empty:
-            return _WorkerError("internal", f"worker {worker_id} did not reply")
-        return rest[0] if status == "ok" else _WorkerError(*rest)
 
     def _call(self, worker_id: int, msg: tuple) -> dict:
         (result,) = self._exchange([(worker_id, msg)])
@@ -288,6 +270,7 @@ class SessionPool:
                     s for s in self._sessions.values()
                     if s.resident and not s.deleted
                     and not s.advancing and s.sid != incoming
+                    and s.worker not in self._team.lost
                 ),
                 key=lambda s: s.last_used,
             )
@@ -304,14 +287,14 @@ class SessionPool:
         return victims
 
     def _place(self, victims: list) -> int:
-        """The least-loaded worker once ``victims`` are gone, preferring
-        one that hosts no victim, so the evictions and the incoming
-        command run side by side."""
+        """The least-loaded live worker once ``victims`` are gone,
+        preferring one that hosts no victim, so the evictions and the
+        incoming command run side by side."""
         hosts = {v.worker for v in victims}
         gone = {v.sid for v in victims}
         return min(
             range(len(self._workers)),
-            key=lambda w: (w in hosts,
+            key=lambda w: (w in self._team.lost, w in hosts,
                            len(self._workers[w].sessions - gone)),
         )
 
@@ -373,6 +356,9 @@ class SessionPool:
         """Resume ``rec`` if evicted/detached; returns True on resume.
         Caller holds ``rec.lock``."""
         if rec.resident:
+            lost = self._team.lost.get(rec.worker)
+            if lost is not None:
+                raise _WorkerError("internal", str(lost))
             return False
         if not rec.ckpt_path:
             raise _WorkerError(
@@ -381,7 +367,6 @@ class SessionPool:
         payload, error = self._admit(
             rec, ("restore", rec.sid, rec.spec, rec.ckpt_path))
         if payload is not None:
-            rec.ever_resumed = True
             self._resumes.inc()
             self._resume_build_s.inc(payload["build_s"])
             self._resume_load_s.inc(payload["load_s"])
@@ -456,7 +441,7 @@ class SessionPool:
             n_agents=int(payload["n_agents"]),
         )
 
-    def _step_common(self, sid: str, op: tuple, want_checksum: bool):
+    def _step_common(self, sid: str, op: tuple):
         rec = self._get(sid)
         with rec.lock:
             if rec.advancing:
@@ -487,14 +472,12 @@ class SessionPool:
         return self._step_common(
             req.session,
             ("step", req.session, int(req.steps), bool(req.checksum)),
-            req.checksum,
         )
 
     def _handle_run_to(self, req: P.RunToRequest):
         return self._step_common(
             req.session,
             ("run_to", req.session, int(req.tick), bool(req.checksum)),
-            req.checksum,
         )
 
     def _handle_advance(self, req: P.AdvanceRequest):
@@ -632,7 +615,8 @@ class SessionPool:
             rec.advancing = False
             rec.deleted = True
             if rec.resident:
-                self._call(rec.worker, ("delete", rec.sid))
+                if rec.worker not in self._team.lost:
+                    self._call(rec.worker, ("delete", rec.sid))
                 self._workers[rec.worker].sessions.discard(rec.sid)
                 rec.resident = False
             if rec.ckpt_path:
@@ -709,20 +693,7 @@ class SessionPool:
         with self._table_lock:
             for rec in self._sessions.values():
                 rec.advancing = False
-        for w in self._workers:
-            try:
-                w.inbox.put(("stop",))
-            except (OSError, ValueError):
-                pass
-        for w in self._workers:
-            w.proc.join(timeout=10)
-            if w.proc.is_alive():
-                w.proc.terminate()
-                w.proc.join(timeout=2)
-            try:
-                w.replies.close()
-            except (OSError, ValueError):
-                pass
+        self._team.close()
         self._workers = []
         if self._owns_spool:
             shutil.rmtree(self.spool_dir, ignore_errors=True)

@@ -26,6 +26,12 @@ __all__ = ["SessionServer", "ServerThread", "serve_forever"]
 #: Longest accepted frame; protects the server from unbounded lines.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
+#: Most bytes of an over-long frame read and dropped before the
+#: connection closes.  Closing with the rest of the line unread makes the
+#: kernel reset the connection, and the client's send fails before it
+#: can read the ``frame too long`` reply.
+DISCARD_BUDGET_BYTES = 4 * MAX_FRAME_BYTES
+
 
 class SessionServer:
     """Bind/serve lifecycle around one pool (owned by the caller)."""
@@ -70,11 +76,15 @@ class SessionServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF ends an unterminated last line
+                except asyncio.LimitOverrunError:
+                    # The line stays buffered: drop it, then close.
                     writer.write(P.encode(P.SessionError(
                         "protocol", "frame too long")))
                     await writer.drain()
+                    await _discard_line(reader)
                     break
                 if not line:
                     break
@@ -114,6 +124,17 @@ class SessionServer:
             )
         reply = await asyncio.to_thread(self.pool.handle, request)
         return reply, isinstance(request, P.ShutdownRequest)
+
+
+async def _discard_line(reader) -> None:
+    """Read and drop the rest of the current line (through its newline or
+    EOF), at most :data:`DISCARD_BUDGET_BYTES`."""
+    left = DISCARD_BUDGET_BYTES
+    while left > 0:
+        chunk = await reader.read(min(left, 64 * 1024))
+        if not chunk or b"\n" in chunk:
+            return
+        left -= len(chunk)
 
 
 class ServerThread:

@@ -4,8 +4,9 @@ A serve-pool worker is one persistent forked process (the same warm-pool
 shape as :mod:`repro.parallel.process_backend`, but hosting whole
 *simulations* instead of kernel chunks).  Each worker owns the
 :class:`~repro.core.simulation.Simulation` objects of the sessions
-assigned to it; the host talks to it over an inbox/reply queue pair with
-plain-tuple commands, one outstanding command per worker at a time.
+assigned to it; the host talks to it over one duplex pipe
+(:class:`repro.parallel.workers.WorkerTeam`) with plain-tuple commands,
+one outstanding command per worker at a time.
 
 Sessions are always built ``execution_backend="serial"`` — a worker is
 daemonic and may not fork grandchildren — with
@@ -15,7 +16,7 @@ diagnostic tool) can attach zero-copy by segment name
 (shm-serial is bitwise-identical to private-serial) is what makes served
 sessions reproduce direct runs exactly.
 
-Worker command set (host → inbox)::
+Worker command set (host → worker)::
 
     ("create",     sid, spec)                 build from the registry
     ("restore",    sid, spec, ckpt_path)      model shell + restore_checkpoint
@@ -33,10 +34,8 @@ Worker command set (host → inbox)::
 (``build_s``) and loading the checkpoint into it (``load_s``); ``evict``
 replies carry ``evict_s``.  A failed ``evict`` leaves the session hosted.
 
-Replies (worker → its reply queue)::
-
-    ("ok",  sid, payload_dict)
-    ("err", sid, code, message)
+Replies (worker → host), one per command but ``stop``: the payload
+dict, or ``(code, message)`` for a failed command.
 
 ``spec`` is the session's recipe ``{"model", "agents", "seed",
 "params"}``; it is also stored as checkpoint ``extra_meta`` so *any*
@@ -65,7 +64,8 @@ _FORCED_PARAMS = ("shared_storage",)
 
 
 class SessionSetupError(ValueError):
-    """A session spec cannot be built (unknown model, bad param)."""
+    """A session spec cannot be built (unknown model, bad param), or a
+    worker command is not one the worker knows."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -245,16 +245,26 @@ class HostedSession:
         self.sim.close()
 
 
-def serve_worker_main(worker_id: int, inbox, replies) -> None:
-    """Worker loop: execute commands until ``("stop",)``.
+#: Commands that call the :class:`HostedSession` method of the same name.
+_SESSION_OPS = frozenset(
+    ("step", "step_chunk", "run_to", "snapshot", "checkpoint", "layout"))
 
-    Every command gets exactly one reply.  Exceptions never kill the
-    loop: setup failures map to their protocol error code, anything else
-    to ``internal`` — the host turns both into ``SessionError`` frames.
+
+def serve_worker_main(worker_id: int, conn) -> None:
+    """Worker loop: answer each command on ``conn`` until ``("stop",)``.
+
+    Every command but ``stop`` gets exactly one reply.  Exceptions never
+    kill the loop: setup failures map to their protocol error code,
+    anything else to ``internal`` — the host turns both into
+    ``SessionError`` frames.
     """
+    from repro.parallel.shm import own_resource_tracker
+
+    # A killed worker's sessions must not outlive it in /dev/shm.
+    own_resource_tracker()
     sessions: dict[str, HostedSession] = {}
     while True:
-        msg = inbox.get()
+        msg = conn.recv()
         op = msg[0]
         if op == "stop":
             for session in sessions.values():
@@ -262,51 +272,36 @@ def serve_worker_main(worker_id: int, inbox, replies) -> None:
                     session.close()
                 except Exception:
                     pass
-            sessions.clear()
-            replies.put(("ok", "", {"worker": worker_id}))
             return
-        sid = msg[1]
+        sid, args = msg[1], msg[2:]
         try:
             if op == "create":
-                sessions[sid] = HostedSession.create(sid, msg[2])
-                replies.put(("ok", sid, sessions[sid].status()))
+                sessions[sid] = HostedSession.create(sid, *args)
+                payload = sessions[sid].status()
             elif op == "restore":
-                sessions[sid], phases = HostedSession.restore(
-                    sid, msg[2], msg[3])
-                replies.put(("ok", sid, {**sessions[sid].status(), **phases}))
-            elif op == "step":
-                replies.put(("ok", sid, sessions[sid].step(msg[2], msg[3])))
-            elif op == "step_chunk":
-                replies.put(("ok", sid, sessions[sid].step_chunk(msg[2])))
-            elif op == "run_to":
-                replies.put(("ok", sid, sessions[sid].run_to(msg[2], msg[3])))
-            elif op == "snapshot":
-                replies.put(("ok", sid, sessions[sid].snapshot(msg[2])))
-            elif op == "checkpoint":
-                replies.put(
-                    ("ok", sid, sessions[sid].checkpoint(msg[2], msg[3]))
-                )
+                sessions[sid], phases = HostedSession.restore(sid, *args)
+                payload = {**sessions[sid].status(), **phases}
             elif op == "evict":
                 start = time.perf_counter()
-                out = sessions[sid].checkpoint(msg[2], msg[3])
+                payload = sessions[sid].checkpoint(*args)
                 sessions.pop(sid).close()
-                out["evict_s"] = time.perf_counter() - start
-                replies.put(("ok", sid, out))
-            elif op == "layout":
-                replies.put(("ok", sid, sessions[sid].layout()))
+                payload["evict_s"] = time.perf_counter() - start
             elif op == "delete":
-                session = sessions.pop(sid, None)
-                if session is not None:
-                    session.close()
-                replies.put(("ok", sid, {}))
+                if sid in sessions:
+                    sessions.pop(sid).close()
+                payload = {}
+            elif op in _SESSION_OPS:
+                payload = getattr(sessions[sid], op)(*args)
             else:
-                replies.put(("err", sid, "invalid_request",
-                             f"unknown worker op {op!r}"))
+                raise SessionSetupError("invalid_request",
+                                        f"unknown worker op {op!r}")
+            reply = payload
         except SessionSetupError as exc:
-            replies.put(("err", sid, exc.code, str(exc)))
+            reply = (exc.code, str(exc))
         except KeyError:
-            replies.put(("err", sid, "unknown_session",
-                         f"worker {worker_id} does not host {sid!r}"))
+            reply = ("unknown_session",
+                     f"worker {worker_id} does not host {sid!r}")
         except Exception as exc:  # noqa: BLE001 - worker must survive
-            replies.put(("err", sid, "internal",
-                         f"{type(exc).__name__}: {exc}"))
+            reply = ("internal", f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
+

@@ -8,6 +8,9 @@ in the workers).
 """
 
 import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -239,6 +242,92 @@ class TestProcessBackend:
             n0 = sim.num_agents
             sim.simulate(6)
             assert sim.num_agents != n0
+
+
+class _Sabotage(AgentOperation):
+    """Vectorizable test operation whose kernel, inside a pool worker,
+    does ``mode``: nothing, SIGKILL its own process (on the first chunk)
+    or hang.  The op is pickled into every phase message, so setting
+    ``mode`` between steps reaches the workers."""
+
+    name = "sabotage"
+    vectorizable = True
+
+    def __init__(self):
+        super().__init__()
+        self.mode = ""
+        self.host = os.getpid()
+
+    def run_on(self, sim, idx):
+        pass
+
+    def kernel(self, columns, lo, hi):
+        if os.getpid() == self.host:
+            return
+        if self.mode == "kill" and lo == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if self.mode == "hang":
+            time.sleep(60)
+
+
+def _shm_segments():
+    return set(os.listdir("/dev/shm"))
+
+
+class TestWorkerDeath:
+    """A dead or hung pool worker is a ``BackendError`` naming it, at
+    once (or after the hang guard), and ``close()`` reaps the pool."""
+
+    def _sim(self):
+        sim = Simulation("death", Param(execution_backend="process",
+                                        backend_workers=2,
+                                        backend_chunk_size=16), seed=4)
+        rng = np.random.default_rng(4)
+        sim.add_cells(rng.uniform(0, 50, (120, 3)), diameters=8.0)
+        op = _Sabotage()
+        sim.add_operation(op)
+        sim.simulate(1)
+        return sim, op
+
+    def _fails_fast(self, sim, match, limit=2.0):
+        from repro.parallel.process_backend import BackendError
+
+        procs = list(sim.backend._team.procs)
+        start = time.monotonic()
+        with pytest.raises(BackendError, match=match):
+            sim.simulate(1)
+        assert time.monotonic() - start < limit
+        with pytest.raises(BackendError, match="rebuild the simulation"):
+            sim.simulate(1)
+        start = time.monotonic()
+        sim.close()
+        assert time.monotonic() - start < 2.0
+        assert all(p.exitcode is not None for p in procs)
+
+    def test_worker_killed_between_steps(self):
+        before = _shm_segments()
+        sim, _op = self._sim()
+        victim = sim.backend._team.procs[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(5)
+        self._fails_fast(sim, r"worker 1 died \(exit code -9\)")
+        assert _shm_segments() <= before
+
+    def test_worker_killed_mid_phase(self):
+        before = _shm_segments()
+        sim, op = self._sim()
+        op.mode = "kill"
+        self._fails_fast(sim, r"worker \d died \(exit code -9\)")
+        assert _shm_segments() <= before
+
+    def test_hung_worker_hits_the_guard(self, monkeypatch):
+        from repro.parallel import workers
+
+        sim, op = self._sim()
+        monkeypatch.setattr(workers, "HANG_TIMEOUT_S", 0.5)
+        op.mode = "hang"
+        self._fails_fast(sim, r"worker \d did not reply in 0.5 s",
+                         limit=0.5 + 2.0)
 
 
 @pytest.mark.parametrize("model", ["cell_proliferation", "oncology"])

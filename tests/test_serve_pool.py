@@ -241,7 +241,7 @@ def _evicted_continuation(workers, monkeypatch):
     checksum as never having been evicted (one seed; the full matrix
     lives in verify.replay.serve_equivalence).  The resume is one
     admission: the decoy's ``evict`` and the victim's ``restore`` are
-    sent together — queued in order in the one inbox of a one-worker
+    sent together — queued in order in the one pipe of a one-worker
     pool, and on two different workers otherwise."""
     with SessionPool(workers=1, max_resident=8) as p:
         ref = _create(p, agents=32, seed=5)

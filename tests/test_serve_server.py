@@ -159,6 +159,29 @@ def test_oversized_frame_is_rejected(server):
     assert reply["code"] == "protocol"
 
 
+def test_client_reset_mid_frame_leaves_the_server_serving(server, client):
+    """A client that sends half a frame and then resets the connection
+    (``SO_LINGER`` 0) costs nothing: the next client is answered at once
+    and the pool's sessions and workers are as they were."""
+    import struct
+    import time
+
+    pool = server.server.pool
+    sessions = client.sessions()
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10) as sock:
+        sock.sendall(b'{"type": "list_models", "proto_ver')
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+    start = time.monotonic()
+    with SessionClient.connect(port=server.port, timeout=2.0) as other:
+        assert MODEL in other.models()
+    assert time.monotonic() - start < 2.0
+    assert client.sessions() == sessions
+    assert not pool._team.lost
+    assert all(p.is_alive() for p in pool._team.procs)
+
+
 def test_in_process_and_socket_speak_the_same_protocol():
     """Same request sequence through both transports → same replies
     (modulo session ids), because both funnel into SessionPool.handle."""
