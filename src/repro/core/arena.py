@@ -31,6 +31,7 @@ processes attach the whole agent state with one ``mmap``.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -131,19 +132,26 @@ class SoAArena:
                           offset=self.offsets[name])
 
     def add_column(self, name, dtype, row_shape=(), live_rows: int = 0) -> None:
-        """Register a column and repack the block to make room for it.
+        """Register one column (:meth:`add_columns`)."""
+        self.add_columns([(name, dtype, row_shape)], live_rows)
+
+    def add_columns(self, columns, live_rows: int = 0) -> None:
+        """Register ``(name, dtype, row_shape)`` columns and repack the
+        block once to make room for them: the layout of adding them one
+        at a time.
 
         ``live_rows`` rows of every already-registered column are
         preserved across the repack.
         """
-        if name in self._specs:
-            raise ValueError(f"arena column {name!r} already registered")
-        dtype = np.dtype(dtype)
-        row_nbytes = dtype.itemsize * int(
-            np.prod(row_shape, dtype=np.int64)) if row_shape else dtype.itemsize
-        spec = (dtype, tuple(int(s) for s in row_shape), int(row_nbytes))
+        specs = {}
+        for name, dtype, row_shape in columns:
+            if name in self._specs or name in specs:
+                raise ValueError(f"arena column {name!r} already registered")
+            dtype = np.dtype(dtype)
+            shape = tuple(int(s) for s in row_shape)
+            specs[name] = (dtype, shape, dtype.itemsize * math.prod(shape))
         saved = self._snapshot(live_rows)
-        self._specs[name] = spec
+        self._specs.update(specs)
         self._repack(max(self.capacity, _MIN_ROWS), saved, live_rows)
 
     def reserve(self, rows: int, live_rows: int) -> bool:
@@ -217,28 +225,36 @@ class SoAArena:
         }
         return described == registered
 
-    def adopt(self, meta: dict, raw: np.ndarray) -> None:
+    def adopt(self, meta: dict, raw) -> None:
         """Restore a snapshot block with one contiguous copy.
 
-        ``raw`` is the byte image a previous :attr:`block` was saved as;
-        ``meta`` is its :meth:`layout_meta`.  The arena takes over the
-        snapshot's exact layout (offsets + capacity), so no per-column
-        copies happen — this *is* the single ``memcpy`` per domain block
-        that checkpoint restore and shm attach rely on.
+        ``raw`` is the byte image a previous :attr:`block` was saved as,
+        or a callable ``raw(block)`` that writes that image into the
+        arena's freshly allocated block (a checkpoint reads its file
+        straight in); ``meta`` is its :meth:`layout_meta`.  The arena
+        takes over the snapshot's exact layout (offsets + capacity), so no
+        per-column copies happen — this *is* the single ``memcpy`` per
+        domain block that checkpoint restore and shm attach rely on.
         """
         if not self.matches(meta):
             raise ArenaLayoutError(
                 "snapshot layout does not match the registered columns"
             )
         t0 = time.perf_counter()
-        raw = np.ascontiguousarray(raw, dtype=np.uint8).reshape(-1)
         nbytes = int(meta["nbytes"])
-        if len(raw) != nbytes:
-            raise ArenaLayoutError(
-                f"snapshot block is {len(raw)} bytes, layout says {nbytes}"
-            )
+        fill = raw
+        if not callable(raw):
+            image = np.ascontiguousarray(raw, dtype=np.uint8).reshape(-1)
+            if len(image) != nbytes:
+                raise ArenaLayoutError(
+                    f"snapshot block is {len(image)} bytes, layout says "
+                    f"{nbytes}"
+                )
+
+            def fill(block):
+                block[...] = image
         block = np.asarray(self._allocate(nbytes))
-        block[:nbytes] = raw
+        fill(block[:nbytes])
         self.block = block
         self.offsets = {k: int(v) for k, v in meta["offsets"].items()}
         self.capacity = int(meta["capacity"])

@@ -14,18 +14,25 @@ uninterrupted run, every column included:
 - the simulated allocators and their shared address space, which hand
   out the ``addr`` column's payload addresses.
 
-Format v4 (written): an ``.npz`` with four kinds of member —
+Format v5 (written) is no zip, but five sections back to back:
 
-- ``__format__`` (the version, ``4``);
-- one ``__meta__`` JSON document (UTF-8 bytes) holding ``n``,
-  ``next_uid``, ``iteration``, ``time``, ``domain_starts``, the column
-  list, the RNG state, the arena's :meth:`~repro.core.arena.SoAArena.layout_meta`,
-  the allocators' state (:meth:`repro.mem.Allocator.state`) with each
-  free list replaced by its index into ``allocator__lists``, the warm
+- a fixed 48-byte header (:data:`_HEADER`): the magic ``REPROCKP``, the
+  format (``5``) and the byte lengths of the four sections that follow;
+- one ``__meta__`` JSON document (UTF-8) holding ``n``, ``next_uid``,
+  ``iteration``, ``time``, ``domain_starts``, the column list, the RNG
+  state, the arena's :meth:`~repro.core.arena.SoAArena.layout_meta`,
+  each diffusion grid's name, dtype and shape, the allocators' state
+  (:meth:`repro.mem.Allocator.state`) with each free list replaced by
+  its ``{"@list": [start, stop]}`` slice of the lists section, the warm
   hints and the caller's ``extra`` dict;
-- ``arena__block`` — the SoA arena's **whole backing block**
-  (:mod:`repro.core.arena`) — and one ``grid__<name>`` per diffusion grid;
-- ``allocator__lists`` — every free list, concatenated (int64).
+- the SoA arena's **whole backing block** (:mod:`repro.core.arena`),
+  verbatim;
+- every free list, concatenated (int64);
+- every diffusion grid's concentration, in the document's order.
+
+A save hands the five to one ``os.writev``, the block straight from its
+(shared-memory) segment.  The file keeps the ``.npz`` name rule, so
+spool paths do not change.
 
 The *warm hints* (``__meta__["warm"]``) are what the first tick after a
 restore would otherwise have to relearn: the neighbor cache's skin tuner
@@ -34,19 +41,25 @@ and pick a skin; no byte of the trajectory depends on them.  A restore
 counts as a structural change for the tuner, so the first tick makes the
 choice the uninterrupted run makes on one.
 
-Restore reads ``__meta__`` once and the block once, and adopts the block
-into an arena with the same column set with a **single contiguous copy**
-(:meth:`SoAArena.adopt`) — O(domains) instead of O(columns);
-:func:`read_checkpoint_meta` reads ``__meta__`` alone.
+Restore checks the file's length against the header first (a truncated
+file raises ``ValueError`` and changes nothing), reads the document and
+the free lists, validates the columns, allocators and grids, then reads
+the block with ``os.preadv`` **straight into the block** an arena with
+the same column set allocates for it (:meth:`SoAArena.adopt`) — one
+contiguous read, O(domains) instead of O(columns), no private copy;
+:func:`read_checkpoint_meta` reads the header and the document alone.
 
-Formats v1–v3 are read-only: nothing writes them any more.  v3 is v4
-without the allocators and the warm hints: it restores the agent state,
+Formats v1–v4 are ``.npz`` zips and read-only: nothing writes them any
+more.  v4 holds v5's content as members (``__format__``, ``__meta__``,
+``arena__block``, ``allocator__lists``, ``grid__<name>``), each read
+once straight from the file and the block adopted with one copy.  v3 is
+v4 without the allocators and the warm hints: it restores the agent state,
 and the target's allocators stay as they are, so its ``addr`` column
 departs from the uninterrupted run's at the first allocation after the
 restore.  v2 stored each scalar as its own member plus the block and a
 separate ``arena__meta``; v1 stored one ``col__<name>`` array per column.
-v1 files, and v2–v4 files whose column set differs from the target's,
-restore through the per-column placement funnel
+v1 files, and v2–v5 files whose column dtypes or row shapes differ from
+the target's, restore through the per-column placement funnel
 (:meth:`ResourceManager.restore_columns`).
 
 Not persisted (documented limitations, as in BioDynaMo's ROOT backup):
@@ -58,6 +71,7 @@ does); virtual-machine accounting restarts at zero.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zipfile
 from pathlib import Path
@@ -66,7 +80,13 @@ import numpy as np
 
 __all__ = ["save_checkpoint", "restore_checkpoint", "read_checkpoint_meta"]
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
+
+#: The first bytes of a v5 file (an ``.npz`` starts ``PK``).
+_MAGIC = b"REPROCKP"
+#: Magic, format, then the byte lengths of the ``__meta__`` document, the
+#: arena block, the free lists and the grids, which follow in that order.
+_HEADER = struct.Struct("<8s5Q")
 
 #: Oldest format this module still restores.
 _MIN_FORMAT_VERSION = 1
@@ -127,14 +147,15 @@ def _allocators(sim) -> dict:
 
 
 def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
-    """Write the simulation state to a format-v4 ``.npz`` checkpoint and
-    return the path written (``path``, with ``.npz`` appended when
-    missing).
+    """Write the simulation state to a format-v5 checkpoint and return the
+    path written (``path``, with ``.npz`` appended when missing).
 
-    The consolidated arena block is saved verbatim (one contiguous
-    array), and so are the allocators' free lists (one more); every
+    The file is the fixed header, the ``__meta__`` JSON document (every
     scalar, the RNG state, the block's layout, the rest of the allocator
-    state and the warm hints go into one JSON ``__meta__`` member.
+    state, the grids' shapes and the warm hints), then the consolidated
+    arena block verbatim, the allocators' free lists and the grids — all
+    handed to the kernel in one gathered write, the block straight from
+    its (shared-memory) segment.
 
     ``extra_meta`` is an optional JSON-serializable dict stored verbatim
     alongside the state (``read_checkpoint_meta`` returns it without
@@ -145,6 +166,8 @@ def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
     _require_checkpointable(sim, "checkpoint")
     rm = sim.rm
     soa = rm.soa
+    grids = [(name, np.ascontiguousarray(grid.concentration))
+             for name, grid in sim.diffusion_grids.items()]
     meta = {
         "format": _FORMAT_VERSION,
         "n": int(rm.n),
@@ -155,6 +178,7 @@ def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
         "columns": list(rm.data),
         "rng": sim.random.get_state(),
         "arena": soa.layout_meta(),
+        "grids": [[name, a.dtype.str, list(a.shape)] for name, a in grids],
         "warm": {
             "neighbor_cache": sim.scheduler.neighbor_cache.tuner_state(),
             "kernels": sim.kernels.sizing_hints(),
@@ -166,15 +190,12 @@ def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
     meta["allocators"]["space"] = sim.agent_allocator.space.state()
     lists: list = []
     document = json.dumps(meta, default=_encoder(lists)).encode()
-    payload = {
-        "__format__": np.array([_FORMAT_VERSION]),
-        "__meta__": np.frombuffer(document, dtype=np.uint8),
-        "arena__block": np.asarray(soa.block[: soa.nbytes]),
-        "allocator__lists": (np.concatenate(lists) if lists
-                             else np.empty(0, dtype=np.int64)),
-    }
-    for gname, grid in sim.diffusion_grids.items():
-        payload[f"grid__{gname}"] = grid.concentration
+    lists = (np.concatenate(lists).astype(np.int64, copy=False) if lists
+             else np.empty(0, dtype=np.int64))
+    block = soa.block[: soa.nbytes]
+    header = _HEADER.pack(_MAGIC, _FORMAT_VERSION, len(document),
+                          block.nbytes, lists.nbytes,
+                          sum(a.nbytes for _name, a in grids))
     out = _npz_path(path)
     # Write to a fresh inode.  Truncating an existing file and rewriting
     # it trips ext4's ``auto_da_alloc`` heuristic, which flushes the new
@@ -185,8 +206,48 @@ def save_checkpoint(sim, path, extra_meta: dict | None = None) -> Path:
     # can lose only this file, whose state the live simulation still
     # holds.
     out.unlink(missing_ok=True)
-    np.savez(out, **payload)
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _write_all(fd, [header + document, block, lists,
+                        *(a for _name, a in grids)])
+    finally:
+        os.close(fd)
     return out
+
+
+def _bytes(array: np.ndarray) -> memoryview:
+    """A C-contiguous array's bytes, without a copy."""
+    return memoryview(array.reshape(-1).view(np.uint8))
+
+
+def _write_all(fd: int, parts: list) -> None:
+    """Write ``parts`` (bytes or C-contiguous arrays) back to back with
+    ``os.writev``, resuming after a short write."""
+    views = [memoryview(p) if isinstance(p, bytes) else _bytes(p)
+             for p in parts]
+    views = [v for v in views if len(v)]
+    while views:
+        done = os.writev(fd, views)
+        while views and done >= len(views[0]):
+            done -= len(views.pop(0))
+        if views:
+            views[0] = views[0][done:]
+
+
+def _read_all(fd: int, arrays: list, offset: int) -> None:
+    """Fill ``arrays`` from the file's bytes at ``offset`` on, in one
+    ``os.preadv`` (more on a short read); a file that ends first raises
+    ``ValueError``."""
+    views = [_bytes(a) for a in arrays if a.nbytes]
+    while views:
+        got = os.preadv(fd, views, offset)
+        if got <= 0:
+            raise ValueError("checkpoint is truncated")
+        offset += got
+        while views and got >= len(views[0]):
+            got -= len(views.pop(0))
+        if views:
+            views[0] = views[0][got:]
 
 
 def _arena_columns(block: np.ndarray, arena: dict) -> dict:
@@ -269,21 +330,52 @@ def _read_meta(data, lists: np.ndarray | None = None) -> dict:
                       object_hook=hook)
 
 
+def _v5_sizes(fd: int) -> list | None:
+    """A v5 file's byte lengths ``[meta, block, lists, grids]`` from its
+    header; None for an ``.npz`` (v1–v4).  ``ValueError`` for a format
+    this module does not read and for a file whose length is not the
+    header's sum (truncated), before anything else is read."""
+    head = os.pread(fd, _HEADER.size, 0)
+    if not head.startswith(_MAGIC):
+        return None
+    if len(head) < _HEADER.size:
+        raise ValueError("checkpoint is truncated inside its header")
+    _magic, version, *sizes = _HEADER.unpack(head)
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format {version}")
+    length, want = os.fstat(fd).st_size, _HEADER.size + sum(sizes)
+    if length != want:
+        raise ValueError(f"checkpoint is {length} bytes, its header gives "
+                         f"{want}: truncated or overwritten")
+    return sizes
+
+
+def _v5_meta(fd: int, sizes: list, lists: bool = True) -> dict:
+    """The ``__meta__`` document of a v5 file, with each free list
+    sliced out of the file's lists when ``lists``."""
+    meta_n, block_n, lists_n, _grids_n = sizes
+    document = os.pread(fd, meta_n, _HEADER.size)
+    if not lists:
+        return json.loads(document)
+    array = np.empty(lists_n // 8, dtype=np.int64)
+    _read_all(fd, [array], _HEADER.size + meta_n + block_n)
+    return json.loads(document, object_hook=lambda obj: (
+        array[slice(*obj[_LIST])] if _LIST in obj else obj))
+
+
 def read_checkpoint_meta(path) -> dict:
     """Cheap metadata peek: format version, agent count, iteration, and
     the ``extra_meta`` dict passed to :func:`save_checkpoint` (empty dict
-    when none was stored).  No column arrays are materialized; a v3 file
-    answers from its ``__meta__`` member alone."""
+    when none was stored).  No column arrays are materialized: a v5 file
+    answers from its header and ``__meta__`` document, a v3/v4 file from
+    its ``__meta__`` member."""
+    with open(path, "rb") as f:
+        sizes = _v5_sizes(f.fileno())
+        if sizes is not None:
+            return _peek(_v5_meta(f.fileno(), sizes, lists=False))
     with np.load(Path(path)) as data:
         if "__meta__" in data.files:
-            meta = _read_meta(data)
-            return {
-                "format": int(meta["format"]),
-                "n": int(meta["n"]),
-                "iteration": int(meta["iteration"]),
-                "time": float(meta["time"]),
-                "extra": meta["extra"] or {},
-            }
+            return _peek(_read_meta(data))
         return {
             "format": int(data["__format__"][0]),
             "n": int(data["__meta_n__"][0]),
@@ -294,19 +386,54 @@ def read_checkpoint_meta(path) -> dict:
         }
 
 
+def _peek(meta: dict) -> dict:
+    """:func:`read_checkpoint_meta`'s answer from a v3–v5 document."""
+    return {
+        "format": int(meta["format"]),
+        "n": int(meta["n"]),
+        "iteration": int(meta["iteration"]),
+        "time": float(meta["time"]),
+        "extra": meta["extra"] or {},
+    }
+
+
 def restore_checkpoint(sim, path) -> None:
     """Load a checkpoint into ``sim`` (which must have the same columns
-    registered, the same diffusion grids added and, for a v4 file,
+    registered, the same diffusion grids added and, for a v4/v5 file,
     allocators of the same kinds).
 
     When the checkpoint holds an arena block with ``sim``'s column set,
-    the whole agent state lands with one contiguous block copy; v1
+    the whole agent state lands with one contiguous read (v5: from the
+    file straight into the arena's fresh block) or copy (v2–v4); v1
     per-column files and layout mismatches go through per-column
-    placement (:meth:`ResourceManager.restore_columns`).  A v4 file also
-    replaces the allocators' state and loads the warm hints; ``sim`` may
-    then be a model shell.
+    placement (:meth:`ResourceManager.restore_columns`).  A v4/v5 file
+    also replaces the allocators' state and loads the warm hints; ``sim``
+    may then be a model shell.  Every check — the file's length, the
+    columns, the allocators, the grids — runs before ``sim`` changes.
     """
     _require_checkpointable(sim, "restore into")
+    with open(path, "rb") as f:
+        fd = f.fileno()
+        sizes = _v5_sizes(fd)
+        if sizes is not None:
+            meta_n, block_n, lists_n, _grids_n = sizes
+            meta = _v5_meta(fd, sizes)
+            if int(meta["arena"]["nbytes"]) != block_n:
+                raise ValueError(f"checkpoint block is {block_n} bytes, its "
+                                 f"layout gives {meta['arena']['nbytes']}")
+            at = _HEADER.size + meta_n
+            grids = {name: (np.dtype(dt), tuple(shape))
+                     for name, dt, shape in meta["grids"]}
+
+            def read_grids():
+                arrays = [np.empty(shape, dtype)
+                          for dtype, shape in grids.values()]
+                _read_all(fd, arrays, at + block_n + lists_n)
+                return dict(zip(grids, arrays))
+
+            _restore(sim, meta, lambda out: _read_all(fd, [out], at), None,
+                     grids, read_grids)
+            return
     with np.load(Path(path)) as data:
         if "__meta__" in data.files:
             meta = _read_meta(data, _read_member(data, "allocator__lists")
@@ -314,62 +441,74 @@ def restore_checkpoint(sim, path) -> None:
             block, cols = _read_member(data, "arena__block"), None
         else:
             meta, block, cols = _read_legacy(data)
-        version = int(meta["format"])
-        if not _MIN_FORMAT_VERSION <= version <= _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {version}")
-        rm = sim.rm
-        n = int(meta["n"])
-        arena = meta["arena"]
-        saved = (set(cols) if cols is not None
-                 else {name for name, _dt, _shape in arena["columns"]})
-        missing = set(rm.data) - saved
-        if missing:
-            raise ValueError(f"checkpoint lacks columns {sorted(missing)}")
-        extra = saved - set(rm.data)
-        if extra:
-            raise ValueError(
-                f"checkpoint has columns {sorted(extra)}; register them "
-                "on the target simulation before restoring"
-            )
-        allocators = meta.get("allocators")
-        if allocators is not None:
-            kinds = {role: None if a is None else a.name
-                     for role, a in _allocators(sim).items()}
-            saved_kinds = {role: None if allocators[role] is None
-                           else allocators[role]["kind"] for role in kinds}
-            if saved_kinds != kinds:
-                raise ValueError(f"checkpoint allocators are {saved_kinds}; "
-                                 f"the target's are {kinds}")
-        struct = rm.structure_version
-        if cols is None and not rm.adopt_arena(block, arena, n):
-            cols = _arena_columns(block, arena)
-        if cols is not None:
-            rm.restore_columns({name: arr[:n] for name, arr in cols.items()}, n)
-        rm.domain_starts = np.array(meta["domain_starts"], dtype=np.int64)
-        rm._next_uid = int(meta["next_uid"])
-        sim.scheduler.iteration = int(meta["iteration"])
-        sim.time = float(meta["time"])
-        if meta["rng"] is not None:
-            # Restoring the RNG makes the continuation draw the exact
-            # sequence the saving run would have (bitwise-identical
-            # per-step checksums).
-            sim.random.set_state(meta["rng"])
-        if allocators is not None:
-            for role, allocator in _allocators(sim).items():
-                if allocator is not None:
-                    allocator.load_state(allocators[role])
-            sim.agent_allocator.space.load_state(allocators["space"])
-        for k in data.files:
-            if not k.startswith("grid__"):
-                continue
-            gname = k[6:]
-            if gname not in sim.diffusion_grids:
-                raise ValueError(f"checkpoint has unknown diffusion grid {gname!r}")
-            sim.diffusion_grids[gname].concentration = _read_member(data, k)
-        warm = meta.get("warm")
-        if warm is not None:
-            sim.scheduler.neighbor_cache.load_tuner_state(
-                warm["neighbor_cache"], struct)
-            sim.kernels.load_sizing_hints(warm["kernels"])
-        sim.invalidate_neighbor_cache()
-        sim.note_state_change()
+        grids = [k[6:] for k in data.files if k.startswith("grid__")]
+        _restore(sim, meta, block, cols, grids, lambda: {
+            name: _read_member(data, "grid__" + name) for name in grids})
+
+
+def _restore(sim, meta, block, cols, grids, read_grids) -> None:
+    """:func:`restore_checkpoint` once the file is open: ``block`` is the
+    arena block's bytes, or ``block(out)`` reads them into ``out``;
+    ``cols`` a v1 file's columns; ``grids`` the grid names;
+    ``read_grids()`` the grids by name."""
+    version = int(meta["format"])
+    if not _MIN_FORMAT_VERSION <= version <= _FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format {version}")
+    rm = sim.rm
+    n = int(meta["n"])
+    arena = meta["arena"]
+    saved = (set(cols) if cols is not None
+             else {name for name, _dt, _shape in arena["columns"]})
+    missing = set(rm.data) - saved
+    if missing:
+        raise ValueError(f"checkpoint lacks columns {sorted(missing)}")
+    extra = saved - set(rm.data)
+    if extra:
+        raise ValueError(
+            f"checkpoint has columns {sorted(extra)}; register them "
+            "on the target simulation before restoring"
+        )
+    allocators = meta.get("allocators")
+    if allocators is not None:
+        kinds = {role: None if a is None else a.name
+                 for role, a in _allocators(sim).items()}
+        saved_kinds = {role: None if allocators[role] is None
+                       else allocators[role]["kind"] for role in kinds}
+        if saved_kinds != kinds:
+            raise ValueError(f"checkpoint allocators are {saved_kinds}; "
+                             f"the target's are {kinds}")
+    unknown = [name for name in grids if name not in sim.diffusion_grids]
+    if unknown:
+        raise ValueError(
+            f"checkpoint has unknown diffusion grid {unknown[0]!r}")
+    structure = rm.structure_version
+    if cols is None and not rm.adopt_arena(block, arena, n):
+        if callable(block):
+            read, block = block, np.empty(int(arena["nbytes"]), np.uint8)
+            read(block)
+        cols = _arena_columns(block, arena)
+    if cols is not None:
+        rm.restore_columns({name: arr[:n] for name, arr in cols.items()}, n)
+    rm.domain_starts = np.array(meta["domain_starts"], dtype=np.int64)
+    rm._next_uid = int(meta["next_uid"])
+    sim.scheduler.iteration = int(meta["iteration"])
+    sim.time = float(meta["time"])
+    if meta["rng"] is not None:
+        # Restoring the RNG makes the continuation draw the exact
+        # sequence the saving run would have (bitwise-identical
+        # per-step checksums).
+        sim.random.set_state(meta["rng"])
+    if allocators is not None:
+        for role, allocator in _allocators(sim).items():
+            if allocator is not None:
+                allocator.load_state(allocators[role])
+        sim.agent_allocator.space.load_state(allocators["space"])
+    for gname, concentration in read_grids().items():
+        sim.diffusion_grids[gname].concentration = concentration
+    warm = meta.get("warm")
+    if warm is not None:
+        sim.scheduler.neighbor_cache.load_tuner_state(
+            warm["neighbor_cache"], structure)
+        sim.kernels.load_sizing_hints(warm["kernels"])
+    sim.invalidate_neighbor_cache()
+    sim.note_state_change()

@@ -82,6 +82,7 @@ class ResourceManager:
         num_domains: int = 1,
         agent_allocator=None,
         agent_size_bytes: int = 136,
+        columns=(),
     ):
         self.num_domains = num_domains
         self.allocator = agent_allocator
@@ -110,8 +111,7 @@ class ResourceManager:
         self._staged = 0
         self._stage_capacity = 0
         self._staged_entries: dict[int, list[tuple[int, int, object]]] = {}
-        for name, dtype, shape, fill in self.CORE_COLUMNS:
-            self.register_column(name, dtype, shape, fill)
+        self.register_columns(self.CORE_COLUMNS + tuple(columns))
         from repro.core.agent import UidIndex
 
         #: uid -> storage index lookup (lazily rebuilt; see Agent handles).
@@ -132,17 +132,27 @@ class ResourceManager:
     def register_column(self, name, dtype, row_shape=(), fill=0) -> None:
         """Add a named per-agent attribute column (extensibility hook used
         by the neuroscience specialization)."""
-        if name in self._columns:
-            raise ValueError(f"column {name!r} already registered")
-        self._columns[name] = (np.dtype(dtype), tuple(row_shape), fill)
-        self.soa.add_column(name, dtype, row_shape, live_rows=self.n)
+        self.register_columns([(name, dtype, row_shape, fill)])
+
+    def register_columns(self, columns) -> None:
+        """Add ``(name, dtype, row_shape, fill)`` columns with one arena
+        repack (one shared-memory segment), in the layout of adding them
+        one at a time."""
+        columns = [(name, np.dtype(dtype), tuple(row_shape), fill)
+                   for name, dtype, row_shape, fill in columns]
+        for name, *_rest in columns:
+            if name in self._columns:
+                raise ValueError(f"column {name!r} already registered")
+        self.soa.add_columns([spec[:3] for spec in columns],
+                             live_rows=self.n)
         # Offsets moved: re-fetch every live column's prefix view.
         for other in self.data:
             self.data[other] = self.soa.view(other, self.n)
-        arr = np.empty((self.n, *row_shape), dtype=dtype)
-        if self.n:
-            arr[:] = fill
-        self._store(name, arr)
+        for name, dtype, row_shape, fill in columns:
+            self._columns[name] = (dtype, row_shape, fill)
+            view = self.soa.view(name, self.n)
+            view[...] = fill
+            self.data[name] = view
 
     def _store(self, name: str, arr: np.ndarray) -> None:
         """Publish a column's (re)allocated backing array under ``name``.
@@ -586,15 +596,17 @@ class ResourceManager:
         self.n = int(n)
         self.structure_version += 1
 
-    def adopt_arena(self, raw: np.ndarray, meta: dict, n: int) -> bool:
+    def adopt_arena(self, raw, meta: dict, n: int) -> bool:
         """Single-copy state restore: adopt a saved arena block verbatim.
 
         ``raw``/``meta`` come from :meth:`SoAArena.layout_meta
         <repro.core.arena.SoAArena.layout_meta>` + the block bytes of the
-        saving ResourceManager.  Returns ``False`` (caller falls back to
-        :meth:`restore_columns`) when this manager's column set differs
-        from the snapshot's; on success the whole agent state lands with
-        one contiguous copy per block.
+        saving ResourceManager, or a callable that writes those bytes into
+        the fresh block (:meth:`SoAArena.adopt
+        <repro.core.arena.SoAArena.adopt>`).  Returns ``False`` (caller
+        falls back to :meth:`restore_columns`) when this manager's column
+        set differs from the snapshot's; on success the whole agent state
+        lands with one contiguous copy per block.
         """
         if not self.soa.matches(meta):
             return False

@@ -146,7 +146,7 @@ class NeighborCache:
         Only when mechanics, which comes after the behaviors, is the one
         neighbor reader; under no virtual machine (its accountant reads the
         CSR first); with the ``c`` kernels on more than one thread (never in
-        a forked pool or serve worker); and for an exact uniform-grid batch
+        a process-pool worker); and for an exact uniform-grid batch
         build (the environment declines anything else).  The first reader
         joins it (``sim.neighbors()``), running the search chunks the helper
         has not claimed; :meth:`finish_search` joins it at the latest.

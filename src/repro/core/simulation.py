@@ -125,7 +125,9 @@ class Simulation:
         else:
             rm_class = ResourceManager
         self.rm = rm_class(
-            num_domains, self.agent_allocator, self.param.agent_size_bytes)
+            num_domains, self.agent_allocator, self.param.agent_size_bytes,
+            columns=[(f"behavior_addr{i}", np.int64, (), 0)
+                     for i in range(MAX_TRACKED_BEHAVIORS)])
         soa = self.rm.soa
         reg = self.obs.registry
         reg.register_callback("arena:bytes", lambda s=soa: s.nbytes)
@@ -134,8 +136,6 @@ class Simulation:
         reg.register_callback("arena:adopts", lambda s=soa: s.adopts)
         reg.register_callback(
             "arena:attach_seconds", lambda s=soa: s.attach_seconds)
-        for i in range(MAX_TRACKED_BEHAVIORS):
-            self.rm.register_column(f"behavior_addr{i}", np.int64, (), 0)
 
         self.env = make_environment(
             self.param.environment, **self.param.environment_kwargs
@@ -422,6 +422,7 @@ class Simulation:
         if self._state is SimulationState.CLOSED:
             return
         self.scheduler.neighbor_cache.finish_search()
+        self.kernels.close()
         self.backend.shutdown()
         arena = getattr(self.rm, "arena", None)
         if arena is not None:

@@ -11,11 +11,16 @@
 #include <emmintrin.h>
 #endif
 
+/* Set as FOR_ROWS first runs threaded; a fork copies it. */
+static int team_used;
+
 /* for (i = lo; i < hi; i++) BODY on nthreads threads.  One thread runs a
  * plain loop that enters no OpenMP construct: libgomp's team does not
- * survive fork, and forked workers call in here. */
+ * survive fork, so a child forked after a threaded call (team_used)
+ * calls in here on one thread. */
 #define FOR_ROWS(i, lo, hi, ...)                                          \
     if (nthreads > 1) {                                                   \
+        __atomic_store_n(&team_used, 1, __ATOMIC_RELAXED);                \
         _Pragma("omp parallel for num_threads(nthreads) schedule(dynamic,64)")\
         for (int64_t i = lo; i < hi; i++) __VA_ARGS__                     \
     } else {                                                              \
@@ -52,6 +57,12 @@
 const char *repro_stencil_isa(void) { return STENCIL_ISA; }
 
 int repro_max_threads(void) { return omp_get_max_threads(); }
+
+/* Whether FOR_ROWS, the only OpenMP construct here, ever ran threaded in
+ * this process or before the fork that made it. */
+int repro_team_used(void) {
+    return __atomic_load_n(&team_used, __ATOMIC_RELAXED);
+}
 
 /* np.maximum(a, b): NaN in a propagates (C's fmax would drop it). */
 static inline double maximum(double a, double b) {

@@ -130,6 +130,14 @@ class KernelBackend:
         #: :meth:`chemotaxis`); fallbacks are not counted here.
         self.field_calls = 0
 
+    def pin_one_thread(self) -> None:
+        """Run every later call on one thread (a process-pool worker's
+        backend: the pool is the parallelism).  One already here."""
+
+    def close(self) -> None:
+        """The simulation closed: release what this backend keeps between
+        calls.  Nothing here."""
+
     # -- mechanics ------------------------------------------------------- #
 
     def force(self, force_model, positions, diameters, indptr, indices,

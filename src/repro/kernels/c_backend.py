@@ -22,7 +22,6 @@ import functools
 import hashlib
 import math
 import mmap
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -51,6 +50,7 @@ _D, _L, _U = (np.ctypeslib.ndpointer(t, flags="C")  # checks dtype, layout
               for t in (np.float64, np.int64, np.uint8))
 _SIGNATURES = {  # name: (argtypes, restype); the last _N is the team size
     "repro_max_threads": ([], _N),
+    "repro_team_used": ([], _N),
     "repro_force_rows": ([_D, _D, _L, _L, _P, _F, _F, _D, _L, _I, _I, _N],
                          _I),
     "repro_refilter_count": ([_D, _L, _L, _I, _F, _U, _L, _N], _I),
@@ -87,9 +87,10 @@ _MORTON_AXIS = 1 << 21
 @functools.cache
 def _library() -> SimpleNamespace | None:
     """This process's library (``dll``, ``build``: "cached" | "built", the
-    loading ``pid`` and its ``team``), None if it cannot be built.  The
-    cache is ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/``, never
-    :mod:`tempfile`, whose directory ``perf/run.py`` deletes per run."""
+    ``pid`` that loaded it or last looked at it, and its ``team``), None
+    if it cannot be built.  The cache is
+    ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/``, never :mod:`tempfile`,
+    whose directory ``perf/run.py`` deletes per run."""
     compiler = shutil.which(COMPILER)
     if compiler is None:
         return None
@@ -200,6 +201,11 @@ def _search_into(dll, ctl, table):
 #: ``madvise`` advice that faults pages in writable without writing them
 #: (Linux >= 5.14); elsewhere the call fails and changes nothing.
 _MADV_POPULATE_WRITE = 23
+
+#: The grid-task buffers of the last backend closed in this process, for
+#: the next backend's first task (one set at most;
+#: :meth:`CKernelBackend.close`).
+_spare_scratch: list = []
 
 
 @functools.cache
@@ -449,6 +455,7 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
             raise ImportError("the C kernel library could not be built")
         self.build = self._lib.build
         self.stencil_isa = self._lib.isa
+        self._pinned = False
         #: A grid task's kept buffers (:meth:`_take_scratch`), None while a
         #: task holds them.
         self._scratch = None
@@ -469,13 +476,38 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
 
     @property
     def threads(self) -> int:
-        """1 in any child process (pool or serve worker, or anything
-        forked after loading), whose calls then enter no OpenMP construct;
-        else the loading process's team."""
+        """The loading process's team, and a forked child's if the
+        library it inherited never opened a parallel region (a serve
+        worker); else 1, whose calls enter no OpenMP construct.  1 too
+        once :meth:`pin_one_thread` ran.  The flag sees only this
+        library's regions: a child of a process where another library
+        opened one first takes the team and hangs in its first region
+        (``docs/kernels.md``, "Threads")."""
         lib = self._lib
-        if os.getpid() != lib.pid or multiprocessing.parent_process():
+        if self._pinned:
             return 1
+        if os.getpid() != lib.pid:
+            # The first look since a fork, before any call of this
+            # process could open a region: libgomp's team survives fork
+            # only if it never started.
+            lib.pid = os.getpid()
+            if lib.dll.repro_team_used():
+                lib.team, lib.override = 1, None
         return lib.override or lib.team
+
+    def pin_one_thread(self) -> None:
+        """Run every call of this instance on one thread: a process-pool
+        worker's, where the pool is the parallelism."""
+        self._pinned = True
+
+    def close(self) -> None:
+        """Leave the kept grid-task buffers to the next backend of this
+        process.  A serve worker closes a session on every eviction and
+        builds one on every resume: the resumed session's first search
+        then writes resident pages instead of faulting fresh ones in."""
+        if self._scratch is not None:
+            _spare_scratch[:] = [self._scratch]
+            self._scratch = None
 
     def force_rows(self, force_model, positions, diameters, indptr, indices,
                    active, net_out, nz_out, lo, hi) -> int:
@@ -582,8 +614,14 @@ class CKernelBackend(numpy_ref.NumpyKernelBackend):
         stage: the last task's where they fit (and are not four times too
         big), else new ones with an eighth to spare.  Kept between tasks so
         that their pages are resident: a fresh page costs the helper a
-        fault."""
+        fault.  A backend's first task takes a closed one's
+        (:meth:`close`)."""
         sc, self._scratch = self._scratch, None
+        if sc is None and _spare_scratch:
+            try:
+                sc = _spare_scratch.pop()
+            except IndexError:  # another thread's backend took it
+                pass
         fits = sc is not None
         if sc is None:
             size = -(-self._lib.dll.repro_grid_task_size() // 8)

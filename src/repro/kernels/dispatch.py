@@ -152,10 +152,12 @@ def worker_kernels(name: str) -> KernelBackend:
 
     Cached at module level so persistent pool workers construct once;
     resolution re-runs quietly, so a worker missing the parent's backend
-    degrades to NumPy instead of crashing the pool.
+    degrades to NumPy instead of crashing the pool.  Pinned to one
+    thread: the pool's workers are its parallelism.
     """
     backend = _WORKER_CACHE.get(name)
     if backend is None:
         backend = make_kernels(name, registry=None, warn=False)
+        backend.pin_one_thread()
         _WORKER_CACHE[name] = backend
     return backend

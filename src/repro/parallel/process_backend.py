@@ -174,10 +174,11 @@ def worker_main(worker_id, conn, queues):
             error = traceback.format_exc()
         # Drop view references so the next sync() can close replaced blocks.
         views = chunks = None
-        # (backend name, kernel calls this phase) — lets the host assert
-        # workers resolved the same backend as the parent and keep the
-        # kernel:worker_calls counter honest (anti-vacuous equivalence).
-        kinfo = ((kb.name, kb.calls - kb_calls_before)
+        # (backend name, kernel calls this phase, its threads) — lets the
+        # host assert workers resolved the same backend as the parent, on
+        # one thread each, and keep the kernel:worker_calls counter honest
+        # (anti-vacuous equivalence).
+        kinfo = ((kb.name, kb.calls - kb_calls_before, kb.threads)
                  if kb is not None else None)
         conn.send((worker_id, done, same_steals, cross_steals, error, events,
                    kinfo))
@@ -230,6 +231,8 @@ class ProcessBackend(ExecutionBackend):
         #: acknowledgment ({worker_id: name}); the regression tests assert
         #: this matches the parent's resolved ``sim.kernels.name``.
         self.worker_kernel_backends: dict[int, str] = {}
+        #: The threads each worker's kernels ran on ({worker_id: 1}).
+        self.worker_kernel_threads: dict[int, int] = {}
 
     # -- pool lifecycle ------------------------------------------------- #
 
@@ -334,6 +337,7 @@ class ProcessBackend(ExecutionBackend):
                 self._steals_cross.inc(cross)
                 if kinfo is not None:
                     self.worker_kernel_backends[wid] = kinfo[0]
+                    self.worker_kernel_threads[wid] = kinfo[2]
                     self._worker_kernel_calls.inc(kinfo[1])
                 if events:
                     # Worker trace events ride the existing ack channel;

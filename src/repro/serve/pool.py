@@ -20,7 +20,7 @@ Eviction
 --------
 At most ``max_resident`` sessions keep live simulation state.  Creating
 or resuming past the cap checkpoints the least-recently-used idle
-resident session to the spool directory (checkpoint format v4, with the
+resident session to the spool directory (checkpoint format v5, with the
 session's spec as ``extra_meta``) and frees its worker memory, in one
 ``evict`` round trip.  Touching an evicted session transparently resumes
 it — the spec's model shell, filled from the checkpoint, with no

@@ -1,7 +1,7 @@
-"""Frozen writers of the retired checkpoint layouts (v1, v2 and v3).
+"""Frozen writers of the retired checkpoint layouts (v1 to v4).
 
 ``repro.core.checkpoint`` only reads these formats now; the tests use
-these copies of the old writers to produce v1/v2/v3 files from a live
+these copies of the old writers to produce v1–v4 files from a live
 simulation.  (``tests/data`` holds one v1 and one v2 file, written by the
 real retired writers, for the golden-trace restores.)
 """
@@ -28,6 +28,58 @@ def _scalars(sim, version, extra_meta):
     for gname, grid in sim.diffusion_grids.items():
         payload[f"grid__{gname}"] = grid.concentration
     return payload
+
+
+def save_v4(sim, path, extra_meta=None):
+    """The format-v4 writer: v3 plus the allocators' state (each free
+    list an ``{"@list": [start, stop]}`` slice of the int64 member
+    ``allocator__lists``) and the warm hints."""
+    rm = sim.rm
+    soa = rm.soa
+    meta = {
+        "format": 4,
+        "n": int(rm.n),
+        "next_uid": int(rm._next_uid),
+        "iteration": int(sim.scheduler.iteration),
+        "time": float(sim.time),
+        "domain_starts": rm.domain_starts.tolist(),
+        "columns": list(rm.data),
+        "rng": sim.random.get_state(),
+        "arena": soa.layout_meta(),
+        "warm": {
+            "neighbor_cache": sim.scheduler.neighbor_cache.tuner_state(),
+            "kernels": sim.kernels.sizing_hints(),
+        },
+        "extra": {} if extra_meta is None else extra_meta,
+    }
+    agent, other = sim.agent_allocator, sim.other_allocator
+    meta["allocators"] = {
+        "agent": agent.state(),
+        "other": None if other is agent else other.state(),
+        "space": agent.space.state(),
+    }
+    lists = []
+
+    def default(value):
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            start = sum(map(len, lists))
+            lists.append(value)
+            return {"@list": [start, start + len(value)]}
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    document = json.dumps(meta, default=default).encode()
+    payload = {
+        "__format__": np.array([4]),
+        "__meta__": np.frombuffer(document, dtype=np.uint8),
+        "arena__block": np.asarray(soa.block[: soa.nbytes]),
+        "allocator__lists": (np.concatenate(lists) if lists
+                             else np.empty(0, dtype=np.int64)),
+    }
+    for gname, grid in sim.diffusion_grids.items():
+        payload[f"grid__{gname}"] = grid.concentration
+    np.savez(path, **payload)
 
 
 def save_v3(sim, path, extra_meta=None):

@@ -4,7 +4,9 @@
   CSR order, so 1 and 2 threads give the same bytes.
 - **Fork safety**: a process forked after a threaded call runs its calls
   on one thread, entering no OpenMP construct (libgomp's team does not
-  survive ``fork``), and finishes.
+  survive ``fork``), and finishes; one forked from a process that never
+  made a threaded call runs on the team.  A process-pool worker runs one
+  thread: the pool is its parallelism.
 - **Fallback**: no compiler or an unwritable cache leaves NumPy running
   with one :class:`KernelBackendWarning`, never an exception.
 - **Observability**: ``kernel:threads`` / ``kernel:build`` /
@@ -20,13 +22,16 @@ differential suites, which run every case through this backend too.
 from __future__ import annotations
 
 import ctypes
+import json
 import os
 import platform
 import re
 import shutil
 import signal
 import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from repro.core.force import InteractionForce
 from repro.env import UniformGridEnvironment, csr_row_index
 from repro.kernels import KernelBackendWarning, c_backend, make_kernels
 from repro.kernels.dispatch import _probe
+from repro.verify.snapshot import state_checksum
 
 pytestmark = pytest.mark.skipif(
     not _probe("c"), reason="the C kernel library cannot be built here")
@@ -118,6 +124,98 @@ class TestThreads:
             time.sleep(0.01)
         with os.fdopen(read_end) as pipe:
             assert pipe.read() == "1 True"
+
+    def test_child_of_an_unthreaded_parent_gets_the_team(self):
+        """In a fresh interpreter (this one has started the team): the
+        parent computes every output on one thread, which opens no
+        parallel region, then forks; the child runs the same outputs on
+        the whole team and writes the same bytes."""
+        got = run_fresh(FORK_CLEAN)
+        if got["team"] < 2:
+            pytest.skip("one CPU: there is no team to inherit")
+        assert got == {"team": got["team"], "child": [got["team"], True],
+                       "parent_team_used": 0}
+
+    def test_process_pool_worker_runs_one_thread(self):
+        """A process-backend pool started before any threaded call (so
+        its workers could have had the team) still runs its workers'
+        kernels on one thread each."""
+        got = run_fresh(POOL)
+        assert got["team_used_at_start"] == 0
+        assert got["threads"] == {"0": 1, "1": 1}
+        assert got["backends"] == ["c", "c"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The parent's outputs on one thread, then the child's on the team.
+FORK_CLEAN = """
+import json, os, signal, time
+from repro.kernels import c_backend, make_kernels
+from tests.test_c_backend import every_output
+
+kb = make_kernels("c")
+c_backend._set_threads(1)
+want = every_output(kb)
+c_backend._set_threads(None)
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        same = all(a.tobytes() == b.tobytes()
+                   for a, b in zip(every_output(kb), want))
+        os.write(write_end, json.dumps([kb.threads, same]).encode())
+        code = 0
+    finally:
+        os._exit(code)
+os.close(write_end)
+deadline = time.monotonic() + 30.0
+while not os.waitpid(pid, os.WNOHANG)[0]:
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise SystemExit("the forked child hung in a kernel call")
+    time.sleep(0.01)
+with os.fdopen(read_end) as pipe:
+    child = json.loads(pipe.read())
+print(json.dumps({"team": c_backend._library().team, "child": child,
+                  "parent_team_used": kb._lib.dll.repro_team_used()}))
+"""
+
+#: A 2-worker process-backend simulation of overlapping cells (the
+#: workers run the force) whose pool starts first.
+POOL = """
+import json
+import numpy as np
+from repro import Param, Simulation
+from repro.kernels import c_backend
+
+param = Param(kernel_backend="c", execution_backend="process",
+              backend_workers=2, backend_chunk_size=32)
+with Simulation("pool", param, seed=9) as sim:
+    sim.add_cells(np.random.default_rng(9).uniform(0, 30, (120, 3)),
+                  diameters=10.0)
+    used = c_backend._library().dll.repro_team_used()
+    sim.backend._start()
+    sim.simulate(2)
+    print(json.dumps({"team_used_at_start": used,
+                      "threads": sim.backend.worker_kernel_threads,
+                      "backends": sorted(
+                          sim.backend.worker_kernel_backends.values())}))
+"""
+
+
+def run_fresh(script: str, timeout: float = 120.0) -> dict:
+    """``script``'s last stdout line, as JSON, run in a new interpreter
+    (a hung child or pool fails it by the timeout)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 class TestFallback:
@@ -370,3 +468,27 @@ class TestStencilClones:
                     if family == "mixed":
                         a[np.isnan(a)] = b[np.isnan(b)] = np.nan
                     assert a.tobytes() == b.tobytes(), (shape, args, threads)
+
+
+class TestSpareScratch:
+    def test_a_closed_backend_leaves_its_buffers_to_the_next(self,
+                                                             monkeypatch):
+        """A closed backend's grid-task buffers go to the next backend's
+        first grid task (a serve worker's resumed session), whose
+        simulation runs the same bytes as one that started cold."""
+        from repro.simulations import get_simulation
+
+        bench = get_simulation("oncology")
+
+        def run():
+            with bench.build(1500, seed=3) as sim:
+                sim.simulate(3)
+                return state_checksum(sim), sim.kernels._scratch
+
+        spare = []
+        monkeypatch.setattr(c_backend, "_spare_scratch", spare)
+        want, left = run()
+        assert len(spare) == 1 and spare[0] is left
+        again, taken = run()
+        assert taken is left and len(spare) == 1 and spare[0] is taken
+        assert again == want

@@ -3,9 +3,9 @@
 A run saved mid-flight and restored — through the single-copy arena
 adopt or the per-column placement funnel, and under the shared-memory
 process backend — must continue producing bitwise-identical per-step
-state checksums to the uninterrupted run, whatever format (v4, or the
-retired v3 / v2 / v1 layouts) the file was written in.  (The files written by
-the retired writers themselves are covered by
+state checksums to the uninterrupted run, whatever format (v5, or the
+retired v4 / v3 / v2 / v1 layouts) the file was written in.  (The files
+written by the retired writers themselves are covered by
 ``tests/test_golden_traces.py``.)
 """
 
@@ -18,8 +18,9 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.simulations import get_simulation
+from repro.simulations.registry import available_simulations
 from repro.verify.snapshot import state_checksum
-from tests.checkpoint_legacy import save_v1, save_v2, save_v3
+from tests.checkpoint_legacy import save_v1, save_v2, save_v3, save_v4
 
 MODEL = "cell_proliferation"
 AGENTS = 120
@@ -42,7 +43,8 @@ def _continuous_trace(bench, param, seed):
     return trace
 
 
-_WRITERS = {4: save_checkpoint, 3: save_v3, 2: save_v2, 1: save_v1}
+_WRITERS = {5: save_checkpoint, 4: save_v4, 3: save_v3, 2: save_v2,
+            1: save_v1}
 
 
 def _round_trip(tmp_path, save_shared, fmt):
@@ -77,7 +79,7 @@ def test_round_trip_continues_bitwise(tmp_path, save_shared, per_column_file):
     layout — the placement funnel: the continuation is bitwise identical
     either way."""
     got, ref, adopts = _round_trip(tmp_path, save_shared,
-                                   1 if per_column_file else 4)
+                                   1 if per_column_file else 5)
     assert got == ref
     # The single-copy fast path engages exactly when the file holds an
     # arena block; per-column files take the placement funnel.
@@ -89,6 +91,15 @@ def test_v2_file_round_trip_continues_bitwise(tmp_path, save_shared):
     """A file from the retired v2 writer (separate scalar members, the
     block plus ``arena__meta``) restores through one adopt too."""
     got, ref, adopts = _round_trip(tmp_path, save_shared, 2)
+    assert got == ref
+    assert adopts == 1
+
+
+@pytest.mark.parametrize("save_shared", [False, True])
+def test_v4_file_round_trip_continues_bitwise(tmp_path, save_shared):
+    """A file from the retired v4 writer (an ``.npz``) restores through
+    one adopt too."""
+    got, ref, adopts = _round_trip(tmp_path, save_shared, 4)
     assert got == ref
     assert adopts == 1
 
@@ -132,7 +143,7 @@ def test_v4_restore_reads_each_member_once(tmp_path, monkeypatch):
     path = tmp_path / "v4.npz"
     with bench.build(AGENTS, param=_param(bench), seed=7) as sim:
         sim.simulate(PRE_STEPS)
-        save_checkpoint(sim, path)
+        save_v4(sim, path)
         ref = state_checksum(sim)
 
     reads = []
@@ -203,3 +214,26 @@ def test_rng_state_survives_round_trip(tmp_path):
     with bench.build(AGENTS, param=_param(bench), seed=22) as sim2:
         restore_checkpoint(sim2, path)
         assert np.array_equal(sim2.random.rng.uniform(size=4), expected)
+
+
+@pytest.mark.parametrize("model", available_simulations())
+def test_v5_round_trip_into_a_shell_on_every_model(tmp_path, model):
+    """Saved mid-run in format v5 and restored into the model's shell,
+    every registry model continues bitwise, ``addr`` included, with the
+    block read straight into the shell's arena (one adopt)."""
+    bench = get_simulation(model)
+    param = _param(bench, shared_storage=True)
+    ref = _continuous_trace(bench, param, seed=7)
+    path = tmp_path / "mid.npz"
+    with bench.build(AGENTS, param=param, seed=7) as sim:
+        sim.simulate(PRE_STEPS)
+        save_checkpoint(sim, path)
+    assert read_checkpoint_meta(path)["format"] == 5
+    with bench.shell(AGENTS, param=param, seed=99) as shell:
+        restore_checkpoint(shell, path)
+        assert shell.rm.soa.adopts == 1
+        got = []
+        for _ in range(POST_STEPS):
+            shell.simulate(1)
+            got.append(state_checksum(shell))
+    assert got == ref

@@ -13,7 +13,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.verify.snapshot import state_checksum
-from tests.checkpoint_legacy import save_v1, save_v2, save_v3
+from tests.checkpoint_legacy import save_v1, save_v2, save_v3, save_v4
 
 
 def build_sim(seed=0, with_grid=True, extra_column=False):
@@ -107,7 +107,8 @@ class TestFormatV3:
         array, the allocators' free lists."""
         sim = build_sim()
         save_v3(sim, tmp_path / "v3.npz")
-        path = save_checkpoint(sim, tmp_path / "state.npz")
+        path = tmp_path / "v4.npz"
+        save_v4(sim, path)
         with np.load(tmp_path / "v3.npz") as data:
             assert sorted(data.files) == [
                 "__format__", "__meta__", "arena__block", "grid__oxygen"]
@@ -127,7 +128,8 @@ class TestFormatV3:
         file restores through the zip reader instead."""
         sim = build_sim()
         sim.simulate(3)
-        path = save_checkpoint(sim, tmp_path / "state.npz")
+        path = tmp_path / "state.npz"
+        save_v4(sim, path)
         with np.load(path) as data:
             payload = {k: data[k] for k in data.files}
         np.savez_compressed(path, **payload)
@@ -186,7 +188,103 @@ class TestFormatV4:
         assert target.num_agents == 0
 
 
-_WRITERS = {4: save_checkpoint, 3: save_v3, 2: save_v2, 1: save_v1}
+class TestFormatV5:
+    def test_layout(self, tmp_path):
+        """The fixed header, the ``__meta__`` document, then the arena
+        block, the free lists and the grids, raw and back to back."""
+        import json
+        import struct
+
+        sim = build_sim()
+        sim.simulate(3)
+        path = save_checkpoint(sim, tmp_path / "state.npz")
+        raw = path.read_bytes()
+        magic, fmt, meta_n, block_n, lists_n, grids_n = struct.unpack_from(
+            "<8s5Q", raw)
+        assert (magic, fmt) == (b"REPROCKP", 5)
+        assert len(raw) == 48 + meta_n + block_n + lists_n + grids_n
+        meta = json.loads(raw[48:48 + meta_n])
+        assert meta["format"] == 5 and meta["n"] == sim.rm.n
+        assert meta["grids"] == [["oxygen", "<f8", [8, 8, 8]]]
+        at = 48 + meta_n
+        soa = sim.rm.soa
+        assert raw[at:at + block_n] == soa.block[: soa.nbytes].tobytes()
+        grid = sim.diffusion_grids["oxygen"].concentration
+        assert raw[len(raw) - grids_n:] == grid.tobytes()
+
+    def test_round_trip_with_a_grid_continues_bitwise(self, tmp_path):
+        ref = build_sim()
+        ref.simulate(6)
+        path = save_checkpoint(ref, tmp_path / "state.npz")
+        fresh = build_sim(seed=1)
+        restore_checkpoint(fresh, path)
+        assert fresh.rm.soa.adopts == 1
+        for _ in range(4):
+            ref.simulate(1)
+            fresh.simulate(1)
+            assert state_checksum(fresh) == state_checksum(ref)
+
+    def test_layout_mismatch_takes_the_per_column_path(self, tmp_path):
+        """A column of another dtype cannot adopt the block: every column
+        is placed on its own, the values carried over."""
+        sim = build_sim(extra_column=True)
+        sim.rm.data["age"][:] = np.arange(sim.rm.n)
+        path = save_checkpoint(sim, tmp_path / "s.npz")
+        target = build_sim()
+        target.rm.register_column("age", np.int32, (), 0)
+        restore_checkpoint(target, path)
+        assert target.rm.soa.adopts == 0
+        assert target.rm.data["age"].dtype == np.int32
+        np.testing.assert_array_equal(target.rm.data["age"],
+                                      np.arange(sim.rm.n))
+        for name in ("position", "uid", "addr", "diameter"):
+            np.testing.assert_array_equal(target.rm.data[name],
+                                          sim.rm.data[name])
+
+    @pytest.mark.parametrize("keep", ["header", "meta", "block", "last"])
+    def test_truncated_file_raises_and_adopts_nothing(self, tmp_path, keep):
+        import struct
+
+        sim = build_sim()
+        sim.simulate(3)
+        path = save_checkpoint(sim, tmp_path / "s.npz")
+        raw = path.read_bytes()
+        meta_n, block_n = struct.unpack_from("<8s5Q", raw)[2:4]
+        cut = {"header": 20, "meta": 48 + meta_n // 2,
+               "block": 48 + meta_n + block_n // 2,
+               "last": len(raw) - 1}[keep]
+        path.write_bytes(raw[:cut])
+        target = build_sim(seed=1)
+        target.simulate(2)
+        before = state_checksum(target)
+        with pytest.raises(ValueError, match="truncated"):
+            restore_checkpoint(target, path)
+        assert target.rm.soa.adopts == 0
+        assert state_checksum(target) == before
+        target.simulate(1)
+
+    def test_meta_peek_reads_no_block(self, tmp_path, monkeypatch):
+        """``read_checkpoint_meta`` reads the header and the document: no
+        byte of the block, the free lists or the grids."""
+        from repro.core import checkpoint
+
+        sim = build_sim()
+        sim.simulate(2)
+        path = save_checkpoint(sim, tmp_path / "s.npz", extra_meta={"k": 1})
+        read = []
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, at: (
+            read.append((at, n)), pread(fd, n, at))[1])
+        monkeypatch.setattr(checkpoint, "_read_all", None)  # never called
+        meta = read_checkpoint_meta(path)
+        assert meta["format"] == 5 and meta["extra"] == {"k": 1}
+        header, document = read
+        assert header == (0, 48)
+        assert document[0] == 48 and 48 + document[1] < path.stat().st_size
+
+
+_WRITERS = {5: save_checkpoint, 4: save_v4, 3: save_v3, 2: save_v2,
+            1: save_v1}
 
 
 @pytest.mark.parametrize("extra", [None, {"model": "m", "seed": 3}])
@@ -221,18 +319,18 @@ class TestValidation:
             restore_checkpoint(target, path)
 
     def test_newer_format_rejected(self, tmp_path):
-        import json
-
         path = save_checkpoint(build_sim(), tmp_path / "s.npz")
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        meta = json.loads(payload["__meta__"].tobytes())
-        meta["format"] = 5
-        payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
-                                            dtype=np.uint8)
-        np.savez(path, **payload)
-        with pytest.raises(ValueError, match="unsupported checkpoint format 5"):
-            restore_checkpoint(build_sim(), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = (6).to_bytes(8, "little")  # the header's format field
+        path.write_bytes(bytes(raw))
+        target = build_sim()
+        before = state_checksum(target)
+        newer = "unsupported checkpoint format 6"
+        with pytest.raises(ValueError, match=newer):
+            restore_checkpoint(target, path)
+        with pytest.raises(ValueError, match=newer):
+            read_checkpoint_meta(path)
+        assert state_checksum(target) == before
 
     def test_unknown_grid_rejected(self, tmp_path):
         sim = build_sim(with_grid=True)

@@ -212,6 +212,23 @@ def test_lru_eviction_and_transparent_resume():
         assert not Path(ckpt).exists()
 
 
+def test_a_stale_state_view_never_sees_another_session():
+    """A view kept open across its session's eviction still maps that
+    session's old segment: the next session built on the same worker
+    gets a segment of its own, so the view neither shows nor writes it."""
+    with SessionPool(workers=1, max_resident=1) as p:
+        a = _create(p, name="a", agents=24, seed=3)
+        view = p.attach_state(a)
+        try:
+            before = {k: v.copy() for k, v in view.columns.items()}
+            b = _create(p, name="b", agents=24, seed=4)  # evicts a
+            p.handle(P.StepRequest(session=b, steps=2))
+            for name, col in view.columns.items():
+                assert col.tobytes() == before[name].tobytes(), name
+        finally:
+            view.close()
+
+
 def _record_exchanges(pool, monkeypatch):
     """Every ``_exchange`` the pool makes, as its list of
     ``(worker, message)`` legs."""

@@ -167,6 +167,45 @@ class TestResourceManagerIntegration:
         assert report.ok, report.render()
 
 
+class TestRegistration:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_fresh_simulation_repacks_once(self, shared):
+        """A new simulation registers the core and ``behavior_addr*``
+        columns with one repack -- one shared-memory segment -- in the
+        layout of adding them one at a time, so a block saved by either
+        adopts into the other with one copy."""
+        from repro.core.resource_manager import ResourceManager
+        from repro.core.simulation import MAX_TRACKED_BEHAVIORS
+
+        with Simulation("fresh", Param(shared_storage=shared)) as sim:
+            metrics = sim.obs.registry.snapshot()
+            assert metrics["arena:reallocations"] == 1
+            one_at_a_time = SoAArena()
+            for name, dtype, shape, _fill in ResourceManager.CORE_COLUMNS:
+                one_at_a_time.add_column(name, dtype, shape)
+            for i in range(MAX_TRACKED_BEHAVIORS):
+                one_at_a_time.add_column(f"behavior_addr{i}", np.int64)
+            assert sim.rm.soa.layout_meta() == one_at_a_time.layout_meta()
+            assert one_at_a_time.reallocations == len(sim.rm.data)
+            if shared:
+                assert sim.rm.arena.layout_version == 1
+
+    def test_register_columns_fills_live_rows(self):
+        with Simulation("cols", Param()) as sim:
+            sim.add_cells(np.random.default_rng(1).uniform(0, 40, (30, 3)))
+            before = sim.rm.soa.reallocations
+            sim.rm.register_columns([("age", np.int64, (), 7),
+                                     ("tag", np.float32, (2,), 0.5)])
+            assert sim.rm.soa.reallocations == before + 1
+            assert (sim.rm.data["age"] == 7).all()
+            assert sim.rm.data["tag"].shape == (30, 2)
+            assert (sim.rm.data["tag"] == 0.5).all()
+            with pytest.raises(ValueError, match="already registered"):
+                sim.rm.register_columns([("x", np.int8, (), 0),
+                                         ("age", np.int8, (), 0)])
+            assert "x" not in sim.rm.data
+
+
 class TestSingleCopyRestore:
     def test_restore_is_one_adopt_and_zero_column_stores(self, tmp_path,
                                                          monkeypatch):
@@ -188,7 +227,14 @@ class TestSingleCopyRestore:
             orig_adopt = SoAArena.adopt
 
             def counting_adopt(self, meta, raw):
-                adopt_nbytes.append(int(np.asarray(raw).nbytes))
+                if callable(raw):  # v5: the file is read into the block
+                    read = raw
+
+                    def raw(block):
+                        adopt_nbytes.append(int(block.nbytes))
+                        read(block)
+                else:
+                    adopt_nbytes.append(int(np.asarray(raw).nbytes))
                 return orig_adopt(self, meta, raw)
 
             store_calls = []
