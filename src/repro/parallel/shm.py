@@ -28,6 +28,9 @@ Three pieces live here:
 from __future__ import annotations
 
 import atexit
+import gc
+import os
+import signal
 import sys
 import weakref
 from dataclasses import dataclass
@@ -73,17 +76,47 @@ def attach_block(name: str) -> shared_memory.SharedMemory:
 
 
 def own_resource_tracker() -> None:
-    """Give this worker process a resource tracker of its own.
+    """Give this worker process a resource tracker of its own, forked now.
 
     A forked or spawned worker shares its parent's tracker, which unlinks
     a dead client's segments only once the parent exits too.  Its own
-    tracker, started with its first segment, unlinks them as soon as the
-    worker dies.
-    """
-    from multiprocessing import resource_tracker
+    tracker reads the worker's registrations from a pipe and unlinks what
+    is left when the pipe closes, i.e. as soon as the worker dies.
+    multiprocessing would exec a new interpreter for it on the worker's
+    first segment; a fork of the worker at boot, while it is still
+    single-threaded, runs the same loop without that start-up.
 
-    resource_tracker._resource_tracker._fd = None
-    resource_tracker._resource_tracker._pid = None
+    The child keeps stdio, as an exec'd tracker does, and the pipe's read
+    end; it closes every other inherited fd, since an end of the host's
+    pipe or of the worker's sentinel held open would hide the worker's
+    death from the host.  It freezes the inherited heap, so that its
+    collector leaves the shared pages alone, and never returns.
+    """
+    from multiprocessing import resource_tracker, util
+
+    r, w = os.pipe()
+    # The tracker ignores SIGINT / SIGTERM once it runs; blocked until then
+    # (bpo-33613), they cannot end it before it does.
+    signals = (signal.SIGINT, signal.SIGTERM)
+    signal.pthread_sigmask(signal.SIG_BLOCK, signals)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                # Not util.close_all_fds_except: keeping fd 0 makes it call
+                # closerange(0, 0), which CPython 3.11 turns into
+                # close_range(0, ~0), closing every fd.
+                os.closerange(3, r)
+                os.closerange(r + 1, util.MAXFD)
+                gc.freeze()
+                resource_tracker.main(r)
+            finally:
+                os._exit(0)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, signals)
+    os.close(r)
+    resource_tracker._resource_tracker._fd = w
+    resource_tracker._resource_tracker._pid = pid
 
 
 @dataclass

@@ -55,7 +55,7 @@ import numpy as np
 from repro.obs.core import Observability
 from repro.parallel.workers import WorkerLost, WorkerTeam
 from repro.serve import protocol as P
-from repro.serve.session import serve_worker_main
+from repro.serve.session import preload_worker, serve_worker_main
 
 __all__ = ["SessionPool", "StateView"]
 
@@ -184,10 +184,9 @@ class SessionPool:
         self._table_lock = threading.Lock()
         self._seq = 0
         self._closed = False
-        # Workers forked after the model registry is imported start warm:
-        # their first create builds a model, not the imports.
-        import repro.simulations.registry  # noqa: F401
-
+        # Workers forked after the preload boot warm: their first create
+        # and first tick run the model, not imports or a library load.
+        preload_worker()
         self._team = WorkerTeam(serve_worker_main, int(workers),
                                 "repro-serve-worker")
         self._workers = [_Worker() for _ in range(int(workers))]

@@ -54,6 +54,7 @@ __all__ = [
     "SessionSetupError",
     "build_session_sim",
     "HostedSession",
+    "preload_worker",
     "serve_worker_main",
 ]
 
@@ -70,6 +71,30 @@ class SessionSetupError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+def preload_worker() -> None:
+    """Import what a worker's first create, tick, evict and resume would
+    otherwise import on demand, and load the C kernel library.
+
+    The pool host calls this before it forks its workers, so each starts
+    with its whole import closure (``tests/test_serve_warm_boot.py``
+    holds the list complete); the worker calls it again, which under
+    ``fork`` finds everything there and under ``spawn`` warms the fresh
+    interpreter before its first command.  Loading the library opens no
+    parallel region, so forked workers keep the kernel team.
+    """
+    import numpy.ma  # noqa: F401  numpy 2's np.unique calls np.ma.is_masked
+    import numpy.random  # noqa: F401
+
+    import repro.core.arena  # noqa: F401
+    import repro.core.events  # noqa: F401
+    import repro.parallel.backend  # noqa: F401
+    import repro.parallel.shm  # noqa: F401
+    import repro.simulations.registry  # noqa: F401
+    from repro.kernels import c_backend
+
+    c_backend.available()
 
 
 def build_session_sim(spec: dict, shell: bool = False):
@@ -260,6 +285,7 @@ def serve_worker_main(worker_id: int, conn) -> None:
     """
     from repro.parallel.shm import own_resource_tracker
 
+    preload_worker()
     # A killed worker's sessions must not outlive it in /dev/shm.
     own_resource_tracker()
     sessions: dict[str, HostedSession] = {}

@@ -4,9 +4,10 @@ A serve worker forked from a host whose kernel library never opened a
 parallel region runs its sessions on the loading process's OpenMP team
 (libgomp's team survives ``fork`` only if it never started), and a
 served session still ends where a one-thread run ends, across an
-eviction and a resume.  The pool runs in a fresh interpreter: in the
-test host, earlier tests have started the team, so its workers would
-run one thread.
+eviction and a resume.  The pool's preload loads the library in the host
+without opening a region, so the rule holds after it.  The pool runs in
+a fresh interpreter: in the test host, earlier tests have started the
+team, so its workers would run one thread.
 """
 
 from __future__ import annotations
@@ -25,16 +26,18 @@ pytestmark = pytest.mark.skipif(
 SPEC = {"model": "oncology", "agents": 2000, "seed": 5, "params": {}}
 
 #: Session ``a`` is evicted at tick 4 (``b`` takes the one slot) and
-#: resumed for ticks 5-12 on the other worker; prints the team, what
-#: each worker reports as ``kernel:threads``, and ``a``'s tick-12
-#: checksum.
+#: resumed for ticks 5-12 on the other worker; prints whether the pool
+#: loaded the library in the host, the team, what each worker reports as
+#: ``kernel:threads``, ``a``'s tick-12 checksum, and whether the host
+#: ever opened a parallel region.
 SCRIPT = """
 import json
 from repro.kernels import c_backend
 from repro.serve import SessionClient
 
-lib = c_backend._library()
 with SessionClient.in_process(workers=2, max_resident=1) as client:
+    preloaded = c_backend._library.cache_info().currsize == 1
+    lib = c_backend._library()
     a = client.create_session("oncology", agents=2000, seed=5)
     a.step(4)
     b = client.create_session("oncology", agents=2000, seed=6)
@@ -45,7 +48,8 @@ with SessionClient.in_process(workers=2, max_resident=1) as client:
     reply = a.step(8, checksum=True)
     threads.append(a.snapshot().metrics["kernel:threads"])
     workers.append(sessions[a.session].worker)
-print(json.dumps({"team": lib.team, "threads": threads, "workers": workers,
+print(json.dumps({"preloaded": preloaded, "team": lib.team,
+                  "threads": threads, "workers": workers,
                   "resumed": reply.resumed, "iteration": reply.iteration,
                   "checksum": reply.checksum,
                   "host_team_used": lib.dll.repro_team_used()}))
@@ -54,6 +58,7 @@ print(json.dumps({"team": lib.team, "threads": threads, "workers": workers,
 
 def test_served_session_ticks_on_the_team_and_matches_one_thread():
     got = run_fresh(SCRIPT)
+    assert got["preloaded"]
     if got["team"] < 2:
         pytest.skip("one CPU: there is no team to inherit")
     assert got["host_team_used"] == 0
