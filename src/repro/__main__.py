@@ -321,7 +321,9 @@ def _cmd_trace(args) -> int:
               "fast appends, "
               f"{int(reg.counter('commit:staged_rows').value)} staged rows, "
               f"{int(reg.counter('agent_ops:mask_cache_hits').value)} "
-              "mask-cache hits")
+              "mask-cache hits, "
+              f"{int(reg.counter('agent_ops:whole_population_dispatches').value)}"
+              " whole-population dispatches")
         soa = sim.rm.soa
         print(f"  arena: {soa.nbytes} bytes, "
               f"{soa.reallocations} reallocations, "

@@ -17,7 +17,23 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Behavior"]
+__all__ = ["Behavior", "select_rows"]
+
+
+def select_rows(idx: np.ndarray, n: int):
+    """What a behavior indexes its columns with: ``slice(0, n)`` when
+    ``idx`` is every agent, else ``idx`` itself.
+
+    Sound under the dispatch contract (:meth:`Behavior.run`): ``idx``
+    holds ascending, unique storage indices below ``n``, so a cohort of
+    ``n`` of them is exactly ``0 .. n-1``, and ``col[:n]`` names the same
+    rows, in the same order, as ``col[idx]``.  Reading through the slice
+    gives a view instead of a gathered copy, and ``col[:n] += step``
+    updates in place instead of gathering and scattering; the values are
+    the same bytes either way.  Keep ``idx`` for everything that is not a
+    column access (``idx[mask]`` still names the selected agents).
+    """
+    return slice(0, n) if len(idx) == n else idx
 
 
 class Behavior:
@@ -54,13 +70,25 @@ class Behavior:
     removes_agents: bool = False
 
     def run(self, sim, idx: np.ndarray) -> None:  # pragma: no cover - abstract
-        """Execute the behavior for the agents at storage indices ``idx``."""
+        """Execute the behavior for the agents at storage indices ``idx``.
+
+        The dispatch contract: ``idx`` holds ascending, unique storage
+        indices, and ``len(idx) == sim.rm.n`` means every agent.  The
+        array may be shared with other behaviors' dispatches (a cohort of
+        every agent is one cached, read-only ``arange``), so never write
+        into it.  Index columns through
+        ``sel = select_rows(idx, sim.rm.n)`` — ``col[sel]`` is then a view
+        whenever the cohort is every agent — and keep ``idx`` to name
+        agents (``idx[col[sel] == value]``).
+        """
         raise NotImplementedError
 
     def next_fire(self, sim, idx: np.ndarray):
         """Earliest iteration at which the agents in ``idx`` need to run.
 
-        The wake-time contract of :mod:`repro.core.events`.  Return:
+        The wake-time contract of :mod:`repro.core.events`.  ``idx``
+        follows :meth:`run`'s dispatch contract, so scan columns through
+        :func:`select_rows` here too.  Return:
 
         - ``None`` — due every tick (the default: today's semantics);
         - a scalar — one absolute iteration index for the whole cohort

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.behavior import Behavior
+from repro.core.behavior import Behavior, select_rows
 
 __all__ = [
     "GrowDivide",
@@ -50,18 +50,22 @@ class GrowDivide(Behavior):
     def run(self, sim, idx: np.ndarray) -> None:
         """Grow attached cells; queue a daughter for those at threshold."""
         rm = sim.rm
+        sel = select_rows(idx, rm.n)
         d = rm.data["diameter"]
         dt = sim.param.simulation_time_step
         # Growth saturates at the division size: cells blocked from
         # dividing (population cap, contact inhibition) must not inflate
-        # without bound.
-        growing = idx[d[idx] < self.division_diameter]
-        d[growing] = np.minimum(
-            d[growing] + self.growth_rate * dt, self.division_diameter
-        )
-        rm.data["grew"][growing] = True
+        # without bound.  Masked and in place: rows at or above it keep
+        # their bytes, so writing the whole selection back changes only
+        # the grown ones (and is a no-op when ``ds`` is a view).
+        ds = d[sel]
+        below = ds < self.division_diameter
+        np.add(ds, self.growth_rate * dt, out=ds, where=below)
+        np.minimum(ds, self.division_diameter, out=ds, where=below)
+        d[sel] = ds
+        rm.data["grew"][sel] |= below
 
-        ready = idx[d[idx] >= self.division_diameter]
+        ready = idx[ds >= self.division_diameter]
         if self.max_agents is not None:
             room = max(0, self.max_agents - rm.n - rm.pending_additions)
             ready = ready[:room]
@@ -104,8 +108,9 @@ class RandomWalk(Behavior):
         step = sim.random.rng.normal(
             scale=self.speed * sim.param.simulation_time_step, size=(len(idx), 3)
         )
-        rm.positions[idx] += step
-        rm.data["moved"][idx] = True
+        sel = select_rows(idx, rm.n)
+        rm.positions[sel] += step
+        rm.data["moved"][sel] = True
 
 
 class Chemotaxis(Behavior):
@@ -164,7 +169,7 @@ class Infection(Behavior):
         rm = sim.rm
         state = rm.data["state"]
         indptr, indices = sim.neighbors()
-        infected = idx[state[idx] == self.INFECTED]
+        infected = idx[state[select_rows(idx, rm.n)] == self.INFECTED]
         if len(infected) == 0:
             return
         # Gather all infected agents' neighbor ranges in one vector pass.
@@ -188,7 +193,7 @@ class Infection(Behavior):
         bit for bit.  Any state mutation re-evaluates this answer.
         """
         state = sim.rm.data["state"]
-        if np.any(state[idx] == self.INFECTED):
+        if np.any(state[select_rows(idx, sim.rm.n)] == self.INFECTED):
             return None
         return np.inf
 
@@ -205,7 +210,7 @@ class Recovery(Behavior):
     def run(self, sim, idx: np.ndarray) -> None:
         """Move infected agents to recovered with fixed probability."""
         state = sim.rm.data["state"]
-        infected = idx[state[idx] == Infection.INFECTED]
+        infected = idx[state[select_rows(idx, sim.rm.n)] == Infection.INFECTED]
         roll = sim.random.rng.random(len(infected)) < self.probability
         state[infected[roll]] = Infection.RECOVERED
 
@@ -214,7 +219,7 @@ class Recovery(Behavior):
         draws do not advance generator state, so the skipped dispatch is
         a bitwise no-op)."""
         state = sim.rm.data["state"]
-        if np.any(state[idx] == Infection.INFECTED):
+        if np.any(state[select_rows(idx, sim.rm.n)] == Infection.INFECTED):
             return None
         return np.inf
 
@@ -238,7 +243,7 @@ class Confinement(Behavior):
     def run(self, sim, idx: np.ndarray) -> None:
         """Pull agents outside the sphere back toward the center."""
         rm = sim.rm
-        delta = rm.positions[idx] - self.center
+        delta = rm.positions[select_rows(idx, rm.n)] - self.center
         dist = np.linalg.norm(delta, axis=1)
         outside = dist > self.radius
         if not np.any(outside):
@@ -304,7 +309,8 @@ class ImportCases(ScheduledIntervention):
 
     def apply(self, sim, idx: np.ndarray) -> None:
         state = sim.rm.data["state"]
-        susceptible = idx[state[idx] == Infection.SUSCEPTIBLE]
+        susceptible = idx[state[select_rows(idx, sim.rm.n)]
+                          == Infection.SUSCEPTIBLE]
         if len(susceptible) == 0:
             return
         k = min(self.cases, len(susceptible))
@@ -327,7 +333,8 @@ class Vaccination(ScheduledIntervention):
 
     def apply(self, sim, idx: np.ndarray) -> None:
         state = sim.rm.data["state"]
-        susceptible = idx[state[idx] == Infection.SUSCEPTIBLE]
+        susceptible = idx[state[select_rows(idx, sim.rm.n)]
+                          == Infection.SUSCEPTIBLE]
         roll = sim.random.rng.random(len(susceptible)) < self.fraction
         state[susceptible[roll]] = Infection.RECOVERED
 
@@ -355,12 +362,13 @@ class Lockdown(ScheduledIntervention):
 
     def apply(self, sim, idx: np.ndarray) -> None:
         state = sim.rm.data["state"]
+        sel = select_rows(idx, sim.rm.n)
         if sim.scheduler.iteration == self.start:
-            susceptible = idx[state[idx] == Infection.SUSCEPTIBLE]
+            susceptible = idx[state[sel] == Infection.SUSCEPTIBLE]
             roll = sim.random.rng.random(len(susceptible)) < self.fraction
             state[susceptible[roll]] = self.QUARANTINED
         else:
-            quarantined = idx[state[idx] == self.QUARANTINED]
+            quarantined = idx[state[sel] == self.QUARANTINED]
             state[quarantined] = Infection.SUSCEPTIBLE
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.behavior import Behavior
+from repro.core.behavior import Behavior, select_rows
 
 __all__ = ["GeneRegulation"]
 
@@ -71,7 +71,8 @@ class GeneRegulation(Behavior):
                 sim.rm.register_column(col, np.float64, (), initial)
 
     def concentrations(self, sim, idx) -> dict[str, np.ndarray]:
-        """Current per-agent concentration arrays for agents ``idx``."""
+        """Current per-agent concentration arrays (copies) for agents
+        ``idx``: storage indices, or the slice :func:`select_rows` gives."""
         return {
             name: sim.rm.data[self.column(name)][idx].copy()
             for name in self._species
@@ -91,8 +92,9 @@ class GeneRegulation(Behavior):
             return
         self.ensure_columns(sim)
         rm = sim.rm
+        sel = select_rows(idx, rm.n)
         dt = sim.param.simulation_time_step / self.substeps
-        y = self.concentrations(sim, idx)
+        y = self.concentrations(sim, sel)
         for _ in range(self.substeps):
             if self.method == "euler":
                 k1 = self._rhs(sim, idx, y)
@@ -111,4 +113,4 @@ class GeneRegulation(Behavior):
                         k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n]
                     )
         for n, vals in y.items():
-            rm.data[self.column(n)][idx] = vals
+            rm.data[self.column(n)][sel] = vals

@@ -480,6 +480,8 @@ class Scheduler:
         self._commit_staged_rows = reg.counter("commit:staged_rows")
         self._mask_cache_hits = reg.counter("agent_ops:mask_cache_hits")
         self._dispatch_seconds = reg.counter("agent_ops:dispatch_seconds")
+        self._whole_population = reg.counter(
+            "agent_ops:whole_population_dispatches")
         #: Behavior-dispatch cache: ``{bit: flatnonzero(mask & bit)}``
         #: valid for ``_mask_cache_key`` — any structural change or
         #: out-of-commit mask write (``rm.mask_version``) starts a fresh
@@ -487,6 +489,11 @@ class Scheduler:
         #: dispatched exactly like a fresh per-behavior scan.
         self._mask_cache: dict[int, np.ndarray] = {}
         self._mask_cache_key = None
+        #: Under ``_mask_cache_key``: the bits every agent carries (one
+        #: AND-reduce of the mask column) and the one read-only
+        #: ``arange(n)`` each of their cohorts is.
+        self._common_bits = 0
+        self._everyone = None
         # --- Event-driven quiescence scheduling (repro.core.events).
         #: Wake-time bookkeeping + jump executor, or None when disabled.
         #: Never engages under a virtual machine (every tick must be
@@ -615,26 +622,38 @@ class Scheduler:
     def _behavior_indices(self, rm, bit) -> np.ndarray:
         """Storage indices of agents carrying behavior ``bit``.
 
-        The ``flatnonzero`` scan runs once per structural/mask change
-        instead of once per behavior per step: the index lists are cached
-        keyed on ``(structure_version, mask_version, n)``, and any commit,
-        reorder, restore, or out-of-commit mask write starts a fresh cache
-        — so a behavior that attaches or detaches bits mid-iteration still
-        sees exactly what a fresh scan would.
+        The cohorts are cached keyed on ``(structure_version,
+        mask_version, n)``, and any commit, reorder, restore, or
+        out-of-commit mask write starts a fresh cache — so a behavior that
+        attaches or detaches bits mid-iteration still sees exactly what a
+        fresh scan would.  A fresh key costs one AND-reduce of the mask
+        column: a bit every agent carries has ``arange(n)`` for its cohort
+        (the values and dtype ``flatnonzero`` returns), shared and
+        read-only; only the other bits pay a ``flatnonzero`` scan.
         """
         mask = rm.data["behavior_mask"]
         key = (rm.structure_version, rm.mask_version, rm.n)
         if self._mask_cache_key != key:
+            t0 = time.perf_counter()
             self._mask_cache_key = key
             self._mask_cache = {}
+            self._common_bits = int(np.bitwise_and.reduce(mask))
+            self._everyone = None
+            if self._common_bits:
+                self._everyone = np.arange(rm.n, dtype=np.intp)
+                self._everyone.flags.writeable = False
+            self._dispatch_seconds.inc(time.perf_counter() - t0)
         idx = self._mask_cache.get(bit)
-        if idx is None:
+        if idx is not None:
+            self._mask_cache_hits.inc()
+            return idx
+        if self._common_bits & bit:
+            idx = self._everyone
+        else:
             t0 = time.perf_counter()
             idx = np.flatnonzero(mask & np.uint64(bit))
             self._dispatch_seconds.inc(time.perf_counter() - t0)
-            self._mask_cache[bit] = idx
-        else:
-            self._mask_cache_hits.inc()
+        self._mask_cache[bit] = idx
         return idx
 
     def _run_agent_ops(self) -> None:
@@ -662,6 +681,8 @@ class Scheduler:
                     idx = self.events.filter_due(behavior, bit, idx)
                     if len(idx) == 0:
                         continue
+                if len(idx) == rm.n:
+                    self._whole_population.inc()
                 behavior.run(sim, idx)
                 if self.events is not None:
                     self.events.note_state_change()

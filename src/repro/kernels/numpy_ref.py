@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.behavior import select_rows
 from repro.kernels.api import (
     FORCE_EPSILON,
     MOVE_EPSILON,
@@ -376,9 +377,19 @@ def diffuse(concentration, voxel_size, diffusion_coefficient, decay, dt,
     return out
 
 
+def _field_rows(idx, n):
+    """:func:`~repro.core.behavior.select_rows` for a field kernel's
+    ``idx``.  The kernel API also takes descending and repeated indices,
+    so ``idx`` only becomes a slice once it is shown to be ``0 .. n-1``:
+    ``n`` long, from 0 to ``n - 1`` and strictly ascending."""
+    every = len(idx) == n and (n == 0 or (
+        idx[0] == 0 and idx[-1] == n - 1 and bool(np.all(idx[1:] > idx[:-1]))))
+    return select_rows(idx, n) if every else idx
+
+
 def secrete(grid, positions, idx, amount):
     """``amount`` into each agent's voxel (the body of ``Secretion.run``)."""
-    grid.add_substance(positions[idx], amount)
+    grid.add_substance(positions[_field_rows(idx, len(positions))], amount)
 
 
 def chemotaxis(grid, positions, moved, idx, speed, dt):
@@ -386,15 +397,16 @@ def chemotaxis(grid, positions, moved, idx, speed, dt):
     body of ``Chemotaxis.run``): the norm reduces ``(x*x + y*y) + z*z``,
     rows at or below ``1e-12`` take a ``+0.0`` step, and ``positions[idx]
     += step`` is a fancy ``+=`` (a duplicate agent moves once)."""
-    grad = grid.gradient_at(positions[idx])
+    sel = _field_rows(idx, len(positions))
+    grad = grid.gradient_at(positions[sel])
     norm = np.linalg.norm(grad, axis=1)
     ok = norm > 1e-12
     step = np.zeros_like(grad)
     np.divide(grad, norm[:, None], out=step, where=ok[:, None])
     step *= speed
     step *= dt
-    positions[idx] += step
-    moved[idx] |= ok
+    positions[sel] += step
+    moved[sel] |= ok
 
 
 class NumpyKernelBackend(KernelBackend):

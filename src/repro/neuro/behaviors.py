@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.behavior import Behavior
+from repro.core.behavior import Behavior, select_rows
 from repro.neuro.neuron import KIND_NEURITE
 
 __all__ = ["NeuriteExtension"]
@@ -69,7 +69,8 @@ class NeuriteExtension(Behavior):
         rng = sim.random.rng
         dt = sim.param.simulation_time_step
 
-        tips = idx[(rm.data["kind"][idx] == KIND_NEURITE) & rm.data["is_terminal"][idx]]
+        sel = select_rows(idx, rm.n)
+        tips = idx[(rm.data["kind"][sel] == KIND_NEURITE) & rm.data["is_terminal"][sel]]
         if len(tips) == 0:
             return
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.behavior import Behavior
+from repro.core.behavior import Behavior, select_rows
 from repro.neuro.neuron import KIND_NEURITE, KIND_SOMA
 
 if TYPE_CHECKING:  # imported where used: networkx takes ~0.15 s to load
@@ -50,8 +50,9 @@ class SynapseFormation(Behavior):
         rm = sim.rm
         if "neuron_id" not in rm.data:
             raise KeyError("SynapseFormation needs a 'neuron_id' column")
+        sel = select_rows(idx, rm.n)
         terminals = idx[
-            (rm.data["kind"][idx] == KIND_NEURITE) & rm.data["is_terminal"][idx]
+            (rm.data["kind"][sel] == KIND_NEURITE) & rm.data["is_terminal"][sel]
         ]
         if len(terminals) == 0:
             return
