@@ -1,16 +1,16 @@
 """Distributed engine: the paper's §8 future work in action.
 
-Partitions a tissue-mechanics workload across a simulated cluster,
-verifies that the distributed result is identical to the shared-memory
-engine's, and prints a strong-scaling table with the compute/communication
-split per node count.
+Runs a tissue-mechanics workload once on the engine, prices its ticks on
+simulated clusters of 1-16 nodes, and prints a strong-scaling table with
+the compute/communication split per node count.
 
 Run:  python examples/distributed_scaling.py
 """
 
 import numpy as np
 
-from repro.distributed import ClusterSpec, DistributedEngine
+from repro import Param, Simulation
+from repro.distributed import ClusterSpec, DistributedEngine, record
 from repro.parallel import SYSTEM_C
 
 
@@ -25,22 +25,18 @@ def main():
     print("cluster:  System C nodes (8 threads each), "
           "1.5 us / 12 GB/s interconnect\n")
 
-    reference = None
+    with Simulation(param=Param()) as sim:
+        sim.fixed_interaction_radius = 10.0
+        sim.add_cells(positions, 10.0)
+        snapshots = record(sim, iterations)
+
     print(f"{'nodes':>5} {'ms/iter':>9} {'speedup':>8} {'compute_ms':>11} "
           f"{'comm_ms':>8} {'ghosts':>7} {'migrations':>11}")
     base = None
     for nodes in (1, 2, 4, 8, 16):
         eng = DistributedEngine(
-            positions, 10.0,
-            ClusterSpec(nodes, node_spec=SYSTEM_C, threads_per_node=8),
-            interaction_radius=10.0,
-        )
-        eng.step(iterations)
-        if reference is None:
-            reference = eng.positions.copy()
-        else:
-            # The distributed result is bit-identical to the 1-node run.
-            np.testing.assert_allclose(eng.positions, reference, atol=1e-9)
+            ClusterSpec(nodes, node_spec=SYSTEM_C, threads_per_node=8))
+        eng.price(snapshots)
         t = eng.total_virtual_seconds / iterations
         if base is None:
             base = t
@@ -51,7 +47,7 @@ def main():
               f"{eng.total_comm_seconds / iterations * 1e3:8.4f} "
               f"{ghosts:7d} {migrations:11d}")
 
-    print("\nall node counts produced identical positions "
+    print("\nevery node count priced the same recorded ticks "
           "(halo width = interaction radius).")
 
 

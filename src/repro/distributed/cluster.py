@@ -28,9 +28,3 @@ class ClusterSpec:
             raise ValueError("need at least one node")
         if self.network_latency_s < 0 or self.network_bandwidth_bytes_per_s <= 0:
             raise ValueError("invalid network parameters")
-
-    def transfer_seconds(self, nbytes: float) -> float:
-        """Time for one point-to-point message of ``nbytes``."""
-        if nbytes <= 0:
-            return 0.0
-        return self.network_latency_s + nbytes / self.network_bandwidth_bytes_per_s

@@ -1,10 +1,10 @@
-"""1-D spatial domain decomposition with halo regions.
+"""Spatial domain decomposition with halo regions.
 
-The simulation space is cut into slabs along the x axis; every node owns
-the agents inside its slab.  Agents within one interaction radius of a
-cut plane are *halo* (ghost) agents for the adjacent node: their state is
-sent over before each step so node-local force calculations see exactly
-the same neighborhoods as a shared-memory run.
+The simulation space is cut into a rectilinear grid of subdomains; every
+node owns the agents inside its subdomain.  Agents within one interaction
+radius of a subdomain are *halo* (ghost) agents for its node: their state
+is sent over before each step so node-local force calculations see
+exactly the same neighborhoods as a shared-memory run.
 
 Cut planes start at population percentiles and can be re-balanced (the
 distributed analogue of the §4.2 NUMA balancing).
@@ -14,69 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SlabDecomposition", "GridDecomposition"]
+__all__ = ["GridDecomposition"]
 
 
-class SlabDecomposition:
-    """Axis-aligned slab decomposition along x."""
-
-    def __init__(self, num_nodes: int, positions: np.ndarray):
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        self.num_nodes = num_nodes
-        self.cuts = self._balanced_cuts(positions)
-
-    def _balanced_cuts(self, positions: np.ndarray) -> np.ndarray:
-        """Cut planes at population percentiles of x (equal agent shares)."""
-        if len(positions) == 0 or self.num_nodes == 1:
-            return np.zeros(0)
-        q = np.linspace(0, 100, self.num_nodes + 1)[1:-1]
-        return np.percentile(positions[:, 0], q)
-
-    def rebalance(self, positions: np.ndarray) -> None:
-        """Move the cut planes back to population percentiles."""
-        self.cuts = self._balanced_cuts(positions)
-
-    def owner_of(self, positions: np.ndarray) -> np.ndarray:
-        """Node owning each position."""
-        if self.num_nodes == 1 or len(positions) == 0:
-            return np.zeros(len(positions), dtype=np.int64)
-        return np.searchsorted(self.cuts, positions[:, 0], side="right")
-
-    def local_indices(self, positions: np.ndarray, node: int) -> np.ndarray:
-        """Indices of the agents owned by ``node``."""
-        return np.flatnonzero(self.owner_of(positions) == node)
-
-    def halo_indices(self, positions: np.ndarray, node: int, radius: float) -> np.ndarray:
-        """Indices of *remote* agents within ``radius`` of node's slab.
-
-        These are the ghosts the node must receive before computing local
-        forces.
-        """
-        owner = self.owner_of(positions)
-        x = positions[:, 0]
-        ghost = np.zeros(len(positions), dtype=bool)
-        if node > 0:
-            lo = self.cuts[node - 1]
-            ghost |= (owner != node) & (x >= lo - radius) & (x < lo)
-        if node < self.num_nodes - 1:
-            hi = self.cuts[node]
-            ghost |= (owner != node) & (x <= hi + radius) & (x >= hi)
-        return np.flatnonzero(ghost)
-
-    def node_loads(self, positions: np.ndarray) -> np.ndarray:
-        """Agents per node (imbalance diagnostics)."""
-        return np.bincount(self.owner_of(positions), minlength=self.num_nodes)
+def _quantiles(parts: int) -> np.ndarray:
+    """Percentiles of the ``parts - 1`` inner cut planes."""
+    return np.linspace(0, 100, parts + 1)[1:-1]
 
 
 class GridDecomposition:
     """Rectilinear 2-D decomposition: ``nx x ny`` columns/rows of cells.
 
     Cuts along x at population percentiles, then along y *within each
-    column* — the classic rectilinear partition.  At high node counts its
-    halo surface grows like sqrt(nodes) instead of the slab layout's
-    linear growth, so communication scales better (the reason production
-    codes abandon 1-D decompositions).
+    column* — the classic rectilinear partition.  ``nx x 1`` is the 1-D
+    slab layout.  At high node counts a square grid's halo surface grows
+    like sqrt(nodes) instead of the slabs' linear growth, so
+    communication scales better (the reason production codes abandon 1-D
+    decompositions).
     """
 
     def __init__(self, nx: int, ny: int, positions: np.ndarray):
@@ -85,50 +39,31 @@ class GridDecomposition:
         self.nx = nx
         self.ny = ny
         self.num_nodes = nx * ny
-        self.x_cuts = np.zeros(0)
-        self.y_cuts = np.zeros((nx, max(ny - 1, 0)))
         self.rebalance(positions)
 
     def rebalance(self, positions: np.ndarray) -> None:
         """Move all cut planes back to population percentiles."""
+        self.x_cuts = np.zeros(self.nx - 1)
+        self.y_cuts = np.zeros((self.nx, self.ny - 1))
         if len(positions) == 0:
-            self.x_cuts = np.zeros(max(self.nx - 1, 0))
-            self.y_cuts = np.zeros((self.nx, max(self.ny - 1, 0)))
             return
-        if self.nx > 1:
-            q = np.linspace(0, 100, self.nx + 1)[1:-1]
-            self.x_cuts = np.percentile(positions[:, 0], q)
-        else:
-            self.x_cuts = np.zeros(0)
-        cols = (
-            np.searchsorted(self.x_cuts, positions[:, 0], side="right")
-            if self.nx > 1
-            else np.zeros(len(positions), dtype=np.int64)
-        )
-        self.y_cuts = np.zeros((self.nx, max(self.ny - 1, 0)))
+        self.x_cuts = np.percentile(positions[:, 0], _quantiles(self.nx))
         if self.ny > 1:
-            q = np.linspace(0, 100, self.ny + 1)[1:-1]
+            cols = np.searchsorted(self.x_cuts, positions[:, 0], side="right")
             for c in range(self.nx):
                 ys = positions[cols == c, 1]
                 if len(ys):
-                    self.y_cuts[c] = np.percentile(ys, q)
+                    self.y_cuts[c] = np.percentile(ys, _quantiles(self.ny))
 
     def owner_of(self, positions: np.ndarray) -> np.ndarray:
         """Node owning each position (column-major cell index)."""
-        if len(positions) == 0:
-            return np.zeros(0, dtype=np.int64)
-        cols = (
-            np.searchsorted(self.x_cuts, positions[:, 0], side="right")
-            if self.nx > 1
-            else np.zeros(len(positions), dtype=np.int64)
-        )
+        cols = np.searchsorted(self.x_cuts, positions[:, 0], side="right")
         rows = np.zeros(len(positions), dtype=np.int64)
         if self.ny > 1:
             for c in range(self.nx):
                 sel = cols == c
-                rows[sel] = np.searchsorted(
-                    self.y_cuts[c], positions[sel, 1], side="right"
-                )
+                rows[sel] = np.searchsorted(self.y_cuts[c], positions[sel, 1],
+                                            side="right")
         return cols * self.ny + rows
 
     def _cell_bounds(self, node: int):
@@ -140,7 +75,8 @@ class GridDecomposition:
         return x_lo, x_hi, y_lo, y_hi
 
     def halo_indices(self, positions: np.ndarray, node: int, radius: float) -> np.ndarray:
-        """Remote agents within ``radius`` of the node's rectangle."""
+        """Remote agents within ``radius`` of the node's rectangle: the
+        ghosts it must receive before computing local forces."""
         owner = self.owner_of(positions)
         x_lo, x_hi, y_lo, y_hi = self._cell_bounds(node)
         x, y = positions[:, 0], positions[:, 1]
@@ -149,10 +85,6 @@ class GridDecomposition:
             & (y >= y_lo - radius) & (y <= y_hi + radius)
         )
         return np.flatnonzero(inside_expanded & (owner != node))
-
-    def local_indices(self, positions: np.ndarray, node: int) -> np.ndarray:
-        """Indices of the agents owned by ``node``."""
-        return np.flatnonzero(self.owner_of(positions) == node)
 
     def node_loads(self, positions: np.ndarray) -> np.ndarray:
         """Agents per node (imbalance diagnostics)."""

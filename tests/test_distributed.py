@@ -1,12 +1,20 @@
-"""Tests for the distributed engine (paper §8 future work)."""
+"""Tests for the distributed recorder (paper §8 future work)."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.force import InteractionForce
-from repro.distributed import ClusterSpec, DistributedEngine, SlabDecomposition
-from repro.env.environment import brute_force_csr
+from repro.core.param import Param
+from repro.core.simulation import Simulation
+from repro.distributed import (ClusterSpec, DistributedEngine,
+                               GridDecomposition, record)
 from repro.parallel import SYSTEM_C
+from repro.simulations import get_simulation
+from repro.verify.snapshot import state_checksum
+
+REPORTS_FILE = Path(__file__).parent / "data" / "distributed_reports.json"
 
 
 def random_ball(n, seed=0, span=60.0):
@@ -14,20 +22,26 @@ def random_ball(n, seed=0, span=60.0):
     return rng.uniform(0, span, (n, 3))
 
 
-def single_node_step(positions, diameters, radius, dt=0.01, max_disp=3.0):
-    """Reference shared-memory mechanics step."""
-    force = InteractionForce()
-    indptr, indices = brute_force_csr(positions, radius)
-    res = force.compute(positions, diameters, indptr, indices)
-    d = res.net_force * dt
-    norm = np.linalg.norm(d, axis=1)
-    far = norm > max_disp
-    if np.any(far):
-        d[far] *= (max_disp / norm[far])[:, None]
-    out = positions.copy()
-    moved = norm > 1e-9
-    out[moved] += d[moved]
-    return out
+def recorded(positions, diameter, radius, ticks):
+    """Snapshots of a mechanics-only run of the engine."""
+    with Simulation(param=Param()) as sim:
+        sim.fixed_interaction_radius = radius
+        sim.add_cells(positions, diameter)
+        return record(sim, ticks)
+
+
+def priced(snapshots, nodes, decomposition=None, threads=4):
+    eng = DistributedEngine(
+        ClusterSpec(nodes, node_spec=SYSTEM_C, threads_per_node=threads),
+        decomposition)
+    eng.price(snapshots)
+    return eng
+
+
+def model(name, n=300, seed=1, **param):
+    sim_model = get_simulation(name)
+    return sim_model.build(n, param=sim_model.default_param().with_(**param),
+                           seed=seed)
 
 
 class TestClusterSpec:
@@ -37,46 +51,38 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(2, network_bandwidth_bytes_per_s=0)
 
-    def test_transfer_time(self):
-        c = ClusterSpec(2, network_latency_s=1e-6,
-                        network_bandwidth_bytes_per_s=1e9)
-        assert c.transfer_seconds(0) == 0.0
-        assert c.transfer_seconds(1e9) == pytest.approx(1.0 + 1e-6)
-
 
 class TestDecomposition:
+    """``GridDecomposition(k, 1)``: slabs along x."""
+
     def test_balanced_cuts(self):
         pos = random_ball(1000)
-        d = SlabDecomposition(4, pos)
-        loads = d.node_loads(pos)
+        loads = GridDecomposition(4, 1, pos).node_loads(pos)
         assert loads.sum() == 1000
         assert loads.max() - loads.min() <= 10
 
     def test_single_node(self):
         pos = random_ball(50)
-        d = SlabDecomposition(1, pos)
+        d = GridDecomposition(1, 1, pos)
         assert np.all(d.owner_of(pos) == 0)
         assert len(d.halo_indices(pos, 0, 5.0)) == 0
 
     def test_owners_partition(self):
         pos = random_ball(300)
-        d = SlabDecomposition(3, pos)
-        owners = d.owner_of(pos)
+        owners = GridDecomposition(3, 1, pos).owner_of(pos)
         assert set(owners.tolist()) <= {0, 1, 2}
 
     def test_halo_is_remote_and_near_boundary(self):
         pos = random_ball(500)
-        d = SlabDecomposition(2, pos)
+        d = GridDecomposition(2, 1, pos)
         radius = 5.0
         halo0 = d.halo_indices(pos, 0, radius)
-        owners = d.owner_of(pos)
-        assert np.all(owners[halo0] != 0)
-        cut = d.cuts[0]
-        assert np.all(pos[halo0, 0] <= cut + radius)
+        assert np.all(d.owner_of(pos)[halo0] != 0)
+        assert np.all(pos[halo0, 0] <= d.x_cuts[0] + radius)
 
     def test_rebalance_restores_balance(self):
         pos = random_ball(400)
-        d = SlabDecomposition(4, pos)
+        d = GridDecomposition(4, 1, pos)
         pos[:, 0] += np.linspace(0, 50, 400)  # drift
         d.rebalance(pos)
         loads = d.node_loads(pos)
@@ -84,262 +90,153 @@ class TestDecomposition:
 
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
-            SlabDecomposition(0, random_ball(10))
+            GridDecomposition(0, 1, random_ball(10))
 
 
 class TestCorrectness:
-    """The distributed result must equal the shared-memory result."""
+    """The recorder prices the engine's ticks as the retired stepper
+    priced its own, and leaves the run untouched."""
 
-    @pytest.mark.parametrize("nodes", [1, 2, 3, 5])
-    def test_matches_single_node_one_step(self, nodes):
+    FROZEN = json.loads(REPORTS_FILE.read_text())["reports"]
+
+    @pytest.mark.parametrize("layout", sorted(FROZEN))
+    def test_matches_frozen_stepper_reports(self, layout):
         pos = random_ball(200, seed=3)
-        dia = np.full(200, 10.0)
-        eng = DistributedEngine(
-            pos, dia, ClusterSpec(nodes, node_spec=SYSTEM_C, threads_per_node=4),
-            interaction_radius=10.0,
-        )
-        eng.step()
-        ref = single_node_step(pos, dia, 10.0)
-        np.testing.assert_allclose(eng.positions, ref, atol=1e-12)
-
-    def test_matches_over_many_steps(self):
-        pos = random_ball(150, seed=5)
-        dia = np.full(150, 10.0)
-        engines = [
-            DistributedEngine(
-                pos, dia, ClusterSpec(k, node_spec=SYSTEM_C, threads_per_node=4),
-                interaction_radius=10.0, rebalance_frequency=3,
-            )
-            for k in (1, 4)
-        ]
-        for eng in engines:
-            eng.step(10)
-        np.testing.assert_allclose(engines[0].positions, engines[1].positions,
-                                   atol=1e-9)
+        nx, ny = map(int, layout.split("x"))
+        eng = priced(recorded(pos, 10.0, 10.0, 5), nx * ny,
+                     GridDecomposition(nx, ny, pos))
+        got = [dict(compute_seconds=r.compute_seconds_per_node.tolist(),
+                    comm_seconds=r.comm_seconds_per_node.tolist(),
+                    ghosts=r.ghosts_per_node.tolist(),
+                    migrations=r.migrations) for r in eng.reports]
+        assert got == self.FROZEN[layout]
 
     def test_migration_counted(self):
         # An overlapping pair just left of the cut plane: repulsion pushes
         # the right agent across into node 1's slab.
         pos = np.array([[19.0, 0, 0], [19.45, 0, 0], [40.0, 0, 0]])
-        dia = np.full(3, 8.0)
-        eng = DistributedEngine(
-            pos, dia, ClusterSpec(2, node_spec=SYSTEM_C, threads_per_node=2),
-            interaction_radius=8.0, rebalance_frequency=0,
-        )
-        eng.decomposition.cuts = np.array([19.5])
-        total_migrations = 0
-        for _ in range(10):
-            rep = eng.step()
-            total_migrations += rep.migrations
-        assert total_migrations >= 1
+        decomp = GridDecomposition(2, 1, pos)
+        decomp.x_cuts = np.array([19.5])
+        eng = priced(recorded(pos, 8.0, 8.0, 10), 2, decomp, threads=2)
+        assert sum(r.migrations for r in eng.reports) >= 1
+
+    @pytest.mark.parametrize("layout", [(4, 1), (2, 2), (3, 2)])
+    def test_halo_holds_every_neighbor_of_a_local_agent(self, layout):
+        with model("oncology", n=400) as sim:
+            sim.simulate(3)
+            pos = sim.rm.data["position"].copy()
+            indptr, indices = (a.copy() for a in sim.neighbors())
+            radius = sim.interaction_radius()
+        decomp = GridDecomposition(*layout, pos)
+        owners = decomp.owner_of(pos)
+        rows = np.repeat(np.arange(len(pos)), np.diff(indptr))
+        for node in range(decomp.num_nodes):
+            seen = owners == node
+            seen[decomp.halo_indices(pos, node, radius)] = True
+            assert np.all(seen[indices[owners[rows] == node]])
+
+    def test_migrations_are_keyed_by_uid(self):
+        with model("oncology", n=600, agent_sort_frequency=1) as sim:
+            snaps = record(sim, 6)
+            assert np.any(np.diff(sim.rm.data["uid"]) < 0)  # sorted storage
+        first, last = set(snaps[0].uids.tolist()), set(snaps[-1].uids.tolist())
+        assert first - last and last - first  # deaths and births
+        eng = priced(snaps, 4)
+        decomp = GridDecomposition(4, 1, snaps[0].positions)
+        for report, before, after in zip(eng.reports, snaps, snaps[1:]):
+            owner_before = dict(zip(before.uids.tolist(),
+                                    decomp.owner_of(before.positions).tolist()))
+            owner_after = dict(zip(after.uids.tolist(),
+                                   decomp.owner_of(after.positions).tolist()))
+            assert report.migrations == sum(
+                owner_before[u] != owner_after[u]
+                for u in owner_before.keys() & owner_after.keys())
+        assert sum(r.migrations for r in eng.reports) > 0
+
+    @pytest.mark.parametrize("name", ["oncology", "cell_proliferation"])
+    def test_recording_does_not_perturb_the_run(self, name):
+        with model(name) as plain, model(name) as watched:
+            plain.simulate(8)
+            record(watched, 8)
+            assert state_checksum(watched) == state_checksum(plain)
+
+
+@pytest.fixture(scope="module")
+def ball_ticks():
+    return recorded(random_ball(2000, seed=1, span=80.0), 10.0, 10.0, 3)
 
 
 class TestPerformanceModel:
-    def _engine(self, nodes, n=2000, seed=1):
-        pos = random_ball(n, seed=seed, span=80.0)
-        return DistributedEngine(
-            pos, np.full(n, 10.0),
-            ClusterSpec(nodes, node_spec=SYSTEM_C, threads_per_node=8),
-            interaction_radius=10.0,
-        )
-
-    def test_more_nodes_less_compute_time(self):
-        t = {}
-        for nodes in (1, 4):
-            eng = self._engine(nodes)
-            eng.step(3)
-            t[nodes] = eng.total_compute_seconds
+    def test_more_nodes_less_compute_time(self, ball_ticks):
+        t = {k: priced(ball_ticks, k).total_compute_seconds for k in (1, 4)}
         assert t[4] < t[1]
 
-    def test_communication_only_with_multiple_nodes(self):
-        single = self._engine(1)
-        multi = self._engine(4)
-        single.step()
-        multi.step()
-        assert single.total_comm_seconds == pytest.approx(
-            0.0, abs=1e-12
-        )
+    def test_communication_only_with_multiple_nodes(self, ball_ticks):
+        single = priced(ball_ticks[:2], 1)
+        multi = priced(ball_ticks[:2], 4)
+        assert single.total_comm_seconds == pytest.approx(0.0, abs=1e-12)
         assert multi.total_comm_seconds > 0
 
-    def test_comm_grows_with_node_count(self):
-        c2 = self._engine(2)
-        c8 = self._engine(8)
-        c2.step()
-        c8.step()
+    def test_comm_grows_with_node_count(self, ball_ticks):
+        c2 = priced(ball_ticks[:2], 2)
+        c8 = priced(ball_ticks[:2], 8)
         # More cut planes -> more halo traffic in the max-node metric.
         assert c8.reports[0].ghosts_per_node.sum() > c2.reports[0].ghosts_per_node.sum()
 
-    def test_step_report_consistency(self):
-        eng = self._engine(3)
-        rep = eng.step()
+    def test_step_report_consistency(self, ball_ticks):
+        eng = priced(ball_ticks[:2], 3)
+        rep = eng.reports[0]
         assert rep.step_seconds >= float(np.max(rep.compute_seconds_per_node))
         assert eng.total_virtual_seconds == pytest.approx(rep.step_seconds)
-
-
-class TestBrownianMotility:
-    """Partition-invariant random motion (counter-based RNG)."""
-
-    def _engine(self, nodes, n=300, speed=30.0):
-        from repro.distributed import BrownianMotion
-
-        pos = random_ball(n, seed=9)
-        return DistributedEngine(
-            pos, np.full(n, 6.0),
-            ClusterSpec(nodes, node_spec=SYSTEM_C, threads_per_node=4),
-            interaction_radius=6.0,
-            motility=BrownianMotion(speed=speed, seed=5),
-        )
-
-    def test_identical_across_node_counts(self):
-        engines = [self._engine(k) for k in (1, 3, 6)]
-        for eng in engines:
-            eng.step(8)
-        np.testing.assert_allclose(engines[0].positions, engines[1].positions,
-                                   atol=1e-9)
-        np.testing.assert_allclose(engines[0].positions, engines[2].positions,
-                                   atol=1e-9)
-
-    def test_motion_is_random_and_unbiased(self):
-        eng = self._engine(1, n=2000)
-        before = eng.positions.copy()
-        eng.step(1)
-        steps = eng.positions - before
-        assert np.all(np.linalg.norm(steps, axis=1) > 0)
-        # Mean step ~ 0 (unbiased), std ~ speed * dt.
-        assert abs(steps.mean()) < 0.05
-        assert 0.2 < steps.std() / (30.0 * 0.01) < 2.0
-
-    def test_different_iterations_differ(self):
-        from repro.distributed import BrownianMotion
-
-        m = BrownianMotion(speed=1.0, seed=1)
-        uids = np.arange(50)
-        a = m.displacements(uids, 0, 0.01)
-        b = m.displacements(uids, 1, 0.01)
-        assert not np.allclose(a, b)
-
-    def test_different_seeds_differ(self):
-        from repro.distributed import BrownianMotion
-
-        uids = np.arange(50)
-        a = BrownianMotion(1.0, seed=1).displacements(uids, 0, 0.01)
-        b = BrownianMotion(1.0, seed=2).displacements(uids, 0, 0.01)
-        assert not np.allclose(a, b)
 
 
 class TestGridDecomposition:
     """2-D rectilinear decomposition."""
 
-    def _grid_engine(self, nx, ny, n=400, seed=11):
-        from repro.distributed.decomposition import GridDecomposition
-
-        pos = random_ball(n, seed=seed)
-        decomp = GridDecomposition(nx, ny, pos)
-        return DistributedEngine(
-            pos, np.full(n, 8.0),
-            ClusterSpec(nx * ny, node_spec=SYSTEM_C, threads_per_node=4),
-            interaction_radius=8.0, decomposition=decomp,
-        )
-
     def test_loads_balanced(self):
-        from repro.distributed.decomposition import GridDecomposition
-
         pos = random_ball(1200, seed=4)
-        d = GridDecomposition(3, 2, pos)
-        loads = d.node_loads(pos)
+        loads = GridDecomposition(3, 2, pos).node_loads(pos)
         assert loads.sum() == 1200
         assert loads.max() - loads.min() <= 20
 
-    def test_matches_single_node(self):
-        eng = self._grid_engine(2, 2, n=250)
-        eng.step()
-        ref = single_node_step(eng_positions_seed(250, 11), np.full(250, 8.0), 8.0)
-        np.testing.assert_allclose(eng.positions, ref, atol=1e-12)
-
-    def test_matches_slab_results(self):
-        slab = DistributedEngine(
-            random_ball(300, seed=12), np.full(300, 8.0),
-            ClusterSpec(4, node_spec=SYSTEM_C, threads_per_node=4),
-            interaction_radius=8.0,
-        )
-        grid = self._grid_engine(2, 2, n=300, seed=12)
-        slab.step(5)
-        grid.step(5)
-        np.testing.assert_allclose(slab.positions, grid.positions, atol=1e-9)
-
     def test_fewer_ghosts_than_slabs_at_high_node_count(self):
-        n = 8000
-        pos = random_ball(n, seed=13, span=120.0)
-        from repro.distributed.decomposition import GridDecomposition
-
-        slab = DistributedEngine(
-            pos, np.full(n, 8.0),
-            ClusterSpec(16, node_spec=SYSTEM_C, threads_per_node=4),
-            interaction_radius=8.0,
-        )
-        grid = DistributedEngine(
-            pos, np.full(n, 8.0),
-            ClusterSpec(16, node_spec=SYSTEM_C, threads_per_node=4),
-            interaction_radius=8.0,
-            decomposition=GridDecomposition(4, 4, pos),
-        )
-        rs = slab.step()
-        rg = grid.step()
-        assert rg.ghosts_per_node.sum() < rs.ghosts_per_node.sum()
+        pos = random_ball(8000, seed=13, span=120.0)
+        snaps = recorded(pos, 8.0, 8.0, 1)
+        slab = priced(snaps, 16)
+        grid = priced(snaps, 16, GridDecomposition(4, 4, pos))
+        assert (grid.reports[0].ghosts_per_node.sum()
+                < slab.reports[0].ghosts_per_node.sum())
 
     def test_node_count_mismatch(self):
-        from repro.distributed.decomposition import GridDecomposition
-
         pos = random_ball(50)
         with pytest.raises(ValueError):
-            DistributedEngine(
-                pos, 8.0, ClusterSpec(4, node_spec=SYSTEM_C, threads_per_node=2),
-                interaction_radius=8.0,
-                decomposition=GridDecomposition(3, 2, pos),
-            )
+            DistributedEngine(ClusterSpec(4), GridDecomposition(3, 2, pos))
 
     def test_invalid_grid(self):
-        from repro.distributed.decomposition import GridDecomposition
-
         with pytest.raises(ValueError):
             GridDecomposition(0, 2, random_ball(10))
 
 
-def eng_positions_seed(n, seed):
-    return random_ball(n, seed=seed)
-
-
 class TestEngineMetricsRegistry:
-    """StepReport timings must land in an obs MetricsRegistry under the
-    same ``dist:*`` namespace the real sharded backend uses, so
-    ``python -m repro trace`` and bench consumers read one schema."""
+    """Tick timings land in the engine's own ``dist:*`` MetricsRegistry."""
 
-    def _engine(self, registry=None, nodes=2, n=80):
-        pos = random_ball(n, seed=4)
-        return DistributedEngine(pos, 10.0, ClusterSpec(nodes),
-                                 interaction_radius=12.0,
-                                 registry=registry)
+    def _engine(self, ticks):
+        snaps = recorded(random_ball(80, seed=4), 10.0, 12.0, ticks)
+        return priced(snaps, 2)
 
     def test_counters_accumulate_in_registry(self):
-        from repro.obs.core import MetricsRegistry
-
-        reg = MetricsRegistry()
-        eng = self._engine(registry=reg)
-        eng.step(3)
-        snap = reg.snapshot()
+        eng = self._engine(3)
+        snap = eng.registry.snapshot()
         assert snap["dist:shards"] == 2
         assert snap["dist:virtual_seconds"] > 0
-        assert snap["dist:virtual_seconds"] == pytest.approx(
-            eng.total_virtual_seconds)
-        assert snap["dist:comm_seconds"] == pytest.approx(
-            eng.total_comm_seconds)
-        assert snap["dist:compute_seconds"] == pytest.approx(
-            eng.total_compute_seconds)
+        for name in ("virtual", "comm", "compute"):
+            assert snap[f"dist:{name}_seconds"] == pytest.approx(
+                getattr(eng, f"total_{name}_seconds"))
         assert snap["dist:halo_agents"] >= 0
         assert "dist:migrations" in snap
 
     def test_default_registry_is_private(self):
-        eng = self._engine()
-        eng.step(1)
-        assert eng.registry.snapshot()["dist:virtual_seconds"] \
-            == pytest.approx(eng.total_virtual_seconds)
+        a, b = self._engine(1), self._engine(1)
+        assert a.registry is not b.registry
+        assert a.registry.snapshot()["dist:virtual_seconds"] \
+            == pytest.approx(a.total_virtual_seconds)
