@@ -343,7 +343,9 @@ def _cmd_trace(args) -> int:
                   "horizon recomputes, "
                   f"{int(reg.counter('events:sampler_replays').value)} "
                   "sampler replays, top blocker "
-                  + (f"{top} ({int(blocked[top])})" if top else "none"))
+                  + (f"{top} ({int(blocked[top])})" if top else "none")
+                  + f", {int(reg.counter('events:jump_stops').value)} "
+                  "jump stops")
         if workers:
             print(f"  worker threads: {len(workers)}")
         if args.metrics:

@@ -29,7 +29,7 @@ with the cached dispatch index list).  Two mechanisms fall out:
    tick while a diffusion grid still evolves — and in between only the
    float time accumulator moves, tick by tick (``time += dt`` k times is
    *not* ``time += k*dt`` in IEEE arithmetic).  Surfaces as
-   ``events:jumps`` / ``skipped_steps`` / ``max_jump`` /
+   ``events:jumps`` / ``skipped_steps`` / ``max_jump`` / ``jump_stops`` /
    ``horizon_recomputes`` / ``sampler_replays`` / ``blocked:<reason>``.
 
 Correctness is anchored on facts the test-suite and ``verify --events``
@@ -102,6 +102,7 @@ class EventScheduler:
         self._max_jump = reg.gauge("events:max_jump")
         self._recomputes = reg.counter("events:horizon_recomputes")
         self._replays = reg.counter("events:sampler_replays")
+        self._stops = reg.counter("events:jump_stops")
         #: Bumps whenever simulation state may have changed: after every
         #: tick, after every mutating behavior/operation *within* a tick
         #: (a wake answer computed before an earlier behavior ran is never
@@ -114,8 +115,8 @@ class EventScheduler:
         #: ``(epoch, bool)`` — whether the last sub-step of the tick probed
         #: in ``epoch`` left every diffusion grid bitwise unchanged.
         self._grids_fixed: tuple | None = None
-        #: ``(key, horizon, samplers, sampled)`` — see :meth:`_plan`.
-        self._cached_plan: tuple | None = None
+        #: ``[key, horizon, schedule]`` — see :meth:`_plan`.
+        self._cached_plan: list | None = None
 
     def note_state_change(self) -> None:
         """State may have mutated: end the quiet epoch (drops all caches)."""
@@ -230,14 +231,15 @@ class EventScheduler:
                 h = min(h, due)
         return h, None
 
-    def _plan(self) -> tuple:
-        """The cached ``(key, horizon, samplers, sampled)``, recomputed on
-        a miss; ``sampled`` collects the samplers that really ran under it.
+    def _plan(self) -> list:
+        """The cached ``[key, horizon, schedule]``, recomputed on a miss;
+        the stop schedule (:meth:`_schedule`) is filled in by the first
+        jump taken under the plan, so a blocked recompute never builds it.
 
-        The key is everything that can move the horizon without a tick
-        running: the epoch (ticks and public mutators bump it) plus the
-        scheduler inputs a caller may assign directly between two
-        ``advance`` calls.  A jump never crosses the horizon, so chained
+        The key is everything that can move the horizon or the schedule
+        without a tick running: the epoch (ticks and public mutators bump
+        it) plus the scheduler inputs a caller may assign directly between
+        two ``advance`` calls.  A jump never crosses the horizon, so chained
         jumps reuse the plan: O(#behaviors + #operations), not O(agents).
         """
         sched = self._sched
@@ -250,7 +252,7 @@ class EventScheduler:
             sched.neighbor_cache.moved_since_build, sim.visualize_callback,
             sim.mechanics_enabled, p.agent_sort_frequency,
             p.check_invariants_frequency, tuple(sim.behaviors),
-            tuple([(op, op.frequency) for op in sim.operations]),
+            tuple([(op, op.frequency, op.kind) for op in sim.operations]),
         )
         plan = self._cached_plan
         if plan is None or plan[0] != key:
@@ -263,35 +265,41 @@ class EventScheduler:
                 # covers every jump taken under this horizon.
                 sched.peak_memory_bytes = max(
                     sched.peak_memory_bytes, sim.memory_bytes())
-            samplers = [op for op in sim.operations if _is_sampler(op)]
-            plan = self._cached_plan = (key, h, samplers, set())
+            plan = self._cached_plan = [key, h, None]
         return plan
+
+    def _schedule(self) -> tuple:
+        """``(frequencies, pre, standalone, post)``: the samplers' distinct
+        frequencies, then per stage its samplers as ``[frequency, op,
+        replay]`` in registration order.  ``replay``, the replay-or-run
+        decision, is ``None`` (run) until the sampler really ran under this
+        plan — hence in this quiet epoch — then its ``replay`` method."""
+        ops = self._sched.sim.operations
+        stages = [[[op.frequency, op, None] for op in ops
+                   if op.kind is kind and _is_sampler(op)]
+                  for kind in (OpKind.PRE, OpKind.STANDALONE, OpKind.POST)]
+        return tuple({e[0] for st in stages for e in st}), *stages
 
     # -- jump execution --------------------------------------------------- #
 
-    def _sample(self, samplers, sampled, kind) -> None:
-        """Visit the due samplers of ``kind`` on the current tick.
-
-        ``replay`` stands in for ``run`` only when state is provably what
-        the sampler last saw: it ran under the current plan (hence in this
-        quiet epoch), and every grid (if any) sat at its fixed point for
-        the whole epoch.
-        """
-        sched = self._sched
-        sim = sched.sim
-        for op in samplers:
-            if op.kind is not kind or not op.due(sched.iteration):
+    def _sample(self, entries, stop: int, stepping: bool) -> int:
+        """Visit the samplers of one stage due at ``stop``; returns the
+        replays.  ``replay`` stands in for ``run`` only while no grid
+        evolves: state is then provably what the sampler last saw."""
+        sim = self._sched.sim
+        replays = 0
+        for entry in entries:
+            if (stop + 1) % entry[0]:
                 continue
-            replay = getattr(op, "replay", None)
-            if replay is not None and op in sampled and (
-                    not sim.diffusion_grids
-                    or self._grids_fixed == (self._epoch, True)):
-                replay(sim)
-                self._replays.inc()
+            if entry[2] is not None and not stepping:
+                entry[2](sim)
+                replays += 1
                 continue
+            op = entry[1]
             with sim.obs.stage(op.name):
                 op.run(sim)
-            sampled.add(op)
+            entry[2] = getattr(op, "replay", None)
+        return replays
 
     def _jump_diffusion(self, grids) -> bool:
         """One skipped tick's diffusion; True while grids keep evolving.
@@ -316,10 +324,13 @@ class EventScheduler:
         sched = self._sched
         sim = sched.sim
         now = sched.iteration
-        _, horizon, samplers, sampled = self._plan()
-        k = int(min(horizon, now + int(max_ticks))) - now
+        plan = self._plan()
+        k = int(min(plan[1], now + int(max_ticks))) - now
         if k < 1:
             return 0
+        if plan[2] is None:
+            plan[2] = self._schedule()
+        frequencies, pre, standalone, post = plan[2]
         dt = sim.param.simulation_time_step
         grids = list(sim.diffusion_grids.values())
         stepping = bool(grids) and self._grids_fixed != (self._epoch, True)
@@ -330,32 +341,40 @@ class EventScheduler:
                 max(1, int(np.ceil(dt / g.stable_time_step()))) for g in grids)
             k = max(1, min(k, DIFFUSION_SUBSTEP_CAP // max(per_tick, 1)))
         end = now + k
+        stops = replays = 0
         with sim.obs.tracer.span("events_jump", cat="scheduler",
                                  iteration=now, ticks=k):
-            # One pass over the *stops* (a sampler's next due tick; every
+            # One pass over the *stops* (the samplers' next due tick; every
             # tick while grids evolve), each mirroring what _iterate_stages
             # still does on a quiescent tick, in stage order.  Between
             # stops only the clock moves — tick by tick (IEEE identity).
             it, t = now, sim.time
             while it < end:
-                stop = it if stepping else min(
-                    [next_due_tick(op.frequency, it) for op in samplers],
-                    default=end)
+                stop = it if stepping else it + (
+                    (-1 - it) % frequencies[0] if len(frequencies) == 1
+                    else min([(-1 - it) % f for f in frequencies], default=k))
                 for _ in range(min(stop, end) - it):
                     t += dt
                 if stop >= end:
                     break
+                stops += 1
                 sched.iteration, sim.time = stop, t
-                self._sample(samplers, sampled, OpKind.PRE)
+                if pre:
+                    replays += self._sample(pre, stop, stepping)
                 if stepping:
                     stepping = self._jump_diffusion(grids)
-                self._sample(samplers, sampled, OpKind.STANDALONE)
+                if standalone:
+                    replays += self._sample(standalone, stop, stepping)
                 sim.time = t = t + dt
-                self._sample(samplers, sampled, OpKind.POST)
+                if post:
+                    replays += self._sample(post, stop, stepping)
                 it = stop + 1
             sched.iteration, sim.time = end, t
         sched._iterations_done.inc(k)
         self._jumps.inc()
         self._skipped.inc(k)
-        self._max_jump.set(max(k, self._max_jump.value))
+        self._stops.inc(stops)
+        self._replays.inc(replays)
+        if k > self._max_jump.value:
+            self._max_jump.set(k)
         return k

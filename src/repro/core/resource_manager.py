@@ -388,6 +388,10 @@ class ResourceManager:
 
     @property
     def pending_removals(self) -> int:
+        # O(1) on the empty queue: the event horizon's plan key reads this
+        # on every tick and every jump.
+        if not self._remove_queues:
+            return 0
         return sum(len(a) for q in self._remove_queues.values() for a in q)
 
     # ------------------------------------------------------------------ #

@@ -45,6 +45,10 @@ class TimeSeriesOperation(Operation):
         super().__init__(frequency)
         self._collectors: dict[str, callable] = {}
         self._data: dict[str, list[float]] = {"time": [], "iteration": []}
+        #: The lists in ``_data``, kept for :meth:`replay`'s name-free
+        #: appends: the clock's two, then one per collector.
+        self._time, self._iteration = self._data.values()
+        self._series: list[list[float]] = []
 
     def add_collector(self, name: str, fn) -> None:
         """Register ``fn(sim) -> float`` under ``name``."""
@@ -53,7 +57,8 @@ class TimeSeriesOperation(Operation):
         if name in self._collectors:
             raise ValueError(f"collector {name!r} already registered")
         self._collectors[name] = fn
-        self._data[name] = []
+        self._data[name] = column = []
+        self._series.append(column)
 
     def run(self, sim) -> None:
         """Sample every registered collector once."""
@@ -66,10 +71,10 @@ class TimeSeriesOperation(Operation):
         """Repeat the last row at the current clock, collectors uncalled
         (the :attr:`Operation.replay` contract: state is bitwise what it
         was at the last :meth:`run`; only ``time``/``iteration`` moved)."""
-        self._data["time"].append(sim.time)
-        self._data["iteration"].append(sim.scheduler.iteration)
-        for name in self._collectors:
-            self._data[name].append(self._data[name][-1])
+        self._time.append(sim.time)
+        self._iteration.append(sim.scheduler.iteration)
+        for column in self._series:
+            column.append(column[-1])
 
     # ------------------------------------------------------------------ #
 

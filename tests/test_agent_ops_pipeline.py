@@ -10,9 +10,11 @@ queue-merge implementation this pipeline replaced is pinned by
 ``tests/golden/traces.json``.
 """
 
+import threading
+
 import numpy as np
 
-from repro import Param, Simulation
+from repro import Param, Simulation, restore_checkpoint, save_checkpoint
 from repro.core.behaviors_lib import GrowDivide, RandomWalk
 from repro.core.resource_manager import ResourceManager
 from repro.verify.snapshot import state_checksum
@@ -353,6 +355,44 @@ class TestSchedulerCounters:
         sim.simulate(3)
         assert reg.counter("commit:fast_appends").value >= 1
         assert reg.counter("commit:staged_rows").value == 27
+
+
+class TestPendingRemovals:
+    """``pending_removals`` (read on every tick by the event horizon's
+    plan key) is the sum of the queued lengths at every point."""
+
+    @staticmethod
+    def queued(rm):
+        return sum(len(a) for q in rm._remove_queues.values() for a in q)
+
+    @staticmethod
+    def queue_from_two_threads(rm):
+        def worker(thread):
+            rm.queue_removals([thread, thread + 2], thread=thread)
+            rm.queue_removals([thread + 10], thread=thread)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+    def test_matches_queued_lengths(self, tmp_path):
+        with Simulation("pending", Param(), seed=3) as sim:
+            sim.add_cells(lattice(3), diameters=10.0)
+            rm = sim.rm
+            assert rm.pending_removals == self.queued(rm) == 0
+            self.queue_from_two_threads(rm)
+            assert rm.pending_removals == self.queued(rm) == 6
+            rm.commit()
+            assert rm.pending_removals == self.queued(rm) == 0
+            assert rm.n == 21
+            path = save_checkpoint(sim, tmp_path / "pending.npz")
+            self.queue_from_two_threads(rm)
+            restore_checkpoint(sim, path)
+            assert rm.pending_removals == self.queued(rm)
+            self.queue_from_two_threads(rm)
+            assert rm.pending_removals == self.queued(rm) > 0
 
 
 class TestNeighborMemoryProfileRegression:

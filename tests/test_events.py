@@ -14,6 +14,8 @@ chunked and however many agents there are, sampler replay and scalar
 wake answers are indistinguishable from the slow paths.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +318,10 @@ def _refrequency_bump(sim):
     sim.bump.frequency = 4  # plain attribute write: only the key sees it
 
 
+def _reassign_sampler_kind(sim):
+    sim.timeseries.kind = OpKind.PRE  # plain attribute write, like frequency
+
+
 def _attach_always_due(sim):
     sim.attach_behavior(np.arange(sim.num_agents), AlwaysDue())
 
@@ -343,6 +349,7 @@ class TestHorizonCacheInvalidation:
         "add_operation": (_add_bump_due_soon, 0),
         "remove_operation": (_remove_bump, 7),
         "frequency_reassigned": (_refrequency_bump, 50),
+        "kind_reassigned": (_reassign_sampler_kind, 0),
         "attach_behavior": (_attach_always_due, 0),
         "visualize_callback": (_set_visualize_callback, 0),
         "queue_new_agents": (_queue_new_agents, 0),
@@ -456,6 +463,41 @@ class TestQuietStretchIsO1:
         assert delta("events:sampler_replays") >= 999  # of 1000 samples
         assert len(sim.behaviors) == 5 and len(collectors) == 4
         assert all(count <= 1 for count in calls.values()), calls
+
+    #: Python-level calls of one quiet ``advance(10)`` (two sampler stops).
+    MAX_JUMP_CALLS = 22
+
+    def test_jump_call_count(self):
+        """One warm ``advance(10)`` over a quiet stretch makes as many
+        Python calls at 2 000 agents as at 200, and no more than
+        MAX_JUMP_CALLS.  Under CPython 3.11 the plan's stop schedule makes
+        it 19 calls; per-stop rescans (a ``next_due_tick`` per sampler,
+        three ``_sample`` passes with an ``op.due`` test each) made it 31,
+        and any one of them coming back costs at least four more."""
+        bench = get_simulation("epidemiology_interventions")
+        p = bench.default_param().with_(event_scheduling=True)
+        counts = []
+        for num_agents in (200, 2000):
+            with bench.build(num_agents, param=p, seed=5) as sim:
+                sim.simulate(1000)
+                state = sim.rm.data["state"][:sim.num_agents]
+                assert not np.any(state == Infection.INFECTED)
+                assert sim.advance(10) == 10  # warm: the plan is cached
+                calls = [0]
+
+                def profile(frame, event, arg):
+                    if event == "call":
+                        calls[0] += 1
+
+                sys.setprofile(profile)
+                try:
+                    ticks = sim.advance(10)
+                finally:
+                    sys.setprofile(None)
+                assert ticks == 10
+                counts.append(calls[0])
+        assert counts[0] == counts[1], counts
+        assert counts[0] <= self.MAX_JUMP_CALLS, counts
 
 
 class Pulse(ScheduledIntervention):
