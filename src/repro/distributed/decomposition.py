@@ -74,13 +74,12 @@ class GridDecomposition:
         y_hi = np.inf if r == self.ny - 1 else self.y_cuts[c, r]
         return x_lo, x_hi, y_lo, y_hi
 
-    def halo_indices(self, positions: np.ndarray, node: int, radius: float,
-                     owner: np.ndarray | None = None) -> np.ndarray:
+    def halo_indices(self, positions: np.ndarray, owner: np.ndarray,
+                     node: int, radius: float) -> np.ndarray:
         """Remote agents within ``radius`` of the node's rectangle: the
         ghosts it must receive before computing local forces.  ``owner``
-        is ``owner_of(positions)`` when the caller already has it."""
-        if owner is None:
-            owner = self.owner_of(positions)
+        is ``owner_of(positions)``, computed once by the caller for every
+        node."""
         x_lo, x_hi, y_lo, y_hi = self._cell_bounds(node)
         x, y = positions[:, 0], positions[:, 1]
         inside_expanded = (

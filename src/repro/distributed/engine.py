@@ -149,8 +149,8 @@ class DistributedEngine:
         ghosts = np.zeros(nn, dtype=np.int64)
         for node in range(nn):
             local = np.flatnonzero(owners_before == node)
-            halo = decomp.halo_indices(before.positions, node, before.radius,
-                                       owners_before)
+            halo = decomp.halo_indices(before.positions, owners_before, node,
+                                       before.radius)
             ghosts[node] = len(halo)
             # Halo exchange: one message per neighboring node in each
             # direction; receive ghosts, send own boundary layer (equal

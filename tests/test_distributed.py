@@ -65,7 +65,7 @@ class TestDecomposition:
         pos = random_ball(50)
         d = GridDecomposition(1, 1, pos)
         assert np.all(d.owner_of(pos) == 0)
-        assert len(d.halo_indices(pos, 0, 5.0)) == 0
+        assert len(d.halo_indices(pos, d.owner_of(pos), 0, 5.0)) == 0
 
     def test_owners_partition(self):
         pos = random_ball(300)
@@ -76,8 +76,9 @@ class TestDecomposition:
         pos = random_ball(500)
         d = GridDecomposition(2, 1, pos)
         radius = 5.0
-        halo0 = d.halo_indices(pos, 0, radius)
-        assert np.all(d.owner_of(pos)[halo0] != 0)
+        owners = d.owner_of(pos)
+        halo0 = d.halo_indices(pos, owners, 0, radius)
+        assert np.all(owners[halo0] != 0)
         assert np.all(pos[halo0, 0] <= d.x_cuts[0] + radius)
 
     def test_rebalance_restores_balance(self):
@@ -132,7 +133,7 @@ class TestCorrectness:
         rows = np.repeat(np.arange(len(pos)), np.diff(indptr))
         for node in range(decomp.num_nodes):
             seen = owners == node
-            seen[decomp.halo_indices(pos, node, radius)] = True
+            seen[decomp.halo_indices(pos, owners, node, radius)] = True
             assert np.all(seen[indices[owners[rows] == node]])
 
     def test_migrations_are_keyed_by_uid(self):

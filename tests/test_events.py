@@ -461,19 +461,26 @@ class TestQuietStretchIsO1:
         assert delta("events:horizon_recomputes") <= 1
         assert delta("events:jumps") == 500
         assert delta("events:sampler_replays") >= 999  # of 1000 samples
+        assert delta("events:jump_stops") == 1000  # 2 frequency-5 stops a jump
         assert len(sim.behaviors) == 5 and len(collectors) == 4
         assert all(count <= 1 for count in calls.values()), calls
 
     #: Python-level calls of one quiet ``advance(10)`` (two sampler stops).
-    MAX_JUMP_CALLS = 22
+    MAX_JUMP_CALLS = 23
+
+    #: Comprehension frames CPython 3.12 inlines (PEP 709); left out of
+    #: the count so that it means the same on every supported version.
+    INLINED = frozenset({"<listcomp>", "<setcomp>", "<dictcomp>"})
 
     def test_jump_call_count(self):
         """One warm ``advance(10)`` over a quiet stretch makes as many
         Python calls at 2 000 agents as at 200, and no more than
-        MAX_JUMP_CALLS.  Under CPython 3.11 the plan's stop schedule makes
-        it 19 calls; per-stop rescans (a ``next_due_tick`` per sampler,
-        three ``_sample`` passes with an ``op.due`` test each) made it 31,
-        and any one of them coming back costs at least four more."""
+        MAX_JUMP_CALLS.  Measured on CPython 3.11 only: the plan's stop
+        schedule makes it 22 calls, where per-stop rescans (a
+        ``next_due_tick`` per sampler and an ``op.due`` test in each stop)
+        made it 28; any one of them coming back costs two more, one a
+        stop.  The bound keeps one call to spare for interpreter drift;
+        the equality across sizes holds on every version."""
         bench = get_simulation("epidemiology_interventions")
         p = bench.default_param().with_(event_scheduling=True)
         counts = []
@@ -486,7 +493,8 @@ class TestQuietStretchIsO1:
                 calls = [0]
 
                 def profile(frame, event, arg):
-                    if event == "call":
+                    if event == "call" and (
+                            frame.f_code.co_name not in self.INLINED):
                         calls[0] += 1
 
                 sys.setprofile(profile)
